@@ -101,15 +101,16 @@ BenchInstance& SharedInstance() {
 void BM_MatrixPropagate(benchmark::State& state) {
   auto& bi = SharedInstance();
   const auto& inst = *bi.gen.instance;
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  f.Set(inst.RowOfUser(0), 1.0);
+  // One seeker lane: the single-query exploration step.
+  social::BatchFrontier f, g;
+  f.Init(inst.layout().total(), 1);
+  g.Init(inst.layout().total(), 1);
+  f.Set(inst.RowOfUser(0), 0, 1.0);
   // Warm two steps so the frontier is wide.
-  inst.matrix().Propagate(f, g);
-  inst.matrix().Propagate(g, f);
+  inst.matrix().PropagateBatchAdaptive(f, g, nullptr);
+  inst.matrix().PropagateBatchAdaptive(g, f, nullptr);
   for (auto _ : state) {
-    inst.matrix().Propagate(f, g);
+    inst.matrix().PropagateBatchAdaptive(f, g, nullptr);
     benchmark::DoNotOptimize(g.values.data());
   }
 }

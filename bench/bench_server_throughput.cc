@@ -24,7 +24,6 @@
 #include "common/timer.h"
 #include "eval/runtime.h"
 #include "obs/metrics.h"
-#include "eval/service_stats.h"
 #include "server/query_service.h"
 #include "workload/microblog_gen.h"
 #include "workload/query_gen.h"
@@ -58,9 +57,9 @@ std::vector<core::Query> MakeHotTrace(const core::S3Instance& inst,
 
 struct RunResult {
   double seconds = 0.0;
-  eval::LatencySnapshot latency;
+  bench::LatencySummary latency;
   double hit_rate = 0.0;
-  eval::ServiceCounters counters;
+  server::QueryServiceStats stats;
 };
 
 RunResult RunTrace(std::shared_ptr<const core::S3Instance> snapshot,
@@ -90,14 +89,21 @@ RunResult RunTrace(std::shared_ptr<const core::S3Instance> snapshot,
     if (submitted.ok()) futures.push_back(std::move(*submitted));
   }
   size_t failed = 0;
+  std::vector<double> latencies;
+  latencies.reserve(futures.size());
   for (auto& f : futures) {
-    if (!f.get().ok()) ++failed;
+    auto resp = f.get();
+    if (resp.ok()) {
+      latencies.push_back(resp->total_seconds);
+    } else {
+      ++failed;
+    }
   }
   RunResult out;
   out.seconds = timer.ElapsedSeconds();
-  out.latency = service.latency().TakeSnapshot(out.seconds);
+  out.latency = bench::SummarizeLatency(latencies, out.seconds);
   if (cache_on) out.hit_rate = service.cache()->Stats().HitRate();
-  out.counters = service.Stats().Counters();
+  out.stats = service.Stats();
   if (failed > 0) {
     std::fprintf(stderr, "WARNING: %zu queries failed\n", failed);
   }
@@ -155,7 +161,7 @@ int main() {
                     qps_s, spd, p50, p99, cache_on ? hit : "-"});
       std::printf("workers=%u cache=%s: %s\n", workers,
                   cache_on ? "on" : "off",
-                  eval::FormatCounters(r.counters).c_str());
+                  server::FormatStats(r.stats).c_str());
 
       char extra[256];
       std::snprintf(
@@ -185,17 +191,17 @@ int main() {
     RunResult r = RunTrace(snapshot, trace, /*workers=*/2,
                            /*cache_on=*/true, 10, window);
     std::printf("batch_window=%zu: qps=%.1f %s\n", window, r.latency.qps,
-                eval::FormatCounters(r.counters).c_str());
+                server::FormatStats(r.stats).c_str());
     char extra[256];
     std::snprintf(extra, sizeof(extra),
                   "\"batch_window\": %zu, \"qps\": %.1f, "
                   "\"batched_queries\": %llu, \"batches\": %llu, "
                   "\"mean_width\": %.2f",
                   window, r.latency.qps,
-                  static_cast<unsigned long long>(r.counters.batched_queries),
+                  static_cast<unsigned long long>(r.stats.batched_queries),
                   static_cast<unsigned long long>(
-                      r.counters.batches_executed),
-                  r.counters.MeanBatchWidth());
+                      r.stats.batches_executed),
+                  r.stats.MeanBatchWidth());
     json.Add("server_throughput/batch_window:" + std::to_string(window),
              r.seconds * 1e9 / trace.size(), extra);
   }
@@ -212,7 +218,7 @@ int main() {
                            /*cache_on=*/true, 10, /*batch_window=*/0, eps);
     std::printf("eps=%.2f: qps=%.1f p50=%.2fms p99=%.2fms %s\n", eps,
                 r.latency.qps, r.latency.p50_ms, r.latency.p99_ms,
-                eval::FormatCounters(r.counters).c_str());
+                server::FormatStats(r.stats).c_str());
     char extra[256];
     std::snprintf(extra, sizeof(extra),
                   "\"epsilon\": %.3f, \"qps\": %.1f, \"p50_ms\": %.3f, "

@@ -28,7 +28,6 @@
 #include "common/timer.h"
 #include "eval/runtime.h"
 #include "obs/metrics.h"
-#include "eval/service_stats.h"
 #include "shard/partitioner.h"
 #include "shard/shard_router.h"
 #include "workload/microblog_gen.h"
@@ -60,14 +59,15 @@ std::vector<core::Query> MakeHotTrace(const core::S3Instance& inst,
 
 struct RunResult {
   double seconds = 0.0;
-  eval::LatencySnapshot latency;
-  eval::ServiceCounters counters;  // summed over shards
+  bench::LatencySummary latency;
+  server::QueryServiceStats stats;  // summed over shards
 };
 
 RunResult RunTrace(shard::ShardRouter& router,
                    const std::vector<core::Query>& trace,
                    unsigned client_threads) {
-  eval::LatencyRecorder latency;
+  // One latency list per client thread, concatenated after the join.
+  std::vector<std::vector<double>> per_client(client_threads);
   std::vector<std::thread> clients;
   clients.reserve(client_threads);
   WallTimer timer;
@@ -76,7 +76,7 @@ RunResult RunTrace(shard::ShardRouter& router,
       for (size_t i = t; i < trace.size(); i += client_threads) {
         WallTimer per_query;
         auto resp = router.Query(trace[i]);
-        if (resp.ok()) latency.Add(per_query.ElapsedSeconds());
+        if (resp.ok()) per_client[t].push_back(per_query.ElapsedSeconds());
       }
     });
   }
@@ -84,12 +84,16 @@ RunResult RunTrace(shard::ShardRouter& router,
 
   RunResult out;
   out.seconds = timer.ElapsedSeconds();
-  out.latency = latency.TakeSnapshot(out.seconds);
+  std::vector<double> latencies;
+  for (const auto& l : per_client) {
+    latencies.insert(latencies.end(), l.begin(), l.end());
+  }
+  out.latency = bench::SummarizeLatency(latencies, out.seconds);
   for (uint32_t s = 0; s < router.shard_count(); ++s) {
-    const eval::ServiceCounters c = router.service(s).Stats().Counters();
-    out.counters.rejected_queue_full += c.rejected_queue_full;
-    out.counters.cache_hits += c.cache_hits;
-    out.counters.cache_misses += c.cache_misses;
+    const server::QueryServiceStats st = router.service(s).Stats();
+    out.stats.rejected += st.rejected;
+    out.stats.cache_hits += st.cache_hits;
+    out.stats.cache_misses += st.cache_misses;
   }
   return out;
 }
@@ -156,13 +160,13 @@ int main() {
     std::snprintf(p50, sizeof(p50), "%.2f", r.latency.p50_ms);
     std::snprintf(p99, sizeof(p99), "%.2f", r.latency.p99_ms);
     std::snprintf(hit, sizeof(hit), "%.1f%%",
-                  r.counters.CacheHitRate() * 100.0);
+                  r.stats.CacheHitRate() * 100.0);
     std::snprintf(bnd, sizeof(bnd), "%llu",
                   static_cast<unsigned long long>(boundary));
     table.AddRow({std::to_string(n_shards), qps_s, spd, p50, p99, hit, bnd});
     std::printf("shards=%u: %s | %s\n", n_shards,
-                eval::FormatSnapshot(r.latency).c_str(),
-                eval::FormatCounters(r.counters).c_str());
+                bench::FormatLatency(r.latency).c_str(),
+                server::FormatStats(r.stats).c_str());
 
     char extra[256];
     std::snprintf(extra, sizeof(extra),
@@ -170,7 +174,7 @@ int main() {
                   "\"p99_ms\": %.3f, \"hit_rate\": %.3f, "
                   "\"boundary_edges\": %llu",
                   n_shards, qps, r.latency.p50_ms, r.latency.p99_ms,
-                  r.counters.CacheHitRate(),
+                  r.stats.CacheHitRate(),
                   static_cast<unsigned long long>(boundary));
     json.Add("shard_scaling/shards:" + std::to_string(n_shards),
              r.seconds * 1e9 / trace.size(), extra);

@@ -19,6 +19,7 @@
 
 #include "baseline/flatten.h"
 #include "baseline/topks.h"
+#include "common/stats.h"
 #include "common/timer.h"
 #include "core/s3k.h"
 #include "eval/runtime.h"
@@ -191,6 +192,41 @@ class BenchJsonWriter {
   bool merge_;
   std::vector<std::string> records_;
 };
+
+// Client-side latency summary of a serving run: one sample per answered
+// query (normally QueryResponse::total_seconds, admission to
+// completion), type-7 quantiles from common/stats.h, and QPS over the
+// run's wall-clock window. Latencies in milliseconds.
+struct LatencySummary {
+  size_t count = 0;
+  double qps = 0.0;
+  double p50_ms = 0.0;
+  double p90_ms = 0.0;
+  double p99_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+inline LatencySummary SummarizeLatency(const std::vector<double>& seconds,
+                                       double elapsed_seconds) {
+  LatencySummary s;
+  s.count = seconds.size();
+  if (seconds.empty()) return s;
+  if (elapsed_seconds > 0.0) s.qps = s.count / elapsed_seconds;
+  s.p50_ms = Quantile(seconds, 0.50) * 1e3;
+  s.p90_ms = Quantile(seconds, 0.90) * 1e3;
+  s.p99_ms = Quantile(seconds, 0.99) * 1e3;
+  s.max_ms = Quantile(seconds, 1.0) * 1e3;
+  return s;
+}
+
+// e.g. "n=1200 qps=483.1 p50=1.92ms p90=3.10ms p99=7.45ms max=9.01ms".
+inline std::string FormatLatency(const LatencySummary& s) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "n=%zu qps=%.1f p50=%.2fms p90=%.2fms p99=%.2fms max=%.2fms",
+                s.count, s.qps, s.p50_ms, s.p90_ms, s.p99_ms, s.max_ms);
+  return buf;
+}
 
 // The three bench instances, mirroring the paper's I1/I2/I3.
 inline workload::GenResult MakeI1() {

@@ -17,7 +17,6 @@ namespace s3::core {
 namespace {
 
 using social::ComponentId;
-using social::Frontier;
 
 // Runs fn(i) for i in [0, n): striped over `pool` when it exists and
 // the trip count is worth the dispatch, serial otherwise.
@@ -74,12 +73,7 @@ BatchSeeker ResolveLane(const QueryRequest& request,
   lane.epsilon_approx = request.options.mode == QueryMode::kAnytime
                             ? request.options.epsilon_approx
                             : 0.0;
-  // Deprecated-alias mapping: a request without its own deadline
-  // inherits S3kOptions::time_budget_seconds, so legacy budget-based
-  // deployments behave identically through the new surface.
-  lane.deadline_seconds = request.options.deadline_seconds > 0.0
-                              ? request.options.deadline_seconds
-                              : defaults.time_budget_seconds;
+  lane.deadline_seconds = request.options.deadline_seconds;
   lane.trace = request.options.trace;
   return lane;
 }
@@ -192,9 +186,15 @@ Result<std::vector<ResultEntry>> S3kSearcher::Search(
   if (instance_.finalized() && query.seeker >= instance_.UserCount()) {
     return Status::InvalidArgument("unknown seeker");
   }
-  auto plan = BuildCandidatePlan(instance_, query.keywords,
-                                 options_.use_semantics, options_.score.eta,
-                                 pool_.get());
+  // Plan over the sorted keyword multiset, like the serving layer (its
+  // plan-cache key): scores multiply per-keyword sums in slot order, so
+  // with three or more keywords another order may move the last ulp.
+  // One canonical order makes every permutation of a request — and
+  // every path that serves it — answer bit for bit alike.
+  std::vector<KeywordId> keywords = query.keywords;
+  std::sort(keywords.begin(), keywords.end());
+  auto plan = BuildCandidatePlan(instance_, keywords, options_.use_semantics,
+                                 options_.score.eta, pool_.get());
   if (!plan.ok()) return plan.status();
   auto result = SearchWithPlan(query, *plan, stats);
   if (stats != nullptr && result.ok()) {
@@ -306,21 +306,16 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
 
   std::vector<BatchQueryResult> out(B);
   std::vector<size_t> ks(B);
-  // Per-lane anytime parameters. A zero deadline inherits the
-  // deprecated options_.time_budget_seconds (the alias mapping), so
-  // the legacy global budget and a per-request deadline are one
-  // mechanism; eps == 0 lanes never touch the anytime exit at all.
-  std::vector<double> lane_eps(B), lane_deadline(B);
+  // Per-lane anytime parameters (a zero deadline means none); eps == 0
+  // lanes never touch the anytime exit at all.
+  std::vector<double> lane_eps(B);
   // Per-lane iteration tracing (observability only): untraced lanes
   // skip the record entirely, so the common case allocates nothing.
   std::vector<uint8_t> lane_trace(B, 0);
   bool any_deadline = false;
   for (size_t s = 0; s < B; ++s) {
     lane_eps[s] = batch[s].epsilon_approx;
-    lane_deadline[s] = batch[s].deadline_seconds > 0.0
-                           ? batch[s].deadline_seconds
-                           : options_.time_budget_seconds;
-    any_deadline = any_deadline || lane_deadline[s] > 0.0;
+    any_deadline = any_deadline || batch[s].deadline_seconds > 0.0;
     lane_trace[s] = batch[s].trace ? 1 : 0;
   }
   for (size_t s = 0; s < B; ++s) {
@@ -850,14 +845,11 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
     // stays false, deadline_exceeded marks the truncation — and drops
     // out of the batch; lanes with slack keep iterating. Probed once
     // per iteration: deadlines bound iterations, not instructions.
-    // With every lane on the legacy time_budget_seconds this finishes
-    // exactly the lanes the old global break abandoned, at the same
-    // point, with the same GreedyTopK pick.
     if (any_deadline && live > 0) {
       const double elapsed = timer.ElapsedSeconds();
       for (size_t s = 0; s < B; ++s) {
-        if (finished[s] || lane_deadline[s] <= 0.0 ||
-            elapsed < lane_deadline[s]) {
+        if (finished[s] || batch[s].deadline_seconds <= 0.0 ||
+            elapsed < batch[s].deadline_seconds) {
           continue;
         }
         out[s].stats.deadline_exceeded = true;

@@ -62,10 +62,9 @@ struct QueryOptions {
   // Certified approximation slack (kAnytime only; see QueryMode).
   double epsilon_approx = 0.0;
   // Wall-clock deadline for the *search* (queue wait excluded), in
-  // seconds; 0 inherits the deprecated S3kOptions::time_budget_seconds
-  // (normally: no deadline). An expired search returns the best k
+  // seconds; 0 means no deadline. An expired search returns the best k
   // found so far with SearchStats::deadline_exceeded set — in both
-  // modes, matching the legacy anytime-budget behavior.
+  // modes (anytime termination, paper §4.1).
   double deadline_seconds = 0.0;
   QueryMode mode = QueryMode::kExact;
   // Record the engine's per-iteration bound-refinement story into
@@ -122,12 +121,6 @@ struct S3kOptions {
   // identical at every thread count, so the override is behaviorally
   // invisible).
   unsigned threads = 1;
-  // DEPRECATED: use QueryOptions::deadline_seconds. Kept as an alias
-  // so pre-QueryRequest deployments keep their anytime budget: a
-  // request (or batch member) without its own deadline inherits this
-  // value — ResolveLane / the engine's per-lane probe map it over, so
-  // the two spellings cannot diverge. 0 disables the budget.
-  double time_budget_seconds = 0.0;
 };
 
 // The seeker-independent half of query evaluation: semantic extension,
@@ -139,10 +132,12 @@ struct S3kOptions {
 // never mutates one, which is what lets the serving layer cache them
 // behind shared_ptr<const CandidatePlan> across threads.
 //
-// Because the score is a product over query keywords, permuting the
-// keyword list permutes the plan's slots without changing any score:
-// a plan built from the *sorted* keyword list answers any ordering of
-// the same multiset (the proximity-cache canonicalization).
+// Permuting the keyword list permutes the plan's slots, and the score
+// is a product over slots — mathematically order-free, but the
+// floating-point product of three or more factors can differ in the
+// last ulp between orders. Search and the serving layer therefore
+// always plan over the *sorted* keyword list (the proximity-cache
+// canonicalization), so every ordering of a multiset gets one answer.
 struct CandidatePlan {
   // Keywords the plan was built for, in slot order (ext[i] extends
   // keywords[i]).
@@ -209,8 +204,8 @@ struct SearchStats {
   // the bounds support — infinity when nothing is certifiable
   // (kth_lower == 0 with mass still undiscovered).
   double certified_epsilon = 0.0;
-  // The lane's deadline (QueryOptions::deadline_seconds, or the legacy
-  // time_budget_seconds) expired before convergence.
+  // The lane's deadline (QueryOptions::deadline_seconds) expired before
+  // convergence.
   bool deadline_exceeded = false;
   // Scheduling observability (NOT part of the bit-for-bit result
   // contract — it reports which schedule ran, which legitimately
@@ -233,7 +228,7 @@ struct SearchStats {
 // searcher's options().k"; a per-member k lets same-keyword queries
 // with different result sizes share one batch. epsilon_approx and
 // deadline_seconds carry per-member QueryOptions through the lane
-// machinery (0 = exact / inherit the legacy budget), so members with
+// machinery (0 = exact / no deadline), so members with
 // different certificates or deadlines still share one batch — an
 // early-exiting lane drops out exactly like a converged one.
 struct BatchSeeker {
@@ -248,9 +243,7 @@ struct BatchSeeker {
 
 // The effective per-lane parameters of `request` against the serving
 // defaults: k == 0 inherits defaults.k, epsilon_approx applies only in
-// kAnytime mode, and a zero deadline inherits the deprecated
-// defaults.time_budget_seconds (the alias mapping with a single source
-// of truth).
+// kAnytime mode, and the deadline is the request's own.
 BatchSeeker ResolveLane(const QueryRequest& request,
                         const S3kOptions& defaults);
 
@@ -281,18 +274,20 @@ class S3kSearcher {
 
   // Runs the request; returns the top-k (possibly fewer if the
   // instance has fewer matching neighbor-free documents). Builds the
-  // candidate plan itself — equivalent to BuildCandidatePlan +
-  // SearchWithPlan. Takes any QueryRequest (a bare core::Query
-  // converts to an exact request with default options).
+  // candidate plan itself — equivalent to BuildCandidatePlan over the
+  // sorted keywords + SearchWithPlan, so every permutation of the
+  // keywords returns bit-identical entries. Takes any QueryRequest (a
+  // bare core::Query converts to an exact request with default
+  // options).
   Result<std::vector<ResultEntry>> Search(const QueryRequest& query,
                                           SearchStats* stats = nullptr);
 
   // Runs the exploration loop over a prebuilt (possibly shared/cached)
   // plan. The plan must have been built over this searcher's instance
   // with the same use_semantics / eta; only `query.seeker` and
-  // `query.options` are read — the plan's keyword slots stand in for
-  // `query.keywords` (any permutation of the plan's keyword multiset
-  // scores identically).
+  // `query.options` are read — the plan's keyword slots, in the plan's
+  // order, stand in for `query.keywords` (see CandidatePlan on why the
+  // order can matter in the last ulp).
   Result<std::vector<ResultEntry>> SearchWithPlan(const QueryRequest& query,
                                                   const CandidatePlan& plan,
                                                   SearchStats* stats = nullptr);

@@ -15,7 +15,7 @@
 //
 //   v1 — streamed frames: (u32 id, u64 size, u32 CRC-32, payload) in
 //        fixed ascending-id order, every field fixed-width. Read
-//        forever; written only under S3_FORCE_SNAPSHOT_V1.
+//        forever; no longer written.
 //   v2 — the compact + zero-copy format (see src/server/STORAGE.md):
 //        a CRC-guarded section *table* up front, varint/delta-encoded
 //        compact sections for the population, postings and CSR
@@ -45,26 +45,15 @@ namespace s3::core {
 
 inline constexpr uint32_t kBinarySnapshotV1 = 1;
 inline constexpr uint32_t kBinarySnapshotV2 = 2;
-// Newest format — what SaveBinarySnapshot writes by default.
-inline constexpr uint32_t kBinarySnapshotVersion = kBinarySnapshotV2;
-
-// kBinarySnapshotV2, or kBinarySnapshotV1 when the environment sets
-// S3_FORCE_SNAPSHOT_V1 (to "ON" or "1" — the CI leg that keeps the v1
-// write path exercised).
-uint32_t DefaultBinarySnapshotVersion();
 
 // True when `bytes` begin with the binary-snapshot magic (cheap format
 // sniffing; says nothing about the rest of the file).
 bool LooksLikeBinarySnapshot(std::string_view bytes);
 
-// Serializes `instance` — population and derived state — into the
-// binary snapshot format (the default overload writes
-// DefaultBinarySnapshotVersion(); pass kBinarySnapshotV1/V2 to pin
-// one). Fails with FailedPrecondition on an unfinalized instance
-// (there is no derived state to save; use the text codec for
-// build-phase dumps) and InvalidArgument on an unknown version.
-Result<std::string> SaveBinarySnapshot(const S3Instance& instance,
-                                       uint32_t version);
+// Serializes `instance` — population and derived state — into the v2
+// binary snapshot format (the only one written). Fails with
+// FailedPrecondition on an unfinalized instance (there is no derived
+// state to save; use the text codec for build-phase dumps).
 Result<std::string> SaveBinarySnapshot(const S3Instance& instance);
 
 // Parses, checksum-verifies and validates a binary snapshot (either

@@ -1,6 +1,7 @@
 #include "server/query_service.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -24,6 +25,61 @@ bool SameKeywordMultiset(const std::vector<KeywordId>& keywords,
 }
 
 }  // namespace
+
+size_t CertifiedEpsilonBucket(double eps) {
+  if (!(eps <= 1e-1)) return 5;
+  if (eps <= 1e-9) return 0;
+  if (eps <= 1e-6) return 1;
+  if (eps <= 1e-3) return 2;
+  if (eps <= 1e-2) return 3;
+  return 4;
+}
+
+const char* CertifiedEpsilonBucketLabel(size_t bucket) {
+  static const char* kLabels[kEpsBuckets] = {
+      "<=1e-9", "<=1e-6", "<=1e-3", "<=1e-2", "<=1e-1", ">1e-1"};
+  return bucket < kEpsBuckets ? kLabels[bucket] : "?";
+}
+
+std::string FormatStats(const QueryServiceStats& stats) {
+  char buf[448];
+  int n = 0;
+  if (stats.cache_hits + stats.cache_misses == 0) {
+    n = std::snprintf(buf, sizeof(buf), "rejected=%llu cache=off",
+                      static_cast<unsigned long long>(stats.rejected));
+  } else {
+    n = std::snprintf(buf, sizeof(buf),
+                      "rejected=%llu cache=%llu/%llu (%.1f%% hit)",
+                      static_cast<unsigned long long>(stats.rejected),
+                      static_cast<unsigned long long>(stats.cache_hits),
+                      static_cast<unsigned long long>(stats.cache_hits +
+                                                      stats.cache_misses),
+                      stats.CacheHitRate() * 100.0);
+  }
+  auto append = [&](const char* fmt, auto... args) {
+    if (n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
+      const int wrote = std::snprintf(buf + n, sizeof(buf) - n, fmt, args...);
+      if (wrote > 0) n += wrote;
+    }
+  };
+  if (stats.batches_executed > 0) {
+    append(" batched=%llu/%llu (%.1f avg)",
+           static_cast<unsigned long long>(stats.batched_queries),
+           static_cast<unsigned long long>(stats.batches_executed),
+           stats.MeanBatchWidth());
+  }
+  if (stats.anytime_queries > 0 || stats.deadline_exceeded > 0) {
+    append(" anytime=%llu deadline_exceeded=%llu",
+           static_cast<unsigned long long>(stats.anytime_queries),
+           static_cast<unsigned long long>(stats.deadline_exceeded));
+    for (size_t b = 0; b < kEpsBuckets; ++b) {
+      if (stats.certified_eps_hist[b] == 0) continue;
+      append(" eps[%s]=%llu", CertifiedEpsilonBucketLabel(b),
+             static_cast<unsigned long long>(stats.certified_eps_hist[b]));
+    }
+  }
+  return buf;
+}
 
 QueryService::QueryService(std::shared_ptr<const core::S3Instance> snapshot,
                            QueryServiceOptions options)
@@ -98,9 +154,9 @@ void QueryService::RegisterMetrics() {
   view("s3_deadline_exceeded_total",
        "Completed queries whose search deadline expired.",
        deadline_exceeded_);
-  for (size_t b = 0; b < eval::ServiceCounters::kEpsBuckets; ++b) {
+  for (size_t b = 0; b < kEpsBuckets; ++b) {
     obs::Labels labels = svc;
-    labels.emplace_back("bucket", eval::CertifiedEpsilonBucketLabel(b));
+    labels.emplace_back("bucket", CertifiedEpsilonBucketLabel(b));
     callbacks_.Add("s3_query_certified_eps_total",
                    "Achieved certified-epsilon histogram over completed "
                    "queries (exact answers land in the leftmost bucket).",
@@ -291,7 +347,7 @@ void QueryService::RecordOutcome(const core::QueryRequest& query,
   if (stats.deadline_exceeded) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
   }
-  eps_hist_[eval::CertifiedEpsilonBucket(stats.certified_epsilon)].fetch_add(
+  eps_hist_[CertifiedEpsilonBucket(stats.certified_epsilon)].fetch_add(
       1, std::memory_order_relaxed);
 }
 
@@ -299,31 +355,27 @@ Result<std::shared_ptr<const core::CandidatePlan>> QueryService::ResolvePlan(
     const core::S3Instance& snapshot, const core::QueryRequest& query,
     ThreadPool* pool, bool* cache_hit) {
   *cache_hit = false;
-  const bool use_semantics = options_.search.use_semantics;
-  const double eta = options_.search.score.eta;
-  if (cache_ == nullptr) {
-    auto built = core::BuildCandidatePlan(snapshot, query.keywords,
-                                          use_semantics, eta, pool);
-    if (!built.ok()) return built.status();
-    return std::make_shared<const core::CandidatePlan>(std::move(*built));
+  // Plans are built over the canonical (sorted) keyword order — the
+  // cache key's, and S3kSearcher::Search's — so every permutation of a
+  // multiset gets the same plan, cached or not, batched or solo.
+  PlanCacheKey key =
+      MakePlanKey(query.keywords, options_.search.use_semantics,
+                  options_.search.score.eta, snapshot.generation());
+  if (cache_ != nullptr) {
+    if (auto plan = cache_->Lookup(key)) {
+      *cache_hit = true;
+      return plan;
+    }
   }
-
-  PlanCacheKey key = MakePlanKey(query.keywords, use_semantics, eta,
-                                 snapshot.generation());
-  if (auto plan = cache_->Lookup(key)) {
-    *cache_hit = true;
-    return plan;
-  }
-  // Miss: build from the canonical (sorted) keyword order, so the plan
-  // serves every permutation of this multiset. Concurrent misses on
-  // the same key may build twice; last insert wins and both plans are
-  // equivalent, so no cross-worker build lock is needed.
+  // Concurrent misses on the same key may build twice; last insert
+  // wins and both plans are equivalent, so no cross-worker build lock
+  // is needed.
   auto built = core::BuildCandidatePlan(snapshot, key.keywords,
-                                        use_semantics, eta, pool);
+                                        key.use_semantics, key.eta, pool);
   if (!built.ok()) return built.status();
   auto plan =
       std::make_shared<const core::CandidatePlan>(std::move(*built));
-  cache_->Insert(key, plan);
+  if (cache_ != nullptr) cache_->Insert(key, plan);
   return plan;
 }
 
@@ -360,10 +412,16 @@ void QueryService::WorkerLoop(unsigned worker_index) {
       }
     } busy_guard{busy_workers_, worker_busy_seconds_[worker_index]};
 
-    Task& task = *popped;
-    QueryResponse response;
-    response.queue_seconds = task.timer.ElapsedSeconds();
-    h_queue_wait_->Observe(response.queue_seconds);
+    // The head of this pass, then any same-plan followers drained
+    // below; queue_secs[i] is stamped when tasks[i] leaves the queue.
+    const size_t window =
+        std::min(options_.batch_window, core::S3kSearcher::kMaxBatch);
+    std::vector<Task> tasks;
+    tasks.reserve(std::max<size_t>(window, 1));  // `head` stays valid
+    tasks.push_back(std::move(*popped));
+    Task& head = tasks[0];
+    std::vector<double> queue_secs{head.timer.ElapsedSeconds()};
+    h_queue_wait_->Observe(queue_secs[0]);
     // Trace sampling is decided before the query runs: a sampled query
     // carries the engine-side trace flag (per-iteration records) and
     // gets a QueryTrace built at completion; a sampled-out query pays
@@ -371,7 +429,7 @@ void QueryService::WorkerLoop(unsigned worker_index) {
     // affects the result (engine tracing is read-only).
     const uint64_t query_id = trace_ids_.fetch_add(1, std::memory_order_relaxed);
     const bool sampled = tracer_.ShouldSample();
-    if (sampled) task.query.options.trace = true;
+    if (sampled) head.query.options.trace = true;
 
     // Bind one snapshot for the whole query: snapshot, plan and
     // searcher all come from this generation, even if a swap lands
@@ -382,18 +440,18 @@ void QueryService::WorkerLoop(unsigned worker_index) {
       bound = std::move(current);
       searcher.emplace(*bound, search_opts);
     }
-    response.generation = bound->generation();
     // This query's share of the intra-query thread budget. An idle
     // service hands a solo query the whole budget; a loaded one clamps
     // every query toward 1 (results are bit-for-bit identical at any
     // limit, so the clamp is purely a scheduling decision).
     searcher->set_thread_limit(std::max(1u, intra_budget_ / busy));
 
-    auto plan = ResolvePlan(*bound, task.query, searcher->intra_pool(),
-                            &response.cache_hit);
+    bool head_cache_hit = false;
+    auto plan = ResolvePlan(*bound, head.query, searcher->intra_pool(),
+                            &head_cache_hit);
     if (!plan.ok()) {
       failed_.fetch_add(1, std::memory_order_release);
-      task.promise.set_value(plan.status());
+      head.promise.set_value(plan.status());
       continue;
     }
 
@@ -407,65 +465,29 @@ void QueryService::WorkerLoop(unsigned worker_index) {
     // with exact ones without perturbing them. Only consecutive
     // head-of-queue matches are taken, so non-matching queries are
     // never reordered past.
-    std::vector<Task> followers;
-    std::vector<double> follower_queue_secs;  // stamped at drain time
-    const size_t window =
-        std::min(options_.batch_window, core::S3kSearcher::kMaxBatch);
     if (window > 1) {
-      std::vector<KeywordId> sorted_ref = task.query.keywords;
+      std::vector<KeywordId> sorted_ref = head.query.keywords;
       std::sort(sorted_ref.begin(), sorted_ref.end());
-      while (followers.size() + 1 < window) {
+      while (tasks.size() < window) {
         auto more = queue_.TryPopIf([&](const Task& t) {
           return SameKeywordMultiset(t.query.keywords, sorted_ref);
         });
         if (!more) break;
-        follower_queue_secs.push_back(more->timer.ElapsedSeconds());
-        followers.push_back(std::move(*more));
+        queue_secs.push_back(more->timer.ElapsedSeconds());
+        tasks.push_back(std::move(*more));
       }
     }
 
-    if (followers.empty()) {
-      // Single-query pass (batching off, or no same-plan neighbor was
-      // queued) — identical to the pre-batching serving path.
-      auto result = searcher->SearchWithPlan(task.query, **plan,
-                                             &response.stats);
-      if (!result.ok()) {
-        failed_.fetch_add(1, std::memory_order_release);
-        task.promise.set_value(result.status());
-        continue;
-      }
-      response.entries = std::move(*result);
-      response.certified_epsilon = response.stats.certified_epsilon;
-      response.deadline_exceeded = response.stats.deadline_exceeded;
-      RecordOutcome(task.query, response.stats);
-      response.total_seconds = task.timer.ElapsedSeconds();
-      latency_.Add(response.total_seconds);
-      h_exec_->Observe(response.total_seconds - response.queue_seconds);
-      h_total_->Observe(response.total_seconds);
-      h_batch_width_->Observe(1.0);
-      FinishQueryObs(query_id, sampled, task.query, response,
-                     /*batch_width=*/1);
-      // Release-ordered so a Stats() snapshot that sees this
-      // completion also sees the RecordOutcome increments and the
-      // admission that preceded it (see Stats()).
-      completed_.fetch_add(1, std::memory_order_release);
-      task.promise.set_value(std::move(response));
-      continue;
-    }
-
-    // Batched pass. Every member was validated at admission against a
+    // One search pass answers the head and its followers — a solo
+    // query is a batch of one, exactly as S3kSearcher::SearchWithPlan
+    // runs it. Every member was validated at admission against a
     // snapshot of this lineage no newer than `bound` (user ids only
     // grow within a lineage), so per-member validation cannot fail
-    // here; a batch error fails every member alike.
-    std::vector<Task> tasks;
-    tasks.reserve(followers.size() + 1);
-    tasks.push_back(std::move(task));
-    for (Task& f : followers) tasks.push_back(std::move(f));
+    // here; a pass error fails every member alike.
     std::vector<core::BatchSeeker> batch(tasks.size());
     for (size_t i = 0; i < tasks.size(); ++i) {
       // Each member's QueryOptions become its lane parameters (k,
-      // certificate, deadline) — resolved against the service search
-      // defaults exactly like a solo SearchWithPlan would.
+      // certificate, deadline), resolved against the service defaults.
       batch[i] = core::ResolveLane(tasks[i].query, options_.search);
     }
     auto batched = searcher->SearchBatchWithPlan(batch, **plan);
@@ -474,30 +496,30 @@ void QueryService::WorkerLoop(unsigned worker_index) {
       for (Task& t : tasks) t.promise.set_value(batched.status());
       continue;
     }
-    // Queries-then-passes, with the pass release-ordered: a Stats()
-    // snapshot that sees a batch pass also sees all its member-query
-    // increments (batched_queries >= 2 * batches_executed holds for
-    // every snapshot).
-    batched_queries_.fetch_add(tasks.size(), std::memory_order_relaxed);
-    batches_executed_.fetch_add(1, std::memory_order_release);
+    if (tasks.size() > 1) {
+      // Queries-then-passes, with the pass release-ordered: a Stats()
+      // snapshot that sees a batch pass also sees all its member-query
+      // increments (batched_queries >= 2 * batches_executed holds for
+      // every snapshot).
+      batched_queries_.fetch_add(tasks.size(), std::memory_order_relaxed);
+      batches_executed_.fetch_add(1, std::memory_order_release);
+    }
     h_batch_width_->Observe(static_cast<double>(tasks.size()));
     for (size_t i = 0; i < tasks.size(); ++i) {
       QueryResponse r;
-      r.generation = response.generation;
+      r.generation = bound->generation();
       // Followers ride the head's plan resolution: with the cache on,
       // a solo run would have hit the entry the head just ensured, so
       // report them as hits; with it off they are free riders either
       // way.
-      r.cache_hit = i == 0 ? response.cache_hit : cache_ != nullptr;
-      r.queue_seconds =
-          i == 0 ? response.queue_seconds : follower_queue_secs[i - 1];
+      r.cache_hit = i == 0 ? head_cache_hit : cache_ != nullptr;
+      r.queue_seconds = queue_secs[i];
       r.entries = std::move((*batched)[i].entries);
       r.stats = std::move((*batched)[i].stats);
       r.certified_epsilon = r.stats.certified_epsilon;
       r.deadline_exceeded = r.stats.deadline_exceeded;
       RecordOutcome(tasks[i].query, r.stats);
       r.total_seconds = tasks[i].timer.ElapsedSeconds();
-      latency_.Add(r.total_seconds);
       h_exec_->Observe(r.total_seconds - r.queue_seconds);
       h_total_->Observe(r.total_seconds);
       // Only the batch head can be the sampled query (the decision was
@@ -506,6 +528,9 @@ void QueryService::WorkerLoop(unsigned worker_index) {
       FinishQueryObs(
           i == 0 ? query_id : trace_ids_.fetch_add(1, std::memory_order_relaxed),
           i == 0 && sampled, tasks[i].query, r, tasks.size());
+      // Release-ordered so a Stats() snapshot that sees this
+      // completion also sees the RecordOutcome increments and the
+      // admission that preceded it (see Stats()).
       completed_.fetch_add(1, std::memory_order_release);
       tasks[i].promise.set_value(std::move(r));
     }
@@ -600,7 +625,7 @@ QueryServiceStats QueryService::Stats() const {
   out.failed = failed_.load(std::memory_order_acquire);
   out.anytime_queries = anytime_queries_.load(std::memory_order_relaxed);
   out.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  for (size_t b = 0; b < eval::ServiceCounters::kEpsBuckets; ++b) {
+  for (size_t b = 0; b < kEpsBuckets; ++b) {
     out.certified_eps_hist[b] = eps_hist_[b].load(std::memory_order_relaxed);
   }
   out.rejected = rejected_.load(std::memory_order_relaxed);

@@ -47,6 +47,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -54,7 +55,6 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "core/s3k.h"
-#include "eval/service_stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/proximity_cache.h"
@@ -135,6 +135,20 @@ struct QueryResponse {
 
 using QueryFuture = std::future<Result<QueryResponse>>;
 
+// Buckets of the achieved-certificate histogram
+// (QueryServiceStats::certified_eps_hist). Inclusive upper bounds:
+//   0: <= 1e-9 (exact)   1: <= 1e-6   2: <= 1e-3
+//   3: <= 1e-2           4: <= 1e-1   5: > 1e-1 (incl. infinity)
+inline constexpr size_t kEpsBuckets = 6;
+
+// Bucket index of an achieved certificate (NaN counts as uncertified,
+// the last bucket).
+size_t CertifiedEpsilonBucket(double eps);
+
+// Human-readable label of a bucket, e.g. "<=1e-6" (the {bucket} label
+// of the s3_query_certified_eps_total series).
+const char* CertifiedEpsilonBucketLabel(size_t bucket);
+
 // Monotonic service counters. `rejected` counts queue-full
 // Unavailable refusals only (load shed); shutdown and validation
 // refusals are not admission-control events. Cache hit/miss totals
@@ -161,23 +175,28 @@ struct QueryServiceStats {
   // the histogram doubles as a convergence-quality monitor.
   uint64_t anytime_queries = 0;
   uint64_t deadline_exceeded = 0;
-  std::array<uint64_t, eval::ServiceCounters::kEpsBuckets>
-      certified_eps_hist{};
+  std::array<uint64_t, kEpsBuckets> certified_eps_hist{};
 
-  // The operational-health view (eval::FormatCounters renders it).
-  eval::ServiceCounters Counters() const {
-    eval::ServiceCounters c;
-    c.rejected_queue_full = rejected;
-    c.cache_hits = cache_hits;
-    c.cache_misses = cache_misses;
-    c.batched_queries = batched_queries;
-    c.batches_executed = batches_executed;
-    c.anytime_queries = anytime_queries;
-    c.deadline_exceeded = deadline_exceeded;
-    c.certified_eps_hist = certified_eps_hist;
-    return c;
+  double CacheHitRate() const {
+    const uint64_t total = cache_hits + cache_misses;
+    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
+  }
+
+  double MeanBatchWidth() const {
+    return batches_executed == 0
+               ? 0.0
+               : static_cast<double>(batched_queries) / batches_executed;
   }
 };
+
+// One-line operational-health rendering, e.g. "rejected=12
+// cache=873/1024 (85.3% hit) batched=96/24 (4.0 avg) anytime=64
+// deadline_exceeded=2 eps[<=1e-9]=120 eps[<=1e-2]=64". The cache part
+// reads "cache=off" when both cache counters are zero; the batched part
+// is omitted until a batch forms; the anytime part (counters plus the
+// non-empty histogram buckets) is omitted until an anytime query or a
+// deadline expiry is seen.
+std::string FormatStats(const QueryServiceStats& stats);
 
 class QueryService {
  public:
@@ -233,10 +252,6 @@ class QueryService {
 
   // Null when the cache is disabled.
   const ProximityCache* cache() const { return cache_.get(); }
-
-  // Per-query total (admission -> completion) latencies, recorded by
-  // the workers; snapshot with the caller's wall-clock window for QPS.
-  const eval::LatencyRecorder& latency() const { return latency_; }
 
   // The current snapshot (the generation new queries will run on).
   std::shared_ptr<const core::S3Instance> snapshot() const {
@@ -299,7 +314,6 @@ class QueryService {
   // divisor of the per-query thread-budget share.
   std::atomic<unsigned> busy_workers_{0};
   std::atomic<bool> shutdown_{false};
-  eval::LatencyRecorder latency_;
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> rejected_{0};
@@ -309,7 +323,7 @@ class QueryService {
   std::atomic<uint64_t> batches_executed_{0};
   std::atomic<uint64_t> anytime_queries_{0};
   std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> eps_hist_[eval::ServiceCounters::kEpsBuckets] = {};
+  std::atomic<uint64_t> eps_hist_[kEpsBuckets] = {};
 
   // ---- observability. The atomics above stay the single source of
   // truth: the registry exposes them through callback metrics (no

@@ -41,27 +41,6 @@ inline void GatherRowD(size_t lanes, const uint32_t* cols, const double* vals,
 
 }  // namespace
 
-void Frontier::Clear() {
-  for (uint32_t row : nonzero) values[row] = 0.0;
-  nonzero.clear();
-}
-
-void Frontier::Init(size_t total_rows) {
-  values.assign(total_rows, 0.0);
-  nonzero.clear();
-}
-
-void Frontier::Set(uint32_t row, double v) {
-  if (values[row] == 0.0 && v != 0.0) nonzero.push_back(row);
-  values[row] = v;
-}
-
-double Frontier::Sum() const {
-  double s = 0.0;
-  for (uint32_t row : nonzero) s += values[row];
-  return s;
-}
-
 void BatchFrontier::Init(size_t total_rows, size_t n_lanes) {
   assert(n_lanes >= 1 && n_lanes <= kMaxFrontierLanes);
   lanes = n_lanes;
@@ -262,87 +241,6 @@ void TransitionMatrix::IncrementalUpdate(const EntityLayout& new_layout,
   BuildTranspose();
 }
 
-void TransitionMatrix::PropagateParallel(const Frontier& in, Frontier& out,
-                                         ThreadPool& pool) const {
-  assert(out.values.size() == in.values.size());
-  out.Clear();
-  const size_t total = rows();
-  const size_t n_chunks = (pool.WorkerCount() + 1) * 4;
-  const size_t chunk = (total + n_chunks - 1) / n_chunks;
-  std::vector<std::vector<uint32_t>> nz_per_chunk(n_chunks);
-  pool.ParallelFor(n_chunks, [&](size_t c) {
-    const size_t begin = c * chunk;
-    const size_t end = std::min(total, begin + chunk);
-    auto& nz = nz_per_chunk[c];
-    for (size_t row = begin; row < end; ++row) {
-      double sum;
-      const uint64_t rb = t_row_ptr_[row];
-      GatherRowD(1, t_cols_.data() + rb, t_vals_.data() + rb,
-                 t_row_ptr_[row + 1] - rb, in.values.data(), &sum);
-      if (sum != 0.0) {
-        out.values[row] = sum;
-        nz.push_back(static_cast<uint32_t>(row));
-      }
-    }
-  });
-  for (auto& nz : nz_per_chunk) {
-    out.nonzero.insert(out.nonzero.end(), nz.begin(), nz.end());
-  }
-}
-
-void TransitionMatrix::Propagate(const Frontier& in, Frontier& out) const {
-  assert(out.values.size() == in.values.size());
-  out.Clear();
-  for (uint32_t row : in.nonzero) {
-    const double mass = in.values[row];
-    if (mass == 0.0) continue;
-    for (uint64_t i = row_ptr_[row]; i < row_ptr_[row + 1]; ++i) {
-      const uint32_t col = cols_[i];
-      if (out.values[col] == 0.0) out.nonzero.push_back(col);
-      out.values[col] += mass * vals_[i];
-    }
-  }
-}
-
-void TransitionMatrix::PropagateAdaptive(const Frontier& in, Frontier& out,
-                                         ThreadPool* pool) const {
-  // Pull reads all nnz transpose entries sequentially; push scatters
-  // into `touched` of them. The crossover sits where the scatter
-  // traffic approaches the full sequential sweep. The measurement
-  // stops as soon as the verdict is known.
-  const uint64_t touched_cut = nonzeros() / 4;
-  uint64_t touched = 0;
-  for (uint32_t row : in.nonzero) {
-    touched += row_ptr_[row + 1] - row_ptr_[row];
-    if (touched >= touched_cut) break;
-  }
-  const bool dense = touched >= touched_cut ||
-                     in.nonzero.size() * 4 >= rows();
-  if (dense && pool != nullptr) {
-    // Chunks are contiguous, ascending row ranges, so the concatenated
-    // nonzero list comes out sorted.
-    PropagateParallel(in, out, *pool);
-    return;
-  }
-  if (dense) {
-    out.Clear();
-    const size_t total = rows();
-    for (size_t row = 0; row < total; ++row) {
-      double sum;
-      const uint64_t rb = t_row_ptr_[row];
-      GatherRowD(1, t_cols_.data() + rb, t_vals_.data() + rb,
-                 t_row_ptr_[row + 1] - rb, in.values.data(), &sum);
-      if (sum != 0.0) {
-        out.values[row] = sum;
-        out.nonzero.push_back(static_cast<uint32_t>(row));
-      }
-    }
-    return;
-  }
-  Propagate(in, out);
-  std::sort(out.nonzero.begin(), out.nonzero.end());
-}
-
 void TransitionMatrix::PropagateBatchPush(const BatchFrontier& in,
                                           BatchFrontier& out) const {
   const size_t L = in.lanes;
@@ -427,8 +325,8 @@ void TransitionMatrix::PropagateBatchPull(
     }
     return;
   }
-  // Chunks are contiguous ascending row ranges (as in
-  // PropagateParallel), so the concatenated nonzero list stays sorted.
+  // Chunks are contiguous ascending row ranges, so the concatenated
+  // nonzero list stays sorted.
   const size_t n_chunks = (pool->WorkerCount() + 1) * 4;
   const size_t chunk = (total + n_chunks - 1) / n_chunks;
   std::vector<std::vector<uint32_t>> nz_per_chunk(n_chunks);
@@ -471,9 +369,12 @@ void TransitionMatrix::PropagateBatchPull(
 void TransitionMatrix::PropagateBatchAdaptive(
     const BatchFrontier& in, BatchFrontier& out, ThreadPool* pool,
     const std::vector<uint32_t>* pull_rows, bool* used_pull) const {
-  // Same crossover heuristic as PropagateAdaptive, measured on the
-  // union support. The verdict may differ from what any single lane
-  // would have chosen alone — harmless, because push and pull are
+  // Pull reads all nnz transpose entries sequentially; push scatters
+  // into `touched` of them. The crossover sits where the scatter
+  // traffic approaches the full sequential sweep, measured on the
+  // union support; the measurement stops as soon as the verdict is
+  // known. The verdict may differ from what any single lane would have
+  // chosen alone — harmless, because push and pull are
   // bitwise-identical per lane (ascending source-row accumulation both
   // ways). A pull restriction shrinks the pull side of the crossover
   // proportionally: the gather only sweeps the restricted rows'

@@ -30,17 +30,6 @@
 
 namespace s3::social {
 
-// Sparse frontier vector over the dense entity-row space.
-struct Frontier {
-  std::vector<double> values;    // dense, size = layout.total()
-  std::vector<uint32_t> nonzero; // rows with values[row] != 0
-
-  void Clear();
-  void Init(size_t total_rows);
-  void Set(uint32_t row, double v);
-  double Sum() const;
-};
-
 // Hard cap on the lane count of a BatchFrontier (and hence on the
 // multi-seeker batch width): bounds the stack accumulators inside the
 // pull kernels.
@@ -106,36 +95,21 @@ class TransitionMatrix {
                          const std::vector<char>& touched,
                          uint32_t old_tag_base, uint32_t n_new_fragments);
 
-  // out = in · T  (one exploration step). `out` is overwritten.
-  void Propagate(const Frontier& in, Frontier& out) const;
-
-  // Same product, computed pull-style over the stored transpose and
-  // parallelized across output rows. Worth it once the frontier is
-  // dense (it saturates the reachable graph after a few steps); the
-  // push form wins on sparse frontiers.
-  void PropagateParallel(const Frontier& in, Frontier& out,
-                         ThreadPool& pool) const;
-
-  // Adaptive step: measures the frontier's density — the matrix
-  // nonzeros a push step would actually touch, via row_ptr — and picks
-  // push (sparse scatter) or pull (dense sequential gather over the
-  // transpose, parallelized when `pool` is non-null) accordingly.
+  // One exploration step out = in · T on every lane at once — one CSR
+  // walk streams all lanes through the shared kernels
+  // (propagate_kernels.h; AVX2-dispatched when built in). Adapts to the
+  // frontier's density, measured on the union support as the matrix
+  // nonzeros a push step would touch (via row_ptr): push (sparse
+  // scatter) on sparse frontiers, pull (dense sequential gather over
+  // the transpose, parallelized when `pool` is non-null) once the
+  // frontier fills the graph. Each lane's values are bit-for-bit what
+  // the lane would get alone, and the same on either side of the
+  // crossover: the lane dimension is element-wise, and push and pull
+  // both accumulate per output row in ascending source-row order.
   // `in.nonzero` is expected sorted ascending (for sequential CSR
-  // access); `out.nonzero` is always left sorted, so chaining
-  // PropagateAdaptive steps maintains the invariant.
-  void PropagateAdaptive(const Frontier& in, Frontier& out,
-                         ThreadPool* pool) const;
-
-  // Batched multi-seeker step: out = in · T on every lane at once —
-  // one CSR walk streams all lanes through the shared kernels
-  // (propagate_kernels.h; AVX2-dispatched when built in). Same push /
-  // pull density adaptation as PropagateAdaptive, measured on the
-  // union support. Each lane's values are bit-for-bit what a
-  // single-seeker PropagateAdaptive chain would produce for that lane
-  // alone: the lane dimension is element-wise, and push and pull both
-  // accumulate per output row in ascending source-row order.
-  // `out.nonzero` is left sorted and holds exactly the rows with some
-  // nonzero lane; `out.lane_mass` flags per-lane survival.
+  // access); `out.nonzero` is left sorted and holds exactly the rows
+  // with some nonzero lane, so chained steps keep the invariant;
+  // `out.lane_mass` flags per-lane survival.
   //
   // `pull_rows`, when non-null, restricts the pull (dense) step to that
   // sorted-ascending row list — the caller guarantees every row whose
@@ -221,7 +195,7 @@ class TransitionMatrix {
   StorageSpan<uint32_t> cols_;
   StorageSpan<double> vals_;
   StorageSpan<double> denom_;
-  // Transpose (in-edges per row), for the pull-based parallel product.
+  // Transpose (in-edges per row), for the pull (dense) product.
   // Always heap-owned: it is rebuilt from the CSR on every adopt.
   std::vector<uint64_t> t_row_ptr_;
   std::vector<uint32_t> t_cols_;

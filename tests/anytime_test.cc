@@ -12,9 +12,9 @@
 //       its true score, and remaining_upper <= (1+achieved)·kth_lower;
 //   (c) the achieved certificate never exceeds the requested ε (modulo
 //       one ulp of the exit-condition division — tolerance 1e-9).
-// Plus the deprecated-alias mapping (S3kOptions::time_budget_seconds
-// == QueryOptions::deadline_seconds) and the post-search bound-export
-// pin for the shard plan cache.
+// Plus per-request deadline resolution (QueryOptions::deadline_seconds
+// through ResolveLane into the engine's lanes) and the post-search
+// bound-export pin for the shard plan cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,6 +45,7 @@ using core::S3Instance;
 using core::S3kOptions;
 using core::S3kSearcher;
 using core::SearchStats;
+using s3::testing::ConvergedProx;
 
 constexpr double kEpsSweep[] = {0.0, 1e-6, 1e-2, 1e-1};
 // One-ulp slack on the achieved-vs-requested comparison (the exit
@@ -53,30 +54,6 @@ constexpr double kCertTol = 1e-9;
 // Oracle slack: converged proximities vs the engine's truncated
 // bounds (the s3k_test idiom).
 constexpr double kOracleTol = 1e-7;
-
-// Converged proximity via long matrix iteration (γ^-iters ≈ 0), the
-// oracle construction shared with tests/s3k_test.cc.
-std::vector<double> ConvergedProx(const S3Instance& inst,
-                                  social::UserId seeker, double gamma,
-                                  size_t iters = 120) {
-  const auto& m = inst.matrix();
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  std::vector<double> prox(inst.layout().total(), 0.0);
-  uint32_t row = inst.RowOfUser(seeker);
-  prox[row] = core::CGamma(gamma);
-  f.Set(row, 1.0);
-  for (size_t n = 1; n <= iters; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    if (f.nonzero.empty()) break;
-    for (uint32_t r : f.nonzero) {
-      prox[r] += core::CGamma(gamma) * f.values[r] / std::pow(gamma, double(n));
-    }
-  }
-  return prox;
-}
 
 S3kOptions TestOptions() {
   S3kOptions opts;
@@ -191,18 +168,16 @@ TEST(QueryOptionsTest, ValidateAcceptsAndRejects) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
-TEST(QueryOptionsTest, ResolveLaneMapsDefaultsAndDeadlineAlias) {
+TEST(QueryOptionsTest, ResolveLaneMapsDefaults) {
   S3kOptions defaults = TestOptions();
   defaults.k = 9;
-  defaults.time_budget_seconds = 0.125;  // deprecated alias
 
-  // All-inherit exact request: service k, legacy budget as deadline,
-  // no epsilon.
+  // All-inherit exact request: service k, no deadline, no epsilon.
   BatchSeeker lane = core::ResolveLane(QueryRequest(Query{3, {}}), defaults);
   EXPECT_EQ(lane.seeker, 3u);
   EXPECT_EQ(lane.k, 9u);
   EXPECT_EQ(lane.epsilon_approx, 0.0);
-  EXPECT_EQ(lane.deadline_seconds, 0.125);
+  EXPECT_EQ(lane.deadline_seconds, 0.0);
 
   // Per-request values override every default.
   QueryOptions o;
@@ -222,10 +197,10 @@ TEST(QueryOptionsTest, ResolveLaneMapsDefaultsAndDeadlineAlias) {
   EXPECT_EQ(lane.epsilon_approx, 0.0);
 }
 
-// The legacy time_budget_seconds run and the per-request
-// deadline_seconds run must be the same search, instruction for
-// instruction.
-TEST(QueryOptionsTest, LegacyTimeBudgetIsDeadlineAlias) {
+// An expired per-request deadline truncates the search, and the
+// single-query path and a batch of one carrying the same deadline lane
+// are the same search, instruction for instruction.
+TEST(QueryOptionsTest, ExpiredDeadlineTruncatesLikeABatchLane) {
   testing::RandomInstanceParams p;
   p.seed = 31;
   p.n_users = 8;
@@ -251,23 +226,29 @@ TEST(QueryOptionsTest, LegacyTimeBudgetIsDeadlineAlias) {
   }
   ASSERT_TRUE(found) << "fixture too easy: every query converges in 1 iter";
 
-  S3kOptions legacy = exact_opts;
-  legacy.time_budget_seconds = 1e-12;
-  S3kSearcher legacy_searcher(*ri.instance, legacy);
-  SearchStats legacy_stats;
-  auto legacy_res = legacy_searcher.Search(q, &legacy_stats);
-  ASSERT_TRUE(legacy_res.ok()) << legacy_res.status().ToString();
-  EXPECT_TRUE(legacy_stats.deadline_exceeded);
-  EXPECT_FALSE(legacy_stats.converged);
-
   S3kSearcher plain(*ri.instance, exact_opts);
   QueryOptions o;
   o.deadline_seconds = 1e-12;
   SearchStats req_stats;
   auto req_res = plain.Search(QueryRequest(q.seeker, q.keywords, o), &req_stats);
   ASSERT_TRUE(req_res.ok()) << req_res.status().ToString();
-  ExpectBitIdentical(*req_res, req_stats, *legacy_res, legacy_stats,
-                     "deadline == legacy time budget");
+  EXPECT_TRUE(req_stats.deadline_exceeded);
+  EXPECT_FALSE(req_stats.converged);
+
+  std::vector<KeywordId> sorted = q.keywords;
+  std::sort(sorted.begin(), sorted.end());
+  auto plan = core::BuildCandidatePlan(*ri.instance, sorted,
+                                       exact_opts.use_semantics,
+                                       exact_opts.score.eta);
+  ASSERT_TRUE(plan.ok());
+  BatchSeeker lane;
+  lane.seeker = q.seeker;
+  lane.deadline_seconds = 1e-12;
+  S3kSearcher batched(*ri.instance, exact_opts);
+  auto batch_res = batched.SearchBatchWithPlan({lane}, *plan);
+  ASSERT_TRUE(batch_res.ok()) << batch_res.status().ToString();
+  ExpectBitIdentical((*batch_res)[0].entries, (*batch_res)[0].stats,
+                     *req_res, req_stats, "deadline lane == request deadline");
 }
 
 // ---- core engine sweep (satellite 3, {batched} leg included) -------------
@@ -472,7 +453,7 @@ TEST(AnytimeServiceTest, EpsilonSweepAndCounters) {
   for (uint64_t b : stats.certified_eps_hist) hist_total += b;
   EXPECT_EQ(hist_total, stats.completed);
   // The operator view renders the anytime block.
-  std::string line = eval::FormatCounters(stats.Counters());
+  std::string line = server::FormatStats(stats);
   EXPECT_NE(line.find("anytime="), std::string::npos) << line;
   EXPECT_NE(line.find("eps["), std::string::npos) << line;
 }
@@ -487,7 +468,7 @@ TEST(AnytimeServiceTest, DeadlineExpiryDegradesNotFails) {
   server::QueryService svc(inst, ServiceOptions());
 
   // A query the engine needs >= 2 iterations for (same probe as the
-  // alias test), so a microscopic deadline provably expires.
+  // deadline-lane test), so a microscopic deadline provably expires.
   S3kSearcher probe(*inst, TestOptions());
   Query q;
   bool found = false;

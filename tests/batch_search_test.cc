@@ -25,55 +25,8 @@
 namespace s3::core {
 namespace {
 
-// Converged proximity via long matrix iteration (γ^-iters ≈ 0), the
-// same oracle construction as tests/s3k_test.cc.
-std::vector<double> ConvergedProx(const S3Instance& inst,
-                                  social::UserId seeker, double gamma,
-                                  size_t iters = 120) {
-  const auto& m = inst.matrix();
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  std::vector<double> prox(inst.layout().total(), 0.0);
-  uint32_t row = inst.RowOfUser(seeker);
-  prox[row] = CGamma(gamma);
-  f.Set(row, 1.0);
-  for (size_t n = 1; n <= iters; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    if (f.nonzero.empty()) break;
-    for (uint32_t r : f.nonzero) {
-      prox[r] += CGamma(gamma) * f.values[r] / std::pow(gamma, double(n));
-    }
-  }
-  return prox;
-}
-
-// Exact converged score of one document for a query (the s3k_test.cc
-// oracle-side helper): scores are compared as converged values because
-// the engine's reported lower bound is truncated at the stop
-// iteration.
-double ExactScore(const S3Instance& inst, const Query& q,
-                  const S3kOptions& opts, doc::NodeId node,
-                  const std::vector<double>& prox) {
-  QueryExtension ext(q.keywords.size());
-  for (size_t i = 0; i < q.keywords.size(); ++i) {
-    if (opts.use_semantics) {
-      for (KeywordId k : inst.ExtendKeyword(q.keywords[i])) {
-        ext[i].insert(k);
-      }
-    } else {
-      ext[i].insert(q.keywords[i]);
-    }
-  }
-  ConnectionBuilder b(inst, opts.score.eta);
-  auto cc = b.Build(inst.components().Of(social::EntityId::Fragment(node)),
-                    ext);
-  for (const Candidate& c : cc.candidates) {
-    if (c.node == node) return CandidateScore(c, prox);
-  }
-  return 0.0;
-}
+using s3::testing::ConvergedProx;
+using s3::testing::ExactScore;
 
 S3kOptions TestOptions() {
   S3kOptions opts;

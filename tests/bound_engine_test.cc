@@ -6,7 +6,9 @@
 // generated microblog workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/bound_engine.h"
 #include "core/naive_reference.h"
@@ -17,6 +19,9 @@
 
 namespace s3::core {
 namespace {
+
+using s3::testing::ConvergedProx;
+using s3::testing::ExactScore;
 
 QueryExtension ExtendQuery(const S3Instance& inst, const Query& q) {
   QueryExtension ext(q.keywords.size());
@@ -82,13 +87,13 @@ size_t CheckIncrementalAgainstScratch(const S3Instance& inst,
   all_prox[seeker_row] = c_gamma;
   engine.ApplyDelta(seeker_row, c_gamma);
 
-  social::Frontier frontier, next;
-  frontier.Init(total_rows);
-  next.Init(total_rows);
-  frontier.Set(seeker_row, 1.0);
+  social::BatchFrontier frontier, next;
+  frontier.Init(total_rows, 1);
+  next.Init(total_rows, 1);
+  frontier.Set(seeker_row, 0, 1.0);
 
   for (size_t n = 1; n <= iters; ++n) {
-    inst.matrix().PropagateAdaptive(frontier, next, nullptr);
+    inst.matrix().PropagateBatchAdaptive(frontier, next, nullptr);
     std::swap(frontier, next);
     if (frontier.nonzero.empty()) break;
     const double factor = c_gamma * std::pow(gamma, -double(n));
@@ -177,9 +182,31 @@ TEST(BoundEngineInvariantTest, IncrementalEqualsScratchOnMicroblog) {
   EXPECT_GT(checked, 0u);
 }
 
-// ---- Adaptive propagation ---------------------------------------------------
+// ---- Batched adaptive propagation -----------------------------------------
 
-TEST(PropagateAdaptiveTest, MatchesPushPropagation) {
+// Rows whose owner shares a reach root with one of `seekers`, ascending:
+// mass seeded at those seekers never leaves them, so this is a sound
+// pull restriction for PropagateBatchAdaptive.
+std::vector<uint32_t> ReachRows(const S3Instance& inst,
+                                const std::vector<social::UserId>& seekers) {
+  std::vector<uint32_t> roots;
+  for (social::UserId u : seekers) roots.push_back(inst.ReachRootOfUser(u));
+  std::vector<uint32_t> rows;
+  for (uint32_t row = 0; row < inst.layout().total(); ++row) {
+    const uint32_t root = inst.ReachRootOfUser(
+        inst.OwnerOfEntity(inst.layout().Entity(row)));
+    if (std::find(roots.begin(), roots.end(), root) != roots.end()) {
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
+// A multi-step chain from sparse (push) to dense (pull) frontiers: every
+// lane of every step equals the Row() reference bit for bit, serial or
+// pooled, with or without a pull restriction, and the output support is
+// sorted and exact.
+TEST(PropagateBatchAdaptiveTest, ChainMatchesRowReference) {
   workload::MicroblogParams p;
   p.seed = 7;
   p.n_users = 120;
@@ -188,67 +215,64 @@ TEST(PropagateAdaptiveTest, MatchesPushPropagation) {
   auto gen = workload::GenerateMicroblog(p);
   const auto& inst = *gen.instance;
   const auto& m = inst.matrix();
-
-  social::Frontier fa, ga, fp, gp;
   const uint32_t total = inst.layout().total();
-  fa.Init(total);
-  ga.Init(total);
-  fp.Init(total);
-  gp.Init(total);
-  fa.Set(inst.RowOfUser(1), 1.0);
-  fp.Set(inst.RowOfUser(1), 1.0);
+  const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
+  ThreadPool pool(3);
 
-  // Sparse first steps and dense later steps must agree with the plain
-  // push implementation; adaptive output is additionally sorted.
-  for (size_t step = 0; step < 6; ++step) {
-    m.PropagateAdaptive(fa, ga, nullptr);
-    std::swap(fa, ga);
-    m.Propagate(fp, gp);
-    std::swap(fp, gp);
-    ASSERT_EQ(fa.nonzero.size(), fp.nonzero.size()) << "step " << step;
-    EXPECT_TRUE(std::is_sorted(fa.nonzero.begin(), fa.nonzero.end()));
-    for (uint32_t row : fp.nonzero) {
-      EXPECT_NEAR(fa.values[row], fp.values[row], 1e-12) << "row " << row;
+  for (const std::vector<social::UserId>& seekers :
+       {std::vector<social::UserId>{1}, std::vector<social::UserId>{1, 5, 9}}) {
+    const size_t lanes = social::PadLanes(seekers.size());
+    const std::vector<uint32_t> reach = ReachRows(inst, seekers);
+    for (ThreadPool* pl : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (const std::vector<uint32_t>* pull_rows :
+           {static_cast<const std::vector<uint32_t>*>(nullptr), &reach}) {
+        const std::string what =
+            std::string(pl ? "pool" : "serial") +
+            (pull_rows ? " restricted" : " full") +
+            " lanes=" + std::to_string(seekers.size());
+        social::BatchFrontier f, g;
+        f.Init(total, lanes);
+        g.Init(total, lanes);
+        std::vector<std::vector<double>> ref(seekers.size(),
+                                             std::vector<double>(total, 0.0));
+        for (size_t l = 0; l < seekers.size(); ++l) {
+          f.Set(inst.RowOfUser(seekers[l]), l, 1.0);
+          ref[l][inst.RowOfUser(seekers[l])] = 1.0;
+        }
+        bool saw_push = false, saw_pull = false;
+        std::vector<double> next;
+        for (size_t step = 0; step < 6; ++step) {
+          bool used_pull = false;
+          m.PropagateBatchAdaptive(f, g, pl, pull_rows, &used_pull);
+          std::swap(f, g);
+          (used_pull ? saw_pull : saw_push) = true;
+          for (size_t l = 0; l < seekers.size(); ++l) {
+            s3::testing::ReferenceStep(rows, ref[l], next);
+            ref[l].swap(next);
+          }
+          EXPECT_TRUE(std::is_sorted(f.nonzero.begin(), f.nonzero.end()))
+              << what << " step " << step;
+          size_t support = 0;
+          for (uint32_t row = 0; row < total; ++row) {
+            bool any = false;
+            for (size_t l = 0; l < seekers.size(); ++l) {
+              ASSERT_EQ(f.values[size_t(row) * lanes + l], ref[l][row])
+                  << what << " step " << step << " lane " << l << " row "
+                  << row;
+              any = any || ref[l][row] != 0.0;
+            }
+            support += any ? 1 : 0;
+          }
+          EXPECT_EQ(f.nonzero.size(), support) << what << " step " << step;
+        }
+        EXPECT_TRUE(saw_push) << what;
+        EXPECT_TRUE(saw_pull) << what;
+      }
     }
   }
 }
 
 // ---- End-to-end: incremental search equals the naive reference ---------------
-
-// Converged proximity via long matrix iteration (γ^-iters ≈ 0).
-std::vector<double> ConvergedProxFor(const S3Instance& inst,
-                                     social::UserId seeker, double gamma,
-                                     size_t iters = 120) {
-  const auto& m = inst.matrix();
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  std::vector<double> prox(inst.layout().total(), 0.0);
-  uint32_t row = inst.RowOfUser(seeker);
-  prox[row] = CGamma(gamma);
-  f.Set(row, 1.0);
-  for (size_t n = 1; n <= iters; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    if (f.nonzero.empty()) break;
-    for (uint32_t r : f.nonzero) {
-      prox[r] += CGamma(gamma) * f.values[r] / std::pow(gamma, double(n));
-    }
-  }
-  return prox;
-}
-
-double ExactScoreOf(const S3Instance& inst, const QueryExtension& ext,
-                    double eta, doc::NodeId node,
-                    const std::vector<double>& prox) {
-  ConnectionBuilder b(inst, eta);
-  auto cc = b.Build(inst.components().Of(social::EntityId::Fragment(node)),
-                    ext);
-  for (const Candidate& c : cc.candidates) {
-    if (c.node == node) return CandidateScore(c, prox);
-  }
-  return 0.0;
-}
 
 TEST(BoundEngineSearchTest, MatchesNaiveReferenceOnMicroblogWorkloads) {
   workload::MicroblogParams p;
@@ -282,17 +306,15 @@ TEST(BoundEngineSearchTest, MatchesNaiveReferenceOnMicroblogWorkloads) {
       ASSERT_TRUE(s3k.ok());
       EXPECT_TRUE(stats.converged);
 
-      auto prox = ConvergedProxFor(inst, q.seeker, opts.score.gamma);
+      auto prox = ConvergedProx(inst, q.seeker, opts.score.gamma);
       auto oracle = NaiveSearchWithProx(inst, q, opts, prox);
       ASSERT_EQ(s3k->size(), oracle.size()) << "seeker " << q.seeker;
 
       // Answers are unique up to ties: compare descending score
       // multisets, and check the reported intervals bracket the truth.
-      QueryExtension ext = ExtendQuery(inst, q);
       std::vector<double> got, want;
       for (size_t r = 0; r < oracle.size(); ++r) {
-        double exact =
-            ExactScoreOf(inst, ext, opts.score.eta, (*s3k)[r].node, prox);
+        double exact = ExactScore(inst, q, opts, (*s3k)[r].node, prox);
         EXPECT_LE((*s3k)[r].lower, exact + 1e-7);
         EXPECT_GE((*s3k)[r].upper, exact - 1e-7);
         got.push_back(exact);

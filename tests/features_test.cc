@@ -113,11 +113,12 @@ TEST(TimeBudgetTest, TinyBudgetStillReturns) {
   auto fig = testing::BuildFigure1();
   core::S3kOptions opts;
   opts.k = 3;
-  opts.time_budget_seconds = 1e-9;  // expire after the first iteration
   core::S3kSearcher searcher(*fig.instance, opts);
+  core::QueryOptions o;
+  o.deadline_seconds = 1e-9;  // expire after the first iteration
   core::SearchStats st;
   auto result = searcher.Search(
-      core::Query{fig.u1, {fig.kw_university}}, &st);
+      core::QueryRequest(fig.u1, {fig.kw_university}, o), &st);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(st.iterations, 2u);
 }
@@ -126,11 +127,12 @@ TEST(TimeBudgetTest, GenerousBudgetConverges) {
   auto fig = testing::BuildFigure1();
   core::S3kOptions opts;
   opts.k = 3;
-  opts.time_budget_seconds = 30.0;
   core::S3kSearcher searcher(*fig.instance, opts);
+  core::QueryOptions o;
+  o.deadline_seconds = 30.0;
   core::SearchStats st;
   auto result = searcher.Search(
-      core::Query{fig.u1, {fig.kw_university}}, &st);
+      core::QueryRequest(fig.u1, {fig.kw_university}, o), &st);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(st.converged);
 }

@@ -43,22 +43,38 @@ TEST_P(RandomInstanceSweep, MatrixRowsSubStochastic) {
   }
 }
 
-TEST_P(RandomInstanceSweep, ParallelPropagateMatchesSerial) {
+TEST_P(RandomInstanceSweep, BatchPropagateMatchesRowReference) {
+  // Every user seeds its own lane; each lane of a 5-step chain must
+  // equal the Row() reference bit for bit, serial and pooled.
   const auto& m = ri_.instance->matrix();
+  const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
+  const size_t n_users = ri_.instance->UserCount();
   ThreadPool pool(3);
-  social::Frontier in, a, b;
-  in.Init(m.rows());
-  a.Init(m.rows());
-  b.Init(m.rows());
-  in.Set(ri_.instance->RowOfUser(0), 1.0);
-  for (int step = 0; step < 5; ++step) {
-    m.Propagate(in, a);
-    m.PropagateParallel(in, b, pool);
-    for (size_t row = 0; row < m.rows(); ++row) {
-      EXPECT_NEAR(a.values[row], b.values[row], 1e-12)
-          << "step " << step << " row " << row;
+  for (ThreadPool* pl : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const size_t lanes = social::PadLanes(n_users);
+    social::BatchFrontier in, out;
+    in.Init(m.rows(), lanes);
+    out.Init(m.rows(), lanes);
+    std::vector<std::vector<double>> ref(n_users,
+                                         std::vector<double>(m.rows(), 0.0));
+    for (social::UserId u = 0; u < n_users; ++u) {
+      in.Set(ri_.instance->RowOfUser(u), u, 1.0);
+      ref[u][ri_.instance->RowOfUser(u)] = 1.0;
     }
-    std::swap(in, a);
+    std::vector<double> next;
+    for (int step = 0; step < 5; ++step) {
+      m.PropagateBatchAdaptive(in, out, pl);
+      std::swap(in, out);
+      for (social::UserId u = 0; u < n_users; ++u) {
+        s3::testing::ReferenceStep(rows, ref[u], next);
+        ref[u].swap(next);
+        for (size_t row = 0; row < m.rows(); ++row) {
+          ASSERT_EQ(in.values[row * lanes + u], ref[u][row])
+              << (pl ? "pool" : "serial") << " step " << step << " user "
+              << u << " row " << row;
+        }
+      }
+    }
   }
 }
 
@@ -92,23 +108,7 @@ TEST_P(RandomInstanceSweep, MatrixEqualsPathEnumeration) {
   const double gamma = GetParam().gamma;
   const size_t max_len = 5;
   auto naive = NaiveProx(*ri_.instance, 0, max_len, gamma);
-
-  const auto& m = ri_.instance->matrix();
-  social::Frontier f, g;
-  f.Init(m.rows());
-  g.Init(m.rows());
-  std::vector<double> prox(m.rows(), 0.0);
-  uint32_t seeker_row = ri_.instance->RowOfUser(0);
-  prox[seeker_row] = CGamma(gamma);
-  f.Set(seeker_row, 1.0);
-  for (size_t n = 1; n <= max_len; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    for (uint32_t row : f.nonzero) {
-      prox[row] += CGamma(gamma) * f.values[row] /
-                   std::pow(gamma, static_cast<double>(n));
-    }
-  }
+  auto prox = s3::testing::ConvergedProx(*ri_.instance, 0, gamma, max_len);
   for (size_t row = 0; row < prox.size(); ++row) {
     EXPECT_NEAR(prox[row], naive[row], 1e-9) << "row " << row;
   }
@@ -122,43 +122,17 @@ TEST_P(RandomInstanceSweep, SearchBoundsBracketTruth) {
   opts.max_iterations = 300;
   S3kSearcher searcher(*ri_.instance, opts);
 
-  // Converged prox for ground truth.
-  const auto& m = ri_.instance->matrix();
-  social::Frontier f, g;
-  f.Init(m.rows());
-  g.Init(m.rows());
-  std::vector<double> prox(m.rows(), 0.0);
-  uint32_t seeker_row = ri_.instance->RowOfUser(1 % 8);
-  prox[seeker_row] = CGamma(gamma);
-  f.Set(seeker_row, 1.0);
-  for (size_t n = 1; n <= 1500 && !f.nonzero.empty(); ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    for (uint32_t row : f.nonzero) {
-      prox[row] += CGamma(gamma) * f.values[row] /
-                   std::pow(gamma, static_cast<double>(n));
-    }
-  }
-
+  const auto prox =
+      s3::testing::ConvergedProx(*ri_.instance, 1 % 8, gamma, 1500);
   Query q{1 % 8, {ri_.keywords[GetParam().seed % ri_.keywords.size()]}};
   SearchStats st;
   auto result = searcher.Search(q, &st);
   ASSERT_TRUE(result.ok());
-  QueryExtension ext(1);
-  for (KeywordId k : ri_.instance->ExtendKeyword(q.keywords[0])) {
-    ext[0].insert(k);
-  }
-  ConnectionBuilder builder(*ri_.instance, opts.score.eta);
   for (const ResultEntry& r : *result) {
-    auto cc = builder.Build(ri_.instance->components().Of(
-                                social::EntityId::Fragment(r.node)),
-                            ext);
-    for (const Candidate& c : cc.candidates) {
-      if (c.node != r.node) continue;
-      double truth = CandidateScore(c, prox);
-      EXPECT_LE(r.lower, truth + 1e-7);
-      EXPECT_GE(r.upper, truth - 1e-7);
-    }
+    const double truth =
+        s3::testing::ExactScore(*ri_.instance, q, opts, r.node, prox);
+    EXPECT_LE(r.lower, truth + 1e-7);
+    EXPECT_GE(r.upper, truth - 1e-7);
   }
 }
 

@@ -25,6 +25,7 @@
 #include "core/naive_reference.h"
 #include "core/s3k.h"
 #include "server/snapshot_manager.h"
+#include "test_fixtures.h"
 
 namespace s3::server {
 namespace {
@@ -36,6 +37,8 @@ using core::ResultEntry;
 using core::S3Instance;
 using core::S3kOptions;
 using core::S3kSearcher;
+using s3::testing::ConvergedProx;
+using s3::testing::ExactScore;
 
 // ---- deterministic population scripts ----------------------------------
 // Mirrors the update_test idiom: the same op script drives an
@@ -203,48 +206,6 @@ void ExpectBitIdentical(const S3Instance& got, const S3Instance& want,
       EXPECT_EQ((*a)[i].upper, (*b)[i].upper) << what << " query " << qi;
     }
   }
-}
-
-// Converged proximity oracle (same construction as s3k_test /
-// update_test).
-std::vector<double> ConvergedProx(const S3Instance& inst,
-                                  social::UserId seeker, double gamma,
-                                  size_t iters = 120) {
-  const auto& m = inst.matrix();
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  std::vector<double> prox(inst.layout().total(), 0.0);
-  uint32_t row = inst.RowOfUser(seeker);
-  prox[row] = core::CGamma(gamma);
-  f.Set(row, 1.0);
-  for (size_t n = 1; n <= iters; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    if (f.nonzero.empty()) break;
-    for (uint32_t r : f.nonzero) {
-      prox[r] +=
-          core::CGamma(gamma) * f.values[r] / std::pow(gamma, double(n));
-    }
-  }
-  return prox;
-}
-
-// Exact converged score of one returned node (same construction as
-// update_test: the candidate's score under the converged proximities).
-double ExactScore(const S3Instance& inst, const Query& q,
-                  const S3kOptions& opts, doc::NodeId node,
-                  const std::vector<double>& prox) {
-  auto plan = core::BuildCandidatePlan(inst, q.keywords,
-                                       opts.use_semantics,
-                                       opts.score.eta);
-  EXPECT_TRUE(plan.ok());
-  for (const auto& cc : plan->per_comp) {
-    for (const core::Candidate& c : cc.candidates) {
-      if (c.node == node) return core::CandidateScore(c, prox);
-    }
-  }
-  return 0.0;
 }
 
 // Recovered results agree with the brute-force oracle's top-k score

@@ -1,59 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/naive_reference.h"
 #include "core/s3k.h"
 #include "test_fixtures.h"
+#include "workload/microblog_gen.h"
+#include "workload/query_gen.h"
 
 namespace s3::core {
 namespace {
 
-// Converged proximity via long matrix iteration (γ^-iters ≈ 0).
-std::vector<double> ConvergedProx(const S3Instance& inst,
-                                  social::UserId seeker, double gamma,
-                                  size_t iters = 80) {
-  const auto& m = inst.matrix();
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  std::vector<double> prox(inst.layout().total(), 0.0);
-  uint32_t row = inst.RowOfUser(seeker);
-  prox[row] = CGamma(gamma);
-  f.Set(row, 1.0);
-  for (size_t n = 1; n <= iters; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    if (f.nonzero.empty()) break;
-    for (uint32_t r : f.nonzero) {
-      prox[r] += CGamma(gamma) * f.values[r] / std::pow(gamma, double(n));
-    }
-  }
-  return prox;
-}
-
-// Exact score of one document for a query, given converged prox.
-double ExactScore(const S3Instance& inst, const Query& q,
-                  const S3kOptions& opts, doc::NodeId node,
-                  const std::vector<double>& prox) {
-  QueryExtension ext(q.keywords.size());
-  for (size_t i = 0; i < q.keywords.size(); ++i) {
-    if (opts.use_semantics) {
-      for (KeywordId k : inst.ExtendKeyword(q.keywords[i])) {
-        ext[i].insert(k);
-      }
-    } else {
-      ext[i].insert(q.keywords[i]);
-    }
-  }
-  ConnectionBuilder b(inst, opts.score.eta);
-  auto cc = b.Build(inst.components().Of(social::EntityId::Fragment(node)),
-                    ext);
-  for (const Candidate& c : cc.candidates) {
-    if (c.node == node) return CandidateScore(c, prox);
-  }
-  return 0.0;
-}
+using s3::testing::ConvergedProx;
+using s3::testing::ExactScore;
 
 // ---- Validation ------------------------------------------------------------
 
@@ -221,6 +181,51 @@ TEST(AnytimeTest, BudgetedSearchStillReturns) {
       searcher.Search(Query{fig.u1, {fig.kw_university}}, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.iterations, 1u);
+}
+
+// ---- Keyword order -------------------------------------------------------------
+
+// The score multiplies per-keyword sums in plan-slot order, so with three
+// or more keywords two orders can differ in the last ulp. Search plans
+// over the sorted multiset, so every permutation of a random 3-keyword
+// request returns bit-identical entries.
+TEST(S3kKeywordOrderTest, PermutationsAreBitIdentical) {
+  workload::MicroblogParams p;
+  p.seed = 2024;
+  p.n_users = 150;
+  p.n_tweets = 500;
+  p.vocab_size = 120;
+  auto gen = workload::GenerateMicroblog(p);
+  const S3Instance& inst = *gen.instance;
+  workload::WorkloadSpec spec;
+  spec.n_keywords = 3;
+  spec.n_queries = 40;
+  spec.seed = 77;
+  auto qs = workload::BuildWorkload(inst, gen.semantic_anchors, spec);
+  S3kOptions opts;
+  opts.k = spec.k;
+  S3kSearcher searcher(inst, opts);
+
+  size_t compared = 0;
+  for (size_t qi = 0; qi < qs.queries.size(); ++qi) {
+    std::vector<KeywordId> kw = qs.queries[qi].keywords;
+    const social::UserId seeker = qs.queries[qi].seeker;
+    std::sort(kw.begin(), kw.end());
+    auto want = searcher.Search(Query{seeker, kw});
+    ASSERT_TRUE(want.ok());
+    while (std::next_permutation(kw.begin(), kw.end())) {
+      auto got = searcher.Search(Query{seeker, kw});
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), want->size()) << "query " << qi;
+      for (size_t r = 0; r < want->size(); ++r) {
+        EXPECT_EQ((*got)[r].node, (*want)[r].node) << "query " << qi;
+        EXPECT_EQ((*got)[r].lower, (*want)[r].lower) << "query " << qi;
+        EXPECT_EQ((*got)[r].upper, (*want)[r].upper) << "query " << qi;
+      }
+      compared += want->size();
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 // ---- Property test: S3k equals brute force over random instances -------------

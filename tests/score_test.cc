@@ -144,21 +144,8 @@ TEST_F(FeasibilityTest, MatrixMatchesNaiveEnumeration) {
   const size_t max_len = 6;
   auto naive = NaiveProx(*fig_.instance, fig_.u0, max_len, gamma);
 
-  const auto& m = fig_.instance->matrix();
-  social::Frontier f, g;
-  f.Init(fig_.instance->layout().total());
-  g.Init(fig_.instance->layout().total());
-  std::vector<double> prox(fig_.instance->layout().total(), 0.0);
-  uint32_t seeker_row = fig_.instance->RowOfUser(fig_.u0);
-  prox[seeker_row] = CGamma(gamma);
-  f.Set(seeker_row, 1.0);
-  for (size_t n = 1; n <= max_len; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    for (uint32_t row : f.nonzero) {
-      prox[row] += CGamma(gamma) * f.values[row] / std::pow(gamma, double(n));
-    }
-  }
+  auto prox =
+      s3::testing::ConvergedProx(*fig_.instance, fig_.u0, gamma, max_len);
   for (size_t row = 0; row < prox.size(); ++row) {
     EXPECT_NEAR(prox[row], naive[row], 1e-9) << "row " << row;
   }

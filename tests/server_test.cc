@@ -32,46 +32,8 @@ using core::S3Instance;
 using core::S3kOptions;
 using core::S3kSearcher;
 using core::SearchStats;
-
-// Converged proximity via long matrix iteration (γ^-iters ≈ 0), the
-// same oracle construction as tests/s3k_test.cc.
-std::vector<double> ConvergedProx(const S3Instance& inst,
-                                  social::UserId seeker, double gamma,
-                                  size_t iters = 120) {
-  const auto& m = inst.matrix();
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  std::vector<double> prox(inst.layout().total(), 0.0);
-  uint32_t row = inst.RowOfUser(seeker);
-  prox[row] = core::CGamma(gamma);
-  f.Set(row, 1.0);
-  for (size_t n = 1; n <= iters; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    if (f.nonzero.empty()) break;
-    for (uint32_t r : f.nonzero) {
-      prox[r] += core::CGamma(gamma) * f.values[r] / std::pow(gamma, double(n));
-    }
-  }
-  return prox;
-}
-
-// Exact converged score of a returned node, read off the candidate
-// plan (the plan's source lists are exactly con(d, k)).
-double ExactScore(const S3Instance& inst, const Query& q,
-                  const S3kOptions& opts, doc::NodeId node,
-                  const std::vector<double>& prox) {
-  auto plan = BuildCandidatePlan(inst, q.keywords, opts.use_semantics,
-                                 opts.score.eta);
-  EXPECT_TRUE(plan.ok());
-  for (const auto& cc : plan->per_comp) {
-    for (const core::Candidate& c : cc.candidates) {
-      if (c.node == node) return core::CandidateScore(c, prox);
-    }
-  }
-  return 0.0;
-}
+using s3::testing::ConvergedProx;
+using s3::testing::ExactScore;
 
 std::shared_ptr<const S3Instance> MakeSnapshot(uint64_t seed,
                                                std::vector<KeywordId>* kws) {
@@ -266,9 +228,7 @@ TEST(QueryServiceTest, AdmissionControlAccountsEverySubmission) {
 
   // The queue-full refusals are visible to operators, not just as
   // Unavailable statuses on the submit path.
-  eval::ServiceCounters counters = stats.Counters();
-  EXPECT_EQ(counters.rejected_queue_full, rejected);
-  EXPECT_NE(eval::FormatCounters(counters).find("rejected="),
+  EXPECT_NE(FormatStats(stats).find("rejected=" + std::to_string(rejected)),
             std::string::npos);
 }
 
@@ -291,7 +251,7 @@ TEST(QueryServiceTest, StatsSurfaceCacheHitsAndMisses) {
   QueryServiceStats stats = service.Stats();
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits, 2u);
-  EXPECT_DOUBLE_EQ(stats.Counters().CacheHitRate(), 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(stats.CacheHitRate(), 2.0 / 3.0);
 
   // Cache disabled: the counters stay zero and the rendering says so.
   opts.enable_cache = false;
@@ -302,7 +262,7 @@ TEST(QueryServiceTest, StatsSurfaceCacheHitsAndMisses) {
   QueryServiceStats cold = uncached.Stats();
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.cache_misses, 0u);
-  EXPECT_NE(eval::FormatCounters(cold.Counters()).find("cache=off"),
+  EXPECT_NE(FormatStats(cold).find("cache=off"),
             std::string::npos);
 }
 
@@ -437,7 +397,6 @@ TEST_P(ConcurrentEquivalenceTest, MatchesSerialAndNaive) {
   QueryServiceStats stats = service.Stats();
   EXPECT_EQ(stats.completed, queries.size());
   EXPECT_EQ(stats.failed, 0u);
-  EXPECT_EQ(service.latency().count(), queries.size());
   if (cache_on) {
     ASSERT_NE(service.cache(), nullptr);
     // The mixed workload repeats keyword sets, so the cache must get

@@ -20,6 +20,7 @@
 #include "shard/partitioner.h"
 #include "shard/shard_meta.h"
 #include "shard/shard_router.h"
+#include "test_fixtures.h"
 
 namespace s3::shard {
 namespace {
@@ -27,6 +28,8 @@ namespace {
 using core::Query;
 using core::ResultEntry;
 using core::S3Instance;
+using s3::testing::ConvergedProx;
+using s3::testing::ExactScore;
 
 // ---- fixtures -------------------------------------------------------------
 
@@ -100,54 +103,6 @@ MultiGroup BuildMultiGroup(uint32_t n_groups, uint32_t users_per_group,
   }
   EXPECT_TRUE(inst.Finalize().ok());
   return out;
-}
-
-// Exact score of one returned node under converged proximities (the
-// s3k_test oracle idiom: returned intervals bracket this value).
-double ExactScore(const S3Instance& inst, const Query& q,
-                  const core::S3kOptions& opts, doc::NodeId node,
-                  const std::vector<double>& prox) {
-  core::QueryExtension ext(q.keywords.size());
-  for (size_t i = 0; i < q.keywords.size(); ++i) {
-    if (opts.use_semantics) {
-      for (KeywordId k : inst.ExtendKeyword(q.keywords[i])) {
-        ext[i].insert(k);
-      }
-    } else {
-      ext[i].insert(q.keywords[i]);
-    }
-  }
-  core::ConnectionBuilder b(inst, opts.score.eta);
-  auto cc = b.Build(inst.components().Of(social::EntityId::Fragment(node)),
-                    ext);
-  for (const core::Candidate& c : cc.candidates) {
-    if (c.node == node) return core::CandidateScore(c, prox);
-  }
-  return 0.0;
-}
-
-// Converged proximity by explicit matrix iteration (oracle side).
-std::vector<double> ConvergedProx(const S3Instance& inst,
-                                  social::UserId seeker, double gamma,
-                                  size_t iters = 80) {
-  const auto& m = inst.matrix();
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  std::vector<double> prox(inst.layout().total(), 0.0);
-  const uint32_t row = inst.RowOfUser(seeker);
-  prox[row] = core::CGamma(gamma);
-  f.Set(row, 1.0);
-  for (size_t n = 1; n <= iters; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    if (f.nonzero.empty()) break;
-    for (uint32_t r : f.nonzero) {
-      prox[r] += core::CGamma(gamma) * f.values[r] /
-                 std::pow(gamma, static_cast<double>(n));
-    }
-  }
-  return prox;
 }
 
 server::QueryServiceOptions ServiceOptions(bool cache_on) {

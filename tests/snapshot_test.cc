@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -28,6 +27,17 @@
 
 namespace s3::core {
 namespace {
+
+// Committed bytes of a Figure 1 snapshot (tests/data/). The v1 fixture
+// is also the only source of v1 bytes: v2 is the only format written.
+std::string ReadGolden(const std::string& name) {
+  std::ifstream in(std::string(S3_TEST_DATA_DIR "/") + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden fixture " << name;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 // ---- fidelity helpers --------------------------------------------------
 
@@ -254,7 +264,7 @@ TEST(SnapshotSeamTest, DetectsAndLoadsBothFormats) {
 
 TEST(SnapshotInspectTest, ReportsSectionsAndMeta) {
   auto fig = s3::testing::BuildFigure1();
-  auto blob = SaveBinarySnapshot(*fig.instance, kBinarySnapshotV2);
+  auto blob = SaveBinarySnapshot(*fig.instance);
   ASSERT_TRUE(blob.ok());
   auto info = InspectBinarySnapshot(*blob);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
@@ -288,10 +298,7 @@ TEST(SnapshotInspectTest, ReportsSectionsAndMeta) {
 }
 
 TEST(SnapshotInspectTest, ReportsV1Sections) {
-  auto fig = s3::testing::BuildFigure1();
-  auto blob = SaveBinarySnapshot(*fig.instance, kBinarySnapshotV1);
-  ASSERT_TRUE(blob.ok());
-  auto info = InspectBinarySnapshot(*blob);
+  auto info = InspectBinarySnapshot(ReadGolden("figure1_v1.snap"));
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->version, kBinarySnapshotV1);
   ASSERT_EQ(info->sections.size(), 14u);
@@ -321,14 +328,20 @@ TEST(SnapshotInspectTest, FlagsCorruptSection) {
 
 // ---- robustness: corrupt binary input ----------------------------------
 
-// Parameterized over the wire format: both v1 and v2 must reject every
-// truncation, bit flip and garbage input.
+// Parameterized over the wire format: both v1 (the committed fixture)
+// and v2 (freshly written) must reject every truncation, bit flip and
+// garbage input.
 class BinarySnapshotRobustnessTest
     : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
+    if (GetParam() == kBinarySnapshotV1) {
+      blob_ = ReadGolden("figure1_v1.snap");
+      ASSERT_FALSE(blob_.empty());
+      return;
+    }
     auto fig = s3::testing::BuildFigure1();
-    auto blob = SaveBinarySnapshot(*fig.instance, GetParam());
+    auto blob = SaveBinarySnapshot(*fig.instance);
     ASSERT_TRUE(blob.ok());
     blob_ = std::move(*blob);
   }
@@ -389,20 +402,18 @@ TEST_P(BinarySnapshotRobustnessTest, GarbageNeverCrashes) {
   ExpectRejected(magic_junk, "magic + junk");
   // Trailing garbage after a valid snapshot.
   ExpectRejected(blob_ + "tail", "trailing bytes");
+  // A format version no reader knows (the u32 after the magic).
+  std::string bad_version = blob_;
+  bad_version[8] = 7;
+  ExpectRejected(bad_version, "unknown format version");
 }
 
 // A *checksum-valid* but semantically hostile snapshot must still be
 // rejected: rewrite a section payload and refresh its stored CRC, so
 // only structural validation stands between the bytes and the engine.
 TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
-  // Frame-walking is v1-specific: pin the version.
-  std::string blob_;
-  {
-    auto fig = s3::testing::BuildFigure1();
-    auto v1 = SaveBinarySnapshot(*fig.instance, kBinarySnapshotV1);
-    ASSERT_TRUE(v1.ok());
-    blob_ = std::move(*v1);
-  }
+  // Frame-walking is v1-specific: start from the v1 fixture.
+  const std::string blob_ = ReadGolden("figure1_v1.snap");
   // Walk the frame table (8-byte magic, u32 version, u32 count, then
   // per section: u32 id, u64 size, u32 crc, payload) to the EDGES
   // section (id 10).
@@ -485,7 +496,7 @@ class SnapshotAttachTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fig_ = s3::testing::BuildFigure1();
-    auto blob = SaveBinarySnapshot(*fig_.instance, kBinarySnapshotV2);
+    auto blob = SaveBinarySnapshot(*fig_.instance);
     ASSERT_TRUE(blob.ok()) << blob.status().ToString();
     blob_ = std::move(*blob);
   }
@@ -667,44 +678,10 @@ TEST_F(SnapshotAttachTest, ConcurrentAttachAndQueryFromOneRegion) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(SnapshotVersionTest, ForceV1EnvVarPinsTheDefault) {
-  auto fig = s3::testing::BuildFigure1();
-  ASSERT_EQ(::setenv("S3_FORCE_SNAPSHOT_V1", "ON", 1), 0);
-  auto v1 = SaveBinarySnapshot(*fig.instance);
-  ::unsetenv("S3_FORCE_SNAPSHOT_V1");
-  auto v2 = SaveBinarySnapshot(*fig.instance);
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(v2.ok());
-  ASSERT_TRUE(InspectBinarySnapshot(*v1).ok());
-  EXPECT_EQ(InspectBinarySnapshot(*v1)->version, kBinarySnapshotV1);
-  EXPECT_EQ(InspectBinarySnapshot(*v2)->version, kBinarySnapshotV2);
-  // Both load back to the same instance.
-  auto a = LoadBinarySnapshot(*v1);
-  auto b = LoadBinarySnapshot(*v2);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectSameDerivedState(**a, **b);
-}
-
-TEST(SnapshotVersionTest, UnknownVersionIsRejected) {
-  auto fig = s3::testing::BuildFigure1();
-  auto saved = SaveBinarySnapshot(*fig.instance, 7);
-  EXPECT_EQ(saved.status().code(), StatusCode::kInvalidArgument);
-}
-
 // ---- golden fixtures ---------------------------------------------------
 // Committed bytes of a Figure 1 snapshot in each format. A codec change
 // that can no longer read them is a compatibility break, not a test to
 // update: v1 and v2 are both read-forever formats.
-
-std::string ReadGolden(const std::string& name) {
-  std::ifstream in(std::string(S3_TEST_DATA_DIR "/") + name,
-                   std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden fixture " << name;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 class GoldenSnapshotTest : public ::testing::TestWithParam<const char*> {};
 

@@ -140,14 +140,16 @@ TEST_F(Figure3MatrixTest, NonEmptyRowsSumToOne) {
 
 TEST_F(Figure3MatrixTest, FrontierMassNeverExceedsOne) {
   const auto& m = fig_.instance->matrix();
-  Frontier f, g;
-  f.Init(m.rows());
-  g.Init(m.rows());
-  f.Set(Row(EntityId::User(fig_.u0)), 1.0);
+  BatchFrontier f, g;
+  f.Init(m.rows(), 1);
+  g.Init(m.rows(), 1);
+  f.Set(Row(EntityId::User(fig_.u0)), 0, 1.0);
   for (int step = 0; step < 12; ++step) {
-    m.Propagate(f, g);
+    m.PropagateBatchAdaptive(f, g, nullptr);
     std::swap(f, g);
-    EXPECT_LE(f.Sum(), 1.0 + 1e-9) << "step " << step;
+    double mass = 0.0;
+    for (uint32_t row : f.nonzero) mass += f.values[row];
+    EXPECT_LE(mass, 1.0 + 1e-9) << "step " << step;
   }
 }
 
@@ -177,18 +179,25 @@ TEST_F(Figure3MatrixTest, RootNeighborhoodSeesAllFragmentEdges) {
   EXPECT_TRUE(found);
 }
 
-// ---- Frontier ----------------------------------------------------------------
+// ---- BatchFrontier -----------------------------------------------------------
 
-TEST(FrontierTest, SetTracksNonzeros) {
-  Frontier f;
-  f.Init(10);
-  f.Set(3, 0.5);
-  f.Set(7, 0.25);
+TEST(BatchFrontierTest, SetTracksNonzeros) {
+  BatchFrontier f;
+  f.Init(10, 2);
+  f.Set(3, 0, 0.5);
+  f.Set(3, 1, 0.125);  // a second lane on the same row: one union entry
+  f.Set(7, 1, 0.25);
   EXPECT_EQ(f.nonzero.size(), 2u);
-  EXPECT_DOUBLE_EQ(f.Sum(), 0.75);
+  EXPECT_TRUE(f.LaneHasMass(0));
+  EXPECT_TRUE(f.LaneHasMass(1));
+  f.ZeroLane(0);
+  EXPECT_FALSE(f.LaneHasMass(0));
+  EXPECT_DOUBLE_EQ(f.values[3 * 2 + 0], 0.0);
+  EXPECT_DOUBLE_EQ(f.values[3 * 2 + 1], 0.125);
   f.Clear();
   EXPECT_TRUE(f.nonzero.empty());
-  EXPECT_DOUBLE_EQ(f.values[3], 0.0);
+  EXPECT_FALSE(f.LaneHasMass(1));
+  EXPECT_DOUBLE_EQ(f.values[7 * 2 + 1], 0.0);
 }
 
 // ---- ComponentIndex ------------------------------------------------------------

@@ -1,13 +1,20 @@
 // Shared fixtures: instances modelled on the paper's running examples
-// (Figure 1 and Figure 3) plus a seeded random-instance generator used
-// by the S3k-vs-brute-force property tests.
+// (Figure 1 and Figure 3), a seeded random-instance generator used by
+// the S3k-vs-brute-force property tests, and the converged-proximity /
+// exact-score oracle those tests compare the engine against.
 #ifndef S3_TESTS_TEST_FIXTURES_H_
 #define S3_TESTS_TEST_FIXTURES_H_
 
+#include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "core/connections.h"
 #include "core/s3_instance.h"
+#include "core/s3k.h"
+#include "core/score.h"
 
 namespace s3::testing {
 
@@ -262,6 +269,82 @@ inline RandomInstance BuildRandomInstance(const RandomInstanceParams& p) {
 
   (void)inst.Finalize();
   return out;
+}
+
+// The rows of `m` as (column, value) lists, read through
+// TransitionMatrix::Row() — the input of ReferenceStep.
+using ReferenceRows = std::vector<std::vector<std::pair<uint32_t, double>>>;
+
+inline ReferenceRows RowsOf(const social::TransitionMatrix& m) {
+  ReferenceRows rows(m.rows());
+  for (uint32_t r = 0; r < m.rows(); ++r) rows[r] = m.Row(r);
+  return rows;
+}
+
+// One exploration step out = in · T as a plain dense loop over source
+// rows in ascending order: a scalar oracle that shares no code with the
+// engine's propagation kernels. Each output row accumulates its terms
+// in ascending source-row order, the order the kernels promise, so the
+// two agree bit for bit.
+inline void ReferenceStep(const ReferenceRows& rows,
+                          const std::vector<double>& in,
+                          std::vector<double>& out) {
+  out.assign(in.size(), 0.0);
+  for (uint32_t r = 0; r < in.size(); ++r) {
+    if (in[r] == 0.0) continue;
+    for (const auto& [col, w] : rows[r]) out[col] += in[r] * w;
+  }
+}
+
+// prox≤iters(seeker, ·) for every entity row: Cγ · Σ_{n≤iters}
+// (δ_seeker · Tⁿ) / γⁿ, stepped with ReferenceStep. With the default
+// depth γ^-iters ≈ 0, so this is the converged proximity.
+inline std::vector<double> ConvergedProx(const core::S3Instance& inst,
+                                         social::UserId seeker, double gamma,
+                                         size_t iters = 120) {
+  const ReferenceRows rows = RowsOf(inst.matrix());
+  const size_t total = inst.layout().total();
+  const double c_gamma = core::CGamma(gamma);
+  std::vector<double> prox(total, 0.0), frontier(total, 0.0), next;
+  const uint32_t seeker_row = inst.RowOfUser(seeker);
+  prox[seeker_row] = c_gamma;
+  frontier[seeker_row] = 1.0;
+  for (size_t n = 1; n <= iters; ++n) {
+    ReferenceStep(rows, frontier, next);
+    frontier.swap(next);
+    bool any = false;
+    for (uint32_t r = 0; r < total; ++r) {
+      if (frontier[r] == 0.0) continue;
+      any = true;
+      prox[r] += c_gamma * frontier[r] / std::pow(gamma, double(n));
+    }
+    if (!any) break;
+  }
+  return prox;
+}
+
+// Exact score of document `node` for `q` under `prox` (normally
+// ConvergedProx): the node's candidate in its own component, built
+// afresh with the query's extension. The engine reports truncated
+// bounds, so returned intervals must bracket this value.
+inline double ExactScore(const core::S3Instance& inst, const core::Query& q,
+                         const core::S3kOptions& opts, doc::NodeId node,
+                         const std::vector<double>& prox) {
+  core::QueryExtension ext(q.keywords.size());
+  for (size_t i = 0; i < q.keywords.size(); ++i) {
+    if (opts.use_semantics) {
+      for (KeywordId k : inst.ExtendKeyword(q.keywords[i])) ext[i].insert(k);
+    } else {
+      ext[i].insert(q.keywords[i]);
+    }
+  }
+  core::ConnectionBuilder b(inst, opts.score.eta);
+  auto cc =
+      b.Build(inst.components().Of(social::EntityId::Fragment(node)), ext);
+  for (const core::Candidate& c : cc.candidates) {
+    if (c.node == node) return core::CandidateScore(c, prox);
+  }
+  return 0.0;
 }
 
 }  // namespace s3::testing

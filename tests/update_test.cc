@@ -26,6 +26,7 @@
 #include "core/naive_reference.h"
 #include "core/s3k.h"
 #include "server/query_service.h"
+#include "test_fixtures.h"
 
 namespace s3::core {
 namespace {
@@ -33,6 +34,8 @@ namespace {
 using server::QueryFuture;
 using server::QueryService;
 using server::QueryServiceOptions;
+using s3::testing::ConvergedProx;
+using s3::testing::ExactScore;
 
 // ---- deterministic op scripts -----------------------------------------
 
@@ -237,43 +240,6 @@ void ExpectSameResults(const std::vector<ResultEntry>& got,
     EXPECT_EQ(got[i].lower, want[i].lower) << what << " rank " << i;
     EXPECT_EQ(got[i].upper, want[i].upper) << what << " rank " << i;
   }
-}
-
-// Converged proximity oracle (same construction as tests/s3k_test.cc).
-std::vector<double> ConvergedProx(const S3Instance& inst,
-                                  social::UserId seeker, double gamma,
-                                  size_t iters = 120) {
-  const auto& m = inst.matrix();
-  social::Frontier f, g;
-  f.Init(inst.layout().total());
-  g.Init(inst.layout().total());
-  std::vector<double> prox(inst.layout().total(), 0.0);
-  uint32_t row = inst.RowOfUser(seeker);
-  prox[row] = CGamma(gamma);
-  f.Set(row, 1.0);
-  for (size_t n = 1; n <= iters; ++n) {
-    m.Propagate(f, g);
-    std::swap(f, g);
-    if (f.nonzero.empty()) break;
-    for (uint32_t r : f.nonzero) {
-      prox[r] += CGamma(gamma) * f.values[r] / std::pow(gamma, double(n));
-    }
-  }
-  return prox;
-}
-
-double ExactScore(const S3Instance& inst, const Query& q,
-                  const S3kOptions& opts, doc::NodeId node,
-                  const std::vector<double>& prox) {
-  auto plan = BuildCandidatePlan(inst, q.keywords, opts.use_semantics,
-                                 opts.score.eta);
-  EXPECT_TRUE(plan.ok());
-  for (const auto& cc : plan->per_comp) {
-    for (const Candidate& c : cc.candidates) {
-      if (c.node == node) return CandidateScore(c, prox);
-    }
-  }
-  return 0.0;
 }
 
 // ---- InstanceDelta validation -----------------------------------------
