@@ -107,10 +107,10 @@ void BM_MatrixPropagate(benchmark::State& state) {
   g.Init(inst.layout().total(), 1);
   f.Set(inst.RowOfUser(0), 0, 1.0);
   // Warm two steps so the frontier is wide.
-  inst.matrix().PropagateBatchAdaptive(f, g, nullptr);
-  inst.matrix().PropagateBatchAdaptive(g, f, nullptr);
+  inst.matrix().PropagateBatch(f, g);
+  inst.matrix().PropagateBatch(g, f);
   for (auto _ : state) {
-    inst.matrix().PropagateBatchAdaptive(f, g, nullptr);
+    inst.matrix().PropagateBatch(f, g);
     benchmark::DoNotOptimize(g.values.data());
   }
 }

@@ -603,7 +603,7 @@ Status S3Instance::AttachDerived(SnapshotDerived d) {
   }
 
   // Derived, not serialized: the reach partition is a pure function of
-  // the edge log and rebuilds in one scan (like the matrix transpose).
+  // the edge log and rebuilds in one scan.
   BuildReach(/*first_new_edge=*/0);
 
   saturation_stats_ = d.saturation_stats;

@@ -165,20 +165,6 @@ S3kSearcher::S3kSearcher(const S3Instance& instance, S3kOptions options)
   }
 }
 
-const std::vector<uint32_t>& S3kSearcher::RowsOfReachRoot(uint32_t root) {
-  if (!rows_by_root_built_) {
-    const social::EntityLayout& layout = instance_.layout();
-    const uint32_t total = layout.total();
-    for (uint32_t row = 0; row < total; ++row) {
-      const social::UserId owner =
-          instance_.OwnerOfEntity(layout.Entity(row));
-      rows_by_root_[instance_.ReachRootOfUser(owner)].push_back(row);
-    }
-    rows_by_root_built_ = true;  // ascending pass → each list is sorted
-  }
-  return rows_by_root_[root];
-}
-
 Result<std::vector<ResultEntry>> S3kSearcher::Search(
     const QueryRequest& query, SearchStats* stats) {
   WallTimer timer;
@@ -369,23 +355,6 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
     return !have_reach || plan.comp_reach_root[slot] == seeker_root[s];
   };
 
-  // Pull-restricted propagation: frontier mass seeded at a seeker can
-  // only ever reach rows whose owner shares the seeker's reach root
-  // (T's entries never cross reach components), so when every lane
-  // agrees on the root, the dense (pull) propagation step can gather
-  // just those rows — every skipped row gathers exactly 0.0, keeping
-  // the step bit-for-bit. Only worth the indirection when the
-  // restriction actually cuts the sweep down.
-  const std::vector<uint32_t>* pull_rows = nullptr;
-  bool same_root = true;
-  for (size_t s = 1; s < B; ++s) {
-    same_root = same_root && seeker_root[s] == seeker_root[0];
-  }
-  if (same_root) {
-    const std::vector<uint32_t>& rr = RowsOfReachRoot(seeker_root[0]);
-    if (rr.size() * 2 <= total_rows) pull_rows = &rr;
-  }
-
   social::BatchFrontier& frontier = frontier_;
   social::BatchFrontier& next = next_;
   ResetFrontier(frontier, total_rows, L);
@@ -542,11 +511,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   // per-query SearchWithPlan.
   double d[social::kMaxFrontierLanes];
   std::vector<double> tails(L, 0.0);
-  // Which side of the push/pull crossover this iteration's propagation
-  // ran (observability; false when no propagation happened).
-  bool iter_used_pull = false;
   for (size_t n = 1; n <= options_.max_iterations && live > 0; ++n) {
-    iter_used_pull = false;
     for (size_t s = 0; s < B; ++s) {
       if (!finished[s]) out[s].stats.iterations = n;
     }
@@ -557,8 +522,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       if (!finished[s] && !exhausted[s]) any_frontier = true;
     }
     if (any_frontier) {
-      matrix.PropagateBatchAdaptive(frontier, next, pool_.get(), pull_rows,
-                                    &iter_used_pull);
+      matrix.PropagateBatch(frontier, next);
       std::swap(frontier, next);
       for (size_t s = 0; s < B; ++s) {
         if (!finished[s] && !exhausted[s] && !frontier.LaneHasMass(s)) {
@@ -759,7 +723,6 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
         rec.kth_lower = min_lower;
         rec.remaining_upper = std::max(
             threshold, order.size() > tk ? engine.upper(order[tk], s) : 0.0);
-        rec.used_pull = iter_used_pull;
         rec.fanout = use_fanout;
         out[s].stats.iteration_trace.push_back(rec);
       }

@@ -51,10 +51,9 @@ std::string FormatTrace(const QueryTrace& trace) {
     char line[192];
     std::snprintf(line, sizeof(line),
                   "    iter %2u: frontier=%u alive=%u kth_lower=%.6g "
-                  "remaining_upper=%.6g mode=%s%s\n",
+                  "remaining_upper=%.6g%s\n",
                   it.iteration, it.frontier_size, it.alive_candidates,
                   it.kth_lower, it.remaining_upper,
-                  it.used_pull ? "pull" : "push",
                   it.fanout ? " fanout" : "");
     out += line;
   }

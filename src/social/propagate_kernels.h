@@ -1,6 +1,4 @@
-// L-lane CSR propagation kernels shared by the single-seeker and
-// batched exploration paths (and compiled a second time under -mavx2
-// in propagate_avx2.cc for the runtime-dispatched SIMD variant).
+// The L-lane CSR push step behind TransitionMatrix::PropagateBatch.
 //
 // Layout: a batched frontier stores L per-seeker values contiguously
 // per entity row (values[row*L + lane]) — the textbook SpMM shape: one
@@ -9,81 +7,125 @@
 // per-lane operation sequence over CSR entries is exactly the scalar
 // single-seeker order, so every lane's result is bit-for-bit the value
 // a lone query would compute. (No FMA contraction, no reassociation:
-// the TUs compile without -mfma / fast-math, and the lane dimension is
+// the TU compiles without -mfma / fast-math, and the lane dimension is
 // element-wise, so there is nothing for the compiler to reorder.)
+//
+// The whole row loop is one function template per lane count, so the
+// lane width is dispatched once per step and the inner loops see it as
+// a compile-time constant.
 #ifndef S3_SOCIAL_PROPAGATE_KERNELS_H_
 #define S3_SOCIAL_PROPAGATE_KERNELS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace s3::social::pk {
 
-// Push (scatter) step for one source row: for each CSR entry
-// (cols[i], vals[i]) of the row, out[cols[i]*L + l] += mass[l]*vals[i].
+// True when some lane of one row's value block is nonzero: L lanes, or
+// `lanes` on the generic path (L == 0).
 template <int L>
-inline void ScatterRowT(const uint32_t* cols, const double* vals, size_t n,
-                        const double* __restrict mass,
-                        double* __restrict out) {
-  for (size_t i = 0; i < n; ++i) {
-    double* __restrict o = out + static_cast<size_t>(cols[i]) * L;
-    const double v = vals[i];
-    for (int l = 0; l < L; ++l) o[l] += mass[l] * v;
+inline bool AnyNonzero(const double* p, size_t lanes) {
+  const size_t n = L > 0 ? static_cast<size_t>(L) : lanes;
+  for (size_t l = 0; l < n; ++l) {
+    if (p[l] != 0.0) return true;
   }
+  return false;
 }
 
-// Pull (gather) step for one output row: acc[l] = Σ_i in[cols[i]*L + l]
-// * vals[i] over the transpose row's entries. Entries accumulate in
-// ascending source-row order — the same order the push form visits
-// them — so pull and push produce bitwise-identical sums.
+// One push step out = in · T over the rows listed in `in_rows`
+// (ascending). For every listed row with some nonzero lane, each CSR
+// entry (cols[i], vals[i]) adds mass[l] * vals[i] into
+// out[cols[i]*L + l] and sets bit cols[i] of `support`. The rows are
+// then emitted in ascending order by scanning the touched bitmap words
+// (clearing them, so `support` is all-zero again on return): a row
+// joins `out_rows` when some lane is nonzero, and each nonzero lane
+// sets its `lane_mass` flag.
+//
+// Each output row accumulates its terms in ascending source-row order
+// — the order `in_rows` lists them — which is what makes the step
+// bit-for-bit equal to a scalar row-by-row reference.
+//
+// L is the lane count (1, 2, 4 or 8); L == 0 is the generic path for
+// any multiple of 4 (`lanes`), run as 4-wide chunks.
 template <int L>
-inline void GatherRowT(const uint32_t* cols, const double* vals, size_t n,
-                       const double* __restrict in, double* __restrict acc) {
-  for (int l = 0; l < L; ++l) acc[l] = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double* __restrict p = in + static_cast<size_t>(cols[i]) * L;
-    const double v = vals[i];
-    for (int l = 0; l < L; ++l) acc[l] += p[l] * v;
-  }
-}
-
-// Runtime-width dispatchers. Lane counts are padded to 1, 2, 4, 8 or a
-// multiple of 4 (social::PadLanes), so the generic tail runs the fixed
-// 4-wide kernel over lane chunks.
-inline void ScatterRow(size_t lanes, const uint32_t* cols, const double* vals,
-                       size_t n, const double* mass, double* out) {
-  switch (lanes) {
-    case 1: return ScatterRowT<1>(cols, vals, n, mass, out);
-    case 2: return ScatterRowT<2>(cols, vals, n, mass, out);
-    case 4: return ScatterRowT<4>(cols, vals, n, mass, out);
-    case 8: return ScatterRowT<8>(cols, vals, n, mass, out);
-    default:
-      for (size_t i = 0; i < n; ++i) {
-        double* o = out + static_cast<size_t>(cols[i]) * lanes;
-        const double v = vals[i];
-        for (size_t c = 0; c + 4 <= lanes; c += 4) {
+void PushStep(const uint64_t* row_ptr, const uint32_t* cols,
+              const double* vals, const std::vector<uint32_t>& in_rows,
+              size_t lanes, const double* __restrict in,
+              double* __restrict out, uint64_t* __restrict support,
+              std::vector<uint32_t>& out_rows, uint8_t* lane_mass) {
+  const size_t W = L > 0 ? static_cast<size_t>(L) : lanes;
+  // Touched word range: each CSR row's columns are strictly ascending,
+  // so its first and last entries bound it.
+  size_t lo = SIZE_MAX, hi = 0;
+  for (uint32_t row : in_rows) {
+    const double* __restrict mass = in + static_cast<size_t>(row) * W;
+    if (!AnyNonzero<L>(mass, W)) continue;  // every lane of it dropped out
+    const uint64_t begin = row_ptr[row], end = row_ptr[row + 1];
+    if (begin == end) continue;
+    lo = std::min<size_t>(lo, cols[begin] >> 6);
+    hi = std::max<size_t>(hi, cols[end - 1] >> 6);
+    for (uint64_t i = begin; i < end; ++i) {
+      const uint32_t col = cols[i];
+      support[col >> 6] |= uint64_t{1} << (col & 63);
+      double* __restrict o = out + static_cast<size_t>(col) * W;
+      const double v = vals[i];
+      if constexpr (L > 0) {
+        for (int l = 0; l < L; ++l) o[l] += mass[l] * v;
+      } else {
+        for (size_t c = 0; c + 4 <= W; c += 4) {
           for (int l = 0; l < 4; ++l) o[c + l] += mass[c + l] * v;
         }
       }
+    }
+  }
+  if (lo > hi) return;  // nothing scattered
+  for (size_t w = lo; w <= hi; ++w) {
+    uint64_t bits = support[w];
+    if (bits == 0) continue;
+    support[w] = 0;
+    for (; bits != 0; bits &= bits - 1) {
+      const uint32_t col =
+          static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
+      const double* p = out + static_cast<size_t>(col) * W;
+      bool any = false;
+      for (size_t l = 0; l < W; ++l) {
+        if (p[l] != 0.0) {
+          any = true;
+          lane_mass[l] = 1;
+        }
+      }
+      if (any) out_rows.push_back(col);
+    }
   }
 }
 
-inline void GatherRow(size_t lanes, const uint32_t* cols, const double* vals,
-                      size_t n, const double* in, double* acc) {
+// Lane-count dispatch, once per step. Lane counts are padded to 1, 2,
+// 4, 8 or a multiple of 4 (social::PadLanes).
+inline void PushStepAnyWidth(const uint64_t* row_ptr, const uint32_t* cols,
+                             const double* vals,
+                             const std::vector<uint32_t>& in_rows,
+                             size_t lanes, const double* in, double* out,
+                             uint64_t* support,
+                             std::vector<uint32_t>& out_rows,
+                             uint8_t* lane_mass) {
   switch (lanes) {
-    case 1: return GatherRowT<1>(cols, vals, n, in, acc);
-    case 2: return GatherRowT<2>(cols, vals, n, in, acc);
-    case 4: return GatherRowT<4>(cols, vals, n, in, acc);
-    case 8: return GatherRowT<8>(cols, vals, n, in, acc);
+    case 1:
+      return PushStep<1>(row_ptr, cols, vals, in_rows, lanes, in, out,
+                         support, out_rows, lane_mass);
+    case 2:
+      return PushStep<2>(row_ptr, cols, vals, in_rows, lanes, in, out,
+                         support, out_rows, lane_mass);
+    case 4:
+      return PushStep<4>(row_ptr, cols, vals, in_rows, lanes, in, out,
+                         support, out_rows, lane_mass);
+    case 8:
+      return PushStep<8>(row_ptr, cols, vals, in_rows, lanes, in, out,
+                         support, out_rows, lane_mass);
     default:
-      for (size_t l = 0; l < lanes; ++l) acc[l] = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        const double* p = in + static_cast<size_t>(cols[i]) * lanes;
-        const double v = vals[i];
-        for (size_t c = 0; c + 4 <= lanes; c += 4) {
-          for (int l = 0; l < 4; ++l) acc[c + l] += p[c + l] * v;
-        }
-      }
+      return PushStep<0>(row_ptr, cols, vals, in_rows, lanes, in, out,
+                         support, out_rows, lane_mass);
   }
 }
 

@@ -23,7 +23,6 @@
 
 #include "common/status.h"
 #include "common/storage_span.h"
-#include "common/thread_pool.h"
 #include "doc/document_store.h"
 #include "social/edge_store.h"
 #include "social/entity.h"
@@ -31,12 +30,11 @@
 namespace s3::social {
 
 // Hard cap on the lane count of a BatchFrontier (and hence on the
-// multi-seeker batch width): bounds the stack accumulators inside the
-// pull kernels.
+// multi-seeker batch width).
 inline constexpr size_t kMaxFrontierLanes = 32;
 
 // Rounds a batch width up to a kernel-friendly lane count: 1, 2, 4 or
-// the next multiple of 4 (see pk::ScatterRow/GatherRow dispatch).
+// the next multiple of 4 (see the pk::PushStepAnyWidth dispatch).
 inline constexpr size_t PadLanes(size_t b) {
   if (b <= 2) return b < 1 ? 1 : b;
   return (b + 3) / 4 * 4;
@@ -45,9 +43,9 @@ inline constexpr size_t PadLanes(size_t b) {
 // L per-seeker frontiers in one dense SoA buffer: values[row*lanes + l]
 // is lane l's mass on `row` (the SpMM right-hand-side layout of
 // propagate_kernels.h). `nonzero` is the union support over lanes —
-// sorted ascending after every propagate step — while per-seeker
-// frontier exhaustion is tracked per lane in `lane_mass` (a lane can
-// die out while the union stays populated).
+// sorted ascending, after seeding and after every propagate step —
+// while per-seeker frontier exhaustion is tracked per lane in
+// `lane_mass` (a lane can die out while the union stays populated).
 struct BatchFrontier {
   std::vector<double> values;      // total_rows * lanes
   std::vector<uint32_t> nonzero;   // union over lanes
@@ -56,17 +54,18 @@ struct BatchFrontier {
 
   void Init(size_t total_rows, size_t n_lanes);
   void Clear();
-  // Sets one lane's value (seeker seeding); keeps `nonzero` deduped
-  // even when two lanes share a row.
+  // Sets one lane's value (seeker seeding); keeps `nonzero` sorted and
+  // deduped even when two lanes share a row.
   void Set(uint32_t row, size_t lane, double v);
   // Zeroes one lane's column (a converged seeker drops out of the
   // batch); the union support shrinks at the next propagate step.
   void ZeroLane(size_t lane);
   bool LaneHasMass(size_t lane) const { return lane_mass[lane] != 0; }
 
-  // First-touch scatter scratch for the push step (epoch-marked).
-  std::vector<uint32_t> touch_epoch;
-  uint32_t epoch = 0;
+  // Push-step scratch: one bit per row, set for every row the step
+  // scatters into and cleared again as the step emits `nonzero`, so it
+  // is all-zero between steps.
+  std::vector<uint64_t> support;
 };
 
 // CSR matrix over entity rows.
@@ -95,37 +94,18 @@ class TransitionMatrix {
                          const std::vector<char>& touched,
                          uint32_t old_tag_base, uint32_t n_new_fragments);
 
-  // One exploration step out = in · T on every lane at once — one CSR
-  // walk streams all lanes through the shared kernels
-  // (propagate_kernels.h; AVX2-dispatched when built in). Adapts to the
-  // frontier's density, measured on the union support as the matrix
-  // nonzeros a push step would touch (via row_ptr): push (sparse
-  // scatter) on sparse frontiers, pull (dense sequential gather over
-  // the transpose, parallelized when `pool` is non-null) once the
-  // frontier fills the graph. Each lane's values are bit-for-bit what
-  // the lane would get alone, and the same on either side of the
-  // crossover: the lane dimension is element-wise, and push and pull
-  // both accumulate per output row in ascending source-row order.
-  // `in.nonzero` is expected sorted ascending (for sequential CSR
-  // access); `out.nonzero` is left sorted and holds exactly the rows
-  // with some nonzero lane, so chained steps keep the invariant;
-  // `out.lane_mass` flags per-lane survival.
-  //
-  // `pull_rows`, when non-null, restricts the pull (dense) step to that
-  // sorted-ascending row list — the caller guarantees every row whose
-  // gather could be nonzero is in the list (e.g. all rows of the
-  // seeker's reach component: mass seeded there can never leave it, so
-  // skipped rows always gather exactly 0.0 and bit-for-bit equality
-  // with the unrestricted step holds). The push step ignores it (push
-  // only writes rows the frontier's mass actually reaches) and the
-  // density crossover is scaled to the restricted pull cost.
-  // `used_pull`, when non-null, reports which side of the crossover
-  // ran (true = pull/dense) — observability only, the verdict itself
-  // is unchanged.
-  void PropagateBatchAdaptive(const BatchFrontier& in, BatchFrontier& out,
-                              ThreadPool* pool,
-                              const std::vector<uint32_t>* pull_rows = nullptr,
-                              bool* used_pull = nullptr) const;
+  // One exploration step out = in · T on every lane at once: a push
+  // (sparse scatter) over the rows of `in.nonzero`, one CSR walk
+  // streaming all lanes through the lane-width-specialized kernel of
+  // propagate_kernels.h. Rows whose lanes are all zero are skipped;
+  // `out.nonzero` comes back sorted ascending and holds exactly the
+  // rows with some nonzero lane, so chained steps keep the invariant,
+  // and `out.lane_mass` flags per-lane survival. Each output row
+  // accumulates its terms in ascending source-row order and the lane
+  // dimension is element-wise, so every lane's values are bit-for-bit
+  // what the lane would get alone. `in` and `out` must have the same
+  // lane count and cover rows().
+  void PropagateBatch(const BatchFrontier& in, BatchFrontier& out) const;
 
   // Normalization denominator D(n) for the row of entity `n` (0 if the
   // neighborhood has no outgoing edge).
@@ -143,10 +123,9 @@ class TransitionMatrix {
 
   // ---- snapshot (de)serialization hooks --------------------------------
 
-  // Raw CSR views for the binary snapshot writer. The transpose is not
-  // exposed: it is a pure function of the CSR and is rebuilt on Adopt.
-  // Each array may be heap-owned (Build/IncrementalUpdate output, v1
-  // loads) or a view into an mmap'd snapshot section (v2 attach).
+  // Raw CSR views for the binary snapshot writer. Each array may be
+  // heap-owned (Build/IncrementalUpdate output, v1 loads) or a view
+  // into an mmap'd snapshot section (v2 attach).
   const StorageSpan<uint64_t>& row_ptr() const { return row_ptr_; }
   const StorageSpan<uint32_t>& col_index() const { return cols_; }
   const StorageSpan<double>& values() const { return vals_; }
@@ -155,9 +134,8 @@ class TransitionMatrix {
   // Binary-load path: adopts a deserialized CSR wholesale — shape
   // validation only (monotone row_ptr, in-range strictly-ascending
   // columns per row, matching array sizes); the float values are
-  // covered by the snapshot's checksum framing — and rebuilds the
-  // transpose (always heap-owned, even when the CSR arrays are views).
-  // `n_rows` is the entity-row count the matrix must cover.
+  // covered by the snapshot's checksum framing. `n_rows` is the
+  // entity-row count the matrix must cover.
   Status Adopt(StorageSpan<uint64_t> row_ptr, StorageSpan<uint32_t> cols,
                StorageSpan<double> vals, StorageSpan<double> denom,
                size_t n_rows);
@@ -181,25 +159,10 @@ class TransitionMatrix {
       std::unordered_map<uint32_t, double>& row_acc,
       std::vector<std::pair<uint32_t, double>>& sorted_row);
 
-  // Rebuilds the transpose arrays from row_ptr_/cols_/vals_.
-  void BuildTranspose();
-
-  // Push (sparse scatter) / pull (dense gather) halves of
-  // PropagateBatchAdaptive.
-  void PropagateBatchPush(const BatchFrontier& in, BatchFrontier& out) const;
-  void PropagateBatchPull(const BatchFrontier& in, BatchFrontier& out,
-                          ThreadPool* pool,
-                          const std::vector<uint32_t>* pull_rows) const;
-
   StorageSpan<uint64_t> row_ptr_;
   StorageSpan<uint32_t> cols_;
   StorageSpan<double> vals_;
   StorageSpan<double> denom_;
-  // Transpose (in-edges per row), for the pull (dense) product.
-  // Always heap-owned: it is rebuilt from the CSR on every adopt.
-  std::vector<uint64_t> t_row_ptr_;
-  std::vector<uint32_t> t_cols_;
-  std::vector<double> t_vals_;
 };
 
 }  // namespace s3::social

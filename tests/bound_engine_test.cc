@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "core/bound_engine.h"
@@ -93,7 +94,7 @@ size_t CheckIncrementalAgainstScratch(const S3Instance& inst,
   frontier.Set(seeker_row, 0, 1.0);
 
   for (size_t n = 1; n <= iters; ++n) {
-    inst.matrix().PropagateBatchAdaptive(frontier, next, nullptr);
+    inst.matrix().PropagateBatch(frontier, next);
     std::swap(frontier, next);
     if (frontier.nonzero.empty()) break;
     const double factor = c_gamma * std::pow(gamma, -double(n));
@@ -182,92 +183,173 @@ TEST(BoundEngineInvariantTest, IncrementalEqualsScratchOnMicroblog) {
   EXPECT_GT(checked, 0u);
 }
 
-// ---- Batched adaptive propagation -----------------------------------------
+// ---- Batched propagation -------------------------------------------------
 
-// Rows whose owner shares a reach root with one of `seekers`, ascending:
-// mass seeded at those seekers never leaves them, so this is a sound
-// pull restriction for PropagateBatchAdaptive.
-std::vector<uint32_t> ReachRows(const S3Instance& inst,
-                                const std::vector<social::UserId>& seekers) {
-  std::vector<uint32_t> roots;
-  for (social::UserId u : seekers) roots.push_back(inst.ReachRootOfUser(u));
-  std::vector<uint32_t> rows;
-  for (uint32_t row = 0; row < inst.layout().total(); ++row) {
-    const uint32_t root = inst.ReachRootOfUser(
-        inst.OwnerOfEntity(inst.layout().Entity(row)));
-    if (std::find(roots.begin(), roots.end(), root) != roots.end()) {
-      rows.push_back(row);
+std::unique_ptr<S3Instance> PropagationInstance(uint64_t seed,
+                                                uint32_t n_users,
+                                                uint32_t n_tweets) {
+  workload::MicroblogParams p;
+  p.seed = seed;
+  p.n_users = n_users;
+  p.n_tweets = n_tweets;
+  p.vocab_size = 200;
+  return std::move(workload::GenerateMicroblog(p).instance);
+}
+
+// One ReferenceStep per lane, then checks every lane of `f` against the
+// reference bit for bit, and its support: `nonzero` sorted, exactly the
+// rows with some nonzero lane, the `lane_mass` flags right, and the
+// bitmap scratch sized to the matrix and all-zero again.
+void StepAndCheck(const social::TransitionMatrix& m,
+                  const s3::testing::ReferenceRows& rows,
+                  social::BatchFrontier& f, social::BatchFrontier& g,
+                  std::vector<std::vector<double>>& ref,
+                  const std::string& what) {
+  m.PropagateBatch(f, g);
+  std::swap(f, g);
+  std::vector<double> next;
+  for (std::vector<double>& r : ref) {
+    s3::testing::ReferenceStep(rows, r, next);
+    r.swap(next);
+  }
+  const size_t lanes = f.lanes;
+  std::vector<uint32_t> support;
+  std::vector<uint8_t> mass(ref.size(), 0);
+  for (uint32_t row = 0; row < m.rows(); ++row) {
+    bool any = false;
+    for (size_t l = 0; l < ref.size(); ++l) {
+      ASSERT_EQ(f.values[size_t(row) * lanes + l], ref[l][row])
+          << what << " lane " << l << " row " << row;
+      if (ref[l][row] != 0.0) {
+        any = true;
+        mass[l] = 1;
+      }
     }
+    if (any) support.push_back(row);
+  }
+  EXPECT_EQ(f.nonzero, support) << what;
+  for (size_t l = 0; l < ref.size(); ++l) {
+    EXPECT_EQ(f.LaneHasMass(l), mass[l] != 0) << what << " lane " << l;
+  }
+  ASSERT_EQ(g.support.size(), (m.rows() + 63) / 64) << what;
+  ASSERT_EQ(f.support.size(), (m.rows() + 63) / 64) << what;
+  EXPECT_TRUE(std::all_of(f.support.begin(), f.support.end(),
+                          [](uint64_t w) { return w == 0; }))
+      << what;
+}
+
+// Seeds lane l of `f` (and of the reference) at rows[l].
+std::vector<std::vector<double>> Seed(social::BatchFrontier& f, size_t total,
+                                      const std::vector<uint32_t>& rows) {
+  std::vector<std::vector<double>> ref(rows.size(),
+                                       std::vector<double>(total, 0.0));
+  for (size_t l = 0; l < rows.size(); ++l) {
+    f.Set(rows[l], l, 1.0);
+    ref[l][rows[l]] = 1.0;
+  }
+  return ref;
+}
+
+// Distinct source rows for `n` lanes: the highest row that has
+// out-edges — so one seeker sits in the last bitmap word — then users
+// 1, 2, 3, ... in descending order, so `Set` has to keep the seeded
+// support sorted.
+std::vector<uint32_t> SeedRows(const S3Instance& inst, size_t n) {
+  const auto& m = inst.matrix();
+  uint32_t last = static_cast<uint32_t>(m.rows());
+  while (last > 0 && m.Row(last - 1).empty()) --last;
+  std::vector<uint32_t> rows = {last - 1};
+  for (social::UserId u = static_cast<social::UserId>(n - 1); u >= 1; --u) {
+    rows.push_back(inst.RowOfUser(u));
   }
   return rows;
 }
 
-// A multi-step chain from sparse (push) to dense (pull) frontiers: every
-// lane of every step equals the Row() reference bit for bit, serial or
-// pooled, with or without a pull restriction, and the output support is
-// sorted and exact.
-TEST(PropagateBatchAdaptiveTest, ChainMatchesRowReference) {
-  workload::MicroblogParams p;
-  p.seed = 7;
-  p.n_users = 120;
-  p.n_tweets = 300;
-  p.vocab_size = 200;
-  auto gen = workload::GenerateMicroblog(p);
-  const auto& inst = *gen.instance;
-  const auto& m = inst.matrix();
-  const uint32_t total = inst.layout().total();
+// Multi-step chains at every kernel width — 1, 2, 4, 8 and the generic
+// multiple-of-4 path (12) — equal the Row() reference bit for bit on
+// every lane, from the sparse first steps to a frontier that fills the
+// graph.
+TEST(PropagateBatchTest, ChainMatchesRowReference) {
+  const auto inst = PropagationInstance(7, 120, 300);
+  const auto& m = inst->matrix();
+  const uint32_t total = static_cast<uint32_t>(m.rows());
+  ASSERT_NE(total % 64, 0u) << "want a partial last bitmap word";
   const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
-  ThreadPool pool(3);
+  for (size_t n : {1, 2, 4, 8, 12}) {
+    const std::vector<uint32_t> seeds = SeedRows(*inst, n);
+    ASSERT_EQ(seeds[0] / 64, (total - 1) / 64);
+    social::BatchFrontier f, g;
+    f.Init(total, social::PadLanes(n));
+    g.Init(total, social::PadLanes(n));
+    ASSERT_EQ(f.lanes, n);
+    std::vector<std::vector<double>> ref = Seed(f, total, seeds);
+    EXPECT_TRUE(std::is_sorted(f.nonzero.begin(), f.nonzero.end()));
+    size_t widest = 0;
+    for (size_t step = 0; step < 8; ++step) {
+      StepAndCheck(m, rows, f, g, ref,
+                   "lanes=" + std::to_string(n) + " step " +
+                       std::to_string(step));
+      if (HasFatalFailure()) return;
+      widest = std::max(widest, f.nonzero.size());
+    }
+    EXPECT_GT(widest * 4, size_t(total)) << "chain never got dense";
+  }
+}
 
-  for (const std::vector<social::UserId>& seekers :
-       {std::vector<social::UserId>{1}, std::vector<social::UserId>{1, 5, 9}}) {
-    const size_t lanes = social::PadLanes(seekers.size());
-    const std::vector<uint32_t> reach = ReachRows(inst, seekers);
-    for (ThreadPool* pl : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      for (const std::vector<uint32_t>* pull_rows :
-           {static_cast<const std::vector<uint32_t>*>(nullptr), &reach}) {
-        const std::string what =
-            std::string(pl ? "pool" : "serial") +
-            (pull_rows ? " restricted" : " full") +
-            " lanes=" + std::to_string(seekers.size());
-        social::BatchFrontier f, g;
-        f.Init(total, lanes);
-        g.Init(total, lanes);
-        std::vector<std::vector<double>> ref(seekers.size(),
-                                             std::vector<double>(total, 0.0));
-        for (size_t l = 0; l < seekers.size(); ++l) {
-          f.Set(inst.RowOfUser(seekers[l]), l, 1.0);
-          ref[l][inst.RowOfUser(seekers[l])] = 1.0;
-        }
-        bool saw_push = false, saw_pull = false;
-        std::vector<double> next;
-        for (size_t step = 0; step < 6; ++step) {
-          bool used_pull = false;
-          m.PropagateBatchAdaptive(f, g, pl, pull_rows, &used_pull);
-          std::swap(f, g);
-          (used_pull ? saw_pull : saw_push) = true;
-          for (size_t l = 0; l < seekers.size(); ++l) {
-            s3::testing::ReferenceStep(rows, ref[l], next);
-            ref[l].swap(next);
-          }
-          EXPECT_TRUE(std::is_sorted(f.nonzero.begin(), f.nonzero.end()))
-              << what << " step " << step;
-          size_t support = 0;
-          for (uint32_t row = 0; row < total; ++row) {
-            bool any = false;
-            for (size_t l = 0; l < seekers.size(); ++l) {
-              ASSERT_EQ(f.values[size_t(row) * lanes + l], ref[l][row])
-                  << what << " step " << step << " lane " << l << " row "
-                  << row;
-              any = any || ref[l][row] != 0.0;
-            }
-            support += any ? 1 : 0;
-          }
-          EXPECT_EQ(f.nonzero.size(), support) << what << " step " << step;
-        }
-        EXPECT_TRUE(saw_push) << what;
-        EXPECT_TRUE(saw_pull) << what;
-      }
+// A lane zeroed mid-chain (a converged seeker dropping out) reports no
+// mass from the next step on, while the other lanes carry on bit for
+// bit and the support never lists a row whose lanes are all zero — also
+// when a lane's mass underflows to zero inside the step (lane 3, seeded
+// with the smallest denormal).
+TEST(PropagateBatchTest, ZeroedLaneStaysDead) {
+  const auto inst = PropagationInstance(7, 120, 300);
+  const auto& m = inst->matrix();
+  const uint32_t total = static_cast<uint32_t>(m.rows());
+  const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
+  social::BatchFrontier f, g;
+  f.Init(total, 4);
+  g.Init(total, 4);
+  const std::vector<uint32_t> seeds = SeedRows(*inst, 4);
+  std::vector<std::vector<double>> ref = Seed(f, total, seeds);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  f.Set(seeds[3], 3, tiny);
+  ref[3][seeds[3]] = tiny;
+  for (size_t step = 0; step < 6; ++step) {
+    if (step == 2) {
+      ASSERT_TRUE(f.LaneHasMass(1));
+      f.ZeroLane(1);
+      std::fill(ref[1].begin(), ref[1].end(), 0.0);
+    }
+    StepAndCheck(m, rows, f, g, ref, "step " + std::to_string(step));
+    if (HasFatalFailure()) return;
+    if (step >= 2) {
+      EXPECT_FALSE(f.LaneHasMass(1)) << "step " << step;
+      EXPECT_FALSE(f.nonzero.empty()) << "step " << step;
+    }
+  }
+}
+
+// One frontier pair reused across two instances whose row counts need
+// different bitmap sizes: re-initializing for the other matrix resizes
+// the support, and chains on both stay exact.
+TEST(PropagateBatchTest, FrontierReusedAcrossInstances) {
+  const auto small = PropagationInstance(7, 120, 300);
+  const auto large = PropagationInstance(11, 200, 700);
+  ASSERT_NE((small->matrix().rows() + 63) / 64,
+            (large->matrix().rows() + 63) / 64);
+  social::BatchFrontier f, g;
+  for (const S3Instance* inst : {small.get(), large.get(), small.get()}) {
+    const auto& m = inst->matrix();
+    const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
+    f.Init(m.rows(), 2);
+    g.Init(m.rows(), 2);
+    std::vector<std::vector<double>> ref =
+        Seed(f, m.rows(), SeedRows(*inst, 2));
+    for (size_t step = 0; step < 5; ++step) {
+      StepAndCheck(m, rows, f, g, ref,
+                   "rows=" + std::to_string(m.rows()) + " step " +
+                       std::to_string(step));
+      if (HasFatalFailure()) return;
     }
   }
 }

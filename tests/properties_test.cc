@@ -45,34 +45,30 @@ TEST_P(RandomInstanceSweep, MatrixRowsSubStochastic) {
 
 TEST_P(RandomInstanceSweep, BatchPropagateMatchesRowReference) {
   // Every user seeds its own lane; each lane of a 5-step chain must
-  // equal the Row() reference bit for bit, serial and pooled.
+  // equal the Row() reference bit for bit.
   const auto& m = ri_.instance->matrix();
   const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
   const size_t n_users = ri_.instance->UserCount();
-  ThreadPool pool(3);
-  for (ThreadPool* pl : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const size_t lanes = social::PadLanes(n_users);
-    social::BatchFrontier in, out;
-    in.Init(m.rows(), lanes);
-    out.Init(m.rows(), lanes);
-    std::vector<std::vector<double>> ref(n_users,
-                                         std::vector<double>(m.rows(), 0.0));
+  const size_t lanes = social::PadLanes(n_users);
+  social::BatchFrontier in, out;
+  in.Init(m.rows(), lanes);
+  out.Init(m.rows(), lanes);
+  std::vector<std::vector<double>> ref(n_users,
+                                       std::vector<double>(m.rows(), 0.0));
+  for (social::UserId u = 0; u < n_users; ++u) {
+    in.Set(ri_.instance->RowOfUser(u), u, 1.0);
+    ref[u][ri_.instance->RowOfUser(u)] = 1.0;
+  }
+  std::vector<double> next;
+  for (int step = 0; step < 5; ++step) {
+    m.PropagateBatch(in, out);
+    std::swap(in, out);
     for (social::UserId u = 0; u < n_users; ++u) {
-      in.Set(ri_.instance->RowOfUser(u), u, 1.0);
-      ref[u][ri_.instance->RowOfUser(u)] = 1.0;
-    }
-    std::vector<double> next;
-    for (int step = 0; step < 5; ++step) {
-      m.PropagateBatchAdaptive(in, out, pl);
-      std::swap(in, out);
-      for (social::UserId u = 0; u < n_users; ++u) {
-        s3::testing::ReferenceStep(rows, ref[u], next);
-        ref[u].swap(next);
-        for (size_t row = 0; row < m.rows(); ++row) {
-          ASSERT_EQ(in.values[row * lanes + u], ref[u][row])
-              << (pl ? "pool" : "serial") << " step " << step << " user "
-              << u << " row " << row;
-        }
+      s3::testing::ReferenceStep(rows, ref[u], next);
+      ref[u].swap(next);
+      for (size_t row = 0; row < m.rows(); ++row) {
+        ASSERT_EQ(in.values[row * lanes + u], ref[u][row])
+            << "step " << step << " user " << u << " row " << row;
       }
     }
   }

@@ -145,7 +145,7 @@ TEST_F(Figure3MatrixTest, FrontierMassNeverExceedsOne) {
   g.Init(m.rows(), 1);
   f.Set(Row(EntityId::User(fig_.u0)), 0, 1.0);
   for (int step = 0; step < 12; ++step) {
-    m.PropagateBatchAdaptive(f, g, nullptr);
+    m.PropagateBatch(f, g);
     std::swap(f, g);
     double mass = 0.0;
     for (uint32_t row : f.nonzero) mass += f.values[row];
