@@ -220,16 +220,15 @@ BENCHMARK(BM_S3kQueryBatched)
     ->Args({20, 8});
 
 // The solo fat query: a controlled component-count sweep for the
-// intra-query fan-out. BM_S3kQuery averages over the whole workload —
+// intra-query pool. BM_S3kQuery averages over the whole workload —
 // mostly thin plans, and the microblog trace's fattest query is
-// dominated by the giant reply component, so the cost model correctly
-// declines to shard it. This instance is built to be the fan-out's
-// target shape instead: C disjoint comment-linked document clusters
-// (one passing component each, balanced work), every cluster holding
-// the query keyword, the seeker socially adjacent to every poster.
-// Counters report the passing-component count and whether the cost
-// model actually picked the fan-out (comps >= 8 legs should report
-// fanout=1 at threads >= 2).
+// dominated by the giant reply component. This instance is built to
+// be many-component instead: C disjoint comment-linked document
+// clusters (one passing component each, balanced work), every cluster
+// holding the query keyword, the seeker socially adjacent to every
+// poster. With comps >= 8 and threads >= 2 the pool builds the
+// per-component candidates; the exploration loop is serial at every
+// thread count. The counter reports the passing-component count.
 core::S3Instance& FatInstance(size_t n_clusters) {
   static std::map<size_t, std::unique_ptr<core::S3Instance>>* cache =
       new std::map<size_t, std::unique_ptr<core::S3Instance>>();
@@ -286,7 +285,6 @@ void BM_S3kQueryFat(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   state.counters["comps"] = static_cast<double>(st.components_passing);
-  state.counters["fanout"] = st.used_component_fanout ? 1.0 : 0.0;
 }
 BENCHMARK(BM_S3kQueryFat)
     ->ArgNames({"comps", "threads"})

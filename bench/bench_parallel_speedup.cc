@@ -6,10 +6,11 @@
 // scaling alongside the microbenchmarks.
 //
 // Besides the aggregate per-thread-count record, queries are bucketed
-// by their number of passing components — the component fan-out only
-// engages on multi-component plans, so the per-bucket speedups show
-// where the parallelism actually comes from (1-component queries are
-// the serial floor; 8+-component queries are the fan-out target).
+// by their number of passing components — the pool only builds the
+// candidates of plans with 8 or more passing components, so the
+// per-bucket speedups show where the parallelism actually comes from
+// (smaller plans run fully serial; 8+-component queries are the only
+// ones the pool touches).
 #include <algorithm>
 #include <vector>
 

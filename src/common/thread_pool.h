@@ -2,8 +2,8 @@
 // §5.2 uses 8 concurrent threads with a custom scheduler).
 //
 // Spawning std::thread per parallel region costs tens of microseconds
-// per worker — more than an S3k iteration's work at bench scale — so
-// the searcher keeps one pool for its lifetime.
+// per worker — more than a component's candidate build at bench scale
+// — so the searcher keeps one pool for its lifetime.
 #ifndef S3_COMMON_THREAD_POOL_H_
 #define S3_COMMON_THREAD_POOL_H_
 

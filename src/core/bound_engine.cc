@@ -5,7 +5,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "social/transition_matrix.h"  // kMaxFrontierLanes
 
 namespace s3::core {
 
@@ -60,7 +59,6 @@ CandidateBoundEngine::CandidateBoundEngine(
   }
 
   node_.reserve(n_cands);
-  comp_slot_.reserve(n_cands);
   alive_.assign(n_cands * lanes_, 1);
   kw_sum_.assign(n_cands * n_keywords_ * lanes_, 0.0);
   kw_w_.reserve(n_cands * n_keywords_);
@@ -77,7 +75,6 @@ CandidateBoundEngine::CandidateBoundEngine(
       const uint32_t ci = static_cast<uint32_t>(node_.size());
       slot_cands_[slot].push_back(ci);
       node_.push_back(c.node);
-      comp_slot_.push_back(static_cast<uint32_t>(slot));
       for (size_t qi = 0; qi < n_keywords_; ++qi) {
         double w_total = 0.0;
         for (const auto& [src, w] : c.sources[qi]) {
@@ -111,59 +108,6 @@ CandidateBoundEngine::CandidateBoundEngine(
     if (rev_ptr_[row + 1] > rev_ptr_[row]) source_rows_.push_back(row);
   }
 
-  // Component-sharded views. The flatten above is slot-ordered, so
-  // candidate ids partition into per-slot ranges.
-  const size_t n_slots = per_comp.size();
-  slot_cand_begin_.assign(n_slots + 1, 0);
-  for (size_t slot = 0; slot < n_slots; ++slot) {
-    slot_cand_begin_[slot + 1] =
-        slot_cand_begin_[slot] +
-        static_cast<uint32_t>(per_comp[slot].candidates.size());
-  }
-
-  // Shard the reverse index by slot. Each row's rev entries are in
-  // ascending sum-index order (the counting sort fills them that way)
-  // and sums are slot-contiguous, so per row the slot runs are
-  // contiguous with strictly increasing slot. Iterating rows ascending
-  // in both passes keeps each slot's row list ascending — which is
-  // what makes the per-slot fold order match the global fold order.
-  slot_fold_ptr_.assign(n_slots + 1, 0);
-  slot_rev_entries_.assign(n_slots, 0);
-  auto for_each_slot_run = [&](auto&& visit) {
-    for (uint32_t row : source_rows_) {
-      uint64_t i = rev_ptr_[row];
-      const uint64_t end = rev_ptr_[row + 1];
-      while (i < end) {
-        const uint32_t slot = comp_slot_[rev_sum_[i] / n_keywords_];
-        uint64_t j = i + 1;
-        while (j < end && comp_slot_[rev_sum_[j] / n_keywords_] == slot) {
-          ++j;
-        }
-        visit(slot, row, i, j);
-        i = j;
-      }
-    }
-  };
-  for_each_slot_run([&](uint32_t slot, uint32_t, uint64_t i, uint64_t j) {
-    ++slot_fold_ptr_[slot + 1];
-    slot_rev_entries_[slot] += j - i;
-  });
-  for (size_t s = 0; s < n_slots; ++s) {
-    slot_fold_ptr_[s + 1] += slot_fold_ptr_[s];
-  }
-  slot_fold_row_.resize(slot_fold_ptr_[n_slots]);
-  slot_fold_begin_.resize(slot_fold_ptr_[n_slots]);
-  slot_fold_end_.resize(slot_fold_ptr_[n_slots]);
-  std::vector<uint64_t> fold_cursor(slot_fold_ptr_.begin(),
-                                    slot_fold_ptr_.end() - 1);
-  for_each_slot_run(
-      [&](uint32_t slot, uint32_t row, uint64_t i, uint64_t j) {
-        const uint64_t pos = fold_cursor[slot]++;
-        slot_fold_row_[pos] = row;
-        slot_fold_begin_[pos] = i;
-        slot_fold_end_[pos] = j;
-      });
-
   // Doc groups and vertical-neighbor adjacency. Only candidates of the
   // same document can be vertical neighbors, so group by DocId once and
   // test ancestry only within groups.
@@ -186,17 +130,6 @@ CandidateBoundEngine::CandidateBoundEngine(
     }
   }
   std::sort(nbr_pairs_.begin(), nbr_pairs_.end());
-  // Vertical neighbors share a document and a document lives in one
-  // component, so no pair spans slots; sorted by (a, b) over
-  // slot-contiguous ids, pairs group contiguously in slot order.
-  slot_pair_begin_.assign(n_slots + 1, 0);
-  for (const auto& [a, b] : nbr_pairs_) {
-    (void)b;
-    ++slot_pair_begin_[comp_slot_[a] + 1];
-  }
-  for (size_t s = 0; s < n_slots; ++s) {
-    slot_pair_begin_[s + 1] += slot_pair_begin_[s];
-  }
   nbr_begin_.assign(n_cands + 1, 0);
   for (uint32_t ci = 0; ci < n_cands; ++ci) {
     nbr_begin_[ci + 1] =
@@ -264,61 +197,35 @@ void CandidateBoundEngine::RefreshOne(uint32_t ci, const double* tails) {
   }
 }
 
-void CandidateBoundEngine::RefreshBoundsBatch(const double* tails,
-                                              ThreadPool* pool) {
-  auto refresh = [&](size_t i) { RefreshOne(union_list_[i], tails); };
-  const size_t n = union_list_.size();
-  if (pool != nullptr && n >= 512) {
-    pool->ParallelFor(n, refresh);
-  } else {
-    for (size_t i = 0; i < n; ++i) refresh(i);
-  }
-}
-
-void CandidateBoundEngine::RefreshBoundsSlot(uint32_t slot,
-                                             const double* tails) {
-  // The caller gates on "slot discovered in some lane", which makes
-  // the union over slots of these ranges exactly union_list_'s
-  // membership (ActivateSlot activates whole slots). RefreshOne is a
-  // pure per-candidate function, so membership equality gives bitwise
-  // equality with RefreshBoundsBatch regardless of order.
-  for (uint32_t ci = slot_cand_begin_[slot]; ci < slot_cand_begin_[slot + 1];
-       ++ci) {
-    RefreshOne(ci, tails);
-  }
-}
-
-void CandidateBoundEngine::FoldFrontierSlot(uint32_t slot,
-                                            const double* frontier_values,
-                                            double factor) {
+void CandidateBoundEngine::FoldFrontier(const social::BatchFrontier& frontier,
+                                        double factor) {
   const size_t L = lanes_;
+  const std::vector<uint32_t>& rows =
+      frontier.nonzero.size() <= source_rows_.size() ? frontier.nonzero
+                                                     : source_rows_;
   double d[social::kMaxFrontierLanes];
-  for (uint64_t e = slot_fold_ptr_[slot]; e < slot_fold_ptr_[slot + 1];
-       ++e) {
-    const uint32_t row = slot_fold_row_[e];
-    const double* v = frontier_values + static_cast<size_t>(row) * L;
+  for (uint32_t row : rows) {
+    const double* v = &frontier.values[static_cast<size_t>(row) * L];
     bool any = false;
     for (size_t l = 0; l < L; ++l) {
       d[l] = factor * v[l];
-      any = any || d[l] != 0.0;
+      any = any || v[l] != 0.0;
     }
-    // Skipping an all-zero row is bitwise inert: the sums only ever
-    // accumulate non-negative terms, so s + w·0.0 == s exactly.
-    if (!any) continue;
-    const uint64_t begin = slot_fold_begin_[e];
-    FoldRev(L, rev_sum_.data() + begin, rev_w_.data() + begin,
-            slot_fold_end_[e] - begin, d, kw_sum_.data());
+    if (any) ApplyDeltaBatch(row, d);
   }
 }
 
-void CandidateBoundEngine::RefreshBounds(double tail, ThreadPool* pool) {
-  double tails[social::kMaxFrontierLanes];
-  for (size_t l = 0; l < lanes_; ++l) tails[l] = tail;
-  RefreshBoundsBatch(tails, pool);
+void CandidateBoundEngine::RefreshBoundsBatch(const double* tails) {
+  for (uint32_t ci : union_list_) RefreshOne(ci, tails);
 }
 
-size_t CandidateBoundEngine::CleanPairRange(size_t begin, size_t end,
-                                            double epsilon, size_t lane) {
+void CandidateBoundEngine::RefreshBounds(double tail) {
+  double tails[social::kMaxFrontierLanes];
+  for (size_t l = 0; l < lanes_; ++l) tails[l] = tail;
+  RefreshBoundsBatch(tails);
+}
+
+size_t CandidateBoundEngine::CleanDominated(double epsilon, size_t lane) {
   const size_t L = lanes_;
   size_t killed = 0;
   auto dominates = [&](uint32_t b, uint32_t a) {
@@ -328,8 +235,7 @@ size_t CandidateBoundEngine::CleanPairRange(size_t begin, size_t end,
             lower_[b * L + lane] >= upper_[b * L + lane] - epsilon &&
             node_[b] < node_[a]);
   };
-  for (size_t p = begin; p < end; ++p) {
-    const auto& [a, b] = nbr_pairs_[p];
+  for (const auto& [a, b] : nbr_pairs_) {
     if (!active_[a * L + lane] || !active_[b * L + lane]) continue;
     if (!alive_[a * L + lane] || !alive_[b * L + lane]) continue;
     if (dominates(b, a)) {
@@ -341,21 +247,6 @@ size_t CandidateBoundEngine::CleanPairRange(size_t begin, size_t end,
     }
   }
   return killed;
-}
-
-size_t CandidateBoundEngine::CleanDominated(double epsilon, size_t lane) {
-  return CleanPairRange(0, nbr_pairs_.size(), epsilon, lane);
-}
-
-size_t CandidateBoundEngine::CleanDominatedSlot(uint32_t slot,
-                                                double epsilon,
-                                                size_t lane) {
-  // In-slot pair order is the global pass's order (a kill earlier in
-  // the pass gates later dominance tests, so order matters); pairs
-  // never span slots, so the global scan is the concatenation of the
-  // per-slot scans and the kill sets are slot-disjoint.
-  return CleanPairRange(slot_pair_begin_[slot], slot_pair_begin_[slot + 1],
-                        epsilon, lane);
 }
 
 bool CandidateBoundEngine::AnyNeighborPair(

@@ -45,32 +45,15 @@
 //   * the vertical-neighbor adjacency between same-document candidates
 //     (CSR nbr_*), replacing per-iteration AreVerticalNeighbors calls
 //     in both the clean pass and the stop-condition top-k check.
-//
-// Component sharding (intra-query fan-out). Candidates are laid out
-// slot-contiguously (the constructor flattens per_comp in slot order),
-// so every per-candidate array partitions into per-component ranges,
-// and the construction additionally shards the *reverse index* by
-// slot: a row's rev entries are sorted by partial-sum index, sums are
-// slot-contiguous, so the slot-t entries of a row form a contiguous
-// subrange — slot_fold_* stores, per slot, its feeding rows (ascending)
-// with their rev subranges. The per-slot maintenance passes
-// (FoldFrontierSlot / RefreshBoundsSlot / CleanDominatedSlot) then
-// touch disjoint state across slots — disjoint kw_sum_ ranges, disjoint
-// bound ranges, disjoint neighbor pairs (vertical neighbors share a
-// document, a document lives in one component) — which is what lets
-// core/s3k.cc run them as independent per-component tasks. Per partial
-// sum, the per-slot fold applies contributions in the same ascending-
-// row order as the global fold, so sharded execution is bit-for-bit
-// the serial execution regardless of task schedule.
 #ifndef S3_CORE_BOUND_ENGINE_H_
 #define S3_CORE_BOUND_ENGINE_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/connections.h"
 #include "doc/document_store.h"
+#include "social/transition_matrix.h"
 
 namespace s3::core {
 
@@ -93,7 +76,6 @@ class CandidateBoundEngine {
   size_t lanes() const { return lanes_; }
 
   doc::NodeId node(uint32_t ci) const { return node_[ci]; }
-  uint32_t comp_slot(uint32_t ci) const { return comp_slot_[ci]; }
   bool alive(uint32_t ci, size_t lane = 0) const {
     return alive_[ci * lanes_ + lane] != 0;
   }
@@ -115,58 +97,18 @@ class CandidateBoundEngine {
     return active_lists_[lane];
   }
 
-  // Candidates of component slot `slot`, in construction order.
-  const std::vector<uint32_t>& SlotCandidates(uint32_t slot) const {
-    return slot_cands_[slot];
-  }
-
-  // ---- component-sharded views (the intra-query fan-out surface) ----
-
-  size_t SlotCount() const { return slot_cands_.size(); }
-
-  // Candidate ids of slot t are exactly [SlotBegin(t), SlotEnd(t)).
-  uint32_t SlotBegin(uint32_t slot) const { return slot_cand_begin_[slot]; }
-  uint32_t SlotEnd(uint32_t slot) const {
-    return slot_cand_begin_[slot + 1];
-  }
-
-  // Reverse-index entries feeding slot `slot` (fold cost estimate).
-  uint64_t SlotRevEntries(uint32_t slot) const {
-    return slot_rev_entries_[slot];
-  }
-
-  // Per-slot half of the exploration fold: for every row feeding this
-  // slot, reads the row's lane values from the dense frontier buffer
-  // (`frontier_values[row * lanes() + l]`), scales by `factor`, and
-  // folds into this slot's partial sums only. Rows whose lanes are all
-  // zero are skipped. Equivalent to running ApplyDeltaBatch over all
-  // rows restricted to this slot's sums; per sum, contributions arrive
-  // in the same ascending-row order as the global fold, so
-  //   for each slot: FoldFrontierSlot(slot, v, f)
-  // in any slot order (or concurrently) is bit-for-bit the global
-  //   for each row: ApplyDeltaBatch(row, f·v[row])
-  // pass. Writes only this slot's kw_sum_ range.
-  void FoldFrontierSlot(uint32_t slot, const double* frontier_values,
-                        double factor);
-
-  // RefreshBoundsBatch restricted to slot `slot`'s candidates: the same
-  // pure per-candidate recomputation over the slot's contiguous range.
-  // Writes only this slot's lower_/upper_ ranges.
-  void RefreshBoundsSlot(uint32_t slot, const double* tails);
-
-  // CleanDominated restricted to slot `slot`'s neighbor pairs (vertical
-  // neighbors never span components, so the global pair scan is the
-  // concatenation of the per-slot scans in slot order — and pair order
-  // within a slot is preserved, which matters because a kill earlier in
-  // the pass gates later domination tests). Writes only this slot's
-  // alive_ range.
-  size_t CleanDominatedSlot(uint32_t slot, double epsilon, size_t lane);
-
   // Sorted unique entity rows that feed at least one candidate — the
   // only rows whose proximity deltas can change any bound. Once the
-  // frontier grows wider than this set, the exploration step folds
-  // deltas by scanning it instead of the frontier.
+  // frontier grows wider than this set, FoldFrontier scans it instead
+  // of the frontier.
   const std::vector<uint32_t>& SourceRows() const { return source_rows_; }
+
+  // The exploration fold: ApplyDeltaBatch(row, factor · frontier[row])
+  // for every row with mass, walking the smaller of frontier.nonzero
+  // and SourceRows(). Both are ascending, so every partial sum adds its
+  // terms in the same row order on either domain (bit-identical sums);
+  // all-zero rows are skipped, which is bitwise inert.
+  void FoldFrontier(const social::BatchFrontier& frontier, double factor);
 
   // Folds one exploration delta (all_prox[row] += delta) into the
   // partial sums of every (candidate, keyword-slot) fed by `row`.
@@ -190,12 +132,12 @@ class CandidateBoundEngine {
 
   // Recomputes lower/upper for every active candidate (union over
   // lanes) from the partial sums and the per-lane tail term:
-  // O(active · keywords · lanes), with no per-source work. `pool`
-  // parallelizes large candidate sets. `tails` has lanes() entries.
-  void RefreshBoundsBatch(const double* tails, ThreadPool* pool = nullptr);
+  // O(active · keywords · lanes), with no per-source work. `tails` has
+  // lanes() entries.
+  void RefreshBoundsBatch(const double* tails);
 
   // Single-tail convenience (the lanes==1 path and tests).
-  void RefreshBounds(double tail, ThreadPool* pool = nullptr);
+  void RefreshBounds(double tail);
 
   // CleanCandidatesList for one lane: kills active candidates
   // dominated by an active vertical neighbor (same rule as paper §4.2
@@ -220,13 +162,8 @@ class CandidateBoundEngine {
                                size_t lane = 0) const;
 
  private:
-  // The shared per-candidate bound recomputation (RefreshBoundsBatch /
-  // RefreshBoundsSlot bodies).
+  // The per-candidate bound recomputation (RefreshBoundsBatch's body).
   void RefreshOne(uint32_t ci, const double* tails);
-
-  // The shared pair-scan body over nbr_pairs_[begin, end).
-  size_t CleanPairRange(size_t begin, size_t end, double epsilon,
-                        size_t lane);
 
   size_t n_keywords_;
   size_t lanes_;
@@ -234,7 +171,6 @@ class CandidateBoundEngine {
   // Struct-of-arrays candidate state. Per-lane arrays index
   // [ci * lanes_ + lane]; kw_sum_ indexes [(ci*K + qi) * lanes_ + lane].
   std::vector<doc::NodeId> node_;
-  std::vector<uint32_t> comp_slot_;
   std::vector<uint8_t> alive_;
   std::vector<uint8_t> active_;
   std::vector<std::vector<uint32_t>> active_lists_;  // per lane
@@ -245,21 +181,6 @@ class CandidateBoundEngine {
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<std::vector<uint32_t>> slot_cands_;
-
-  // Component-sharded views (see the header comment). Candidate ids
-  // are slot-contiguous: slot s owns [slot_cand_begin_[s],
-  // slot_cand_begin_[s+1]). The fold CSR (slot_fold_ptr_ over slots)
-  // lists, per slot, its feeding rows in ascending order, each with
-  // its contiguous rev-index subrange for that slot; slot_pair_begin_
-  // partitions the sorted nbr_pairs_ by slot; slot_rev_entries_
-  // caches the per-slot fold cost for the scheduler's cost model.
-  std::vector<uint32_t> slot_cand_begin_;
-  std::vector<uint64_t> slot_fold_ptr_;
-  std::vector<uint32_t> slot_fold_row_;
-  std::vector<uint64_t> slot_fold_begin_;
-  std::vector<uint64_t> slot_fold_end_;
-  std::vector<size_t> slot_pair_begin_;
-  std::vector<uint64_t> slot_rev_entries_;
 
   // Forward CSR of sources per (candidate, keyword-slot).
   std::vector<uint64_t> src_begin_;

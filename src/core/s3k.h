@@ -13,6 +13,7 @@
 #ifndef S3_CORE_S3K_H_
 #define S3_CORE_S3K_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -108,11 +109,10 @@ struct S3kOptions {
   // Slack for floating-point comparisons in the stop condition; also
   // the de-facto tie-breaking precision (paper §4.2).
   double epsilon = 1e-12;
-  // Worker threads for intra-query parallelism: candidate building,
-  // propagation, bound refresh, and — for fat multi-component plans —
-  // per-component fan-out of the whole iteration body (§5.2 reports a
-  // ~2x speed-up with 8 threads; the component fan-out is what beats
-  // it). 0 means "auto": std::thread::hardware_concurrency(), or the
+  // Worker threads for intra-query parallelism. The pool runs one job:
+  // candidate construction in BuildCandidatePlan for plans with 8 or
+  // more passing components; the exploration loop itself is serial.
+  // 0 means "auto": std::thread::hardware_concurrency(), or the
   // serving layer's intra_thread_budget when the searcher runs under a
   // QueryService. The default 1 (serial) can be overridden for a whole
   // test/bench binary via the S3_TEST_THREADS environment variable
@@ -206,20 +206,17 @@ struct SearchStats {
   // The lane's deadline (QueryOptions::deadline_seconds) expired before
   // convergence.
   bool deadline_exceeded = false;
-  // Scheduling observability (NOT part of the bit-for-bit result
-  // contract — it reports which schedule ran, which legitimately
-  // differs across thread counts): the per-iteration body was sharded
-  // across component slots (s3k.cc's cost-model verdict). Tests use it
-  // to prove the parallel path was actually exercised.
+  // Always false: the exploration loop has one serial schedule. Kept
+  // only because the repo benchmark still reads it; it goes at the next
+  // benchmark change.
   bool used_component_fanout = false;
   // All candidate documents of passing components (the candidate
   // universe used by the Fig. 8 quality metrics).
   std::vector<doc::NodeId> candidate_nodes;
   // Per-iteration bound-refinement records, filled only when the
   // request asked for tracing (QueryOptions::trace / BatchSeeker::
-  // trace); empty — and unallocated — otherwise. Like
-  // used_component_fanout this is scheduling/progress observability,
-  // not part of the bit-for-bit result contract.
+  // trace); empty — and unallocated — otherwise. This is progress
+  // observability, not part of the bit-for-bit result contract.
   std::vector<obs::IterationTraceRecord> iteration_trace;
 };
 
@@ -313,15 +310,20 @@ class S3kSearcher {
   // builds instead of building plans single-threaded.
   ThreadPool* intra_pool() const { return pool_.get(); }
 
-  // Caps the effective intra-query concurrency (caller + pool helpers)
-  // of subsequent searches without resizing the pool; 0 removes the
-  // cap. The serving layer calls this per dequeued query to divide the
-  // machine's thread budget among currently-busy workers — a solo
-  // query on an idle service gets the whole pool. Must not be called
-  // while this searcher is mid-search (one searcher runs one query at
-  // a time). Results are unaffected (bit-for-bit at every limit).
-  void set_thread_limit(unsigned limit) { thread_limit_ = limit; }
-  unsigned thread_limit() const { return thread_limit_; }
+  // Caps the intra-query concurrency (caller + pool helpers) of every
+  // later plan build on intra_pool() without resizing the pool; 0
+  // removes the cap. Takes effect immediately, so a plan built right
+  // after the call already runs under it. The serving layer calls this
+  // per dequeued query to divide the machine's thread budget among
+  // currently-busy workers — a solo query on an idle service gets the
+  // whole pool. Must not be called while this searcher is mid-search
+  // (one searcher runs one query at a time). Results are unaffected
+  // (bit-for-bit at every limit).
+  void set_thread_limit(unsigned limit) {
+    if (pool_ != nullptr) {
+      pool_->SetHelperLimit(limit == 0 ? SIZE_MAX : limit - 1);
+    }
+  }
 
  private:
   const S3Instance& instance_;
@@ -335,11 +337,6 @@ class S3kSearcher {
   social::BatchFrontier frontier_, next_;
   // Per-lane active candidates by upper desc.
   std::vector<std::vector<uint32_t>> orders_;
-  // Per-(slot, lane) sorted partial orders the component fan-out merges
-  // at the iteration barrier (indexed [slot * batch_size + lane]).
-  std::vector<std::vector<uint32_t>> slot_orders_;
-  // Effective-concurrency cap (see set_thread_limit; 0 = uncapped).
-  unsigned thread_limit_ = 0;
 };
 
 }  // namespace s3::core

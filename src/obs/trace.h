@@ -34,16 +34,14 @@ namespace s3::obs {
 // One engine iteration of one lane, recorded by
 // S3kSearcher::SearchBatchWithPlan when the lane's trace flag is set.
 // Mirrors the quantities the paper's bound-refinement loop actually
-// steers by: how wide the propagation frontier is, how far apart the
-// k-th lower bound and the residual upper bound still are, and whether
-// the component fan-out ran.
+// steers by: how wide the propagation frontier is, and how far apart
+// the k-th lower bound and the residual upper bound still are.
 struct IterationTraceRecord {
   uint32_t iteration = 0;        // 1-based engine iteration
   uint32_t frontier_size = 0;    // union support of the batch frontier
   uint32_t alive_candidates = 0; // this lane's undecided candidates
   double kth_lower = 0.0;        // k-th best certified lower bound
   double remaining_upper = 0.0;  // best upper bound among undecided
-  bool fanout = false;           // component fan-out active this pass
 };
 
 // One timed phase of a query. Spans form a tree by depth: depth-0

@@ -72,13 +72,12 @@ struct QueryServiceOptions {
   // "auto": size each worker's pool to intra_thread_budget.
   core::S3kOptions search;
   // Machine-wide intra-query thread budget shared by the busy workers:
-  // each dequeued query runs with an effective concurrency of
+  // each dequeued query builds its plan with a concurrency of
   // max(1, budget / busy_workers), enforced through the searcher's
   // thread limit — so N workers × M intra-query threads can't
-  // oversubscribe the machine, while a solo fat query on an idle
-  // service gets the whole budget (= the whole pool when
-  // search.threads = 0). 0 means "auto":
-  // std::thread::hardware_concurrency().
+  // oversubscribe the machine, while a solo query on an idle service
+  // gets the whole budget (= the whole pool when search.threads = 0).
+  // 0 means "auto": std::thread::hardware_concurrency().
   unsigned intra_thread_budget = 0;
   // Proximity/candidate cache; disable for ablation.
   bool enable_cache = true;

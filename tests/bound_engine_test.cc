@@ -183,6 +183,97 @@ TEST(BoundEngineInvariantTest, IncrementalEqualsScratchOnMicroblog) {
   EXPECT_GT(checked, 0u);
 }
 
+// FoldFrontier walks the smaller of frontier.nonzero and SourceRows();
+// both are ascending, so either domain must give partial sums that are
+// bit-identical to per-row ApplyDeltaBatch over frontier.nonzero.
+// Single-keyword queries make lower() the partial sum itself, so
+// EXPECT_EQ on the bounds compares the sums bit for bit.
+TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
+  workload::MicroblogParams p;
+  p.seed = 4242;
+  p.n_users = 150;
+  p.n_tweets = 450;
+  p.vocab_size = 300;
+  p.n_hashtags = 40;
+  p.ontology.n_classes = 30;
+  p.ontology.n_entities = 80;
+  auto gen = workload::GenerateMicroblog(p);
+  const S3Instance& inst = *gen.instance;
+
+  workload::WorkloadSpec spec;
+  spec.freq = workload::Frequency::kRare;
+  spec.n_keywords = 1;
+  spec.k = 5;
+  spec.n_queries = 4;
+  spec.seed = 77;
+  auto qs = workload::BuildWorkload(inst, gen.semantic_anchors, spec);
+
+  constexpr size_t kLanes = 2;
+  const uint32_t total_rows = inst.layout().total();
+  const double gamma = 1.5;
+  const double c_gamma = CGamma(gamma);
+  size_t narrow = 0, wide = 0;
+  for (const Query& q : qs.queries) {
+    QueryExtension ext = ExtendQuery(inst, q);
+    auto passing = PassingComponents(inst, ext);
+    std::vector<ComponentCandidates> per_comp(passing.size());
+    ConnectionBuilder builder(inst, 0.5);
+    for (size_t i = 0; i < passing.size(); ++i) {
+      per_comp[i] = builder.Build(passing[i], ext);
+    }
+    CandidateBoundEngine fold(inst.docs(), 1, total_rows, per_comp, kLanes);
+    CandidateBoundEngine per_row(inst.docs(), 1, total_rows, per_comp,
+                                 kLanes);
+    for (size_t slot = 0; slot < passing.size(); ++slot) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        fold.ActivateSlot(static_cast<uint32_t>(slot), l);
+        per_row.ActivateSlot(static_cast<uint32_t>(slot), l);
+      }
+    }
+
+    // Lane 0 is the query's seeker, lane 1 another user.
+    social::BatchFrontier frontier, next;
+    frontier.Init(total_rows, kLanes);
+    next.Init(total_rows, kLanes);
+    frontier.Set(inst.RowOfUser(q.seeker), 0, 1.0);
+    frontier.Set(inst.RowOfUser((q.seeker + 1) % inst.UserCount()), 1, 1.0);
+
+    for (size_t n = 1; n <= 12; ++n) {
+      inst.matrix().PropagateBatch(frontier, next);
+      std::swap(frontier, next);
+      if (frontier.nonzero.empty()) break;
+      if (frontier.nonzero.size() <= fold.SourceRows().size()) {
+        ++narrow;
+      } else {
+        ++wide;
+      }
+      const double factor = c_gamma * std::pow(gamma, -double(n));
+      fold.FoldFrontier(frontier, factor);
+      double d[kLanes];
+      for (uint32_t row : frontier.nonzero) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          d[l] = factor * frontier.values[size_t(row) * kLanes + l];
+        }
+        per_row.ApplyDeltaBatch(row, d);
+      }
+      const double tail = TailBound(gamma, n);
+      fold.RefreshBounds(tail);
+      per_row.RefreshBounds(tail);
+      for (uint32_t ci = 0; ci < fold.size(); ++ci) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          ASSERT_EQ(fold.lower(ci, l), per_row.lower(ci, l))
+              << "iter " << n << " cand " << ci << " lane " << l;
+          ASSERT_EQ(fold.upper(ci, l), per_row.upper(ci, l))
+              << "iter " << n << " cand " << ci << " lane " << l;
+        }
+      }
+    }
+  }
+  // Both domains must actually have been walked.
+  EXPECT_GT(narrow, 0u);
+  EXPECT_GT(wide, 0u);
+}
+
 // ---- Batched propagation -------------------------------------------------
 
 std::unique_ptr<S3Instance> PropagationInstance(uint64_t seed,

@@ -224,7 +224,7 @@ TEST(ThreadPoolTest, HelperLimitCapsConcurrencyButRunsEverything) {
   });
   EXPECT_EQ(done.load(), 500);
   EXPECT_LE(peak.load(), 2);
-  // Lifting the limit restores full fan-out on the same pool.
+  // Lifting the limit lets every worker join again on the same pool.
   pool.SetHelperLimit(SIZE_MAX);
   done = 0;
   pool.ParallelFor(500, [&](size_t) { done++; });

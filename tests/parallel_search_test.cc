@@ -1,18 +1,22 @@
-// Intra-query component fan-out must be *bit-for-bit* the serial
+// A searcher with an intra-query pool must be *bit-for-bit* the serial
 // search at every thread count: same entries, same bounds, same stats
 // — across component counts, across the exact / anytime / batched
-// paths, and against the NaiveSearch oracle. EXPECT_EQ on doubles is
-// deliberate (the same contract batch_search_test.cc pins for lanes):
-// the fan-out reorders *scheduling* only, never a floating-point
-// operation, and tolerance would hide a broken reduction.
+// paths, and against the NaiveSearch oracle. The pool's one job is
+// BuildCandidatePlan's per-component candidate construction (plans
+// with 8 or more passing components); the exploration loop is serial.
+// EXPECT_EQ on doubles is deliberate (the same contract
+// batch_search_test.cc pins for lanes): the pool changes *scheduling*
+// only, never a floating-point operation, and tolerance would hide a
+// schedule leaking into the plan.
 //
 // ParallelSearchConcurrentTest is the TSan target: distinct searchers
-// over one shared instance running fan-out queries concurrently (the
+// over one shared instance running pooled queries concurrently (the
 // serving layer's actual shape — N workers, one snapshot).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -129,8 +133,6 @@ void ExpectBitIdentical(const std::vector<ResultEntry>& got,
   EXPECT_EQ(got_stats.remaining_upper, want_stats.remaining_upper) << what;
   EXPECT_EQ(got_stats.certified_epsilon, want_stats.certified_epsilon)
       << what;
-  // used_component_fanout is deliberately NOT compared: it reports the
-  // schedule, which is exactly what may differ.
 }
 
 // The full parity sweep: threads {2,4,8} × clusters {1,2,16} ×
@@ -154,7 +156,6 @@ TEST(ParallelSearchTest, BitForBitParitySweep) {
     auto exact_ref = serial.Search(exact_q, &exact_st);
     ASSERT_TRUE(exact_ref.ok());
     EXPECT_EQ(exact_st.components_passing, n_clusters);
-    EXPECT_FALSE(exact_st.used_component_fanout);
     auto any_ref = serial.Search(anytime_q, &any_st);
     ASSERT_TRUE(any_ref.ok());
 
@@ -194,21 +195,35 @@ TEST(ParallelSearchTest, BitForBitParitySweep) {
   }
 }
 
-// The sweep above is vacuous if the cost model never picks the fan-out
-// path. Pin that the 16-cluster instance actually crosses the
-// work threshold with threads >= 2 (and that the verdict, not the
-// result, is what the thread count changes).
-TEST(ParallelSearchTest, FatQueryActuallyUsesFanout) {
+// The sweep above is vacuous if no plan reaches the pool. Pin that
+// the 16-cluster instance has at least the 8 passing components at
+// which BuildCandidatePlan hands candidate construction to the pool.
+TEST(ParallelSearchTest, FatQueryBuildsPlanOnPool) {
   ClusteredInstance ci = BuildClustered(16, 30, 27);
   S3kSearcher par(*ci.instance, BaseOptions(4));
   SearchStats st;
   auto got = par.Search(QueryRequest(ci.seeker, {ci.kw}), &st);
   ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(st.used_component_fanout)
-      << "cost model skipped the component fan-out on a 16-component "
-         "instance; the parity sweep is not exercising the parallel path";
+  EXPECT_GE(st.components_passing, 8u)
+      << "the 16-cluster instance builds its plan inline; the parity "
+         "sweep is not exercising the pool";
   EXPECT_TRUE(st.converged);
   EXPECT_FALSE(got->empty());
+}
+
+// The serving layer sets the limit and then builds the plan on
+// intra_pool(), so the limit must reach the pool at once, not at the
+// next search.
+TEST(ParallelSearchTest, ThreadLimitReachesPoolBeforeAnySearch) {
+  ClusteredInstance ci = BuildClustered(2, 4, 3);
+  S3kSearcher par(*ci.instance, BaseOptions(4));
+  ASSERT_NE(par.intra_pool(), nullptr);
+  par.set_thread_limit(1);
+  EXPECT_EQ(par.intra_pool()->HelperLimit(), 0u);
+  par.set_thread_limit(3);
+  EXPECT_EQ(par.intra_pool()->HelperLimit(), 2u);
+  par.set_thread_limit(0);
+  EXPECT_EQ(par.intra_pool()->HelperLimit(), SIZE_MAX);
 }
 
 // threads=0 resolves to hardware_concurrency (>= 1) and stays
@@ -226,7 +241,7 @@ TEST(ParallelSearchTest, AutoThreadsMatchesSerial) {
   ExpectBitIdentical(*got, auto_st, *want, serial_st, "auto threads");
 }
 
-// A mid-search thread-limit (the serving layer's per-query budget
+// A thread limit (the serving layer's per-query budget
 // share) changes schedules only: limits 1, 2 and "uncapped" all match
 // the serial answer bitwise on the same searcher.
 TEST(ParallelSearchTest, ThreadLimitIsResultInvisible) {
@@ -247,11 +262,11 @@ TEST(ParallelSearchTest, ThreadLimitIsResultInvisible) {
   }
 }
 
-// Ground truth, not just internal consistency: the fan-out answer on
+// Ground truth, not just internal consistency: the pooled answer on
 // the clustered instance agrees with the brute-force oracle (same
 // result count, same descending exact-score multiset, and the
 // certified intervals bracket the converged scores).
-TEST(ParallelSearchTest, FanoutMatchesNaiveOracle) {
+TEST(ParallelSearchTest, PooledSearchMatchesNaiveOracle) {
   ClusteredInstance ci = BuildClustered(16, 30, 27);
   const S3Instance& inst = *ci.instance;
   S3kOptions opts = BaseOptions(4);
@@ -261,7 +276,6 @@ TEST(ParallelSearchTest, FanoutMatchesNaiveOracle) {
   auto got = par.Search(QueryRequest(q.seeker, q.keywords), &st);
   ASSERT_TRUE(got.ok());
   ASSERT_TRUE(st.converged);
-  ASSERT_TRUE(st.used_component_fanout);
 
   auto prox = ConvergedProx(inst, ci.seeker, opts.score.gamma);
   auto oracle = NaiveSearchWithProx(inst, q, opts, prox);
@@ -312,11 +326,11 @@ TEST(ParallelSearchTest, RandomInstancesStayBitForBit) {
 // ---- TSan target -------------------------------------------------------------
 //
 // The serving shape: distinct searchers (each with its own intra-query
-// pool) over ONE shared instance, running fan-out queries truly
-// concurrently. Any write to shared state from the per-slot tasks is a
-// race TSan will see; the assertions additionally pin that concurrency
-// never changes an answer.
-TEST(ParallelSearchConcurrentTest, ConcurrentFanoutQueriesOverSharedInstance) {
+// pool) over ONE shared instance, running pooled queries truly
+// concurrently. Any write to shared state from the per-component plan
+// tasks is a race TSan will see; the assertions additionally pin that
+// concurrency never changes an answer.
+TEST(ParallelSearchConcurrentTest, ConcurrentPooledQueriesOverSharedInstance) {
   ClusteredInstance ci = BuildClustered(16, 30, 33);
   const S3Instance& inst = *ci.instance;
 
@@ -360,9 +374,9 @@ TEST(ParallelSearchConcurrentTest, ConcurrentFanoutQueriesOverSharedInstance) {
   }
 }
 
-// Batched fan-out under concurrency: each client runs width-4 batches
-// through its own searcher against the shared instance.
-TEST(ParallelSearchConcurrentTest, ConcurrentBatchedFanout) {
+// Batched runs under concurrency: each client runs width-4 batches
+// through its own pooled searcher against the shared instance.
+TEST(ParallelSearchConcurrentTest, ConcurrentBatchedPooledSearchers) {
   ClusteredInstance ci = BuildClustered(16, 30, 41);
   const S3Instance& inst = *ci.instance;
   auto plan = BuildCandidatePlan(inst, {ci.kw}, true, 0.5);
