@@ -34,7 +34,8 @@ double ExtensionGrowth(const workload::GenResult& gen) {
 
 int main() {
   std::printf("=== Figure 4: instance statistics ===\n");
-  std::printf("(synthetic stand-ins at 1/100 scale; see DESIGN.md)\n\n");
+  std::printf(
+      "(synthetic stand-ins at 1/100 scale; built by bench/bench_util.h)\n\n");
   for (auto* make : {&bench::MakeI1, &bench::MakeI2, &bench::MakeI3}) {
     workload::GenResult gen = make();
     workload::InstanceStats s = workload::ComputeStats(*gen.instance);

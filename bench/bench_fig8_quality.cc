@@ -181,7 +181,7 @@ int main() {
   table.AddRow({"L1 distance (normalized; high = different)",
                 eval::FormatPercent(r1.l1), eval::FormatPercent(r2.l1),
                 eval::FormatPercent(r3.l1),
-                "8% / 10% / 4% (see EXPERIMENTS.md)"});
+                "8% / 10% / 4% (paper scale: low = different)"});
   table.AddRow({"intersection size", eval::FormatPercent(r1.intersection),
                 eval::FormatPercent(r2.intersection),
                 eval::FormatPercent(r3.intersection),

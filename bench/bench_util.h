@@ -365,11 +365,12 @@ inline void RunTimesFigure(const char* title, workload::GenResult gen) {
   std::printf(
       "median query answering time in MILLISECONDS; expected shape "
       "(paper Fig. 5/6):\n"
-      " - TopkS runs consistently faster (one shortest path vs all "
-      "paths);\n"
+      " - the paper has TopkS consistently faster (one shortest path vs "
+      "all paths);\n"
+      "   here S3k is faster on the five-keyword cells (and on I1's "
+      "rare single-keyword ones);\n"
       " - larger gamma => faster S3k (tail bound gamma^-(n+1) decays "
-      "faster;\n"
-      "   see EXPERIMENTS.md on the paper's inverted wording);\n"
+      "faster);\n"
       " - larger alpha => slower TopkS;\n"
       " - rare-keyword workloads (-) faster than common (+) for S3k.\n");
 }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "core/score.h"
 
 namespace s3::core {
 
@@ -45,10 +46,12 @@ void FoldRev(size_t lanes, const uint32_t* sums, const float* ws, size_t n,
 }  // namespace
 
 CandidateBoundEngine::CandidateBoundEngine(
-    const doc::DocumentStore& docs, size_t n_keywords, uint32_t total_rows,
+    const doc::DocumentStore& docs, size_t n_keywords,
+    const std::vector<double>& column_max,
     const std::vector<ComponentCandidates>& per_comp, size_t lanes)
     : n_keywords_(n_keywords), lanes_(lanes) {
   assert(lanes_ >= 1 && lanes_ <= social::kMaxFrontierLanes);
+  const uint32_t total_rows = static_cast<uint32_t>(column_max.size());
   size_t n_cands = 0;
   size_t n_entries = 0;
   for (const ComponentCandidates& cc : per_comp) {
@@ -62,6 +65,7 @@ CandidateBoundEngine::CandidateBoundEngine(
   alive_.assign(n_cands * lanes_, 1);
   kw_sum_.assign(n_cands * n_keywords_ * lanes_, 0.0);
   kw_w_.reserve(n_cands * n_keywords_);
+  kw_c_.reserve(n_cands * n_keywords_);
   lower_.assign(n_cands * lanes_, 0.0);
   upper_.assign(n_cands * lanes_, 0.0);
   slot_cands_.resize(per_comp.size());
@@ -83,6 +87,7 @@ CandidateBoundEngine::CandidateBoundEngine(
           w_total += static_cast<double>(w);
         }
         kw_w_.push_back(w_total);
+        kw_c_.push_back(TailCoefficient(c.sources[qi], column_max));
         src_begin_.push_back(src_rows_.size());
       }
     }
@@ -183,12 +188,10 @@ void CandidateBoundEngine::RefreshOne(uint32_t ci, const double* tails) {
   for (size_t qi = 0; qi < n_keywords_; ++qi) {
     const double* s = &kw_sum_[(base + qi) * L];
     const double w = kw_w_[base + qi];
+    const double c = kw_c_[base + qi];
     for (size_t l = 0; l < L; ++l) {
       lo[l] *= s[l];
-      // W caps the sum (prox ≤ 1 per source); max(s, ·) shields the
-      // interval against prox marginally overshooting 1 in floating
-      // point, which would otherwise let upper dip below lower.
-      up[l] *= std::max(s[l], std::min(w, s[l] + w * tails[l]));
+      up[l] *= KeywordUpperBound(s[l], w, c, tails[l]);
     }
   }
   for (size_t l = 0; l < L; ++l) {

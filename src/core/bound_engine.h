@@ -31,12 +31,18 @@
 // lane:
 //   kw_sum_[(ci*K+qi)*L+s] == Σ_src w(ci,qi,src) · all_prox_s[src]
 //   lower(ci,s) == Π_qi kw_sum_[(ci*K+qi)*L+s]
-//   upper(ci,s) == Π_qi min(W, kw_sum_ + W·tail_s),  W = kw_w_[ci*K+qi]
+//   upper(ci,s) == Π_qi KeywordUpperBound(kw_sum_, W, c, tail_s)
+//               == Π_qi max(S, min(W, S + c·tail_s)),
+//   with S the partial sum, W = kw_w_[ci*K+qi] and c = kw_c_[ci*K+qi]
+//   the static TailCoefficient of the source list (core/score.h),
 // i.e. exactly the from-scratch CandidateLowerBound /
 // CandidateUpperBound values for the same accumulated proximities.
-// Lower bounds only ever grow (frontier deltas are non-negative) and
-// upper bounds shrink with the shared tail term, so domination kills
-// stay sound forever.
+// Lower bounds only ever grow (frontier deltas are non-negative).
+// Upper bounds only shrink (in exact arithmetic): S gains at most
+// c·(tail_n − tail_{n+1}) per step, which is what the tail term gives
+// up. Either way each
+// [lower, upper] brackets the exact score, so domination kills stay
+// sound forever.
 //
 // The engine also precomputes, once at construction, the structures
 // the per-iteration maintenance passes need:
@@ -62,12 +68,14 @@ class CandidateBoundEngine {
   // Flattens the candidates of all passing components. `per_comp[i]`
   // becomes component slot i; the source lists are copied into the CSR
   // (never mutated), so one shared/cached CandidatePlan can seed any
-  // number of concurrent engines. `total_rows` is the entity-row count
-  // (sizes the reverse index). `lanes` is the seeker-lane count (≥ 1,
+  // number of concurrent engines. `column_max` is the instance's
+  // TransitionMatrix::ColumnMax() (one entry per entity row; sizes the
+  // reverse index), from which each source list's tail coefficient is
+  // computed once here. `lanes` is the seeker-lane count (≥ 1,
   // ≤ social::kMaxFrontierLanes; pad with social::PadLanes for the
   // fixed-width kernels).
   CandidateBoundEngine(const doc::DocumentStore& docs, size_t n_keywords,
-                       uint32_t total_rows,
+                       const std::vector<double>& column_max,
                        const std::vector<ComponentCandidates>& per_comp,
                        size_t lanes = 1);
 
@@ -178,6 +186,7 @@ class CandidateBoundEngine {
   std::vector<uint32_t> union_list_;    // the refresh domain
   std::vector<double> kw_sum_;   // size() * K * lanes incremental sums
   std::vector<double> kw_w_;     // size() * K static weights W (shared)
+  std::vector<double> kw_c_;     // size() * K tail coefficients c (shared)
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<std::vector<uint32_t>> slot_cands_;

@@ -20,7 +20,8 @@
 // Endorsement semantics (keyword-less tags): an endorsement by user v
 // on subject x contributes v as a source for keyword k iff x has a
 // *grounded* connection to k — one derivable without endorsements
-// (least fixpoint of the inheritance rule; see DESIGN.md).
+// (the least fixpoint of the inheritance rule, so a cycle of
+// endorsements cannot ground itself).
 #ifndef S3_CORE_CONNECTIONS_H_
 #define S3_CORE_CONNECTIONS_H_
 

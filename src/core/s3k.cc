@@ -250,8 +250,9 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   // index, neighbor adjacency — is built once and shared by every
   // lane: this construction amortization plus the one-walk-per-
   // iteration lane streaming is the whole point of batching.
-  CandidateBoundEngine engine(instance_.docs(), n_keywords, total_rows,
-                              plan.per_comp, L);
+  CandidateBoundEngine engine(instance_.docs(), n_keywords,
+                              instance_.matrix().ColumnMax(), plan.per_comp,
+                              L);
 
   std::vector<BatchQueryResult> out(B);
   std::vector<size_t> ks(B);

@@ -269,7 +269,10 @@ class S3kSearcher {
   S3kSearcher(const S3Instance& instance, S3kOptions options);
 
   // Runs the request; returns the top-k (possibly fewer if the
-  // instance has fewer matching neighbor-free documents). Builds the
+  // instance has fewer matching neighbor-free documents), ordered as
+  // the stop condition ranks candidates at termination: upper bound
+  // descending, then node id ascending. The returned intervals may
+  // overlap, so this need not be exact-score order. Builds the
   // candidate plan itself — equivalent to BuildCandidatePlan over the
   // sorted keywords + SearchWithPlan, so every permutation of the
   // keywords returns bit-identical entries. Takes any QueryRequest (a

@@ -22,8 +22,26 @@ double CandidateLowerBound(const Candidate& cand,
   return CandidateScore(cand, all_prox);
 }
 
+double TailCoefficient(const std::vector<std::pair<uint32_t, float>>& sources,
+                       const std::vector<double>& column_max) {
+  double w_total = 0.0;
+  double w_max = 0.0;
+  double col = 0.0;
+  bool distinct = true;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const auto& [src, w] = sources[i];
+    w_total += static_cast<double>(w);
+    w_max = std::max(w_max, static_cast<double>(w));
+    col += static_cast<double>(w) * column_max[src];
+    if (i > 0 && src <= sources[i - 1].first) distinct = false;
+  }
+  const double c = distinct ? std::min(w_max, col) : col;
+  return std::min(w_total, kTailMargin * c);
+}
+
 double CandidateUpperBound(const Candidate& cand,
                            const std::vector<double>& all_prox,
+                           const std::vector<double>& column_max,
                            double tail) {
   double score = 1.0;
   for (const auto& per_keyword : cand.sources) {
@@ -33,9 +51,9 @@ double CandidateUpperBound(const Candidate& cand,
       sum += static_cast<double>(w) * all_prox[src];
       w_total += static_cast<double>(w);
     }
-    // max(sum, ·) keeps upper ≥ lower even when accumulated prox
-    // overshoots 1 by a rounding error.
-    score *= std::max(sum, std::min(w_total, sum + w_total * tail));
+    score *= KeywordUpperBound(sum, w_total,
+                               TailCoefficient(per_keyword, column_max),
+                               tail);
   }
   return score;
 }

@@ -9,18 +9,34 @@
 //   score(d,(u,φ)) = Π_{k∈φ} Σ_{(type,f,src) ∈ con(d,k)}
 //                       η^{|pos(d,f)|} · prox(u,src).
 //
-// Feasibility constants (proofs in DESIGN.md):
-//   * Uprox: prox≤n = prox≤(n−1) + Cγ · border_n / γ^n, where border_n
-//     is the mass of length-n paths — the matrix-power frontier.
-//   * Long-path attenuation: because the transition matrix is
-//     (sub)stochastic, Σ_{|p|=m} prox→(p) ≤ 1 and
-//     prox − prox≤n ≤ Cγ Σ_{m>n} γ^{−m} = γ^{−(n+1)} =: B>n.
-//   * Bscore(q,B) = Π_{k∈φ} W_k · B where W_k caps Σ η^pos — realized
-//     per candidate by `Candidate::cap` and per component by `max_cap`.
+// Feasibility constants (§3.3), with their proof sketches. border_m =
+// δ_u · T^m is the length-m path mass (the matrix-power frontier) and
+// T's rows sum to ≤ 1 (social/transition_matrix.h), so ‖border_m‖₁ ≤ 1.
+//   * Uprox: prox≤n = prox≤(n−1) + Cγ · border_n / γ^n.
+//   * Long-path attenuation: border_m[r] ≤ 1, so per source
+//     prox − prox≤n ≤ Cγ Σ_{m>n} γ^{−m} = γ^{−(n+1)} =: B>n (TailBound).
+//   * Column-max tail: for m ≥ 1, border_m[r] = Σ_j border_{m−1}[j]·T[j][r]
+//     ≤ colmax[r] · ‖border_{m−1}‖₁ ≤ colmax[r], where colmax[r] is the
+//     largest entry of column r. So a keyword's unexplored mass
+//     Σ_src w·(prox − prox≤n)[src] is at most c · B>n for
+//       c = Σ_src w · colmax[src]  (always),
+//       c = w_max                  (when no source is listed twice, as
+//                                   Σ_r border_m[r] ≤ 1),
+//       c = W = Σ_src w            (border_m[r] ≤ 1).
+//     TailCoefficient takes the smallest, inflated by kTailMargin
+//     against rounding in the computed frontiers.
+//   * Undiscovered components: a source not reached before step n has
+//     prox ≤ Cγ Σ_{m≥n} γ^{−m} = γ^{−n} (UndiscoveredBound), so any
+//     document of an undiscovered component scores at most
+//     Π_{k∈φ} W_k · min(1, γ^{−n})^{|φ|} — with Π W_k realized per
+//     candidate by `Candidate::cap` and per component by `max_cap`.
 #ifndef S3_CORE_SCORE_H_
 #define S3_CORE_SCORE_H_
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/connections.h"
@@ -59,15 +75,36 @@ double CandidateScore(const Candidate& cand,
 double CandidateLowerBound(const Candidate& cand,
                            const std::vector<double>& all_prox);
 
-// Upper bound: every source may still gain at most `tail` proximity
-// from unexplored paths, and prox is globally capped by 1, so each
-// per-keyword sum S = Σ w·prox is bounded by min(W, S + W·tail) with
-// W = Σ w. The clamp is applied at the sum level (not per source) so
-// the bound is a function of (S, W, tail) alone — this is what lets
-// S3k maintain S incrementally and refresh upper bounds in O(1) per
-// keyword when the shared tail term shrinks.
+// Relative margin on every tail coefficient: covers the rounding by
+// which computed frontiers may exceed the exact colmax / w_max caps.
+inline constexpr double kTailMargin = 1.0 + 1e-9;
+
+// The tail coefficient c of one (candidate, keyword) source list: the
+// unexplored mass its sum Σ w·prox can still gain is at most c · B>n
+// (the column-max tail above). c = min(W, kTailMargin · min(w_max,
+// Σ w·colmax[src])), where w_max counts only when the list names each
+// row once (strictly ascending rows, as ConnectionBuilder emits them).
+// `column_max` is TransitionMatrix::ColumnMax().
+double TailCoefficient(const std::vector<std::pair<uint32_t, float>>& sources,
+                       const std::vector<double>& column_max);
+
+// The upper bound on one keyword's sum given its partial sum S, static
+// weight W and tail coefficient c: S can still gain at most c·tail, and
+// prox ≤ 1 caps the sum at W. max(S, ·) keeps upper ≥ lower even when
+// the accumulated prox overshoots 1 by a rounding error.
+inline double KeywordUpperBound(double sum, double w, double c,
+                                double tail) {
+  return std::max(sum, std::min(w, sum + c * tail));
+}
+
+// Upper bound: Π_k KeywordUpperBound(S_k, W_k, c_k, tail). The bound is
+// a function of (S, W, c, tail) alone, and W and c are static per
+// candidate and keyword — this is what lets S3k maintain S
+// incrementally and refresh upper bounds in O(1) per keyword when the
+// shared tail term shrinks.
 double CandidateUpperBound(const Candidate& cand,
                            const std::vector<double>& all_prox,
+                           const std::vector<double>& column_max,
                            double tail);
 
 }  // namespace s3::core

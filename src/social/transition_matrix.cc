@@ -105,6 +105,7 @@ Status TransitionMatrix::Adopt(StorageSpan<uint64_t> row_ptr,
   cols_ = std::move(cols);
   vals_ = std::move(vals);
   denom_ = std::move(denom);
+  ComputeColumnMax();
   return Status::OK();
 }
 
@@ -127,6 +128,7 @@ void TransitionMatrix::Build(const EntityLayout& layout,
   cols_ = std::move(b.cols);
   vals_ = std::move(b.vals);
   denom_ = std::move(b.denom);
+  ComputeColumnMax();
 }
 
 void TransitionMatrix::IncrementalUpdate(const EntityLayout& new_layout,
@@ -188,6 +190,14 @@ void TransitionMatrix::IncrementalUpdate(const EntityLayout& new_layout,
   cols_ = std::move(b.cols);
   vals_ = std::move(b.vals);
   denom_ = std::move(b.denom);
+  ComputeColumnMax();
+}
+
+void TransitionMatrix::ComputeColumnMax() {
+  col_max_.assign(rows(), 0.0);
+  for (size_t i = 0; i < cols_.size(); ++i) {
+    col_max_[cols_[i]] = std::max(col_max_[cols_[i]], vals_[i]);
+  }
 }
 
 void TransitionMatrix::PropagateBatch(const BatchFrontier& in,

@@ -12,7 +12,10 @@
 // The k-step frontier of the seeker (the paper's borderProx, §5.2) is
 // then δ_u · T^k, computed by repeated sparse vector-matrix products.
 // Row sums are ≤ 1, which yields the exact long-path attenuation bound
-// B>n_prox = γ^-(n+1) used by S3k.
+// B>n_prox = γ^-(n+1) used by S3k. It also caps every later frontier
+// entry by its column maximum: for m ≥ 1,
+//     (δ_u · T^m)[r] = Σ_j (δ_u · T^(m−1))[j] · T[j][r] ≤ colmax[r],
+// since the previous frontier's mass is ≤ 1 (see ColumnMax()).
 #ifndef S3_SOCIAL_TRANSITION_MATRIX_H_
 #define S3_SOCIAL_TRANSITION_MATRIX_H_
 
@@ -121,6 +124,14 @@ class TransitionMatrix {
   // naive reference implementation.
   std::vector<std::pair<uint32_t, double>> Row(uint32_t row) const;
 
+  // colmax[r]: the largest entry of column r (0 for a column no row
+  // reaches), one per row. Bounds every frontier value after the first
+  // step (file comment), which is what S3k's per-(candidate, keyword)
+  // tail coefficient is built from. Derived in O(nnz) at the end of
+  // Build, IncrementalUpdate and Adopt; always heap-owned, never part
+  // of a snapshot.
+  const std::vector<double>& ColumnMax() const { return col_max_; }
+
   // ---- snapshot (de)serialization hooks --------------------------------
 
   // Raw CSR views for the binary snapshot writer. Each array may be
@@ -159,10 +170,14 @@ class TransitionMatrix {
       std::unordered_map<uint32_t, double>& row_acc,
       std::vector<std::pair<uint32_t, double>>& sorted_row);
 
+  // Recomputes col_max_ from the current CSR.
+  void ComputeColumnMax();
+
   StorageSpan<uint64_t> row_ptr_;
   StorageSpan<uint32_t> cols_;
   StorageSpan<double> vals_;
   StorageSpan<double> denom_;
+  std::vector<double> col_max_;
 };
 
 }  // namespace s3::social

@@ -1,4 +1,5 @@
-// Synthetic ontology generator (DBpedia stand-in; see DESIGN.md §2).
+// Synthetic ontology generator: a stand-in for the DBpedia ontology
+// the paper's instances draw their semantics from.
 //
 // Builds a class forest with ≺sc edges, typed entity instances, and a
 // property hierarchy with ≺sp / domain / range declarations. Entity

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <limits>
 #include <string>
 
@@ -74,8 +75,8 @@ size_t CheckIncrementalAgainstScratch(const S3Instance& inst,
   }
 
   const uint32_t total_rows = inst.layout().total();
-  CandidateBoundEngine engine(inst.docs(), ext.size(), total_rows,
-                              per_comp);
+  CandidateBoundEngine engine(inst.docs(), ext.size(),
+                              inst.matrix().ColumnMax(), per_comp);
   EXPECT_EQ(engine.size(), oracle.size());
   // Activate everything so RefreshBounds covers every candidate.
   for (size_t slot = 0; slot < passing.size(); ++slot) {
@@ -120,7 +121,8 @@ size_t CheckIncrementalAgainstScratch(const S3Instance& inst,
             << "iter " << n << " cand " << ci << " kw " << qi;
       }
       const double lo = CandidateLowerBound(cand, all_prox);
-      const double up = CandidateUpperBound(cand, all_prox, tail);
+      const double up = CandidateUpperBound(
+          cand, all_prox, inst.matrix().ColumnMax(), tail);
       EXPECT_NEAR(engine.lower(ci), lo, 1e-9 + 1e-9 * lo)
           << "iter " << n << " cand " << ci;
       EXPECT_NEAR(engine.upper(ci), up, 1e-9 + 1e-9 * up)
@@ -183,6 +185,122 @@ TEST(BoundEngineInvariantTest, IncrementalEqualsScratchOnMicroblog) {
   EXPECT_GT(checked, 0u);
 }
 
+// Soundness of the column-max tail (core/score.h): on random instances
+// and several γ, after every exploration iteration each candidate's
+// engine [lower, upper] brackets its exact score — the score under a
+// proximity converged until γ^-depth < 1e-18. The bound must also be
+// strictly tighter than the W·tail one somewhere, or the test would
+// pass vacuously.
+TEST(BoundEngineSoundnessTest, IntervalsBracketExactScoreEveryIteration) {
+  constexpr double kRel = 1e-12;  // summation-order rounding allowance
+  size_t checks = 0, violations = 0, tighter = 0, below_w = 0;
+  std::string first;  // the first violation, if any
+  for (double gamma : {1.1, 1.5, 3.0}) {
+    const size_t depth =
+        static_cast<size_t>(std::ceil(18 * std::log(10.0) / std::log(gamma)));
+    for (uint64_t seed = 1; seed <= 100; ++seed) {
+      s3::testing::RandomInstanceParams p;
+      p.seed = seed * 7919 + static_cast<uint64_t>(gamma * 10);
+      p.n_users = 5 + static_cast<uint32_t>(seed % 6);
+      p.n_docs = 6 + static_cast<uint32_t>(seed % 7);
+      p.n_tags = 4 + static_cast<uint32_t>(seed % 5);
+      p.social_density = 0.2 + 0.05 * static_cast<double>(seed % 5);
+      auto ri = s3::testing::BuildRandomInstance(p);
+      const S3Instance& inst = *ri.instance;
+      const std::vector<double>& colmax = inst.matrix().ColumnMax();
+      const uint32_t total_rows = inst.layout().total();
+      Rng rng(p.seed + 1);
+      for (int trial = 0; trial < 3; ++trial) {
+        Query q;
+        q.seeker = static_cast<social::UserId>(rng.Uniform(inst.UserCount()));
+        q.keywords = {ri.keywords[rng.Uniform(ri.keywords.size())]};
+        if (rng.Chance(0.4)) {
+          q.keywords.push_back(ri.keywords[rng.Uniform(ri.keywords.size())]);
+        }
+        QueryExtension ext = ExtendQuery(inst, q);
+        auto passing = PassingComponents(inst, ext);
+        std::vector<ComponentCandidates> per_comp(passing.size());
+        ConnectionBuilder builder(inst, 0.5);
+        for (size_t i = 0; i < passing.size(); ++i) {
+          per_comp[i] = builder.Build(passing[i], ext);
+        }
+        std::vector<Candidate> oracle;
+        for (const auto& cc : per_comp) {
+          for (const Candidate& c : cc.candidates) oracle.push_back(c);
+        }
+        if (oracle.empty()) continue;
+        const auto prox = ConvergedProx(inst, q.seeker, gamma, depth);
+        std::vector<double> exact(oracle.size());
+        for (size_t ci = 0; ci < oracle.size(); ++ci) {
+          exact[ci] = CandidateScore(oracle[ci], prox);
+          for (size_t qi = 0; qi < ext.size(); ++qi) {
+            if (TailCoefficient(oracle[ci].sources[qi], colmax) <
+                oracle[ci].static_weight[qi]) {
+              ++below_w;
+            }
+          }
+        }
+
+        CandidateBoundEngine engine(inst.docs(), ext.size(), colmax,
+                                    per_comp);
+        for (size_t slot = 0; slot < passing.size(); ++slot) {
+          engine.ActivateSlot(static_cast<uint32_t>(slot));
+        }
+        std::vector<double> all_prox(total_rows, 0.0);
+        const uint32_t seeker_row = inst.RowOfUser(q.seeker);
+        const double c_gamma = CGamma(gamma);
+        all_prox[seeker_row] = c_gamma;
+        engine.ApplyDelta(seeker_row, c_gamma);
+        social::BatchFrontier frontier, next;
+        frontier.Init(total_rows, 1);
+        next.Init(total_rows, 1);
+        frontier.Set(seeker_row, 0, 1.0);
+        for (size_t n = 1; n <= 60; ++n) {
+          inst.matrix().PropagateBatch(frontier, next);
+          std::swap(frontier, next);
+          const bool exhausted = frontier.nonzero.empty();
+          const double factor = c_gamma * std::pow(gamma, -double(n));
+          for (uint32_t row : frontier.nonzero) {
+            all_prox[row] += factor * frontier.values[row];
+          }
+          engine.FoldFrontier(frontier, factor);
+          const double tail = exhausted ? 0.0 : TailBound(gamma, n);
+          engine.RefreshBounds(tail);
+          for (uint32_t ci = 0; ci < engine.size(); ++ci) {
+            ++checks;
+            if (engine.lower(ci) > exact[ci] * (1 + kRel) ||
+                engine.upper(ci) < exact[ci] * (1 - kRel)) {
+              if (violations++ == 0) {
+                first = "gamma " + std::to_string(gamma) + " seed " +
+                        std::to_string(seed) + " iter " +
+                        std::to_string(n) + " cand " + std::to_string(ci);
+              }
+            }
+            // The W·tail bound the column-max coefficient replaced.
+            double loose = 1.0;
+            for (size_t qi = 0; qi < ext.size(); ++qi) {
+              double sum = 0.0;
+              for (const auto& [src, w] : oracle[ci].sources[qi]) {
+                sum += double(w) * all_prox[src];
+              }
+              const double w_total = oracle[ci].static_weight[qi];
+              loose *= KeywordUpperBound(sum, w_total, w_total, tail);
+            }
+            if (engine.upper(ci) < loose) ++tighter;
+          }
+          if (exhausted) break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0u) << "first at " << first;
+  EXPECT_GT(checks, 100000u);
+  EXPECT_GT(below_w, 0u);
+  EXPECT_GT(tighter, 0u);
+  std::cout << "[ soundness ] " << checks << " checks, " << violations
+            << " violations, " << tighter << " tighter than W*tail\n";
+}
+
 // FoldFrontier walks the smaller of frontier.nonzero and SourceRows();
 // both are ascending, so either domain must give partial sums that are
 // bit-identical to per-row ApplyDeltaBatch over frontier.nonzero.
@@ -221,9 +339,9 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
     for (size_t i = 0; i < passing.size(); ++i) {
       per_comp[i] = builder.Build(passing[i], ext);
     }
-    CandidateBoundEngine fold(inst.docs(), 1, total_rows, per_comp, kLanes);
-    CandidateBoundEngine per_row(inst.docs(), 1, total_rows, per_comp,
-                                 kLanes);
+    const std::vector<double>& colmax = inst.matrix().ColumnMax();
+    CandidateBoundEngine fold(inst.docs(), 1, colmax, per_comp, kLanes);
+    CandidateBoundEngine per_row(inst.docs(), 1, colmax, per_comp, kLanes);
     for (size_t slot = 0; slot < passing.size(); ++slot) {
       for (size_t l = 0; l < kLanes; ++l) {
         fold.ActivateSlot(static_cast<uint32_t>(slot), l);
@@ -526,7 +644,7 @@ TEST(BoundEngineStructureTest, NeighborAdjacencyMatchesDocumentStore) {
     for (const auto& c : cc.candidates) nodes.push_back(c.node);
   }
   CandidateBoundEngine engine(inst.docs(), ext.size(),
-                              inst.layout().total(), per_comp);
+                              inst.matrix().ColumnMax(), per_comp);
   ASSERT_GE(engine.size(), 2u);
 
   // AnyNeighborPair over every 2-subset agrees with the store.

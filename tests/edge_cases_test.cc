@@ -118,20 +118,29 @@ TEST(DeepDocumentTest, ChainOfFiftyLevels) {
   for (int i = 0; i < 50; ++i) cur = d.AddChild(cur, "level");
   d.AddKeywords(cur, {kw});
   auto id = inst.AddDocument(std::move(d), "deep", u).value();
+  // pos length from root to leaf is 50.
+  const doc::NodeId root = inst.docs().RootNode(id);
+  const doc::NodeId leaf = inst.docs().GlobalId(id, 50);
+  EXPECT_EQ(inst.docs().PosLength(root, leaf), 50u);
+  // The seeker's own tag on the leaf gives the keyword a source the
+  // seeker reaches (itself); the contains connection alone would not,
+  // since the seeker reaches only the root.
+  ASSERT_TRUE(inst.AddTagOnFragment(u, leaf, kw).ok());
   ASSERT_TRUE(inst.Finalize().ok());
 
-  // pos length from root to leaf is 50.
-  doc::NodeId leaf = inst.docs().GlobalId(id, 50);
-  EXPECT_EQ(inst.docs().PosLength(inst.docs().RootNode(id), leaf), 50u);
-
-  // The leaf dominates the root: η^0 vs η^50.
+  // The leaf dominates the root: the seeker source weighs η^0 at the
+  // leaf vs η^50 at the root.
   S3kOptions opts;
   opts.k = 1;
   S3kSearcher searcher(inst, opts);
-  auto r = searcher.Search(Query{u, {kw}});
+  const Query q{u, {kw}};
+  auto r = searcher.Search(q);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 1u);
   EXPECT_EQ((*r)[0].node, leaf);
+  const auto prox = s3::testing::ConvergedProx(inst, u, opts.score.gamma);
+  EXPECT_GE(s3::testing::ExactScore(inst, q, opts, (*r)[0].node, prox),
+            s3::testing::ExactScore(inst, q, opts, root, prox));
 }
 
 TEST(WideDocumentTest, ManySiblingsDeweyOrder) {

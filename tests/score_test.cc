@@ -68,19 +68,40 @@ TEST(CandidateScoreTest, ZeroProxKeywordZeroesScore) {
 TEST(CandidateScoreTest, BoundsSandwichScore) {
   Candidate c = MakeCandidate({{{0, 1.0f}, {1, 0.5f}}, {{1, 2.0f}}});
   std::vector<double> partial = {0.2, 0.1};
-  std::vector<double> final_prox = {0.25, 0.13};
-  double tail = 0.05;  // ≥ final - partial per source
+  const std::vector<double> colmax = {0.5, 0.4};
+  double tail = 0.05;
+  // The most the unexplored paths can add: at most colmax[r]·tail per
+  // row and at most tail in total (the column-max tail, score.h).
+  std::vector<double> final_prox = {0.2 + 0.5 * tail, 0.1 + 0.4 * tail};
   double lower = CandidateLowerBound(c, partial);
-  double upper = CandidateUpperBound(c, partial, tail);
+  double upper = CandidateUpperBound(c, partial, colmax, tail);
   double truth = CandidateScore(c, final_prox);
   EXPECT_LE(lower, truth + 1e-12);
   EXPECT_GE(upper, truth - 1e-12);
+  // Tight: c is 0.7 and 0.8 here, below both W (1.5, 2) and w_max.
+  EXPECT_NEAR(upper, (0.25 + 0.7 * tail) * (0.2 + 0.8 * tail), 1e-9);
 }
 
 TEST(CandidateScoreTest, UpperBoundClampsProxAtOne) {
   Candidate c = MakeCandidate({{{0, 1.0f}}});
   std::vector<double> partial = {0.9};
-  EXPECT_NEAR(CandidateUpperBound(c, partial, 0.5), 1.0, 1e-12);
+  EXPECT_NEAR(CandidateUpperBound(c, partial, {1.0}, 0.5), 1.0, 1e-12);
+}
+
+TEST(CandidateScoreTest, TailCoefficientTakesTheSmallestCap) {
+  const std::vector<double> colmax = {0.25, 0.75, 1.0};
+  auto coef = [&](std::vector<std::pair<uint32_t, float>> src) {
+    return TailCoefficient(src, colmax) / kTailMargin;
+  };
+  // Σ w·colmax = 0.5 + 1 is below w_max = 2 and W = 3.
+  EXPECT_NEAR(coef({{0, 2.0f}, {2, 1.0f}}), 1.5, 1e-12);
+  // w_max = 1 is below Σ w·colmax = 1.75 and W = 2.
+  EXPECT_NEAR(coef({{1, 1.0f}, {2, 1.0f}}), 1.0, 1e-12);
+  // A row listed twice voids the w_max cap: Σ w·colmax = 1.5.
+  EXPECT_NEAR(coef({{1, 1.0f}, {1, 1.0f}}), 1.5, 1e-12);
+  // Never above W, margin included.
+  EXPECT_EQ(TailCoefficient({{2, 1.0f}}, colmax), 1.0);
+  EXPECT_EQ(TailCoefficient({}, colmax), 0.0);
 }
 
 // ---- Feasibility properties on a real instance -----------------------------

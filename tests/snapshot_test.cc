@@ -6,8 +6,11 @@
 // ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -847,6 +850,82 @@ TEST(WalRecordTest, RecordsAreSelfDelimiting) {
   auto applied2 = (*applied1)->ApplyDelta(*d2);
   ASSERT_TRUE(applied2.ok());
   EXPECT_EQ((*applied2)->generation(), 2u);
+}
+
+// ---- derived column maximum ---------------------------------------------
+// TransitionMatrix::ColumnMax() is derived, never stored: every path
+// that produces a matrix — Build, ApplyDelta's IncrementalUpdate, and
+// Adopt under a v2 mmap attach or a v1 load — must leave it equal, bit
+// for bit, to the maximum over the Row() entries of each column.
+
+void ExpectColumnMaxMatchesRows(const S3Instance& inst,
+                                const std::string& what) {
+  const social::TransitionMatrix& m = inst.matrix();
+  std::vector<double> want(m.rows(), 0.0);
+  for (uint32_t row = 0; row < m.rows(); ++row) {
+    for (const auto& [col, v] : m.Row(row)) {
+      want[col] = std::max(want[col], v);
+    }
+  }
+  ASSERT_EQ(m.ColumnMax().size(), want.size()) << what;
+  for (size_t col = 0; col < want.size(); ++col) {
+    EXPECT_EQ(m.ColumnMax()[col], want[col]) << what << " column " << col;
+  }
+}
+
+TEST(ColumnMaxTest, MatchesRowsOnEveryMatrixPath) {
+  auto fig = s3::testing::BuildFigure1();
+  std::shared_ptr<const S3Instance> built = std::move(fig.instance);
+  ExpectColumnMaxMatchesRows(*built, "Build");
+
+  // A delta that appends a document (new fragment rows before the tag
+  // block, so every old tag column shifts up) and tags it.
+  auto grow = [&](const std::shared_ptr<const S3Instance>& base,
+                  const std::string& what) {
+    InstanceDelta delta(base);
+    doc::Document d("doc");
+    d.AddChild(0, "p");
+    d.AddKeywords(1, {fig.kw_degree});
+    auto id = delta.AddDocument(std::move(d), "d3", fig.u2);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(delta.AddTagOnFragment(fig.u1, fig.d0_root, fig.kw_ms).ok());
+    ASSERT_TRUE(delta.AddSocialEdge(fig.u2, fig.u1, 0.3).ok());
+    auto next = base->ApplyDelta(delta);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    const S3Instance& n = **next;
+    ASSERT_GT(n.layout().total(), base->layout().total());
+    // The old tag's column moved and still carries its maximum.
+    const uint32_t tag_col =
+        n.layout().Row(social::EntityId::Tag(fig.tag_university));
+    ASSERT_NE(tag_col,
+              base->layout().Row(social::EntityId::Tag(fig.tag_university)));
+    EXPECT_GT(n.matrix().ColumnMax()[tag_col], 0.0);
+    ExpectColumnMaxMatchesRows(n, what);
+  };
+  grow(built, "ApplyDelta on a built instance");
+
+  auto blob = SaveBinarySnapshot(*built);
+  ASSERT_TRUE(blob.ok());
+  const std::string path = std::string(::testing::TempDir()) +
+                           "s3-column-max-" + std::to_string(::getpid()) +
+                           ".snap";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << *blob;
+  }
+  std::shared_ptr<const MappedRegion> region;
+  ASSERT_TRUE(MappedRegion::Open(path, &region).ok());
+  auto attached = AttachBinarySnapshot(region);
+  std::remove(path.c_str());
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  ExpectColumnMaxMatchesRows(**attached, "v2 mmap attach");
+  EXPECT_EQ((*attached)->matrix().ColumnMax(), built->matrix().ColumnMax());
+  grow(*attached, "ApplyDelta on a mapped instance");
+
+  auto v1 = LoadBinarySnapshot(ReadGolden("figure1_v1.snap"));
+  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
+  ExpectColumnMaxMatchesRows(**v1, "v1 load");
+  EXPECT_EQ((*v1)->matrix().ColumnMax(), built->matrix().ColumnMax());
 }
 
 }  // namespace
