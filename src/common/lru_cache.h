@@ -13,6 +13,7 @@
 #include <list>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace s3 {
 
@@ -61,12 +62,15 @@ class LruCache {
 
   // Erases every entry satisfying pred(key, value); returns how many.
   // Targeted invalidation (e.g. stale-generation purges) — not counted
-  // as capacity evictions.
+  // as capacity evictions. With `taken`, the erased values are moved
+  // there instead of destroyed, so a caller that holds a lock around
+  // the cache can release them after unlocking.
   template <typename Pred>
-  size_t EraseIf(Pred pred) {
+  size_t EraseIf(Pred pred, std::vector<V>* taken = nullptr) {
     size_t erased = 0;
     for (auto it = items_.begin(); it != items_.end();) {
       if (pred(it->first, it->second)) {
+        if (taken != nullptr) taken->push_back(std::move(it->second));
         index_.erase(it->first);
         it = items_.erase(it);
         ++erased;

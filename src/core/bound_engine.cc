@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
 
 #include "core/score.h"
 
@@ -43,15 +44,32 @@ void FoldRev(size_t lanes, const uint32_t* sums, const float* ws, size_t n,
   }
 }
 
+// The first position in [first, last) holding a value >= `row`, found
+// by doubling steps forward from `first`: O(log distance), so a walk
+// that probes ascending rows pays for how far it moves, not for the
+// list's length.
+std::vector<uint32_t>::const_iterator GallopTo(
+    std::vector<uint32_t>::const_iterator first,
+    std::vector<uint32_t>::const_iterator last, uint32_t row) {
+  if (first == last || *first >= row) return first;
+  // Invariant: *first < row.
+  for (std::ptrdiff_t step = 1;; step *= 2) {
+    if (last - first <= step) return std::lower_bound(first + 1, last, row);
+    if (first[step] >= row) {
+      return std::lower_bound(first + 1, first + step + 1, row);
+    }
+    first += step;
+  }
+}
+
 }  // namespace
 
-CandidateBoundEngine::CandidateBoundEngine(
+CandidateIndex BuildCandidateIndex(
     const doc::DocumentStore& docs, size_t n_keywords,
     const std::vector<double>& column_max,
-    const std::vector<ComponentCandidates>& per_comp, size_t lanes)
-    : n_keywords_(n_keywords), lanes_(lanes) {
-  assert(lanes_ >= 1 && lanes_ <= social::kMaxFrontierLanes);
-  const uint32_t total_rows = static_cast<uint32_t>(column_max.size());
+    const std::vector<ComponentCandidates>& per_comp) {
+  CandidateIndex ix;
+  ix.n_keywords = n_keywords;
   size_t n_cands = 0;
   size_t n_entries = 0;
   for (const ComponentCandidates& cc : per_comp) {
@@ -61,101 +79,146 @@ CandidateBoundEngine::CandidateBoundEngine(
     }
   }
 
-  node_.reserve(n_cands);
-  alive_.assign(n_cands * lanes_, 1);
-  kw_sum_.assign(n_cands * n_keywords_ * lanes_, 0.0);
-  kw_w_.reserve(n_cands * n_keywords_);
-  kw_c_.reserve(n_cands * n_keywords_);
-  lower_.assign(n_cands * lanes_, 0.0);
-  upper_.assign(n_cands * lanes_, 0.0);
-  slot_cands_.resize(per_comp.size());
-  src_begin_.reserve(n_cands * n_keywords_ + 1);
-  src_begin_.push_back(0);
-  src_rows_.reserve(n_entries);
-  src_w_.reserve(n_entries);
-
-  for (size_t slot = 0; slot < per_comp.size(); ++slot) {
-    for (const Candidate& c : per_comp[slot].candidates) {
-      const uint32_t ci = static_cast<uint32_t>(node_.size());
-      slot_cands_[slot].push_back(ci);
-      node_.push_back(c.node);
-      for (size_t qi = 0; qi < n_keywords_; ++qi) {
+  // Candidates, weights, coefficients and slot ranges; `entry_rows`
+  // lists every source row in (sum index, source) order.
+  ix.node.reserve(n_cands);
+  ix.slot_begin.reserve(per_comp.size() + 1);
+  ix.slot_begin.push_back(0);
+  ix.slot_cap.reserve(per_comp.size());
+  ix.kw_w.reserve(n_cands * n_keywords);
+  ix.kw_c.reserve(n_cands * n_keywords);
+  std::vector<uint32_t> entry_rows;
+  entry_rows.reserve(n_entries);
+  for (const ComponentCandidates& cc : per_comp) {
+    for (const Candidate& c : cc.candidates) {
+      ix.node.push_back(c.node);
+      for (size_t qi = 0; qi < n_keywords; ++qi) {
         double w_total = 0.0;
         for (const auto& [src, w] : c.sources[qi]) {
-          src_rows_.push_back(src);
-          src_w_.push_back(w);
+          entry_rows.push_back(src);
           w_total += static_cast<double>(w);
         }
-        kw_w_.push_back(w_total);
-        kw_c_.push_back(TailCoefficient(c.sources[qi], column_max));
-        src_begin_.push_back(src_rows_.size());
+        ix.kw_w.push_back(w_total);
+        ix.kw_c.push_back(TailCoefficient(c.sources[qi], column_max));
       }
     }
+    ix.slot_begin.push_back(static_cast<uint32_t>(ix.node.size()));
+    ix.slot_cap.push_back(cc.max_cap);
   }
 
-  // Reverse index by counting sort over source rows.
-  rev_ptr_.assign(static_cast<size_t>(total_rows) + 1, 0);
-  for (uint32_t row : src_rows_) ++rev_ptr_[row + 1];
-  for (uint32_t r = 0; r < total_rows; ++r) rev_ptr_[r + 1] += rev_ptr_[r];
-  rev_sum_.resize(src_rows_.size());
-  rev_w_.resize(src_rows_.size());
-  std::vector<uint64_t> cursor(rev_ptr_.begin(), rev_ptr_.end() - 1);
-  for (size_t sum_idx = 0; sum_idx < n_cands * n_keywords_; ++sum_idx) {
-    for (uint64_t i = src_begin_[sum_idx]; i < src_begin_[sum_idx + 1];
-         ++i) {
-      const uint64_t pos = cursor[src_rows_[i]]++;
-      rev_sum_[pos] = static_cast<uint32_t>(sum_idx);
-      rev_w_[pos] = src_w_[i];
-    }
+  // Reverse index by counting sort over source-row positions. Entries
+  // are placed in (sum index, source) order, so each row's entries run
+  // in sum index order, as the fold expects.
+  ix.source_rows = entry_rows;
+  std::sort(ix.source_rows.begin(), ix.source_rows.end());
+  ix.source_rows.erase(
+      std::unique(ix.source_rows.begin(), ix.source_rows.end()),
+      ix.source_rows.end());
+  ix.source_rows.shrink_to_fit();
+  // From here on entry_rows[i] holds the row's position in source_rows.
+  ix.rev_begin.assign(ix.source_rows.size() + 1, 0);
+  for (uint32_t& at : entry_rows) {
+    at = static_cast<uint32_t>(
+        std::lower_bound(ix.source_rows.begin(), ix.source_rows.end(), at) -
+        ix.source_rows.begin());
+    ++ix.rev_begin[at + 1];
   }
-
-  for (uint32_t row = 0; row < total_rows; ++row) {
-    if (rev_ptr_[row + 1] > rev_ptr_[row]) source_rows_.push_back(row);
+  for (size_t p = 0; p < ix.source_rows.size(); ++p) {
+    ix.rev_begin[p + 1] += ix.rev_begin[p];
   }
-
-  // Doc groups and vertical-neighbor adjacency. Only candidates of the
-  // same document can be vertical neighbors, so group by DocId once and
-  // test ancestry only within groups.
-  std::unordered_map<doc::DocId, std::vector<uint32_t>> by_doc;
-  for (uint32_t ci = 0; ci < n_cands; ++ci) {
-    by_doc[docs.DocOf(node_[ci])].push_back(ci);
-  }
-  std::vector<std::vector<uint32_t>> nbrs(n_cands);
-  for (const auto& [d, group] : by_doc) {
-    if (group.size() < 2) continue;
-    for (size_t i = 0; i < group.size(); ++i) {
-      for (size_t j = i + 1; j < group.size(); ++j) {
-        uint32_t a = group[i], b = group[j];
-        if (docs.AreVerticalNeighbors(node_[a], node_[b])) {
-          nbrs[a].push_back(b);
-          nbrs[b].push_back(a);
-          nbr_pairs_.emplace_back(std::min(a, b), std::max(a, b));
+  ix.rev_sum.resize(n_entries);
+  ix.rev_w.resize(n_entries);
+  std::vector<uint64_t> cursor(ix.rev_begin.begin(), ix.rev_begin.end() - 1);
+  size_t entry = 0;
+  uint32_t sum_idx = 0;
+  for (const ComponentCandidates& cc : per_comp) {
+    for (const Candidate& c : cc.candidates) {
+      for (size_t qi = 0; qi < n_keywords; ++qi, ++sum_idx) {
+        for (const auto& src_w : c.sources[qi]) {
+          const uint64_t at = cursor[entry_rows[entry++]]++;
+          ix.rev_sum[at] = sum_idx;
+          ix.rev_w[at] = src_w.second;
         }
       }
     }
   }
-  std::sort(nbr_pairs_.begin(), nbr_pairs_.end());
-  nbr_begin_.assign(n_cands + 1, 0);
+
+  // Vertical-neighbor pairs. Only candidates of the same document can
+  // be vertical neighbors: sort (document, candidate) pairs so each
+  // document's candidates are adjacent, and test ancestry only there.
+  std::vector<std::pair<doc::DocId, uint32_t>> by_doc(n_cands);
   for (uint32_t ci = 0; ci < n_cands; ++ci) {
-    nbr_begin_[ci + 1] =
-        nbr_begin_[ci] + static_cast<uint32_t>(nbrs[ci].size());
+    by_doc[ci] = {docs.DocOf(ix.node[ci]), ci};
   }
-  nbr_list_.reserve(nbr_pairs_.size() * 2);
+  std::sort(by_doc.begin(), by_doc.end());
+  for (size_t g = 0; g < by_doc.size();) {
+    size_t end = g + 1;
+    while (end < by_doc.size() && by_doc[end].first == by_doc[g].first) {
+      ++end;
+    }
+    for (size_t i = g; i < end; ++i) {
+      for (size_t j = i + 1; j < end; ++j) {
+        const uint32_t a = by_doc[i].second, b = by_doc[j].second;
+        if (docs.AreVerticalNeighbors(ix.node[a], ix.node[b])) {
+          ix.nbr_pairs.emplace_back(a, b);  // a < b: ids ascend in a group
+        }
+      }
+    }
+    g = end;
+  }
+  std::sort(ix.nbr_pairs.begin(), ix.nbr_pairs.end());
+
+  // Adjacency CSR from the pair list, each list ascending.
+  ix.nbr_begin.assign(n_cands + 1, 0);
+  for (const auto& [a, b] : ix.nbr_pairs) {
+    ++ix.nbr_begin[a + 1];
+    ++ix.nbr_begin[b + 1];
+  }
   for (uint32_t ci = 0; ci < n_cands; ++ci) {
-    std::sort(nbrs[ci].begin(), nbrs[ci].end());
-    nbr_list_.insert(nbr_list_.end(), nbrs[ci].begin(), nbrs[ci].end());
+    ix.nbr_begin[ci + 1] += ix.nbr_begin[ci];
+  }
+  ix.nbr_list.resize(ix.nbr_pairs.size() * 2);
+  std::vector<uint32_t> fill(ix.nbr_begin.begin(), ix.nbr_begin.end() - 1);
+  for (const auto& [a, b] : ix.nbr_pairs) {
+    ix.nbr_list[fill[a]++] = b;
+    ix.nbr_list[fill[b]++] = a;
+  }
+  for (uint32_t ci = 0; ci < n_cands; ++ci) {
+    std::sort(ix.nbr_list.begin() + ix.nbr_begin[ci],
+              ix.nbr_list.begin() + ix.nbr_begin[ci + 1]);
   }
 
+  ix.slots_by_cap.resize(ix.slot_cap.size());
+  for (uint32_t i = 0; i < ix.slots_by_cap.size(); ++i) {
+    ix.slots_by_cap[i] = i;
+  }
+  std::sort(ix.slots_by_cap.begin(), ix.slots_by_cap.end(),
+            [&](uint32_t a, uint32_t b) {
+              return ix.slot_cap[a] > ix.slot_cap[b];
+            });
+  return ix;
+}
+
+CandidateBoundEngine::CandidateBoundEngine(const CandidateIndex& index,
+                                           size_t lanes)
+    : index_(index), lanes_(lanes) {
+  assert(lanes_ >= 1 && lanes_ <= social::kMaxFrontierLanes);
+  const size_t n_cands = index_.size();
+  alive_.assign(n_cands * lanes_, 1);
   active_.assign(n_cands * lanes_, 0);
   active_lists_.resize(lanes_);
   for (auto& list : active_lists_) list.reserve(n_cands);
   union_active_.assign(n_cands, 0);
   union_list_.reserve(n_cands);
+  kw_sum_.assign(n_cands * index_.n_keywords * lanes_, 0.0);
+  lower_.assign(n_cands * lanes_, 0.0);
+  upper_.assign(n_cands * lanes_, 0.0);
   mark_.assign(n_cands, 0);
 }
 
 void CandidateBoundEngine::ActivateSlot(uint32_t slot, size_t lane) {
-  for (uint32_t ci : slot_cands_[slot]) {
+  for (uint32_t ci = index_.slot_begin[slot];
+       ci < index_.slot_begin[slot + 1]; ++ci) {
     if (!active_[ci * lanes_ + lane]) {
       active_[ci * lanes_ + lane] = 1;
       active_lists_[lane].push_back(ci);
@@ -167,11 +230,35 @@ void CandidateBoundEngine::ActivateSlot(uint32_t slot, size_t lane) {
   }
 }
 
+void CandidateBoundEngine::FoldPosition(size_t pos, const double* deltas) {
+  const uint64_t begin = index_.rev_begin[pos];
+  FoldRev(lanes_, index_.rev_sum.data() + begin, index_.rev_w.data() + begin,
+          index_.rev_begin[pos + 1] - begin, deltas, kw_sum_.data());
+}
+
+size_t CandidateBoundEngine::SourcePosition(uint32_t row) const {
+  const std::vector<uint32_t>& rows = index_.source_rows;
+  const auto it = std::lower_bound(rows.begin(), rows.end(), row);
+  return it != rows.end() && *it == row
+             ? static_cast<size_t>(it - rows.begin())
+             : SIZE_MAX;
+}
+
+void CandidateBoundEngine::ApplyDeltaLane(uint32_t row, size_t lane,
+                                          double delta) {
+  const size_t pos = SourcePosition(row);
+  if (pos == SIZE_MAX) return;
+  for (uint64_t i = index_.rev_begin[pos]; i < index_.rev_begin[pos + 1];
+       ++i) {
+    kw_sum_[index_.rev_sum[i] * lanes_ + lane] +=
+        static_cast<double>(index_.rev_w[i]) * delta;
+  }
+}
+
 void CandidateBoundEngine::ApplyDeltaBatch(uint32_t row,
                                            const double* deltas) {
-  const uint64_t begin = rev_ptr_[row];
-  FoldRev(lanes_, rev_sum_.data() + begin, rev_w_.data() + begin,
-          rev_ptr_[row + 1] - begin, deltas, kw_sum_.data());
+  const size_t pos = SourcePosition(row);
+  if (pos != SIZE_MAX) FoldPosition(pos, deltas);
 }
 
 void CandidateBoundEngine::RefreshOne(uint32_t ci, const double* tails) {
@@ -184,11 +271,12 @@ void CandidateBoundEngine::RefreshOne(uint32_t ci, const double* tails) {
     lo[l] = 1.0;
     up[l] = 1.0;
   }
-  const size_t base = static_cast<size_t>(ci) * n_keywords_;
-  for (size_t qi = 0; qi < n_keywords_; ++qi) {
+  const size_t n_keywords = index_.n_keywords;
+  const size_t base = static_cast<size_t>(ci) * n_keywords;
+  for (size_t qi = 0; qi < n_keywords; ++qi) {
     const double* s = &kw_sum_[(base + qi) * L];
-    const double w = kw_w_[base + qi];
-    const double c = kw_c_[base + qi];
+    const double w = index_.kw_w[base + qi];
+    const double c = index_.kw_c[base + qi];
     for (size_t l = 0; l < L; ++l) {
       lo[l] *= s[l];
       up[l] *= KeywordUpperBound(s[l], w, c, tails[l]);
@@ -203,18 +291,33 @@ void CandidateBoundEngine::RefreshOne(uint32_t ci, const double* tails) {
 void CandidateBoundEngine::FoldFrontier(const social::BatchFrontier& frontier,
                                         double factor) {
   const size_t L = lanes_;
-  const std::vector<uint32_t>& rows =
-      frontier.nonzero.size() <= source_rows_.size() ? frontier.nonzero
-                                                     : source_rows_;
+  const std::vector<uint32_t>& rows = index_.source_rows;
   double d[social::kMaxFrontierLanes];
-  for (uint32_t row : rows) {
+  // Loads factor · frontier[row] into d; false if every lane is zero.
+  auto load = [&](uint32_t row) {
     const double* v = &frontier.values[static_cast<size_t>(row) * L];
     bool any = false;
     for (size_t l = 0; l < L; ++l) {
       d[l] = factor * v[l];
       any = any || v[l] != 0.0;
     }
-    if (any) ApplyDeltaBatch(row, d);
+    return any;
+  };
+  if (frontier.nonzero.size() <= rows.size()) {
+    // Both lists ascend, so each frontier row is searched for only past
+    // the previous one's position.
+    auto it = rows.cbegin();
+    for (uint32_t row : frontier.nonzero) {
+      it = GallopTo(it, rows.cend(), row);
+      if (it == rows.end()) break;
+      if (*it == row && load(row)) {
+        FoldPosition(static_cast<size_t>(it - rows.cbegin()), d);
+      }
+    }
+  } else {
+    for (size_t pos = 0; pos < rows.size(); ++pos) {
+      if (load(rows[pos])) FoldPosition(pos, d);
+    }
   }
 }
 
@@ -236,9 +339,9 @@ size_t CandidateBoundEngine::CleanDominated(double epsilon, size_t lane) {
            (std::abs(lower_[b * L + lane] - upper_[a * L + lane]) <=
                 epsilon &&
             lower_[b * L + lane] >= upper_[b * L + lane] - epsilon &&
-            node_[b] < node_[a]);
+            index_.node[b] < index_.node[a]);
   };
-  for (const auto& [a, b] : nbr_pairs_) {
+  for (const auto& [a, b] : index_.nbr_pairs) {
     if (!active_[a * L + lane] || !active_[b * L + lane]) continue;
     if (!alive_[a * L + lane] || !alive_[b * L + lane]) continue;
     if (dominates(b, a)) {
@@ -258,8 +361,9 @@ bool CandidateBoundEngine::AnyNeighborPair(
   for (size_t i = 0; i < count; ++i) mark_[order[i]] = mark_epoch_;
   for (size_t i = 0; i < count; ++i) {
     const uint32_t ci = order[i];
-    for (uint32_t j = nbr_begin_[ci]; j < nbr_begin_[ci + 1]; ++j) {
-      if (mark_[nbr_list_[j]] == mark_epoch_) return true;
+    for (uint32_t j = index_.nbr_begin[ci]; j < index_.nbr_begin[ci + 1];
+         ++j) {
+      if (mark_[index_.nbr_list[j]] == mark_epoch_) return true;
     }
   }
   return false;
@@ -273,8 +377,9 @@ std::vector<uint32_t> CandidateBoundEngine::GreedyTopK(
   for (uint32_t ci : order) {
     if (!alive_[ci * lanes_ + lane]) continue;
     bool conflict = false;
-    for (uint32_t j = nbr_begin_[ci]; j < nbr_begin_[ci + 1]; ++j) {
-      if (mark_[nbr_list_[j]] == mark_epoch_) {
+    for (uint32_t j = index_.nbr_begin[ci]; j < index_.nbr_begin[ci + 1];
+         ++j) {
+      if (mark_[index_.nbr_list[j]] == mark_epoch_) {
         conflict = true;
         break;
       }
@@ -289,13 +394,17 @@ std::vector<uint32_t> CandidateBoundEngine::GreedyTopK(
 }
 
 double CandidateBoundEngine::FromScratchKeywordSum(
-    uint32_t ci, size_t qi, const std::vector<double>& prox,
-    size_t lane) const {
-  (void)lane;  // the from-scratch sum is lane-independent by definition
-  const size_t sum_idx = ci * n_keywords_ + qi;
+    uint32_t ci, size_t qi, const std::vector<double>& prox) const {
+  const uint32_t sum_idx = static_cast<uint32_t>(ci * index_.n_keywords + qi);
   double s = 0.0;
-  for (uint64_t i = src_begin_[sum_idx]; i < src_begin_[sum_idx + 1]; ++i) {
-    s += static_cast<double>(src_w_[i]) * prox[src_rows_[i]];
+  for (size_t pos = 0; pos < index_.source_rows.size(); ++pos) {
+    for (uint64_t i = index_.rev_begin[pos]; i < index_.rev_begin[pos + 1];
+         ++i) {
+      if (index_.rev_sum[i] == sum_idx) {
+        s += static_cast<double>(index_.rev_w[i]) *
+             prox[index_.source_rows[pos]];
+      }
+    }
   }
   return s;
 }

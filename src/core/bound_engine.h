@@ -1,31 +1,38 @@
 // Incrementally maintained candidate scoring state for one S3k query
 // batch (the candidate list of paper Algorithm 2, flattened, times L
-// seeker lanes).
+// seeker lanes), split in two:
 //
-// Layout. Candidate sources live in one CSR-style struct-of-arrays:
-// for candidate ci and keyword slot qi, the entries
-//   [src_begin_[ci*K+qi], src_begin_[ci*K+qi+1])
-// of src_rows_ / src_w_ are the (source entity row, static weight)
-// pairs that `Candidate::sources` used to hold per candidate. A
-// reverse index (rev_ptr_ over entity rows; rev_sum_/rev_w_) maps a
-// source row back to every per-keyword partial sum it feeds, so an
-// exploration step that adds Δprox to the rows the frontier touched
-// updates only the affected sums — O(affected entries) per step
-// instead of rescanning every source of every active candidate.
+//   * CandidateIndex — the seeker-independent, read-only half: candidate
+//     nodes, per-keyword static weights and tail coefficients, the
+//     reverse source index and the vertical-neighbor structures. It is
+//     built once per candidate plan (BuildCandidatePlan stores it in
+//     CandidatePlan::index), so a cached plan serves every batch and
+//     every concurrent engine without rebuilding it.
+//   * CandidateBoundEngine — the per-batch lane state over one index:
+//     partial sums, bounds, alive/active flags, the active lists and the
+//     membership-mark scratch.
+//
+// Reverse index. Each candidate's sources for keyword slot qi feed the
+// partial sum sum_idx = ci*K + qi. The index lists the sorted unique
+// entity rows that feed any sum (source_rows) and, for the row at
+// position p, the entries [rev_begin[p], rev_begin[p+1]) of rev_sum /
+// rev_w: the (sum index, static weight) pairs that row feeds, in sum
+// index order. An exploration step that adds Δprox to the rows the
+// frontier touched updates only the affected sums — O(affected entries)
+// per step instead of rescanning every source of every active
+// candidate. The index is compact: its size depends on the plan, not on
+// the instance's row count.
 //
 // Multi-seeker batching: the engine carries `lanes` independent
-// per-seeker columns through one shared candidate structure. All
-// static state (nodes, source CSR, reverse index, vertical-neighbor
-// adjacency) is built once per batch; the per-seeker state — partial
-// sums, bounds, active/alive flags — is struct-of-arrays with the lane
-// index innermost (kw_sum_[(ci*K+qi)*L + lane]), so the per-iteration
-// maintenance passes stream all lanes per CSR entry (the SpMM layout
-// of social/propagate_kernels.h). Lanes are arithmetically
-// independent: every per-lane operation sequence is exactly what a
-// lanes==1 engine would run for that seeker alone, so batched bounds
-// are bit-for-bit the single-query bounds. The default lanes==1
-// preserves the original single-seeker API unchanged (lane parameters
-// default to 0).
+// per-seeker columns through one shared index. The per-seeker state —
+// partial sums, bounds, active/alive flags — is struct-of-arrays with
+// the lane index innermost (kw_sum_[(ci*K+qi)*L + lane]), so the
+// per-iteration maintenance passes stream all lanes per index entry
+// (the SpMM layout of social/propagate_kernels.h). Lanes are
+// arithmetically independent: every per-lane operation sequence is
+// exactly what a lanes==1 engine would run for that seeker alone, so
+// batched bounds are bit-for-bit the single-query bounds. The default
+// lanes==1 is the single-seeker API (lane parameters default to 0).
 //
 // Maintained invariants (pinned by tests/bound_engine_test.cc), per
 // lane:
@@ -33,28 +40,26 @@
 //   lower(ci,s) == Π_qi kw_sum_[(ci*K+qi)*L+s]
 //   upper(ci,s) == Π_qi KeywordUpperBound(kw_sum_, W, c, tail_s)
 //               == Π_qi max(S, min(W, S + c·tail_s)),
-//   with S the partial sum, W = kw_w_[ci*K+qi] and c = kw_c_[ci*K+qi]
+//   with S the partial sum, W = kw_w[ci*K+qi] and c = kw_c[ci*K+qi]
 //   the static TailCoefficient of the source list (core/score.h),
 // i.e. exactly the from-scratch CandidateLowerBound /
 // CandidateUpperBound values for the same accumulated proximities.
 // Lower bounds only ever grow (frontier deltas are non-negative).
 // Upper bounds only shrink (in exact arithmetic): S gains at most
 // c·(tail_n − tail_{n+1}) per step, which is what the tail term gives
-// up. Either way each
-// [lower, upper] brackets the exact score, so domination kills stay
-// sound forever.
+// up. Either way each [lower, upper] brackets the exact score, so
+// domination kills stay sound forever.
 //
-// The engine also precomputes, once at construction, the structures
-// the per-iteration maintenance passes need:
-//   * doc groups — candidates of the same document, the only ones that
-//     can be vertical neighbors (CleanCandidatesList);
-//   * the vertical-neighbor adjacency between same-document candidates
-//     (CSR nbr_*), replacing per-iteration AreVerticalNeighbors calls
-//     in both the clean pass and the stop-condition top-k check.
+// Only candidates of the same document can be vertical neighbors, so
+// the index tests ancestry within document groups once and stores the
+// adjacency as a CSR over candidate ids plus the sorted unique pair
+// list: the clean pass and the stop-condition top-k check never call
+// AreVerticalNeighbors.
 #ifndef S3_CORE_BOUND_ENGINE_H_
 #define S3_CORE_BOUND_ENGINE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/connections.h"
@@ -63,27 +68,67 @@
 
 namespace s3::core {
 
+// The read-only, seeker-independent half of the bound engine. Immutable
+// after BuildCandidateIndex; any number of engines may read one index
+// concurrently.
+struct CandidateIndex {
+  size_t n_keywords = 0;
+
+  // Candidates: node ids; slot (passing component) s owns the
+  // contiguous candidate ids [slot_begin[s], slot_begin[s+1]).
+  std::vector<doc::NodeId> node;
+  std::vector<uint32_t> slot_begin;
+
+  // Per (candidate, keyword slot) sum, indexed ci*K + qi: the static
+  // weight W = Σ_src w and the tail coefficient c.
+  std::vector<double> kw_w;
+  std::vector<double> kw_c;
+
+  // Reverse index (see the file comment): sorted unique source rows,
+  // and per source-row position its (sum index, weight) entries.
+  std::vector<uint32_t> source_rows;
+  std::vector<uint64_t> rev_begin;  // source_rows.size() + 1 entries
+  std::vector<uint32_t> rev_sum;
+  std::vector<float> rev_w;
+
+  // Vertical-neighbor adjacency between same-document candidates (CSR
+  // over candidate ids, each list ascending), plus the unique (a < b)
+  // pair list, sorted, that the clean pass scans.
+  std::vector<uint32_t> nbr_begin;
+  std::vector<uint32_t> nbr_list;
+  std::vector<std::pair<uint32_t, uint32_t>> nbr_pairs;
+
+  // Per-slot score cap (ComponentCandidates::max_cap) and the slots by
+  // cap descending, for the undiscovered-component threshold.
+  std::vector<double> slot_cap;
+  std::vector<uint32_t> slots_by_cap;
+
+  size_t size() const { return node.size(); }
+  size_t slots() const { return slot_cap.size(); }
+};
+
+// Flattens the candidates of all passing components: `per_comp[i]`
+// becomes slot i, its candidates numbered consecutively in order.
+// `column_max` is the instance's TransitionMatrix::ColumnMax(), from
+// which each source list's tail coefficient is computed once here.
+CandidateIndex BuildCandidateIndex(
+    const doc::DocumentStore& docs, size_t n_keywords,
+    const std::vector<double>& column_max,
+    const std::vector<ComponentCandidates>& per_comp);
+
 class CandidateBoundEngine {
  public:
-  // Flattens the candidates of all passing components. `per_comp[i]`
-  // becomes component slot i; the source lists are copied into the CSR
-  // (never mutated), so one shared/cached CandidatePlan can seed any
-  // number of concurrent engines. `column_max` is the instance's
-  // TransitionMatrix::ColumnMax() (one entry per entity row; sizes the
-  // reverse index), from which each source list's tail coefficient is
-  // computed once here. `lanes` is the seeker-lane count (≥ 1,
-  // ≤ social::kMaxFrontierLanes; pad with social::PadLanes for the
-  // fixed-width kernels).
-  CandidateBoundEngine(const doc::DocumentStore& docs, size_t n_keywords,
-                       const std::vector<double>& column_max,
-                       const std::vector<ComponentCandidates>& per_comp,
-                       size_t lanes = 1);
+  // Lane state over `index`, which must outlive the engine. `lanes` is
+  // the seeker-lane count (≥ 1, ≤ social::kMaxFrontierLanes; pad with
+  // social::PadLanes for the fixed-width kernels).
+  explicit CandidateBoundEngine(const CandidateIndex& index,
+                                size_t lanes = 1);
 
-  size_t size() const { return node_.size(); }
-  size_t keywords() const { return n_keywords_; }
+  size_t size() const { return index_.size(); }
+  size_t keywords() const { return index_.n_keywords; }
   size_t lanes() const { return lanes_; }
 
-  doc::NodeId node(uint32_t ci) const { return node_[ci]; }
+  doc::NodeId node(uint32_t ci) const { return index_.node[ci]; }
   bool alive(uint32_t ci, size_t lane = 0) const {
     return alive_[ci * lanes_ + lane] != 0;
   }
@@ -109,11 +154,14 @@ class CandidateBoundEngine {
   // only rows whose proximity deltas can change any bound. Once the
   // frontier grows wider than this set, FoldFrontier scans it instead
   // of the frontier.
-  const std::vector<uint32_t>& SourceRows() const { return source_rows_; }
+  const std::vector<uint32_t>& SourceRows() const {
+    return index_.source_rows;
+  }
 
   // The exploration fold: ApplyDeltaBatch(row, factor · frontier[row])
   // for every row with mass, walking the smaller of frontier.nonzero
-  // and SourceRows(). Both are ascending, so every partial sum adds its
+  // and SourceRows() (rows of the former are found in the latter by a
+  // forward search). Both are ascending, so every partial sum adds its
   // terms in the same row order on either domain (bit-identical sums);
   // all-zero rows are skipped, which is bitwise inert.
   void FoldFrontier(const social::BatchFrontier& frontier, double factor);
@@ -126,12 +174,7 @@ class CandidateBoundEngine {
   }
 
   // Same fold for one specific lane (seeker seeding in a batch).
-  void ApplyDeltaLane(uint32_t row, size_t lane, double delta) {
-    for (uint64_t i = rev_ptr_[row]; i < rev_ptr_[row + 1]; ++i) {
-      kw_sum_[rev_sum_[i] * lanes_ + lane] +=
-          static_cast<double>(rev_w_[i]) * delta;
-    }
-  }
+  void ApplyDeltaLane(uint32_t row, size_t lane, double delta);
 
   // All-lane fold: deltas[l] is lane l's Δprox on `row` (0.0 for a
   // lane the frontier doesn't touch — bitwise a no-op for that lane).
@@ -162,52 +205,34 @@ class CandidateBoundEngine {
   std::vector<uint32_t> GreedyTopK(const std::vector<uint32_t>& order,
                                    size_t k, size_t lane = 0);
 
-  // From-scratch per-keyword sum Σ w · prox[src] over the stored CSR
-  // entries (test hook: validates the incremental kw_sum_ invariant
-  // for `lane`).
+  // From-scratch per-keyword sum Σ w · prox[src] over the index entries
+  // that feed sum (ci, qi), in source-row order (test hook: validates
+  // the incremental kw_sum_ invariant).
   double FromScratchKeywordSum(uint32_t ci, size_t qi,
-                               const std::vector<double>& prox,
-                               size_t lane = 0) const;
+                               const std::vector<double>& prox) const;
 
  private:
   // The per-candidate bound recomputation (RefreshBoundsBatch's body).
   void RefreshOne(uint32_t ci, const double* tails);
+  // Folds the reverse-index entries of source-row position `pos`.
+  void FoldPosition(size_t pos, const double* deltas);
+  // The position of `row` in the index's source rows; SIZE_MAX when no
+  // candidate reads the row.
+  size_t SourcePosition(uint32_t row) const;
 
-  size_t n_keywords_;
+  const CandidateIndex& index_;
   size_t lanes_;
 
-  // Struct-of-arrays candidate state. Per-lane arrays index
-  // [ci * lanes_ + lane]; kw_sum_ indexes [(ci*K + qi) * lanes_ + lane].
-  std::vector<doc::NodeId> node_;
+  // Per-lane arrays index [ci * lanes_ + lane]; kw_sum_ indexes
+  // [(ci*K + qi) * lanes_ + lane].
   std::vector<uint8_t> alive_;
   std::vector<uint8_t> active_;
   std::vector<std::vector<uint32_t>> active_lists_;  // per lane
   std::vector<uint8_t> union_active_;   // active in some lane
   std::vector<uint32_t> union_list_;    // the refresh domain
   std::vector<double> kw_sum_;   // size() * K * lanes incremental sums
-  std::vector<double> kw_w_;     // size() * K static weights W (shared)
-  std::vector<double> kw_c_;     // size() * K tail coefficients c (shared)
   std::vector<double> lower_;
   std::vector<double> upper_;
-  std::vector<std::vector<uint32_t>> slot_cands_;
-
-  // Forward CSR of sources per (candidate, keyword-slot).
-  std::vector<uint64_t> src_begin_;
-  std::vector<uint32_t> src_rows_;
-  std::vector<float> src_w_;
-
-  // Reverse index: entity row -> (partial-sum index, weight).
-  std::vector<uint64_t> rev_ptr_;
-  std::vector<uint32_t> rev_sum_;
-  std::vector<float> rev_w_;
-  std::vector<uint32_t> source_rows_;  // rows with a nonempty rev range
-
-  // Vertical-neighbor adjacency between same-document candidates
-  // (CSR over candidate ids), plus the unique (a < b) pair list the
-  // clean pass scans.
-  std::vector<uint32_t> nbr_begin_;
-  std::vector<uint32_t> nbr_list_;
-  std::vector<std::pair<uint32_t, uint32_t>> nbr_pairs_;
 
   // Epoch-marking scratch for the neighbor-set membership tests.
   std::vector<uint32_t> mark_;

@@ -125,16 +125,20 @@ Result<CandidatePlan> BuildCandidatePlan(
   }
 
   // ---- 3. Candidate construction per passing component (the paper's
-  // GetDocuments, run eagerly; exploration refines only prox).
-  plan.per_comp.resize(plan.passing.size());
+  // GetDocuments, run eagerly; exploration refines only prox), then
+  // the flat index every search over this plan reads.
+  std::vector<ComponentCandidates> per_comp(plan.passing.size());
   MaybeParallelFor(
       pool, plan.passing.size(),
       [&](size_t i) {
         ConnectionBuilder builder(instance, eta);
-        plan.per_comp[i] = builder.Build(plan.passing[i], plan.ext);
+        per_comp[i] = builder.Build(plan.passing[i], plan.ext);
       },
       /*min_parallel=*/8);
-
+  plan.index = BuildCandidateIndex(instance.docs(), n_keywords,
+                                   instance.matrix().ColumnMax(), per_comp);
+  plan.generation = instance.generation();
+  plan.lineage = instance.lineage();
   return plan;
 }
 
@@ -225,6 +229,11 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   if (plan.n_keywords() == 0) {
     return Status::InvalidArgument("empty candidate plan");
   }
+  if (plan.generation != instance_.generation() ||
+      plan.lineage != instance_.lineage()) {
+    return Status::InvalidArgument(
+        "candidate plan was built on another instance or generation");
+  }
 
   WallTimer timer;
   const size_t B = batch.size();
@@ -235,24 +244,16 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   const double gamma = options_.score.gamma;
   const double c_gamma = CGamma(gamma);
   const size_t n_keywords = plan.n_keywords();
-  const size_t n_slots = plan.passing.size();
+  const size_t n_slots = plan.index.slots();
   const uint32_t total_rows = instance_.layout().total();
 
-  std::vector<double> comp_cap(n_slots, 0.0);
-  for (size_t i = 0; i < n_slots; ++i) {
-    comp_cap[i] = plan.per_comp[i].max_cap;
-  }
-
-  // Flat incremental scoring state over all candidates, one lane per
-  // batch member (reads the per-component source lists; the plan
-  // itself stays untouched, so a cached plan serves any number of
-  // concurrent engines). The static structure — candidate CSR, reverse
-  // index, neighbor adjacency — is built once and shared by every
-  // lane: this construction amortization plus the one-walk-per-
-  // iteration lane streaming is the whole point of batching.
-  CandidateBoundEngine engine(instance_.docs(), n_keywords,
-                              instance_.matrix().ColumnMax(), plan.per_comp,
-                              L);
+  // Per-batch lane state over the plan's candidate index, one lane
+  // per batch member. The index itself is read-only, so a cached plan
+  // serves any number of concurrent engines; sharing one index across
+  // lanes, plus the one-walk-per-iteration lane streaming, is the
+  // point of batching.
+  const CandidateIndex& index = plan.index;
+  CandidateBoundEngine engine(index, L);
 
   std::vector<BatchQueryResult> out(B);
   std::vector<size_t> ks(B);
@@ -273,18 +274,9 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
     SearchStats& st = out[s].stats;
     st.extension_keywords = plan.extension_keywords;
     st.components_passing = n_slots;
-    st.candidates_total = engine.size();
-    st.candidate_nodes.reserve(engine.size());
-    for (uint32_t ci = 0; ci < engine.size(); ++ci) {
-      st.candidate_nodes.push_back(engine.node(ci));
-    }
+    st.candidates_total = index.size();
+    st.candidate_nodes = index.node;
   }
-
-  // Component slots ordered by cap (for the unexplored-docs threshold).
-  std::vector<uint32_t> slots_by_cap(n_slots);
-  for (size_t i = 0; i < n_slots; ++i) slots_by_cap[i] = i;
-  std::sort(slots_by_cap.begin(), slots_by_cap.end(),
-            [&](uint32_t a, uint32_t b) { return comp_cap[a] > comp_cap[b]; });
 
   // Discovery watch lists, one per component slot: the member rows of
   // the passing component. A component is discovered in a lane the
@@ -336,7 +328,32 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   std::vector<double> last_threshold(B, 0.0);
   size_t live = B;
 
-  if (orders_.size() < B) orders_.resize(B);
+  if (orders_.size() < B) {
+    orders_.resize(B);
+    orders_sorted_.resize(B);
+  }
+  // The stop check's candidate order: upper bound descending, then node
+  // id ascending — a strict total order, as each node occurs once.
+  auto ranks_before = [&](size_t s) {
+    return [&engine, s](uint32_t a, uint32_t b) {
+      if (engine.upper(a, s) != engine.upper(b, s)) {
+        return engine.upper(a, s) > engine.upper(b, s);
+      }
+      return engine.node(a) < engine.node(b);
+    };
+  };
+  // Lane s's whole order, sorted: the walks below (GreedyTopK) may go
+  // past the k+1 entries the stop check selected. Everything past the
+  // sorted prefix ranks after it, so sorting the rest completes it.
+  auto full_order = [&](size_t s) -> const std::vector<uint32_t>& {
+    std::vector<uint32_t>& order = orders_[s];
+    if (orders_sorted_[s] < order.size()) {
+      std::sort(order.begin() + orders_sorted_[s], order.end(),
+                ranks_before(s));
+      orders_sorted_[s] = order.size();
+    }
+    return order;
+  };
 
   auto finish_lane = [&](size_t s, const std::vector<uint32_t>& picked) {
     SearchStats& st = out[s].stats;
@@ -467,9 +484,9 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       double threshold = 0.0;
       if (!exhausted[s]) {
         const double b = UndiscoveredBound(gamma, n);
-        for (uint32_t slot : slots_by_cap) {
+        for (uint32_t slot : index.slots_by_cap) {
           if (!discovered[slot * L + s] && slot_reachable(slot, s)) {
-            threshold = comp_cap[slot] *
+            threshold = index.slot_cap[slot] *
                         std::pow(std::min(1.0, b),
                                  static_cast<double>(n_keywords));
             break;
@@ -498,13 +515,17 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       for (uint32_t ci : engine.ActiveCandidates(s)) {
         if (engine.alive(ci, s)) order.push_back(ci);
       }
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        if (engine.upper(a, s) != engine.upper(b, s)) {
-          return engine.upper(a, s) > engine.upper(b, s);
-        }
-        return engine.node(a) < engine.node(b);
-      });
+      // Everything below reads only the first k+1 entries of the full
+      // sort: select the (k+1)-th into place, then sort the k ahead of
+      // it. The order is total, so this is the full sort's prefix.
       const size_t k_s = ks[s];
+      const size_t kk = std::min(k_s, order.size());
+      if (kk < order.size()) {
+        std::nth_element(order.begin(), order.begin() + kk, order.end(),
+                         ranks_before(s));
+      }
+      std::sort(order.begin(), order.begin() + kk, ranks_before(s));
+      orders_sorted_[s] = std::min(kk + 1, order.size());
       const double threshold = last_threshold[s];
 
       if (lane_trace[s]) {
@@ -533,7 +554,6 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       if (order.size() >= k_s || exhausted[s] ||
           threshold <= options_.epsilon) {
         // Check the first k alive candidates: pairwise non-neighbors?
-        size_t kk = std::min(k_s, order.size());
         if (!engine.AnyNeighborPair(order, kk)) {
           double min_topk_lower = std::numeric_limits<double>::infinity();
           for (size_t i = 0; i < kk; ++i) {
@@ -557,15 +577,14 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       }
 
       if (exhausted[s] && n_discovered[s] == n_slots) {
-        // Everything reachable is explored exactly; ties included.
+        // Everything reachable is explored exactly; ties included. An
+        // exhausted lane needs no other exit: its tail is 0, so every
+        // upper equals its lower, the clean pass leaves no alive
+        // neighbor pair and the threshold is 0, so with epsilon >= 0
+        // the separation test above has already converged it. Only a
+        // negative epsilon gets here.
         out[s].stats.converged = true;
-        finish_lane(s, engine.GreedyTopK(order, k_s, s));
-        continue;
-      }
-      if (exhausted[s] && threshold <= options_.epsilon) {
-        // Unreached components can only hold zero-score documents.
-        out[s].stats.converged = true;
-        finish_lane(s, engine.GreedyTopK(order, k_s, s));
+        finish_lane(s, engine.GreedyTopK(full_order(s), k_s, s));
         continue;
       }
 
@@ -583,7 +602,8 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       // <= eps.
       if (lane_eps[s] > 0.0 && !order.empty()) {
         const size_t want = std::min(k_s, order.size());
-        std::vector<uint32_t> picked = engine.GreedyTopK(order, want, s);
+        std::vector<uint32_t> picked =
+            engine.GreedyTopK(full_order(s), want, s);
         if (picked.size() == want) {
           double min_lower = std::numeric_limits<double>::infinity();
           for (uint32_t ci : picked) {
@@ -619,7 +639,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
           continue;
         }
         out[s].stats.deadline_exceeded = true;
-        finish_lane(s, engine.GreedyTopK(orders_[s], ks[s], s));
+        finish_lane(s, engine.GreedyTopK(full_order(s), ks[s], s));
       }
     }
   }
@@ -627,7 +647,9 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   // Anytime termination (paper §4.1): unfinished members return the
   // best k known now (converged stays false in their stats).
   for (size_t s = 0; s < B; ++s) {
-    if (!finished[s]) finish_lane(s, engine.GreedyTopK(orders_[s], ks[s], s));
+    if (!finished[s]) {
+      finish_lane(s, engine.GreedyTopK(full_order(s), ks[s], s));
+    }
   }
   return out;
 }

@@ -19,6 +19,7 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "core/bound_engine.h"
 #include "core/connections.h"
 #include "core/s3_instance.h"
 #include "core/score.h"
@@ -123,13 +124,16 @@ struct S3kOptions {
 };
 
 // The seeker-independent half of query evaluation: semantic extension,
-// passing components, and per-component candidates with their source
-// lists (the paper's GetDocuments output). A plan depends only on the
-// keyword multiset and the (use_semantics, eta) parameters — not on the
-// seeker — so it can be built once and shared by every query over the
-// same keywords. Plans are immutable after construction; SearchWithPlan
-// never mutates one, which is what lets the serving layer cache them
-// behind shared_ptr<const CandidatePlan> across threads.
+// passing components, and the flat candidate index over their
+// candidates (the paper's GetDocuments output, with each candidate's
+// source lists folded into the reverse index the bound engine reads). A
+// plan depends only on the instance generation, the keyword multiset
+// and the (use_semantics, eta) parameters — not on the seeker — so it
+// is built once and shared by every query over the same keywords and
+// every batch that reuses it. Plans are immutable after construction;
+// SearchBatchWithPlan only reads one, which is what lets the serving
+// layer cache them behind shared_ptr<const CandidatePlan> across
+// threads.
 //
 // Permuting the keyword list permutes the plan's slots, and the score
 // is a product over slots — mathematically order-free, but the
@@ -143,9 +147,12 @@ struct CandidatePlan {
   std::vector<KeywordId> keywords;
   QueryExtension ext;
   // Components in which every query keyword (or an extension member)
-  // occurs, sorted; per_comp[i] holds the candidates of passing[i].
+  // occurs, sorted; component passing[i] is index slot i.
   std::vector<social::ComponentId> passing;
-  std::vector<ComponentCandidates> per_comp;
+  // The candidates of every passing component, flattened: nodes,
+  // per-keyword weights and tail coefficients, the reverse source
+  // index, the vertical-neighbor pairs and the slot caps.
+  CandidateIndex index;
   // Reach root of each passing component's owners (parallel to
   // `passing`): the per-shard / per-seeker score-bound export. A
   // component whose root differs from the seeker's can never be
@@ -155,14 +162,20 @@ struct CandidatePlan {
   // merge without running the query.
   std::vector<uint32_t> comp_reach_root;
   size_t extension_keywords = 0;  // Σ |Ext(k)| over query keywords
+  // The instance the plan was built on (S3Instance::generation() and
+  // lineage()). Row ids shift between generations, so a search rejects
+  // a plan whose stamp differs from its own instance's.
+  uint64_t generation = 0;
+  uint64_t lineage = 0;
 
   size_t n_keywords() const { return keywords.size(); }
 };
 
 // Builds the candidate plan for a keyword list: extension, passing
-// components and per-component candidate construction. `pool` (may be
-// null) parallelizes candidate building across components. Fails on an
-// empty or oversized (> 64) keyword list or an unfinalized instance.
+// components, per-component candidate construction and the candidate
+// index. `pool` (may be null) parallelizes candidate building across
+// components. Fails on an empty or oversized (> 64) keyword list or an
+// unfinalized instance.
 Result<CandidatePlan> BuildCandidatePlan(
     const S3Instance& instance, const std::vector<KeywordId>& keywords,
     bool use_semantics, double eta, ThreadPool* pool = nullptr);
@@ -283,25 +296,27 @@ class S3kSearcher {
 
   // Runs the exploration loop over a prebuilt (possibly shared/cached)
   // plan. The plan must have been built over this searcher's instance
-  // with the same use_semantics / eta; only `query.seeker` and
-  // `query.options` are read — the plan's keyword slots, in the plan's
-  // order, stand in for `query.keywords` (see CandidatePlan on why the
-  // order can matter in the last ulp).
+  // with the same use_semantics / eta (a plan stamped with another
+  // generation or lineage is rejected: InvalidArgument); only
+  // `query.seeker` and `query.options` are read — the plan's keyword
+  // slots, in the plan's order, stand in for `query.keywords` (see
+  // CandidatePlan on why the order can matter in the last ulp).
   Result<std::vector<ResultEntry>> SearchWithPlan(const QueryRequest& query,
                                                   const CandidatePlan& plan,
                                                   SearchStats* stats = nullptr);
 
   // Multi-seeker exploration: answers every batch member against one
-  // shared plan in a single engine pass — one candidate-structure
-  // build, one CSR walk per iteration carrying all seeker lanes (SoA;
-  // see bound_engine.h). Results are bit-for-bit identical to running
-  // SearchWithPlan per member: lanes are arithmetically independent,
-  // and a converged member drops out of the batch (its frontier lane
-  // is zeroed) without perturbing the others. Batch size must be in
-  // [1, kMaxBatch]; members may repeat seekers and mix k values,
-  // epsilon certificates and deadlines (per-lane anytime exits and
-  // deadline expiry use the same dropout machinery as convergence, so
-  // mixed-options batches stay bit-for-bit equal to solo runs).
+  // shared plan in a single engine pass — one lane-state allocation
+  // over the plan's candidate index, one CSR walk per iteration
+  // carrying all seeker lanes (SoA; see bound_engine.h). Results are
+  // bit-for-bit identical to running SearchWithPlan per member: lanes
+  // are arithmetically independent, and a converged member drops out
+  // of the batch (its frontier lane is zeroed) without perturbing the
+  // others. Batch size must be in [1, kMaxBatch]; members may repeat
+  // seekers and mix k values, epsilon certificates and deadlines
+  // (per-lane anytime exits and deadline expiry use the same dropout
+  // machinery as convergence, so mixed-options batches stay bit-for-bit
+  // equal to solo runs).
   // SearchWithPlan is this with a batch of one.
   Result<std::vector<BatchQueryResult>> SearchBatchWithPlan(
       const std::vector<BatchSeeker>& batch, const CandidatePlan& plan);
@@ -338,8 +353,12 @@ class S3kSearcher {
   // The single-seeker path runs through the same lane-batched
   // frontiers at lane count 1.
   social::BatchFrontier frontier_, next_;
-  // Per-lane active candidates by upper desc.
+  // Per-lane alive candidates. The stop check orders only the first
+  // k+1 by (upper desc, node asc); orders_sorted_[s] is how long the
+  // sorted prefix of orders_[s] is, so a walk that may go further sorts
+  // the rest first.
   std::vector<std::vector<uint32_t>> orders_;
+  std::vector<size_t> orders_sorted_;
 };
 
 }  // namespace s3::core

@@ -72,13 +72,20 @@ size_t ProximityCache::PurgeGenerationsBelow(uint64_t current) {
              floor, current, std::memory_order_acq_rel)) {
   }
   size_t purged = 0;
+  std::vector<std::shared_ptr<const core::CandidatePlan>> stale;
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    purged += shard->lru.EraseIf(
-        [current](const PlanCacheKey& key,
-                  const std::shared_ptr<const core::CandidatePlan>&) {
-          return key.generation < current;
-        });
+    {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      purged += shard->lru.EraseIf(
+          [current](const PlanCacheKey& key,
+                    const std::shared_ptr<const core::CandidatePlan>&) {
+            return key.generation < current;
+          },
+          &stale);
+    }
+    // Free the stale plans (their candidate indexes) after unlocking,
+    // so a worker's Lookup on this shard does not wait for the frees.
+    stale.clear();
   }
   purged_.fetch_add(purged, std::memory_order_relaxed);
   return purged;

@@ -1,14 +1,15 @@
 // Sharded LRU cache of candidate plans — the cross-query reuse layer.
 //
 // A CandidatePlan (core/s3k.h) is the seeker-independent half of a
-// query: semantic extension, passing components, and per-component
-// candidates with their connection-weight source lists. It depends
-// only on the keyword multiset and the (use_semantics, eta) score
-// parameters, so any two queries over the same keywords — the dominant
-// case in the paper's I1/I2 workloads, whose common-keyword mixes
-// repeat a small hot set — can share one plan and skip extension,
-// component filtering, and ConnectionBuilder work entirely; only the
-// per-seeker transition-matrix exploration remains.
+// query: semantic extension, passing components, and the candidate
+// index over their candidates (reverse source index, neighbor pairs,
+// slot caps). For one snapshot generation it depends only on the
+// keyword multiset and the (use_semantics, eta) score parameters, so
+// any two queries over the same keywords — the dominant case in the
+// paper's I1/I2 workloads, whose common-keyword mixes repeat a small
+// hot set — can share one plan and skip extension, component
+// filtering, ConnectionBuilder work and the index build entirely; only
+// the per-seeker lane state and exploration remain.
 //
 // Keying / canonicalization: keywords are sorted before keying. The
 // score is a product over query keywords, so a plan built from the
@@ -19,9 +20,9 @@
 // SwapSnapshot bumps the generation the service looks up with, so
 // stale plans simply stop matching (and in-flight queries on the old
 // snapshot keep hitting theirs). PurgeGenerationsBelow reclaims the
-// stale entries' memory eagerly; LRU eviction would age them out
-// anyway. In-flight queries keep their plan alive through the
-// shared_ptr even after eviction or purge.
+// stale entries' memory eagerly, freeing them outside the shard locks;
+// LRU eviction would age them out anyway. In-flight queries keep their
+// plan alive through the shared_ptr even after eviction or purge.
 //
 // Sharding: the key hash picks a shard; each shard is an independently
 // locked LruCache, so concurrent workers only contend when their keys

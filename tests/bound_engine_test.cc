@@ -67,16 +67,16 @@ size_t CheckIncrementalAgainstScratch(const S3Instance& inst,
   for (size_t i = 0; i < passing.size(); ++i) {
     per_comp[i] = builder.Build(passing[i], ext);
   }
-  // Flat copy of the candidates before the engine consumes the source
-  // lists — the from-scratch oracle.
+  // Flat copy of the candidates — the from-scratch oracle.
   std::vector<Candidate> oracle;
   for (const auto& cc : per_comp) {
     for (const Candidate& c : cc.candidates) oracle.push_back(c);
   }
 
   const uint32_t total_rows = inst.layout().total();
-  CandidateBoundEngine engine(inst.docs(), ext.size(),
-                              inst.matrix().ColumnMax(), per_comp);
+  const CandidateIndex index = BuildCandidateIndex(
+      inst.docs(), ext.size(), inst.matrix().ColumnMax(), per_comp);
+  CandidateBoundEngine engine(index);
   EXPECT_EQ(engine.size(), oracle.size());
   // Activate everything so RefreshBounds covers every candidate.
   for (size_t slot = 0; slot < passing.size(); ++slot) {
@@ -241,8 +241,9 @@ TEST(BoundEngineSoundnessTest, IntervalsBracketExactScoreEveryIteration) {
           }
         }
 
-        CandidateBoundEngine engine(inst.docs(), ext.size(), colmax,
-                                    per_comp);
+        const CandidateIndex index =
+            BuildCandidateIndex(inst.docs(), ext.size(), colmax, per_comp);
+        CandidateBoundEngine engine(index);
         for (size_t slot = 0; slot < passing.size(); ++slot) {
           engine.ActivateSlot(static_cast<uint32_t>(slot));
         }
@@ -305,7 +306,23 @@ TEST(BoundEngineSoundnessTest, IntervalsBracketExactScoreEveryIteration) {
 // both are ascending, so either domain must give partial sums that are
 // bit-identical to per-row ApplyDeltaBatch over frontier.nonzero.
 // Single-keyword queries make lower() the partial sum itself, so
-// EXPECT_EQ on the bounds compares the sums bit for bit.
+// EXPECT_EQ on the bounds compares the sums bit for bit. After the
+// propagated steps, a synthetic frontier interleaves source rows with
+// rows that feed no candidate (and starts and ends off the source
+// list), so the narrow walk's forward search must skip misses.
+// Every bound of `a` equals `b`'s bit for bit, on every lane.
+void ExpectSameBounds(const CandidateBoundEngine& a,
+                      const CandidateBoundEngine& b, const std::string& what) {
+  for (uint32_t ci = 0; ci < a.size(); ++ci) {
+    for (size_t l = 0; l < a.lanes(); ++l) {
+      ASSERT_EQ(a.lower(ci, l), b.lower(ci, l))
+          << what << " cand " << ci << " lane " << l;
+      ASSERT_EQ(a.upper(ci, l), b.upper(ci, l))
+          << what << " cand " << ci << " lane " << l;
+    }
+  }
+}
+
 TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
   workload::MicroblogParams p;
   p.seed = 4242;
@@ -330,7 +347,7 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
   const uint32_t total_rows = inst.layout().total();
   const double gamma = 1.5;
   const double c_gamma = CGamma(gamma);
-  size_t narrow = 0, wide = 0;
+  size_t narrow = 0, wide = 0, interleaved = 0;
   for (const Query& q : qs.queries) {
     QueryExtension ext = ExtendQuery(inst, q);
     auto passing = PassingComponents(inst, ext);
@@ -340,8 +357,10 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
       per_comp[i] = builder.Build(passing[i], ext);
     }
     const std::vector<double>& colmax = inst.matrix().ColumnMax();
-    CandidateBoundEngine fold(inst.docs(), 1, colmax, per_comp, kLanes);
-    CandidateBoundEngine per_row(inst.docs(), 1, colmax, per_comp, kLanes);
+    const CandidateIndex index =
+        BuildCandidateIndex(inst.docs(), 1, colmax, per_comp);
+    CandidateBoundEngine fold(index, kLanes);
+    CandidateBoundEngine per_row(index, kLanes);
     for (size_t slot = 0; slot < passing.size(); ++slot) {
       for (size_t l = 0; l < kLanes; ++l) {
         fold.ActivateSlot(static_cast<uint32_t>(slot), l);
@@ -377,19 +396,57 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
       const double tail = TailBound(gamma, n);
       fold.RefreshBounds(tail);
       per_row.RefreshBounds(tail);
-      for (uint32_t ci = 0; ci < fold.size(); ++ci) {
-        for (size_t l = 0; l < kLanes; ++l) {
-          ASSERT_EQ(fold.lower(ci, l), per_row.lower(ci, l))
-              << "iter " << n << " cand " << ci << " lane " << l;
-          ASSERT_EQ(fold.upper(ci, l), per_row.upper(ci, l))
-              << "iter " << n << " cand " << ci << " lane " << l;
-        }
+      ExpectSameBounds(fold, per_row, "iter " + std::to_string(n));
+      if (HasFatalFailure()) return;
+    }
+
+    // The synthetic step: every other source row, each followed by the
+    // next row when that one feeds nothing, plus the first and last
+    // rows of the instance. Lane 1 skips every third row.
+    const std::vector<uint32_t>& src = fold.SourceRows();
+    if (src.size() < 4) continue;
+    std::vector<uint32_t> rows = {0, total_rows - 1};
+    for (size_t i = 0; i < src.size(); i += 2) {
+      rows.push_back(src[i]);
+      const uint32_t next_row = src[i] + 1;
+      if (next_row < total_rows &&
+          !std::binary_search(src.begin(), src.end(), next_row)) {
+        rows.push_back(next_row);
       }
     }
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    social::BatchFrontier synth;
+    synth.Init(total_rows, kLanes);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      synth.Set(rows[i], 0, 0.01 * static_cast<double>(i + 1));
+      if (i % 3 != 0) synth.Set(rows[i], 1, 0.02);
+    }
+    ASSERT_LE(synth.nonzero.size(), src.size());
+    for (size_t i = 1; i + 1 < synth.nonzero.size(); ++i) {
+      if (!std::binary_search(src.begin(), src.end(), synth.nonzero[i])) {
+        ++interleaved;
+      }
+    }
+    const double factor = 0.5;
+    fold.FoldFrontier(synth, factor);
+    double d[kLanes];
+    for (uint32_t row : synth.nonzero) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        d[l] = factor * synth.values[size_t(row) * kLanes + l];
+      }
+      per_row.ApplyDeltaBatch(row, d);
+    }
+    fold.RefreshBounds(0.0);
+    per_row.RefreshBounds(0.0);
+    ExpectSameBounds(fold, per_row, "synthetic");
+    if (HasFatalFailure()) return;
   }
-  // Both domains must actually have been walked.
+  // Both domains must actually have been walked, and the narrow one
+  // over frontier rows that feed no candidate.
   EXPECT_GT(narrow, 0u);
   EXPECT_GT(wide, 0u);
+  EXPECT_GT(interleaved, 0u);
 }
 
 // ---- Batched propagation -------------------------------------------------
@@ -643,8 +700,9 @@ TEST(BoundEngineStructureTest, NeighborAdjacencyMatchesDocumentStore) {
   for (const auto& cc : per_comp) {
     for (const auto& c : cc.candidates) nodes.push_back(c.node);
   }
-  CandidateBoundEngine engine(inst.docs(), ext.size(),
-                              inst.matrix().ColumnMax(), per_comp);
+  const CandidateIndex index = BuildCandidateIndex(
+      inst.docs(), ext.size(), inst.matrix().ColumnMax(), per_comp);
+  CandidateBoundEngine engine(index);
   ASSERT_GE(engine.size(), 2u);
 
   // AnyNeighborPair over every 2-subset agrees with the store.

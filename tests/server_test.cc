@@ -122,6 +122,87 @@ TEST(CandidatePlanTest, RejectsBadInput) {
       StatusCode::kFailedPrecondition);
 }
 
+// The plan's candidate index is read by every engine built over it:
+// searchers on N threads batching over the same shared plans must each
+// get exactly the serial answers (TSan target: the index must be
+// read-only after BuildCandidatePlan).
+TEST(CandidatePlanTest, IndexSharedAcrossConcurrentSearchers) {
+  std::vector<KeywordId> kws;
+  auto snap = MakeSnapshot(17, &kws);
+  const S3kOptions opts = TestOptions();
+  std::vector<std::shared_ptr<const CandidatePlan>> plans;
+  for (std::vector<KeywordId> set :
+       {std::vector<KeywordId>{kws[0]}, std::vector<KeywordId>{kws[1]},
+        std::vector<KeywordId>{kws[0], kws[3]}}) {
+    std::sort(set.begin(), set.end());
+    auto plan =
+        BuildCandidatePlan(*snap, set, opts.use_semantics, opts.score.eta);
+    ASSERT_TRUE(plan.ok());
+    plans.push_back(std::make_shared<const CandidatePlan>(std::move(*plan)));
+  }
+  // Every user as a lane, with mixed k, one batch per plan.
+  std::vector<core::BatchSeeker> batch;
+  for (social::UserId u = 0; u < snap->UserCount(); ++u) {
+    batch.push_back(core::BatchSeeker{u, 1 + u % 6});
+  }
+  S3kSearcher serial(*snap, opts);
+  std::vector<std::vector<core::BatchQueryResult>> want;
+  for (const auto& plan : plans) {
+    auto r = serial.SearchBatchWithPlan(batch, *plan);
+    ASSERT_TRUE(r.ok());
+    want.push_back(std::move(*r));
+  }
+  size_t answered = 0;
+  for (const auto& results : want) {
+    for (const auto& r : results) answered += r.entries.size();
+  }
+  ASSERT_GT(answered, 0u);
+
+  auto same = [](const core::BatchQueryResult& a,
+                 const core::BatchQueryResult& b) {
+    if (a.entries.size() != b.entries.size()) return false;
+    for (size_t i = 0; i < a.entries.size(); ++i) {
+      if (a.entries[i].node != b.entries[i].node ||
+          a.entries[i].lower != b.entries[i].lower ||
+          a.entries[i].upper != b.entries[i].upper) {
+        return false;
+      }
+    }
+    return a.stats.iterations == b.stats.iterations &&
+           a.stats.converged == b.stats.converged &&
+           a.stats.candidates_cleaned == b.stats.candidates_cleaned &&
+           a.stats.kth_lower == b.stats.kth_lower &&
+           a.stats.remaining_upper == b.stats.remaining_upper;
+  };
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 5;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> searches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      S3kSearcher searcher(*snap, opts);
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < plans.size(); ++i) {
+          const size_t p = (i + static_cast<size_t>(t + round)) % plans.size();
+          auto got = searcher.SearchBatchWithPlan(batch, *plans[p]);
+          searches.fetch_add(1);
+          if (!got.ok() || got->size() != want[p].size()) {
+            mismatches.fetch_add(1);
+            continue;
+          }
+          for (size_t m = 0; m < got->size(); ++m) {
+            if (!same((*got)[m], want[p][m])) mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(searches.load(), kThreads * kRounds * 3);
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // ---- proximity cache --------------------------------------------------
 
 TEST(ProximityCacheTest, KeyCanonicalizesKeywordOrder) {

@@ -321,6 +321,73 @@ TEST(InstanceDeltaTest, ApplyRejectsStaleBaseGeneration) {
             StatusCode::kInvalidArgument);
 }
 
+// ---- plans are stamped with the instance they were built on ----------
+
+// A plan carries row ids of the generation it was built on; the next
+// generation appends fragments, so its tag rows move. Searching with a
+// plan from another generation, older or newer, must fail rather than
+// read shifted rows (or, with a newer plan, write past the sums).
+TEST(CandidatePlanTest, RejectsPlanFromStaleGeneration) {
+  auto base = std::make_shared<S3Instance>();
+  std::vector<KeywordId> pool;
+  KeywordId stable = kInvalidKeyword;
+  PopCounts c;
+  PopulateBase(*base, pool, stable, c);
+  ASSERT_TRUE(base->Finalize().ok());
+  std::shared_ptr<const S3Instance> old_gen = base;
+  InstanceDelta delta(old_gen);
+  ApplyUpdateRound(delta, 1001, c, pool);
+  auto applied = old_gen->ApplyDelta(delta);
+  ASSERT_TRUE(applied.ok()) << applied.status().message();
+  std::shared_ptr<const S3Instance> new_gen = *applied;
+  ASSERT_GT(new_gen->docs().NodeCount(), old_gen->docs().NodeCount());
+
+  const S3kOptions opts = TestOptions();
+  const std::vector<KeywordId> kws = {pool[0]};
+  auto old_plan = BuildCandidatePlan(*old_gen, kws, true, opts.score.eta);
+  auto new_plan = BuildCandidatePlan(*new_gen, kws, true, opts.score.eta);
+  ASSERT_TRUE(old_plan.ok());
+  ASSERT_TRUE(new_plan.ok());
+  EXPECT_EQ(old_plan->generation, 0u);
+  EXPECT_EQ(new_plan->generation, 1u);
+
+  S3kSearcher on_old(*old_gen, opts);
+  S3kSearcher on_new(*new_gen, opts);
+  const Query q{1, kws};
+  EXPECT_EQ(on_new.SearchWithPlan(q, *old_plan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(on_old.SearchWithPlan(q, *new_plan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(on_new.SearchBatchWithPlan({BatchSeeker{1, 0}}, *old_plan)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Each plan still serves its own generation.
+  EXPECT_TRUE(on_old.SearchWithPlan(q, *old_plan).ok());
+  EXPECT_TRUE(on_new.SearchWithPlan(q, *new_plan).ok());
+}
+
+// Two independently built instances share generation 0 but not their
+// lineage: a plan from one is refused by the other even though the two
+// happen to hold the same data.
+TEST(CandidatePlanTest, RejectsPlanFromForeignLineage) {
+  std::shared_ptr<const S3Instance> a = RebuildFromScratch(0);
+  std::shared_ptr<const S3Instance> b = RebuildFromScratch(0);
+  ASSERT_EQ(a->generation(), b->generation());
+  ASSERT_NE(a->lineage(), b->lineage());
+  const S3kOptions opts = TestOptions();
+  const std::vector<KeywordId> kws = {0};
+  auto plan_b = BuildCandidatePlan(*b, kws, true, opts.score.eta);
+  ASSERT_TRUE(plan_b.ok());
+  EXPECT_EQ(plan_b->lineage, b->lineage());
+  S3kSearcher searcher(*a, opts);
+  EXPECT_EQ(searcher.SearchWithPlan(Query{1, kws}, *plan_b).status().code(),
+            StatusCode::kInvalidArgument);
+  auto plan_a = BuildCandidatePlan(*a, kws, true, opts.score.eta);
+  ASSERT_TRUE(plan_a.ok());
+  EXPECT_TRUE(searcher.SearchWithPlan(Query{1, kws}, *plan_a).ok());
+}
+
 // ---- the acceptance pin: 3 generations vs rebuild ---------------------
 
 TEST(LiveUpdateTest, ThreeGenerationsMatchRebuildBitForBit) {
