@@ -116,6 +116,9 @@ void BM_MatrixPropagate(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixPropagate);
 
+// One component's candidates, built by a builder that has already
+// served other components of the same extension — how a plan build
+// uses it (one builder per plan, not per component).
 void BM_ComponentCandidates(benchmark::State& state) {
   auto& bi = SharedInstance();
   const auto& inst = *bi.gen.instance;
@@ -123,9 +126,9 @@ void BM_ComponentCandidates(benchmark::State& state) {
   core::QueryExtension ext(1);
   for (KeywordId k : inst.ExtendKeyword(q.keywords[0])) ext[0].insert(k);
   const auto& comps = inst.ComponentsWithKeyword(q.keywords[0]);
+  core::ConnectionBuilder builder(inst, 0.5);
   size_t i = 0;
   for (auto _ : state) {
-    core::ConnectionBuilder builder(inst, 0.5);
     benchmark::DoNotOptimize(
         builder.Build(comps[i++ % comps.size()], ext));
   }
@@ -188,6 +191,20 @@ KeywordId MostFrequentKeyword(const core::S3Instance& inst) {
   }
   return best;
 }
+
+// A serial plan build for the most frequent keyword: extension,
+// passing components, candidate construction and the candidate index
+// (the work a plan-cache miss pays).
+void BM_BuildCandidatePlan(benchmark::State& state) {
+  auto& bi = SharedInstance();
+  const auto& inst = *bi.gen.instance;
+  const std::vector<KeywordId> keywords = {MostFrequentKeyword(inst)};
+  for (auto _ : state) {
+    auto plan = core::BuildCandidatePlan(inst, keywords, true, 0.5);
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK(BM_BuildCandidatePlan);
 
 // The batched hot path: 8 same-plan queries per iteration (the lcm of
 // the swept widths, so ns/op is directly comparable across batch

@@ -333,7 +333,6 @@ void CandidateBoundEngine::RefreshBounds(double tail) {
 
 size_t CandidateBoundEngine::CleanDominated(double epsilon, size_t lane) {
   const size_t L = lanes_;
-  size_t killed = 0;
   auto dominates = [&](uint32_t b, uint32_t a) {
     return lower_[b * L + lane] > upper_[a * L + lane] + epsilon ||
            (std::abs(lower_[b * L + lane] - upper_[a * L + lane]) <=
@@ -341,15 +340,91 @@ size_t CandidateBoundEngine::CleanDominated(double epsilon, size_t lane) {
             lower_[b * L + lane] >= upper_[b * L + lane] - epsilon &&
             index_.node[b] < index_.node[a]);
   };
-  for (const auto& [a, b] : index_.nbr_pairs) {
-    if (!active_[a * L + lane] || !active_[b * L + lane]) continue;
-    if (!alive_[a * L + lane] || !alive_[b * L + lane]) continue;
-    if (dominates(b, a)) {
-      alive_[a * L + lane] = 0;
-      ++killed;
-    } else if (dominates(a, b)) {
-      alive_[b * L + lane] = 0;
-      ++killed;
+  auto exact = [&](uint32_t ci) {
+    return upper_[ci * L + lane] == lower_[ci * L + lane];
+  };
+  // Both exact, b first in the stop check's order (upper descending,
+  // then node ascending), the order GreedyTopK walks.
+  auto exact_ahead = [&](uint32_t b, uint32_t a) {
+    const double ub = upper_[b * L + lane];
+    const double ua = upper_[a * L + lane];
+    return exact(b) && exact(a) &&
+           (ub > ua || (ub == ua && index_.node[b] < index_.node[a]));
+  };
+  auto live = [&](uint32_t ci) {
+    return active_[ci * L + lane] && alive_[ci * L + lane];
+  };
+  // Queues every live neighbor of `ci` as a victim if `beats` holds
+  // against each of them (and there is one); returns whether it did.
+  auto kill_if_beats_all = [&](uint32_t ci, auto&& beats) {
+    const uint32_t* first = index_.nbr_list.data() + index_.nbr_begin[ci];
+    const uint32_t* last = index_.nbr_list.data() + index_.nbr_begin[ci + 1];
+    bool any = false;
+    for (const uint32_t* n = first; n != last; ++n) {
+      if (!live(*n)) continue;
+      if (!beats(ci, *n)) return false;
+      any = true;
+    }
+    for (const uint32_t* n = first; n != last && any; ++n) {
+      if (live(*n)) victims_.push_back(*n);
+    }
+    return any;
+  };
+  // Round one checks every live candidate with a neighbor; a later
+  // round only those that lost a live neighbor in the round before, as
+  // nobody else's verdict can change (the bounds are fixed here).
+  check_.clear();
+  for (uint32_t ci : active_lists_[lane]) {
+    if (alive_[ci * L + lane] &&
+        index_.nbr_begin[ci] != index_.nbr_begin[ci + 1]) {
+      check_.push_back(ci);
+    }
+  }
+  stuck_.clear();
+  size_t killed = 0;
+  while (true) {
+    // Every verdict of a round reads the live set as the round found
+    // it; the kills land together afterwards.
+    victims_.clear();
+    for (uint32_t ci : check_) {
+      if (live(ci) && !kill_if_beats_all(ci, dominates) && exact(ci)) {
+        stuck_.push_back(ci);
+      }
+    }
+    if (victims_.empty()) {
+      // Domination within epsilon is not transitive: exact neighbors
+      // scored 0, 0.6e-12 and 1.2e-12 with ascending node ids dominate
+      // in a cycle at epsilon 1e-12 (the node-id tie-break orders the
+      // close pairs, the outer pair is more than epsilon apart), so
+      // none of them dominates all the others. When a round kills
+      // nothing, an exact candidate whose live neighbors are all exact
+      // and behind it in the stop check's order kills them, since
+      // GreedyTopK takes it first. At tail 0 every candidate is exact,
+      // so the first of any live neighbor group qualifies and the fixed
+      // point leaves no live neighbor pair.
+      for (uint32_t ci : stuck_) {
+        if (live(ci)) kill_if_beats_all(ci, exact_ahead);
+      }
+      stuck_.clear();
+      if (victims_.empty()) break;
+    }
+    for (uint32_t v : victims_) {
+      if (alive_[v * L + lane]) {
+        alive_[v * L + lane] = 0;
+        ++killed;
+      }
+    }
+    check_.clear();
+    ++mark_epoch_;
+    for (uint32_t v : victims_) {
+      for (uint32_t j = index_.nbr_begin[v]; j < index_.nbr_begin[v + 1];
+           ++j) {
+        const uint32_t n = index_.nbr_list[j];
+        if (live(n) && mark_[n] != mark_epoch_) {
+          mark_[n] = mark_epoch_;
+          check_.push_back(n);
+        }
+      }
     }
   }
   return killed;

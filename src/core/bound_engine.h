@@ -93,7 +93,7 @@ struct CandidateIndex {
 
   // Vertical-neighbor adjacency between same-document candidates (CSR
   // over candidate ids, each list ascending), plus the unique (a < b)
-  // pair list, sorted, that the clean pass scans.
+  // pair list, sorted, from which the adjacency is built.
   std::vector<uint32_t> nbr_begin;
   std::vector<uint32_t> nbr_list;
   std::vector<std::pair<uint32_t, uint32_t>> nbr_pairs;
@@ -190,10 +190,20 @@ class CandidateBoundEngine {
   // Single-tail convenience (the lanes==1 path and tests).
   void RefreshBounds(double tail);
 
-  // CleanCandidatesList for one lane: kills active candidates
-  // dominated by an active vertical neighbor (same rule as paper §4.2
-  // / the previous from-scratch implementation). Returns how many were
-  // killed in that lane.
+  // CleanCandidatesList for one lane. A live (alive and active)
+  // candidate that dominates every live vertical neighbor kills them
+  // all: the greedy top-k of Definition 3.2 reaches it before any of
+  // them and then skips each one. Dominating only some neighbors is
+  // not enough — a higher neighbor may exclude the dominator, and the
+  // greedy pass then takes a candidate it dominated (one in another
+  // branch below it). Rounds repeat until none kills; each round
+  // decides against the live set it started from and applies its kills
+  // together. Domination within epsilon can run in a cycle (see the
+  // .cc), so a round that kills nothing falls back to exact bounds: an
+  // exact candidate (upper == lower) ahead of all its live neighbors,
+  // all exact, in the (upper desc, node asc) order kills them. At tail
+  // 0 every candidate is exact, so the fixed point leaves no live
+  // neighbor pair. Returns how many were killed in that lane.
   size_t CleanDominated(double epsilon, size_t lane = 0);
 
   // True if any two of the first `count` candidates in `order` are
@@ -237,6 +247,11 @@ class CandidateBoundEngine {
   // Epoch-marking scratch for the neighbor-set membership tests.
   std::vector<uint32_t> mark_;
   uint32_t mark_epoch_ = 0;
+  // CleanDominated's per-round scratch: the candidates to decide, the
+  // kills decided and the exact candidates that dominated too few.
+  std::vector<uint32_t> check_;
+  std::vector<uint32_t> victims_;
+  std::vector<uint32_t> stuck_;
 };
 
 }  // namespace s3::core

@@ -9,335 +9,452 @@ namespace s3::core {
 using social::EntityId;
 using social::EntityKind;
 
+namespace {
+
+// Memo::state values besides a source set's "done" (kYes).
+constexpr uint32_t kBusy = 1;
+constexpr uint32_t kNo = 2;
+constexpr uint32_t kYes = 3;
+
+void SortUnique(std::vector<uint32_t>& v) {
+  if (v.size() < 2) return;
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+}  // namespace
+
 ConnectionBuilder::ConnectionBuilder(const S3Instance& instance, double eta)
     : instance_(instance), eta_(eta) {
   assert(instance.finalized());
 }
 
-bool ConnectionBuilder::NodeContainsMatch(doc::NodeId n,
-                                          const QueryExtension& ext,
-                                          size_t qi) const {
-  for (KeywordId k : instance_.docs().node(n).keywords) {
-    if (ext[qi].contains(k)) return true;
+void ConnectionBuilder::Bind(const QueryExtension& ext) {
+  assert(ext.size() <= 64 && "queries are limited to 64 keywords");
+  if (bound_ && ext == ext_) return;
+  const doc::InvertedIndex& index = instance_.index();
+  if (!bound_) {
+    nodes_.resize(instance_.docs().NodeCount());
+    doc_sources_.resize(instance_.docs().DocumentCount());
+    tag_grounded_.resize(instance_.TagCount());
+    tag_sources_.resize(instance_.TagCount());
+  } else {
+    for (const std::vector<KeywordId>& kws : ext_keywords_) {
+      for (KeywordId k : kws) {
+        for (doc::NodeId n : index.Postings(k)) nodes_[n].contains = 0;
+      }
+    }
+  }
+  ext_ = ext;
+  ext_keywords_.assign(ext.size(), {});
+  for (size_t qi = 0; qi < ext.size(); ++qi) {
+    std::vector<KeywordId>& kws = ext_keywords_[qi];
+    kws.assign(ext[qi].begin(), ext[qi].end());
+    std::sort(kws.begin(), kws.end());
+    for (KeywordId k : kws) {
+      for (doc::NodeId n : index.Postings(k)) {
+        nodes_[n].contains |= uint64_t{1} << qi;
+      }
+    }
+  }
+  bound_ = true;
+}
+
+void ConnectionBuilder::NextEpoch() {
+  arena_.clear();
+  if (++epoch_ != 0) return;
+  // The stamp wrapped around: forget every entry once.
+  for (std::vector<Memo>* table :
+       {&frag_grounded_, &doc_sources_, &tag_grounded_, &tag_sources_}) {
+    std::fill(table->begin(), table->end(), Memo{});
+  }
+  for (NodeState& n : nodes_) n.cover_stamp = 0;
+  epoch_ = 1;
+}
+
+bool ConnectionBuilder::ExtHas(size_t qi, KeywordId k) const {
+  return std::binary_search(ext_keywords_[qi].begin(),
+                            ext_keywords_[qi].end(), k);
+}
+
+doc::NodeId ConnectionBuilder::Parent(doc::NodeId n) const {
+  const doc::DocumentStore& docs = instance_.docs();
+  const uint32_t parent = docs.node(n).parent;
+  return parent == UINT32_MAX ? doc::kInvalidNode
+                              : docs.GlobalId(docs.DocOf(n), parent);
+}
+
+double ConnectionBuilder::EtaPow(size_t distance) {
+  while (eta_pow_.size() <= distance) {
+    eta_pow_.push_back(std::pow(eta_, static_cast<double>(eta_pow_.size())));
+  }
+  return eta_pow_[distance];
+}
+
+std::vector<uint32_t>& ConnectionBuilder::AcquireScratch() {
+  if (scratch_depth_ == scratch_.size()) scratch_.emplace_back();
+  std::vector<uint32_t>& v = scratch_[scratch_depth_++];
+  v.clear();
+  return v;
+}
+
+bool ConnectionBuilder::GroundedKnown(Memo& m, bool* grounded) {
+  if (m.stamp != epoch_) {
+    m = Memo{epoch_, kBusy, 0, 0};
+    return false;
+  }
+  if (m.state == kBusy) ++ground_guard_hits_;
+  *grounded = m.state == kYes;
+  return true;
+}
+
+void ConnectionBuilder::SettleGrounded(Memo& m, size_t hits_before,
+                                       bool grounded) {
+  // A positive answer is final (the derivation is monotone), but a
+  // negative one computed while a guard suppressed a dependency is only
+  // valid for this call stack — don't keep it.
+  if (grounded || ground_guard_hits_ == hits_before) {
+    m.state = grounded ? kYes : kNo;
+  } else {
+    m.stamp = 0;
+  }
+}
+
+bool ConnectionBuilder::SourcesKnown(Memo& m, std::vector<uint32_t>& out) {
+  if (m.stamp != epoch_) {
+    m = Memo{epoch_, kBusy, 0, 0};
+    return false;
+  }
+  if (m.state == kBusy) {
+    ++source_guard_hits_;
+  } else {
+    out.insert(out.end(), arena_.begin() + m.begin, arena_.begin() + m.end);
+  }
+  return true;
+}
+
+void ConnectionBuilder::SettleSources(Memo& m, size_t hits_before,
+                                      std::vector<uint32_t>& sources,
+                                      std::vector<uint32_t>& out) {
+  SortUnique(sources);
+  out.insert(out.end(), sources.begin(), sources.end());
+  if (source_guard_hits_ == hits_before) {
+    m.state = kYes;
+    m.begin = static_cast<uint32_t>(arena_.size());
+    arena_.insert(arena_.end(), sources.begin(), sources.end());
+    m.end = static_cast<uint32_t>(arena_.size());
+  } else {
+    m.stamp = 0;  // computed under a fired guard: used once, not kept
+  }
+}
+
+bool ConnectionBuilder::TagGrounded(social::TagId t, size_t qi) {
+  const Tag& tag = instance_.tags()[t];
+  if (tag.keyword != kInvalidKeyword && ExtHas(qi, tag.keyword)) return true;
+  const std::vector<social::TagId>& on = instance_.TagsOn(EntityId::Tag(t));
+  if (on.empty()) return false;
+  // Least-fixpoint guard: a tag-on-tag cycle grounds nothing. The API
+  // only builds tag DAGs today, but deserialized or future instances
+  // must not send this recursion into a loop.
+  Memo& m = tag_grounded_[t];
+  bool grounded = false;
+  if (GroundedKnown(m, &grounded)) return grounded;
+  const size_t hits_before = ground_guard_hits_;
+  for (social::TagId b : on) {
+    if (TagGrounded(b, qi)) {
+      grounded = true;
+      break;
+    }
+  }
+  SettleGrounded(m, hits_before, grounded);
+  return grounded;
+}
+
+bool ConnectionBuilder::FragmentGrounded(doc::NodeId f, size_t qi) {
+  if (frag_grounded_.empty()) {
+    // Sized on first use: only endorsements ask whether a fragment is
+    // grounded, and many plans have none.
+    frag_grounded_.resize(instance_.docs().NodeCount());
+  }
+  // Least-fixpoint guard: a cycle of comments grounds nothing.
+  Memo& m = frag_grounded_[f];
+  bool grounded = false;
+  if (GroundedKnown(m, &grounded)) return grounded;
+  const size_t hits_before = ground_guard_hits_;
+
+  // The subtree of f, breadth first.
+  const doc::DocumentStore& docs = instance_.docs();
+  const doc::DocId d = docs.DocOf(f);
+  const doc::Document& document = docs.document(d);
+  std::vector<uint32_t>& subtree = AcquireScratch();
+  subtree.push_back(docs.LocalOf(f));
+  for (size_t i = 0; i < subtree.size(); ++i) {
+    const std::vector<uint32_t>& kids = document.node(subtree[i]).children;
+    subtree.insert(subtree.end(), kids.begin(), kids.end());
+  }
+  for (uint32_t& local : subtree) local = docs.GlobalId(d, local);
+
+  const uint64_t bit = uint64_t{1} << qi;
+  for (doc::NodeId n : subtree) {
+    if (nodes_[n].contains & bit) {
+      grounded = true;
+      break;
+    }
+  }
+  for (size_t i = 0; i < subtree.size() && !grounded; ++i) {
+    for (social::TagId t : instance_.TagsOn(EntityId::Fragment(subtree[i]))) {
+      if (TagGrounded(t, qi)) {
+        grounded = true;
+        break;
+      }
+    }
+    if (grounded) break;
+    for (doc::NodeId c : instance_.CommentsOnFragment(subtree[i])) {
+      if (FragmentGrounded(c, qi)) {
+        grounded = true;
+        break;
+      }
+    }
+  }
+  ReleaseScratch();
+  SettleGrounded(m, hits_before, grounded);
+  return grounded;
+}
+
+bool ConnectionBuilder::TagOwnSource(social::TagId t, size_t qi) {
+  const Tag& tag = instance_.tags()[t];
+  if (tag.keyword != kInvalidKeyword) return ExtHas(qi, tag.keyword);
+  // Endorsement: the author becomes a source iff the subject has a
+  // grounded connection to the keyword.
+  if (tag.subject.kind() == EntityKind::kFragment) {
+    return FragmentGrounded(tag.subject.index(), qi);
+  }
+  if (tag.subject.kind() == EntityKind::kTag) {
+    return TagGrounded(tag.subject.index(), qi);
   }
   return false;
 }
 
-bool ConnectionBuilder::TagGrounded(social::TagId t, size_t qi,
-                                    const QueryExtension& ext) {
-  Key key{t, static_cast<uint32_t>(qi)};
-  auto it = tag_grounded_memo_.find(key);
-  if (it != tag_grounded_memo_.end()) return it->second;
-  // Least-fixpoint guard: a tag-on-tag cycle grounds nothing. The API
-  // only builds tag DAGs today, but deserialized or future instances
-  // must not send this recursion into a loop.
-  Key guard{t, static_cast<uint32_t>(qi) | 0x20000000u};
-  if (in_progress_.contains(guard)) {
-    ++guard_hits_;
-    return false;
-  }
-  const size_t hits_before = guard_hits_;
-  in_progress_.insert(guard);
-  const Tag& tag = instance_.tags()[t];
-  bool grounded = tag.keyword != kInvalidKeyword &&
-                  ext[qi].contains(tag.keyword);
-  if (!grounded) {
-    for (social::TagId b : instance_.TagsOn(EntityId::Tag(t))) {
-      if (TagGrounded(b, qi, ext)) {
-        grounded = true;
-        break;
-      }
+void ConnectionBuilder::AppendTagSources(social::TagId t, size_t qi,
+                                         std::vector<uint32_t>& out) {
+  const std::vector<social::TagId>& on = instance_.TagsOn(EntityId::Tag(t));
+  if (on.empty()) {
+    // Most tags carry no tag themselves: their only possible source is
+    // their author, which needs no memo entry.
+    if (TagOwnSource(t, qi)) {
+      out.push_back(instance_.RowOfUser(instance_.tags()[t].author));
     }
+    return;
   }
-  in_progress_.erase(guard);
-  // A positive answer is final (the derivation is monotone), but a
-  // negative one computed while a guard suppressed a dependency is only
-  // valid for this call stack — don't cache it.
-  if (grounded || guard_hits_ == hits_before) {
-    tag_grounded_memo_.emplace(key, grounded);
-  }
-  return grounded;
-}
-
-bool ConnectionBuilder::FragmentGrounded(doc::NodeId f, size_t qi,
-                                         const QueryExtension& ext) {
-  Key key{f, static_cast<uint32_t>(qi)};
-  auto it = frag_grounded_memo_.find(key);
-  if (it != frag_grounded_memo_.end()) return it->second;
-  // Least-fixpoint guard: a cycle of comments grounds nothing.
-  Key guard{f, static_cast<uint32_t>(qi) | 0x40000000u};
-  if (in_progress_.contains(guard)) {
-    ++guard_hits_;
-    return false;
-  }
-  const size_t hits_before = guard_hits_;
-  in_progress_.insert(guard);
-
-  bool grounded = false;
-  const doc::DocumentStore& docs = instance_.docs();
-  std::vector<doc::NodeId> subtree{f};
-  {
-    doc::DocId d = docs.DocOf(f);
-    for (uint32_t local : docs.document(d).Descendants(docs.LocalOf(f))) {
-      subtree.push_back(docs.GlobalId(d, local));
-    }
-  }
-  for (doc::NodeId n : subtree) {
-    if (NodeContainsMatch(n, ext, qi)) {
-      grounded = true;
-      break;
-    }
-    for (social::TagId t : instance_.TagsOn(EntityId::Fragment(n))) {
-      if (TagGrounded(t, qi, ext)) {
-        grounded = true;
-        break;
-      }
-    }
-    if (grounded) break;
-    for (doc::NodeId c : instance_.CommentsOnFragment(n)) {
-      if (FragmentGrounded(c, qi, ext)) {
-        grounded = true;
-        break;
-      }
-    }
-    if (grounded) break;
-  }
-  in_progress_.erase(guard);
-  if (grounded || guard_hits_ == hits_before) {
-    frag_grounded_memo_.emplace(key, grounded);
-  }
-  return grounded;
-}
-
-const std::unordered_set<uint32_t>& ConnectionBuilder::TagSources(
-    social::TagId t, size_t qi, const QueryExtension& ext) {
-  Key key{t, static_cast<uint32_t>(qi)};
-  auto it = tag_memo_.find(key);
-  if (it != tag_memo_.end()) return it->second;
   // Cycle guard for tag-on-tag loops: contribute nothing on re-entry
-  // (mirrors the DocSources comment-loop guard).
-  Key guard{t, static_cast<uint32_t>(qi) | 0x10000000u};
-  static const std::unordered_set<uint32_t> kEmpty;
-  if (in_progress_.contains(guard)) {
-    ++guard_hits_;
-    return kEmpty;
+  // (mirrors the document comment-loop guard).
+  Memo& m = tag_sources_[t];
+  if (SourcesKnown(m, out)) return;
+  const size_t hits_before = source_guard_hits_;
+  std::vector<uint32_t>& sources = AcquireScratch();
+  if (TagOwnSource(t, qi)) {
+    sources.push_back(instance_.RowOfUser(instance_.tags()[t].author));
   }
-  const size_t hits_before = guard_hits_;
-  in_progress_.insert(guard);
-
-  std::unordered_set<uint32_t> sources;
-  const Tag& tag = instance_.tags()[t];
-  const uint32_t author_row = instance_.RowOfUser(tag.author);
-
-  if (tag.keyword != kInvalidKeyword) {
-    if (ext[qi].contains(tag.keyword)) sources.insert(author_row);
-  } else {
-    // Endorsement: the author becomes a source iff the subject has a
-    // grounded connection to the keyword.
-    bool grounded = false;
-    if (tag.subject.kind() == EntityKind::kFragment) {
-      grounded = FragmentGrounded(tag.subject.index(), qi, ext);
-    } else if (tag.subject.kind() == EntityKind::kTag) {
-      grounded = TagGrounded(tag.subject.index(), qi, ext);
-    }
-    if (grounded) sources.insert(author_row);
-  }
-
-  // Higher-level tags: tags on this tag add their own sources
-  // (paper R4; the tag "adds its connections to the tagged fragment").
-  for (social::TagId b : instance_.TagsOn(EntityId::Tag(t))) {
-    const auto& sub = TagSources(b, qi, ext);
-    sources.insert(sub.begin(), sub.end());
-  }
-  in_progress_.erase(guard);
-  if (guard_hits_ != hits_before) {
-    // A guard fired below us: `sources` may be missing contributions
-    // from the suppressed dependency and is only valid for this call
-    // stack. Park it in the scratch arena instead of the memo table.
-    scratch_sets_.push_back(
-        std::make_unique<std::unordered_set<uint32_t>>(std::move(sources)));
-    return *scratch_sets_.back();
-  }
-  return tag_memo_.emplace(key, std::move(sources)).first->second;
+  // Higher-level tags: tags on this tag add their own sources (paper
+  // R4; the tag "adds its connections to the tagged fragment").
+  for (social::TagId b : on) AppendTagSources(b, qi, sources);
+  SettleSources(m, hits_before, sources, out);
+  ReleaseScratch();
 }
 
-const std::unordered_set<uint32_t>& ConnectionBuilder::DocSources(
-    doc::NodeId root, size_t qi, const QueryExtension& ext) {
-  Key key{root, static_cast<uint32_t>(qi)};
-  auto it = doc_memo_.find(key);
-  if (it != doc_memo_.end()) return it->second;
+void ConnectionBuilder::AppendDocSources(doc::DocId d, size_t qi,
+                                         std::vector<uint32_t>& out) {
   // Cycle guard for comment loops: contribute nothing on re-entry.
-  Key guard{root, static_cast<uint32_t>(qi) | 0x80000000u};
-  static const std::unordered_set<uint32_t> kEmpty;
-  if (in_progress_.contains(guard)) {
-    ++guard_hits_;
-    return kEmpty;
-  }
-  const size_t hits_before = guard_hits_;
-  in_progress_.insert(guard);
-
-  std::unordered_set<uint32_t> sources;
+  Memo& m = doc_sources_[d];
+  if (SourcesKnown(m, out)) return;
+  const size_t hits_before = source_guard_hits_;
   const doc::DocumentStore& docs = instance_.docs();
-  std::vector<doc::NodeId> subtree{root};
-  {
-    doc::DocId d = docs.DocOf(root);
-    for (uint32_t local : docs.document(d).Descendants(docs.LocalOf(root))) {
-      subtree.push_back(docs.GlobalId(d, local));
-    }
-  }
+  const uint64_t bit = uint64_t{1} << qi;
+  std::vector<uint32_t>& sources = AcquireScratch();
   bool has_contains = false;
-  for (doc::NodeId n : subtree) {
-    if (!has_contains && NodeContainsMatch(n, ext, qi)) {
-      has_contains = true;
-    }
+  const uint32_t n_nodes =
+      static_cast<uint32_t>(docs.document(d).NodeCount());
+  for (uint32_t local = 0; local < n_nodes; ++local) {
+    const doc::NodeId n = docs.GlobalId(d, local);
+    has_contains = has_contains || (nodes_[n].contains & bit) != 0;
     for (social::TagId t : instance_.TagsOn(EntityId::Fragment(n))) {
-      const auto& ts = TagSources(t, qi, ext);
-      sources.insert(ts.begin(), ts.end());
+      AppendTagSources(t, qi, sources);
     }
     for (doc::NodeId c : instance_.CommentsOnFragment(n)) {
-      const auto& cs = DocSources(c, qi, ext);
-      sources.insert(cs.begin(), cs.end());
+      AppendDocSources(docs.DocOf(c), qi, sources);
     }
   }
   if (has_contains) {
     // The document itself is the source of its contains connections.
-    sources.insert(instance_.RowOfFragment(root));
+    sources.push_back(instance_.RowOfFragment(docs.RootNode(d)));
   }
-  in_progress_.erase(guard);
-  if (guard_hits_ != hits_before) {
-    scratch_sets_.push_back(
-        std::make_unique<std::unordered_set<uint32_t>>(std::move(sources)));
-    return *scratch_sets_.back();
-  }
-  return doc_memo_.emplace(key, std::move(sources)).first->second;
+  SettleSources(m, hits_before, sources, out);
+  ReleaseScratch();
 }
 
-std::vector<std::vector<AttachmentEvent>> ConnectionBuilder::CollectEvents(
-    social::ComponentId comp, const QueryExtension& ext) {
+void ConnectionBuilder::CollectSlot(social::ComponentId comp, size_t qi,
+                                    std::vector<AttachmentEvent>& events) {
+  NextEpoch();
+  events.clear();
   const social::EntityLayout& layout = instance_.layout();
-  std::vector<std::vector<AttachmentEvent>> events(ext.size());
-
-  for (size_t qi = 0; qi < ext.size(); ++qi) {
-    for (uint32_t row : instance_.components().Members(comp)) {
-      EntityId e = layout.Entity(row);
-      if (e.kind() != EntityKind::kFragment) continue;
-      doc::NodeId f = e.index();
-      // S3:contains — one tuple (contains, f, d) per matching fragment.
-      if (NodeContainsMatch(f, ext, qi)) {
-        events[qi].push_back(
-            AttachmentEvent{f, kSelfSource, ConnectionType::kContains});
-      }
-      // S3:relatedTo — tag chains rooted on f.
-      std::unordered_set<uint32_t> tag_sources;
-      for (social::TagId t : instance_.TagsOn(EntityId::Fragment(f))) {
-        const auto& ts = TagSources(t, qi, ext);
-        tag_sources.insert(ts.begin(), ts.end());
-      }
-      for (uint32_t src : tag_sources) {
-        events[qi].push_back(
-            AttachmentEvent{f, src, ConnectionType::kRelatedTo});
-      }
-      // S3:commentsOn — sources of comments on f carry over.
-      std::unordered_set<uint32_t> comment_sources;
-      for (doc::NodeId c : instance_.CommentsOnFragment(f)) {
-        const auto& cs = DocSources(c, qi, ext);
-        comment_sources.insert(cs.begin(), cs.end());
-      }
-      for (uint32_t src : comment_sources) {
-        events[qi].push_back(
-            AttachmentEvent{f, src, ConnectionType::kCommentsOn});
-      }
+  const doc::DocumentStore& docs = instance_.docs();
+  const uint64_t bit = uint64_t{1} << qi;
+  std::vector<uint32_t>& sources = AcquireScratch();
+  for (uint32_t row : instance_.components().Members(comp)) {
+    const EntityId e = layout.Entity(row);
+    if (e.kind() != EntityKind::kFragment) continue;
+    const doc::NodeId f = e.index();
+    // S3:contains — one tuple (contains, f, d) per matching fragment.
+    if (nodes_[f].contains & bit) {
+      events.push_back(
+          AttachmentEvent{f, kSelfSource, ConnectionType::kContains});
+    }
+    // S3:relatedTo — tag chains rooted on f.
+    sources.clear();
+    for (social::TagId t : instance_.TagsOn(EntityId::Fragment(f))) {
+      AppendTagSources(t, qi, sources);
+    }
+    SortUnique(sources);
+    for (uint32_t src : sources) {
+      events.push_back(AttachmentEvent{f, src, ConnectionType::kRelatedTo});
+    }
+    // S3:commentsOn — sources of comments on f carry over.
+    sources.clear();
+    for (doc::NodeId c : instance_.CommentsOnFragment(f)) {
+      AppendDocSources(docs.DocOf(c), qi, sources);
+    }
+    SortUnique(sources);
+    for (uint32_t src : sources) {
+      events.push_back(AttachmentEvent{f, src, ConnectionType::kCommentsOn});
     }
   }
-  return events;
+  ReleaseScratch();
 }
 
 ComponentCandidates ConnectionBuilder::Build(social::ComponentId comp,
                                              const QueryExtension& ext) {
-  const doc::DocumentStore& docs = instance_.docs();
+  Bind(ext);
   const size_t n_keywords = ext.size();
-  assert(n_keywords <= 64 && "queries are limited to 64 keywords");
-
   ComponentCandidates out;
   out.component = comp;
 
-  std::vector<std::vector<AttachmentEvent>> events =
-      CollectEvents(comp, ext);
+  if (events_.size() < n_keywords) events_.resize(n_keywords);
   for (size_t qi = 0; qi < n_keywords; ++qi) {
-    if (events[qi].empty()) return out;  // component cannot match
+    CollectSlot(comp, qi, events_[qi]);
+    if (events_[qi].empty()) return out;  // component cannot match
   }
 
   // Coverage pass: which nodes have at least one event for each
-  // keyword anywhere in their subtree?
+  // keyword anywhere in their subtree? A covered bit is set on every
+  // ancestor too, so each walk stops at the first node that has it.
+  NextEpoch();
   const uint64_t full_mask =
       n_keywords == 64 ? ~0ull : ((1ull << n_keywords) - 1);
-  std::unordered_map<doc::NodeId, uint64_t> coverage;
+  covered_.clear();
   for (size_t qi = 0; qi < n_keywords; ++qi) {
-    for (const AttachmentEvent& ev : events[qi]) {
-      coverage[ev.fragment] |= (1ull << qi);
-      for (doc::NodeId a : docs.Ancestors(ev.fragment)) {
-        coverage[a] |= (1ull << qi);
+    const uint64_t bit = uint64_t{1} << qi;
+    for (const AttachmentEvent& ev : events_[qi]) {
+      for (doc::NodeId n = ev.fragment; n != doc::kInvalidNode;
+           n = Parent(n)) {
+        NodeState& st = nodes_[n];
+        if (st.cover_stamp != epoch_) {
+          st.cover_stamp = epoch_;
+          st.cover = 0;
+          covered_.push_back(n);
+        }
+        if (st.cover & bit) break;
+        st.cover |= bit;
       }
     }
   }
 
-  // Aggregation pass for fully covered candidates.
-  std::unordered_map<doc::NodeId, uint32_t> cand_index;
-  for (const auto& [node, mask] : coverage) {
-    if (mask != full_mask) continue;
-    uint32_t idx = static_cast<uint32_t>(out.candidates.size());
-    cand_index.emplace(node, idx);
-    Candidate c;
-    c.node = node;
+  // Candidates: the fully covered nodes, in node order.
+  std::vector<doc::NodeId>& cands = covered_;
+  cands.erase(std::remove_if(cands.begin(), cands.end(),
+                             [&](doc::NodeId n) {
+                               return nodes_[n].cover != full_mask;
+                             }),
+              cands.end());
+  if (cands.empty()) return out;
+  std::sort(cands.begin(), cands.end());
+  out.candidates.resize(cands.size());
+  for (uint32_t ci = 0; ci < cands.size(); ++ci) {
+    nodes_[cands[ci]].cand = ci;
+    Candidate& c = out.candidates[ci];
+    c.node = cands[ci];
     c.sources.resize(n_keywords);
     c.static_weight.assign(n_keywords, 0.0);
-    out.candidates.push_back(std::move(c));
   }
-  if (out.candidates.empty()) return out;
 
-  // For each event, add its weight to every covered ancestor-or-self.
-  std::vector<std::vector<std::unordered_map<uint32_t, double>>> weights(
-      out.candidates.size());
-  for (auto& w : weights) w.resize(n_keywords);
-
+  // Aggregation, one keyword at a time: every event adds η^distance to
+  // each candidate ancestor-or-self of its fragment, under the event's
+  // source (the candidate's own row for contains). Contributions are
+  // bucketed by candidate in event order, then summed per source.
+  const size_t n_cands = cands.size();
   for (size_t qi = 0; qi < n_keywords; ++qi) {
-    for (const AttachmentEvent& ev : events[qi]) {
-      doc::NodeId cur = ev.fragment;
+    contribs_.clear();
+    const std::vector<AttachmentEvent>& events = events_[qi];
+    for (size_t e = 0; e < events.size();) {
+      // The candidates above this run of same-fragment events.
+      const doc::NodeId f = events[e].fragment;
+      path_.clear();
       size_t distance = 0;
-      while (true) {
-        auto it = cand_index.find(cur);
-        if (it != cand_index.end()) {
-          uint32_t src = ev.source_row == kSelfSource
-                             ? instance_.RowOfFragment(cur)
-                             : ev.source_row;
-          weights[it->second][qi][src] +=
-              std::pow(eta_, static_cast<double>(distance));
+      for (doc::NodeId n = f; n != doc::kInvalidNode;
+           n = Parent(n), ++distance) {
+        const NodeState& st = nodes_[n];
+        if (st.cover_stamp == epoch_ && st.cover == full_mask) {
+          path_.emplace_back(st.cand, distance);
         }
-        const doc::Node& node = docs.node(cur);
-        uint32_t parent_local = node.parent;
-        if (parent_local == UINT32_MAX) break;
-        cur = docs.GlobalId(docs.DocOf(cur), parent_local);
-        ++distance;
+      }
+      for (; e < events.size() && events[e].fragment == f; ++e) {
+        for (const auto& [ci, dist] : path_) {
+          const uint32_t src =
+              events[e].source_row == kSelfSource
+                  ? instance_.RowOfFragment(out.candidates[ci].node)
+                  : events[e].source_row;
+          contribs_.push_back(Contribution{src, ci, EtaPow(dist)});
+        }
       }
     }
-  }
-
-  for (size_t ci = 0; ci < out.candidates.size(); ++ci) {
-    Candidate& c = out.candidates[ci];
-    double cap = 1.0;
-    for (size_t qi = 0; qi < n_keywords; ++qi) {
+    // Stable counting sort by candidate.
+    cand_begin_.assign(n_cands + 1, 0);
+    for (const Contribution& c : contribs_) ++cand_begin_[c.cand + 1];
+    for (size_t ci = 0; ci < n_cands; ++ci) {
+      cand_begin_[ci + 1] += cand_begin_[ci];
+    }
+    by_cand_.resize(contribs_.size());
+    for (const Contribution& c : contribs_) by_cand_[cand_begin_[c.cand]++] = c;
+    // cand_begin_[ci] now ends bucket ci; bucket ci starts where ci - 1
+    // ends.
+    uint32_t begin = 0;
+    for (size_t ci = 0; ci < n_cands; ++ci) {
+      const uint32_t end = cand_begin_[ci];
+      // Order the bucket by (source, event order) and fold each source.
+      keys_.clear();
+      for (uint32_t i = begin; i < end; ++i) {
+        keys_.push_back(uint64_t{by_cand_[i].src} << 32 | i);
+      }
+      std::sort(keys_.begin(), keys_.end());
+      Candidate& cand = out.candidates[ci];
+      std::vector<std::pair<uint32_t, float>>& list = cand.sources[qi];
       double total = 0.0;
-      auto& list = c.sources[qi];
-      list.reserve(weights[ci][qi].size());
-      for (const auto& [src, w] : weights[ci][qi]) {
+      for (size_t k = 0; k < keys_.size();) {
+        const uint32_t src = static_cast<uint32_t>(keys_[k] >> 32);
+        double w = 0.0;
+        for (; k < keys_.size() && (keys_[k] >> 32) == src; ++k) {
+          w += by_cand_[static_cast<uint32_t>(keys_[k])].w;
+        }
         list.emplace_back(src, static_cast<float>(w));
         total += w;
       }
-      // Deterministic order for reproducibility.
-      std::sort(list.begin(), list.end());
-      c.static_weight[qi] = total;
-      cap *= total;
+      cand.static_weight[qi] = total;
+      begin = end;
     }
+  }
+
+  for (Candidate& c : out.candidates) {
+    double cap = 1.0;
+    for (size_t qi = 0; qi < n_keywords; ++qi) cap *= c.static_weight[qi];
     c.cap = cap;
     out.max_cap = std::max(out.max_cap, cap);
   }

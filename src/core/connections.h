@@ -26,9 +26,9 @@
 #define S3_CORE_CONNECTIONS_H_
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <deque>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/s3_instance.h"
@@ -76,9 +76,29 @@ struct ComponentCandidates {
 // Per-query keyword acceptance sets: ext[i] = Ext(k_i) as keyword ids.
 using QueryExtension = std::vector<std::unordered_set<KeywordId>>;
 
-// Builds candidates per component. One builder per query evaluation;
-// memo tables for tag and comment source sets are reused across
-// components.
+// Builds candidates per component. One builder serves a whole query
+// plan: BuildCandidatePlan hands it component after component (its
+// tables are sized by the instance, so a builder per component would
+// pay for them every time). A builder is not thread-safe.
+//
+// The builder binds the query extension on the first call and rebinds
+// when a call passes a different one. Binding builds a node → keyword
+// slot bit mask from the inverted-index postings of the extension
+// keywords, which answers every S3:contains test. The derivations
+// (tag sources, document sources and the two grounding tests) run one
+// keyword slot at a time and are memoized in flat arrays indexed by
+// node, document and tag id. Each entry is stamped with an epoch that
+// advances per (component, slot), so nothing is cleared between
+// components, and the builder keeps no hash table (the instance's tag
+// and comment lists are its only hash lookups). Every source set is a
+// sorted unique vector of rows; memoized ones live in one arena per
+// epoch.
+//
+// A component's candidates come out in ascending node id, and each
+// candidate's source lists in ascending row. Per (candidate, keyword,
+// source) the η^|pos| terms are summed in event order: member order of
+// the attachment fragment, then contains, relatedTo, commentsOn.
+// static_weight sums a list in row order.
 class ConnectionBuilder {
  public:
   // `instance` must be finalized. eta is the structural damping factor.
@@ -90,68 +110,112 @@ class ConnectionBuilder {
   ComponentCandidates Build(social::ComponentId comp,
                             const QueryExtension& ext);
 
-  // Raw per-keyword events of a component (exposed for tests and for
-  // the naive reference scorer).
-  std::vector<std::vector<AttachmentEvent>> CollectEvents(
-      social::ComponentId comp, const QueryExtension& ext);
-
  private:
-  // Sources contributed by tag `t` to the item it tags, for query
-  // keyword qi (includes higher-level tags and endorsements).
-  const std::unordered_set<uint32_t>& TagSources(social::TagId t,
-                                                 size_t qi,
-                                                 const QueryExtension& ext);
+  // A memo entry, valid while `stamp` equals the current epoch. `state`
+  // is kBusy while the derivation is on the call stack (the cycle
+  // guard), else its result: the grounded answer, or for source sets
+  // the arena range [begin, end).
+  struct Memo {
+    uint32_t stamp = 0;
+    uint32_t state = 0;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  // Per node: the contains mask of the bound extension, and the
+  // coverage pass of Build (stamped separately from the memos).
+  struct NodeState {
+    uint64_t contains = 0;
+    uint64_t cover = 0;
+    uint32_t cover_stamp = 0;
+    uint32_t cand = 0;  // candidate index when cover is full
+  };
+  // One candidate's share of an event: weight η^|pos| for `src`.
+  struct Contribution {
+    uint32_t src;
+    uint32_t cand;
+    double w;
+  };
 
-  // Grounded (endorsement-free) variant, used as the endorsement
-  // inheritance guard.
-  bool TagGrounded(social::TagId t, size_t qi, const QueryExtension& ext);
+  // Makes `ext` the bound extension (a no-op when it already is).
+  void Bind(const QueryExtension& ext);
+  // Starts a fresh memo epoch (and empties the arena).
+  void NextEpoch();
+  // The events of keyword slot qi in component `comp`, in member order.
+  void CollectSlot(social::ComponentId comp, size_t qi,
+                   std::vector<AttachmentEvent>& events);
 
-  // All connection sources of the document rooted at `root` (contains /
-  // tag chains / endorsements / comments, recursively).
-  const std::unordered_set<uint32_t>& DocSources(doc::NodeId root,
-                                                 size_t qi,
-                                                 const QueryExtension& ext);
+  bool ExtHas(size_t qi, KeywordId k) const;
+  doc::NodeId Parent(doc::NodeId n) const;
+  double EtaPow(size_t distance);
 
-  // True if the subtree of fragment f has a grounded connection to
-  // query keyword qi.
-  bool FragmentGrounded(doc::NodeId f, size_t qi,
-                        const QueryExtension& ext);
+  // Whether tag t's own author is a source for slot qi: a keyword tag
+  // whose keyword is in Ext, or an endorsement of a grounded subject.
+  bool TagOwnSource(social::TagId t, size_t qi);
+  // Appends the sources tag `t` contributes to the item it tags
+  // (higher-level tags and endorsements included) to `out`.
+  void AppendTagSources(social::TagId t, size_t qi,
+                        std::vector<uint32_t>& out);
+  // Appends every connection source of document `d` (contains / tag
+  // chains / endorsements / comments, recursively) to `out`.
+  void AppendDocSources(doc::DocId d, size_t qi, std::vector<uint32_t>& out);
+  // Grounded (endorsement-free) connections: the least fixpoint of the
+  // inheritance rule, the endorsement guard.
+  bool TagGrounded(social::TagId t, size_t qi);
+  bool FragmentGrounded(doc::NodeId f, size_t qi);
 
-  bool NodeContainsMatch(doc::NodeId n, const QueryExtension& ext,
-                         size_t qi) const;
+  // Memo protocol of the derivations. *Known: true when the entry
+  // answers the call (a kept result, or the cycle guard — counted as a
+  // hit, contributing nothing); otherwise the entry is marked busy and
+  // the caller derives, then Settle* keeps the result unless a guard
+  // of its family fired below it (`hits_before`). SettleSources also
+  // sorts `sources`, deduplicates it and appends it to `out`.
+  bool GroundedKnown(Memo& m, bool* grounded);
+  void SettleGrounded(Memo& m, size_t hits_before, bool grounded);
+  bool SourcesKnown(Memo& m, std::vector<uint32_t>& out);
+  void SettleSources(Memo& m, size_t hits_before,
+                     std::vector<uint32_t>& sources,
+                     std::vector<uint32_t>& out);
+
+  // Depth-indexed scratch vectors for the recursive derivations.
+  std::vector<uint32_t>& AcquireScratch();
+  void ReleaseScratch() { --scratch_depth_; }
 
   const S3Instance& instance_;
   double eta_;
+  std::vector<double> eta_pow_;  // eta_pow_[d] = η^d
 
-  // Memo tables keyed by (entity id, query keyword index).
-  struct Key {
-    uint32_t id;
-    uint32_t qi;
-    bool operator==(const Key& o) const { return id == o.id && qi == o.qi; }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return (static_cast<size_t>(k.id) << 20) ^ k.qi;
-    }
-  };
-  std::unordered_map<Key, std::unordered_set<uint32_t>, KeyHash> tag_memo_;
-  std::unordered_map<Key, bool, KeyHash> tag_grounded_memo_;
-  std::unordered_map<Key, std::unordered_set<uint32_t>, KeyHash> doc_memo_;
-  std::unordered_map<Key, bool, KeyHash> frag_grounded_memo_;
-  // Recursion guards (least-fixpoint semantics on comment and tag
-  // cycles). Each recursive derivation namespaces its guard keys with a
-  // distinct high bit in qi (queries have at most 64 keywords):
-  // 0x80000000 DocSources, 0x40000000 FragmentGrounded,
-  // 0x20000000 TagGrounded, 0x10000000 TagSources.
-  std::unordered_set<Key, KeyHash> in_progress_;
-  // Counts guard suppressions. A result computed while a guard fired
-  // below it may under-approximate (the cycle member it fed back into
-  // was blanked), so it is only valid for the call stack that produced
-  // it: negative grounded answers are not memoized, and source sets go
-  // to `scratch_sets_` (kept alive for reference stability) instead of
-  // the memo tables.
-  size_t guard_hits_ = 0;
-  std::vector<std::unique_ptr<std::unordered_set<uint32_t>>> scratch_sets_;
+  // The bound extension, its sorted keywords per slot and the per-node
+  // state (sized on first bind).
+  bool bound_ = false;
+  QueryExtension ext_;
+  std::vector<std::vector<KeywordId>> ext_keywords_;
+  std::vector<NodeState> nodes_;
+
+  // Memo tables, one keyword slot at a time (see Memo).
+  std::vector<Memo> frag_grounded_;  // by node
+  std::vector<Memo> doc_sources_;    // by document
+  std::vector<Memo> tag_grounded_;   // by tag
+  std::vector<Memo> tag_sources_;    // by tag
+  uint32_t epoch_ = 0;
+  std::vector<uint32_t> arena_;
+  // Guard suppressions, per derivation family (the grounded family
+  // never calls the source family, and a source derivation always
+  // enters it with an empty grounded stack). A result computed while a
+  // guard of its family fired below it may under-approximate (the
+  // cycle member it fed back into was blanked), so it is only valid for
+  // the call stack that produced it: it is used once and not memoized.
+  size_t ground_guard_hits_ = 0;
+  size_t source_guard_hits_ = 0;
+  std::deque<std::vector<uint32_t>> scratch_;
+  size_t scratch_depth_ = 0;
+
+  // Build's scratch, reused across components.
+  std::vector<std::vector<AttachmentEvent>> events_;
+  std::vector<doc::NodeId> covered_;
+  std::vector<std::pair<uint32_t, size_t>> path_;  // (candidate, distance)
+  std::vector<Contribution> contribs_, by_cand_;
+  std::vector<uint32_t> cand_begin_;
+  std::vector<uint64_t> keys_;
 };
 
 }  // namespace s3::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <limits>
 #include <thread>
 #include <unordered_map>
@@ -17,18 +16,6 @@ namespace s3::core {
 namespace {
 
 using social::ComponentId;
-
-// Runs fn(i) for i in [0, n): striped over `pool` when it exists and
-// the trip count is worth the dispatch, serial otherwise.
-void MaybeParallelFor(ThreadPool* pool, size_t n,
-                      const std::function<void(size_t)>& fn,
-                      size_t min_parallel) {
-  if (pool == nullptr || n < min_parallel) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-  } else {
-    pool->ParallelFor(n, fn);
-  }
-}
 
 // Resets a scratch frontier for a new query (or batch), reusing the
 // dense buffer when the instance size and lane count are unchanged
@@ -75,7 +62,7 @@ BatchSeeker ResolveLane(const QueryRequest& request,
 
 Result<CandidatePlan> BuildCandidatePlan(
     const S3Instance& instance, const std::vector<KeywordId>& keywords,
-    bool use_semantics, double eta, ThreadPool* pool) {
+    bool use_semantics, double eta, ThreadPool* /*pool*/) {
   if (!instance.finalized()) {
     return Status::FailedPrecondition("instance not finalized");
   }
@@ -126,15 +113,15 @@ Result<CandidatePlan> BuildCandidatePlan(
 
   // ---- 3. Candidate construction per passing component (the paper's
   // GetDocuments, run eagerly; exploration refines only prox), then
-  // the flat index every search over this plan reads.
-  std::vector<ComponentCandidates> per_comp(plan.passing.size());
-  MaybeParallelFor(
-      pool, plan.passing.size(),
-      [&](size_t i) {
-        ConnectionBuilder builder(instance, eta);
-        per_comp[i] = builder.Build(plan.passing[i], plan.ext);
-      },
-      /*min_parallel=*/8);
+  // the flat index every search over this plan reads. One builder
+  // takes every component: its tables are sized by the instance, so a
+  // builder per component (or per thread) would pay for them again.
+  std::vector<ComponentCandidates> per_comp;
+  per_comp.reserve(plan.passing.size());
+  ConnectionBuilder builder(instance, eta);
+  for (ComponentId comp : plan.passing) {
+    per_comp.push_back(builder.Build(comp, plan.ext));
+  }
   plan.index = BuildCandidateIndex(instance.docs(), n_keywords,
                                    instance.matrix().ColumnMax(), per_comp);
   plan.generation = instance.generation();
@@ -225,6 +212,15 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
       return Status::InvalidArgument(
           "deadline_seconds must be finite and non-negative");
     }
+  }
+  // An exhausted lane has tail 0, so every upper equals its lower, the
+  // clean pass leaves no live neighbor pair (see CleanDominated) and
+  // the threshold is 0: with epsilon >= 0 the separation test then
+  // converges it, which is why the loop has no exhausted exit. A
+  // negative epsilon would fail that test on ties and on an empty
+  // order until max_iterations.
+  if (!std::isfinite(options_.epsilon) || options_.epsilon < 0.0) {
+    return Status::InvalidArgument("epsilon must be finite and non-negative");
   }
   if (plan.n_keywords() == 0) {
     return Status::InvalidArgument("empty candidate plan");
@@ -574,18 +570,6 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
             }
           }
         }
-      }
-
-      if (exhausted[s] && n_discovered[s] == n_slots) {
-        // Everything reachable is explored exactly; ties included. An
-        // exhausted lane needs no other exit: its tail is 0, so every
-        // upper equals its lower, the clean pass leaves no alive
-        // neighbor pair and the threshold is 0, so with epsilon >= 0
-        // the separation test above has already converged it. Only a
-        // negative epsilon gets here.
-        out[s].stats.converged = true;
-        finish_lane(s, engine.GreedyTopK(full_order(s), k_s, s));
-        continue;
       }
 
       // Certified (1-eps) anytime exit (QueryMode::kAnytime): once the

@@ -108,11 +108,14 @@ struct S3kOptions {
   // normally fires much earlier (it always did in the paper's runs).
   size_t max_iterations = 256;
   // Slack for floating-point comparisons in the stop condition; also
-  // the de-facto tie-breaking precision (paper §4.2).
+  // the de-facto tie-breaking precision (paper §4.2). Must be finite
+  // and non-negative: a search under any other value fails with
+  // InvalidArgument.
   double epsilon = 1e-12;
-  // Worker threads for intra-query parallelism. The pool runs one job:
-  // candidate construction in BuildCandidatePlan for plans with 8 or
-  // more passing components; the exploration loop itself is serial.
+  // Worker threads for intra-query parallelism. The searcher keeps a
+  // pool of threads - 1 workers and hands it to BuildCandidatePlan,
+  // which today builds every plan serially (a pooled build measured
+  // slower than a serial one); the exploration loop is serial too.
   // 0 means "auto": std::thread::hardware_concurrency(), or the
   // serving layer's intra_thread_budget when the searcher runs under a
   // QueryService. The default 1 (serial) can be overridden for a whole
@@ -173,8 +176,8 @@ struct CandidatePlan {
 
 // Builds the candidate plan for a keyword list: extension, passing
 // components, per-component candidate construction and the candidate
-// index. `pool` (may be null) parallelizes candidate building across
-// components. Fails on an empty or oversized (> 64) keyword list or an
+// index, built serially: `pool` (may be null) is accepted and unused.
+// Fails on an empty or oversized (> 64) keyword list or an
 // unfinalized instance.
 Result<CandidatePlan> BuildCandidatePlan(
     const S3Instance& instance, const std::vector<KeywordId>& keywords,
@@ -285,7 +288,11 @@ class S3kSearcher {
   // instance has fewer matching neighbor-free documents), ordered as
   // the stop condition ranks candidates at termination: upper bound
   // descending, then node id ascending. The returned intervals may
-  // overlap, so this need not be exact-score order. Builds the
+  // overlap, so this need not be exact-score order. When fewer than k
+  // candidates can score above 0, the rest of the k are filled with
+  // candidates the seeker cannot reach, at [0, 0]; the brute-force
+  // NaiveSearch drops score-0 documents instead, so the two agree on
+  // the entries with a non-zero upper bound. Builds the
   // candidate plan itself — equivalent to BuildCandidatePlan over the
   // sorted keywords + SearchWithPlan, so every permutation of the
   // keywords returns bit-identical entries. Takes any QueryRequest (a
@@ -324,8 +331,8 @@ class S3kSearcher {
   const S3kOptions& options() const { return options_; }
 
   // The searcher's intra-query thread pool (null when threads <= 1).
-  // Exposed so the serving layer can reuse it for cache-miss plan
-  // builds instead of building plans single-threaded.
+  // Exposed so the serving layer can pass it to cache-miss plan
+  // builds (which run serially today, see BuildCandidatePlan).
   ThreadPool* intra_pool() const { return pool_.get(); }
 
   // Caps the intra-query concurrency (caller + pool helpers) of every

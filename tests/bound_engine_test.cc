@@ -729,5 +729,59 @@ TEST(BoundEngineStructureTest, NeighborAdjacencyMatchesDocumentStore) {
   }
 }
 
+// Three nested exact candidates scored 0, 0.6e-12 and 1.2e-12, node ids
+// ascending, dominate in a cycle at epsilon 1e-12: the root over the
+// middle and the middle over the leaf by the node-id tie-break, the leaf
+// over the root by more than epsilon. None dominates both others, so the
+// clean pass must fall back to the exact order and keep only the leaf,
+// as GreedyTopK would; a live pair left at tail 0 would keep an
+// exhausted lane from converging.
+TEST(BoundEngineCleanTest, ExactTieCycleLeavesNoLivePair) {
+  S3Instance inst;
+  const social::UserId u0 = inst.AddUser("u0");
+  const social::UserId u1 = inst.AddUser("u1");
+  const social::UserId u2 = inst.AddUser("u2");
+  const KeywordId kw = inst.InternKeyword("k");
+  doc::Document d("doc");
+  const uint32_t mid = d.AddChild(0, "sec");
+  const uint32_t leaf = d.AddChild(mid, "par");
+  d.AddKeywords(leaf, {kw});
+  const doc::DocId doc_id = inst.AddDocument(std::move(d), "d", u0).value();
+  ASSERT_TRUE(inst.Finalize().ok());
+
+  // The root has no source (score 0); the middle and the leaf have one
+  // each, at weight 1.
+  ComponentCandidates cc;
+  const uint32_t rows[3] = {0, inst.RowOfUser(u1), inst.RowOfUser(u2)};
+  for (uint32_t local = 0; local < 3; ++local) {
+    Candidate c;
+    c.node = inst.docs().GlobalId(doc_id, local);
+    c.sources.resize(1);
+    if (local > 0) c.sources[0].emplace_back(rows[local], 1.0f);
+    c.static_weight.assign(1, local > 0 ? 1.0 : 0.0);
+    c.cap = c.static_weight[0];
+    cc.max_cap = std::max(cc.max_cap, c.cap);
+    cc.candidates.push_back(std::move(c));
+  }
+  const CandidateIndex index = BuildCandidateIndex(
+      inst.docs(), 1, inst.matrix().ColumnMax(), {cc});
+  CandidateBoundEngine engine(index);
+  engine.ActivateSlot(0);
+  engine.ApplyDelta(rows[1], 6e-13);
+  engine.ApplyDelta(rows[2], 1.2e-12);
+  engine.RefreshBounds(0.0);
+  const double want[3] = {0.0, 6e-13, 1.2e-12};
+  for (uint32_t ci = 0; ci < 3; ++ci) {
+    ASSERT_EQ(engine.node(ci), inst.docs().GlobalId(doc_id, ci));
+    EXPECT_EQ(engine.lower(ci), want[ci]);
+    EXPECT_EQ(engine.upper(ci), want[ci]);
+  }
+
+  EXPECT_EQ(engine.CleanDominated(1e-12), 2u);
+  EXPECT_FALSE(engine.alive(0));
+  EXPECT_FALSE(engine.alive(1));
+  EXPECT_TRUE(engine.alive(2));
+}
+
 }  // namespace
 }  // namespace s3::core

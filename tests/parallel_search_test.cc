@@ -1,9 +1,9 @@
 // A searcher with an intra-query pool must be *bit-for-bit* the serial
 // search at every thread count: same entries, same bounds, same stats
 // — across component counts, across the exact / anytime / batched
-// paths, and against the NaiveSearch oracle. The pool's one job is
-// BuildCandidatePlan's per-component candidate construction (plans
-// with 8 or more passing components); the exploration loop is serial.
+// paths, and against the NaiveSearch oracle. The pool runs no job
+// today (BuildCandidatePlan builds serially and the exploration loop
+// is serial), so these tests pin that a pool changes nothing.
 // EXPECT_EQ on doubles is deliberate (the same contract
 // batch_search_test.cc pins for lanes): the pool changes *scheduling*
 // only, never a floating-point operation, and tolerance would hide a

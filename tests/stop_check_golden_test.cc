@@ -9,17 +9,15 @@
 //   * separation — the top k are pairwise non-neighbors and everything
 //     else (the next upper and the undiscovered threshold) fits under
 //     the k-th lower bound;
-//   * exhausted, every slot discovered — the lane's frontier is empty
-//     and nothing is left to discover;
 //   * anytime — the certified (1+eps) exit of QueryMode::kAnytime;
 //   * deadline — the per-iteration deadline probe;
 //   * final — max_iterations reached without a stop.
 // An exhausted lane has tail 0, so every upper equals its lower,
 // CleanDominated leaves no alive neighbor pair, and the threshold is 0:
-// with epsilon >= 0 the separation check always holds first. The
-// exhausted branch is therefore reachable only with a negative epsilon,
-// and is pinned that way. (An "exhausted with threshold <= epsilon"
-// exit could never fire for the same reason and no longer exists.)
+// with epsilon >= 0 the separation check converges it, so there is no
+// exhausted exit. A negative (or non-finite) S3kOptions::epsilon is
+// rejected with InvalidArgument instead, which NegativeEpsilonIsRejected
+// pins on the two isolated-seeker queries that used to reach one.
 //
 // The recorded bits come from x86-64 with glibc's libm (std::pow); a
 // platform whose pow rounds differently may move the last bits. On a
@@ -31,11 +29,13 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/s3k.h"
+#include "server/query_service.h"
 #include "test_fixtures.h"
 #include "workload/microblog_gen.h"
 #include "workload/query_gen.h"
@@ -43,7 +43,7 @@
 namespace s3::core {
 namespace {
 
-enum class Branch { kSeparation, kExhaustedAll, kAnytime, kDeadline, kFinal };
+enum class Branch { kSeparation, kAnytime, kDeadline, kFinal };
 
 std::string Hex(double v) {
   char buf[24];
@@ -131,7 +131,6 @@ struct Case {
   social::UserId seeker;
   std::vector<KeywordId> keywords;
   size_t k = 5;
-  double epsilon = 1e-12;     // S3kOptions::epsilon
   size_t max_iterations = 400;
   double epsilon_approx = 0.0;  // > 0 selects QueryMode::kAnytime
   double deadline_seconds = 0.0;
@@ -142,7 +141,6 @@ struct Case {
 S3kOptions OptionsOf(const Case& c) {
   S3kOptions opts;
   opts.k = c.k;
-  opts.epsilon = c.epsilon;
   opts.max_iterations = c.max_iterations;
   return opts;
 }
@@ -158,14 +156,14 @@ QueryRequest RequestOf(const Case& c) {
 }
 
 // Asserts, from the observable stats, that `c` left through its branch.
-void ExpectBranch(const Case& c, const std::vector<ResultEntry>& entries,
-                  const SearchStats& st) {
+void ExpectBranch(const Case& c, const SearchStats& st) {
   ASSERT_FALSE(st.iteration_trace.empty()) << c.name;
   const obs::IterationTraceRecord& last = st.iteration_trace.back();
   const bool exhausted = last.frontier_size == 0;
   // The trace's kth_lower / remaining_upper are the separation test's
   // two sides whenever the order is non-empty.
-  const bool separated = last.remaining_upper <= last.kth_lower + c.epsilon;
+  const bool separated =
+      last.remaining_upper <= last.kth_lower + S3kOptions().epsilon;
   switch (c.branch) {
     case Branch::kSeparation:
       // Converged exactly while the frontier still had mass: only the
@@ -174,18 +172,6 @@ void ExpectBranch(const Case& c, const std::vector<ResultEntry>& entries,
       EXPECT_EQ(c.epsilon_approx, 0.0) << c.name;
       EXPECT_FALSE(exhausted) << c.name;
       EXPECT_TRUE(separated) << c.name;
-      break;
-    case Branch::kExhaustedAll:
-      // An empty order with fewer than k entries passes the separation
-      // test only if the threshold (0 once exhausted) is <= epsilon;
-      // epsilon < 0 rules that out, so convergence came from here.
-      EXPECT_TRUE(st.converged) << c.name;
-      EXPECT_EQ(c.epsilon_approx, 0.0) << c.name;
-      EXPECT_TRUE(exhausted) << c.name;
-      EXPECT_LT(c.epsilon, 0.0) << c.name;
-      EXPECT_EQ(last.alive_candidates, 0u) << c.name;
-      EXPECT_LT(entries.size(), c.k) << c.name;
-      EXPECT_EQ(st.components_discovered, st.components_passing) << c.name;
       break;
     case Branch::kAnytime:
       // Converged before exhaustion with the separation test failing.
@@ -331,7 +317,7 @@ std::vector<Case> Cases(const workload::GenResult& gen,
   c.golden =
       "it=12 conv=1 ceps=0000000000000000"
       " kth=3fbfbdd1a273830a rem=3fbf954a3a439830"
-      " clean=80 |"
+      " clean=67 |"
       " 9:3fcedfc36bf7c5e1:3fcf88220737523a"
       " 26:3fc97f78b6eb88ce:3fcabb2a1a02aff4"
       " 113:3fc0d9ace34cd90d:3fc1820b7e8c6566"
@@ -344,7 +330,7 @@ std::vector<Case> Cases(const workload::GenResult& gen,
   c.golden =
       "it=7 conv=1 ceps=3fd0a5087a73bb10"
       " kth=3fc063eae10a3ba5 rem=3fc4a7295eb27040"
-      " clean=68 |"
+      " clean=41 |"
       " 9:3fcdbd4dfb1e2aaf:3fd15dee33045e38"
       " 26:3fc88ef198c220ac:3fd0f61e509cf8fb"
       " 113:3fc063eae10a3ba5:3fc562794bf4cd66";
@@ -355,7 +341,7 @@ std::vector<Case> Cases(const workload::GenResult& gen,
   c.golden =
       "it=2 conv=0 ceps=4086915fceede254"
       " kth=3f5423712b2f61f7 rem=3fec71c71c71c71c"
-      " clean=9 |"
+      " clean=5 |"
       " 4:3fb0ce5b956e7e89:3fd72a1ba34e410a"
       " 20:3fb0ce5b956e7e89:3fd72a1ba34e410a"
       " 39:3fa52423d97535aa:3fd59b093921481d"
@@ -368,7 +354,7 @@ std::vector<Case> Cases(const workload::GenResult& gen,
   c.golden =
       "it=1 conv=0 ceps=7ff0000000000000"
       " kth=0000000000000000 rem=3ff5555555555555"
-      " clean=3 |"
+      " clean=0 |"
       " 5:3fad7b9b9dcb4ea0:3fdf3447651db12a"
       " 4:3fa0d8eb3598bf37:3fde8ce4839f0a03"
       " 20:0000000000000000:3fdc71c71cebf21c";
@@ -397,25 +383,6 @@ std::vector<Case> Cases(const workload::GenResult& gen,
       " 6:3f92f684bda12f68:3fac71c71cc3391c"
       " 7:3f92f684bda12f68:3fac71c71cc3391c";
   cases.push_back(c);
-  c = {"exhausted-all/isolated/negative-eps", tie.instance.get(),
-       tie.isolated, {tie.lonely}, 3};
-  c.epsilon = -1e-9;
-  c.branch = Branch::kExhaustedAll;
-  c.golden =
-      "it=1 conv=1 ceps=7ff0000000000000"
-      " kth=0000000000000000 rem=0000000000000000"
-      " clean=0 |";
-  cases.push_back(c);
-  c = {"final/isolated/exhausted-undiscovered", tie.instance.get(),
-       tie.isolated, {tie.tie}, 3};
-  c.epsilon = -1e-9;
-  c.max_iterations = 4;
-  c.branch = Branch::kFinal;
-  c.golden =
-      "it=4 conv=0 ceps=7ff0000000000000"
-      " kth=0000000000000000 rem=0000000000000000"
-      " clean=0 |";
-  cases.push_back(c);
   return cases;
 }
 
@@ -428,11 +395,55 @@ TEST(StopCheckGoldenTest, EveryExitBranchMatchesRecordedBits) {
     SearchStats st;
     auto got = searcher.Search(RequestOf(c), &st);
     ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().message();
-    ExpectBranch(c, *got, st);
+    ExpectBranch(c, st);
     EXPECT_EQ(Render(*got, st), c.golden)
         << "observed row for " << c.name << ":\n  c.golden = \""
         << Render(*got, st) << "\";";
   }
+}
+
+// A negative or non-finite S3kOptions::epsilon is rejected on every
+// search path. The isolated seeker's two queries are the ones an
+// epsilon of -1e-9 once drove into an exhausted-lane exit (no passing
+// component) and into max_iterations (an undiscoverable component).
+TEST(StopCheckGoldenTest, NegativeEpsilonIsRejected) {
+  TieInstance tie = BuildTieInstance();
+  const S3Instance& inst = *tie.instance;
+  for (double eps : {-1e-9, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    S3kOptions opts;
+    opts.k = 3;
+    opts.epsilon = eps;
+    opts.max_iterations = 4;
+    S3kSearcher searcher(inst, opts);
+    for (KeywordId kw : {tie.lonely, tie.tie}) {
+      const QueryRequest req(tie.isolated, {kw});
+      auto got = searcher.Search(req);
+      ASSERT_FALSE(got.ok()) << eps;
+      EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument) << eps;
+      auto plan = BuildCandidatePlan(inst, {kw}, true, 0.5);
+      ASSERT_TRUE(plan.ok());
+      EXPECT_EQ(searcher.SearchWithPlan(req, *plan).status().code(),
+                StatusCode::kInvalidArgument)
+          << eps;
+      EXPECT_EQ(searcher.SearchBatchWithPlan({ResolveLane(req, opts)}, *plan)
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument)
+          << eps;
+    }
+  }
+  // Through the serving layer.
+  std::shared_ptr<const S3Instance> shared(std::move(tie.instance));
+  server::QueryServiceOptions sopts;
+  sopts.workers = 1;
+  sopts.search.epsilon = -1e-9;
+  server::QueryService service(shared, sopts);
+  auto future = service.Submit(QueryRequest(tie.isolated, {tie.tie}));
+  ASSERT_TRUE(future.ok());
+  auto response = future->get();
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The tie fixture really ties: every returned entry has the same upper
@@ -470,7 +481,6 @@ TEST(StopCheckGoldenTest, BatchedMembersMatchSoloRows) {
     for (size_t j = i; j < cases.size(); ++j) {
       if (!done[j] && cases[j].instance == cases[i].instance &&
           cases[j].keywords == cases[i].keywords &&
-          cases[j].epsilon == cases[i].epsilon &&
           cases[j].max_iterations == cases[i].max_iterations) {
         group.push_back(j);
         done[j] = true;
