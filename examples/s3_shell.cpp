@@ -1,24 +1,25 @@
 // s3_shell: a small batch/interactive front end for the library.
 //
 // Usage:
-//   s3_shell [instance-file]
+//   s3_shell [snapshot-file]
 //
-// Loads a serialized S3 instance (core/serialization.h format) — or a
-// built-in demo instance when no file is given — finalizes it, and
-// answers queries read from stdin, one per line:
+// Attaches a snapshot file (core/snapshot_binary.h; e.g. a checkpoint
+// of a storage directory) — or builds and finalizes a demo instance
+// when no file is given — and answers queries read from stdin, one per
+// line:
 //
 //   <seeker-uri> <keyword> [keyword...]
 //
 // Prints the top-5 documents with their score intervals. Lines
 // starting with '#' are echoed; EOF ends the session. Example:
 //
-//   echo "user:u1 degree" | ./build/examples/s3_shell
+//   echo "user:u1 degree" | ./build/example_s3_shell
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 
+#include "common/mmap_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "s3/s3.h"
@@ -54,30 +55,32 @@ std::unique_ptr<core::S3Instance> BuildDemo() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::unique_ptr<core::S3Instance> inst;
+  std::shared_ptr<const core::S3Instance> inst;
   if (argc > 1) {
-    std::ifstream file(argv[1]);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", argv[1]);
+    // Map and attach, as SnapshotManager::Recover does: the aligned
+    // sections stay zero-copy views into the mapping.
+    std::shared_ptr<const MappedRegion> region;
+    if (Status s = MappedRegion::Open(argv[1], &region); !s.ok()) {
+      std::fprintf(stderr, "cannot open %s: %s\n", argv[1],
+                   s.ToString().c_str());
       return 1;
     }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    auto loaded = core::LoadInstance(buffer.str());
-    if (!loaded.ok()) {
+    auto attached = core::AttachBinarySnapshot(std::move(region));
+    if (!attached.ok()) {
       std::fprintf(stderr, "load failed: %s\n",
-                   loaded.status().ToString().c_str());
+                   attached.status().ToString().c_str());
       return 1;
     }
-    inst = std::move(*loaded);
+    inst = std::move(*attached);
     std::fprintf(stderr, "loaded %s\n", argv[1]);
   } else {
-    inst = BuildDemo();
-    std::fprintf(stderr, "no instance file given; using the demo\n");
-  }
-  if (Status s = inst->Finalize(); !s.ok()) {
-    std::fprintf(stderr, "finalize failed: %s\n", s.ToString().c_str());
-    return 1;
+    std::unique_ptr<core::S3Instance> demo = BuildDemo();
+    if (Status s = demo->Finalize(); !s.ok()) {
+      std::fprintf(stderr, "finalize failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    inst = std::move(demo);
+    std::fprintf(stderr, "no snapshot file given; using the demo\n");
   }
   std::fprintf(stderr,
                "instance ready: %zu users, %zu docs, %zu tags\n"

@@ -1,9 +1,7 @@
 #include "common/str_util.h"
 
 #include <cctype>
-#include <cerrno>
 #include <charconv>
-#include <cstdlib>
 
 namespace s3 {
 
@@ -48,39 +46,14 @@ std::string Join(const std::vector<std::string>& pieces,
   return out;
 }
 
-namespace {
-
-template <typename T>
-bool ParseUnsigned(std::string_view s, T* out) {
+bool ParseU64(std::string_view s, uint64_t* out) {
   if (s.empty()) return false;
-  // from_chars would accept nothing here anyway for '+'/'-', but be
-  // explicit: ids are plain decimal digits only.
+  // from_chars accepts no sign for unsigned types: ids are plain
+  // decimal digits only, and the whole token must be consumed.
   const char* begin = s.data();
   const char* end = begin + s.size();
   auto [ptr, ec] = std::from_chars(begin, end, *out);
   return ec == std::errc() && ptr == end;
-}
-
-}  // namespace
-
-bool ParseU32(std::string_view s, uint32_t* out) {
-  return ParseUnsigned(s, out);
-}
-
-bool ParseU64(std::string_view s, uint64_t* out) {
-  return ParseUnsigned(s, out);
-}
-
-bool ParseDouble(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  // strtod needs NUL termination; tokens are short, the copy is cheap.
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace s3

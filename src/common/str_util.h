@@ -23,13 +23,12 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view sep);
 
-// Strict non-throwing numeric parsing for untrusted text input (the
-// serialization loaders): the whole token must be consumed; garbage,
-// signs, overflow and empty input return false instead of throwing
-// (std::stoul/stod throw, which turns a corrupt dump into a crash).
-bool ParseU32(std::string_view s, uint32_t* out);
+// Strict non-throwing numeric parsing for untrusted text input
+// (snapshot file names, shard metadata): the whole token must be
+// consumed; garbage, signs, overflow and empty input return false
+// instead of throwing (std::stoul throws, which turns a corrupt file
+// into a crash).
 bool ParseU64(std::string_view s, uint64_t* out);
-bool ParseDouble(std::string_view s, double* out);
 
 }  // namespace s3
 

@@ -175,8 +175,8 @@ class S3Instance {
 
   // ---- durable snapshots ----------------------------------------------
 
-  // Deserialized population of a finalized snapshot (binary codec,
-  // core/snapshot_binary.cc). The codec rebuilds the member stores
+  // Deserialized population of a finalized snapshot
+  // (core/snapshot_binary.cc). The codec rebuilds the member stores
   // through their own APIs — ids are assigned densely in insertion
   // order, so id-order replay reproduces them exactly — and hands the
   // result to FromSnapshot, which installs it *without* the population
@@ -195,9 +195,9 @@ class S3Instance {
   };
 
   // Deserialized derived state: everything Finalize would compute.
-  // The large fixed-width arrays are StorageSpans: the v1 codec and
-  // v2's copy mode fill them with owned vectors, while a v2 mmap
-  // attach hands over zero-copy views pinning the mapped snapshot —
+  // The large fixed-width arrays are StorageSpans: a heap load fills
+  // them with owned vectors, while an mmap attach hands over
+  // zero-copy views pinning the mapped snapshot —
   // AttachDerived adopts either backing unchanged.
   struct SnapshotDerived {
     uint64_t generation = 0;

@@ -12,27 +12,65 @@ namespace s3::core {
 
 namespace {
 
-// First byte outside ASCII (PNG-style) so no text dump can alias the
+// First byte outside ASCII (PNG-style) so no text file can alias the
 // magic; trailing \n catches CRLF mangling.
 constexpr char kMagic[8] = {'\x89', 'S', '3', 'S', 'N', 'A', 'P', '\n'};
 
-enum SectionId : uint32_t {
-  kMeta = 1,          // generation/lineage, saturation stats, counts
-  kVocab = 2,         // keyword spellings, id order
-  kUsers = 3,         // user URIs, id order
-  kTerms = 4,         // RDF term dictionary, id order
-  kTriples = 5,       // saturated triple store, store order
-  kDocs = 6,          // document trees + root URIs, id order
-  kComments = 7,      // per-doc comment target
-  kTags = 8,          // tag table, id order
-  kSocial = 9,        // explicit social edges, insertion order
-  kEdges = 10,        // network edge log, insertion order
-  kIndex = 11,        // inverted-index postings, ascending keyword
-  kMatrix = 12,       // transition-matrix CSR + denominators
-  kComponents = 13,   // component union-find forest
-  kKeywordComps = 14, // keyword -> component directory, ascending
+// Layout (see src/server/STORAGE.md for the full spec):
+//
+//   magic(8) · u32 version=2 · u32 section_count · u32 table_crc ·
+//   table[section_count] · payloads
+//
+// The table is section_count fixed 36-byte entries
+//   (u32 id, u8 encoding, u8 elem_size, u16 reserved=0,
+//    u64 offset, u64 disk_size, u64 mem_bytes, u32 crc)
+// and is covered by table_crc; version and section_count are pinned by
+// the parse itself. Payloads follow at the exact offsets the canonical
+// writer produces — aligned sections at the next multiple of 64, all
+// others immediately after their predecessor — with the gaps
+// zero-padded and *validated* as zeros on parse. Every byte of a
+// file is therefore accounted for (magic / pinned header / table CRC /
+// padding / payload CRCs), which is what lets the bit-flip robustness
+// sweep assert that any single-bit corruption is rejected on the
+// eager-CRC paths.
+//
+// Encodings:
+//   raw          — fixed-width little-endian fields (META, DOCS).
+//   varint-delta — LEB128 fields, ascending id sequences and postings
+//                  /CSR columns delta-coded; weights carry a tag byte
+//                  (0 → implied 1.0, 1 → F64 follows).
+//   aligned      — little-endian fixed-width array at a 64-byte file
+//                  offset; attaches as a zero-copy StorageSpan view.
+
+enum Encoding : uint8_t {
+  kEncRaw = 0,
+  kEncCompact = 1,
+  kEncAligned = 2,
 };
-constexpr uint32_t kSectionCount = 14;
+
+// Section ids, in table and file order.
+enum SectionId : uint32_t {
+  kMeta = 1,           // raw: generation/lineage, saturation stats, counts
+  kVocab = 2,          // keyword spellings, id order
+  kUsers = 3,          // user URIs, id order
+  kTerms = 4,          // RDF term dictionary, id order
+  kTriples = 5,        // saturated triple store, store order
+  kDocs = 6,           // raw: document trees + root URIs, id order
+  kComments = 7,       // per-doc comment target
+  kTags = 8,           // tag table, id order
+  kSocial = 9,         // explicit social edges, insertion order
+  kEdges = 10,         // network edge log, insertion order
+  kIndex = 11,         // inverted-index postings, ascending keyword
+  kMatrixRowPtr = 12,  // aligned u64[rows+1]
+  kMatrixCols = 13,    // per-row delta-coded columns
+  kMatrixVals = 14,    // aligned f64[nnz]
+  kMatrixDenom = 15,   // aligned f64[rows]
+  kForest = 16,        // aligned u32[rows]
+  kKwComps = 17,       // keyword -> component directory, ascending
+};
+constexpr uint32_t kSectionCount = 17;
+constexpr size_t kTableEntryBytes = 36;
+constexpr uint64_t kAlignment = 64;
 
 // Entity indices are packed into 30 bits (social/entity.h); any count
 // at or above this limit cannot have been produced by a real instance.
@@ -51,9 +89,12 @@ const char* SectionName(uint32_t id) {
     case kSocial: return "SOCIAL";
     case kEdges: return "EDGES";
     case kIndex: return "INDEX";
-    case kMatrix: return "MATRIX";
-    case kComponents: return "COMPONENTS";
-    case kKeywordComps: return "KWCOMPS";
+    case kMatrixRowPtr: return "MATRIXROWPTR";
+    case kMatrixCols: return "MATRIXCOLS";
+    case kMatrixVals: return "MATRIXVALS";
+    case kMatrixDenom: return "MATRIXDENOM";
+    case kForest: return "FOREST";
+    case kKwComps: return "KWCOMPS";
     default: return "?";
   }
 }
@@ -61,6 +102,43 @@ const char* SectionName(uint32_t id) {
 Status SectionError(uint32_t id, const std::string& why) {
   return Status::InvalidArgument(std::string("binary snapshot, section ") +
                                  SectionName(id) + ": " + why);
+}
+
+struct SectionSpec {
+  uint8_t encoding;
+  uint8_t elem_size;  // aligned sections: element width; 0 otherwise
+};
+
+const SectionSpec& Spec(uint32_t id) {
+  static const SectionSpec specs[kSectionCount + 1] = {
+      {kEncRaw, 0},      // 0 (unused)
+      {kEncRaw, 0},      // 1 META
+      {kEncCompact, 0},  // 2 VOCAB
+      {kEncCompact, 0},  // 3 USERS
+      {kEncCompact, 0},  // 4 TERMS
+      {kEncCompact, 0},  // 5 TRIPLES
+      {kEncRaw, 0},      // 6 DOCS (document_wire, shared with the WAL)
+      {kEncCompact, 0},  // 7 COMMENTS
+      {kEncCompact, 0},  // 8 TAGS
+      {kEncCompact, 0},  // 9 SOCIAL
+      {kEncCompact, 0},  // 10 EDGES
+      {kEncCompact, 0},  // 11 INDEX
+      {kEncAligned, 8},  // 12 MATRIXROWPTR
+      {kEncCompact, 0},  // 13 MATRIXCOLS
+      {kEncAligned, 8},  // 14 MATRIXVALS
+      {kEncAligned, 8},  // 15 MATRIXDENOM
+      {kEncAligned, 4},  // 16 FOREST
+      {kEncCompact, 0},  // 17 KWCOMPS
+  };
+  return specs[id];
+}
+
+const char* EncodingName(uint8_t encoding) {
+  switch (encoding) {
+    case kEncCompact: return "varint-delta";
+    case kEncAligned: return "aligned";
+    default: return "raw";
+  }
 }
 
 // Population counts and identity carried by the META section; every
@@ -110,68 +188,78 @@ bool ReadMeta(ByteReader& r, Meta& m) {
   return r.AtEnd();
 }
 
-// One framed section as located in the input.
-struct Frame {
-  uint64_t size = 0;
-  uint32_t crc = 0;
-  std::string_view payload;
-  bool crc_ok = false;
-};
+// ---- section writers ---------------------------------------------------
+// Each returns the wire payload and reports through `mem` the section's
+// decoded fixed-width size (u64 counts, u32 ids and lengths, f64
+// weights), the numerator-free half of the compression ratio surfaced
+// by `s3_snapshot inspect`.
 
-// Walks the header and section frames. `verify_crc` computes checksums
-// (LoadBinarySnapshot requires them; InspectBinarySnapshot records
-// mismatches instead of failing). On success frames[id-1] holds the
-// payload of section `id` — the fixed ascending order is enforced.
-Status ParseFrames(std::string_view bytes, bool strict_crc,
-                   uint32_t* version, Frame (&frames)[kSectionCount]) {
-  ByteReader r(bytes);
-  std::string_view magic = r.Bytes(sizeof(kMagic));
-  if (r.failed() || magic != std::string_view(kMagic, sizeof(kMagic))) {
-    return Status::InvalidArgument(
-        "binary snapshot: bad magic (not a binary snapshot file)");
+void WriteWeightTag(ByteWriter& w, double weight) {
+  if (weight == 1.0) {
+    w.U8(0);
+  } else {
+    w.U8(1);
+    w.F64(weight);
   }
-  *version = r.U32();
-  if (r.failed() || *version != kBinarySnapshotV1) {
-    return Status::InvalidArgument(
-        "binary snapshot: unsupported format version " +
-        std::to_string(*version));
-  }
-  const uint32_t n_sections = r.U32();
-  if (r.failed() || n_sections != kSectionCount) {
-    return Status::InvalidArgument(
-        "binary snapshot: expected " + std::to_string(kSectionCount) +
-        " sections, header declares " + std::to_string(n_sections));
-  }
-  for (uint32_t expect = 1; expect <= kSectionCount; ++expect) {
-    const uint32_t id = r.U32();
-    Frame& f = frames[expect - 1];
-    f.size = r.U64();
-    f.crc = r.U32();
-    if (r.failed() || id != expect) {
-      return Status::InvalidArgument(
-          "binary snapshot: truncated or out-of-order section table "
-          "(expected section " + std::string(SectionName(expect)) + ")");
-    }
-    f.payload = r.Bytes(static_cast<size_t>(f.size));
-    if (r.failed()) {
-      return SectionError(id, "payload truncated");
-    }
-    f.crc_ok = Crc32(f.payload) == f.crc;
-    if (strict_crc && !f.crc_ok) {
-      return SectionError(id, "checksum mismatch (corrupt payload)");
-    }
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument(
-        "binary snapshot: trailing bytes after the last section");
-  }
-  return Status::OK();
 }
 
-// ---- DOCS writer ---------------------------------------------------------
+std::string WriteVocab(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  w.Var(inst.vocabulary().size());
+  *mem = 8;
+  for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
+    std::string_view s = inst.vocabulary().Spelling(k);
+    w.VarStr(s);
+    *mem += 4 + s.size();
+  }
+  return p;
+}
 
-// Raw DOCS payload, in the v1 section encoding that v2 keeps for this
-// section (the document trees use the wire format the WAL shares).
+std::string WriteUsers(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  w.Var(inst.users().size());
+  *mem = 8;
+  for (const User& u : inst.users()) {
+    w.VarStr(u.uri);
+    *mem += 4 + u.uri.size();
+  }
+  return p;
+}
+
+std::string WriteTerms(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  const rdf::TermDictionary& terms = inst.terms();
+  w.Var(terms.size());
+  *mem = 8;
+  for (rdf::TermId t = 0; t < terms.size(); ++t) {
+    w.U8(static_cast<uint8_t>(terms.Kind(t)));
+    w.VarStr(terms.Text(t));
+    *mem += 5 + terms.Text(t).size();
+  }
+  return p;
+}
+
+std::string WriteTriples(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  const auto& triples = inst.rdf_graph().triples();
+  w.Var(triples.size());
+  *mem = 8 + 20 * triples.size();
+  for (const rdf::Triple& t : triples) {
+    w.Var(t.subject);
+    w.Var(t.property);
+    w.Var(t.object);
+    WriteWeightTag(w, t.weight);
+  }
+  return p;
+}
+
+// Raw DOCS payload: u64 document count, then per document its root URI
+// (u32 length + bytes) and its tree in the wire format the WAL shares
+// (doc/document_wire.h).
 std::string WriteDocs(const S3Instance& inst) {
   std::string p;
   ByteWriter w(&p);
@@ -184,19 +272,410 @@ std::string WriteDocs(const S3Instance& inst) {
   return p;
 }
 
+std::string WriteComments(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  const size_t n_docs = inst.docs().DocumentCount();
+  w.Var(n_docs);
+  *mem = 8 + 4 * n_docs;
+  for (doc::DocId d = 0; d < n_docs; ++d) {
+    const doc::NodeId t = inst.CommentTarget(d);
+    w.Var(t == doc::kInvalidNode ? 0 : static_cast<uint64_t>(t) + 1);
+  }
+  return p;
+}
+
+std::string WriteTags(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  w.Var(inst.tags().size());
+  *mem = 8 + 13 * inst.tags().size();
+  for (const Tag& t : inst.tags()) {
+    w.Var(t.author);
+    w.U8(t.subject.kind() == social::EntityKind::kTag ? 1 : 0);
+    w.Var(t.subject.index());
+    w.Var(t.keyword == kInvalidKeyword ? 0
+                                       : static_cast<uint64_t>(t.keyword) + 1);
+  }
+  return p;
+}
+
+std::string WriteSocial(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  const auto& edges = inst.explicit_social_edges();
+  w.Var(edges.size());
+  *mem = 8 + 16 * edges.size();
+  for (const S3Instance::ExplicitSocialEdge& e : edges) {
+    w.Var(e.from);
+    w.Var(e.to);
+    WriteWeightTag(w, e.weight);
+  }
+  return p;
+}
+
+// EDGES opcodes. The edge log is dominated by two redundant shapes:
+// social edges that mirror the SOCIAL section entry-for-entry (same
+// from/to/weight, in order), and inverse twins appended by
+// AddWithInverse right after their forward edge. Both collapse to one
+// byte; everything else is written in full with the entity's (kind,
+// index) split packed low so small indices stay small varints.
+constexpr uint8_t kEdgeOpSocialRef = 0x40;  // next SOCIAL entry, verbatim
+constexpr uint8_t kEdgeOpInverse = 0x41;    // mirror of the previous edge
+
+uint32_t KindSplit(social::EntityId e) {
+  return (e.index() << 2) | static_cast<uint32_t>(e.kind());
+}
+
+bool IsForwardLabel(social::EdgeLabel label) {
+  const auto v = static_cast<uint8_t>(label);
+  return v >= 1 && (v % 2) == 1;  // kPostedBy/kCommentsOn/kHasSubject/kHasAuthor
+}
+
+std::string WriteEdges(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  w.Var(inst.edges().size());
+  *mem = 8 + 17 * inst.edges().size();
+  const auto& social_edges = inst.explicit_social_edges();
+  size_t social_cursor = 0;
+  const social::NetEdge* prev = nullptr;
+  for (const social::NetEdge& e : inst.edges().edges()) {
+    if (e.label == social::EdgeLabel::kSocial &&
+        social_cursor < social_edges.size() &&
+        e.source == social::EntityId::User(social_edges[social_cursor].from) &&
+        e.target == social::EntityId::User(social_edges[social_cursor].to) &&
+        e.weight == social_edges[social_cursor].weight) {
+      w.U8(kEdgeOpSocialRef);
+      ++social_cursor;
+    } else if (prev != nullptr && IsForwardLabel(prev->label) &&
+               static_cast<uint8_t>(e.label) ==
+                   static_cast<uint8_t>(prev->label) + 1 &&
+               e.source == prev->target && e.target == prev->source &&
+               e.weight == prev->weight) {
+      w.U8(kEdgeOpInverse);
+    } else {
+      w.U8(static_cast<uint8_t>(e.label));
+      w.Var(KindSplit(e.source));
+      w.Var(KindSplit(e.target));
+      WriteWeightTag(w, e.weight);
+    }
+    prev = &e;
+  }
+  return p;
+}
+
+std::string WriteIndex(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  std::vector<KeywordId> keys = inst.index().Keywords();
+  std::sort(keys.begin(), keys.end());
+  w.Var(keys.size());
+  *mem = 8;
+  KeywordId prev_k = 0;
+  bool first = true;
+  for (KeywordId k : keys) {
+    const std::vector<doc::NodeId>& postings = inst.index().Postings(k);
+    w.Var(first ? k : k - prev_k);
+    first = false;
+    prev_k = k;
+    w.Var(postings.size());
+    *mem += 12 + 4 * postings.size();
+    doc::NodeId prev_n = 0;
+    for (size_t i = 0; i < postings.size(); ++i) {
+      w.Var(i == 0 ? postings[i] : postings[i] - prev_n);
+      prev_n = postings[i];
+    }
+  }
+  return p;
+}
+
+std::string WriteMatrixRowPtr(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  for (uint64_t v : inst.matrix().row_ptr()) w.U64(v);
+  *mem = p.size();
+  return p;
+}
+
+std::string WriteMatrixCols(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  const social::TransitionMatrix& m = inst.matrix();
+  *mem = 4 * m.col_index().size();
+  for (size_t row = 0; row < m.rows(); ++row) {
+    const uint64_t begin = m.row_ptr()[row], end = m.row_ptr()[row + 1];
+    uint32_t prev = 0;
+    for (uint64_t i = begin; i < end; ++i) {
+      const uint32_t c = m.col_index()[i];
+      w.Var(i == begin ? c : c - prev);
+      prev = c;
+    }
+  }
+  return p;
+}
+
+std::string WriteMatrixVals(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  for (double v : inst.matrix().values()) w.F64(v);
+  *mem = p.size();
+  return p;
+}
+
+std::string WriteMatrixDenom(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  for (double v : inst.matrix().denominators()) w.F64(v);
+  *mem = p.size();
+  return p;
+}
+
+std::string WriteForest(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  for (uint32_t parent : inst.components().forest()) w.U32(parent);
+  *mem = p.size();
+  return p;
+}
+
+std::string WriteKeywordComps(const S3Instance& inst, uint64_t* mem) {
+  std::string p;
+  ByteWriter w(&p);
+  std::vector<std::pair<KeywordId, const std::vector<social::ComponentId>*>>
+      entries;
+  for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
+    const std::vector<social::ComponentId>& comps =
+        inst.ComponentsWithKeyword(k);
+    if (!comps.empty()) entries.emplace_back(k, &comps);
+  }
+  w.Var(entries.size());
+  *mem = 8;
+  KeywordId prev_k = 0;
+  bool first = true;
+  for (const auto& [k, comps] : entries) {
+    w.Var(first ? k : k - prev_k);
+    first = false;
+    prev_k = k;
+    w.Var(comps->size());
+    *mem += 12 + 4 * comps->size();
+    social::ComponentId prev_c = 0;
+    for (size_t i = 0; i < comps->size(); ++i) {
+      w.Var(i == 0 ? (*comps)[i] : (*comps)[i] - prev_c);
+      prev_c = (*comps)[i];
+    }
+  }
+  return p;
+}
+
+Result<std::string> EncodeSnapshot(const S3Instance& inst) {
+  struct Out {
+    std::string payload;
+    uint64_t mem_bytes = 0;
+  };
+  Out sections[kSectionCount];
+  auto set = [&](uint32_t id, std::string payload, uint64_t mem) {
+    sections[id - 1] = Out{std::move(payload), mem};
+  };
+  {
+    std::string meta;
+    ByteWriter w(&meta);
+    WriteMeta(inst, w);
+    const uint64_t mem = meta.size();
+    set(kMeta, std::move(meta), mem);
+  }
+  // Two statements per section: the writer must run before its
+  // mem_bytes out-param is read (argument evaluation order is
+  // unspecified).
+  auto add = [&](uint32_t id, std::string (*writer)(const S3Instance&,
+                                                    uint64_t*)) {
+    uint64_t mem = 0;
+    std::string payload = writer(inst, &mem);
+    set(id, std::move(payload), mem);
+  };
+  add(kVocab, WriteVocab);
+  add(kUsers, WriteUsers);
+  add(kTerms, WriteTerms);
+  add(kTriples, WriteTriples);
+  {
+    std::string docs = WriteDocs(inst);  // raw: disk and memory agree
+    const uint64_t docs_mem = docs.size();
+    set(kDocs, std::move(docs), docs_mem);
+  }
+  add(kComments, WriteComments);
+  add(kTags, WriteTags);
+  add(kSocial, WriteSocial);
+  add(kEdges, WriteEdges);
+  add(kIndex, WriteIndex);
+  add(kMatrixRowPtr, WriteMatrixRowPtr);
+  add(kMatrixCols, WriteMatrixCols);
+  add(kMatrixVals, WriteMatrixVals);
+  add(kMatrixDenom, WriteMatrixDenom);
+  add(kForest, WriteForest);
+  add(kKwComps, WriteKeywordComps);
+
+  // Lay the payloads out (aligned sections at 64-byte file offsets)
+  // and build the table.
+  const uint64_t header_bytes = sizeof(kMagic) + 4 + 4 + 4 +
+                                kSectionCount * kTableEntryBytes;
+  std::string table;
+  ByteWriter tw(&table);
+  uint64_t offsets[kSectionCount];
+  uint64_t pos = header_bytes;
+  for (uint32_t id = 1; id <= kSectionCount; ++id) {
+    const SectionSpec& spec = Spec(id);
+    if (spec.encoding == kEncAligned) {
+      pos = (pos + kAlignment - 1) / kAlignment * kAlignment;
+    }
+    offsets[id - 1] = pos;
+    const Out& s = sections[id - 1];
+    tw.U32(id);
+    tw.U8(spec.encoding);
+    tw.U8(spec.elem_size);
+    tw.U8(0);  // reserved
+    tw.U8(0);
+    tw.U64(pos);
+    tw.U64(s.payload.size());
+    tw.U64(s.mem_bytes);
+    tw.U32(Crc32(s.payload));
+    pos += s.payload.size();
+  }
+
+  std::string out;
+  out.reserve(static_cast<size_t>(pos));
+  out.append(kMagic, sizeof(kMagic));
+  {
+    ByteWriter w(&out);
+    w.U32(kBinarySnapshotV2);
+    w.U32(kSectionCount);
+    w.U32(Crc32(table));
+  }
+  out.append(table);
+  for (uint32_t id = 1; id <= kSectionCount; ++id) {
+    out.resize(static_cast<size_t>(offsets[id - 1]), '\0');  // zero padding
+    out.append(sections[id - 1].payload);
+  }
+  return out;
+}
+
+// ---- parse -------------------------------------------------------------
+
+// One located section.
+struct Entry {
+  uint64_t offset = 0;
+  uint64_t disk_size = 0;
+  uint64_t mem_bytes = 0;
+  uint32_t crc = 0;
+  std::string_view payload;
+};
+
+// Validates the header (magic, version), the table checksum and the
+// exact canonical layout (offsets, alignment, zero padding, no
+// trailing bytes): the one header check every entry point shares. Does
+// NOT check payload checksums — callers pick eager or lazy per
+// section.
+Status ParseTable(std::string_view bytes, Entry (&entries)[kSectionCount]) {
+  ByteReader r(bytes);
+  std::string_view magic = r.Bytes(sizeof(kMagic));
+  if (r.failed() || magic != std::string_view(kMagic, sizeof(kMagic))) {
+    return Status::InvalidArgument(
+        "binary snapshot: bad magic (not a binary snapshot file)");
+  }
+  const uint32_t version = r.U32();
+  if (r.failed()) {
+    return Status::InvalidArgument("binary snapshot: header truncated");
+  }
+  if (version == 1) {
+    return Status::InvalidArgument(
+        "binary snapshot: format v1 is no longer read; upgrade the file "
+        "with `s3_snapshot convert <in> <out> --to=binary` built from a "
+        "commit that still reads v1 (90a31ea or earlier)");
+  }
+  if (version != kBinarySnapshotV2) {
+    return Status::InvalidArgument(
+        "binary snapshot: unsupported format version " +
+        std::to_string(version));
+  }
+  const uint32_t n_sections = r.U32();
+  const uint32_t table_crc = r.U32();
+  if (r.failed() || n_sections != kSectionCount) {
+    return Status::InvalidArgument(
+        "binary snapshot: expected " + std::to_string(kSectionCount) +
+        " sections, header declares " + std::to_string(n_sections));
+  }
+  std::string_view table = r.Bytes(kSectionCount * kTableEntryBytes);
+  if (r.failed()) {
+    return Status::InvalidArgument("binary snapshot: section table truncated");
+  }
+  if (Crc32(table) != table_crc) {
+    return Status::InvalidArgument(
+        "binary snapshot: section table checksum mismatch");
+  }
+  ByteReader tr(table);
+  uint64_t pos = r.offset();
+  for (uint32_t expect = 1; expect <= kSectionCount; ++expect) {
+    const SectionSpec& spec = Spec(expect);
+    const uint32_t id = tr.U32();
+    const uint8_t encoding = tr.U8();
+    const uint8_t elem_size = tr.U8();
+    const uint8_t reserved0 = tr.U8();
+    const uint8_t reserved1 = tr.U8();
+    Entry& e = entries[expect - 1];
+    e.offset = tr.U64();
+    e.disk_size = tr.U64();
+    e.mem_bytes = tr.U64();
+    e.crc = tr.U32();
+    if (tr.failed() || id != expect || encoding != spec.encoding ||
+        elem_size != spec.elem_size || reserved0 != 0 || reserved1 != 0) {
+      return Status::InvalidArgument(
+          std::string("binary snapshot: malformed table entry for section ") +
+          SectionName(expect));
+    }
+    const uint64_t align = encoding == kEncAligned ? kAlignment : 1;
+    const uint64_t aligned_pos = (pos + align - 1) / align * align;
+    if (e.offset != aligned_pos) {
+      return SectionError(expect, "unexpected payload offset");
+    }
+    if (aligned_pos > bytes.size() ||
+        e.disk_size > bytes.size() - aligned_pos) {
+      return SectionError(expect, "payload truncated");
+    }
+    // Alignment gaps are part of the canonical layout: they must be
+    // zero so no byte of the file escapes validation.
+    for (uint64_t i = pos; i < aligned_pos; ++i) {
+      if (bytes[static_cast<size_t>(i)] != 0) {
+        return SectionError(expect, "nonzero padding");
+      }
+    }
+    if (encoding == kEncAligned &&
+        (elem_size == 0 || e.disk_size % elem_size != 0 ||
+         e.mem_bytes != e.disk_size)) {
+      return SectionError(expect, "bad aligned extent");
+    }
+    e.payload = bytes.substr(static_cast<size_t>(aligned_pos),
+                             static_cast<size_t>(e.disk_size));
+    pos = aligned_pos + e.disk_size;
+  }
+  if (pos != bytes.size()) {
+    return Status::InvalidArgument(
+        "binary snapshot: trailing bytes after the last section");
+  }
+  return Status::OK();
+}
+
 // ---- section readers ---------------------------------------------------
 // Each reader consumes its payload exactly (AtEnd is part of the
-// contract) and validates ids against the META counts.
+// contract) and validates counts and ids against META.
 
 Status ReadVocab(ByteReader& r, const Meta& meta, Vocabulary& vocab) {
-  const uint64_t n = r.U64();
+  const uint64_t n = r.Var();
   if (n != meta.n_keywords) return SectionError(kVocab, "count mismatch");
   for (uint64_t i = 0; i < n; ++i) {
-    std::string spelling = r.Str();
+    std::string spelling = r.VarStr();
     if (r.failed()) break;
     if (vocab.Intern(spelling) != i) {
-      return SectionError(kVocab, "duplicate spelling at id " +
-                                      std::to_string(i));
+      return SectionError(kVocab,
+                          "duplicate spelling at id " + std::to_string(i));
     }
   }
   if (!r.AtEnd()) return r.status("binary snapshot, section VOCAB");
@@ -204,25 +683,25 @@ Status ReadVocab(ByteReader& r, const Meta& meta, Vocabulary& vocab) {
 }
 
 Status ReadUsers(ByteReader& r, const Meta& meta,
-                 std::vector<User>& users) {
-  const uint64_t n = r.U64();
+                   std::vector<User>& users) {
+  const uint64_t n = r.Var();
   if (n != meta.n_users) return SectionError(kUsers, "count mismatch");
-  if (!r.FitsCount(n, 4)) return SectionError(kUsers, "count truncated");
+  if (!r.FitsCount(n, 1)) return SectionError(kUsers, "count truncated");
   users.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
-    users.push_back(User{static_cast<social::UserId>(i), r.Str()});
+    users.push_back(User{static_cast<social::UserId>(i), r.VarStr()});
   }
   if (!r.AtEnd()) return r.status("binary snapshot, section USERS");
   return Status::OK();
 }
 
 Status ReadTerms(ByteReader& r, const Meta& meta,
-                 rdf::TermDictionary& terms) {
-  const uint64_t n = r.U64();
+                   rdf::TermDictionary& terms) {
+  const uint64_t n = r.Var();
   if (n != meta.n_terms) return SectionError(kTerms, "count mismatch");
   for (uint64_t i = 0; i < n; ++i) {
     const uint8_t kind = r.U8();
-    std::string text = r.Str();
+    std::string text = r.VarStr();
     if (r.failed()) break;
     if (kind > 1) return SectionError(kTerms, "bad term kind");
     if (terms.Intern(text, static_cast<rdf::TermKind>(kind)) != i) {
@@ -235,29 +714,31 @@ Status ReadTerms(ByteReader& r, const Meta& meta,
 }
 
 Status ReadTriples(ByteReader& r, const Meta& meta,
-                   const rdf::TermDictionary& terms,
-                   rdf::TripleStore& rdf) {
-  const uint64_t n = r.U64();
+                     const rdf::TermDictionary& terms,
+                     rdf::TripleStore& rdf) {
+  const uint64_t n = r.Var();
   if (n != meta.n_triples) return SectionError(kTriples, "count mismatch");
-  if (!r.FitsCount(n, 20)) return SectionError(kTriples, "count truncated");
+  if (!r.FitsCount(n, 4)) return SectionError(kTriples, "count truncated");
   for (uint64_t i = 0; i < n; ++i) {
-    const uint32_t s = r.U32();
-    const uint32_t p = r.U32();
-    const uint32_t o = r.U32();
-    const double w = r.F64();
+    const uint64_t s = r.Var();
+    const uint64_t p = r.Var();
+    const uint64_t o = r.Var();
+    const uint8_t tag = r.U8();
+    if (tag > 1) return SectionError(kTriples, "bad weight tag");
+    const double w = tag == 0 ? 1.0 : r.F64();
     if (r.failed()) break;
     if (s >= meta.n_terms || p >= meta.n_terms || o >= meta.n_terms) {
       return SectionError(kTriples, "term id out of range");
     }
-    // RDF: subjects and properties are URIs; weights live in [0, 1].
-    if (terms.Kind(s) != rdf::TermKind::kUri ||
-        terms.Kind(p) != rdf::TermKind::kUri) {
+    if (terms.Kind(static_cast<rdf::TermId>(s)) != rdf::TermKind::kUri ||
+        terms.Kind(static_cast<rdf::TermId>(p)) != rdf::TermKind::kUri) {
       return SectionError(kTriples, "literal subject or property");
     }
     if (!(w >= 0.0 && w <= 1.0)) {
       return SectionError(kTriples, "weight outside [0,1]");
     }
-    if (!rdf.Add(s, p, o, w)) {
+    if (!rdf.Add(static_cast<rdf::TermId>(s), static_cast<rdf::TermId>(p),
+                 static_cast<rdf::TermId>(o), w)) {
       return SectionError(kTriples, "duplicate triple");
     }
   }
@@ -292,826 +773,16 @@ Status ReadDocs(ByteReader& r, const Meta& meta,
 }
 
 Status ReadComments(ByteReader& r, const Meta& meta,
-                    std::vector<doc::NodeId>& comment_target) {
-  const uint64_t n = r.U64();
-  if (n != meta.n_docs) return SectionError(kComments, "count mismatch");
-  if (!r.FitsCount(n, 4)) return SectionError(kComments, "count truncated");
-  comment_target.reserve(static_cast<size_t>(n));
-  for (uint64_t d = 0; d < n; ++d) comment_target.push_back(r.U32());
-  if (!r.AtEnd()) return r.status("binary snapshot, section COMMENTS");
-  return Status::OK();
-}
-
-Status ReadTags(ByteReader& r, const Meta& meta, std::vector<Tag>& tags) {
-  const uint64_t n = r.U64();
-  if (n != meta.n_tags) return SectionError(kTags, "count mismatch");
-  if (!r.FitsCount(n, 13)) return SectionError(kTags, "count truncated");
-  tags.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    const uint32_t author = r.U32();
-    const uint8_t on_tag = r.U8();
-    const uint32_t subject = r.U32();
-    const uint32_t keyword = r.U32();
-    if (r.failed()) break;
-    if (on_tag > 1 || subject >= kMaxEntityCount) {
-      return SectionError(kTags, "bad tag subject");
-    }
-    tags.push_back(Tag{static_cast<social::TagId>(i), author,
-                       on_tag ? social::EntityId::Tag(subject)
-                              : social::EntityId::Fragment(subject),
-                       keyword});
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section TAGS");
-  return Status::OK();
-}
-
-Status ReadSocial(ByteReader& r, const Meta& /*meta*/,
-                  std::vector<S3Instance::ExplicitSocialEdge>& social) {
-  const uint64_t n = r.U64();
-  if (!r.FitsCount(n, 16)) return SectionError(kSocial, "count truncated");
-  social.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    S3Instance::ExplicitSocialEdge e;
-    e.from = r.U32();
-    e.to = r.U32();
-    e.weight = r.F64();
-    social.push_back(e);
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section SOCIAL");
-  return Status::OK();
-}
-
-Status ReadEdges(ByteReader& r, const Meta& meta,
-                 social::EdgeStore& edges) {
-  const uint64_t n = r.U64();
-  if (n != meta.n_edges) return SectionError(kEdges, "count mismatch");
-  if (!r.FitsCount(n, 17)) return SectionError(kEdges, "count truncated");
-  for (uint64_t i = 0; i < n; ++i) {
-    const uint8_t label = r.U8();
-    const uint32_t source = r.U32();
-    const uint32_t target = r.U32();
-    const double weight = r.F64();
-    if (r.failed()) break;
-    if (label > static_cast<uint8_t>(social::EdgeLabel::kHasAuthorInv)) {
-      return SectionError(kEdges, "bad edge label");
-    }
-    if (!social::EntityId::ValidKind(source) ||
-        !social::EntityId::ValidKind(target)) {
-      return SectionError(kEdges, "bad edge endpoint kind");
-    }
-    if (!(weight > 0.0 && weight <= 1.0)) {
-      return SectionError(kEdges, "edge weight outside (0,1]");
-    }
-    edges.Add(social::EntityId::FromPacked(source),
-              social::EntityId::FromPacked(target),
-              static_cast<social::EdgeLabel>(label), weight);
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section EDGES");
-  return Status::OK();
-}
-
-Status ReadIndex(ByteReader& r, const Meta& meta,
-                 doc::InvertedIndex& index) {
-  const uint64_t n = r.U64();
-  if (!r.FitsCount(n, 12)) return SectionError(kIndex, "count truncated");
-  KeywordId prev = 0;
-  bool first = true;
-  for (uint64_t i = 0; i < n; ++i) {
-    const KeywordId k = r.U32();
-    const uint64_t len = r.U64();
-    if (r.failed()) break;
-    if (k >= meta.n_keywords || (!first && k <= prev)) {
-      return SectionError(kIndex, "keyword ids not ascending/in range");
-    }
-    first = false;
-    prev = k;
-    if (!r.FitsCount(len, 4)) {
-      return SectionError(kIndex, "postings length truncated");
-    }
-    std::vector<doc::NodeId> nodes;
-    nodes.reserve(static_cast<size_t>(len));
-    for (uint64_t j = 0; j < len; ++j) nodes.push_back(r.U32());
-    if (r.failed()) break;
-    Status adopted = index.AdoptPostings(
-        k, std::move(nodes), static_cast<size_t>(meta.n_nodes));
-    if (!adopted.ok()) {
-      return SectionError(kIndex, adopted.message());
-    }
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section INDEX");
-  return Status::OK();
-}
-
-Status ReadMatrix(ByteReader& r, const Meta& meta,
-                  S3Instance::SnapshotDerived& der) {
-  const uint64_t n_rows = r.U64();
-  const uint64_t expected =
-      meta.n_users + meta.n_nodes + meta.n_tags;
-  if (n_rows != expected) return SectionError(kMatrix, "row count mismatch");
-  if (!r.FitsCount(n_rows + 1, 8)) {
-    return SectionError(kMatrix, "row table truncated");
-  }
-  std::vector<uint64_t> row_ptr;
-  row_ptr.reserve(static_cast<size_t>(n_rows) + 1);
-  for (uint64_t i = 0; i <= n_rows; ++i) row_ptr.push_back(r.U64());
-  const uint64_t nnz = r.U64();
-  if (!r.FitsCount(nnz, 12)) return SectionError(kMatrix, "nnz truncated");
-  std::vector<uint32_t> cols;
-  cols.reserve(static_cast<size_t>(nnz));
-  for (uint64_t i = 0; i < nnz; ++i) cols.push_back(r.U32());
-  std::vector<double> vals;
-  vals.reserve(static_cast<size_t>(nnz));
-  for (uint64_t i = 0; i < nnz; ++i) vals.push_back(r.F64());
-  std::vector<double> denom;
-  denom.reserve(static_cast<size_t>(n_rows));
-  for (uint64_t i = 0; i < n_rows; ++i) denom.push_back(r.F64());
-  if (!r.AtEnd()) return r.status("binary snapshot, section MATRIX");
-  der.matrix_row_ptr = std::move(row_ptr);
-  der.matrix_cols = std::move(cols);
-  der.matrix_vals = std::move(vals);
-  der.matrix_denom = std::move(denom);
-  return Status::OK();
-}
-
-Status ReadComponents(ByteReader& r, const Meta& meta,
-                      StorageSpan<uint32_t>& forest) {
-  const uint64_t n = r.U64();
-  if (n != meta.n_users + meta.n_nodes + meta.n_tags) {
-    return SectionError(kComponents, "row count mismatch");
-  }
-  if (!r.FitsCount(n, 4)) {
-    return SectionError(kComponents, "count truncated");
-  }
-  std::vector<uint32_t> parents;
-  parents.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) parents.push_back(r.U32());
-  if (!r.AtEnd()) return r.status("binary snapshot, section COMPONENTS");
-  forest = std::move(parents);
-  return Status::OK();
-}
-
-Status ReadKeywordComps(
-    ByteReader& r, const Meta& /*meta*/,
-    std::vector<std::pair<KeywordId, std::vector<social::ComponentId>>>&
-        out) {
-  const uint64_t n = r.U64();
-  if (!r.FitsCount(n, 12)) {
-    return SectionError(kKeywordComps, "count truncated");
-  }
-  out.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    const KeywordId k = r.U32();
-    const uint64_t len = r.U64();
-    if (r.failed()) break;
-    if (!r.FitsCount(len, 4)) {
-      return SectionError(kKeywordComps, "list length truncated");
-    }
-    std::vector<social::ComponentId> comps;
-    comps.reserve(static_cast<size_t>(len));
-    for (uint64_t j = 0; j < len; ++j) comps.push_back(r.U32());
-    out.emplace_back(k, std::move(comps));
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section KWCOMPS");
-  return Status::OK();
-}
-
-// ======================= format v2 ======================================
-//
-// Layout (see src/server/STORAGE.md for the full spec):
-//
-//   magic(8) · u32 version=2 · u32 section_count · u32 table_crc ·
-//   table[section_count] · payloads
-//
-// The table is section_count fixed 36-byte entries
-//   (u32 id, u8 encoding, u8 elem_size, u16 reserved=0,
-//    u64 offset, u64 disk_size, u64 mem_bytes, u32 crc)
-// and is covered by table_crc; version and section_count are pinned by
-// the parse itself. Payloads follow at the exact offsets the canonical
-// writer produces — aligned sections at the next multiple of 64, all
-// others immediately after their predecessor — with the gaps
-// zero-padded and *validated* as zeros on parse. Every byte of a v2
-// file is therefore accounted for (magic / pinned header / table CRC /
-// padding / payload CRCs), which is what lets the bit-flip robustness
-// sweep assert that any single-bit corruption is rejected on the
-// eager-CRC paths.
-//
-// Encodings:
-//   raw          — v1-style fixed-width stream (META, DOCS).
-//   varint-delta — LEB128 fields, ascending id sequences and postings
-//                  /CSR columns delta-coded; weights carry a tag byte
-//                  (0 → implied 1.0, 1 → F64 follows).
-//   aligned      — little-endian fixed-width array at a 64-byte file
-//                  offset; attaches as a zero-copy StorageSpan view.
-
-enum V2Encoding : uint8_t {
-  kEncRaw = 0,
-  kEncCompact = 1,
-  kEncAligned = 2,
-};
-
-enum V2SectionId : uint32_t {
-  // 1..11 coincide with the v1 ids (META..INDEX) on purpose: shared
-  // names and shared META machinery.
-  kV2MatrixRowPtr = 12,  // aligned u64[rows+1]
-  kV2MatrixCols = 13,    // compact: per-row delta-coded columns
-  kV2MatrixVals = 14,    // aligned f64[nnz]
-  kV2MatrixDenom = 15,   // aligned f64[rows]
-  kV2Forest = 16,        // aligned u32[rows]
-  kV2KwComps = 17,       // compact keyword -> component directory
-};
-constexpr uint32_t kV2SectionCount = 17;
-constexpr size_t kV2TableEntryBytes = 36;
-constexpr uint64_t kV2Alignment = 64;
-
-struct V2SectionSpec {
-  uint8_t encoding;
-  uint8_t elem_size;  // aligned sections: element width; 0 otherwise
-};
-
-const V2SectionSpec& V2Spec(uint32_t id) {
-  static const V2SectionSpec specs[kV2SectionCount + 1] = {
-      {kEncRaw, 0},      // 0 (unused)
-      {kEncRaw, 0},      // 1 META
-      {kEncCompact, 0},  // 2 VOCAB
-      {kEncCompact, 0},  // 3 USERS
-      {kEncCompact, 0},  // 4 TERMS
-      {kEncCompact, 0},  // 5 TRIPLES
-      {kEncRaw, 0},      // 6 DOCS (document_wire, shared with the WAL)
-      {kEncCompact, 0},  // 7 COMMENTS
-      {kEncCompact, 0},  // 8 TAGS
-      {kEncCompact, 0},  // 9 SOCIAL
-      {kEncCompact, 0},  // 10 EDGES
-      {kEncCompact, 0},  // 11 INDEX
-      {kEncAligned, 8},  // 12 MATRIXROWPTR
-      {kEncCompact, 0},  // 13 MATRIXCOLS
-      {kEncAligned, 8},  // 14 MATRIXVALS
-      {kEncAligned, 8},  // 15 MATRIXDENOM
-      {kEncAligned, 4},  // 16 FOREST
-      {kEncCompact, 0},  // 17 KWCOMPS
-  };
-  return specs[id];
-}
-
-const char* SectionNameV2(uint32_t id) {
-  switch (id) {
-    case kV2MatrixRowPtr: return "MATRIXROWPTR";
-    case kV2MatrixCols: return "MATRIXCOLS";
-    case kV2MatrixVals: return "MATRIXVALS";
-    case kV2MatrixDenom: return "MATRIXDENOM";
-    case kV2Forest: return "FOREST";
-    case kV2KwComps: return "KWCOMPS";
-    default: return SectionName(id);
-  }
-}
-
-const char* EncodingName(uint8_t encoding) {
-  switch (encoding) {
-    case kEncCompact: return "varint-delta";
-    case kEncAligned: return "aligned";
-    default: return "raw";
-  }
-}
-
-Status SectionErrorV2(uint32_t id, const std::string& why) {
-  return Status::InvalidArgument(std::string("binary snapshot, section ") +
-                                 SectionNameV2(id) + ": " + why);
-}
-
-// ---- v2 section writers ------------------------------------------------
-// Each returns the wire payload and reports the decoded (v1-equivalent
-// fixed-width) size through `mem`, the numerator-free half of the
-// compression ratio surfaced by `s3_snapshot inspect`.
-
-void WriteWeightTag(ByteWriter& w, double weight) {
-  if (weight == 1.0) {
-    w.U8(0);
-  } else {
-    w.U8(1);
-    w.F64(weight);
-  }
-}
-
-std::string WriteVocabV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  w.Var(inst.vocabulary().size());
-  *mem = 8;
-  for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
-    std::string_view s = inst.vocabulary().Spelling(k);
-    w.VarStr(s);
-    *mem += 4 + s.size();
-  }
-  return p;
-}
-
-std::string WriteUsersV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  w.Var(inst.users().size());
-  *mem = 8;
-  for (const User& u : inst.users()) {
-    w.VarStr(u.uri);
-    *mem += 4 + u.uri.size();
-  }
-  return p;
-}
-
-std::string WriteTermsV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  const rdf::TermDictionary& terms = inst.terms();
-  w.Var(terms.size());
-  *mem = 8;
-  for (rdf::TermId t = 0; t < terms.size(); ++t) {
-    w.U8(static_cast<uint8_t>(terms.Kind(t)));
-    w.VarStr(terms.Text(t));
-    *mem += 5 + terms.Text(t).size();
-  }
-  return p;
-}
-
-std::string WriteTriplesV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  const auto& triples = inst.rdf_graph().triples();
-  w.Var(triples.size());
-  *mem = 8 + 20 * triples.size();
-  for (const rdf::Triple& t : triples) {
-    w.Var(t.subject);
-    w.Var(t.property);
-    w.Var(t.object);
-    WriteWeightTag(w, t.weight);
-  }
-  return p;
-}
-
-std::string WriteCommentsV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  const size_t n_docs = inst.docs().DocumentCount();
-  w.Var(n_docs);
-  *mem = 8 + 4 * n_docs;
-  for (doc::DocId d = 0; d < n_docs; ++d) {
-    const doc::NodeId t = inst.CommentTarget(d);
-    w.Var(t == doc::kInvalidNode ? 0 : static_cast<uint64_t>(t) + 1);
-  }
-  return p;
-}
-
-std::string WriteTagsV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  w.Var(inst.tags().size());
-  *mem = 8 + 13 * inst.tags().size();
-  for (const Tag& t : inst.tags()) {
-    w.Var(t.author);
-    w.U8(t.subject.kind() == social::EntityKind::kTag ? 1 : 0);
-    w.Var(t.subject.index());
-    w.Var(t.keyword == kInvalidKeyword ? 0
-                                       : static_cast<uint64_t>(t.keyword) + 1);
-  }
-  return p;
-}
-
-std::string WriteSocialV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  const auto& edges = inst.explicit_social_edges();
-  w.Var(edges.size());
-  *mem = 8 + 16 * edges.size();
-  for (const S3Instance::ExplicitSocialEdge& e : edges) {
-    w.Var(e.from);
-    w.Var(e.to);
-    WriteWeightTag(w, e.weight);
-  }
-  return p;
-}
-
-// EDGES opcodes. The edge log is dominated by two redundant shapes:
-// social edges that mirror the SOCIAL section entry-for-entry (same
-// from/to/weight, in order), and inverse twins appended by
-// AddWithInverse right after their forward edge. Both collapse to one
-// byte; everything else is written in full with the entity's (kind,
-// index) split packed low so small indices stay small varints.
-constexpr uint8_t kEdgeOpSocialRef = 0x40;  // next SOCIAL entry, verbatim
-constexpr uint8_t kEdgeOpInverse = 0x41;    // mirror of the previous edge
-
-uint32_t KindSplit(social::EntityId e) {
-  return (e.index() << 2) | static_cast<uint32_t>(e.kind());
-}
-
-bool IsForwardLabel(social::EdgeLabel label) {
-  const auto v = static_cast<uint8_t>(label);
-  return v >= 1 && (v % 2) == 1;  // kPostedBy/kCommentsOn/kHasSubject/kHasAuthor
-}
-
-std::string WriteEdgesV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  w.Var(inst.edges().size());
-  *mem = 8 + 17 * inst.edges().size();
-  const auto& social_edges = inst.explicit_social_edges();
-  size_t social_cursor = 0;
-  const social::NetEdge* prev = nullptr;
-  for (const social::NetEdge& e : inst.edges().edges()) {
-    if (e.label == social::EdgeLabel::kSocial &&
-        social_cursor < social_edges.size() &&
-        e.source == social::EntityId::User(social_edges[social_cursor].from) &&
-        e.target == social::EntityId::User(social_edges[social_cursor].to) &&
-        e.weight == social_edges[social_cursor].weight) {
-      w.U8(kEdgeOpSocialRef);
-      ++social_cursor;
-    } else if (prev != nullptr && IsForwardLabel(prev->label) &&
-               static_cast<uint8_t>(e.label) ==
-                   static_cast<uint8_t>(prev->label) + 1 &&
-               e.source == prev->target && e.target == prev->source &&
-               e.weight == prev->weight) {
-      w.U8(kEdgeOpInverse);
-    } else {
-      w.U8(static_cast<uint8_t>(e.label));
-      w.Var(KindSplit(e.source));
-      w.Var(KindSplit(e.target));
-      WriteWeightTag(w, e.weight);
-    }
-    prev = &e;
-  }
-  return p;
-}
-
-std::string WriteIndexV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  std::vector<KeywordId> keys = inst.index().Keywords();
-  std::sort(keys.begin(), keys.end());
-  w.Var(keys.size());
-  *mem = 8;
-  KeywordId prev_k = 0;
-  bool first = true;
-  for (KeywordId k : keys) {
-    const std::vector<doc::NodeId>& postings = inst.index().Postings(k);
-    w.Var(first ? k : k - prev_k);
-    first = false;
-    prev_k = k;
-    w.Var(postings.size());
-    *mem += 12 + 4 * postings.size();
-    doc::NodeId prev_n = 0;
-    for (size_t i = 0; i < postings.size(); ++i) {
-      w.Var(i == 0 ? postings[i] : postings[i] - prev_n);
-      prev_n = postings[i];
-    }
-  }
-  return p;
-}
-
-std::string WriteMatrixRowPtrV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  for (uint64_t v : inst.matrix().row_ptr()) w.U64(v);
-  *mem = p.size();
-  return p;
-}
-
-std::string WriteMatrixColsV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  const social::TransitionMatrix& m = inst.matrix();
-  *mem = 4 * m.col_index().size();
-  for (size_t row = 0; row < m.rows(); ++row) {
-    const uint64_t begin = m.row_ptr()[row], end = m.row_ptr()[row + 1];
-    uint32_t prev = 0;
-    for (uint64_t i = begin; i < end; ++i) {
-      const uint32_t c = m.col_index()[i];
-      w.Var(i == begin ? c : c - prev);
-      prev = c;
-    }
-  }
-  return p;
-}
-
-std::string WriteMatrixValsV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  for (double v : inst.matrix().values()) w.F64(v);
-  *mem = p.size();
-  return p;
-}
-
-std::string WriteMatrixDenomV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  for (double v : inst.matrix().denominators()) w.F64(v);
-  *mem = p.size();
-  return p;
-}
-
-std::string WriteForestV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  for (uint32_t parent : inst.components().forest()) w.U32(parent);
-  *mem = p.size();
-  return p;
-}
-
-std::string WriteKeywordCompsV2(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  std::vector<std::pair<KeywordId, const std::vector<social::ComponentId>*>>
-      entries;
-  for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
-    const std::vector<social::ComponentId>& comps =
-        inst.ComponentsWithKeyword(k);
-    if (!comps.empty()) entries.emplace_back(k, &comps);
-  }
-  w.Var(entries.size());
-  *mem = 8;
-  KeywordId prev_k = 0;
-  bool first = true;
-  for (const auto& [k, comps] : entries) {
-    w.Var(first ? k : k - prev_k);
-    first = false;
-    prev_k = k;
-    w.Var(comps->size());
-    *mem += 12 + 4 * comps->size();
-    social::ComponentId prev_c = 0;
-    for (size_t i = 0; i < comps->size(); ++i) {
-      w.Var(i == 0 ? (*comps)[i] : (*comps)[i] - prev_c);
-      prev_c = (*comps)[i];
-    }
-  }
-  return p;
-}
-
-Result<std::string> SaveBinarySnapshotV2(const S3Instance& inst) {
-  struct Out {
-    std::string payload;
-    uint64_t mem_bytes = 0;
-  };
-  Out sections[kV2SectionCount];
-  auto set = [&](uint32_t id, std::string payload, uint64_t mem) {
-    sections[id - 1] = Out{std::move(payload), mem};
-  };
-  {
-    std::string meta;
-    ByteWriter w(&meta);
-    WriteMeta(inst, w);
-    const uint64_t mem = meta.size();
-    set(kMeta, std::move(meta), mem);
-  }
-  // Two statements per section: the writer must run before its
-  // mem_bytes out-param is read (argument evaluation order is
-  // unspecified).
-  auto add = [&](uint32_t id, std::string (*writer)(const S3Instance&,
-                                                    uint64_t*)) {
-    uint64_t mem = 0;
-    std::string payload = writer(inst, &mem);
-    set(id, std::move(payload), mem);
-  };
-  add(kVocab, WriteVocabV2);
-  add(kUsers, WriteUsersV2);
-  add(kTerms, WriteTermsV2);
-  add(kTriples, WriteTriplesV2);
-  {
-    std::string docs = WriteDocs(inst);  // raw, the v1 encoding
-    const uint64_t docs_mem = docs.size();
-    set(kDocs, std::move(docs), docs_mem);
-  }
-  add(kComments, WriteCommentsV2);
-  add(kTags, WriteTagsV2);
-  add(kSocial, WriteSocialV2);
-  add(kEdges, WriteEdgesV2);
-  add(kIndex, WriteIndexV2);
-  add(kV2MatrixRowPtr, WriteMatrixRowPtrV2);
-  add(kV2MatrixCols, WriteMatrixColsV2);
-  add(kV2MatrixVals, WriteMatrixValsV2);
-  add(kV2MatrixDenom, WriteMatrixDenomV2);
-  add(kV2Forest, WriteForestV2);
-  add(kV2KwComps, WriteKeywordCompsV2);
-
-  // Lay the payloads out (aligned sections at 64-byte file offsets)
-  // and build the table.
-  const uint64_t header_bytes = sizeof(kMagic) + 4 + 4 + 4 +
-                                kV2SectionCount * kV2TableEntryBytes;
-  std::string table;
-  ByteWriter tw(&table);
-  uint64_t offsets[kV2SectionCount];
-  uint64_t pos = header_bytes;
-  for (uint32_t id = 1; id <= kV2SectionCount; ++id) {
-    const V2SectionSpec& spec = V2Spec(id);
-    if (spec.encoding == kEncAligned) {
-      pos = (pos + kV2Alignment - 1) / kV2Alignment * kV2Alignment;
-    }
-    offsets[id - 1] = pos;
-    const Out& s = sections[id - 1];
-    tw.U32(id);
-    tw.U8(spec.encoding);
-    tw.U8(spec.elem_size);
-    tw.U8(0);  // reserved
-    tw.U8(0);
-    tw.U64(pos);
-    tw.U64(s.payload.size());
-    tw.U64(s.mem_bytes);
-    tw.U32(Crc32(s.payload));
-    pos += s.payload.size();
-  }
-
-  std::string out;
-  out.reserve(static_cast<size_t>(pos));
-  out.append(kMagic, sizeof(kMagic));
-  {
-    ByteWriter w(&out);
-    w.U32(kBinarySnapshotV2);
-    w.U32(kV2SectionCount);
-    w.U32(Crc32(table));
-  }
-  out.append(table);
-  for (uint32_t id = 1; id <= kV2SectionCount; ++id) {
-    out.resize(static_cast<size_t>(offsets[id - 1]), '\0');  // zero padding
-    out.append(sections[id - 1].payload);
-  }
-  return out;
-}
-
-// ---- v2 parse ----------------------------------------------------------
-
-// One located v2 section.
-struct V2Entry {
-  uint64_t offset = 0;
-  uint64_t disk_size = 0;
-  uint64_t mem_bytes = 0;
-  uint32_t crc = 0;
-  std::string_view payload;
-};
-
-// Validates the v2 header, table checksum and the exact canonical
-// layout (offsets, alignment, zero padding, no trailing bytes). Does
-// NOT check payload checksums — callers pick eager or lazy per
-// section.
-Status ParseV2Table(std::string_view bytes,
-                    V2Entry (&entries)[kV2SectionCount]) {
-  ByteReader r(bytes);
-  r.Skip(sizeof(kMagic));
-  (void)r.U32();  // version, verified by the dispatcher
-  const uint32_t n_sections = r.U32();
-  const uint32_t table_crc = r.U32();
-  if (r.failed() || n_sections != kV2SectionCount) {
-    return Status::InvalidArgument(
-        "binary snapshot: expected " + std::to_string(kV2SectionCount) +
-        " sections, header declares " + std::to_string(n_sections));
-  }
-  std::string_view table = r.Bytes(kV2SectionCount * kV2TableEntryBytes);
-  if (r.failed()) {
-    return Status::InvalidArgument("binary snapshot: section table truncated");
-  }
-  if (Crc32(table) != table_crc) {
-    return Status::InvalidArgument(
-        "binary snapshot: section table checksum mismatch");
-  }
-  ByteReader tr(table);
-  uint64_t pos = r.offset();
-  for (uint32_t expect = 1; expect <= kV2SectionCount; ++expect) {
-    const V2SectionSpec& spec = V2Spec(expect);
-    const uint32_t id = tr.U32();
-    const uint8_t encoding = tr.U8();
-    const uint8_t elem_size = tr.U8();
-    const uint8_t reserved0 = tr.U8();
-    const uint8_t reserved1 = tr.U8();
-    V2Entry& e = entries[expect - 1];
-    e.offset = tr.U64();
-    e.disk_size = tr.U64();
-    e.mem_bytes = tr.U64();
-    e.crc = tr.U32();
-    if (tr.failed() || id != expect || encoding != spec.encoding ||
-        elem_size != spec.elem_size || reserved0 != 0 || reserved1 != 0) {
-      return Status::InvalidArgument(
-          std::string("binary snapshot: malformed table entry for section ") +
-          SectionNameV2(expect));
-    }
-    const uint64_t align = encoding == kEncAligned ? kV2Alignment : 1;
-    const uint64_t aligned_pos = (pos + align - 1) / align * align;
-    if (e.offset != aligned_pos) {
-      return SectionErrorV2(expect, "unexpected payload offset");
-    }
-    if (aligned_pos > bytes.size() ||
-        e.disk_size > bytes.size() - aligned_pos) {
-      return SectionErrorV2(expect, "payload truncated");
-    }
-    // Alignment gaps are part of the canonical layout: they must be
-    // zero so no byte of the file escapes validation.
-    for (uint64_t i = pos; i < aligned_pos; ++i) {
-      if (bytes[static_cast<size_t>(i)] != 0) {
-        return SectionErrorV2(expect, "nonzero padding");
-      }
-    }
-    if (encoding == kEncAligned &&
-        (elem_size == 0 || e.disk_size % elem_size != 0 ||
-         e.mem_bytes != e.disk_size)) {
-      return SectionErrorV2(expect, "bad aligned extent");
-    }
-    e.payload = bytes.substr(static_cast<size_t>(aligned_pos),
-                             static_cast<size_t>(e.disk_size));
-    pos = aligned_pos + e.disk_size;
-  }
-  if (pos != bytes.size()) {
-    return Status::InvalidArgument(
-        "binary snapshot: trailing bytes after the last section");
-  }
-  return Status::OK();
-}
-
-// ---- v2 section readers ------------------------------------------------
-// Compact mirrors of the v1 readers: same counts-vs-META validation,
-// varint fields, delta-coded ascending sequences.
-
-Status ReadVocabV2(ByteReader& r, const Meta& meta, Vocabulary& vocab) {
-  const uint64_t n = r.Var();
-  if (n != meta.n_keywords) return SectionErrorV2(kVocab, "count mismatch");
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string spelling = r.VarStr();
-    if (r.failed()) break;
-    if (vocab.Intern(spelling) != i) {
-      return SectionErrorV2(kVocab, "duplicate spelling at id " +
-                                        std::to_string(i));
-    }
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section VOCAB");
-  return Status::OK();
-}
-
-Status ReadUsersV2(ByteReader& r, const Meta& meta,
-                   std::vector<User>& users) {
-  const uint64_t n = r.Var();
-  if (n != meta.n_users) return SectionErrorV2(kUsers, "count mismatch");
-  if (!r.FitsCount(n, 1)) return SectionErrorV2(kUsers, "count truncated");
-  users.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    users.push_back(User{static_cast<social::UserId>(i), r.VarStr()});
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section USERS");
-  return Status::OK();
-}
-
-Status ReadTermsV2(ByteReader& r, const Meta& meta,
-                   rdf::TermDictionary& terms) {
-  const uint64_t n = r.Var();
-  if (n != meta.n_terms) return SectionErrorV2(kTerms, "count mismatch");
-  for (uint64_t i = 0; i < n; ++i) {
-    const uint8_t kind = r.U8();
-    std::string text = r.VarStr();
-    if (r.failed()) break;
-    if (kind > 1) return SectionErrorV2(kTerms, "bad term kind");
-    if (terms.Intern(text, static_cast<rdf::TermKind>(kind)) != i) {
-      return SectionErrorV2(kTerms,
-                            "duplicate term at id " + std::to_string(i));
-    }
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section TERMS");
-  return Status::OK();
-}
-
-Status ReadTriplesV2(ByteReader& r, const Meta& meta,
-                     const rdf::TermDictionary& terms,
-                     rdf::TripleStore& rdf) {
-  const uint64_t n = r.Var();
-  if (n != meta.n_triples) return SectionErrorV2(kTriples, "count mismatch");
-  if (!r.FitsCount(n, 4)) return SectionErrorV2(kTriples, "count truncated");
-  for (uint64_t i = 0; i < n; ++i) {
-    const uint64_t s = r.Var();
-    const uint64_t p = r.Var();
-    const uint64_t o = r.Var();
-    const uint8_t tag = r.U8();
-    if (tag > 1) return SectionErrorV2(kTriples, "bad weight tag");
-    const double w = tag == 0 ? 1.0 : r.F64();
-    if (r.failed()) break;
-    if (s >= meta.n_terms || p >= meta.n_terms || o >= meta.n_terms) {
-      return SectionErrorV2(kTriples, "term id out of range");
-    }
-    if (terms.Kind(static_cast<rdf::TermId>(s)) != rdf::TermKind::kUri ||
-        terms.Kind(static_cast<rdf::TermId>(p)) != rdf::TermKind::kUri) {
-      return SectionErrorV2(kTriples, "literal subject or property");
-    }
-    if (!(w >= 0.0 && w <= 1.0)) {
-      return SectionErrorV2(kTriples, "weight outside [0,1]");
-    }
-    if (!rdf.Add(static_cast<rdf::TermId>(s), static_cast<rdf::TermId>(p),
-                 static_cast<rdf::TermId>(o), w)) {
-      return SectionErrorV2(kTriples, "duplicate triple");
-    }
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section TRIPLES");
-  return Status::OK();
-}
-
-Status ReadCommentsV2(ByteReader& r, const Meta& meta,
                       std::vector<doc::NodeId>& comment_target) {
   const uint64_t n = r.Var();
-  if (n != meta.n_docs) return SectionErrorV2(kComments, "count mismatch");
-  if (!r.FitsCount(n, 1)) return SectionErrorV2(kComments, "count truncated");
+  if (n != meta.n_docs) return SectionError(kComments, "count mismatch");
+  if (!r.FitsCount(n, 1)) return SectionError(kComments, "count truncated");
   comment_target.reserve(static_cast<size_t>(n));
   for (uint64_t d = 0; d < n; ++d) {
     const uint64_t v = r.Var();
     if (r.failed()) break;
     if (v != 0 && v - 1 >= kMaxEntityCount) {
-      return SectionErrorV2(kComments, "bad comment target");
+      return SectionError(kComments, "bad comment target");
     }
     comment_target.push_back(
         v == 0 ? doc::kInvalidNode : static_cast<doc::NodeId>(v - 1));
@@ -1120,10 +791,10 @@ Status ReadCommentsV2(ByteReader& r, const Meta& meta,
   return Status::OK();
 }
 
-Status ReadTagsV2(ByteReader& r, const Meta& meta, std::vector<Tag>& tags) {
+Status ReadTags(ByteReader& r, const Meta& meta, std::vector<Tag>& tags) {
   const uint64_t n = r.Var();
-  if (n != meta.n_tags) return SectionErrorV2(kTags, "count mismatch");
-  if (!r.FitsCount(n, 4)) return SectionErrorV2(kTags, "count truncated");
+  if (n != meta.n_tags) return SectionError(kTags, "count mismatch");
+  if (!r.FitsCount(n, 4)) return SectionError(kTags, "count truncated");
   tags.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     const uint64_t author = r.Var();
@@ -1132,10 +803,10 @@ Status ReadTagsV2(ByteReader& r, const Meta& meta, std::vector<Tag>& tags) {
     const uint64_t keyword_plus = r.Var();
     if (r.failed()) break;
     if (on_tag > 1 || subject >= kMaxEntityCount) {
-      return SectionErrorV2(kTags, "bad tag subject");
+      return SectionError(kTags, "bad tag subject");
     }
     if (author > UINT32_MAX || keyword_plus > UINT32_MAX) {
-      return SectionErrorV2(kTags, "bad tag field");
+      return SectionError(kTags, "bad tag field");
     }
     tags.push_back(
         Tag{static_cast<social::TagId>(i), static_cast<social::UserId>(author),
@@ -1148,20 +819,20 @@ Status ReadTagsV2(ByteReader& r, const Meta& meta, std::vector<Tag>& tags) {
   return Status::OK();
 }
 
-Status ReadSocialV2(ByteReader& r, const Meta& /*meta*/,
+Status ReadSocial(ByteReader& r, const Meta& /*meta*/,
                     std::vector<S3Instance::ExplicitSocialEdge>& social) {
   const uint64_t n = r.Var();
-  if (!r.FitsCount(n, 3)) return SectionErrorV2(kSocial, "count truncated");
+  if (!r.FitsCount(n, 3)) return SectionError(kSocial, "count truncated");
   social.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     const uint64_t from = r.Var();
     const uint64_t to = r.Var();
     const uint8_t tag = r.U8();
-    if (tag > 1) return SectionErrorV2(kSocial, "bad weight tag");
+    if (tag > 1) return SectionError(kSocial, "bad weight tag");
     const double weight = tag == 0 ? 1.0 : r.F64();
     if (r.failed()) break;
     if (from > UINT32_MAX || to > UINT32_MAX) {
-      return SectionErrorV2(kSocial, "bad user id");
+      return SectionError(kSocial, "bad user id");
     }
     social.push_back(S3Instance::ExplicitSocialEdge{
         static_cast<social::UserId>(from), static_cast<social::UserId>(to),
@@ -1171,12 +842,12 @@ Status ReadSocialV2(ByteReader& r, const Meta& /*meta*/,
   return Status::OK();
 }
 
-Status ReadEdgesV2(ByteReader& r, const Meta& meta,
+Status ReadEdges(ByteReader& r, const Meta& meta,
                    const std::vector<S3Instance::ExplicitSocialEdge>& social,
                    social::EdgeStore& edges) {
   const uint64_t n = r.Var();
-  if (n != meta.n_edges) return SectionErrorV2(kEdges, "count mismatch");
-  if (!r.FitsCount(n, 1)) return SectionErrorV2(kEdges, "count truncated");
+  if (n != meta.n_edges) return SectionError(kEdges, "count mismatch");
+  if (!r.FitsCount(n, 1)) return SectionError(kEdges, "count truncated");
   size_t social_cursor = 0;
   bool have_prev = false;
   social::NetEdge prev{};
@@ -1186,18 +857,18 @@ Status ReadEdgesV2(ByteReader& r, const Meta& meta,
     social::NetEdge e{};
     if (op == kEdgeOpSocialRef) {
       if (social_cursor >= social.size()) {
-        return SectionErrorV2(kEdges, "social backref past SOCIAL section");
+        return SectionError(kEdges, "social backref past SOCIAL section");
       }
       const S3Instance::ExplicitSocialEdge& s = social[social_cursor++];
       if (s.from >= (1u << 30) || s.to >= (1u << 30)) {
-        return SectionErrorV2(kEdges, "social backref user out of range");
+        return SectionError(kEdges, "social backref user out of range");
       }
       e = social::NetEdge{social::EntityId::User(s.from),
                           social::EntityId::User(s.to),
                           social::EdgeLabel::kSocial, s.weight};
     } else if (op == kEdgeOpInverse) {
       if (!have_prev || !IsForwardLabel(prev.label)) {
-        return SectionErrorV2(kEdges, "inverse opcode without forward edge");
+        return SectionError(kEdges, "inverse opcode without forward edge");
       }
       e = social::NetEdge{
           prev.target, prev.source,
@@ -1205,17 +876,17 @@ Status ReadEdgesV2(ByteReader& r, const Meta& meta,
           prev.weight};
     } else {
       if (op > static_cast<uint8_t>(social::EdgeLabel::kHasAuthorInv)) {
-        return SectionErrorV2(kEdges, "bad edge label");
+        return SectionError(kEdges, "bad edge label");
       }
       const uint64_t source = r.Var();
       const uint64_t target = r.Var();
       const uint8_t tag = r.U8();
-      if (tag > 1) return SectionErrorV2(kEdges, "bad weight tag");
+      if (tag > 1) return SectionError(kEdges, "bad weight tag");
       const double weight = tag == 0 ? 1.0 : r.F64();
       if (r.failed()) break;
       if (source > UINT32_MAX || target > UINT32_MAX ||
           (source & 3) > 2 || (target & 3) > 2) {
-        return SectionErrorV2(kEdges, "bad edge endpoint kind");
+        return SectionError(kEdges, "bad edge endpoint kind");
       }
       e = social::NetEdge{
           social::EntityId(static_cast<social::EntityKind>(source & 3),
@@ -1225,7 +896,7 @@ Status ReadEdgesV2(ByteReader& r, const Meta& meta,
           static_cast<social::EdgeLabel>(op), weight};
     }
     if (!(e.weight > 0.0 && e.weight <= 1.0)) {
-      return SectionErrorV2(kEdges, "edge weight outside (0,1]");
+      return SectionError(kEdges, "edge weight outside (0,1]");
     }
     edges.Add(e.source, e.target, e.label, e.weight);
     prev = e;
@@ -1235,10 +906,10 @@ Status ReadEdgesV2(ByteReader& r, const Meta& meta,
   return Status::OK();
 }
 
-Status ReadIndexV2(ByteReader& r, const Meta& meta,
+Status ReadIndex(ByteReader& r, const Meta& meta,
                    doc::InvertedIndex& index) {
   const uint64_t n = r.Var();
-  if (!r.FitsCount(n, 2)) return SectionErrorV2(kIndex, "count truncated");
+  if (!r.FitsCount(n, 2)) return SectionError(kIndex, "count truncated");
   uint64_t prev_k = 0;
   bool first = true;
   for (uint64_t i = 0; i < n; ++i) {
@@ -1247,12 +918,12 @@ Status ReadIndexV2(ByteReader& r, const Meta& meta,
     if (r.failed()) break;
     const uint64_t k = first ? dk : prev_k + dk;
     if ((!first && dk == 0) || k >= meta.n_keywords) {
-      return SectionErrorV2(kIndex, "keyword ids not ascending/in range");
+      return SectionError(kIndex, "keyword ids not ascending/in range");
     }
     first = false;
     prev_k = k;
     if (!r.FitsCount(len, 1)) {
-      return SectionErrorV2(kIndex, "postings length truncated");
+      return SectionError(kIndex, "postings length truncated");
     }
     std::vector<doc::NodeId> nodes;
     nodes.reserve(static_cast<size_t>(len));
@@ -1262,7 +933,7 @@ Status ReadIndexV2(ByteReader& r, const Meta& meta,
       if (r.failed()) break;
       const uint64_t node = j == 0 ? d : prev_n + d;
       if ((j > 0 && d == 0) || node >= meta.n_nodes) {
-        return SectionErrorV2(kIndex, "postings not ascending/in range");
+        return SectionError(kIndex, "postings not ascending/in range");
       }
       prev_n = node;
       nodes.push_back(static_cast<doc::NodeId>(node));
@@ -1272,7 +943,7 @@ Status ReadIndexV2(ByteReader& r, const Meta& meta,
         static_cast<KeywordId>(k), std::move(nodes),
         static_cast<size_t>(meta.n_nodes));
     if (!adopted.ok()) {
-      return SectionErrorV2(kIndex, adopted.message());
+      return SectionError(kIndex, adopted.message());
     }
   }
   if (!r.AtEnd()) return r.status("binary snapshot, section INDEX");
@@ -1282,13 +953,13 @@ Status ReadIndexV2(ByteReader& r, const Meta& meta,
 // Decodes the delta-coded column stream using the (already attached)
 // row_ptr for row boundaries. Full CSR validation happens again in
 // TransitionMatrix::Adopt; the checks here just bound the decode.
-Status ReadMatrixColsV2(ByteReader& r, const Meta& meta,
+Status ReadMatrixCols(ByteReader& r, const Meta& meta,
                         const StorageSpan<uint64_t>& row_ptr,
                         StorageSpan<uint32_t>& out) {
   const uint64_t n_rows = meta.n_users + meta.n_nodes + meta.n_tags;
   const uint64_t nnz = row_ptr[static_cast<size_t>(n_rows)];
   if (!r.FitsCount(nnz, 1)) {
-    return SectionErrorV2(kV2MatrixCols, "nnz truncated");
+    return SectionError(kMatrixCols, "nnz truncated");
   }
   std::vector<uint32_t> cols;
   cols.reserve(static_cast<size_t>(nnz));
@@ -1296,7 +967,7 @@ Status ReadMatrixColsV2(ByteReader& r, const Meta& meta,
     const uint64_t begin = row_ptr[static_cast<size_t>(row)];
     const uint64_t end = row_ptr[static_cast<size_t>(row) + 1];
     if (end < begin || end > nnz) {
-      return SectionErrorV2(kV2MatrixCols, "row_ptr not monotone");
+      return SectionError(kMatrixCols, "row_ptr not monotone");
     }
     uint64_t prev = 0;
     for (uint64_t i = begin; i < end; ++i) {
@@ -1304,8 +975,8 @@ Status ReadMatrixColsV2(ByteReader& r, const Meta& meta,
       if (r.failed()) break;
       const uint64_t c = i == begin ? d : prev + d;
       if ((i > begin && d == 0) || c >= n_rows) {
-        return SectionErrorV2(kV2MatrixCols,
-                              "column out of range or not ascending");
+        return SectionError(kMatrixCols,
+                            "column out of range or not ascending");
       }
       prev = c;
       cols.push_back(static_cast<uint32_t>(c));
@@ -1314,19 +985,19 @@ Status ReadMatrixColsV2(ByteReader& r, const Meta& meta,
   }
   if (!r.AtEnd()) return r.status("binary snapshot, section MATRIXCOLS");
   if (cols.size() != nnz) {
-    return SectionErrorV2(kV2MatrixCols, "nnz mismatch");
+    return SectionError(kMatrixCols, "nnz mismatch");
   }
   out = std::move(cols);
   return Status::OK();
 }
 
-Status ReadKeywordCompsV2(
+Status ReadKeywordComps(
     ByteReader& r, const Meta& meta,
     std::vector<std::pair<KeywordId, std::vector<social::ComponentId>>>&
         out) {
   const uint64_t n = r.Var();
   if (!r.FitsCount(n, 2)) {
-    return SectionErrorV2(kV2KwComps, "count truncated");
+    return SectionError(kKwComps, "count truncated");
   }
   out.reserve(static_cast<size_t>(n));
   uint64_t prev_k = 0;
@@ -1337,12 +1008,12 @@ Status ReadKeywordCompsV2(
     if (r.failed()) break;
     const uint64_t k = first ? dk : prev_k + dk;
     if ((!first && dk == 0) || k >= meta.n_keywords) {
-      return SectionErrorV2(kV2KwComps, "keyword ids not ascending/in range");
+      return SectionError(kKwComps, "keyword ids not ascending/in range");
     }
     first = false;
     prev_k = k;
     if (!r.FitsCount(len, 1)) {
-      return SectionErrorV2(kV2KwComps, "list length truncated");
+      return SectionError(kKwComps, "list length truncated");
     }
     std::vector<social::ComponentId> comps;
     comps.reserve(static_cast<size_t>(len));
@@ -1352,7 +1023,7 @@ Status ReadKeywordCompsV2(
       if (r.failed()) break;
       const uint64_t c = j == 0 ? d : prev_c + d;
       if ((j > 0 && d == 0) || c > UINT32_MAX) {
-        return SectionErrorV2(kV2KwComps, "component list not ascending");
+        return SectionError(kKwComps, "component list not ascending");
       }
       prev_c = c;
       comps.push_back(static_cast<social::ComponentId>(c));
@@ -1369,11 +1040,11 @@ Status ReadKeywordCompsV2(
 // bytes land element-aligned; an owned decoded copy otherwise (the
 // misaligned / big-endian / forced-copy fallback).
 template <typename T>
-Status AttachAlignedV2(const V2Entry& e, uint32_t id, uint64_t expect_count,
-                       const std::shared_ptr<const MappedRegion>& region,
-                       bool allow_views, StorageSpan<T>* out) {
+Status AttachAligned(const Entry& e, uint32_t id, uint64_t expect_count,
+                     const std::shared_ptr<const MappedRegion>& region,
+                     bool allow_views, StorageSpan<T>* out) {
   if (e.disk_size != expect_count * sizeof(T)) {
-    return SectionErrorV2(id, "extent mismatch");
+    return SectionError(id, "extent mismatch");
   }
   const char* base = e.payload.data();
   if (region != nullptr && allow_views &&
@@ -1396,211 +1067,36 @@ Status AttachAlignedV2(const V2Entry& e, uint32_t id, uint64_t expect_count,
       v.push_back(r.F64());
     }
   }
-  if (!r.AtEnd()) return SectionErrorV2(id, "payload truncated");
+  if (!r.AtEnd()) return SectionError(id, "payload truncated");
   *out = std::move(v);
   return Status::OK();
 }
 
-// Shared v2 load: `region` null means a pure heap load (string input);
+// Shared load: `region` null means a pure heap load (string input);
 // non-null enables zero-copy views per `opts`.
-Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshotV2(
+Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
     std::string_view bytes, std::shared_ptr<const MappedRegion> region,
     const SnapshotAttachOptions& opts) {
-  V2Entry entries[kV2SectionCount];
-  S3_RETURN_IF_ERROR(ParseV2Table(bytes, entries));
+  Entry entries[kSectionCount];
+  S3_RETURN_IF_ERROR(ParseTable(bytes, entries));
 
   // Checksum policy: compact and raw payloads are always verified (the
   // decode walks every byte anyway). Aligned payloads are verified
   // eagerly on heap loads and when the caller asks; the lazy default
   // on mmap attach skips them so attach cost stays O(metadata), not
   // O(file) — see SnapshotAttachOptions.
-  for (uint32_t id = 1; id <= kV2SectionCount; ++id) {
-    const bool aligned = V2Spec(id).encoding == kEncAligned;
+  for (uint32_t id = 1; id <= kSectionCount; ++id) {
+    const bool aligned = Spec(id).encoding == kEncAligned;
     if (aligned && region != nullptr && !opts.eager_crc) continue;
-    const V2Entry& e = entries[id - 1];
+    const Entry& e = entries[id - 1];
     if (Crc32(e.payload) != e.crc) {
-      return SectionErrorV2(id, "checksum mismatch (corrupt payload)");
+      return SectionError(id, "checksum mismatch (corrupt payload)");
     }
   }
 
   Meta meta;
   {
     ByteReader r(entries[kMeta - 1].payload);
-    if (!ReadMeta(r, meta)) {
-      return SectionErrorV2(kMeta, "truncated");
-    }
-  }
-  if (meta.n_users >= kMaxEntityCount || meta.n_nodes >= kMaxEntityCount ||
-      meta.n_tags >= kMaxEntityCount || meta.n_docs >= kMaxEntityCount ||
-      meta.n_keywords >= UINT32_MAX || meta.n_terms >= UINT32_MAX ||
-      meta.n_edges >= UINT32_MAX || meta.n_triples >= UINT32_MAX) {
-    return SectionErrorV2(kMeta, "implausible population counts");
-  }
-
-  S3Instance::SnapshotPopulation pop;
-  S3Instance::SnapshotDerived der;
-  pop.terms = std::make_shared<rdf::TermDictionary>();
-  pop.rdf = std::make_shared<rdf::TripleStore>();
-
-  {
-    ByteReader r(entries[kVocab - 1].payload);
-    S3_RETURN_IF_ERROR(ReadVocabV2(r, meta, pop.vocabulary));
-  }
-  {
-    ByteReader r(entries[kUsers - 1].payload);
-    S3_RETURN_IF_ERROR(ReadUsersV2(r, meta, pop.users));
-  }
-  {
-    ByteReader r(entries[kTerms - 1].payload);
-    S3_RETURN_IF_ERROR(ReadTermsV2(r, meta, *pop.terms));
-  }
-  {
-    ByteReader r(entries[kTriples - 1].payload);
-    S3_RETURN_IF_ERROR(ReadTriplesV2(r, meta, *pop.terms, *pop.rdf));
-  }
-  {
-    ByteReader r(entries[kDocs - 1].payload);
-    S3_RETURN_IF_ERROR(ReadDocs(r, meta, pop.docs));
-  }
-  {
-    ByteReader r(entries[kComments - 1].payload);
-    S3_RETURN_IF_ERROR(ReadCommentsV2(r, meta, pop.comment_target));
-  }
-  {
-    ByteReader r(entries[kTags - 1].payload);
-    S3_RETURN_IF_ERROR(ReadTagsV2(r, meta, pop.tags));
-  }
-  {
-    ByteReader r(entries[kSocial - 1].payload);
-    S3_RETURN_IF_ERROR(ReadSocialV2(r, meta, pop.explicit_social));
-  }
-  {
-    ByteReader r(entries[kEdges - 1].payload);
-    S3_RETURN_IF_ERROR(ReadEdgesV2(r, meta, pop.explicit_social, pop.edges));
-  }
-  {
-    ByteReader r(entries[kIndex - 1].payload);
-    S3_RETURN_IF_ERROR(ReadIndexV2(r, meta, der.index));
-  }
-
-  const uint64_t n_rows = meta.n_users + meta.n_nodes + meta.n_tags;
-  S3_RETURN_IF_ERROR(AttachAlignedV2<uint64_t>(
-      entries[kV2MatrixRowPtr - 1], kV2MatrixRowPtr, n_rows + 1, region,
-      opts.allow_views, &der.matrix_row_ptr));
-  {
-    ByteReader r(entries[kV2MatrixCols - 1].payload);
-    S3_RETURN_IF_ERROR(
-        ReadMatrixColsV2(r, meta, der.matrix_row_ptr, der.matrix_cols));
-  }
-  const uint64_t nnz = der.matrix_row_ptr[static_cast<size_t>(n_rows)];
-  S3_RETURN_IF_ERROR(AttachAlignedV2<double>(
-      entries[kV2MatrixVals - 1], kV2MatrixVals, nnz, region,
-      opts.allow_views, &der.matrix_vals));
-  S3_RETURN_IF_ERROR(AttachAlignedV2<double>(
-      entries[kV2MatrixDenom - 1], kV2MatrixDenom, n_rows, region,
-      opts.allow_views, &der.matrix_denom));
-  S3_RETURN_IF_ERROR(AttachAlignedV2<uint32_t>(
-      entries[kV2Forest - 1], kV2Forest, n_rows, region, opts.allow_views,
-      &der.component_forest));
-  {
-    ByteReader r(entries[kV2KwComps - 1].payload);
-    S3_RETURN_IF_ERROR(ReadKeywordCompsV2(r, meta, der.comps_with_keyword));
-  }
-
-  der.generation = meta.generation;
-  der.lineage = meta.lineage;
-  der.rdf_social_edges = meta.rdf_social_edges;
-  der.saturation_stats = meta.saturation;
-
-  return S3Instance::FromSnapshot(std::move(pop), std::move(der));
-}
-
-Result<SnapshotInfo> InspectBinarySnapshotV2(std::string_view bytes) {
-  SnapshotInfo info;
-  info.version = kBinarySnapshotV2;
-  V2Entry entries[kV2SectionCount];
-  S3_RETURN_IF_ERROR(ParseV2Table(bytes, entries));
-  for (uint32_t id = 1; id <= kV2SectionCount; ++id) {
-    const V2Entry& e = entries[id - 1];
-    SnapshotSectionInfo s;
-    s.id = id;
-    s.name = SectionNameV2(id);
-    s.size = e.disk_size;
-    s.crc = e.crc;
-    s.crc_ok = Crc32(e.payload) == e.crc;
-    s.encoding = EncodingName(V2Spec(id).encoding);
-    s.mem_bytes = e.mem_bytes;
-    info.sections.push_back(s);
-  }
-  if (info.sections[kMeta - 1].crc_ok) {
-    Meta meta;
-    ByteReader r(entries[kMeta - 1].payload);
-    if (ReadMeta(r, meta)) {
-      info.generation = meta.generation;
-      info.lineage = meta.lineage;
-      info.rdf_social_edges = meta.rdf_social_edges;
-      info.n_users = meta.n_users;
-      info.n_docs = meta.n_docs;
-      info.n_nodes = meta.n_nodes;
-      info.n_tags = meta.n_tags;
-      info.n_keywords = meta.n_keywords;
-      info.n_edges = meta.n_edges;
-      info.n_terms = meta.n_terms;
-      info.n_triples = meta.n_triples;
-    }
-  }
-  return info;
-}
-
-// Format version at bytes[8..12), or 0 when the input is too short or
-// not magic-prefixed (callers then route to the v1 parser for its
-// canonical error messages).
-uint32_t SniffVersion(std::string_view bytes) {
-  if (!LooksLikeBinarySnapshot(bytes) || bytes.size() < 12) return 0;
-  uint32_t v = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[8 + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
-bool LooksLikeBinarySnapshot(std::string_view bytes) {
-  return bytes.size() >= sizeof(kMagic) &&
-         bytes.substr(0, sizeof(kMagic)) ==
-             std::string_view(kMagic, sizeof(kMagic));
-}
-
-Result<std::string> SaveBinarySnapshot(const S3Instance& inst) {
-  if (!inst.finalized()) {
-    return Status::FailedPrecondition(
-        "binary snapshots require a finalized instance (the format "
-        "serializes derived state; use the text codec for build-phase "
-        "dumps)");
-  }
-  return SaveBinarySnapshotV2(inst);
-}
-
-Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(
-    std::string_view bytes) {
-  if (SniffVersion(bytes) == kBinarySnapshotV2) {
-    // Heap load: no region to pin, every section copied and every
-    // checksum (aligned ones included) verified up front.
-    SnapshotAttachOptions opts;
-    opts.allow_views = false;
-    opts.eager_crc = true;
-    return LoadBinarySnapshotV2(bytes, /*region=*/nullptr, opts);
-  }
-  uint32_t version = 0;
-  Frame frames[kSectionCount];
-  S3_RETURN_IF_ERROR(ParseFrames(bytes, /*strict_crc=*/true, &version,
-                                 frames));
-
-  Meta meta;
-  {
-    ByteReader r(frames[kMeta - 1].payload);
     if (!ReadMeta(r, meta)) {
       return SectionError(kMeta, "truncated");
     }
@@ -1618,55 +1114,67 @@ Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(
   pop.rdf = std::make_shared<rdf::TripleStore>();
 
   {
-    ByteReader r(frames[kVocab - 1].payload);
+    ByteReader r(entries[kVocab - 1].payload);
     S3_RETURN_IF_ERROR(ReadVocab(r, meta, pop.vocabulary));
   }
   {
-    ByteReader r(frames[kUsers - 1].payload);
+    ByteReader r(entries[kUsers - 1].payload);
     S3_RETURN_IF_ERROR(ReadUsers(r, meta, pop.users));
   }
   {
-    ByteReader r(frames[kTerms - 1].payload);
+    ByteReader r(entries[kTerms - 1].payload);
     S3_RETURN_IF_ERROR(ReadTerms(r, meta, *pop.terms));
   }
   {
-    ByteReader r(frames[kTriples - 1].payload);
+    ByteReader r(entries[kTriples - 1].payload);
     S3_RETURN_IF_ERROR(ReadTriples(r, meta, *pop.terms, *pop.rdf));
   }
   {
-    ByteReader r(frames[kDocs - 1].payload);
+    ByteReader r(entries[kDocs - 1].payload);
     S3_RETURN_IF_ERROR(ReadDocs(r, meta, pop.docs));
   }
   {
-    ByteReader r(frames[kComments - 1].payload);
+    ByteReader r(entries[kComments - 1].payload);
     S3_RETURN_IF_ERROR(ReadComments(r, meta, pop.comment_target));
   }
   {
-    ByteReader r(frames[kTags - 1].payload);
+    ByteReader r(entries[kTags - 1].payload);
     S3_RETURN_IF_ERROR(ReadTags(r, meta, pop.tags));
   }
   {
-    ByteReader r(frames[kSocial - 1].payload);
+    ByteReader r(entries[kSocial - 1].payload);
     S3_RETURN_IF_ERROR(ReadSocial(r, meta, pop.explicit_social));
   }
   {
-    ByteReader r(frames[kEdges - 1].payload);
-    S3_RETURN_IF_ERROR(ReadEdges(r, meta, pop.edges));
+    ByteReader r(entries[kEdges - 1].payload);
+    S3_RETURN_IF_ERROR(ReadEdges(r, meta, pop.explicit_social, pop.edges));
   }
   {
-    ByteReader r(frames[kIndex - 1].payload);
+    ByteReader r(entries[kIndex - 1].payload);
     S3_RETURN_IF_ERROR(ReadIndex(r, meta, der.index));
   }
+
+  const uint64_t n_rows = meta.n_users + meta.n_nodes + meta.n_tags;
+  S3_RETURN_IF_ERROR(AttachAligned<uint64_t>(
+      entries[kMatrixRowPtr - 1], kMatrixRowPtr, n_rows + 1, region,
+      opts.allow_views, &der.matrix_row_ptr));
   {
-    ByteReader r(frames[kMatrix - 1].payload);
-    S3_RETURN_IF_ERROR(ReadMatrix(r, meta, der));
+    ByteReader r(entries[kMatrixCols - 1].payload);
+    S3_RETURN_IF_ERROR(
+        ReadMatrixCols(r, meta, der.matrix_row_ptr, der.matrix_cols));
   }
+  const uint64_t nnz = der.matrix_row_ptr[static_cast<size_t>(n_rows)];
+  S3_RETURN_IF_ERROR(AttachAligned<double>(
+      entries[kMatrixVals - 1], kMatrixVals, nnz, region,
+      opts.allow_views, &der.matrix_vals));
+  S3_RETURN_IF_ERROR(AttachAligned<double>(
+      entries[kMatrixDenom - 1], kMatrixDenom, n_rows, region,
+      opts.allow_views, &der.matrix_denom));
+  S3_RETURN_IF_ERROR(AttachAligned<uint32_t>(
+      entries[kForest - 1], kForest, n_rows, region, opts.allow_views,
+      &der.component_forest));
   {
-    ByteReader r(frames[kComponents - 1].payload);
-    S3_RETURN_IF_ERROR(ReadComponents(r, meta, der.component_forest));
-  }
-  {
-    ByteReader r(frames[kKeywordComps - 1].payload);
+    ByteReader r(entries[kKwComps - 1].payload);
     S3_RETURN_IF_ERROR(ReadKeywordComps(r, meta, der.comps_with_keyword));
   }
 
@@ -1678,6 +1186,27 @@ Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(
   return S3Instance::FromSnapshot(std::move(pop), std::move(der));
 }
 
+}  // namespace
+
+Result<std::string> SaveBinarySnapshot(const S3Instance& inst) {
+  if (!inst.finalized()) {
+    return Status::FailedPrecondition(
+        "binary snapshots require a finalized instance (the format "
+        "serializes derived state)");
+  }
+  return EncodeSnapshot(inst);
+}
+
+Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(
+    std::string_view bytes) {
+  // Heap load: no region to pin, every section copied and every
+  // checksum (aligned ones included) verified up front.
+  SnapshotAttachOptions opts;
+  opts.allow_views = false;
+  opts.eager_crc = true;
+  return DecodeSnapshot(bytes, /*region=*/nullptr, opts);
+}
+
 Result<std::shared_ptr<const S3Instance>> AttachBinarySnapshot(
     std::shared_ptr<const MappedRegion> region,
     const SnapshotAttachOptions& options) {
@@ -1685,38 +1214,29 @@ Result<std::shared_ptr<const S3Instance>> AttachBinarySnapshot(
     return Status::InvalidArgument("attach: null mapped region");
   }
   const std::string_view bytes = region->view();
-  if (SniffVersion(bytes) == kBinarySnapshotV2) {
-    return LoadBinarySnapshotV2(bytes, region, options);
-  }
-  // v1 (and malformed headers, for v1's canonical error messages):
-  // nothing to view into — the copy path, region released on return.
-  return LoadBinarySnapshot(bytes);
+  return DecodeSnapshot(bytes, std::move(region), options);
 }
 
 Result<SnapshotInfo> InspectBinarySnapshot(std::string_view bytes) {
-  if (SniffVersion(bytes) == kBinarySnapshotV2) {
-    return InspectBinarySnapshotV2(bytes);
-  }
   SnapshotInfo info;
-  Frame frames[kSectionCount];
-  S3_RETURN_IF_ERROR(ParseFrames(bytes, /*strict_crc=*/false,
-                                 &info.version, frames));
+  info.version = kBinarySnapshotV2;
+  Entry entries[kSectionCount];
+  S3_RETURN_IF_ERROR(ParseTable(bytes, entries));
   for (uint32_t id = 1; id <= kSectionCount; ++id) {
-    const Frame& f = frames[id - 1];
+    const Entry& e = entries[id - 1];
     SnapshotSectionInfo s;
     s.id = id;
     s.name = SectionName(id);
-    s.size = f.size;
-    s.crc = f.crc;
-    s.crc_ok = f.crc_ok;
-    s.encoding = "raw";
-    s.mem_bytes = f.size;
+    s.size = e.disk_size;
+    s.crc = e.crc;
+    s.crc_ok = Crc32(e.payload) == e.crc;
+    s.encoding = EncodingName(Spec(id).encoding);
+    s.mem_bytes = e.mem_bytes;
     info.sections.push_back(s);
   }
-  const Frame& meta_frame = frames[kMeta - 1];
-  if (meta_frame.crc_ok) {
+  if (info.sections[kMeta - 1].crc_ok) {
     Meta meta;
-    ByteReader r(meta_frame.payload);
+    ByteReader r(entries[kMeta - 1].payload);
     if (ReadMeta(r, meta)) {
       info.generation = meta.generation;
       info.lineage = meta.lineage;

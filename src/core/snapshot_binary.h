@@ -1,28 +1,24 @@
-// Versioned binary snapshot codec for *finalized* S3 instances.
+// The snapshot codec for *finalized* S3 instances: the one encoding
+// the storage layer, every checkpoint and every tool read and write.
 //
-// Unlike the text codec (core/serialization.h), which saves only the
-// population and pays a full Finalize() — saturation, matrix build,
-// component discovery — on every load, the binary format serializes
-// the derived state too: interned term dictionary, saturated triple
-// store, inverted-index postings, transition-matrix CSR, component
+// A snapshot carries the population (users, documents, tags,
+// comments, social edges, the weighted RDF graph) *and* the derived
+// state: interned term dictionary, saturated triple store,
+// inverted-index postings, transition-matrix CSR, component
 // union-find forest and the keyword→component directory. Loading goes
-// through S3Instance::FromSnapshot / AttachDerived and skips all of
-// that recomputation; generation and lineage round-trip intact, which
-// is what lets the server's SnapshotManager resume a killed process at
-// its exact pre-crash generation.
+// through S3Instance::FromSnapshot / AttachDerived and skips all
+// recomputation; generation and lineage round-trip intact, which is
+// what lets the server's SnapshotManager resume a killed process at
+// its exact pre-crash generation. Weights are stored as IEEE doubles,
+// so every value survives bit for bit.
 //
-// Two wire formats share the 8-byte magic and a u32 version:
-//
-//   v1 — streamed frames: (u32 id, u64 size, u32 CRC-32, payload) in
-//        fixed ascending-id order, every field fixed-width. Read
-//        forever; no longer written.
-//   v2 — the compact + zero-copy format (see src/server/STORAGE.md):
-//        a CRC-guarded section *table* up front, varint/delta-encoded
-//        compact sections for the population, postings and CSR
-//        columns, and 64-byte-aligned fixed-width sections (matrix
-//        row_ptr / values / denominators, component forest) that
-//        AttachBinarySnapshot hands to the instance as zero-copy
-//        StorageSpan views over the mmap'd file.
+// Format v2 (see src/server/STORAGE.md): an 8-byte magic and a u32
+// version, a CRC-guarded section *table* up front, varint/delta-encoded
+// compact sections for the population, postings and CSR columns, and
+// 64-byte-aligned fixed-width sections (matrix row_ptr / values /
+// denominators, component forest) that AttachBinarySnapshot hands to
+// the instance as zero-copy StorageSpan views over the mmap'd file.
+// Any other version, format v1 included, is rejected.
 //
 // Corruption — truncation, bit flips, garbage — is detected at the
 // framing layer and reported as InvalidArgument with the failing
@@ -43,21 +39,17 @@
 
 namespace s3::core {
 
-inline constexpr uint32_t kBinarySnapshotV1 = 1;
+// The format version written and read.
 inline constexpr uint32_t kBinarySnapshotV2 = 2;
 
-// True when `bytes` begin with the binary-snapshot magic (cheap format
-// sniffing; says nothing about the rest of the file).
-bool LooksLikeBinarySnapshot(std::string_view bytes);
-
-// Serializes `instance` — population and derived state — into the v2
-// binary snapshot format (the only one written). Fails with
-// FailedPrecondition on an unfinalized instance (there is no derived
-// state to save; use the text codec for build-phase dumps).
+// Serializes `instance` — population and derived state — into a
+// snapshot. Deterministic: the same instance always yields the same
+// bytes. Fails with FailedPrecondition on an unfinalized instance
+// (there is no derived state to save).
 Result<std::string> SaveBinarySnapshot(const S3Instance& instance);
 
-// Parses, checksum-verifies and validates a binary snapshot (either
-// version), returning a finalized instance without running Finalize.
+// Parses, checksum-verifies and validates a snapshot, returning a
+// finalized instance without running Finalize.
 // Everything is copied to the heap — no views. Any framing or
 // validation failure is InvalidArgument naming the offending section.
 Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(
@@ -65,7 +57,7 @@ Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(
 
 // Zero-copy attach policy for AttachBinarySnapshot.
 struct SnapshotAttachOptions {
-  // Attach v2 aligned sections as StorageSpan views into the region
+  // Attach aligned sections as StorageSpan views into the region
   // (when the host is little-endian and the section lands properly
   // aligned in memory); false forces heap copies of everything.
   bool allow_views = true;
@@ -79,12 +71,12 @@ struct SnapshotAttachOptions {
   bool eager_crc = false;
 };
 
-// Attaches a snapshot from a mapped region. v1 regions load via the
-// copy path; v2 regions decode the compact sections and hand the
-// aligned sections to the instance as zero-copy views pinning
-// `region`. The returned instance (and every ApplyDelta successor that
-// still shares a view) keeps the mapping alive; deleting the file on
-// disk while attached is safe (POSIX keeps mapped pages valid).
+// Attaches a snapshot from a mapped region: decodes the compact
+// sections and hands the aligned sections to the instance as zero-copy
+// views pinning `region`. The returned instance (and every ApplyDelta
+// successor that still shares a view) keeps the mapping alive;
+// deleting the file on disk while attached is safe (POSIX keeps mapped
+// pages valid).
 Result<std::shared_ptr<const S3Instance>> AttachBinarySnapshot(
     std::shared_ptr<const MappedRegion> region,
     const SnapshotAttachOptions& options = {});
@@ -97,8 +89,8 @@ struct SnapshotSectionInfo {
   uint64_t size = 0;   // payload bytes on disk
   uint32_t crc = 0;    // stored checksum
   bool crc_ok = false; // stored checksum matches the payload
-  // Wire encoding: "raw" (v1 sections and v2 fixed-width streams),
-  // "varint-delta" (v2 compact) or "aligned" (v2 zero-copy views).
+  // Wire encoding: "raw" (fixed-width streams), "varint-delta"
+  // (compact) or "aligned" (zero-copy views).
   const char* encoding = "raw";
   // Decoded in-memory bytes (equals `size` for raw and aligned
   // sections; larger for compact ones — size/mem_bytes is the

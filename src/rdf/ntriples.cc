@@ -1,7 +1,6 @@
 #include "rdf/ntriples.h"
 
 #include <cctype>
-#include <cstdio>
 #include <vector>
 
 #include "common/str_util.h"
@@ -57,23 +56,6 @@ Result<TermId> ReadTerm(std::string_view line, size_t& pos,
     return dict.InternLiteral(value);
   }
   return MalformedLine(line_no, "expected <uri> or \"literal\"");
-}
-
-std::string EscapeLiteral(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -140,27 +122,6 @@ Result<NTriplesStats> ParseNTriples(std::string_view text,
     if (start > text.size()) break;
   }
   return stats;
-}
-
-std::string SerializeNTriples(const TermDictionary& dict,
-                              const TripleStore& store) {
-  std::string out;
-  for (const Triple& t : store.triples()) {
-    out += "<" + dict.Text(t.subject) + "> <" + dict.Text(t.property) +
-           "> ";
-    if (dict.Kind(t.object) == TermKind::kUri) {
-      out += "<" + dict.Text(t.object) + ">";
-    } else {
-      out += "\"" + EscapeLiteral(dict.Text(t.object)) + "\"";
-    }
-    if (t.weight != 1.0) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), " %g", t.weight);
-      out += buf;
-    }
-    out += " .\n";
-  }
-  return out;
 }
 
 }  // namespace s3::rdf

@@ -6,8 +6,8 @@
 //   <subject> <property> <object> 0.5 .        (weighted, non-standard)
 //   # comment
 //
-// Used to load ontologies and to snapshot weighted RDF graphs; the
-// weight column serializes the paper's weighted-triple model (§2.1).
+// Used to load ontologies; the weight column carries the paper's
+// weighted-triple model (§2.1).
 #ifndef S3_RDF_NTRIPLES_H_
 #define S3_RDF_NTRIPLES_H_
 
@@ -30,11 +30,6 @@ struct NTriplesStats {
 Result<NTriplesStats> ParseNTriples(std::string_view text,
                                     TermDictionary& dict,
                                     TripleStore& store);
-
-// Serializes the whole store, one triple per line; weights other than
-// 1 are emitted with the weight column.
-std::string SerializeNTriples(const TermDictionary& dict,
-                              const TripleStore& store);
 
 }  // namespace s3::rdf
 

@@ -21,7 +21,7 @@
 #include "core/s3_instance.h"
 #include "core/s3k.h"
 #include "core/score.h"
-#include "core/serialization.h"
+#include "core/snapshot_binary.h"
 
 // Substrates.
 #include "doc/dewey.h"

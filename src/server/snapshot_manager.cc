@@ -271,11 +271,10 @@ Result<RecoveredState> SnapshotManager::Recover(const std::string& dir) {
   RecoveredState state;
   std::string last_error = "?";
   for (const auto& [generation, path] : snapshots) {
-    // mmap + attach instead of read + copy: v2 snapshots hand their
+    // mmap + attach instead of read + copy: the snapshot hands its
     // aligned sections (matrix CSR floats, component forest) to the
     // instance as zero-copy views pinning the mapping, so recovery
-    // cost is decode-the-compact-sections, not copy-the-file. v1
-    // snapshots go down the same call and load via the copy path.
+    // cost is decode-the-compact-sections, not copy-the-file.
     std::shared_ptr<const MappedRegion> region;
     Status mapped = MappedRegion::Open(path, &region);
     if (!mapped.ok()) {

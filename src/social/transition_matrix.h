@@ -135,8 +135,8 @@ class TransitionMatrix {
   // ---- snapshot (de)serialization hooks --------------------------------
 
   // Raw CSR views for the binary snapshot writer. Each array may be
-  // heap-owned (Build/IncrementalUpdate output, v1 loads) or a view
-  // into an mmap'd snapshot section (v2 attach).
+  // heap-owned (Build/IncrementalUpdate output, heap loads) or a view
+  // into an mmap'd snapshot section (mmap attach).
   const StorageSpan<uint64_t>& row_ptr() const { return row_ptr_; }
   const StorageSpan<uint32_t>& col_index() const { return cols_; }
   const StorageSpan<double>& values() const { return vals_; }

@@ -1,5 +1,5 @@
 // Tests for the ingestion layer: XML and JSON document parsing,
-// N-Triples parsing/serialization, and triple-pattern matching.
+// N-Triples parsing, and triple-pattern matching.
 #include <gtest/gtest.h>
 
 #include "doc/json_parser.h"
@@ -252,25 +252,20 @@ TEST_F(NTriplesTest, MalformedLinesReportLineNumber) {
   EXPECT_FALSE(r4.ok());  // literal subject
 }
 
-TEST_F(NTriplesTest, RoundTrip) {
-  store_.Add(dict_.InternUri("a"), dict_.InternUri("p"),
-             dict_.InternUri("b"));
-  store_.Add(dict_.InternUri("a"), dict_.InternUri("name"),
-             dict_.InternLiteral("Ann \"A\"\nx"));
-  store_.Add(dict_.InternUri("a"), dict_.InternUri("sim"),
-             dict_.InternUri("c"), 0.5);
-  std::string text = rdf::SerializeNTriples(dict_, store_);
-
-  rdf::TermDictionary dict2;
-  rdf::TripleStore store2;
-  auto stats = rdf::ParseNTriples(text, dict2, store2);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(store2.size(), 3u);
-  EXPECT_DOUBLE_EQ(store2.Weight(dict2.InternUri("a"),
-                                 dict2.InternUri("sim"),
-                                 dict2.InternUri("c")),
+TEST_F(NTriplesTest, EscapedLiteralAndWeightTogether) {
+  auto stats = rdf::ParseNTriples(
+      "<a> <p> <b> .\n"
+      "<a> <name> \"Ann \\\"A\\\"\\nx\" .\n"
+      "<a> <sim> <c> 0.5 .\n",
+      dict_, store_);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->triples, 3u);
+  EXPECT_EQ(store_.size(), 3u);
+  EXPECT_DOUBLE_EQ(store_.Weight(dict_.InternUri("a"),
+                                 dict_.InternUri("sim"),
+                                 dict_.InternUri("c")),
                    0.5);
-  EXPECT_NE(dict2.Find("Ann \"A\"\nx", rdf::TermKind::kLiteral),
+  EXPECT_NE(dict_.Find("Ann \"A\"\nx", rdf::TermKind::kLiteral),
             rdf::kInvalidTerm);
 }
 

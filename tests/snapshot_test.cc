@@ -1,15 +1,15 @@
 // Binary snapshot codec tests: round-trip fidelity (bit-for-bit
-// derived state, generation/lineage, query equivalence), the
-// format-dispatch seam, the inspector surface, and robustness — a
-// truncated, bit-flipped or garbage snapshot (text or binary) must
-// come back InvalidArgument, never crash (the sweep runs under
-// ASan/UBSan in CI).
+// derived state, generation/lineage, query equivalence, identical
+// re-saved bytes), the inspector surface, and robustness — a
+// truncated, bit-flipped or garbage snapshot must come back
+// InvalidArgument, never crash (the sweep runs under ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -22,8 +22,6 @@
 #include "common/mmap_file.h"
 #include "core/instance_delta.h"
 #include "core/s3k.h"
-#include "core/serialization.h"
-#include "core/snapshot.h"
 #include "core/snapshot_binary.h"
 #include "test_fixtures.h"
 #include "workload/instance_stats.h"
@@ -31,8 +29,7 @@
 namespace s3::core {
 namespace {
 
-// Committed bytes of a Figure 1 snapshot (tests/data/). The v1 fixture
-// is also the only source of v1 bytes: v2 is the only format written.
+// Committed bytes of a Figure 1 snapshot (tests/data/).
 std::string ReadGolden(const std::string& name) {
   std::ifstream in(std::string(S3_TEST_DATA_DIR "/") + name,
                    std::ios::binary);
@@ -118,46 +115,147 @@ TEST(BinarySnapshotTest, RequiresFinalizedInstance) {
   EXPECT_EQ(saved.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// Saves `inst`, loads the bytes back and checks that re-saving the
+// loaded instance reproduces them exactly: every byte of the format —
+// population, derived state, generation and lineage — survives.
+std::shared_ptr<const S3Instance> RoundTrip(const S3Instance& inst) {
+  auto blob = SaveBinarySnapshot(inst);
+  EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+  if (!blob.ok()) return nullptr;
+  auto loaded = LoadBinarySnapshot(*blob);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  if (!loaded.ok()) return nullptr;
+  auto resaved = SaveBinarySnapshot(**loaded);
+  EXPECT_TRUE(resaved.ok()) << resaved.status().ToString();
+  if (resaved.ok()) EXPECT_EQ(*resaved, *blob);
+  return *loaded;
+}
+
 TEST(BinarySnapshotTest, Figure1RoundTripBitForBit) {
   auto fig = s3::testing::BuildFigure1();
-  auto blob = SaveBinarySnapshot(*fig.instance);
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  EXPECT_TRUE(LooksLikeBinarySnapshot(*blob));
-
-  auto loaded = LoadBinarySnapshot(*blob);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectSameDerivedState(**loaded, *fig.instance);
-  ExpectSameQueryResults(**loaded, *fig.instance,
+  auto loaded = RoundTrip(*fig.instance);
+  ASSERT_NE(loaded, nullptr);
+  ExpectSameDerivedState(*loaded, *fig.instance);
+  ExpectSameQueryResults(*loaded, *fig.instance,
                          Query{fig.u1, {fig.kw_degree}});
-  ExpectSameQueryResults(**loaded, *fig.instance,
+  ExpectSameQueryResults(*loaded, *fig.instance,
                          Query{fig.u0, {fig.kw_university, fig.kw_ms}});
+}
 
-  // The population survives too (text re-export still works).
-  EXPECT_EQ(SaveInstance(**loaded), SaveInstance(*fig.instance));
+TEST(BinarySnapshotTest, Figure3RoundTripKeepsThePopulation) {
+  auto fig = s3::testing::BuildFigure3();
+  auto loaded = RoundTrip(*fig.instance);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->UserCount(), fig.instance->UserCount());
+  EXPECT_EQ(loaded->TagCount(), fig.instance->TagCount());
+  EXPECT_EQ(loaded->docs().NodeCount(), fig.instance->docs().NodeCount());
+  EXPECT_EQ(loaded->edges().size(), fig.instance->edges().size());
+  EXPECT_TRUE(loaded->docs().FindByUri("URI0.1.1").ok());
+  ExpectSameDerivedState(*loaded, *fig.instance);
+}
+
+TEST(BinarySnapshotTest, EmptyInstanceRoundTrips) {
+  S3Instance inst;
+  ASSERT_TRUE(inst.Finalize().ok());
+  auto loaded = RoundTrip(inst);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->UserCount(), 0u);
+  EXPECT_EQ(loaded->docs().DocumentCount(), 0u);
+  EXPECT_EQ(loaded->vocabulary().size(), 0u);
+}
+
+TEST(BinarySnapshotTest, SpacesInNamesSurvive) {
+  S3Instance inst;
+  auto u = inst.AddUser("user with space");
+  KeywordId kw = inst.InternKeyword("two words");
+  doc::Document d("name with space");
+  d.AddKeywords(0, {kw});
+  ASSERT_TRUE(inst.AddDocument(std::move(d), "uri with space", u).ok());
+  ASSERT_TRUE(inst.Finalize().ok());
+  auto loaded = RoundTrip(inst);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->users()[0].uri, "user with space");
+  EXPECT_EQ(loaded->vocabulary().Spelling(kw), "two words");
+  EXPECT_TRUE(loaded->docs().FindByUri("uri with space").ok());
+  EXPECT_EQ(loaded->docs().node(0).name, "name with space");
+}
+
+// RDF weights are stored as IEEE doubles: a weight no short decimal
+// spells comes back bit for bit, and the S3:social sub-property edge it
+// carries is imported again.
+TEST(BinarySnapshotTest, RdfWeightsSurviveBitForBit) {
+  constexpr double kWeight = 0.123456789;
+  S3Instance inst;
+  inst.AddUser("a");
+  inst.AddUser("b");
+  inst.DeclareSubProperty("sim", "S3:social");
+  const rdf::TermId a = inst.terms().InternUri("a");
+  const rdf::TermId sim = inst.terms().InternUri("sim");
+  const rdf::TermId b = inst.terms().InternUri("b");
+  inst.rdf_graph().Add(a, sim, b, kWeight);
+  ASSERT_TRUE(inst.Finalize().ok());
+  auto loaded = RoundTrip(inst);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->rdf_social_edges(), 1u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(loaded->rdf_graph().Weight(a, sim, b)),
+            std::bit_cast<uint64_t>(kWeight));
+}
+
+// A document may comment on several fragments. The snapshot keeps
+// every target: the EDGES log carries one kCommentsOn edge per target,
+// on the heap load and on the mapped attach alike.
+TEST(BinarySnapshotTest, EveryCommentTargetSurvives) {
+  S3Instance inst;
+  auto u = inst.AddUser("u");
+  auto add_doc = [&](const std::string& uri) {
+    doc::Document d("post");
+    d.AddKeywords(0, {inst.InternKeyword(uri)});
+    return *inst.AddDocument(std::move(d), uri, u);
+  };
+  const doc::DocId a = add_doc("a");
+  const doc::DocId b = add_doc("b");
+  const doc::DocId c = add_doc("c");
+  const doc::NodeId a_root = inst.docs().RootNode(a);
+  const doc::NodeId b_root = inst.docs().RootNode(b);
+  ASSERT_TRUE(inst.AddComment(c, a_root).ok());
+  ASSERT_TRUE(inst.AddComment(c, b_root).ok());
+  ASSERT_TRUE(inst.Finalize().ok());
+  ASSERT_EQ(inst.CommentsOnFragment(a_root).size(), 1u);
+  ASSERT_EQ(inst.CommentsOnFragment(b_root).size(), 1u);
+
+  auto blob = SaveBinarySnapshot(inst);
+  ASSERT_TRUE(blob.ok());
+  auto heap = LoadBinarySnapshot(*blob);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  auto mapped = AttachBinarySnapshot(MappedRegion::FromBuffer(*blob));
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  for (const auto& loaded : {*heap, *mapped}) {
+    EXPECT_EQ(loaded->CommentsOnFragment(a_root).size(), 1u);
+    EXPECT_EQ(loaded->CommentsOnFragment(b_root).size(), 1u);
+  }
 }
 
 TEST(BinarySnapshotTest, RandomInstancesRoundTrip) {
-  for (uint64_t seed : {71ull, 72ull, 73ull}) {
+  for (uint64_t seed : {31ull, 32ull, 33ull, 71ull, 72ull, 73ull}) {
     s3::testing::RandomInstanceParams p;
     p.seed = seed;
     auto ri = s3::testing::BuildRandomInstance(p);
-    auto blob = SaveBinarySnapshot(*ri.instance);
-    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-    auto loaded = LoadBinarySnapshot(*blob);
-    ASSERT_TRUE(loaded.ok()) << "seed " << seed << ": "
-                             << loaded.status().ToString();
+    auto loaded = RoundTrip(*ri.instance);
+    ASSERT_NE(loaded, nullptr) << "seed " << seed;
 
     workload::InstanceStats a = workload::ComputeStats(*ri.instance);
-    workload::InstanceStats b = workload::ComputeStats(**loaded);
+    workload::InstanceStats b = workload::ComputeStats(*loaded);
     EXPECT_EQ(a.users, b.users) << seed;
     EXPECT_EQ(a.documents, b.documents) << seed;
     EXPECT_EQ(a.tags, b.tags) << seed;
+    EXPECT_EQ(a.social_edges, b.social_edges) << seed;
     EXPECT_EQ(a.network_edges, b.network_edges) << seed;
+    EXPECT_EQ(a.keyword_occurrences, b.keyword_occurrences) << seed;
     EXPECT_EQ(a.components, b.components) << seed;
     EXPECT_EQ(a.rdf_triples, b.rdf_triples) << seed;
-    ExpectSameDerivedState(**loaded, *ri.instance);
+    ExpectSameDerivedState(*loaded, *ri.instance);
     for (KeywordId k : ri.keywords) {
-      ExpectSameQueryResults(**loaded, *ri.instance, Query{0, {k}});
+      ExpectSameQueryResults(*loaded, *ri.instance, Query{0, {k}});
     }
   }
 }
@@ -225,44 +323,6 @@ TEST(BinarySnapshotTest, RestoredLineageIsReserved) {
   EXPECT_NE(other.instance->lineage(), (*loaded)->lineage());
 }
 
-// ---- the format seam ---------------------------------------------------
-
-TEST(SnapshotSeamTest, DetectsAndLoadsBothFormats) {
-  auto fig = s3::testing::BuildFigure1();
-  auto text = SaveSnapshot(*fig.instance, SnapshotFormat::kText);
-  auto binary = SaveSnapshot(*fig.instance, SnapshotFormat::kBinary);
-  ASSERT_TRUE(text.ok());
-  ASSERT_TRUE(binary.ok());
-
-  ASSERT_TRUE(DetectSnapshotFormat(*text).ok());
-  EXPECT_EQ(*DetectSnapshotFormat(*text), SnapshotFormat::kText);
-  ASSERT_TRUE(DetectSnapshotFormat(*binary).ok());
-  EXPECT_EQ(*DetectSnapshotFormat(*binary), SnapshotFormat::kBinary);
-  EXPECT_FALSE(DetectSnapshotFormat("what even is this").ok());
-
-  auto from_text = LoadSnapshot(*text);
-  ASSERT_TRUE(from_text.ok());
-  EXPECT_TRUE((*from_text)->finalized());
-  // Text load rebuilds: fresh lineage, same answers.
-  EXPECT_NE((*from_text)->lineage(), fig.instance->lineage());
-  S3kOptions opts;
-  opts.k = 5;
-  auto a = S3kSearcher(**from_text, opts).Search(
-      Query{fig.u1, {fig.kw_degree}});
-  auto b = S3kSearcher(*fig.instance, opts).Search(
-      Query{fig.u1, {fig.kw_degree}});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), b->size());
-  for (size_t i = 0; i < b->size(); ++i) {
-    EXPECT_EQ((*a)[i].node, (*b)[i].node);
-  }
-
-  auto from_binary = LoadSnapshot(*binary);
-  ASSERT_TRUE(from_binary.ok());
-  ExpectSameDerivedState(**from_binary, *fig.instance);
-}
-
 // ---- inspection --------------------------------------------------------
 
 TEST(SnapshotInspectTest, ReportsSectionsAndMeta) {
@@ -300,18 +360,6 @@ TEST(SnapshotInspectTest, ReportsSectionsAndMeta) {
                          "FOREST"}));
 }
 
-TEST(SnapshotInspectTest, ReportsV1Sections) {
-  auto info = InspectBinarySnapshot(ReadGolden("figure1_v1.snap"));
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->version, kBinarySnapshotV1);
-  ASSERT_EQ(info->sections.size(), 14u);
-  for (const auto& section : info->sections) {
-    EXPECT_TRUE(section.crc_ok) << section.name;
-    EXPECT_EQ(std::string_view(section.encoding), "raw") << section.name;
-    EXPECT_EQ(section.mem_bytes, section.size) << section.name;
-  }
-}
-
 TEST(SnapshotInspectTest, FlagsCorruptSection) {
   auto fig = s3::testing::BuildFigure1();
   auto blob = SaveBinarySnapshot(*fig.instance);
@@ -331,18 +379,10 @@ TEST(SnapshotInspectTest, FlagsCorruptSection) {
 
 // ---- robustness: corrupt binary input ----------------------------------
 
-// Parameterized over the wire format: both v1 (the committed fixture)
-// and v2 (freshly written) must reject every truncation, bit flip and
-// garbage input.
-class BinarySnapshotRobustnessTest
-    : public ::testing::TestWithParam<uint32_t> {
+// Every truncation, bit flip and garbage input must be rejected.
+class BinarySnapshotRobustnessTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (GetParam() == kBinarySnapshotV1) {
-      blob_ = ReadGolden("figure1_v1.snap");
-      ASSERT_FALSE(blob_.empty());
-      return;
-    }
     auto fig = s3::testing::BuildFigure1();
     auto blob = SaveBinarySnapshot(*fig.instance);
     ASSERT_TRUE(blob.ok());
@@ -360,14 +400,7 @@ class BinarySnapshotRobustnessTest
   std::string blob_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Formats, BinarySnapshotRobustnessTest,
-                         ::testing::Values(kBinarySnapshotV1,
-                                           kBinarySnapshotV2),
-                         [](const auto& info) {
-                           return "v" + std::to_string(info.param);
-                         });
-
-TEST_P(BinarySnapshotRobustnessTest, TruncationsNeverCrash) {
+TEST_F(BinarySnapshotRobustnessTest, TruncationsNeverCrash) {
   // Dense sweep over the header + first sections, coarse sweep beyond.
   for (size_t len = 0; len < std::min<size_t>(blob_.size(), 300); ++len) {
     ExpectRejected(std::string_view(blob_).substr(0, len),
@@ -379,7 +412,7 @@ TEST_P(BinarySnapshotRobustnessTest, TruncationsNeverCrash) {
   }
 }
 
-TEST_P(BinarySnapshotRobustnessTest, BitFlipsNeverCrash) {
+TEST_F(BinarySnapshotRobustnessTest, BitFlipsNeverCrash) {
   for (size_t at = 0; at < blob_.size(); at += 13) {
     for (int bit : {0, 3, 7}) {
       std::string corrupt = blob_;
@@ -392,7 +425,7 @@ TEST_P(BinarySnapshotRobustnessTest, BitFlipsNeverCrash) {
   }
 }
 
-TEST_P(BinarySnapshotRobustnessTest, GarbageNeverCrashes) {
+TEST_F(BinarySnapshotRobustnessTest, GarbageNeverCrashes) {
   ExpectRejected("", "empty");
   ExpectRejected("S3 v1\nUSER u\n", "text dump fed to binary loader");
   std::string junk(4096, '\0');
@@ -409,64 +442,93 @@ TEST_P(BinarySnapshotRobustnessTest, GarbageNeverCrashes) {
   std::string bad_version = blob_;
   bad_version[8] = 7;
   ExpectRejected(bad_version, "unknown format version");
+  // Format v1 is no longer read; the error names the upgrade path.
+  std::string v1 = blob_;
+  v1[8] = 1;
+  ExpectRejected(v1, "format version 1");
+  for (const auto& status :
+       {LoadBinarySnapshot(v1).status(),
+        AttachBinarySnapshot(MappedRegion::FromBuffer(v1)).status(),
+        InspectBinarySnapshot(v1).status()}) {
+    EXPECT_NE(status.message().find("v1 is no longer read"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("s3_snapshot convert"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+// File offset and size of a section's payload, straight from the
+// section table (magic 8 + version/count/crc 12, then 36-byte entries:
+// id u32, encoding u8, elem u8, reserved u16, offset u64, size u64,
+// mem u64, crc u32).
+constexpr size_t kTableAt = 8 + 12;
+constexpr size_t kTableEntryBytes = 36;
+constexpr uint32_t kSections = 17;
+
+std::pair<size_t, size_t> SectionExtent(const std::string& blob,
+                                        uint32_t id) {
+  const size_t entry = kTableAt + (id - 1) * kTableEntryBytes;
+  ByteReader r(std::string_view(blob).substr(entry, kTableEntryBytes));
+  r.Skip(8);
+  const uint64_t offset = r.U64();
+  const uint64_t size = r.U64();
+  return {static_cast<size_t>(offset), static_cast<size_t>(size)};
+}
+
+void PutU32(std::string& blob, size_t at, uint32_t v) {
+  std::string bytes;
+  ByteWriter(&bytes).U32(v);
+  blob.replace(at, 4, bytes);
 }
 
 // A *checksum-valid* but semantically hostile snapshot must still be
-// rejected: rewrite a section payload and refresh its stored CRC, so
-// only structural validation stands between the bytes and the engine.
+// rejected: rewrite a section payload and refresh its stored CRC and
+// the table CRC over it, so only structural validation stands between
+// the bytes and the engine.
 TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
-  // Frame-walking is v1-specific: start from the v1 fixture.
-  const std::string blob_ = ReadGolden("figure1_v1.snap");
-  // Walk the frame table (8-byte magic, u32 version, u32 count, then
-  // per section: u32 id, u64 size, u32 crc, payload) to the EDGES
-  // section (id 10).
-  auto rd32 = [&](const std::string& b, size_t at) {
-    return ByteReader(std::string_view(b).substr(at, 4)).U32();
-  };
-  auto rd64 = [&](const std::string& b, size_t at) {
-    return ByteReader(std::string_view(b).substr(at, 8)).U64();
-  };
-  size_t pos = 8 + 4 + 4;
-  size_t edges_payload = 0, edges_size = 0, edges_crc_at = 0;
-  while (pos + 16 <= blob_.size()) {
-    const uint32_t id = rd32(blob_, pos);
-    const uint64_t size = rd64(blob_, pos + 4);
-    if (id == 10) {
-      edges_crc_at = pos + 12;
-      edges_payload = pos + 16;
-      edges_size = static_cast<size_t>(size);
-      break;
-    }
-    pos += 16 + static_cast<size_t>(size);
-  }
-  ASSERT_NE(edges_payload, 0u) << "EDGES section not found";
+  constexpr uint32_t kEdgesId = 10;
+  const std::string blob = ReadGolden("figure1_v2.snap");
+  const auto [edges_at, edges_size] = SectionExtent(blob, kEdgesId);
 
-  // Find a kCommentsOn edge (label 3) and rewrite its source to user 0
-  // (packed kind bits 00): in range for USERS, hostile for the
-  // comments_on_ rebuild, invisible to the checksum once refreshed.
-  std::string corrupt = blob_;
-  bool rewrote = false;
-  size_t at = edges_payload + 8;  // skip the u64 edge count
-  while (at + 17 <= edges_payload + edges_size) {
-    if (static_cast<uint8_t>(corrupt[at]) ==
-        static_cast<uint8_t>(social::EdgeLabel::kCommentsOn)) {
-      corrupt[at + 1] = corrupt[at + 2] = corrupt[at + 3] =
-          corrupt[at + 4] = '\0';  // source packed = 0 -> User(0)
-      rewrote = true;
-      break;
+  // Walk the EDGES stream (varint count, then per edge an opcode:
+  // 0x40 and 0x41 stand alone, an edge label is followed by source and
+  // target varints and a weight tag) to the first explicit kCommentsOn
+  // record.
+  ByteReader r(std::string_view(blob).substr(edges_at, edges_size));
+  const uint64_t n = r.Var();
+  size_t source_at = 0;
+  for (uint64_t i = 0; i < n && source_at == 0 && r.ok(); ++i) {
+    const uint8_t op = r.U8();
+    if (op == 0x40 || op == 0x41) continue;
+    const size_t at = r.offset();
+    const uint64_t source = r.Var();
+    (void)r.Var();  // target
+    if (r.U8() == 1) (void)r.F64();
+    if (op == static_cast<uint8_t>(social::EdgeLabel::kCommentsOn)) {
+      // One varint byte: (index << 2) | kind, Fragment 9.
+      ASSERT_EQ(source, (9u << 2) | 1u);
+      source_at = edges_at + at;
     }
-    at += 17;
   }
-  ASSERT_TRUE(rewrote) << "no kCommentsOn edge in the fixture";
-  std::string fresh_crc;
-  ByteWriter(&fresh_crc)
-      .U32(Crc32(std::string_view(corrupt).substr(edges_payload,
-                                                  edges_size)));
-  corrupt.replace(edges_crc_at, 4, fresh_crc);
+  ASSERT_NE(source_at, 0u) << "no explicit kCommentsOn edge in the fixture";
 
-  // Sanity: the refreshed checksum passes frame inspection...
+  // Rewrite the source to User 0 (kind bits 00): in range for USERS,
+  // hostile for the comments_on_ rebuild, invisible to the checksums
+  // once they are refreshed.
+  std::string corrupt = blob;
+  corrupt[source_at] = '\0';
+  const size_t entry = kTableAt + (kEdgesId - 1) * kTableEntryBytes;
+  PutU32(corrupt, entry + kTableEntryBytes - 4,
+         Crc32(std::string_view(corrupt).substr(edges_at, edges_size)));
+  PutU32(corrupt, kTableAt - 4,
+         Crc32(std::string_view(corrupt).substr(
+             kTableAt, kSections * kTableEntryBytes)));
+
+  // Sanity: every checksum passes inspection...
   auto info = InspectBinarySnapshot(corrupt);
-  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
   for (const auto& section : info->sections) {
     EXPECT_TRUE(section.crc_ok) << section.name;
   }
@@ -479,21 +541,7 @@ TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
       << loaded.status().ToString();
 }
 
-// ---- v2 zero-copy attach -----------------------------------------------
-
-// File offset and size of a v2 section's payload, straight from the
-// section table (magic 8 + version/count/crc 12, then 36-byte entries:
-// id u32, encoding u8, elem u8, reserved u16, offset u64, size u64,
-// mem u64, crc u32).
-std::pair<size_t, size_t> V2SectionExtent(const std::string& blob,
-                                          uint32_t id) {
-  const size_t entry = 8 + 12 + (id - 1) * 36;
-  ByteReader r(std::string_view(blob).substr(entry, 36));
-  r.Skip(8);
-  const uint64_t offset = r.U64();
-  const uint64_t size = r.U64();
-  return {static_cast<size_t>(offset), static_cast<size_t>(size)};
-}
+// ---- zero-copy attach --------------------------------------------------
 
 class SnapshotAttachTest : public ::testing::Test {
  protected:
@@ -598,7 +646,7 @@ TEST_F(SnapshotAttachTest, MisalignedRegionsFallBackToCopies) {
 
 TEST_F(SnapshotAttachTest, LazyCrcSkipsAlignedEagerCatchesIt) {
   // Corrupt one byte inside MATRIXVALS (aligned, lazily verified).
-  auto [offset, size] = V2SectionExtent(blob_, 14);
+  auto [offset, size] = SectionExtent(blob_, 14);
   ASSERT_GT(size, 0u);
   std::string corrupt = blob_;
   corrupt[offset + size / 2] ^= 0x10;
@@ -619,7 +667,7 @@ TEST_F(SnapshotAttachTest, LazyCrcSkipsAlignedEagerCatchesIt) {
 
   // Corruption in a *compact* section is caught even by the lazy
   // attach — those decode (and checksum) at attach time.
-  auto [c_offset, c_size] = V2SectionExtent(blob_, 13);  // MATRIXCOLS
+  auto [c_offset, c_size] = SectionExtent(blob_, 13);  // MATRIXCOLS
   ASSERT_GT(c_size, 0u);
   std::string compact_corrupt = blob_;
   compact_corrupt[c_offset] ^= 0x01;
@@ -681,22 +729,12 @@ TEST_F(SnapshotAttachTest, ConcurrentAttachAndQueryFromOneRegion) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// ---- golden fixtures ---------------------------------------------------
-// Committed bytes of a Figure 1 snapshot in each format. A codec change
-// that can no longer read them is a compatibility break, not a test to
-// update: v1 and v2 are both read-forever formats.
+// ---- golden fixture ----------------------------------------------------
+// Committed bytes of a Figure 1 snapshot. A codec change that can no
+// longer read them is a compatibility break, not a test to update.
 
-class GoldenSnapshotTest : public ::testing::TestWithParam<const char*> {};
-
-INSTANTIATE_TEST_SUITE_P(Formats, GoldenSnapshotTest,
-                         ::testing::Values("figure1_v1.snap",
-                                           "figure1_v2.snap"),
-                         [](const auto& info) {
-                           return std::string(info.param, 8, 2);
-                         });
-
-TEST_P(GoldenSnapshotTest, LoadsAndMatchesFreshBuild) {
-  const std::string blob = ReadGolden(GetParam());
+TEST(GoldenSnapshotTest, LoadsAndMatchesFreshBuild) {
+  const std::string blob = ReadGolden("figure1_v2.snap");
   ASSERT_FALSE(blob.empty());
   auto fig = s3::testing::BuildFigure1();
 
@@ -711,44 +749,6 @@ TEST_P(GoldenSnapshotTest, LoadsAndMatchesFreshBuild) {
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
   ExpectSameDerivedState(**attached, *fig.instance,
                          /*check_identity=*/false);
-}
-
-// ---- robustness: corrupt text input ------------------------------------
-
-TEST(TextLoaderRobustnessTest, MalformedNumbersAreErrorsNotCrashes) {
-  const char* cases[] = {
-      "S3 v1\nUSER u\nUSER v\nSOCIAL a b c\n",           // garbage ints
-      "S3 v1\nUSER u\nUSER v\nSOCIAL 0 1 nope\n",        // garbage weight
-      "S3 v1\nUSER u\nSOCIAL 99999999999999999999 0 0.5\n",  // overflow
-      "S3 v1\nUSER u\nDOC d 0 notanumber\n",             // bad node count
-      "S3 v1\nUSER u\nDOC d 0 2\nN - r\nN 7 child\n",    // parent OOR
-      "S3 v1\nUSER u\nDOC d 0 2\nN - r\nN x child\n",    // bad parent
-      "S3 v1\nUSER u\nDOC d 0 1\nN - r 12x\n",           // bad keyword id
-      "S3 v1\nUSER u\nCOMMENT zero one\n",               // bad comment ids
-      "S3 v1\nUSER u\nTAGF u 0 5\n",                     // garbage author
-      "S3 v1\nKW a%2\n",                                 // truncated escape
-      "S3 v1\nKW a%ZZ\n",                                // bad escape hex
-      "S3 v1\nUSER u\nDOC d -1 1\nN - r\n",              // negative number
-  };
-  for (const char* dump : cases) {
-    auto loaded = LoadInstance(dump);
-    ASSERT_FALSE(loaded.ok()) << dump;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << dump;
-  }
-}
-
-TEST(TextLoaderRobustnessTest, BitFlippedDumpNeverCrashes) {
-  auto fig = s3::testing::BuildFigure3();
-  std::string dump = SaveInstance(*fig.instance);
-  for (size_t at = 0; at < dump.size(); at += 7) {
-    std::string corrupt = dump;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x15);
-    auto loaded = LoadInstance(corrupt);  // may succeed or fail...
-    if (loaded.ok()) {
-      // ...but success must yield a finalizable instance.
-      EXPECT_TRUE((*loaded)->Finalize().ok());
-    }
-  }
 }
 
 // ---- WAL record framing ------------------------------------------------
@@ -855,7 +855,7 @@ TEST(WalRecordTest, RecordsAreSelfDelimiting) {
 // ---- derived column maximum ---------------------------------------------
 // TransitionMatrix::ColumnMax() is derived, never stored: every path
 // that produces a matrix — Build, ApplyDelta's IncrementalUpdate, and
-// Adopt under a v2 mmap attach or a v1 load — must leave it equal, bit
+// Adopt under a mapped attach or a heap load — must leave it equal, bit
 // for bit, to the maximum over the Row() entries of each column.
 
 void ExpectColumnMaxMatchesRows(const S3Instance& inst,
@@ -918,14 +918,15 @@ TEST(ColumnMaxTest, MatchesRowsOnEveryMatrixPath) {
   auto attached = AttachBinarySnapshot(region);
   std::remove(path.c_str());
   ASSERT_TRUE(attached.ok()) << attached.status().ToString();
-  ExpectColumnMaxMatchesRows(**attached, "v2 mmap attach");
+  ExpectColumnMaxMatchesRows(**attached, "mmap attach");
   EXPECT_EQ((*attached)->matrix().ColumnMax(), built->matrix().ColumnMax());
   grow(*attached, "ApplyDelta on a mapped instance");
 
-  auto v1 = LoadBinarySnapshot(ReadGolden("figure1_v1.snap"));
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  ExpectColumnMaxMatchesRows(**v1, "v1 load");
-  EXPECT_EQ((*v1)->matrix().ColumnMax(), built->matrix().ColumnMax());
+  auto heap = LoadBinarySnapshot(*blob);
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  EXPECT_FALSE((*heap)->matrix().values().is_view());
+  ExpectColumnMaxMatchesRows(**heap, "heap load");
+  EXPECT_EQ((*heap)->matrix().ColumnMax(), built->matrix().ColumnMax());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// s3_shard — splits a population dump into N shard storage
+// s3_shard — splits a snapshot's population into N shard storage
 // directories (src/server/SHARDING.md).
 //
 //   s3_shard plan <snapshot> --shards=N
@@ -13,14 +13,13 @@
 //       The result is served with ShardRouter::Open(out-root) and
 //       inspected with s3_snapshot inspect.
 //
-// <snapshot> is either codec: a text population dump (finalized on
-// load, fresh generation-0 lineage per shard) or a binary snapshot.
+// <snapshot> is a snapshot file (core/snapshot_binary.h).
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "common/file_io.h"
-#include "core/snapshot.h"
+#include "core/snapshot_binary.h"
 #include "shard/partitioner.h"
 #include "shard/shard_meta.h"
 
@@ -47,7 +46,7 @@ s3::Result<s3::shard::PartitionResult> LoadAndPartition(
     const std::string& path, uint32_t shards) {
   std::string bytes;
   S3_RETURN_IF_ERROR(s3::ReadFileToString(path, &bytes));
-  auto instance = s3::core::LoadSnapshot(bytes);
+  auto instance = s3::core::LoadBinarySnapshot(bytes);
   if (!instance.ok()) return instance.status();
   s3::shard::PartitionOptions options;
   options.shard_count = shards;

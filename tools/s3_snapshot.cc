@@ -1,18 +1,10 @@
-// s3_snapshot — inspector / converter for S3 snapshot files and
-// storage directories.
+// s3_snapshot — inspector for S3 snapshot files and storage
+// directories.
 //
 //   s3_snapshot inspect <file>
 //       Header, format version, generation/lineage, population counts
-//       and the per-section size + CRC table of a binary snapshot
-//       (checksums are verified and mismatches flagged). Text dumps
-//       are identified and summarized.
-//
-//   s3_snapshot convert <in> <out> [--to=text|binary]
-//       Converts between the text codec and the binary snapshot codec
-//       (default: the opposite of the input format). Text -> binary
-//       finalizes the instance (fresh lineage, generation 0); binary
-//       -> text drops derived state by design. Binary output is always
-//       v2, so `--to=binary` on a v1 file upgrades it.
+//       and the per-section size + CRC table of a snapshot (checksums
+//       are verified and mismatches flagged).
 //
 //   s3_snapshot recover <dir>
 //       Dry-run of SnapshotManager::Recover on a storage directory:
@@ -20,19 +12,14 @@
 //       replay/skip, and the generation it would serve. Touches
 //       nothing.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "common/file_io.h"
-#include "core/snapshot.h"
 #include "core/snapshot_binary.h"
 #include "server/snapshot_manager.h"
 #include "shard/shard_meta.h"
 
 namespace {
-
-using s3::core::SnapshotFormat;
 
 // When the inspected file sits inside a shard storage directory
 // (tools/s3_shard split output), report the shard's place in its
@@ -65,45 +52,23 @@ int Usage() {
   std::fprintf(stderr,
                "usage:\n"
                "  s3_snapshot inspect <file>\n"
-               "  s3_snapshot convert <in> <out> [--to=text|binary]\n"
                "  s3_snapshot recover <dir>\n");
   return 2;
 }
 
-bool ReadWholeFile(const std::string& path, std::string* out) {
-  return s3::ReadFileToString(path, out).ok();
-}
-
 int Inspect(const std::string& path) {
   std::string bytes;
-  if (!ReadWholeFile(path, &bytes)) {
+  if (!s3::ReadFileToString(path, &bytes).ok()) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 1;
   }
-  auto format = s3::core::DetectSnapshotFormat(bytes);
-  if (!format.ok()) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                 format.status().ToString().c_str());
-    return 1;
-  }
-  if (*format == SnapshotFormat::kText) {
-    std::printf("%s: text snapshot (header 'S3 v1'), %zu bytes\n",
-                path.c_str(), bytes.size());
-    std::printf(
-        "population-only dump; load pays Finalize(). Convert with\n"
-        "  s3_snapshot convert %s <out> --to=binary\n",
-        path.c_str());
-    PrintShardMetaIfPresent(path);
-    return 0;
-  }
-
   auto info = s3::core::InspectBinarySnapshot(bytes);
   if (!info.ok()) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(),
                  info.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s: binary snapshot, format v%u, %zu bytes\n", path.c_str(),
+  std::printf("%s: snapshot, format v%u, %zu bytes\n", path.c_str(),
               info->version, bytes.size());
   std::printf("generation %llu, lineage %llu, rdf-imported social edges "
               "%llu\n",
@@ -154,57 +119,6 @@ int Inspect(const std::string& path) {
   return 0;
 }
 
-int Convert(const std::string& in_path, const std::string& out_path,
-            const char* to_flag) {
-  std::string bytes;
-  if (!ReadWholeFile(in_path, &bytes)) {
-    std::fprintf(stderr, "cannot read %s\n", in_path.c_str());
-    return 1;
-  }
-  auto in_format = s3::core::DetectSnapshotFormat(bytes);
-  if (!in_format.ok()) {
-    std::fprintf(stderr, "%s: %s\n", in_path.c_str(),
-                 in_format.status().ToString().c_str());
-    return 1;
-  }
-  SnapshotFormat out_format = *in_format == SnapshotFormat::kText
-                                  ? SnapshotFormat::kBinary
-                                  : SnapshotFormat::kText;
-  if (to_flag != nullptr) {
-    if (std::strcmp(to_flag, "--to=text") == 0) {
-      out_format = SnapshotFormat::kText;
-    } else if (std::strcmp(to_flag, "--to=binary") == 0) {
-      out_format = SnapshotFormat::kBinary;
-    } else {
-      return Usage();
-    }
-  }
-  auto instance = s3::core::LoadSnapshot(bytes);
-  if (!instance.ok()) {
-    std::fprintf(stderr, "%s: %s\n", in_path.c_str(),
-                 instance.status().ToString().c_str());
-    return 1;
-  }
-  auto out_bytes = s3::core::SaveSnapshot(**instance, out_format);
-  if (!out_bytes.ok()) {
-    std::fprintf(stderr, "convert: %s\n",
-                 out_bytes.status().ToString().c_str());
-    return 1;
-  }
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out.write(out_bytes->data(),
-                 static_cast<std::streamsize>(out_bytes->size()))) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("%s (%s) -> %s (%s%s), generation %llu\n", in_path.c_str(),
-              s3::core::SnapshotFormatName(*in_format), out_path.c_str(),
-              s3::core::SnapshotFormatName(out_format),
-              out_format == SnapshotFormat::kBinary ? " v2" : "",
-              static_cast<unsigned long long>((*instance)->generation()));
-  return 0;
-}
-
 int Recover(const std::string& dir) {
   auto state = s3::server::SnapshotManager::Recover(dir);
   if (!state.ok()) {
@@ -232,9 +146,6 @@ int main(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string command = argv[1];
   if (command == "inspect" && argc == 3) return Inspect(argv[2]);
-  if (command == "convert" && (argc == 4 || argc == 5)) {
-    return Convert(argv[2], argv[3], argc == 5 ? argv[4] : nullptr);
-  }
   if (command == "recover" && argc == 3) return Recover(argv[2]);
   return Usage();
 }
