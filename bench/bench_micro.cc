@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "core/connections.h"
 #include "core/s3k.h"
@@ -98,23 +99,57 @@ BenchInstance& SharedInstance() {
   return *bi;
 }
 
-void BM_MatrixPropagate(benchmark::State& state) {
-  auto& bi = SharedInstance();
-  const auto& inst = *bi.gen.instance;
-  // One seeker lane: the single-query exploration step.
+// One 16-step exploration chain (δ_seekers · T¹..T¹⁶) on I1 (the
+// hot-batch instance) or I3 (the cold-solo shape), with one lane per
+// seeker. The chain runs from a seed to a filled frontier, so it times
+// the sparse first steps and the dense later ones in their real
+// proportion. Each iteration seeds the next `lanes` users of a fixed
+// stride walk over all users, so the time averages over seekers.
+void BM_MatrixPropagate(benchmark::State& state,
+                        const workload::GenResult& (*make)()) {
+  const auto& inst = *make().instance;
+  const size_t lanes = static_cast<size_t>(state.range(0));
+  const uint32_t users = static_cast<uint32_t>(inst.UserCount());
   social::BatchFrontier f, g;
-  f.Init(inst.layout().total(), 1);
-  g.Init(inst.layout().total(), 1);
-  f.Set(inst.RowOfUser(0), 0, 1.0);
-  // Warm two steps so the frontier is wide.
-  inst.matrix().PropagateBatch(f, g);
-  inst.matrix().PropagateBatch(g, f);
+  f.Init(inst.layout().total(), lanes);
+  g.Init(inst.layout().total(), lanes);
+  uint32_t next_seeker = 0;
   for (auto _ : state) {
-    inst.matrix().PropagateBatch(f, g);
-    benchmark::DoNotOptimize(g.values.data());
+    f.Clear();
+    for (size_t l = 0; l < lanes; ++l) {
+      f.Set(inst.RowOfUser(next_seeker), l, 1.0);
+      next_seeker = (next_seeker + 7919) % users;
+    }
+    for (int step = 0; step < 16; ++step) {
+      inst.matrix().PropagateBatch(f, g);
+      std::swap(f, g);
+    }
+    benchmark::DoNotOptimize(f.values.data());
   }
 }
-BENCHMARK(BM_MatrixPropagate);
+
+const workload::GenResult& I1() {
+  static const workload::GenResult* gen =
+      new workload::GenResult(bench::MakeI1());
+  return *gen;
+}
+
+const workload::GenResult& I3() {
+  static const workload::GenResult* gen =
+      new workload::GenResult(bench::MakeI3());
+  return *gen;
+}
+
+BENCHMARK_CAPTURE(BM_MatrixPropagate, I1, &I1)
+    ->ArgName("lanes")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_MatrixPropagate, I3, &I3)
+    ->ArgName("lanes")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4);
 
 // One component's candidates, built by a builder that has already
 // served other components of the same extension — how a plan build

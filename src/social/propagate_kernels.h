@@ -10,13 +10,16 @@
 // the TU compiles without -mfma / fast-math, and the lane dimension is
 // element-wise, so there is nothing for the compiler to reorder.)
 //
-// The whole row loop is one function template per lane count, so the
-// lane width is dispatched once per step and the inner loops see it as
-// a compile-time constant.
+// The whole step is one function template per lane count, so the lane
+// width is dispatched once per step and the inner loops see it as a
+// compile-time constant. The step keeps no scratch between calls: it
+// scatters, then finds the new support by scanning the values of the
+// touched row range without a data-dependent branch.
 #ifndef S3_SOCIAL_PROPAGATE_KERNELS_H_
 #define S3_SOCIAL_PROPAGATE_KERNELS_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -37,26 +40,32 @@ inline bool AnyNonzero(const double* p, size_t lanes) {
 // One push step out = in · T over the rows listed in `in_rows`
 // (ascending). For every listed row with some nonzero lane, each CSR
 // entry (cols[i], vals[i]) adds mass[l] * vals[i] into
-// out[cols[i]*L + l] and sets bit cols[i] of `support`. The rows are
-// then emitted in ascending order by scanning the touched bitmap words
-// (clearing them, so `support` is all-zero again on return): a row
-// joins `out_rows` when some lane is nonzero, and each nonzero lane
-// sets its `lane_mass` flag.
+// out[cols[i]*L + l], and the step tracks the touched row range
+// [lo, hi]. It then emits `out_rows` by one branchless pass over that
+// range: every row's id is written to the next slot, and the slot
+// advances only when some lane of the row is nonzero; each nonzero lane
+// sets its `lane_mass` flag. A row in the range that was not scattered
+// into is all-zero (`out` holds zeros outside the rows the caller
+// cleared), so `out_rows` comes back ascending and holds exactly the
+// rows with some nonzero lane. A support bitmap would cost a
+// read-modify-write per CSR entry, and a compare-and-push per row a
+// branch miss per row on sparse frontiers.
 //
 // Each output row accumulates its terms in ascending source-row order
 // — the order `in_rows` lists them — which is what makes the step
 // bit-for-bit equal to a scalar row-by-row reference.
 //
 // L is the lane count (1, 2, 4 or 8); L == 0 is the generic path for
-// any multiple of 4 (`lanes`), run as 4-wide chunks.
+// any multiple of 4 (`lanes`, at most 64, the size of the emission's
+// per-lane accumulator), run as 4-wide chunks.
 template <int L>
 void PushStep(const uint64_t* row_ptr, const uint32_t* cols,
               const double* vals, const std::vector<uint32_t>& in_rows,
               size_t lanes, const double* __restrict in,
-              double* __restrict out, uint64_t* __restrict support,
-              std::vector<uint32_t>& out_rows, uint8_t* lane_mass) {
+              double* __restrict out, std::vector<uint32_t>& out_rows,
+              uint8_t* lane_mass) {
   const size_t W = L > 0 ? static_cast<size_t>(L) : lanes;
-  // Touched word range: each CSR row's columns are strictly ascending,
+  // Touched row range: each CSR row's columns are strictly ascending,
   // so its first and last entries bound it.
   size_t lo = SIZE_MAX, hi = 0;
   for (uint32_t row : in_rows) {
@@ -64,12 +73,10 @@ void PushStep(const uint64_t* row_ptr, const uint32_t* cols,
     if (!AnyNonzero<L>(mass, W)) continue;  // every lane of it dropped out
     const uint64_t begin = row_ptr[row], end = row_ptr[row + 1];
     if (begin == end) continue;
-    lo = std::min<size_t>(lo, cols[begin] >> 6);
-    hi = std::max<size_t>(hi, cols[end - 1] >> 6);
+    lo = std::min<size_t>(lo, cols[begin]);
+    hi = std::max<size_t>(hi, cols[end - 1]);
     for (uint64_t i = begin; i < end; ++i) {
-      const uint32_t col = cols[i];
-      support[col >> 6] |= uint64_t{1} << (col & 63);
-      double* __restrict o = out + static_cast<size_t>(col) * W;
+      double* __restrict o = out + static_cast<size_t>(cols[i]) * W;
       const double v = vals[i];
       if constexpr (L > 0) {
         for (int l = 0; l < L; ++l) o[l] += mass[l] * v;
@@ -81,24 +88,29 @@ void PushStep(const uint64_t* row_ptr, const uint32_t* cols,
     }
   }
   if (lo > hi) return;  // nothing scattered
-  for (size_t w = lo; w <= hi; ++w) {
-    uint64_t bits = support[w];
-    if (bits == 0) continue;
-    support[w] = 0;
-    for (; bits != 0; bits &= bits - 1) {
-      const uint32_t col =
-          static_cast<uint32_t>(w * 64 + __builtin_ctzll(bits));
-      const double* p = out + static_cast<size_t>(col) * W;
-      bool any = false;
+  // Emission, without a data-dependent branch: a double is nonzero
+  // exactly when its bits, sign bit dropped, are. Row ids are staged in
+  // a stack chunk and appended to `out_rows` a chunk at a time.
+  uint64_t seen[L > 0 ? L : 64] = {};  // lane l's bits OR-ed over rows
+  constexpr size_t kChunk = 256;
+  uint32_t slot[kChunk];
+  for (size_t first = lo; first <= hi; first += kChunk) {
+    const size_t last = std::min(hi + 1, first + kChunk);
+    size_t n = 0;
+    for (size_t row = first; row < last; ++row) {
+      const double* __restrict p = out + row * W;
+      uint64_t any = 0;
       for (size_t l = 0; l < W; ++l) {
-        if (p[l] != 0.0) {
-          any = true;
-          lane_mass[l] = 1;
-        }
+        const uint64_t bits = std::bit_cast<uint64_t>(p[l]) << 1;
+        any |= bits;
+        seen[l] |= bits;
       }
-      if (any) out_rows.push_back(col);
+      slot[n] = static_cast<uint32_t>(row);
+      n += any != 0;
     }
+    out_rows.insert(out_rows.end(), slot, slot + n);
   }
+  for (size_t l = 0; l < W; ++l) lane_mass[l] |= seen[l] != 0;
 }
 
 // Lane-count dispatch, once per step. Lane counts are padded to 1, 2,
@@ -107,25 +119,24 @@ inline void PushStepAnyWidth(const uint64_t* row_ptr, const uint32_t* cols,
                              const double* vals,
                              const std::vector<uint32_t>& in_rows,
                              size_t lanes, const double* in, double* out,
-                             uint64_t* support,
                              std::vector<uint32_t>& out_rows,
                              uint8_t* lane_mass) {
   switch (lanes) {
     case 1:
       return PushStep<1>(row_ptr, cols, vals, in_rows, lanes, in, out,
-                         support, out_rows, lane_mass);
+                         out_rows, lane_mass);
     case 2:
       return PushStep<2>(row_ptr, cols, vals, in_rows, lanes, in, out,
-                         support, out_rows, lane_mass);
+                         out_rows, lane_mass);
     case 4:
       return PushStep<4>(row_ptr, cols, vals, in_rows, lanes, in, out,
-                         support, out_rows, lane_mass);
+                         out_rows, lane_mass);
     case 8:
       return PushStep<8>(row_ptr, cols, vals, in_rows, lanes, in, out,
-                         support, out_rows, lane_mass);
+                         out_rows, lane_mass);
     default:
       return PushStep<0>(row_ptr, cols, vals, in_rows, lanes, in, out,
-                         support, out_rows, lane_mass);
+                         out_rows, lane_mass);
   }
 }
 

@@ -14,7 +14,6 @@ void BatchFrontier::Init(size_t total_rows, size_t n_lanes) {
   values.assign(total_rows * n_lanes, 0.0);
   nonzero.clear();
   lane_mass.assign(n_lanes, 0);
-  support.assign((total_rows + 63) / 64, 0);
 }
 
 void BatchFrontier::Clear() {
@@ -204,11 +203,10 @@ void TransitionMatrix::PropagateBatch(const BatchFrontier& in,
                                       BatchFrontier& out) const {
   assert(in.lanes == out.lanes);
   assert(out.values.size() == rows() * out.lanes);
-  assert(out.support.size() == (rows() + 63) / 64);
   out.Clear();
   pk::PushStepAnyWidth(row_ptr_.data(), cols_.data(), vals_.data(),
                        in.nonzero, in.lanes, in.values.data(),
-                       out.values.data(), out.support.data(), out.nonzero,
+                       out.values.data(), out.nonzero,
                        out.lane_mass.data());
 }
 

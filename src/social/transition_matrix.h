@@ -49,6 +49,9 @@ inline constexpr size_t PadLanes(size_t b) {
 // sorted ascending, after seeding and after every propagate step —
 // while per-seeker frontier exhaustion is tracked per lane in
 // `lane_mass` (a lane can die out while the union stays populated).
+// Every row outside `nonzero` is all-zero: `PropagateBatch` finds the
+// new support by scanning the values of the rows it touched, so write
+// `values` only through these members and `PropagateBatch`.
 struct BatchFrontier {
   std::vector<double> values;      // total_rows * lanes
   std::vector<uint32_t> nonzero;   // union over lanes
@@ -64,11 +67,6 @@ struct BatchFrontier {
   // batch); the union support shrinks at the next propagate step.
   void ZeroLane(size_t lane);
   bool LaneHasMass(size_t lane) const { return lane_mass[lane] != 0; }
-
-  // Push-step scratch: one bit per row, set for every row the step
-  // scatters into and cleared again as the step emits `nonzero`, so it
-  // is all-zero between steps.
-  std::vector<uint64_t> support;
 };
 
 // CSR matrix over entity rows.
@@ -102,7 +100,8 @@ class TransitionMatrix {
   // streaming all lanes through the lane-width-specialized kernel of
   // propagate_kernels.h. Rows whose lanes are all zero are skipped;
   // `out.nonzero` comes back sorted ascending and holds exactly the
-  // rows with some nonzero lane, so chained steps keep the invariant,
+  // rows with some nonzero lane (one branchless scan of the touched row
+  // range, no per-row scratch), so chained steps keep the invariant,
   // and `out.lane_mass` flags per-lane survival. Each output row
   // accumulates its terms in ascending source-row order and the lane
   // dimension is element-wise, so every lane's values are bit-for-bit
