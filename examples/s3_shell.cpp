@@ -143,12 +143,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (seeker_uri == ":metrics") {
-      const std::string text = obs::MetricRegistry::Default().RenderPrometheus();
-      if (text.empty()) {
-        std::printf("-- observability compiled out (-DS3_OBS=OFF)\n");
-      } else {
-        std::fputs(text.c_str(), stdout);
-      }
+      std::fputs(obs::MetricRegistry::Default().RenderPrometheus().c_str(),
+                 stdout);
       continue;
     }
     if (seeker_uri == ":trace") {

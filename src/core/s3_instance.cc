@@ -108,7 +108,6 @@ Result<doc::DocId> S3Instance::AddDocument(doc::Document document,
   Result<doc::DocId> added = docs_.AddDocument(std::move(document), uri);
   if (!added.ok()) return added.status();
   doc::DocId d = added.value();
-  comment_target_.push_back(doc::kInvalidNode);
   poster_of_.push_back(poster);
   // root S3:postedBy poster (+ inverse).
   edges_.AddWithInverse(EntityId::Fragment(docs_.RootNode(d)),
@@ -130,7 +129,6 @@ Status S3Instance::AddComment(doc::DocId comment, doc::NodeId target) {
                         EntityId::Fragment(target),
                         EdgeLabel::kCommentsOn, 1.0);
   comments_on_[target].push_back(root);
-  comment_target_[comment] = target;
   return Status::OK();
 }
 
@@ -354,8 +352,15 @@ const std::vector<doc::NodeId>& S3Instance::CommentsOnFragment(
   return it == comments_on_.end() ? kNoComments : it->second;
 }
 
-doc::NodeId S3Instance::CommentTarget(doc::DocId d) const {
-  return comment_target_[d];
+std::vector<doc::NodeId> S3Instance::CommentTargets() const {
+  std::vector<doc::NodeId> out(docs_.DocumentCount(), doc::kInvalidNode);
+  for (const social::NetEdge& e : edges_.edges()) {
+    if (e.label != EdgeLabel::kCommentsOn) continue;
+    const doc::NodeId source = e.source.index();
+    const doc::DocId d = docs_.DocOf(source);
+    if (docs_.RootNode(d) == source) out[d] = e.target.index();
+  }
+  return out;
 }
 
 std::vector<KeywordId> S3Instance::ExtendKeyword(KeywordId k) const {
@@ -382,7 +387,8 @@ std::vector<social::ComponentId>& S3Instance::CompsWithKeywordSlot(
 }
 
 Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
-    SnapshotPopulation pop, SnapshotDerived derived) {
+    SnapshotPopulation pop, SnapshotDerived derived,
+    const std::vector<doc::NodeId>& comments) {
   auto bad = [](const std::string& why) {
     return Status::InvalidArgument("snapshot population: " + why);
   };
@@ -422,18 +428,6 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
       return bad("social edge weight outside (0,1]");
     }
   }
-  if (pop.comment_target.size() != inst->docs_.DocumentCount()) {
-    return bad("comment-target table size mismatch");
-  }
-  for (doc::DocId d = 0; d < pop.comment_target.size(); ++d) {
-    doc::NodeId t = pop.comment_target[d];
-    if (t == doc::kInvalidNode) continue;
-    if (t >= n_nodes || inst->docs_.DocOf(t) == d) {
-      return bad("comment target invalid for doc " + std::to_string(d));
-    }
-  }
-  inst->comment_target_ = std::move(pop.comment_target);
-
   // Tag table, validated in id order while rebuilding the subject
   // lookup the population API maintains incrementally (push order ==
   // id order, so the reload is exact).
@@ -522,6 +516,10 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
                  std::string(social::EdgeLabelName(e.label)));
     }
     if (e.label == EdgeLabel::kCommentsOn) {
+      if (inst->docs_.DocOf(e.source.index()) ==
+          inst->docs_.DocOf(e.target.index())) {
+        return bad("a kCommentsOn edge stays inside one document");
+      }
       inst->comments_on_[e.target.index()].push_back(e.source.index());
     }
     if (e.label == EdgeLabel::kPostedBy) {
@@ -530,6 +528,20 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
         if (inst->poster_of_.size() <= d) inst->poster_of_.resize(d + 1, UINT32_MAX);
         inst->poster_of_[d] = e.target.index();
       }
+    }
+  }
+  // COMMENTS duplicates what the edge log says; a CRC-valid entry that
+  // disagrees with it is refused rather than silently overridden.
+  const std::vector<doc::NodeId> targets = inst->CommentTargets();
+  if (comments.size() != targets.size()) {
+    return bad("COMMENTS has " + std::to_string(comments.size()) +
+               " entries for " + std::to_string(targets.size()) +
+               " documents");
+  }
+  for (doc::DocId d = 0; d < targets.size(); ++d) {
+    if (comments[d] != targets[d]) {
+      return bad("COMMENTS entry for doc " + std::to_string(d) +
+                 " disagrees with EDGES");
     }
   }
   // Every document carries a postedBy edge from its root (AddDocument

@@ -187,7 +187,6 @@ class S3Instance {
     std::vector<User> users;
     std::vector<ExplicitSocialEdge> explicit_social;
     doc::DocumentStore docs;
-    std::vector<doc::NodeId> comment_target;  // per doc, kInvalidNode if none
     std::vector<Tag> tags;
     social::EdgeStore edges;  // full log, insertion order
     std::shared_ptr<rdf::TermDictionary> terms;
@@ -222,9 +221,12 @@ class S3Instance {
   // process-wide lineage counter is advanced past the restored lineage
   // so freshly finalized instances can never collide with a recovered
   // one. Returns InvalidArgument when any structure fails validation
-  // against the population.
+  // against the population. `comments` is the snapshot's COMMENTS
+  // section, one entry per document; it duplicates CommentTargets(),
+  // so an entry that disagrees with the edge log is refused too.
   static Result<std::shared_ptr<const S3Instance>> FromSnapshot(
-      SnapshotPopulation population, SnapshotDerived derived);
+      SnapshotPopulation population, SnapshotDerived derived,
+      const std::vector<doc::NodeId>& comments);
 
   // ---- finalized accessors --------------------------------------------
 
@@ -252,8 +254,11 @@ class S3Instance {
   const std::vector<doc::NodeId>& CommentsOnFragment(
       doc::NodeId target) const;
 
-  // Fragment that document `d` comments on (kInvalidNode if none).
-  doc::NodeId CommentTarget(doc::DocId d) const;
+  // Per document, the fragment it commented on last: the target of the
+  // last kCommentsOn edge its root appended (kInvalidNode if none).
+  // Derived from the edge log on each call; a snapshot's COMMENTS
+  // section stores exactly this table.
+  std::vector<doc::NodeId> CommentTargets() const;
 
   // Ext(k) mapped into keyword space: the extension of the keyword's
   // spelling through the saturated ontology, restricted to keywords
@@ -348,7 +353,6 @@ class S3Instance {
   std::unordered_map<social::EntityId, std::vector<social::TagId>>
       tags_on_;
   std::unordered_map<doc::NodeId, std::vector<doc::NodeId>> comments_on_;
-  std::vector<doc::NodeId> comment_target_;  // per DocId, kInvalidNode if none
   std::vector<ExplicitSocialEdge> explicit_social_;
   std::vector<social::UserId> poster_of_;  // per DocId
 

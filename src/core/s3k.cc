@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <thread>
 #include <unordered_map>
@@ -131,17 +130,6 @@ Result<CandidatePlan> BuildCandidatePlan(
 
 S3kSearcher::S3kSearcher(const S3Instance& instance, S3kOptions options)
     : instance_(instance), options_(options) {
-  // Thread-count resolution. The S3_TEST_THREADS override applies only
-  // when the caller left the default (1): it lets CI run the whole
-  // suite through the parallel path — safe because results are
-  // bit-for-bit identical at every thread count — without touching
-  // call sites that picked a width deliberately.
-  if (options_.threads == 1) {
-    if (const char* env = std::getenv("S3_TEST_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 0) options_.threads = static_cast<unsigned>(v);
-    }
-  }
   if (options_.threads == 0) {  // auto
     options_.threads = std::thread::hardware_concurrency();
     if (options_.threads == 0) options_.threads = 1;

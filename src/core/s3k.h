@@ -114,15 +114,12 @@ struct S3kOptions {
   double epsilon = 1e-12;
   // Worker threads for intra-query parallelism. The searcher keeps a
   // pool of threads - 1 workers and hands it to BuildCandidatePlan,
-  // which today builds every plan serially (a pooled build measured
-  // slower than a serial one); the exploration loop is serial too.
-  // 0 means "auto": std::thread::hardware_concurrency(), or the
-  // serving layer's intra_thread_budget when the searcher runs under a
-  // QueryService. The default 1 (serial) can be overridden for a whole
-  // test/bench binary via the S3_TEST_THREADS environment variable
-  // (parsed only when threads is left at 1; results are bit-for-bit
-  // identical at every thread count, so the override is behaviorally
-  // invisible).
+  // which ignores it and builds every plan serially (a pooled build
+  // measured slower than a serial one); the exploration loop is serial
+  // too, so the pool runs no job. 0 means "auto":
+  // std::thread::hardware_concurrency(), or the serving layer's
+  // intra_thread_budget when the searcher runs under a QueryService.
+  // Results are bit-for-bit identical at every value.
   unsigned threads = 1;
 };
 

@@ -56,7 +56,7 @@ enum SectionId : uint32_t {
   kTerms = 4,          // RDF term dictionary, id order
   kTriples = 5,        // saturated triple store, store order
   kDocs = 6,           // raw: document trees + root URIs, id order
-  kComments = 7,       // per-doc comment target
+  kComments = 7,       // per-doc comment target, checked against EDGES
   kTags = 8,           // tag table, id order
   kSocial = 9,         // explicit social edges, insertion order
   kEdges = 10,         // network edge log, insertion order
@@ -275,11 +275,10 @@ std::string WriteDocs(const S3Instance& inst) {
 std::string WriteComments(const S3Instance& inst, uint64_t* mem) {
   std::string p;
   ByteWriter w(&p);
-  const size_t n_docs = inst.docs().DocumentCount();
-  w.Var(n_docs);
-  *mem = 8 + 4 * n_docs;
-  for (doc::DocId d = 0; d < n_docs; ++d) {
-    const doc::NodeId t = inst.CommentTarget(d);
+  const std::vector<doc::NodeId> targets = inst.CommentTargets();
+  w.Var(targets.size());
+  *mem = 8 + 4 * targets.size();
+  for (const doc::NodeId t : targets) {
     w.Var(t == doc::kInvalidNode ? 0 : static_cast<uint64_t>(t) + 1);
   }
   return p;
@@ -1110,6 +1109,7 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
 
   S3Instance::SnapshotPopulation pop;
   S3Instance::SnapshotDerived der;
+  std::vector<doc::NodeId> comments;
   pop.terms = std::make_shared<rdf::TermDictionary>();
   pop.rdf = std::make_shared<rdf::TripleStore>();
 
@@ -1135,7 +1135,7 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
   }
   {
     ByteReader r(entries[kComments - 1].payload);
-    S3_RETURN_IF_ERROR(ReadComments(r, meta, pop.comment_target));
+    S3_RETURN_IF_ERROR(ReadComments(r, meta, comments));
   }
   {
     ByteReader r(entries[kTags - 1].payload);
@@ -1183,7 +1183,8 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
   der.rdf_social_edges = meta.rdf_social_edges;
   der.saturation_stats = meta.saturation;
 
-  return S3Instance::FromSnapshot(std::move(pop), std::move(der));
+  return S3Instance::FromSnapshot(std::move(pop), std::move(der),
+                                  comments);
 }
 
 }  // namespace

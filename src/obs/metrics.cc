@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#ifndef S3_OBS_DISABLED
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -466,5 +464,3 @@ void RegisterProcessMetrics(MetricRegistry* registry) {
 }
 
 }  // namespace s3::obs
-
-#endif  // S3_OBS_DISABLED

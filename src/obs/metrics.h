@@ -20,24 +20,17 @@
 //     registry evaluates at collection time, so nothing is counted
 //     twice and nothing new runs on the hot path. CallbackSet is the
 //     RAII holder that unregisters them when the component dies.
-//
-// -DS3_OBS=OFF compiles the whole subsystem out: this header then
-// provides the same API as inline no-ops (renderers return ""), so
-// instrumented call sites build unchanged and cost nothing.
 #ifndef S3_OBS_METRICS_H_
 #define S3_OBS_METRICS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#ifndef S3_OBS_DISABLED
-#include <atomic>
-#include <memory>
-#include <mutex>
-#endif
 
 namespace s3::obs {
 
@@ -64,8 +57,8 @@ struct BucketSpec {
   static BucketSpec SmallCounts() { return BucketSpec{1.0, 2.0, 8}; }
 };
 
-#ifndef S3_OBS_DISABLED
-
+// Always true: the layer is always compiled in. Kept only because the
+// repo benchmark still prints it; it goes at the next benchmark change.
 inline constexpr bool kEnabled = true;
 
 // Monotonic counter, sharded across cache lines. Inc() is one relaxed
@@ -269,110 +262,6 @@ void NotePoolRegion(size_t items);
 // `registry` (nullptr → Default()). Idempotent per registry for the
 // Default case; callers with private registries call it once.
 void RegisterProcessMetrics(MetricRegistry* registry = nullptr);
-
-#else  // S3_OBS_DISABLED -----------------------------------------------------
-
-inline constexpr bool kEnabled = false;
-
-class Counter {
- public:
-  void Inc(uint64_t = 1) {}
-  uint64_t Value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(double) {}
-  void Add(double) {}
-  double Value() const { return 0.0; }
-};
-
-struct HistogramSnapshot {
-  std::vector<uint64_t> counts;
-  std::vector<double> uppers;
-  uint64_t count = 0;
-  double sum = 0.0;
-  double Quantile(double) const { return 0.0; }
-  double p50() const { return 0.0; }
-  double p90() const { return 0.0; }
-  double p99() const { return 0.0; }
-};
-
-class Histogram {
- public:
-  explicit Histogram(BucketSpec spec = BucketSpec::Latency()) : spec_(spec) {}
-  void Observe(double) {}
-  HistogramSnapshot TakeSnapshot() const { return {}; }
-  const BucketSpec& spec() const { return spec_; }
-
- private:
-  BucketSpec spec_;
-};
-
-class MetricRegistry {
- public:
-  MetricRegistry() = default;
-  MetricRegistry(const MetricRegistry&) = delete;
-  MetricRegistry& operator=(const MetricRegistry&) = delete;
-
-  static MetricRegistry& Default() {
-    static MetricRegistry registry;
-    return registry;
-  }
-
-  Counter* GetCounter(const std::string&, const std::string&, Labels = {}) {
-    return &counter_;
-  }
-  Gauge* GetGauge(const std::string&, const std::string&, Labels = {}) {
-    return &gauge_;
-  }
-  Histogram* GetHistogram(const std::string&, const std::string&,
-                          Labels = {}, BucketSpec = BucketSpec::Latency()) {
-    return &histogram_;
-  }
-  void DeclareFamily(const std::string&, const std::string&, MetricKind) {}
-  uint64_t AddCallback(const std::string&, const std::string&, MetricKind,
-                       Labels, std::function<double()>) {
-    return 0;
-  }
-  void Unregister(uint64_t) {}
-
-  struct Sample {
-    std::string name;
-    Labels labels;
-    MetricKind kind = MetricKind::kCounter;
-    double value = 0.0;
-    HistogramSnapshot histogram;
-  };
-  std::vector<Sample> Collect() const { return {}; }
-  std::string RenderPrometheus() const { return std::string(); }
-  std::string RenderJson() const { return std::string(); }
-
- private:
-  // Shared no-op sinks: writes are discarded, reads are zero.
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-class CallbackSet {
- public:
-  void Attach(MetricRegistry* registry) { registry_ = registry; }
-  void Add(const std::string&, const std::string&, MetricKind, Labels,
-           std::function<double()>) {}
-  void Clear() {}
-  MetricRegistry* registry() const { return registry_; }
-
- private:
-  MetricRegistry* registry_ = nullptr;
-};
-
-inline void NotePoolCreated(unsigned) {}
-inline void NotePoolDestroyed(unsigned) {}
-inline void NotePoolRegion(size_t) {}
-inline void RegisterProcessMetrics(MetricRegistry* = nullptr) {}
-
-#endif  // S3_OBS_DISABLED
 
 }  // namespace s3::obs
 

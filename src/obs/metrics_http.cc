@@ -1,7 +1,5 @@
 #include "obs/metrics_http.h"
 
-#ifndef S3_OBS_DISABLED
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -112,5 +110,3 @@ void MetricsHttpServer::Serve() {
 }
 
 }  // namespace s3::obs
-
-#endif  // S3_OBS_DISABLED

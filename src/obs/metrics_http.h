@@ -4,22 +4,16 @@
 // an operator (or a scraper) can read the registry without linking a
 // web stack; it is NOT a general HTTP server and is off by default
 // everywhere (nothing starts one unless explicitly asked).
-//
-// Under -DS3_OBS=OFF, Start() reports FailedPrecondition and the rest
-// are no-ops.
 #ifndef S3_OBS_METRICS_HTTP_H_
 #define S3_OBS_METRICS_HTTP_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 
 #include "common/status.h"
 #include "obs/metrics.h"
-
-#ifndef S3_OBS_DISABLED
-#include <atomic>
-#include <thread>
-#endif
 
 namespace s3::obs {
 
@@ -29,8 +23,6 @@ struct MetricsHttpOptions {
   // 0 asks the kernel for an ephemeral port; read it back via port().
   uint16_t port = 0;
 };
-
-#ifndef S3_OBS_DISABLED
 
 class MetricsHttpServer {
  public:
@@ -58,22 +50,6 @@ class MetricsHttpServer {
   std::atomic<bool> running_{false};
   std::thread thread_;
 };
-
-#else  // S3_OBS_DISABLED
-
-class MetricsHttpServer {
- public:
-  explicit MetricsHttpServer(MetricRegistry* = nullptr) {}
-  Status Start(const MetricsHttpOptions& = {}) {
-    return Status::FailedPrecondition(
-        "metrics HTTP exporter compiled out (S3_OBS=OFF)");
-  }
-  void Stop() {}
-  bool running() const { return false; }
-  uint16_t port() const { return 0; }
-};
-
-#endif  // S3_OBS_DISABLED
 
 }  // namespace s3::obs
 

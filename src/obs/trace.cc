@@ -81,8 +81,6 @@ std::string FormatSlowEntry(const SlowQueryEntry& entry) {
   return out;
 }
 
-#ifndef S3_OBS_DISABLED
-
 TraceCollector::TraceCollector(TraceOptions options) : options_(options) {}
 
 bool TraceCollector::ShouldSample() {
@@ -114,7 +112,5 @@ std::vector<SlowQueryEntry> TraceCollector::SlowLog() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {slow_log_.begin(), slow_log_.end()};
 }
-
-#endif  // S3_OBS_DISABLED
 
 }  // namespace s3::obs

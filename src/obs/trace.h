@@ -11,23 +11,15 @@
 // said yes before the query ran; sampled-out queries allocate nothing.
 // Slow-log entries are built at completion from the scalars, so
 // "always log if slow" needs no upfront allocation either.
-//
-// The plain-data records (IterationTraceRecord, QueryTrace,
-// SlowQueryEntry) are defined unconditionally — core::SearchStats
-// embeds the iteration vector — while the collector machinery is
-// stubbed out under -DS3_OBS=OFF.
 #ifndef S3_OBS_TRACE_H_
 #define S3_OBS_TRACE_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#ifndef S3_OBS_DISABLED
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <mutex>
-#endif
+#include <string>
+#include <vector>
 
 namespace s3::obs {
 
@@ -98,8 +90,6 @@ struct TraceOptions {
 std::string FormatTrace(const QueryTrace& trace);
 std::string FormatSlowEntry(const SlowQueryEntry& entry);
 
-#ifndef S3_OBS_DISABLED
-
 // Owns the sampling decision, the ring of recent traces, and the
 // slow-query log. One collector per QueryService; thread-safe.
 class TraceCollector {
@@ -149,27 +139,6 @@ class TraceCollector {
   std::deque<QueryTrace> ring_;
   std::deque<SlowQueryEntry> slow_log_;
 };
-
-#else  // S3_OBS_DISABLED
-
-class TraceCollector {
- public:
-  explicit TraceCollector(TraceOptions options = {}) : options_(options) {}
-  const TraceOptions& options() const { return options_; }
-  bool ShouldSample() { return false; }
-  void Record(QueryTrace&&) {}
-  template <typename EntryFn>
-  void NoteCompletion(double, EntryFn&&) {}
-  std::vector<QueryTrace> RecentTraces() const { return {}; }
-  std::vector<SlowQueryEntry> SlowLog() const { return {}; }
-  uint64_t sampled_total() const { return 0; }
-  uint64_t slow_total() const { return 0; }
-
- private:
-  const TraceOptions options_;
-};
-
-#endif  // S3_OBS_DISABLED
 
 }  // namespace s3::obs
 

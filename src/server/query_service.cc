@@ -541,7 +541,6 @@ void QueryService::FinishQueryObs(uint64_t query_id, bool sampled,
                                   const core::QueryRequest& query,
                                   const QueryResponse& response,
                                   size_t batch_width) {
-  if constexpr (!obs::kEnabled) return;
   const auto label = [&] {
     return "seeker=" + std::to_string(query.seeker) + " kw=" +
            std::to_string(query.keywords.size()) +

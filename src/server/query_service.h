@@ -284,8 +284,7 @@ class QueryService {
                      const core::SearchStats& stats);
 
   // Per-completion observability: the always-on slow-query check, and
-  // — for the sampled batch head — the QueryTrace record. No-op with
-  // obs compiled out.
+  // — for the sampled batch head — the QueryTrace record.
   void FinishQueryObs(uint64_t query_id, bool sampled,
                       const core::QueryRequest& query,
                       const QueryResponse& response, size_t batch_width);
@@ -327,8 +326,7 @@ class QueryService {
   // ---- observability. The atomics above stay the single source of
   // truth: the registry exposes them through callback metrics (no
   // double counting, nothing new on the hot path); only the latency/
-  // width histograms below are written per query. All of it compiles
-  // to no-ops under -DS3_OBS=OFF.
+  // width histograms below are written per query.
   obs::TraceCollector tracer_;
   std::atomic<uint64_t> trace_ids_{0};
   // Per-worker cumulative busy time (seconds executing queries), for

@@ -206,10 +206,9 @@ class SnapshotManager {
   bool bg_running_ = false;
   Status bg_last_status_;
 
-  // ---- observability (no-ops under -DS3_OBS=OFF). Counters and
-  // histograms are registry-owned handles written on the durable
-  // paths; the freshness-lag gauge is a callback over
-  // last_publish_ns_.
+  // ---- observability. Counters and histograms are registry-owned
+  // handles written on the durable paths; the freshness-lag gauge is a
+  // callback over last_publish_ns_.
   void RegisterMetrics();
   // steady_clock nanos of the newest published generation (0 = none).
   std::atomic<int64_t> last_publish_ns_{0};

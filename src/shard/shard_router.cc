@@ -376,7 +376,6 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(
 }
 
 void ShardRouter::RegisterMetrics() {
-  if constexpr (!obs::kEnabled) return;
   obs::MetricRegistry& reg = obs::MetricRegistry::Default();
   h_scatter_.resize(shards_.size(), nullptr);
   for (size_t s = 0; s < shards_.size(); ++s) {

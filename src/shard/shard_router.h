@@ -259,7 +259,6 @@ class ShardRouter {
 
   // Registers the router-level metric series (per-shard scatter
   // latency histograms, prune/dedup counters) once shards_ is built.
-  // No-op under -DS3_OBS=OFF.
   void RegisterMetrics();
 
   std::string root_dir_;  // empty for in-memory deployments

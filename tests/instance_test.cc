@@ -62,10 +62,11 @@ TEST(S3InstanceTest, CommentWiring) {
   doc::DocId i1 = inst.AddDocument(std::move(d1), "d1", 0).value();
   doc::NodeId target = inst.docs().RootNode(i0);
   ASSERT_TRUE(inst.AddComment(i1, target).ok());
-  EXPECT_EQ(inst.CommentTarget(i1), target);
-  EXPECT_EQ(inst.CommentTarget(i0), doc::kInvalidNode);
   ASSERT_EQ(inst.CommentsOnFragment(target).size(), 1u);
   EXPECT_EQ(inst.CommentsOnFragment(target)[0], inst.docs().RootNode(i1));
+  // d0 comments on nothing: its only possible target, d1, has no
+  // commenter.
+  EXPECT_TRUE(inst.CommentsOnFragment(inst.docs().RootNode(i1)).empty());
 }
 
 TEST(S3InstanceTest, TagWiring) {

@@ -5,10 +5,6 @@
 // slow-query logging, the /metrics HTTP exporter, and a regression
 // suite for the QueryService::Stats() consistency contract (counters
 // read under load must never violate their arithmetic invariants).
-//
-// Under -DS3_OBS=OFF the registry and collector are no-op stubs; the
-// suites assert exactly that instead of skipping, so the OFF leg still
-// compiles and runs every call site.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,11 +36,7 @@ TEST(MetricRegistryTest, CounterAccumulates) {
   Counter* c = reg.GetCounter("t_counter", "help");
   c->Inc();
   c->Inc(41);
-  if (kEnabled) {
-    EXPECT_EQ(c->Value(), 42u);
-  } else {
-    EXPECT_EQ(c->Value(), 0u);
-  }
+  EXPECT_EQ(c->Value(), 42u);
 }
 
 TEST(MetricRegistryTest, SameNameAndLabelsIsSameInstance) {
@@ -53,9 +45,7 @@ TEST(MetricRegistryTest, SameNameAndLabelsIsSameInstance) {
   Counter* b = reg.GetCounter("t_series", "help", {{"shard", "0"}});
   Counter* c = reg.GetCounter("t_series", "help", {{"shard", "1"}});
   EXPECT_EQ(a, b);
-  if (kEnabled) {
-    EXPECT_NE(a, c);
-  }
+  EXPECT_NE(a, c);
 }
 
 TEST(MetricRegistryTest, LabelOrderIsCanonicalized) {
@@ -70,9 +60,7 @@ TEST(MetricRegistryTest, GaugeSetAndAdd) {
   Gauge* g = reg.GetGauge("t_gauge", "help");
   g->Set(2.5);
   g->Add(0.5);
-  if (kEnabled) {
-    EXPECT_DOUBLE_EQ(g->Value(), 3.0);
-  }
+  EXPECT_DOUBLE_EQ(g->Value(), 3.0);
 }
 
 TEST(MetricRegistryTest, HistogramQuantilesAndSum) {
@@ -81,10 +69,6 @@ TEST(MetricRegistryTest, HistogramQuantilesAndSum) {
       reg.GetHistogram("t_hist", "help", {}, BucketSpec::SmallCounts());
   for (int i = 0; i < 100; ++i) h->Observe(2.0);
   HistogramSnapshot snap = h->TakeSnapshot();
-  if (!kEnabled) {
-    EXPECT_EQ(snap.count, 0u);
-    return;
-  }
   EXPECT_EQ(snap.count, 100u);
   EXPECT_DOUBLE_EQ(snap.sum, 200.0);
   // All mass in the (1, 2] bucket: every quantile interpolates inside.
@@ -93,7 +77,6 @@ TEST(MetricRegistryTest, HistogramQuantilesAndSum) {
 }
 
 TEST(MetricRegistryTest, CallbackEvaluatedAtCollect) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricRegistry reg;
   std::atomic<int> source{7};
   const uint64_t id = reg.AddCallback(
@@ -113,7 +96,6 @@ TEST(MetricRegistryTest, CallbackEvaluatedAtCollect) {
 }
 
 TEST(MetricRegistryTest, CallbackSetUnregistersOnDestruction) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricRegistry reg;
   {
     CallbackSet set;
@@ -150,7 +132,6 @@ TEST(MetricRegistryTest, ConcurrentWritersAndLookups) {
     });
   }
   for (auto& th : threads) th.join();
-  if (!kEnabled) return;
   EXPECT_EQ(shared->Value(), static_cast<uint64_t>(kThreads) * kOps);
   EXPECT_EQ(hist->TakeSnapshot().count,
             static_cast<uint64_t>(kThreads) * kOps);
@@ -166,7 +147,6 @@ TEST(MetricRegistryTest, ConcurrentWritersAndLookups) {
 // ---- Prometheus exposition golden format ------------------------------
 
 TEST(PrometheusFormatTest, GoldenCounterAndGauge) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricRegistry reg;
   reg.GetCounter("s3_demo_total", "Demo counter.")->Inc(3);
   reg.GetGauge("s3_demo_depth", "Demo gauge.", {{"service", "primary"}})
@@ -182,7 +162,6 @@ TEST(PrometheusFormatTest, GoldenCounterAndGauge) {
 }
 
 TEST(PrometheusFormatTest, HistogramBucketsAreCumulative) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricRegistry reg;
   Histogram* h =
       reg.GetHistogram("s3_demo_width", "Widths.", {},
@@ -204,7 +183,6 @@ TEST(PrometheusFormatTest, HistogramBucketsAreCumulative) {
 }
 
 TEST(PrometheusFormatTest, LabelValuesAreEscaped) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricRegistry reg;
   reg.GetCounter("s3_demo_esc_total", "Escapes.",
                  {{"q", "say \"hi\"\\\n"}})
@@ -215,7 +193,6 @@ TEST(PrometheusFormatTest, LabelValuesAreEscaped) {
 }
 
 TEST(PrometheusFormatTest, JsonRenderCoversFamilies) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   MetricRegistry reg;
   reg.GetCounter("s3_demo_total", "Demo counter.")->Inc(3);
   const std::string out = reg.RenderJson();
@@ -233,12 +210,8 @@ TEST(TraceTest, SamplingIsOneInN) {
   for (int i = 0; i < 16; ++i) {
     if (collector.ShouldSample()) ++sampled;
   }
-  if (kEnabled) {
-    EXPECT_EQ(sampled, 4);
-    EXPECT_EQ(collector.sampled_total(), 4u);
-  } else {
-    EXPECT_EQ(sampled, 0);
-  }
+  EXPECT_EQ(sampled, 4);
+  EXPECT_EQ(collector.sampled_total(), 4u);
 }
 
 TEST(TraceTest, SampleEveryZeroDisablesSampling) {
@@ -249,7 +222,6 @@ TEST(TraceTest, SampleEveryZeroDisablesSampling) {
 }
 
 TEST(TraceTest, RingKeepsMostRecent) {
-  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   TraceOptions opts;
   opts.ring_capacity = 2;
   TraceCollector collector(opts);
@@ -281,14 +253,10 @@ TEST(TraceTest, SlowLogThreshold) {
     e.total_seconds = 0.2;
     return e;
   });
-  if (kEnabled) {
-    EXPECT_TRUE(built);
-    ASSERT_EQ(collector.SlowLog().size(), 1u);
-    EXPECT_EQ(collector.SlowLog()[0].id, 7u);
-    EXPECT_EQ(collector.slow_total(), 1u);
-  } else {
-    EXPECT_FALSE(built);
-  }
+  EXPECT_TRUE(built);
+  ASSERT_EQ(collector.SlowLog().size(), 1u);
+  EXPECT_EQ(collector.SlowLog()[0].id, 7u);
+  EXPECT_EQ(collector.slow_total(), 1u);
 }
 
 TEST(TraceTest, FormatTraceNestsSpansByDepth) {
@@ -350,10 +318,6 @@ TEST(MetricsHttpTest, ServesPrometheusText) {
   reg.GetCounter("s3_http_demo_total", "Demo.")->Inc(5);
   MetricsHttpServer server(&reg);
   Status started = server.Start();
-  if (!kEnabled) {
-    EXPECT_FALSE(started.ok());  // stub refuses to start
-    return;
-  }
   if (!started.ok()) GTEST_SKIP() << "bind failed: " << started.ToString();
   ASSERT_NE(server.port(), 0);
   const std::string resp = HttpGet(server.port(), "/metrics");
@@ -466,7 +430,6 @@ TEST(QueryServiceStatsConsistencyTest, InvariantsHoldUnderLoad) {
 // Every QueryServiceStats counter must be readable through the metric
 // registry (the "stats structs become views" contract).
 TEST(QueryServiceStatsConsistencyTest, RegistryMirrorsStats) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   obs::MetricRegistry reg;
   std::vector<KeywordId> kws;
   auto snap = ObsTestSnapshot(&kws);
@@ -513,7 +476,6 @@ TEST(QueryServiceStatsConsistencyTest, RegistryMirrorsStats) {
 // Sampled traces carry the engine's per-iteration records; sampled-out
 // queries must not (the zero-allocation fast path).
 TEST(QueryServiceStatsConsistencyTest, TraceSamplingRecordsIterations) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   obs::MetricRegistry reg;
   std::vector<KeywordId> kws;
   auto snap = ObsTestSnapshot(&kws);

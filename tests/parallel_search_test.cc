@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -33,14 +32,6 @@ namespace {
 
 using s3::testing::ConvergedProx;
 using s3::testing::ExactScore;
-
-// The S3_TEST_THREADS override would silently parallelize the
-// threads=1 serial *reference* runs below, turning the parity sweep
-// into parallel-vs-parallel. Clear it before any searcher exists.
-[[maybe_unused]] const int kEnvCleared = [] {
-  unsetenv("S3_TEST_THREADS");
-  return 0;
-}();
 
 // A controlled instance with exactly `n_clusters` passing components:
 // each cluster is a comment-linked group of documents (one connected

@@ -16,7 +16,9 @@
 # compare the fresh bench output against the committed baseline with
 #   tools/check_bench_regression.py --fresh build/BENCH_micro.json
 # (baseline: bench/baselines/BENCH_micro.json, tolerance 25%). Refresh
-# the baseline by overwriting that file after an intentional change.
+# the baseline after an intentional change with
+#   tools/check_bench_regression.py --fresh build/BENCH_micro.json \
+#     --update-baselines
 set -euo pipefail
 
 # Parallelism: nproc is not guaranteed on minimal CI images.

@@ -483,6 +483,18 @@ void PutU32(std::string& blob, size_t at, uint32_t v) {
   blob.replace(at, 4, bytes);
 }
 
+// Refreshes a rewritten section's payload CRC and the table CRC over
+// it, so only structural validation sees the change.
+void ResealSection(std::string& blob, uint32_t id) {
+  const auto [at, size] = SectionExtent(blob, id);
+  const size_t entry = kTableAt + (id - 1) * kTableEntryBytes;
+  PutU32(blob, entry + kTableEntryBytes - 4,
+         Crc32(std::string_view(blob).substr(at, size)));
+  PutU32(blob, kTableAt - 4,
+         Crc32(std::string_view(blob).substr(
+             kTableAt, kSections * kTableEntryBytes)));
+}
+
 // A *checksum-valid* but semantically hostile snapshot must still be
 // rejected: rewrite a section payload and refresh its stored CRC and
 // the table CRC over it, so only structural validation stands between
@@ -519,12 +531,7 @@ TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
   // once they are refreshed.
   std::string corrupt = blob;
   corrupt[source_at] = '\0';
-  const size_t entry = kTableAt + (kEdgesId - 1) * kTableEntryBytes;
-  PutU32(corrupt, entry + kTableEntryBytes - 4,
-         Crc32(std::string_view(corrupt).substr(edges_at, edges_size)));
-  PutU32(corrupt, kTableAt - 4,
-         Crc32(std::string_view(corrupt).substr(
-             kTableAt, kSections * kTableEntryBytes)));
+  ResealSection(corrupt, kEdgesId);
 
   // Sanity: every checksum passes inspection...
   auto info = InspectBinarySnapshot(corrupt);
@@ -539,6 +546,39 @@ TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
   EXPECT_NE(loaded.status().message().find("kinds do not match"),
             std::string::npos)
       << loaded.status().ToString();
+}
+
+// COMMENTS duplicates the last kCommentsOn target of each document's
+// root in EDGES. A CRC-valid COMMENTS that names another target must
+// not load: doc 1 comments on node 0 in the fixture; point it at 2.
+TEST(BinarySnapshotConfusionTest, CommentsDisagreeingWithEdgesAreRejected) {
+  constexpr uint32_t kCommentsId = 7;
+  const std::string blob = ReadGolden("figure1_v2.snap");
+  const auto [comments_at, comments_size] = SectionExtent(blob, kCommentsId);
+
+  // Varint document count, then one varint per document: target + 1,
+  // or 0 for none.
+  ByteReader r(std::string_view(blob).substr(comments_at, comments_size));
+  ASSERT_GE(r.Var(), 2u);
+  (void)r.Var();  // doc 0
+  const size_t doc1_at = comments_at + r.offset();
+  ASSERT_EQ(r.Var(), 1u) << "doc 1 should comment on node 0";
+  ASSERT_EQ(comments_at + r.offset(), doc1_at + 1);  // one varint byte
+
+  std::string corrupt = blob;
+  corrupt[doc1_at] = static_cast<char>(2 + 1);
+  ResealSection(corrupt, kCommentsId);
+  auto info = InspectBinarySnapshot(corrupt);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+
+  for (const auto& status :
+       {LoadBinarySnapshot(corrupt).status(),
+        AttachBinarySnapshot(MappedRegion::FromBuffer(corrupt)).status()}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("COMMENTS"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 // ---- zero-copy attach --------------------------------------------------

@@ -4,7 +4,10 @@
 Reads both google-benchmark output ({"benchmarks": [{"name",
 "real_time", "time_unit", ...}]}) and the BenchJsonWriter format the
 figure harnesses emit ({"benchmarks": [{"name", "ns_per_op", ...}]}).
-Benchmarks present in both files are compared on ns/op; a benchmark
+Benchmarks present in both files are compared on ns/op, each side's
+value being the median of that name's iteration rows (one row per
+repetition, so a run with --benchmark_repetitions=N compares its N
+repetitions' median rather than whichever came last); a benchmark
 slower than baseline by more than --tolerance (default 25%) counts as
 a regression and flips the exit code to 1. Entries present on only one
 side (e.g. a new benchmark without a committed baseline yet, or a
@@ -51,6 +54,7 @@ advisory rather than blocking.)
 import argparse
 import json
 import os
+import statistics
 import sys
 
 _UNIT_TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -61,10 +65,10 @@ DEFAULT_BASELINE = os.path.join(REPO_ROOT, "bench", "baselines",
 
 
 def load_ns_per_op(path):
-    """Returns {benchmark name: ns/op} from either supported format."""
+    """Returns {benchmark name: median ns/op} from either format."""
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    rows = {}
     for record in doc.get("benchmarks", []):
         name = record.get("name")
         if name is None:
@@ -75,13 +79,16 @@ def load_ns_per_op(path):
         if record.get("run_type", "iteration") != "iteration":
             continue
         if "ns_per_op" in record:  # BenchJsonWriter format
-            out[name] = float(record["ns_per_op"])
+            ns = float(record["ns_per_op"])
         elif "real_time" in record:  # google-benchmark format
             unit = _UNIT_TO_NS.get(record.get("time_unit", "ns"))
             if unit is None:
                 continue
-            out[name] = float(record["real_time"]) * unit
-    return out
+            ns = float(record["real_time"]) * unit
+        else:
+            continue
+        rows.setdefault(name, []).append(ns)
+    return {name: statistics.median(ns) for name, ns in rows.items()}
 
 
 def format_ns(ns):
