@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate components:
 // Porter stemming, RDFS saturation, transition-matrix propagation,
-// component candidate construction, and a full S3k query.
+// live-update delta application, component candidate construction,
+// and a full S3k query.
 //
 // Always writes a machine-readable run record: unless --benchmark_out
 // is given, results are mirrored to BENCH_micro.json (ns/op per
@@ -16,6 +17,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "core/connections.h"
+#include "core/instance_delta.h"
 #include "core/s3k.h"
 #include "rdf/saturation.h"
 #include "text/porter_stemmer.h"
@@ -150,6 +152,68 @@ BENCHMARK_CAPTURE(BM_MatrixPropagate, I3, &I3)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4);
+
+// One live update on I1: ApplyDelta of a 16-op delta (8 one-keyword
+// documents, 4 keyworded tags on random fragments, 4 social edges)
+// against the finalized instance, plus releasing the successor, which
+// a serving process pays when the generation is retired. The deltas
+// are built up front and cycled; each applies to the same base, so
+// every iteration times a first-generation successor.
+void BM_ApplyDelta(benchmark::State& state,
+                   const workload::GenResult& (*make)()) {
+  const core::S3Instance& inst = *make().instance;
+  // Non-owning: the generated instance outlives the benchmark.
+  const std::shared_ptr<const core::S3Instance> base(
+      &inst, [](const core::S3Instance*) {});
+  const uint32_t users = static_cast<uint32_t>(inst.UserCount());
+  const uint32_t nodes = static_cast<uint32_t>(inst.docs().NodeCount());
+  const uint32_t vocab = static_cast<uint32_t>(inst.vocabulary().size());
+  Rng rng(4242);
+  auto user = [&] { return static_cast<social::UserId>(rng.Uniform(users)); };
+  std::vector<core::InstanceDelta> deltas;
+  for (int d = 0; d < 8; ++d) {
+    core::InstanceDelta delta(base);
+    for (int i = 0; i < 8; ++i) {
+      doc::Document doc("tweet");
+      doc.AddKeywords(0, {static_cast<KeywordId>(rng.Uniform(vocab))});
+      if (!delta.AddDocument(std::move(doc),
+                             "bench" + std::to_string(d * 8 + i), user())
+               .ok()) {
+        state.SkipWithError("AddDocument refused");
+        return;
+      }
+    }
+    for (int t = 0; t < 4; ++t) {
+      const auto subject = static_cast<doc::NodeId>(rng.Uniform(nodes));
+      const auto kw = static_cast<KeywordId>(rng.Uniform(vocab));
+      if (!delta.AddTagOnFragment(user(), subject, kw).ok()) {
+        state.SkipWithError("AddTagOnFragment refused");
+        return;
+      }
+    }
+    for (int e = 0; e < 4; ++e) {
+      const social::UserId from = user();
+      const auto to = static_cast<social::UserId>(
+          (from + 1 + rng.Uniform(users - 1)) % users);
+      if (!delta.AddSocialEdge(from, to, 0.5).ok()) {
+        state.SkipWithError("AddSocialEdge refused");
+        return;
+      }
+    }
+    deltas.push_back(std::move(delta));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    auto successor = inst.ApplyDelta(deltas[next]);
+    if (!successor.ok()) {
+      state.SkipWithError("ApplyDelta failed");
+      return;
+    }
+    benchmark::DoNotOptimize(successor);
+    next = (next + 1) % deltas.size();
+  }
+}
+BENCHMARK_CAPTURE(BM_ApplyDelta, I1, &I1);
 
 // One component's candidates, built by a builder that has already
 // served other components of the same extension — how a plan build

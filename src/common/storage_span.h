@@ -16,12 +16,10 @@
 //
 // Reads are branch-free: data_/size_ are kept pointing at whichever
 // backing is active, so operator[] costs the same as on a raw vector.
-// Copying an owned span deep-copies the vector (the pre-existing COW
-// generation semantics of S3Instance's copy constructor); copying a
-// view is O(1) and shares the pin — a delta generation forked off a
-// mapped base keeps reading the mapping until an IncrementalUpdate
-// replaces the span with owned output. Nothing ever writes through a
-// view.
+// Copying an owned span deep-copies the vector; copying a view is O(1)
+// and shares the pin. A delta generation does not copy its base's
+// matrix: IncrementalUpdate reads the base's spans (owned or mapped)
+// and builds owned output. Nothing ever writes through a view.
 #ifndef S3_COMMON_STORAGE_SPAN_H_
 #define S3_COMMON_STORAGE_SPAN_H_
 

@@ -151,7 +151,8 @@ void ConnectionBuilder::SettleSources(Memo& m, size_t hits_before,
 bool ConnectionBuilder::TagGrounded(social::TagId t, size_t qi) {
   const Tag& tag = instance_.tags()[t];
   if (tag.keyword != kInvalidKeyword && ExtHas(qi, tag.keyword)) return true;
-  const std::vector<social::TagId>& on = instance_.TagsOn(EntityId::Tag(t));
+  const std::span<const social::TagId> on =
+      instance_.TagsOn(EntityId::Tag(t));
   if (on.empty()) return false;
   // Least-fixpoint guard: a tag-on-tag cycle grounds nothing. The API
   // only builds tag DAGs today, but deserialized or future instances
@@ -237,7 +238,8 @@ bool ConnectionBuilder::TagOwnSource(social::TagId t, size_t qi) {
 
 void ConnectionBuilder::AppendTagSources(social::TagId t, size_t qi,
                                          std::vector<uint32_t>& out) {
-  const std::vector<social::TagId>& on = instance_.TagsOn(EntityId::Tag(t));
+  const std::span<const social::TagId> on =
+      instance_.TagsOn(EntityId::Tag(t));
   if (on.empty()) {
     // Most tags carry no tag themselves: their only possible source is
     // their author, which needs no memo entry.

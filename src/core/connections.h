@@ -89,10 +89,10 @@ using QueryExtension = std::vector<std::unordered_set<KeywordId>>;
 // keyword slot at a time and are memoized in flat arrays indexed by
 // node, document and tag id. Each entry is stamped with an epoch that
 // advances per (component, slot), so nothing is cleared between
-// components, and the builder keeps no hash table (the instance's tag
-// and comment lists are its only hash lookups). Every source set is a
-// sorted unique vector of rows; memoized ones live in one arena per
-// epoch.
+// components, and neither the builder nor the instance tables it reads
+// (tags on a subject, comments on a fragment: flat CSRs) hash anything.
+// Every source set is a sorted unique vector of rows; memoized ones
+// live in one arena per epoch.
 //
 // A component's candidates come out in ascending node id, and each
 // candidate's source lists in ascending row. Per (candidate, keyword,

@@ -102,6 +102,11 @@ Result<doc::DocId> InstanceDelta::AddDocument(doc::Document document,
   }
   for (uint32_t local = 0; local < document.NodeCount(); ++local) {
     for (KeywordId k : document.node(local).keywords) {
+      // kInvalidKeyword marks an endorsement tag; a document cannot
+      // contain it.
+      if (k == kInvalidKeyword) {
+        return Status::InvalidArgument("document keyword id is invalid");
+      }
       S3_RETURN_IF_ERROR(ValidateKeyword(k));
     }
   }

@@ -8,9 +8,9 @@
 // the interning overlay) validated against the base snapshot, without
 // mutating it. S3Instance::ApplyDelta(delta) then produces a *new*
 // finalized snapshot by structural sharing: copy-on-write of the
-// touched inverted-index postings, edge-store chunks/adjacency rows
-// and transition-matrix rows, incremental component re-discovery —
-// never a full rebuild. The base snapshot stays immutable and
+// touched inverted-index postings and keyword->component lists, shared
+// edge-log chunks, spliced transition-matrix rows, incremental
+// component re-discovery — never a full rebuild. The base snapshot stays immutable and
 // queryable throughout, which is what lets the serving layer
 // (server/QueryService::SwapSnapshot) hot-swap generations mid-traffic.
 //

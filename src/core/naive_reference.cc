@@ -13,9 +13,10 @@ namespace {
 
 // DFS over explicit paths. `entered` is the node the path entered; the
 // next edge may leave any vertical neighbor, normalized by D(entered).
-void EnumeratePaths(const S3Instance& inst, uint32_t entered_row,
-                    double product, size_t remaining, double gamma,
-                    double c_gamma, size_t depth,
+// `adj` indexes every out-edge of the instance's edge log.
+void EnumeratePaths(const S3Instance& inst, const social::OutAdjacency& adj,
+                    uint32_t entered_row, double product, size_t remaining,
+                    double gamma, double c_gamma, size_t depth,
                     std::vector<double>& acc) {
   if (remaining == 0) return;
   const auto& edges = inst.edges();
@@ -24,26 +25,26 @@ void EnumeratePaths(const S3Instance& inst, uint32_t entered_row,
 
   // Collect the outgoing edges of neigh(entered) ∪ {entered} and the
   // normalization denominator.
-  std::vector<uint32_t> out_edges(edges.OutEdges(entered));
-  double denom = edges.OutWeight(entered);
+  std::vector<uint32_t> out_edges(adj[entered_row].begin(),
+                                  adj[entered_row].end());
+  double denom = social::OutWeight(edges, adj[entered_row]);
   if (entered.kind() == EntityKind::kFragment) {
     for (doc::NodeId v : inst.docs().VerticalNeighbors(entered.index())) {
-      EntityId ve = EntityId::Fragment(v);
-      denom += edges.OutWeight(ve);
-      const auto& oe = edges.OutEdges(ve);
+      const auto oe = adj[layout.Row(EntityId::Fragment(v))];
+      denom += social::OutWeight(edges, oe);
       out_edges.insert(out_edges.end(), oe.begin(), oe.end());
     }
   }
   if (denom <= 0.0) return;
 
   for (uint32_t eidx : out_edges) {
-    const social::NetEdge& e = edges.edges()[eidx];
+    const social::NetEdge& e = edges.edge(eidx);
     const double nw = e.weight / denom;
     const uint32_t target_row = layout.Row(e.target);
     const double p = product * nw;
     acc[target_row] +=
         c_gamma * p / std::pow(gamma, static_cast<double>(depth + 1));
-    EnumeratePaths(inst, target_row, p, remaining - 1, gamma, c_gamma,
+    EnumeratePaths(inst, adj, target_row, p, remaining - 1, gamma, c_gamma,
                    depth + 1, acc);
   }
 }
@@ -57,7 +58,9 @@ std::vector<double> NaiveProx(const S3Instance& instance,
   std::vector<double> acc(instance.layout().total(), 0.0);
   const uint32_t seeker_row = instance.RowOfUser(seeker);
   acc[seeker_row] += c_gamma;  // the empty path
-  EnumeratePaths(instance, seeker_row, 1.0, max_len, gamma, c_gamma, 0,
+  const social::OutAdjacency adj =
+      social::IndexOutEdges(instance.layout(), instance.edges());
+  EnumeratePaths(instance, adj, seeker_row, 1.0, max_len, gamma, c_gamma, 0,
                  acc);
   return acc;
 }

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/cow.h"
 #include "core/instance_delta.h"
@@ -16,8 +16,6 @@ using social::EdgeLabel;
 using social::EntityId;
 
 namespace {
-const std::vector<social::TagId> kNoTags;
-const std::vector<doc::NodeId> kNoComments;
 const std::vector<social::ComponentId> kNoComponents;
 
 // Lineage tokens. Unique within a process by construction (atomic
@@ -71,6 +69,26 @@ S3Instance::S3Instance()
   (void)related_c;
 }
 
+S3Instance::S3Instance(const S3Instance& base)
+    : users_(base.users_),
+      tags_(base.tags_),
+      docs_(base.docs_),
+      edges_(base.edges_),
+      terms_(base.terms_),
+      rdf_(base.rdf_),
+      vocabulary_(base.vocabulary_),
+      explicit_social_(base.explicit_social_),
+      poster_of_(base.poster_of_),
+      finalized_(base.finalized_),
+      generation_(base.generation_),
+      lineage_(base.lineage_),
+      rdf_social_edges_(base.rdf_social_edges_),
+      index_(base.index_),
+      saturation_stats_(base.saturation_stats_),
+      comps_with_keyword_(base.comps_with_keyword_),
+      reach_parent_(base.reach_parent_),
+      reach_root_(base.reach_root_) {}
+
 social::UserId S3Instance::AddUser(std::string uri) {
   social::UserId id = static_cast<social::UserId>(users_.size());
   users_.push_back(User{id, std::move(uri)});
@@ -105,6 +123,16 @@ Result<doc::DocId> S3Instance::AddDocument(doc::Document document,
   if (poster >= users_.size()) {
     return Status::InvalidArgument("unknown poster user id");
   }
+  // The keyword directories are indexed by KeywordId, so every id must
+  // name an interned keyword.
+  for (uint32_t local = 0; local < document.NodeCount(); ++local) {
+    for (KeywordId k : document.node(local).keywords) {
+      if (k >= vocabulary_.size()) {
+        return Status::InvalidArgument("document keyword id " +
+                                       std::to_string(k) + " not interned");
+      }
+    }
+  }
   Result<doc::DocId> added = docs_.AddDocument(std::move(document), uri);
   if (!added.ok()) return added.status();
   doc::DocId d = added.value();
@@ -128,7 +156,6 @@ Status S3Instance::AddComment(doc::DocId comment, doc::NodeId target) {
   edges_.AddWithInverse(EntityId::Fragment(root),
                         EntityId::Fragment(target),
                         EdgeLabel::kCommentsOn, 1.0);
-  comments_on_[target].push_back(root);
   return Status::OK();
 }
 
@@ -141,6 +168,9 @@ Result<social::TagId> S3Instance::AddTagOnFragment(social::UserId author,
   if (author >= users_.size()) {
     return Status::InvalidArgument("unknown tag author");
   }
+  if (keyword != kInvalidKeyword && keyword >= vocabulary_.size()) {
+    return Status::InvalidArgument("tag keyword id not interned");
+  }
   if (subject >= docs_.NodeCount()) {
     return Status::InvalidArgument("unknown tag subject node");
   }
@@ -151,7 +181,6 @@ Result<social::TagId> S3Instance::AddTagOnFragment(social::UserId author,
                         EdgeLabel::kHasSubject, 1.0);
   edges_.AddWithInverse(te, EntityId::User(author), EdgeLabel::kHasAuthor,
                         1.0);
-  tags_on_[EntityId::Fragment(subject)].push_back(id);
   return id;
 }
 
@@ -164,6 +193,9 @@ Result<social::TagId> S3Instance::AddTagOnTag(social::UserId author,
   if (author >= users_.size()) {
     return Status::InvalidArgument("unknown tag author");
   }
+  if (keyword != kInvalidKeyword && keyword >= vocabulary_.size()) {
+    return Status::InvalidArgument("tag keyword id not interned");
+  }
   if (subject >= tags_.size()) {
     return Status::InvalidArgument("unknown subject tag");
   }
@@ -174,7 +206,6 @@ Result<social::TagId> S3Instance::AddTagOnTag(social::UserId author,
                         1.0);
   edges_.AddWithInverse(te, EntityId::User(author), EdgeLabel::kHasAuthor,
                         1.0);
-  tags_on_[EntityId::Tag(subject)].push_back(id);
   return id;
 }
 
@@ -282,13 +313,16 @@ Status S3Instance::Finalize() {
     CompsWithKeywordSlot(tag.keyword)
         .push_back(components_.Of(EntityId::Tag(tag.id)));
   }
-  for (auto& [k, comps] : comps_with_keyword_) {
+  for (auto& comps : comps_with_keyword_) {
+    if (comps == nullptr) continue;
     std::sort(comps->begin(), comps->end());
     comps->erase(std::unique(comps->begin(), comps->end()), comps->end());
   }
 
-  // 6. Reach partition over the completed edge log.
+  // 6. Reach partition over the completed edge log, and the tags-on /
+  // comments-on tables.
   BuildReach(/*first_new_edge=*/0);
+  IndexSubjects(/*base=*/nullptr);
 
   finalized_ = true;
   lineage_ = MintLineage();
@@ -340,16 +374,43 @@ const social::EntityLayout& S3Instance::layout() const {
   return *layout_;
 }
 
-const std::vector<social::TagId>& S3Instance::TagsOn(
-    social::EntityId subject) const {
-  auto it = tags_on_.find(subject);
-  return it == tags_on_.end() ? kNoTags : it->second;
+void S3Instance::IndexSubjects(const S3Instance* base) {
+  const social::EntityLayout& layout = *layout_;
+  tags_on_.Build(layout.total(), [&](auto&& emit) {
+    for (const Tag& t : tags_) emit(layout.Row(t.subject), t.id);
+  });
+  // Node ids survive a delta, so each base list is a prefix of its
+  // successor's: the base's comments come first, then those appended
+  // since, in log order (collected in one pass over the log's tail).
+  std::vector<std::pair<doc::NodeId, doc::NodeId>> added;  // (target, root)
+  const uint32_t first_edge =
+      base == nullptr ? 0 : static_cast<uint32_t>(base->edges_.size());
+  for (uint32_t idx = first_edge; idx < edges_.size(); ++idx) {
+    const social::NetEdge& e = edges_.edge(idx);
+    if (e.label == EdgeLabel::kCommentsOn) {
+      added.emplace_back(e.target.index(), e.source.index());
+    }
+  }
+  comments_on_.Build(docs_.NodeCount(), [&](auto&& emit) {
+    if (base != nullptr) {
+      for (doc::NodeId n = 0; n < base->comments_on_.keys(); ++n) {
+        for (doc::NodeId c : base->comments_on_[n]) emit(n, c);
+      }
+    }
+    for (const auto& [target, root] : added) emit(target, root);
+  });
 }
 
-const std::vector<doc::NodeId>& S3Instance::CommentsOnFragment(
+std::span<const social::TagId> S3Instance::TagsOn(
+    social::EntityId subject) const {
+  assert(finalized_ && "TagsOn available after Finalize only");
+  return tags_on_[layout_->Row(subject)];
+}
+
+std::span<const doc::NodeId> S3Instance::CommentsOnFragment(
     doc::NodeId target) const {
-  auto it = comments_on_.find(target);
-  return it == comments_on_.end() ? kNoComments : it->second;
+  assert(finalized_ && "CommentsOnFragment available after Finalize only");
+  return comments_on_[target];
 }
 
 std::vector<doc::NodeId> S3Instance::CommentTargets() const {
@@ -383,6 +444,7 @@ std::vector<KeywordId> S3Instance::ExtendKeyword(KeywordId k) const {
 
 std::vector<social::ComponentId>& S3Instance::CompsWithKeywordSlot(
     KeywordId k) {
+  if (k >= comps_with_keyword_.size()) comps_with_keyword_.resize(k + 1);
   return MutableCow(comps_with_keyword_[k]);
 }
 
@@ -428,9 +490,8 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
       return bad("social edge weight outside (0,1]");
     }
   }
-  // Tag table, validated in id order while rebuilding the subject
-  // lookup the population API maintains incrementally (push order ==
-  // id order, so the reload is exact).
+  // Tag table, validated in id order (AttachDerived indexes the tags
+  // by subject once it is valid).
   for (size_t i = 0; i < n_tags; ++i) {
     const Tag& t = inst->tags_[i];
     if (t.id != i) return bad("tag ids not dense");
@@ -453,16 +514,13 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
       default:
         return bad("tag subject must be a fragment or a tag");
     }
-    inst->tags_on_[t.subject].push_back(t.id);
   }
 
-  // Edge-log scan: endpoint range + label-signature validation, plus
-  // the comments-on lookup — kCommentsOn edges appear in the log in
-  // AddComment call order, so the scan reproduces the per-target push
-  // order exactly. The kind check matters beyond tidiness: a
-  // CRC-valid crafted snapshot could otherwise smuggle, say, a user
-  // index into comments_on_, whose consumers index document
-  // structures without re-checking.
+  // Edge-log scan: endpoint range + label-signature validation. The
+  // kind check matters beyond tidiness: a CRC-valid crafted snapshot
+  // could otherwise smuggle, say, a user index into the comments-on
+  // table (AttachDerived builds it from these edges), whose consumers
+  // index document structures without re-checking.
   using EK = social::EntityKind;
   for (const social::NetEdge& e : inst->edges_.edges()) {
     auto in_range = [&](social::EntityId id) {
@@ -520,7 +578,6 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
           inst->docs_.DocOf(e.target.index())) {
         return bad("a kCommentsOn edge stays inside one document");
       }
-      inst->comments_on_[e.target.index()].push_back(e.source.index());
     }
     if (e.label == EdgeLabel::kPostedBy) {
       const doc::DocId d = inst->docs_.DocOf(e.source.index());
@@ -589,6 +646,7 @@ Status S3Instance::AttachDerived(SnapshotDerived d) {
       components_.AdoptForest(*layout_, std::move(d.component_forest)));
 
   comps_with_keyword_.clear();
+  comps_with_keyword_.resize(vocabulary_.size());
   bool first_entry = true;
   KeywordId prev = 0;
   for (auto& [k, comps] : d.comps_with_keyword) {
@@ -614,9 +672,11 @@ Status S3Instance::AttachDerived(SnapshotDerived d) {
             std::move(comps));
   }
 
-  // Derived, not serialized: the reach partition is a pure function of
-  // the edge log and rebuilds in one scan.
+  // Derived, not serialized: the reach partition and the tags-on /
+  // comments-on tables are pure functions of the population and
+  // rebuild in one scan each.
   BuildReach(/*first_new_edge=*/0);
+  IndexSubjects(/*base=*/nullptr);
 
   saturation_stats_ = d.saturation_stats;
   rdf_social_edges_ = d.rdf_social_edges;
@@ -638,40 +698,28 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::ApplyDelta(
         std::to_string(delta.base_generation()) + ")");
   }
 
-  // Pre-delta population marks, captured before any mutation.
-  const uint32_t old_users = static_cast<uint32_t>(users_.size());
-  const uint32_t old_nodes = static_cast<uint32_t>(docs_.NodeCount());
-  const uint32_t old_tags = static_cast<uint32_t>(tags_.size());
-  const doc::DocId first_new_doc =
-      static_cast<doc::DocId>(docs_.DocumentCount());
-  const uint32_t first_new_edge = static_cast<uint32_t>(edges_.size());
-  std::vector<uint32_t> old_comp_rep;
-  old_comp_rep.reserve(components_.ComponentCount());
-  for (social::ComponentId c = 0; c < components_.ComponentCount(); ++c) {
-    old_comp_rep.push_back(components_.Members(c).front());
-  }
-
   // Structure-sharing copy, then replay the delta's operations through
   // the ordinary population API (identical ordering and validation to
-  // a from-scratch rebuild of base ops + delta ops).
+  // a from-scratch rebuild of base ops + delta ops). The base is never
+  // mutated, so FinalizeIncremental reads the pre-delta state from it.
   std::shared_ptr<S3Instance> next(new S3Instance(*this));
   next->finalized_ = false;
   for (const std::string& spelling : delta.new_spellings()) {
     next->vocabulary_.Intern(spelling);
   }
   S3_RETURN_IF_ERROR(delta.Replay(*next));
-  S3_RETURN_IF_ERROR(next->FinalizeIncremental(old_users, old_nodes,
-                                               old_tags, first_new_doc,
-                                               first_new_edge,
-                                               old_comp_rep));
+  S3_RETURN_IF_ERROR(next->FinalizeIncremental(*this));
   next->generation_ = generation_ + 1;
   return std::shared_ptr<const S3Instance>(std::move(next));
 }
 
-Status S3Instance::FinalizeIncremental(
-    uint32_t old_users, uint32_t old_nodes, uint32_t old_tags,
-    doc::DocId first_new_doc, uint32_t first_new_edge,
-    const std::vector<uint32_t>& old_comp_rep) {
+Status S3Instance::FinalizeIncremental(const S3Instance& base) {
+  const uint32_t old_users = static_cast<uint32_t>(base.users_.size());
+  const uint32_t old_nodes = static_cast<uint32_t>(base.docs_.NodeCount());
+  const uint32_t old_tags = static_cast<uint32_t>(base.tags_.size());
+  const doc::DocId first_new_doc =
+      static_cast<doc::DocId>(base.docs_.DocumentCount());
+  const uint32_t first_new_edge = static_cast<uint32_t>(base.edges_.size());
   if (users_.size() != old_users) {
     return Status::Internal("deltas cannot add users");
   }
@@ -709,29 +757,33 @@ Status S3Instance::FinalizeIncremental(
       }
     }
   }
-  matrix_.IncrementalUpdate(*layout_, edges_, docs_, touched, old_tag_base,
-                            n_new_frag);
+  matrix_.IncrementalUpdate(base.matrix_, *layout_, edges_, docs_, touched,
+                            old_tag_base, n_new_frag);
 
   // Component re-discovery for touched vertices: extend the persisted
   // union-find with the delta's partOf clusters and linking edges.
-  components_.BuildIncremental(*layout_, edges_, docs_, first_new_doc,
-                               first_new_edge, old_tag_base, n_new_frag);
+  components_.BuildIncremental(base.components_, *layout_, edges_, docs_,
+                               first_new_doc, first_new_edge, old_tag_base,
+                               n_new_frag);
 
   // Keyword -> component directory. Old component ids survive unless
   // the delta merged pre-existing components (a new comment or tag
-  // chain bridging two of them); detect that via the representatives
-  // and remap wholesale only then.
-  std::vector<social::ComponentId> old_to_new(old_comp_rep.size());
+  // chain bridging two of them); detect that via one representative
+  // row per pre-delta component and remap wholesale only then.
+  const social::ComponentIndex& old_comps = base.components_;
+  std::vector<social::ComponentId> old_to_new(old_comps.ComponentCount());
   bool ids_changed = false;
-  for (social::ComponentId c = 0; c < old_comp_rep.size(); ++c) {
-    const uint32_t rep = old_comp_rep[c];
+  for (social::ComponentId c = 0; c < old_to_new.size(); ++c) {
+    const uint32_t rep = old_comps.Members(c).front();
     const uint32_t new_rep = rep < old_tag_base ? rep : rep + n_new_frag;
     old_to_new[c] = components_.OfRow(new_rep);
     ids_changed |= old_to_new[c] != c;
   }
-  std::unordered_set<KeywordId> dirty_keys;
+  std::vector<KeywordId> dirty_keys;
   if (ids_changed) {
-    for (auto& [k, comps] : comps_with_keyword_) {
+    for (KeywordId k = 0; k < comps_with_keyword_.size(); ++k) {
+      auto& comps = comps_with_keyword_[k];
+      if (comps == nullptr) continue;
       // Clone only lists the remap actually changes — most keywords
       // live far from the merged components and keep sharing their
       // list with the base.
@@ -744,7 +796,7 @@ Status S3Instance::FinalizeIncremental(
       for (social::ComponentId& c : MutableCow(comps)) {
         c = old_to_new[c];
       }
-      dirty_keys.insert(k);
+      dirty_keys.push_back(k);
     }
   }
   for (doc::NodeId n = old_nodes; n < new_nodes; ++n) {
@@ -752,15 +804,18 @@ Status S3Instance::FinalizeIncremental(
         components_.Of(EntityId::Fragment(n));
     for (KeywordId k : docs_.node(n).keywords) {
       CompsWithKeywordSlot(k).push_back(c);
-      dirty_keys.insert(k);
+      dirty_keys.push_back(k);
     }
   }
   for (social::TagId t = old_tags; t < tags_.size(); ++t) {
     if (tags_[t].keyword == kInvalidKeyword) continue;
     CompsWithKeywordSlot(tags_[t].keyword)
         .push_back(components_.Of(EntityId::Tag(t)));
-    dirty_keys.insert(tags_[t].keyword);
+    dirty_keys.push_back(tags_[t].keyword);
   }
+  std::sort(dirty_keys.begin(), dirty_keys.end());
+  dirty_keys.erase(std::unique(dirty_keys.begin(), dirty_keys.end()),
+                   dirty_keys.end());
   for (KeywordId k : dirty_keys) {
     auto& comps = CompsWithKeywordSlot(k);
     std::sort(comps.begin(), comps.end());
@@ -770,6 +825,7 @@ Status S3Instance::FinalizeIncremental(
   // Reach partition: extend the inherited forest with the delta's
   // owner links only (the user set is fixed, so no remap is needed).
   BuildReach(first_new_edge);
+  IndexSubjects(&base);
 
   finalized_ = true;
   return Status::OK();
@@ -777,8 +833,9 @@ Status S3Instance::FinalizeIncremental(
 
 const std::vector<social::ComponentId>& S3Instance::ComponentsWithKeyword(
     KeywordId k) const {
-  auto it = comps_with_keyword_.find(k);
-  return it == comps_with_keyword_.end() ? kNoComponents : *it->second;
+  return k < comps_with_keyword_.size() && comps_with_keyword_[k] != nullptr
+             ? *comps_with_keyword_[k]
+             : kNoComponents;
 }
 
 uint32_t S3Instance::RowOfUser(social::UserId u) const {

@@ -11,19 +11,25 @@
 // Finalized instances are immutable. The live-update pipeline grows
 // them by *generations*: ApplyDelta(InstanceDelta) produces a new
 // finalized snapshot that shares every untouched structure with its
-// base (copy-on-write postings / edge chunks / adjacency rows,
-// spliced transition-matrix rows, extended union-find) instead of
-// rebuilding — see core/instance_delta.h.
+// base (copy-on-write postings, keyword->component lists and edge-log
+// chunks, spliced transition-matrix rows, extended union-find) instead
+// of rebuilding — see core/instance_delta.h.
+//
+// Every lookup keyed by a dense id (user, node, tag, entity row or
+// keyword) is a flat array: the tags-on and comments-on tables are
+// CSRs rebuilt by one counting sort per generation, and the keyword
+// directories are KeywordId-indexed vectors.
 #ifndef S3_CORE_S3_INSTANCE_H_
 #define S3_CORE_S3_INSTANCE_H_
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_lists.h"
 #include "common/status.h"
 #include "common/storage_span.h"
 #include "doc/document_store.h"
@@ -78,7 +84,8 @@ class S3Instance {
                        double weight);
 
   // Registers a document posted by `poster`; adds the S3:postedBy edge
-  // (and its inverse) between the document root and the poster.
+  // (and its inverse) between the document root and the poster. Every
+  // keyword id in the document must be interned.
   Result<doc::DocId> AddDocument(doc::Document document, std::string uri,
                                  social::UserId poster);
 
@@ -88,7 +95,8 @@ class S3Instance {
   Status AddComment(doc::DocId comment, doc::NodeId target);
 
   // Adds a tag by `author` on a fragment or on another tag. Pass
-  // kInvalidKeyword for an endorsement.
+  // kInvalidKeyword for an endorsement; any other keyword id must be
+  // interned.
   Result<social::TagId> AddTagOnFragment(social::UserId author,
                                          doc::NodeId subject,
                                          KeywordId keyword);
@@ -132,9 +140,10 @@ class S3Instance {
   // Applies a delta built against *this* snapshot (see
   // core/instance_delta.h) and returns a new finalized snapshot of
   // generation generation()+1. The base is untouched and remains fully
-  // queryable; the successor shares all untouched postings, edge
-  // chunks, adjacency rows, transition-matrix rows, documents and the
-  // saturated ontology with it. Query results over the successor are
+  // queryable; the successor shares all untouched postings, keyword
+  // directory lists, edge chunks, documents and the saturated ontology
+  // with it, and splices its untouched transition-matrix rows from the
+  // base's. Query results over the successor are
   // identical to rebuilding an instance from scratch with the combined
   // population (same operations, same order) — bit for bit when the
   // base has no RDF-imported social edges; with rdf_social_edges() > 0
@@ -247,12 +256,13 @@ class S3Instance {
   size_t UserCount() const { return users_.size(); }
   size_t TagCount() const { return tags_.size(); }
 
-  // Tags whose subject is the given entity.
-  const std::vector<social::TagId>& TagsOn(social::EntityId subject) const;
+  // Tags whose subject is the given entity, ascending. Finalized
+  // instances only, like layout().
+  std::span<const social::TagId> TagsOn(social::EntityId subject) const;
 
-  // Root nodes of documents commenting on fragment `target`.
-  const std::vector<doc::NodeId>& CommentsOnFragment(
-      doc::NodeId target) const;
+  // Root nodes of documents commenting on fragment `target`, in
+  // comment order (one entry per comment). Finalized instances only.
+  std::span<const doc::NodeId> CommentsOnFragment(doc::NodeId target) const;
 
   // Per document, the fragment it commented on last: the target of the
   // last kCommentsOn edge its root appended (kInvalidNode if none).
@@ -302,11 +312,13 @@ class S3Instance {
 
  private:
   // Structure-sharing copy used by ApplyDelta: shared_ptr members are
-  // shared, copy-on-write stores copy their cheap spines, and the
-  // derived arrays (matrix CSR, component forest) are copied so the
-  // incremental finalize can update them in place. Never exposed:
-  // copying a non-finalized instance would alias the mutable ontology.
-  S3Instance(const S3Instance&) = default;
+  // shared and copy-on-write stores copy their cheap spines. What
+  // FinalizeIncremental builds afresh from the base — the layout, the
+  // transition matrix, the component index and the tags-on /
+  // comments-on tables — is left empty rather than copied. Never
+  // exposed: copying a non-finalized instance would alias the mutable
+  // ontology.
+  S3Instance(const S3Instance& base);
 
   Status RequireNotFinalized(const char* op) const;
 
@@ -317,17 +329,21 @@ class S3Instance {
   // adopts them in place of a Finalize run.
   Status AttachDerived(SnapshotDerived derived);
 
-  // Incremental counterpart of Finalize() for ApplyDelta: the
-  // population has been extended by a replayed delta (documents,
-  // comments, tags, social edges — never users or ontology triples);
-  // refreshes the derived structures without recomputing anything the
-  // delta did not touch. `old_*` describe the pre-delta populations;
-  // `old_comp_rep` holds one representative row per pre-delta
-  // component (for the component-id remap when old components merge).
-  Status FinalizeIncremental(uint32_t old_users, uint32_t old_nodes,
-                             uint32_t old_tags, doc::DocId first_new_doc,
-                             uint32_t first_new_edge,
-                             const std::vector<uint32_t>& old_comp_rep);
+  // Incremental counterpart of Finalize() for ApplyDelta: `this` is a
+  // successor copy of `base` whose population has been extended by a
+  // replayed delta (documents, comments, tags, social edges — never
+  // users or ontology triples); refreshes the derived structures
+  // without recomputing anything the delta did not touch, reading the
+  // pre-delta populations, matrix and partition from `base`.
+  Status FinalizeIncremental(const S3Instance& base);
+
+  // Builds the tags-on and comments-on tables (needs the layout).
+  // Finalize, AttachDerived and FinalizeIncremental all build them this
+  // one way, in the push order of a from-scratch build: tag id order,
+  // and kCommentsOn log order (AddComment call order). With a `base`
+  // (FinalizeIncremental), the comment lists start from the base's and
+  // only the log entries appended since are scanned.
+  void IndexSubjects(const S3Instance* base);
 
   // Mutable access to a keyword's component list, cloning it first
   // when another generation still shares it (copy-on-write).
@@ -350,9 +366,6 @@ class S3Instance {
   std::shared_ptr<rdf::TermDictionary> terms_;
   std::shared_ptr<rdf::TripleStore> rdf_;
   Vocabulary vocabulary_;
-  std::unordered_map<social::EntityId, std::vector<social::TagId>>
-      tags_on_;
-  std::unordered_map<doc::NodeId, std::vector<doc::NodeId>> comments_on_;
   std::vector<ExplicitSocialEdge> explicit_social_;
   std::vector<social::UserId> poster_of_;  // per DocId
 
@@ -362,14 +375,18 @@ class S3Instance {
   uint64_t lineage_ = 0;
   size_t rdf_social_edges_ = 0;
   std::optional<social::EntityLayout> layout_;
+  // Tags on each subject, keyed by the subject's entity row; comment
+  // roots on each fragment, keyed by the target node (IndexSubjects).
+  FlatLists<social::TagId> tags_on_;
+  FlatLists<doc::NodeId> comments_on_;
   doc::InvertedIndex index_;
   social::TransitionMatrix matrix_;
   social::ComponentIndex components_;
   rdf::SaturationStats saturation_stats_;
-  // Copy-on-write like the inverted index: a successor snapshot clones
-  // only the per-keyword component lists the delta touches.
-  std::unordered_map<KeywordId,
-                     std::shared_ptr<std::vector<social::ComponentId>>>
+  // KeywordId-indexed (null: no component), copy-on-write like the
+  // inverted index: a successor snapshot clones only the per-keyword
+  // component lists the delta touches.
+  std::vector<std::shared_ptr<std::vector<social::ComponentId>>>
       comps_with_keyword_;
   // Reach partition over users: the union-find forest (kept for
   // incremental extension — deltas never add users, so its size is

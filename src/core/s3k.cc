@@ -269,7 +269,7 @@ Result<std::vector<BatchQueryResult>> S3kSearcher::SearchBatchWithPlan(
   // its slot, so each list only shrinks.
   std::vector<std::vector<uint32_t>> slot_watch(n_slots);
   for (size_t i = 0; i < n_slots; ++i) {
-    const std::vector<uint32_t>& members =
+    const std::span<const uint32_t> members =
         instance_.components().Members(plan.passing[i]);
     slot_watch[i].assign(members.begin(), members.end());
   }

@@ -367,8 +367,7 @@ std::string WriteEdges(const S3Instance& inst, uint64_t* mem) {
 std::string WriteIndex(const S3Instance& inst, uint64_t* mem) {
   std::string p;
   ByteWriter w(&p);
-  std::vector<KeywordId> keys = inst.index().Keywords();
-  std::sort(keys.begin(), keys.end());
+  const std::vector<KeywordId> keys = inst.index().Keywords();  // ascending
   w.Var(keys.size());
   *mem = 8;
   KeywordId prev_k = 0;

@@ -15,11 +15,16 @@ void InvertedIndex::Rebuild(const DocumentStore& store) {
   AppendNodes(store, 0);
 }
 
+std::shared_ptr<std::vector<NodeId>>& InvertedIndex::Slot(KeywordId k) {
+  if (k >= postings_.size()) postings_.resize(k + 1);
+  return postings_[k];
+}
+
 void InvertedIndex::AddNode(NodeId node,
                             const std::vector<KeywordId>& keywords) {
   for (KeywordId k : keywords) {
     // Clone-on-shared: another generation may still reference the list.
-    auto& list = MutableCow(postings_[k]);
+    auto& list = MutableCow(Slot(k));
     // Nodes are added in increasing id order; avoid duplicates from
     // repeated keywords within one node.
     if (list.empty() || list.back() != node) list.push_back(node);
@@ -34,14 +39,15 @@ void InvertedIndex::AppendNodes(const DocumentStore& store,
 }
 
 const std::vector<NodeId>& InvertedIndex::Postings(KeywordId k) const {
-  auto it = postings_.find(k);
-  return it == postings_.end() ? kEmptyPostings : *it->second;
+  return k < postings_.size() && postings_[k] != nullptr ? *postings_[k]
+                                                         : kEmptyPostings;
 }
 
 std::vector<KeywordId> InvertedIndex::Keywords() const {
   std::vector<KeywordId> out;
-  out.reserve(postings_.size());
-  for (const auto& [k, _] : postings_) out.push_back(k);
+  for (KeywordId k = 0; k < postings_.size(); ++k) {
+    if (postings_[k] != nullptr) out.push_back(k);
+  }
   return out;
 }
 
@@ -60,16 +66,14 @@ Status InvertedIndex::AdoptPostings(KeywordId k, std::vector<NodeId> nodes,
           "postings: list not strictly ascending");
     }
   }
-  postings_[k] = std::make_shared<std::vector<NodeId>>(std::move(nodes));
+  Slot(k) = std::make_shared<std::vector<NodeId>>(std::move(nodes));
   return Status::OK();
 }
 
 bool InvertedIndex::SharesPostings(const InvertedIndex& other,
                                    KeywordId k) const {
-  auto it = postings_.find(k);
-  auto jt = other.postings_.find(k);
-  if (it == postings_.end() || jt == other.postings_.end()) return false;
-  return it->second == jt->second;
+  if (k >= postings_.size() || k >= other.postings_.size()) return false;
+  return postings_[k] != nullptr && postings_[k] == other.postings_[k];
 }
 
 }  // namespace s3::doc

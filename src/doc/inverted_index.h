@@ -3,16 +3,16 @@
 // connections of con(d, k) (paper §3.2) and behind workload
 // construction (keyword document frequencies).
 //
-// Postings lists are held behind shared_ptr so that a copied index
-// (the live-update pipeline's snapshot-to-snapshot copy) shares every
-// untouched list with its parent; AddNode copies a list only when it
-// is about to mutate one that another generation still references
-// (copy-on-write at keyword granularity).
+// The directory is a KeywordId-indexed vector of postings lists, each
+// held behind shared_ptr so that a copied index (the live-update
+// pipeline's snapshot-to-snapshot copy) shares every untouched list
+// with its parent; AddNode copies a list only when it is about to
+// mutate one that another generation still references (copy-on-write
+// at keyword granularity).
 #ifndef S3_DOC_INVERTED_INDEX_H_
 #define S3_DOC_INVERTED_INDEX_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -44,9 +44,9 @@ class InvertedIndex {
   size_t DocumentFrequency(KeywordId k) const { return Postings(k).size(); }
 
   // Number of distinct indexed keywords.
-  size_t KeywordCount() const { return postings_.size(); }
+  size_t KeywordCount() const { return Keywords().size(); }
 
-  // All indexed keyword ids (unsorted).
+  // All indexed keyword ids, ascending.
   std::vector<KeywordId> Keywords() const;
 
   // True if this index shares keyword k's postings list with `other`
@@ -60,8 +60,11 @@ class InvertedIndex {
                        size_t node_count);
 
  private:
-  std::unordered_map<KeywordId, std::shared_ptr<std::vector<NodeId>>>
-      postings_;
+  // Mutable slot of k's list, growing the directory as needed.
+  std::shared_ptr<std::vector<NodeId>>& Slot(KeywordId k);
+
+  // postings_[k] is null for a keyword no indexed node contains.
+  std::vector<std::shared_ptr<std::vector<NodeId>>> postings_;
 };
 
 }  // namespace s3::doc

@@ -41,7 +41,6 @@ class UnionFind {
 void ComponentIndex::AssignComponents(const EntityLayout& layout) {
   const uint32_t total = layout.total();
   comp_of_row_.assign(total, kInvalidComponent);
-  members_.clear();
   // Non-mutating root resolution: walk each unresolved chain up to its
   // root (or to a row whose root is already memoized) and backfill the
   // memo along the walked path — O(rows) amortized, and the forest
@@ -61,19 +60,23 @@ void ComponentIndex::AssignComponents(const EntityLayout& layout) {
     return root;
   };
   std::vector<ComponentId> root_to_comp(total, kInvalidComponent);
+  ComponentId n_comps = 0;
   for (uint32_t row = 0; row < total; ++row) {
     EntityKind kind = layout.Entity(row).kind();
     if (kind == EntityKind::kUser) continue;
     uint32_t root = resolve_root(row);
     ComponentId c = root_to_comp[root];
     if (c == kInvalidComponent) {
-      c = static_cast<ComponentId>(members_.size());
+      c = n_comps++;
       root_to_comp[root] = c;
-      members_.emplace_back();
     }
     comp_of_row_[row] = c;
-    members_[c].push_back(row);
   }
+  members_.Build(n_comps, [&](auto&& emit) {
+    for (uint32_t row = 0; row < total; ++row) {
+      if (comp_of_row_[row] != kInvalidComponent) emit(comp_of_row_[row], row);
+    }
+  });
 }
 
 Status ComponentIndex::AdoptForest(const EntityLayout& layout,
@@ -155,7 +158,8 @@ void ComponentIndex::Build(const EntityLayout& layout,
   AssignComponents(layout);
 }
 
-void ComponentIndex::BuildIncremental(const EntityLayout& new_layout,
+void ComponentIndex::BuildIncremental(const ComponentIndex& base,
+                                      const EntityLayout& new_layout,
                                       const EdgeStore& edges,
                                       const doc::DocumentStore& docs,
                                       doc::DocId first_new_doc,
@@ -163,7 +167,7 @@ void ComponentIndex::BuildIncremental(const EntityLayout& new_layout,
                                       uint32_t old_tag_base,
                                       uint32_t n_new_fragments) {
   const uint32_t total = new_layout.total();
-  const uint32_t old_total = static_cast<uint32_t>(uf_parent_.size());
+  const uint32_t old_total = static_cast<uint32_t>(base.uf_parent_.size());
   assert(total >= old_total);
 
   // Remap the persisted forest into the post-delta row space (tag rows
@@ -177,7 +181,7 @@ void ComponentIndex::BuildIncremental(const EntityLayout& new_layout,
   std::vector<uint32_t> parent(total);
   std::iota(parent.begin(), parent.end(), 0u);
   for (uint32_t row = 0; row < old_total; ++row) {
-    parent[remap(row)] = remap(uf_parent_[row]);
+    parent[remap(row)] = remap(base.uf_parent_[row]);
   }
   UnionFind uf(parent);
 

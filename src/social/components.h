@@ -17,8 +17,10 @@
 #define S3_SOCIAL_COMPONENTS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/flat_lists.h"
 #include "common/status.h"
 #include "common/storage_span.h"
 #include "doc/document_store.h"
@@ -37,14 +39,16 @@ class ComponentIndex {
   void Build(const EntityLayout& layout, const EdgeStore& edges,
              const doc::DocumentStore& docs);
 
-  // Live-update path: `this` must hold the pre-delta partition (the
-  // copied base index). Extends it to the post-delta populations:
-  // documents with id >= first_new_doc contribute partOf unions, edge
-  // log entries >= first_new_edge contribute commentsOn/hasSubject
-  // unions (endpoints may be pre-delta entities — old components can
-  // merge). `old_tag_base`/`n_new_fragments` describe the tag-row
-  // shift, as in TransitionMatrix::IncrementalUpdate.
-  void BuildIncremental(const EntityLayout& new_layout,
+  // Live-update path: builds this index from `base`, the pre-delta
+  // partition (only read; its forest may be a mapped view), extended
+  // to the post-delta populations: documents with id >= first_new_doc
+  // contribute partOf unions, edge log entries >= first_new_edge
+  // contribute commentsOn/hasSubject unions (endpoints may be
+  // pre-delta entities — old components can merge).
+  // `old_tag_base`/`n_new_fragments` describe the tag-row shift, as in
+  // TransitionMatrix::IncrementalUpdate.
+  void BuildIncremental(const ComponentIndex& base,
+                        const EntityLayout& new_layout,
                         const EdgeStore& edges,
                         const doc::DocumentStore& docs,
                         doc::DocId first_new_doc, uint32_t first_new_edge,
@@ -53,12 +57,12 @@ class ComponentIndex {
   ComponentId OfRow(uint32_t row) const { return comp_of_row_[row]; }
   ComponentId Of(EntityId e) const;
 
-  // Members (entity rows) of one component.
-  const std::vector<uint32_t>& Members(ComponentId c) const {
+  // Members (entity rows) of one component, ascending.
+  std::span<const uint32_t> Members(ComponentId c) const {
     return members_[c];
   }
 
-  size_t ComponentCount() const { return members_.size(); }
+  size_t ComponentCount() const { return members_.keys(); }
 
   // ---- snapshot (de)serialization hooks --------------------------------
 
@@ -88,7 +92,7 @@ class ComponentIndex {
 
   const EntityLayout* layout_ = nullptr;
   std::vector<ComponentId> comp_of_row_;
-  std::vector<std::vector<uint32_t>> members_;
+  FlatLists<uint32_t> members_;  // by component id
   // Union-find forest over entity rows, kept after Build for
   // incremental extension.
   StorageSpan<uint32_t> uf_parent_;

@@ -1,14 +1,9 @@
 #include "social/edge_store.h"
 
 #include <cassert>
-
-#include "common/cow.h"
+#include <utility>
 
 namespace s3::social {
-
-namespace {
-const std::vector<uint32_t> kNoEdges;
-}  // namespace
 
 const char* EdgeLabelName(EdgeLabel label) {
   switch (label) {
@@ -75,31 +70,14 @@ void EdgeStore::Add(EntityId source, EntityId target, EdgeLabel label,
                   chunks_.back()->end());
     chunks_.back() = std::move(clone);
   }
-  uint32_t idx = static_cast<uint32_t>(n_edges_);
   chunks_.back()->push_back(NetEdge{source, target, label, weight});
   ++n_edges_;
-
-  // Copy-on-write: only the rows a new generation's edges touch are
-  // ever cloned.
-  AdjRow& row = MutableCow(out_[source]);
-  row.edges.push_back(idx);
-  row.weight_sum += weight;
 }
 
 void EdgeStore::AddWithInverse(EntityId source, EntityId target,
                                EdgeLabel label, double weight) {
   Add(source, target, label, weight);
   Add(target, source, InverseLabel(label), weight);
-}
-
-const std::vector<uint32_t>& EdgeStore::OutEdges(EntityId e) const {
-  auto it = out_.find(e);
-  return it == out_.end() ? kNoEdges : it->second->edges;
-}
-
-double EdgeStore::OutWeight(EntityId e) const {
-  auto it = out_.find(e);
-  return it == out_.end() ? 0.0 : it->second->weight_sum;
 }
 
 size_t EdgeStore::CountLabel(EdgeLabel label) const {
@@ -110,12 +88,38 @@ size_t EdgeStore::CountLabel(EdgeLabel label) const {
   return n;
 }
 
-bool EdgeStore::SharesAdjacencyRow(const EdgeStore& other,
-                                   EntityId e) const {
-  auto it = out_.find(e);
-  auto jt = other.out_.find(e);
-  if (it == out_.end() || jt == other.out_.end()) return false;
-  return it->second == jt->second;
+size_t EdgeStore::SharedChunks(const EdgeStore& other) const {
+  size_t n = 0;
+  while (n < chunks_.size() && n < other.chunks_.size() &&
+         chunks_[n] == other.chunks_[n]) {
+    ++n;
+  }
+  return n;
+}
+
+OutAdjacency IndexOutEdges(const EntityLayout& layout, const EdgeStore& edges,
+                           const std::vector<char>& want) {
+  assert(want.empty() || want.size() == layout.total());
+  // One pass over the log collects the wanted (row, edge) pairs; the
+  // counting sort then runs over that list.
+  std::vector<std::pair<uint32_t, uint32_t>> picked;
+  uint32_t idx = 0;
+  edges.ForEach([&](const NetEdge& e) {
+    const uint32_t row = layout.Row(e.source);
+    if (want.empty() || want[row]) picked.emplace_back(row, idx);
+    ++idx;
+  });
+  OutAdjacency adj;
+  adj.Build(layout.total(), [&](auto&& emit) {
+    for (const auto& [row, edge] : picked) emit(row, edge);
+  });
+  return adj;
+}
+
+double OutWeight(const EdgeStore& edges, std::span<const uint32_t> out) {
+  double sum = 0.0;
+  for (uint32_t idx : out) sum += edges.edge(idx).weight;
+  return sum;
 }
 
 }  // namespace s3::social

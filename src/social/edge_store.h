@@ -8,19 +8,21 @@
 // s p̄ o ∈ I iff o p s ∈ I.
 //
 // Storage is built for the live-update pipeline's copy-on-write
-// snapshots: the append-only edge log lives in fixed-size immutable
-// chunks behind shared_ptr (a copied store shares every full chunk and
-// clones only the tail chunk on its next append), and the per-entity
-// adjacency rows are individually shared_ptr'd (a copied store clones
-// only the rows its new edges actually touch).
+// snapshots: the store is only the append-only edge log, kept in
+// fixed-size immutable chunks behind shared_ptr (a copied store shares
+// every full chunk and clones only the tail chunk on its next append).
+// Per-entity adjacency is not maintained: readers that walk out-edges
+// (the transition matrix, the naive reference) index the log into a
+// flat OutAdjacency when they need one.
 #ifndef S3_SOCIAL_EDGE_STORE_H_
 #define S3_SOCIAL_EDGE_STORE_H_
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "common/flat_lists.h"
 #include "social/entity.h"
 
 namespace s3::social {
@@ -52,9 +54,8 @@ struct NetEdge {
   double weight;
 };
 
-// Append-only store of network edges with per-entity outgoing
-// adjacency. Copyable in O(chunks + adjacency rows); the copy shares
-// all edge payloads with the original (see file comment).
+// Append-only store of network edges. Copyable in O(chunks); the copy
+// shares all edge payloads with the original (see file comment).
 class EdgeStore {
  public:
   // Edges per immutable log chunk. All chunks except the last hold
@@ -68,12 +69,6 @@ class EdgeStore {
   // Adds an edge and its inverse twin (both weight `weight`).
   void AddWithInverse(EntityId source, EntityId target, EdgeLabel label,
                       double weight = 1.0);
-
-  // Outgoing edges of `e` (indices into the edge log).
-  const std::vector<uint32_t>& OutEdges(EntityId e) const;
-
-  // Sum of weights of edges leaving `e` alone (not its neighborhood).
-  double OutWeight(EntityId e) const;
 
   // The i-th edge of the log (insertion order).
   const NetEdge& edge(uint32_t idx) const {
@@ -119,25 +114,42 @@ class EdgeStore {
 
   EdgeView edges() const { return EdgeView(this); }
 
+  // Calls f(edge) for every edge in log order, chunk by chunk (a
+  // cheaper full scan than indexing edge(i) per edge).
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (const auto& chunk : chunks_) {
+      for (const NetEdge& e : *chunk) f(e);
+    }
+  }
+
   // Number of edges with a given label.
   size_t CountLabel(EdgeLabel label) const;
 
-  // True if `e`'s adjacency row is shared with `other`
-  // (structural-sharing introspection for tests).
-  bool SharesAdjacencyRow(const EdgeStore& other, EntityId e) const;
+  // Number of leading log chunks this store shares with `other` (the
+  // same heap objects; structural-sharing introspection for tests).
+  size_t SharedChunks(const EdgeStore& other) const;
 
  private:
-  struct AdjRow {
-    std::vector<uint32_t> edges;
-    double weight_sum = 0.0;
-  };
-
   using Chunk = std::vector<NetEdge>;
 
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t n_edges_ = 0;
-  std::unordered_map<EntityId, std::shared_ptr<AdjRow>> out_;
 };
+
+// Out-edges grouped by source entity row: each row's list holds the
+// edge-log indices of its edges in ascending (log) order, which is the
+// order every out-weight sum and transition-matrix row accumulates in.
+using OutAdjacency = FlatLists<uint32_t>;
+
+// Indexes the out-edges of every row of `layout` (`want` empty), or
+// only of the rows with want[row] != 0 (`want` sized layout.total());
+// one stable counting sort over the log.
+OutAdjacency IndexOutEdges(const EntityLayout& layout, const EdgeStore& edges,
+                           const std::vector<char>& want = {});
+
+// Sum of the weights of `out` (edge-log indices), in list order.
+double OutWeight(const EdgeStore& edges, std::span<const uint32_t> out);
 
 }  // namespace s3::social
 

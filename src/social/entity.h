@@ -95,11 +95,4 @@ class EntityLayout {
 
 }  // namespace s3::social
 
-template <>
-struct std::hash<s3::social::EntityId> {
-  size_t operator()(const s3::social::EntityId& e) const {
-    return std::hash<uint32_t>()(e.packed());
-  }
-};
-
 #endif  // S3_SOCIAL_ENTITY_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "social/propagate_kernels.h"
 
@@ -44,37 +43,42 @@ void BatchFrontier::ZeroLane(size_t lane) {
   lane_mass[lane] = 0;
 }
 
-void TransitionMatrix::AppendComputedRow(
-    uint32_t row, const EntityLayout& layout, const EdgeStore& edges,
-    const doc::DocumentStore& docs, CsrBuild& b,
-    std::unordered_map<uint32_t, double>& row_acc,
-    std::vector<std::pair<uint32_t, double>>& sorted_row) {
-  row_acc.clear();
-  auto accumulate_entity = [&](EntityId x) {
-    for (uint32_t eidx : edges.OutEdges(x)) {
+double TransitionMatrix::ComputeRow(uint32_t row, const EntityLayout& layout,
+                                   const EdgeStore& edges,
+                                   const OutAdjacency& adj,
+                                   const doc::DocumentStore& docs,
+                                   RowScratch& s, std::vector<uint32_t>& cols,
+                                   std::vector<double>& vals) {
+  // Returns the entity's own out-weight, summed in log order. Weights
+  // are > 0 (EdgeStore::Add), so a zero accumulator marks an untouched
+  // column.
+  auto accumulate = [&](uint32_t entity_row) {
+    double w = 0.0;
+    for (uint32_t eidx : adj[entity_row]) {
       const NetEdge& e = edges.edge(eidx);
-      row_acc[layout.Row(e.target)] += e.weight;
+      const uint32_t col = layout.Row(e.target);
+      if (s.acc[col] == 0.0) s.cols.push_back(col);
+      s.acc[col] += e.weight;
+      w += e.weight;
     }
+    return w;
   };
-  EntityId n = layout.Entity(row);
-  double d = edges.OutWeight(n);
-  accumulate_entity(n);
+  double d = accumulate(row);
+  const EntityId n = layout.Entity(row);
   if (n.kind() == EntityKind::kFragment) {
     // A path entering a fragment may exit from any vertical neighbor.
     for (doc::NodeId v : docs.VerticalNeighbors(n.index())) {
-      EntityId ve = EntityId::Fragment(v);
-      d += edges.OutWeight(ve);
-      accumulate_entity(ve);
+      d += accumulate(layout.Row(EntityId::Fragment(v)));
     }
   }
-  b.denom[row] = d;
-  sorted_row.assign(row_acc.begin(), row_acc.end());
-  std::sort(sorted_row.begin(), sorted_row.end());
-  for (auto& [col, w] : sorted_row) {
-    b.cols.push_back(col);
-    b.vals.push_back(w / d);
+  std::sort(s.cols.begin(), s.cols.end());
+  for (uint32_t col : s.cols) {
+    cols.push_back(col);
+    vals.push_back(s.acc[col] / d);
+    s.acc[col] = 0.0;
   }
-  b.row_ptr[row + 1] = b.cols.size();
+  s.cols.clear();
+  return d;
 }
 
 Status TransitionMatrix::Adopt(StorageSpan<uint64_t> row_ptr,
@@ -112,16 +116,16 @@ void TransitionMatrix::Build(const EntityLayout& layout,
                              const EdgeStore& edges,
                              const doc::DocumentStore& docs) {
   const uint32_t total = layout.total();
+  const OutAdjacency adj = IndexOutEdges(layout, edges);
   CsrBuild b;
   b.row_ptr.assign(total + 1, 0);
   b.denom.assign(total, 0.0);
-
-  // Per-row accumulation buffer: column -> weight sum (unnormalized).
-  std::unordered_map<uint32_t, double> row_acc;
-  std::vector<std::pair<uint32_t, double>> sorted_row;
-
+  RowScratch scratch;
+  scratch.acc.assign(total, 0.0);
   for (uint32_t row = 0; row < total; ++row) {
-    AppendComputedRow(row, layout, edges, docs, b, row_acc, sorted_row);
+    b.denom[row] =
+        ComputeRow(row, layout, edges, adj, docs, scratch, b.cols, b.vals);
+    b.row_ptr[row + 1] = b.cols.size();
   }
   row_ptr_ = std::move(b.row_ptr);
   cols_ = std::move(b.cols);
@@ -130,61 +134,115 @@ void TransitionMatrix::Build(const EntityLayout& layout,
   ComputeColumnMax();
 }
 
-void TransitionMatrix::IncrementalUpdate(const EntityLayout& new_layout,
+void TransitionMatrix::IncrementalUpdate(const TransitionMatrix& base,
+                                         const EntityLayout& new_layout,
                                          const EdgeStore& edges,
                                          const doc::DocumentStore& docs,
                                          const std::vector<char>& touched,
                                          uint32_t old_tag_base,
                                          uint32_t n_new_fragments) {
   const uint32_t total = new_layout.total();
-  const uint32_t old_total = static_cast<uint32_t>(rows());
+  const uint32_t old_total = static_cast<uint32_t>(base.rows());
   const uint32_t new_frag_end = old_tag_base + n_new_fragments;
   assert(touched.size() == total);
 
-  // The pre-delta CSR (possibly view-backed on a mapped base) is read
-  // in place while the successor arrays accumulate in owned scratch;
-  // the swap at the end releases it — or, for a view, just this
-  // matrix's pin on the mapping.
-  const StorageSpan<uint64_t> old_row_ptr = std::move(row_ptr_);
-  const StorageSpan<uint32_t> old_cols = std::move(cols_);
-  const StorageSpan<double> old_vals = std::move(vals_);
-  const StorageSpan<double> old_denom = std::move(denom_);
+  // New-layout row -> pre-delta row: rows below the old tag base are
+  // unchanged, the next n_new_fragments rows are new fragments, and the
+  // rest are (old tags shifted up) followed by new tags. A row without
+  // a pre-delta row, or touched by the delta, is recomputed.
+  auto recompute = [&](uint32_t row) {
+    if (touched[row]) return true;
+    if (row < old_tag_base) return false;
+    return row < new_frag_end || row - n_new_fragments >= old_total;
+  };
 
+  // Pass 1: list the recomputed rows and mark the entities whose
+  // out-edges they read (the row's own entity and, for a fragment, its
+  // vertical neighbors).
+  std::vector<uint32_t> fresh_rows;
+  std::vector<char> want(total, 0);
+  for (uint32_t row = 0; row < total; ++row) {
+    if (!recompute(row)) continue;
+    fresh_rows.push_back(row);
+    want[row] = 1;
+    const EntityId n = new_layout.Entity(row);
+    if (n.kind() == EntityKind::kFragment) {
+      for (doc::NodeId v : docs.VerticalNeighbors(n.index())) {
+        want[new_layout.Row(EntityId::Fragment(v))] = 1;
+      }
+    }
+  }
+  const OutAdjacency adj = IndexOutEdges(new_layout, edges, want);
+
+  // Pass 2: compute the recomputed rows into scratch, counting the
+  // base entries they replace.
   CsrBuild b;
   b.row_ptr.assign(total + 1, 0);
   b.denom.assign(total, 0.0);
-  b.cols.reserve(old_cols.size());
-  b.vals.reserve(old_vals.size());
-
-  std::unordered_map<uint32_t, double> row_acc;
-  std::vector<std::pair<uint32_t, double>> sorted_row;
-
-  for (uint32_t row = 0; row < total; ++row) {
-    // New-layout row -> pre-delta row: rows below the old tag base are
-    // unchanged, the next n_new_fragments rows are new fragments, and
-    // the rest are (old tags shifted up) followed by new tags.
-    uint32_t old_row = UINT32_MAX;
-    if (row < old_tag_base) {
-      old_row = row;
-    } else if (row >= new_frag_end && row - n_new_fragments < old_total) {
-      old_row = row - n_new_fragments;
-    }
-    if (old_row != UINT32_MAX && !touched[row]) {
-      // Splice: same normalized values, columns remapped for the tag
-      // shift (the remap is monotone, so sortedness is preserved).
-      b.denom[row] = old_denom[old_row];
-      for (uint64_t i = old_row_ptr[old_row]; i < old_row_ptr[old_row + 1];
-           ++i) {
-        const uint32_t c = old_cols[i];
-        b.cols.push_back(c < old_tag_base ? c : c + n_new_fragments);
-        b.vals.push_back(old_vals[i]);
-      }
-      b.row_ptr[row + 1] = b.cols.size();
-    } else {
-      AppendComputedRow(row, new_layout, edges, docs, b, row_acc,
-                        sorted_row);
+  RowScratch scratch;
+  scratch.acc.assign(total, 0.0);
+  std::vector<uint32_t> fresh_cols;
+  std::vector<double> fresh_vals;
+  std::vector<uint64_t> fresh_end;
+  uint64_t replaced_nnz = 0;
+  for (uint32_t row : fresh_rows) {
+    b.denom[row] = ComputeRow(row, new_layout, edges, adj, docs, scratch,
+                              fresh_cols, fresh_vals);
+    fresh_end.push_back(fresh_cols.size());
+    const bool old_tag = row >= new_frag_end;
+    if (row < old_tag_base || (old_tag && row - n_new_fragments < old_total)) {
+      const uint32_t old_row = old_tag ? row - n_new_fragments : row;
+      replaced_nnz += base.row_ptr_[old_row + 1] - base.row_ptr_[old_row];
     }
   }
+
+  // Pass 3: assemble into exactly sized arrays. Between two recomputed
+  // rows, the spliced rows are a run of consecutive pre-delta rows with
+  // one column shift, copied in bulk: same normalized values, columns
+  // remapped for the tag shift (the remap is monotone, so sortedness is
+  // preserved).
+  const uint64_t nnz = base.nonzeros() - replaced_nnz + fresh_cols.size();
+  b.cols.resize(nnz);
+  b.vals.resize(nnz);
+  uint64_t out = 0;
+  auto splice_run = [&](uint32_t begin, uint32_t end) {
+    if (begin == end) return;
+    const uint32_t shift = begin < old_tag_base ? 0 : n_new_fragments;
+    const uint32_t o0 = begin - shift;
+    const uint32_t o1 = end - shift;
+    const uint64_t e0 = base.row_ptr_[o0];
+    const uint64_t n = base.row_ptr_[o1] - e0;
+    const uint32_t* cols = base.cols_.data() + e0;
+    uint32_t* cols_out = b.cols.data() + out;
+    for (uint64_t i = 0; i < n; ++i) {
+      cols_out[i] = cols[i] < old_tag_base ? cols[i] : cols[i] + n_new_fragments;
+    }
+    std::copy(base.vals_.data() + e0, base.vals_.data() + e0 + n,
+              b.vals.data() + out);
+    std::copy(base.denom_.data() + o0, base.denom_.data() + o1,
+              b.denom.data() + begin);
+    for (uint32_t r = begin; r < end; ++r) {
+      b.row_ptr[r + 1] = out + (base.row_ptr_[r - shift + 1] - e0);
+    }
+    out += n;
+  };
+  uint32_t next_row = 0;
+  uint64_t fresh_begin = 0;
+  for (size_t f = 0; f < fresh_rows.size(); ++f) {
+    const uint32_t row = fresh_rows[f];
+    splice_run(next_row, row);
+    const uint64_t end = fresh_end[f];
+    std::copy(fresh_cols.begin() + fresh_begin, fresh_cols.begin() + end,
+              b.cols.begin() + out);
+    std::copy(fresh_vals.begin() + fresh_begin, fresh_vals.begin() + end,
+              b.vals.begin() + out);
+    out += end - fresh_begin;
+    fresh_begin = end;
+    b.row_ptr[row + 1] = out;
+    next_row = row + 1;
+  }
+  splice_run(next_row, total);
+  assert(out == nnz);
   row_ptr_ = std::move(b.row_ptr);
   cols_ = std::move(b.cols);
   vals_ = std::move(b.vals);

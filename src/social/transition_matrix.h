@@ -20,7 +20,6 @@
 #define S3_SOCIAL_TRANSITION_MATRIX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -78,18 +77,22 @@ class TransitionMatrix {
   void Build(const EntityLayout& layout, const EdgeStore& edges,
              const doc::DocumentStore& docs);
 
-  // Live-update path: rebuilds this matrix (previously built for the
-  // pre-delta instance) for the post-delta row space without
-  // recomputing untouched rows. `touched[row]` (indexed in the *new*
-  // row space, size new_layout.total()) marks rows whose neighborhood
-  // gained an out-edge; new-entity rows are recomputed regardless.
-  // `old_tag_base` is the pre-delta row of tag 0 (users + old
-  // fragments) and `n_new_fragments` the fragment-count growth — the
-  // delta appends fragments before the tag block, so every old tag row
-  // (and every matrix column >= old_tag_base) shifts up by
+  // Live-update path: builds this matrix for the post-delta row space
+  // from `base`, the pre-delta instance's matrix, without recomputing
+  // untouched rows. `base` is only read (its arrays may be views into a
+  // mapped snapshot) and stays valid. `touched[row]` (indexed in the
+  // *new* row space, size new_layout.total()) marks rows whose
+  // neighborhood gained an out-edge; new-entity rows are recomputed
+  // regardless. `old_tag_base` is the pre-delta row of tag 0 (users +
+  // old fragments) and `n_new_fragments` the fragment-count growth —
+  // the delta appends fragments before the tag block, so every old tag
+  // row (and every matrix column >= old_tag_base) shifts up by
   // n_new_fragments; untouched rows are spliced over with that column
-  // remap, bit-identical values included.
-  void IncrementalUpdate(const EntityLayout& new_layout,
+  // remap, bit-identical values included. Only the recomputed rows'
+  // sources are indexed out of the edge log, and the CSR arrays are
+  // sized exactly.
+  void IncrementalUpdate(const TransitionMatrix& base,
+                         const EntityLayout& new_layout,
                          const EdgeStore& edges,
                          const doc::DocumentStore& docs,
                          const std::vector<char>& touched,
@@ -161,13 +164,24 @@ class TransitionMatrix {
     std::vector<double> denom;
   };
 
-  // Computes one row (denominator + sorted normalized entries) and
-  // appends it to `b`; shared by Build and IncrementalUpdate.
-  void AppendComputedRow(
-      uint32_t row, const EntityLayout& layout, const EdgeStore& edges,
-      const doc::DocumentStore& docs, CsrBuild& b,
-      std::unordered_map<uint32_t, double>& row_acc,
-      std::vector<std::pair<uint32_t, double>>& sorted_row);
+  // Dense per-row accumulator: acc[col] is the row's unnormalized
+  // weight on col (zero outside the row being computed) and `cols`
+  // lists the columns the row touched.
+  struct RowScratch {
+    std::vector<double> acc;
+    std::vector<uint32_t> cols;
+  };
+
+  // Computes one row (sorted normalized entries appended to cols/vals)
+  // from the out-edges of its neighborhood in `adj`, and returns its
+  // denominator; shared by Build and IncrementalUpdate. Each column
+  // sums its weights in log order, entity by entity (the row's own
+  // entity, then its vertical neighbors).
+  static double ComputeRow(uint32_t row, const EntityLayout& layout,
+                           const EdgeStore& edges, const OutAdjacency& adj,
+                           const doc::DocumentStore& docs, RowScratch& s,
+                           std::vector<uint32_t>& cols,
+                           std::vector<double>& vals);
 
   // Recomputes col_max_ from the current CSR.
   void ComputeColumnMax();

@@ -7,7 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/bounded_queue.h"
+#include "common/flat_lists.h"
 #include "common/lru_cache.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -16,6 +18,72 @@
 
 namespace s3 {
 namespace {
+
+// ---- CRC-32 ------------------------------------------------------------
+
+// Byte-at-a-time CRC-32 (ISO-HDLC, reflected polynomial 0xEDB88320):
+// the classic one-table loop the slice-by-8 Crc32 must reproduce.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t n) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(std::string_view()), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryAlignment) {
+  constexpr size_t kMaxLen = 4100;
+  Rng rng(20241);
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  for (unsigned char& c : buf) c = static_cast<unsigned char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= kMaxLen; ++n) {
+      ASSERT_EQ(Crc32(buf.data() + offset, n),
+                BytewiseCrc32(buf.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+// ---- FlatLists ------------------------------------------------------------
+
+TEST(FlatListsTest, GroupsByKeyKeepingEmissionOrder) {
+  const std::vector<std::pair<uint32_t, int>> items = {
+      {2, 10}, {0, 11}, {2, 12}, {3, 13}, {0, 14}, {2, 15}};
+  FlatLists<int> lists;
+  lists.Build(5, [&](auto&& emit) {
+    for (const auto& [key, v] : items) emit(key, v);
+  });
+  ASSERT_EQ(lists.keys(), 5u);
+  auto as_vec = [](std::span<const int> s) {
+    return std::vector<int>(s.begin(), s.end());
+  };
+  EXPECT_EQ(as_vec(lists[0]), (std::vector<int>{11, 14}));
+  EXPECT_TRUE(lists[1].empty());
+  EXPECT_EQ(as_vec(lists[2]), (std::vector<int>{10, 12, 15}));
+  EXPECT_EQ(as_vec(lists[3]), (std::vector<int>{13}));
+  EXPECT_TRUE(lists[4].empty());
+  EXPECT_TRUE(lists[5].empty());  // past the end
+
+  FlatLists<int> empty;
+  EXPECT_TRUE(empty[0].empty());
+  empty.Build(0, [](auto&&) {});
+  EXPECT_EQ(empty.keys(), 0u);
+}
 
 // ---- Status / Result --------------------------------------------------
 

@@ -62,6 +62,8 @@ TEST(S3InstanceTest, CommentWiring) {
   doc::DocId i1 = inst.AddDocument(std::move(d1), "d1", 0).value();
   doc::NodeId target = inst.docs().RootNode(i0);
   ASSERT_TRUE(inst.AddComment(i1, target).ok());
+  // The comments-on table is built by Finalize.
+  ASSERT_TRUE(inst.Finalize().ok());
   ASSERT_EQ(inst.CommentsOnFragment(target).size(), 1u);
   EXPECT_EQ(inst.CommentsOnFragment(target)[0], inst.docs().RootNode(i1));
   // d0 comments on nothing: its only possible target, d1, has no
@@ -79,12 +81,47 @@ TEST(S3InstanceTest, TagWiring) {
   social::TagId t = inst.AddTagOnFragment(0, root, kw).value();
   EXPECT_EQ(inst.TagCount(), 1u);
   EXPECT_FALSE(inst.tags()[t].IsEndorsement());
-  ASSERT_EQ(inst.TagsOn(EntityId::Fragment(root)).size(), 1u);
   // Higher-level tag on the tag (requirement R4).
   social::TagId t2 =
       inst.AddTagOnTag(0, t, kInvalidKeyword).value();
   EXPECT_TRUE(inst.tags()[t2].IsEndorsement());
+  // The tags-on table is built by Finalize.
+  ASSERT_TRUE(inst.Finalize().ok());
+  ASSERT_EQ(inst.TagsOn(EntityId::Fragment(root)).size(), 1u);
+  EXPECT_EQ(inst.TagsOn(EntityId::Fragment(root))[0], t);
   ASSERT_EQ(inst.TagsOn(EntityId::Tag(t)).size(), 1u);
+  EXPECT_EQ(inst.TagsOn(EntityId::Tag(t))[0], t2);
+  EXPECT_TRUE(inst.TagsOn(EntityId::Tag(t2)).empty());
+  EXPECT_TRUE(inst.TagsOn(EntityId::User(0)).empty());
+}
+
+TEST(S3InstanceTest, UninternedKeywordIdsRejected) {
+  // The keyword directories are indexed by KeywordId, so the population
+  // API refuses ids the vocabulary has not interned.
+  S3Instance inst;
+  inst.AddUser("a");
+  const KeywordId kw = inst.InternKeyword("x");
+  doc::Document unknown("doc");
+  unknown.AddKeywords(0, {kw + 1});
+  EXPECT_EQ(inst.AddDocument(std::move(unknown), "d0", 0).status().code(),
+            StatusCode::kInvalidArgument);
+  doc::Document marker("doc");
+  marker.AddKeywords(0, {kInvalidKeyword});
+  EXPECT_EQ(inst.AddDocument(std::move(marker), "d0", 0).status().code(),
+            StatusCode::kInvalidArgument);
+  doc::Document good("doc");
+  good.AddKeywords(0, {kw});
+  const doc::DocId id = inst.AddDocument(std::move(good), "d0", 0).value();
+  const doc::NodeId root = inst.docs().RootNode(id);
+  EXPECT_EQ(inst.AddTagOnFragment(0, root, kw + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  const social::TagId t = inst.AddTagOnFragment(0, root, kInvalidKeyword)
+                              .value();  // endorsement
+  EXPECT_EQ(inst.AddTagOnTag(0, t, kw + 7).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(inst.Finalize().ok());
+  EXPECT_EQ(inst.TagCount(), 1u);
+  EXPECT_EQ(inst.index().Postings(kw).size(), 1u);
 }
 
 TEST(S3InstanceTest, MutationAfterFinalizeRejected) {

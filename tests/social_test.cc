@@ -48,9 +48,47 @@ TEST(EntityLayoutTest, RowRoundTrip) {
 TEST(EdgeStoreTest, AddAndOutEdges) {
   EdgeStore es;
   es.Add(EntityId::User(0), EntityId::User(1), EdgeLabel::kSocial, 0.5);
-  ASSERT_EQ(es.OutEdges(EntityId::User(0)).size(), 1u);
-  EXPECT_TRUE(es.OutEdges(EntityId::User(1)).empty());
-  EXPECT_DOUBLE_EQ(es.OutWeight(EntityId::User(0)), 0.5);
+  es.Add(EntityId::Tag(0), EntityId::User(0), EdgeLabel::kHasAuthor, 1.0);
+  es.Add(EntityId::User(0), EntityId::Tag(0), EdgeLabel::kHasAuthorInv,
+         0.25);
+  const EntityLayout layout(2, 0, 1);  // rows: u0, u1, t0
+
+  // Every row: each list holds edge-log indices in log order.
+  const OutAdjacency adj = IndexOutEdges(layout, es);
+  ASSERT_EQ(adj.keys(), 3u);
+  ASSERT_EQ(adj[0].size(), 2u);
+  EXPECT_EQ(adj[0][0], 0u);
+  EXPECT_EQ(adj[0][1], 2u);
+  EXPECT_TRUE(adj[1].empty());
+  ASSERT_EQ(adj[2].size(), 1u);
+  EXPECT_EQ(adj[2][0], 1u);
+  EXPECT_DOUBLE_EQ(OutWeight(es, adj[0]), 0.75);
+  EXPECT_DOUBLE_EQ(OutWeight(es, adj[1]), 0.0);
+
+  // Only the wanted rows are indexed.
+  const OutAdjacency some = IndexOutEdges(layout, es, {0, 0, 1});
+  EXPECT_TRUE(some[0].empty());
+  ASSERT_EQ(some[2].size(), 1u);
+  EXPECT_EQ(some[2][0], 1u);
+}
+
+TEST(EdgeStoreTest, CopySharesFullChunks) {
+  EdgeStore base;
+  const uint32_t n = EdgeStore::kChunkSize + 10;
+  for (uint32_t i = 0; i < n; ++i) {
+    base.Add(EntityId::User(i % 5), EntityId::User((i + 1) % 5),
+             EdgeLabel::kSocial, 0.5);
+  }
+  EdgeStore next = base;
+  EXPECT_EQ(next.SharedChunks(base), 2u);  // nothing appended yet
+  next.Add(EntityId::User(0), EntityId::User(2), EdgeLabel::kSocial, 1.0);
+  // The full chunk stays shared; the tail was cloned before the append,
+  // so the base's log is unchanged.
+  EXPECT_EQ(next.SharedChunks(base), 1u);
+  EXPECT_EQ(base.size(), n);
+  EXPECT_EQ(next.size(), n + 1);
+  EXPECT_EQ(next.edge(n).target, EntityId::User(2));
+  EXPECT_EQ(next.edge(n - 1).target, base.edge(n - 1).target);
 }
 
 TEST(EdgeStoreTest, AddWithInverseCreatesTwin) {

@@ -50,8 +50,7 @@ constexpr uint32_t kUsers = 6;
 
 // The base population. `stable_kw` is used by exactly one base node and
 // never by any update round — its postings list must stay shared across
-// every generation. User 0 gains no out-edge from any round, so its
-// adjacency row must stay shared too.
+// every generation.
 void PopulateBase(S3Instance& inst, std::vector<KeywordId>& pool,
                   KeywordId& stable_kw, PopCounts& c) {
   for (uint32_t u = 0; u < kUsers; ++u) {
@@ -272,6 +271,12 @@ TEST(InstanceDeltaTest, ValidatesOperations) {
             StatusCode::kInvalidArgument);  // unknown subject
   EXPECT_EQ(delta.AddTagOnFragment(0, 0, 123456).status().code(),
             StatusCode::kInvalidArgument);  // keyword id out of range
+  doc::Document marker("doc");
+  marker.AddKeywords(0, {kInvalidKeyword});
+  EXPECT_EQ(delta.AddDocument(std::move(marker), "marker", 0)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);  // endorsement id in a document
   EXPECT_EQ(delta.AddTagOnTag(0, c.tags + 7, pool[0]).status().code(),
             StatusCode::kInvalidArgument);  // unknown subject tag
   EXPECT_EQ(delta.AddSocialEdge(0, 1, 1.5).code(),
@@ -472,11 +477,12 @@ TEST(LiveUpdateTest, ThreeGenerationsMatchRebuildBitForBit) {
     }
 
     // Structural sharing across generations: the untouched postings
-    // list and user 0's adjacency row are the same heap objects.
+    // list and every full chunk of the base's edge log are the same
+    // heap objects.
     EXPECT_TRUE(
         (*next)->index().SharesPostings(cur->index(), stable));
-    EXPECT_TRUE((*next)->edges().SharesAdjacencyRow(
-        cur->edges(), social::EntityId::User(0)));
+    EXPECT_EQ((*next)->edges().SharedChunks(cur->edges()),
+              cur->edges().size() / social::EdgeStore::kChunkSize);
     // And the base snapshot is untouched and still queryable.
     EXPECT_EQ(cur->generation(), round - 1);
 
