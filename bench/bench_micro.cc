@@ -101,29 +101,26 @@ BenchInstance& SharedInstance() {
   return *bi;
 }
 
-// One 16-step exploration chain (δ_seekers · T¹..T¹⁶) on I1 (the
-// hot-batch instance) or I3 (the cold-solo shape), with one lane per
-// seeker. The chain runs from a seed to a filled frontier, so it times
-// the sparse first steps and the dense later ones in their real
-// proportion. Each iteration seeds the next `lanes` users of a fixed
-// stride walk over all users, so the time averages over seekers.
+// One 16-step exploration chain (δ_seeker · T¹..T¹⁶) on I1 (the
+// hot-batch instance) or I3 (the cold-solo shape). The chain runs from
+// a seed to a filled frontier, so it times the sparse first steps and
+// the dense later ones in their real proportion. Each iteration seeds
+// the next user of a fixed stride walk over all users, so the time
+// averages over seekers.
 void BM_MatrixPropagate(benchmark::State& state,
                         const workload::GenResult& (*make)()) {
   const auto& inst = *make().instance;
-  const size_t lanes = static_cast<size_t>(state.range(0));
   const uint32_t users = static_cast<uint32_t>(inst.UserCount());
-  social::BatchFrontier f, g;
-  f.Init(inst.layout().total(), lanes);
-  g.Init(inst.layout().total(), lanes);
+  social::Frontier f, g;
+  f.Init(inst.layout().total());
+  g.Init(inst.layout().total());
   uint32_t next_seeker = 0;
   for (auto _ : state) {
     f.Clear();
-    for (size_t l = 0; l < lanes; ++l) {
-      f.Set(inst.RowOfUser(next_seeker), l, 1.0);
-      next_seeker = (next_seeker + 7919) % users;
-    }
+    f.Set(inst.RowOfUser(next_seeker), 1.0);
+    next_seeker = (next_seeker + 7919) % users;
     for (int step = 0; step < 16; ++step) {
-      inst.matrix().PropagateBatch(f, g);
+      inst.matrix().Propagate(f, g);
       std::swap(f, g);
     }
     benchmark::DoNotOptimize(f.values.data());
@@ -142,16 +139,8 @@ const workload::GenResult& I3() {
   return *gen;
 }
 
-BENCHMARK_CAPTURE(BM_MatrixPropagate, I1, &I1)
-    ->ArgName("lanes")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
-BENCHMARK_CAPTURE(BM_MatrixPropagate, I3, &I3)
-    ->ArgName("lanes")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
+BENCHMARK_CAPTURE(BM_MatrixPropagate, I1, &I1);
+BENCHMARK_CAPTURE(BM_MatrixPropagate, I3, &I3);
 
 // One live update on I1: ApplyDelta of a 16-op delta (8 one-keyword
 // documents, 4 keyworded tags on random fragments, 4 social edges)
@@ -304,51 +293,6 @@ void BM_BuildCandidatePlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildCandidatePlan);
-
-// The batched hot path: 8 same-plan queries per iteration (the lcm of
-// the swept widths, so ns/op is directly comparable across batch
-// sizes), answered in ceil(8/batch) SearchBatchWithPlan passes over
-// the most frequent keyword's plan (936 candidates in 297 components;
-// about 16 iterations per seeker). batch=1 is the single-seeker engine
-// run through the batch API, the amortization baseline; wider batches
-// share one engine allocation and one propagation walk per iteration
-// across their lanes.
-void BM_S3kQueryBatched(benchmark::State& state) {
-  auto& bi = SharedInstance();
-  core::S3kOptions opts;
-  opts.k = static_cast<size_t>(state.range(0));
-  const size_t width = static_cast<size_t>(state.range(1));
-  core::S3kSearcher searcher(*bi.gen.instance, opts);
-  // One shared plan, exactly like the server's batch drain: a batch is
-  // always same-keyword-multiset queries differing only in seeker.
-  auto plan = core::BuildCandidatePlan(
-      *bi.gen.instance, {MostFrequentKeyword(*bi.gen.instance)},
-      opts.use_semantics, opts.score.eta);
-  if (!plan.ok()) {
-    state.SkipWithError("plan build failed");
-    return;
-  }
-  constexpr size_t kQueriesPerIter = 8;
-  const size_t n = bi.qs.queries.size();
-  std::vector<core::BatchSeeker> batch(width);
-  size_t i = 0;
-  for (auto _ : state) {
-    for (size_t done = 0; done < kQueriesPerIter; done += width) {
-      for (size_t s = 0; s < width; ++s) {
-        batch[s].seeker = bi.qs.queries[i++ % n].seeker;
-      }
-      auto r = searcher.SearchBatchWithPlan(batch, *plan);
-      benchmark::DoNotOptimize(r);
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * kQueriesPerIter));
-}
-BENCHMARK(BM_S3kQueryBatched)
-    ->ArgNames({"k", "batch"})
-    ->Args({20, 1})
-    ->Args({20, 4})
-    ->Args({20, 8});
 
 // The solo fat query: a controlled component-count sweep for the
 // intra-query pool. BM_S3kQuery averages over the whole workload —

@@ -64,14 +64,12 @@ struct RunResult {
 
 RunResult RunTrace(std::shared_ptr<const core::S3Instance> snapshot,
                    const std::vector<core::Query>& trace, unsigned workers,
-                   bool cache_on, size_t k, size_t batch_window = 0,
-                   double epsilon = 0.0) {
+                   bool cache_on, size_t k, double epsilon = 0.0) {
   server::QueryServiceOptions opts;
   opts.workers = workers;
   opts.queue_capacity = 64;
   opts.enable_cache = cache_on;
   opts.search.k = k;
-  opts.batch_window = batch_window;
   server::QueryService service(snapshot, opts);
 
   core::QueryOptions qopts;
@@ -182,30 +180,6 @@ int main() {
       "cache:on wins\non the repeated common-keyword trace (hit rate "
       "-> (1 - distinct/trace) at steady state).\n");
 
-  // Batched execution: same hot trace through a batching service
-  // (workers deliberately few, so the queue backs up and same-plan
-  // runs form). The counter line now carries batched=N/M (width avg);
-  // the BENCH record tracks the amortization across PRs.
-  std::printf("\n== batched execution (batch_window sweep, cache on) ==\n");
-  for (size_t window : {4u, 8u}) {
-    RunResult r = RunTrace(snapshot, trace, /*workers=*/2,
-                           /*cache_on=*/true, 10, window);
-    std::printf("batch_window=%zu: qps=%.1f %s\n", window, r.latency.qps,
-                server::FormatStats(r.stats).c_str());
-    char extra[256];
-    std::snprintf(extra, sizeof(extra),
-                  "\"batch_window\": %zu, \"qps\": %.1f, "
-                  "\"batched_queries\": %llu, \"batches\": %llu, "
-                  "\"mean_width\": %.2f",
-                  window, r.latency.qps,
-                  static_cast<unsigned long long>(r.stats.batched_queries),
-                  static_cast<unsigned long long>(
-                      r.stats.batches_executed),
-                  r.stats.MeanBatchWidth());
-    json.Add("server_throughput/batch_window:" + std::to_string(window),
-             r.seconds * 1e9 / trace.size(), extra);
-  }
-
   // Anytime serving: the same hot trace submitted as kAnytime
   // QueryRequests across an epsilon sweep (eps=0 is the exact path —
   // the latency baseline). The counter line carries the certified-
@@ -215,7 +189,7 @@ int main() {
   std::printf("\n== anytime serving (epsilon sweep, cache on) ==\n");
   for (double eps : {0.0, 0.01, 0.1}) {
     RunResult r = RunTrace(snapshot, trace, /*workers=*/2,
-                           /*cache_on=*/true, 10, /*batch_window=*/0, eps);
+                           /*cache_on=*/true, 10, eps);
     std::printf("eps=%.2f: qps=%.1f p50=%.2fms p99=%.2fms %s\n", eps,
                 r.latency.qps, r.latency.p50_ms, r.latency.p99_ms,
                 server::FormatStats(r.stats).c_str());

@@ -87,27 +87,6 @@ class BoundedQueue {
     return out;
   }
 
-  // Non-blocking conditional consume: pops the front item only when
-  // `pred(front)` holds (evaluated under the queue lock — keep it
-  // cheap). nullopt when the queue is empty or the predicate refuses.
-  // Consumers use this to drain runs of adjacent compatible work
-  // (query batching) without reordering: only the head is ever
-  // examined, so FIFO order is preserved for everything left behind.
-  template <typename Pred>
-  std::optional<T> TryPopIf(Pred&& pred) {
-    std::optional<T> out;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (items_.empty()) return std::nullopt;
-      const T& front = items_.front();
-      if (!pred(front)) return std::nullopt;
-      out.emplace(std::move(items_.front()));
-      items_.pop_front();
-    }
-    not_full_.notify_one();
-    return out;
-  }
-
   // Refuse new items; wake all blocked producers and consumers.
   // Already-admitted items remain poppable.
   void Close() {

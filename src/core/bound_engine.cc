@@ -1,7 +1,6 @@
 #include "core/bound_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -11,38 +10,6 @@
 namespace s3::core {
 
 namespace {
-
-// L-lane reverse-index fold: one CSR-entry walk streams every lane
-// (kw[sums[i]*L + l] += w_i * d[l]). Per lane this is exactly the
-// scalar ApplyDelta sequence — entry order i is lane-independent — so
-// batched partial sums stay bit-for-bit the single-seeker sums.
-template <int L>
-void FoldRevT(const uint32_t* sums, const float* ws, size_t n,
-              const double* __restrict d, double* __restrict kw) {
-  for (size_t i = 0; i < n; ++i) {
-    double* __restrict o = kw + static_cast<size_t>(sums[i]) * L;
-    const double w = static_cast<double>(ws[i]);
-    for (int l = 0; l < L; ++l) o[l] += w * d[l];
-  }
-}
-
-void FoldRev(size_t lanes, const uint32_t* sums, const float* ws, size_t n,
-             const double* d, double* kw) {
-  switch (lanes) {
-    case 1: return FoldRevT<1>(sums, ws, n, d, kw);
-    case 2: return FoldRevT<2>(sums, ws, n, d, kw);
-    case 4: return FoldRevT<4>(sums, ws, n, d, kw);
-    case 8: return FoldRevT<8>(sums, ws, n, d, kw);
-    default:
-      for (size_t i = 0; i < n; ++i) {
-        double* o = kw + static_cast<size_t>(sums[i]) * lanes;
-        const double w = static_cast<double>(ws[i]);
-        for (size_t c = 0; c + 4 <= lanes; c += 4) {
-          for (int l = 0; l < 4; ++l) o[c + l] += w * d[c + l];
-        }
-      }
-  }
-}
 
 // The first position in [first, last) holding a value >= `row`, found
 // by doubling steps forward from `first`: O(log distance), so a walk
@@ -199,110 +166,50 @@ CandidateIndex BuildCandidateIndex(
   return ix;
 }
 
-CandidateBoundEngine::CandidateBoundEngine(const CandidateIndex& index,
-                                           size_t lanes)
-    : index_(index), lanes_(lanes) {
-  assert(lanes_ >= 1 && lanes_ <= social::kMaxFrontierLanes);
+CandidateBoundEngine::CandidateBoundEngine(const CandidateIndex& index)
+    : index_(index) {
   const size_t n_cands = index_.size();
-  alive_.assign(n_cands * lanes_, 1);
-  active_.assign(n_cands * lanes_, 0);
-  active_lists_.resize(lanes_);
-  for (auto& list : active_lists_) list.reserve(n_cands);
-  union_active_.assign(n_cands, 0);
-  union_list_.reserve(n_cands);
-  kw_sum_.assign(n_cands * index_.n_keywords * lanes_, 0.0);
-  lower_.assign(n_cands * lanes_, 0.0);
-  upper_.assign(n_cands * lanes_, 0.0);
+  alive_.assign(n_cands, 1);
+  active_.assign(n_cands, 0);
+  active_list_.reserve(n_cands);
+  kw_sum_.assign(n_cands * index_.n_keywords, 0.0);
+  lower_.assign(n_cands, 0.0);
+  upper_.assign(n_cands, 0.0);
   mark_.assign(n_cands, 0);
 }
 
-void CandidateBoundEngine::ActivateSlot(uint32_t slot, size_t lane) {
+void CandidateBoundEngine::ActivateSlot(uint32_t slot) {
   for (uint32_t ci = index_.slot_begin[slot];
        ci < index_.slot_begin[slot + 1]; ++ci) {
-    if (!active_[ci * lanes_ + lane]) {
-      active_[ci * lanes_ + lane] = 1;
-      active_lists_[lane].push_back(ci);
-      if (!union_active_[ci]) {
-        union_active_[ci] = 1;
-        union_list_.push_back(ci);
-      }
+    if (!active_[ci]) {
+      active_[ci] = 1;
+      active_list_.push_back(ci);
     }
   }
 }
 
-void CandidateBoundEngine::FoldPosition(size_t pos, const double* deltas) {
-  const uint64_t begin = index_.rev_begin[pos];
-  FoldRev(lanes_, index_.rev_sum.data() + begin, index_.rev_w.data() + begin,
-          index_.rev_begin[pos + 1] - begin, deltas, kw_sum_.data());
-}
-
-size_t CandidateBoundEngine::SourcePosition(uint32_t row) const {
-  const std::vector<uint32_t>& rows = index_.source_rows;
-  const auto it = std::lower_bound(rows.begin(), rows.end(), row);
-  return it != rows.end() && *it == row
-             ? static_cast<size_t>(it - rows.begin())
-             : SIZE_MAX;
-}
-
-void CandidateBoundEngine::ApplyDeltaLane(uint32_t row, size_t lane,
-                                          double delta) {
-  const size_t pos = SourcePosition(row);
-  if (pos == SIZE_MAX) return;
+void CandidateBoundEngine::FoldPosition(size_t pos, double delta) {
+  const uint32_t* sums = index_.rev_sum.data();
+  const float* ws = index_.rev_w.data();
+  double* kw = kw_sum_.data();
   for (uint64_t i = index_.rev_begin[pos]; i < index_.rev_begin[pos + 1];
        ++i) {
-    kw_sum_[index_.rev_sum[i] * lanes_ + lane] +=
-        static_cast<double>(index_.rev_w[i]) * delta;
+    kw[sums[i]] += static_cast<double>(ws[i]) * delta;
   }
 }
 
-void CandidateBoundEngine::ApplyDeltaBatch(uint32_t row,
-                                           const double* deltas) {
-  const size_t pos = SourcePosition(row);
-  if (pos != SIZE_MAX) FoldPosition(pos, deltas);
-}
-
-void CandidateBoundEngine::RefreshOne(uint32_t ci, const double* tails) {
-  // Bounds are recomputed for every lane (alive or not, active in
-  // this lane or not): they are a pure function of the partial sums
-  // and the lane tail, and only alive+active lanes are ever read.
-  const size_t L = lanes_;
-  double lo[social::kMaxFrontierLanes], up[social::kMaxFrontierLanes];
-  for (size_t l = 0; l < L; ++l) {
-    lo[l] = 1.0;
-    up[l] = 1.0;
-  }
-  const size_t n_keywords = index_.n_keywords;
-  const size_t base = static_cast<size_t>(ci) * n_keywords;
-  for (size_t qi = 0; qi < n_keywords; ++qi) {
-    const double* s = &kw_sum_[(base + qi) * L];
-    const double w = index_.kw_w[base + qi];
-    const double c = index_.kw_c[base + qi];
-    for (size_t l = 0; l < L; ++l) {
-      lo[l] *= s[l];
-      up[l] *= KeywordUpperBound(s[l], w, c, tails[l]);
-    }
-  }
-  for (size_t l = 0; l < L; ++l) {
-    lower_[ci * L + l] = lo[l];
-    upper_[ci * L + l] = up[l];
-  }
-}
-
-void CandidateBoundEngine::FoldFrontier(const social::BatchFrontier& frontier,
-                                        double factor) {
-  const size_t L = lanes_;
+void CandidateBoundEngine::ApplyDelta(uint32_t row, double delta) {
   const std::vector<uint32_t>& rows = index_.source_rows;
-  double d[social::kMaxFrontierLanes];
-  // Loads factor · frontier[row] into d; false if every lane is zero.
-  auto load = [&](uint32_t row) {
-    const double* v = &frontier.values[static_cast<size_t>(row) * L];
-    bool any = false;
-    for (size_t l = 0; l < L; ++l) {
-      d[l] = factor * v[l];
-      any = any || v[l] != 0.0;
-    }
-    return any;
-  };
+  const auto it = std::lower_bound(rows.begin(), rows.end(), row);
+  if (it != rows.end() && *it == row) {
+    FoldPosition(static_cast<size_t>(it - rows.begin()), delta);
+  }
+}
+
+void CandidateBoundEngine::FoldFrontier(const social::Frontier& frontier,
+                                        double factor) {
+  const std::vector<uint32_t>& rows = index_.source_rows;
+  const std::vector<double>& v = frontier.values;
   if (frontier.nonzero.size() <= rows.size()) {
     // Both lists ascend, so each frontier row is searched for only past
     // the previous one's position.
@@ -310,50 +217,52 @@ void CandidateBoundEngine::FoldFrontier(const social::BatchFrontier& frontier,
     for (uint32_t row : frontier.nonzero) {
       it = GallopTo(it, rows.cend(), row);
       if (it == rows.end()) break;
-      if (*it == row && load(row)) {
-        FoldPosition(static_cast<size_t>(it - rows.cbegin()), d);
+      if (*it == row && v[row] != 0.0) {
+        FoldPosition(static_cast<size_t>(it - rows.cbegin()),
+                     factor * v[row]);
       }
     }
   } else {
     for (size_t pos = 0; pos < rows.size(); ++pos) {
-      if (load(rows[pos])) FoldPosition(pos, d);
+      if (v[rows[pos]] != 0.0) FoldPosition(pos, factor * v[rows[pos]]);
     }
   }
 }
 
-void CandidateBoundEngine::RefreshBoundsBatch(const double* tails) {
-  for (uint32_t ci : union_list_) RefreshOne(ci, tails);
-}
-
 void CandidateBoundEngine::RefreshBounds(double tail) {
-  double tails[social::kMaxFrontierLanes];
-  for (size_t l = 0; l < lanes_; ++l) tails[l] = tail;
-  RefreshBoundsBatch(tails);
+  const size_t n_keywords = index_.n_keywords;
+  for (uint32_t ci : active_list_) {
+    // A pure function of the partial sums and the tail: recomputed for
+    // every active candidate, alive or not (only alive ones are read).
+    double lo = 1.0, up = 1.0;
+    const size_t base = static_cast<size_t>(ci) * n_keywords;
+    for (size_t qi = 0; qi < n_keywords; ++qi) {
+      const double s = kw_sum_[base + qi];
+      lo *= s;
+      up *= KeywordUpperBound(s, index_.kw_w[base + qi],
+                              index_.kw_c[base + qi], tail);
+    }
+    lower_[ci] = lo;
+    upper_[ci] = up;
+  }
 }
 
-size_t CandidateBoundEngine::CleanDominated(double epsilon, size_t lane) {
-  const size_t L = lanes_;
+size_t CandidateBoundEngine::CleanDominated(double epsilon) {
   auto dominates = [&](uint32_t b, uint32_t a) {
-    return lower_[b * L + lane] > upper_[a * L + lane] + epsilon ||
-           (std::abs(lower_[b * L + lane] - upper_[a * L + lane]) <=
-                epsilon &&
-            lower_[b * L + lane] >= upper_[b * L + lane] - epsilon &&
+    return lower_[b] > upper_[a] + epsilon ||
+           (std::abs(lower_[b] - upper_[a]) <= epsilon &&
+            lower_[b] >= upper_[b] - epsilon &&
             index_.node[b] < index_.node[a]);
   };
-  auto exact = [&](uint32_t ci) {
-    return upper_[ci * L + lane] == lower_[ci * L + lane];
-  };
+  auto exact = [&](uint32_t ci) { return upper_[ci] == lower_[ci]; };
   // Both exact, b first in the stop check's order (upper descending,
   // then node ascending), the order GreedyTopK walks.
   auto exact_ahead = [&](uint32_t b, uint32_t a) {
-    const double ub = upper_[b * L + lane];
-    const double ua = upper_[a * L + lane];
+    const double ub = upper_[b], ua = upper_[a];
     return exact(b) && exact(a) &&
            (ub > ua || (ub == ua && index_.node[b] < index_.node[a]));
   };
-  auto live = [&](uint32_t ci) {
-    return active_[ci * L + lane] && alive_[ci * L + lane];
-  };
+  auto live = [&](uint32_t ci) { return active_[ci] && alive_[ci]; };
   // Queues every live neighbor of `ci` as a victim if `beats` holds
   // against each of them (and there is one); returns whether it did.
   auto kill_if_beats_all = [&](uint32_t ci, auto&& beats) {
@@ -374,9 +283,8 @@ size_t CandidateBoundEngine::CleanDominated(double epsilon, size_t lane) {
   // round only those that lost a live neighbor in the round before, as
   // nobody else's verdict can change (the bounds are fixed here).
   check_.clear();
-  for (uint32_t ci : active_lists_[lane]) {
-    if (alive_[ci * L + lane] &&
-        index_.nbr_begin[ci] != index_.nbr_begin[ci + 1]) {
+  for (uint32_t ci : active_list_) {
+    if (alive_[ci] && index_.nbr_begin[ci] != index_.nbr_begin[ci + 1]) {
       check_.push_back(ci);
     }
   }
@@ -409,8 +317,8 @@ size_t CandidateBoundEngine::CleanDominated(double epsilon, size_t lane) {
       if (victims_.empty()) break;
     }
     for (uint32_t v : victims_) {
-      if (alive_[v * L + lane]) {
-        alive_[v * L + lane] = 0;
+      if (alive_[v]) {
+        alive_[v] = 0;
         ++killed;
       }
     }
@@ -445,12 +353,12 @@ bool CandidateBoundEngine::AnyNeighborPair(
 }
 
 std::vector<uint32_t> CandidateBoundEngine::GreedyTopK(
-    const std::vector<uint32_t>& order, size_t k, size_t lane) {
+    const std::vector<uint32_t>& order, size_t k) {
   std::vector<uint32_t> picked;
   if (k == 0) return picked;
   ++mark_epoch_;
   for (uint32_t ci : order) {
-    if (!alive_[ci * lanes_ + lane]) continue;
+    if (!alive_[ci]) continue;
     bool conflict = false;
     for (uint32_t j = index_.nbr_begin[ci]; j < index_.nbr_begin[ci + 1];
          ++j) {

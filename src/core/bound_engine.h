@@ -1,15 +1,14 @@
 // Incrementally maintained candidate scoring state for one S3k query
-// batch (the candidate list of paper Algorithm 2, flattened, times L
-// seeker lanes), split in two:
+// (the candidate list of paper Algorithm 2, flattened), split in two:
 //
 //   * CandidateIndex — the seeker-independent, read-only half: candidate
 //     nodes, per-keyword static weights and tail coefficients, the
 //     reverse source index and the vertical-neighbor structures. It is
 //     built once per candidate plan (BuildCandidatePlan stores it in
-//     CandidatePlan::index), so a cached plan serves every batch and
+//     CandidatePlan::index), so a cached plan serves every query and
 //     every concurrent engine without rebuilding it.
-//   * CandidateBoundEngine — the per-batch lane state over one index:
-//     partial sums, bounds, alive/active flags, the active lists and the
+//   * CandidateBoundEngine — the per-query state over one index:
+//     partial sums, bounds, alive/active flags, the active list and the
 //     membership-mark scratch.
 //
 // Reverse index. Each candidate's sources for keyword slot qi feed the
@@ -23,23 +22,11 @@
 // candidate. The index is compact: its size depends on the plan, not on
 // the instance's row count.
 //
-// Multi-seeker batching: the engine carries `lanes` independent
-// per-seeker columns through one shared index. The per-seeker state —
-// partial sums, bounds, active/alive flags — is struct-of-arrays with
-// the lane index innermost (kw_sum_[(ci*K+qi)*L + lane]), so the
-// per-iteration maintenance passes stream all lanes per index entry
-// (the SpMM layout of social/propagate_kernels.h). Lanes are
-// arithmetically independent: every per-lane operation sequence is
-// exactly what a lanes==1 engine would run for that seeker alone, so
-// batched bounds are bit-for-bit the single-query bounds. The default
-// lanes==1 is the single-seeker API (lane parameters default to 0).
-//
-// Maintained invariants (pinned by tests/bound_engine_test.cc), per
-// lane:
-//   kw_sum_[(ci*K+qi)*L+s] == Σ_src w(ci,qi,src) · all_prox_s[src]
-//   lower(ci,s) == Π_qi kw_sum_[(ci*K+qi)*L+s]
-//   upper(ci,s) == Π_qi KeywordUpperBound(kw_sum_, W, c, tail_s)
-//               == Π_qi max(S, min(W, S + c·tail_s)),
+// Maintained invariants (pinned by tests/bound_engine_test.cc):
+//   kw_sum_[ci*K+qi] == Σ_src w(ci,qi,src) · all_prox[src]
+//   lower(ci) == Π_qi kw_sum_[ci*K+qi]
+//   upper(ci) == Π_qi KeywordUpperBound(kw_sum_, W, c, tail)
+//               == Π_qi max(S, min(W, S + c·tail)),
 //   with S the partial sum, W = kw_w[ci*K+qi] and c = kw_c[ci*K+qi]
 //   the static TailCoefficient of the source list (core/score.h),
 // i.e. exactly the from-scratch CandidateLowerBound /
@@ -118,36 +105,25 @@ CandidateIndex BuildCandidateIndex(
 
 class CandidateBoundEngine {
  public:
-  // Lane state over `index`, which must outlive the engine. `lanes` is
-  // the seeker-lane count (≥ 1, ≤ social::kMaxFrontierLanes; pad with
-  // social::PadLanes for the fixed-width kernels).
-  explicit CandidateBoundEngine(const CandidateIndex& index,
-                                size_t lanes = 1);
+  // Query state over `index`, which must outlive the engine.
+  explicit CandidateBoundEngine(const CandidateIndex& index);
 
   size_t size() const { return index_.size(); }
   size_t keywords() const { return index_.n_keywords; }
-  size_t lanes() const { return lanes_; }
 
   doc::NodeId node(uint32_t ci) const { return index_.node[ci]; }
-  bool alive(uint32_t ci, size_t lane = 0) const {
-    return alive_[ci * lanes_ + lane] != 0;
-  }
-  double lower(uint32_t ci, size_t lane = 0) const {
-    return lower_[ci * lanes_ + lane];
-  }
-  double upper(uint32_t ci, size_t lane = 0) const {
-    return upper_[ci * lanes_ + lane];
-  }
+  bool alive(uint32_t ci) const { return alive_[ci] != 0; }
+  double lower(uint32_t ci) const { return lower_[ci]; }
+  double upper(uint32_t ci) const { return upper_[ci]; }
 
-  // Marks component slot `slot` discovered in `lane`: its candidates
-  // join that lane's active set that RefreshBounds / CleanDominated
-  // operate on. Partial sums are maintained for every candidate from
-  // the start (sources can be reached before their component is
-  // discovered), but bound refresh and domination cleaning are paid
-  // only for active ones.
-  void ActivateSlot(uint32_t slot, size_t lane = 0);
-  const std::vector<uint32_t>& ActiveCandidates(size_t lane = 0) const {
-    return active_lists_[lane];
+  // Marks component slot `slot` discovered: its candidates join the
+  // active set that RefreshBounds / CleanDominated operate on. Partial
+  // sums are maintained for every candidate from the start (sources
+  // can be reached before their component is discovered), but bound
+  // refresh and domination cleaning are paid only for active ones.
+  void ActivateSlot(uint32_t slot);
+  const std::vector<uint32_t>& ActiveCandidates() const {
+    return active_list_;
   }
 
   // Sorted unique entity rows that feed at least one candidate — the
@@ -158,62 +134,47 @@ class CandidateBoundEngine {
     return index_.source_rows;
   }
 
-  // The exploration fold: ApplyDeltaBatch(row, factor · frontier[row])
-  // for every row with mass, walking the smaller of frontier.nonzero
-  // and SourceRows() (rows of the former are found in the latter by a
+  // The exploration fold: ApplyDelta(row, factor · frontier[row]) for
+  // every nonzero row, walking the smaller of frontier.nonzero and
+  // SourceRows() (rows of the former are found in the latter by a
   // forward search). Both are ascending, so every partial sum adds its
   // terms in the same row order on either domain (bit-identical sums);
-  // all-zero rows are skipped, which is bitwise inert.
-  void FoldFrontier(const social::BatchFrontier& frontier, double factor);
+  // zero rows are skipped, which is bitwise inert.
+  void FoldFrontier(const social::Frontier& frontier, double factor);
 
   // Folds one exploration delta (all_prox[row] += delta) into the
   // partial sums of every (candidate, keyword-slot) fed by `row`.
-  // Lane 0 — the single-seeker path.
-  void ApplyDelta(uint32_t row, double delta) {
-    ApplyDeltaLane(row, 0, delta);
-  }
+  void ApplyDelta(uint32_t row, double delta);
 
-  // Same fold for one specific lane (seeker seeding in a batch).
-  void ApplyDeltaLane(uint32_t row, size_t lane, double delta);
-
-  // All-lane fold: deltas[l] is lane l's Δprox on `row` (0.0 for a
-  // lane the frontier doesn't touch — bitwise a no-op for that lane).
-  // One reverse-index walk streams every lane.
-  void ApplyDeltaBatch(uint32_t row, const double* deltas);
-
-  // Recomputes lower/upper for every active candidate (union over
-  // lanes) from the partial sums and the per-lane tail term:
-  // O(active · keywords · lanes), with no per-source work. `tails` has
-  // lanes() entries.
-  void RefreshBoundsBatch(const double* tails);
-
-  // Single-tail convenience (the lanes==1 path and tests).
+  // Recomputes lower/upper for every active candidate from the partial
+  // sums and the tail term: O(active · keywords), with no per-source
+  // work.
   void RefreshBounds(double tail);
 
-  // CleanCandidatesList for one lane. A live (alive and active)
-  // candidate that dominates every live vertical neighbor kills them
-  // all: the greedy top-k of Definition 3.2 reaches it before any of
-  // them and then skips each one. Dominating only some neighbors is
-  // not enough — a higher neighbor may exclude the dominator, and the
-  // greedy pass then takes a candidate it dominated (one in another
-  // branch below it). Rounds repeat until none kills; each round
-  // decides against the live set it started from and applies its kills
-  // together. Domination within epsilon can run in a cycle (see the
-  // .cc), so a round that kills nothing falls back to exact bounds: an
-  // exact candidate (upper == lower) ahead of all its live neighbors,
-  // all exact, in the (upper desc, node asc) order kills them. At tail
-  // 0 every candidate is exact, so the fixed point leaves no live
-  // neighbor pair. Returns how many were killed in that lane.
-  size_t CleanDominated(double epsilon, size_t lane = 0);
+  // CleanCandidatesList. A live (alive and active) candidate that
+  // dominates every live vertical neighbor kills them all: the greedy
+  // top-k of Definition 3.2 reaches it before any of them and then
+  // skips each one. Dominating only some neighbors is not enough — a
+  // higher neighbor may exclude the dominator, and the greedy pass then
+  // takes a candidate it dominated (one in another branch below it).
+  // Rounds repeat until none kills; each round decides against the
+  // live set it started from and applies its kills together.
+  // Domination within epsilon can run in a cycle (see the .cc), so a
+  // round that kills nothing falls back to exact bounds: an exact
+  // candidate (upper == lower) ahead of all its live neighbors, all
+  // exact, in the (upper desc, node asc) order kills them. At tail 0
+  // every candidate is exact, so the fixed point leaves no live
+  // neighbor pair. Returns how many were killed.
+  size_t CleanDominated(double epsilon);
 
   // True if any two of the first `count` candidates in `order` are
-  // vertical neighbors (stop-condition top-k check; lane-independent).
+  // vertical neighbors (stop-condition top-k check).
   bool AnyNeighborPair(const std::vector<uint32_t>& order, size_t count);
 
-  // First k alive-in-`lane` candidates of `order` with no two vertical
-  // neighbors (Definition 3.2's answer constraint).
+  // First k alive candidates of `order` with no two vertical neighbors
+  // (Definition 3.2's answer constraint).
   std::vector<uint32_t> GreedyTopK(const std::vector<uint32_t>& order,
-                                   size_t k, size_t lane = 0);
+                                   size_t k);
 
   // From-scratch per-keyword sum Σ w · prox[src] over the index entries
   // that feed sum (ci, qi), in source-row order (test hook: validates
@@ -222,25 +183,15 @@ class CandidateBoundEngine {
                                const std::vector<double>& prox) const;
 
  private:
-  // The per-candidate bound recomputation (RefreshBoundsBatch's body).
-  void RefreshOne(uint32_t ci, const double* tails);
   // Folds the reverse-index entries of source-row position `pos`.
-  void FoldPosition(size_t pos, const double* deltas);
-  // The position of `row` in the index's source rows; SIZE_MAX when no
-  // candidate reads the row.
-  size_t SourcePosition(uint32_t row) const;
+  void FoldPosition(size_t pos, double delta);
 
   const CandidateIndex& index_;
-  size_t lanes_;
 
-  // Per-lane arrays index [ci * lanes_ + lane]; kw_sum_ indexes
-  // [(ci*K + qi) * lanes_ + lane].
   std::vector<uint8_t> alive_;
   std::vector<uint8_t> active_;
-  std::vector<std::vector<uint32_t>> active_lists_;  // per lane
-  std::vector<uint8_t> union_active_;   // active in some lane
-  std::vector<uint32_t> union_list_;    // the refresh domain
-  std::vector<double> kw_sum_;   // size() * K * lanes incremental sums
+  std::vector<uint32_t> active_list_;  // the refresh domain
+  std::vector<double> kw_sum_;  // size() * K incremental sums, ci*K + qi
   std::vector<double> lower_;
   std::vector<double> upper_;
 

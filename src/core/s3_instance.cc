@@ -361,8 +361,13 @@ void S3Instance::BuildReach(uint32_t first_new_edge) {
   };
   for (uint32_t idx = first_new_edge; idx < edges_.size(); ++idx) {
     const social::NetEdge& e = edges_.edge(idx);
-    const uint32_t a = find(OwnerOfEntity(e.source));
-    const uint32_t b = find(OwnerOfEntity(e.target));
+    // An edge within one owner's entities (every postedBy / hasAuthor
+    // edge) joins nothing: compare the owners before any find.
+    const uint32_t owner_a = OwnerOfEntity(e.source);
+    const uint32_t owner_b = OwnerOfEntity(e.target);
+    if (owner_a == owner_b) continue;
+    const uint32_t a = find(owner_a);
+    const uint32_t b = find(owner_b);
     if (a != b) reach_parent_[b] = a;
   }
   reach_root_.resize(n_users);

@@ -129,11 +129,10 @@ struct S3kOptions {
 // source lists folded into the reverse index the bound engine reads). A
 // plan depends only on the instance generation, the keyword multiset
 // and the (use_semantics, eta) parameters — not on the seeker — so it
-// is built once and shared by every query over the same keywords and
-// every batch that reuses it. Plans are immutable after construction;
-// SearchBatchWithPlan only reads one, which is what lets the serving
-// layer cache them behind shared_ptr<const CandidatePlan> across
-// threads.
+// is built once and shared by every query over the same keywords.
+// Plans are immutable after construction; SearchWithPlan only reads
+// one, which is what lets the serving layer cache them behind
+// shared_ptr<const CandidatePlan> across threads.
 //
 // Permuting the keyword list permutes the plan's slots, and the score
 // is a product over slots — mathematically order-free, but the
@@ -216,8 +215,8 @@ struct SearchStats {
   // the bounds support — infinity when nothing is certifiable
   // (kth_lower == 0 with mass still undiscovered).
   double certified_epsilon = 0.0;
-  // The lane's deadline (QueryOptions::deadline_seconds) expired before
-  // convergence.
+  // The request's deadline (QueryOptions::deadline_seconds) expired
+  // before convergence.
   bool deadline_exceeded = false;
   // Always false: the exploration loop has one serial schedule. Kept
   // only because the repo benchmark still reads it; it goes at the next
@@ -227,57 +226,21 @@ struct SearchStats {
   // universe used by the Fig. 8 quality metrics).
   std::vector<doc::NodeId> candidate_nodes;
   // Per-iteration bound-refinement records, filled only when the
-  // request asked for tracing (QueryOptions::trace / BatchSeeker::
-  // trace); empty — and unallocated — otherwise. This is progress
-  // observability, not part of the bit-for-bit result contract.
+  // request asked for tracing (QueryOptions::trace); empty — and
+  // unallocated — otherwise. This is progress observability, not part
+  // of the bit-for-bit result contract.
   std::vector<obs::IterationTraceRecord> iteration_trace;
 };
 
-// One member of a multi-seeker batch. `k == 0` means "use the
-// searcher's options().k"; a per-member k lets same-keyword queries
-// with different result sizes share one batch. epsilon_approx and
-// deadline_seconds carry per-member QueryOptions through the lane
-// machinery (0 = exact / no deadline), so members with
-// different certificates or deadlines still share one batch — an
-// early-exiting lane drops out exactly like a converged one.
-struct BatchSeeker {
-  social::UserId seeker = 0;
-  size_t k = 0;
-  double epsilon_approx = 0.0;
-  double deadline_seconds = 0.0;
-  // Fill this lane's SearchStats::iteration_trace (observability only;
-  // see QueryOptions::trace).
-  bool trace = false;
-};
-
-// The effective per-lane parameters of `request` against the serving
-// defaults: k == 0 inherits defaults.k, epsilon_approx applies only in
-// kAnytime mode, and the deadline is the request's own.
-BatchSeeker ResolveLane(const QueryRequest& request,
-                        const S3kOptions& defaults);
-
-// Per-member result of a batched search: exactly what SearchWithPlan
-// plus its SearchStats out-param would have produced for that member
-// alone (bit-for-bit — batch composition is never observable).
-struct BatchQueryResult {
-  std::vector<ResultEntry> entries;
-  SearchStats stats;
-};
-
-// A reusable query worker. One searcher answers one query (or one
-// batch) at a time; it keeps per-worker scratch (the exploration
-// frontiers, the candidate ordering buffers, and the intra-query
-// thread pool) alive across queries so the steady state allocates
-// nothing per query outside the bound engine. Distinct searchers over
-// the same const S3Instance are independent and may run concurrently —
-// the serving layer (server/query_service.h) pools N of them over one
-// shared snapshot.
+// A reusable query worker. One searcher answers one query at a time;
+// it keeps per-worker scratch (the exploration frontiers, the
+// candidate ordering buffer, and the intra-query thread pool) alive
+// across queries, so a query does not reallocate them. Distinct
+// searchers over the same const S3Instance are independent and may run
+// concurrently — the serving layer (server/query_service.h) pools N of
+// them over one shared snapshot.
 class S3kSearcher {
  public:
-  // Batch-width cap for SearchBatchWithPlan (lane-padded widths must
-  // fit social::kMaxFrontierLanes).
-  static constexpr size_t kMaxBatch = 32;
-
   // `instance` must outlive the searcher and be finalized.
   S3kSearcher(const S3Instance& instance, S3kOptions options);
 
@@ -304,26 +267,11 @@ class S3kSearcher {
   // generation or lineage is rejected: InvalidArgument); only
   // `query.seeker` and `query.options` are read — the plan's keyword
   // slots, in the plan's order, stand in for `query.keywords` (see
-  // CandidatePlan on why the order can matter in the last ulp).
+  // CandidatePlan on why the order can matter in the last ulp). This
+  // is paper Algorithm 2 from one seeker.
   Result<std::vector<ResultEntry>> SearchWithPlan(const QueryRequest& query,
                                                   const CandidatePlan& plan,
                                                   SearchStats* stats = nullptr);
-
-  // Multi-seeker exploration: answers every batch member against one
-  // shared plan in a single engine pass — one lane-state allocation
-  // over the plan's candidate index, one CSR walk per iteration
-  // carrying all seeker lanes (SoA; see bound_engine.h). Results are
-  // bit-for-bit identical to running SearchWithPlan per member: lanes
-  // are arithmetically independent, and a converged member drops out
-  // of the batch (its frontier lane is zeroed) without perturbing the
-  // others. Batch size must be in [1, kMaxBatch]; members may repeat
-  // seekers and mix k values, epsilon certificates and deadlines
-  // (per-lane anytime exits and deadline expiry use the same dropout
-  // machinery as convergence, so mixed-options batches stay bit-for-bit
-  // equal to solo runs).
-  // SearchWithPlan is this with a batch of one.
-  Result<std::vector<BatchQueryResult>> SearchBatchWithPlan(
-      const std::vector<BatchSeeker>& batch, const CandidatePlan& plan);
 
   const S3kOptions& options() const { return options_; }
 
@@ -354,15 +302,11 @@ class S3kSearcher {
   // constructor when threads > 1, so Search never mutates structure).
   std::unique_ptr<ThreadPool> pool_;
   // Per-worker scratch reused across queries (reset at query start).
-  // The single-seeker path runs through the same lane-batched
-  // frontiers at lane count 1.
-  social::BatchFrontier frontier_, next_;
-  // Per-lane alive candidates. The stop check orders only the first
-  // k+1 by (upper desc, node asc); orders_sorted_[s] is how long the
-  // sorted prefix of orders_[s] is, so a walk that may go further sorts
-  // the rest first.
-  std::vector<std::vector<uint32_t>> orders_;
-  std::vector<size_t> orders_sorted_;
+  social::Frontier frontier_, next_;
+  // The alive candidates. The stop check orders only the first k+1 by
+  // (upper desc, node asc); a walk that may go further sorts the rest
+  // first.
+  std::vector<uint32_t> order_;
 };
 
 }  // namespace s3::core

@@ -52,7 +52,7 @@ struct BucketSpec {
   uint32_t count = 28;  // bounded buckets; +1 overflow is implicit
 
   static BucketSpec Latency() { return BucketSpec{}; }
-  // Small-integer quantities (batch widths, fan-out counts): 1, 2, 4,
+  // Small-integer quantities (fan-out counts, sizes): 1, 2, 4,
   // ... 128.
   static BucketSpec SmallCounts() { return BucketSpec{1.0, 2.0, 8}; }
 };

@@ -24,18 +24,14 @@ std::string FormatTrace(const QueryTrace& trace) {
   std::string out;
   char head[256];
   std::snprintf(head, sizeof(head),
-                "trace #%llu [%s] gen=%llu total=%s%s%s%s",
+                "trace #%llu [%s] gen=%llu total=%s%s%s",
                 static_cast<unsigned long long>(trace.id),
                 trace.label.c_str(),
                 static_cast<unsigned long long>(trace.generation),
                 Seconds(trace.total_seconds).c_str(),
                 trace.cache_hit ? " cache-hit" : "",
-                trace.batched ? " batched" : "",
                 trace.deadline_exceeded ? " DEADLINE" : "");
   out += head;
-  if (trace.batched) {
-    out += " width=" + std::to_string(trace.batch_width);
-  }
   if (trace.certified_epsilon > 0.0) {
     char eps[48];
     std::snprintf(eps, sizeof(eps), " eps=%.2e", trace.certified_epsilon);
@@ -62,7 +58,7 @@ std::string FormatTrace(const QueryTrace& trace) {
 std::string FormatSlowEntry(const SlowQueryEntry& entry) {
   char line[320];
   std::snprintf(line, sizeof(line),
-                "slow #%llu [%s] gen=%llu queue=%s exec=%s total=%s%s%s%s",
+                "slow #%llu [%s] gen=%llu queue=%s exec=%s total=%s%s%s",
                 static_cast<unsigned long long>(entry.id),
                 entry.label.c_str(),
                 static_cast<unsigned long long>(entry.generation),
@@ -70,7 +66,6 @@ std::string FormatSlowEntry(const SlowQueryEntry& entry) {
                 Seconds(entry.exec_seconds).c_str(),
                 Seconds(entry.total_seconds).c_str(),
                 entry.cache_hit ? " cache-hit" : "",
-                entry.batched ? " batched" : "",
                 entry.deadline_exceeded ? " DEADLINE" : "");
   std::string out = line;
   if (entry.certified_epsilon > 0.0) {

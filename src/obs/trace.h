@@ -23,15 +23,15 @@
 
 namespace s3::obs {
 
-// One engine iteration of one lane, recorded by
-// S3kSearcher::SearchBatchWithPlan when the lane's trace flag is set.
+// One engine iteration of one query, recorded by
+// S3kSearcher::SearchWithPlan when the request's trace flag is set.
 // Mirrors the quantities the paper's bound-refinement loop actually
 // steers by: how wide the propagation frontier is, and how far apart
 // the k-th lower bound and the residual upper bound still are.
 struct IterationTraceRecord {
   uint32_t iteration = 0;        // 1-based engine iteration
-  uint32_t frontier_size = 0;    // union support of the batch frontier
-  uint32_t alive_candidates = 0; // this lane's undecided candidates
+  uint32_t frontier_size = 0;    // nonzero rows of the frontier
+  uint32_t alive_candidates = 0; // undecided candidates
   double kth_lower = 0.0;        // k-th best certified lower bound
   double remaining_upper = 0.0;  // best upper bound among undecided
 };
@@ -53,8 +53,6 @@ struct QueryTrace {
   std::string label;          // seeker/keyword summary for humans
   uint64_t generation = 0;    // snapshot generation served
   bool cache_hit = false;
-  bool batched = false;
-  uint32_t batch_width = 1;
   bool deadline_exceeded = false;
   double certified_epsilon = 0.0;
   double total_seconds = 0.0;
@@ -67,7 +65,6 @@ struct SlowQueryEntry {
   std::string label;
   uint64_t generation = 0;
   bool cache_hit = false;
-  bool batched = false;
   bool deadline_exceeded = false;
   double certified_epsilon = 0.0;
   double queue_seconds = 0.0;

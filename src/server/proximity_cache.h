@@ -9,7 +9,7 @@
 // paper's I1/I2 workloads, whose common-keyword mixes repeat a small
 // hot set — can share one plan and skip extension, component
 // filtering, ConnectionBuilder work and the index build entirely; only
-// the per-seeker lane state and exploration remain.
+// the per-query bound state and the seeker's exploration remain.
 //
 // Keying / canonicalization: keywords are sorted before keying. The
 // score is a product over query keywords, so a plan built from the

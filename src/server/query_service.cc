@@ -8,24 +8,6 @@
 
 namespace s3::server {
 
-namespace {
-
-// True iff `keywords` is a permutation of the sorted multiset
-// `sorted_ref` — i.e. both queries resolve to the same plan-cache key
-// (use_semantics/eta are service-wide constants, and the batching
-// worker binds one snapshot generation for the whole run). Runs under
-// the queue lock: n <= 64 small ids, so the sort is noise next to a
-// millisecond query.
-bool SameKeywordMultiset(const std::vector<KeywordId>& keywords,
-                         const std::vector<KeywordId>& sorted_ref) {
-  if (keywords.size() != sorted_ref.size()) return false;
-  std::vector<KeywordId> sorted = keywords;
-  std::sort(sorted.begin(), sorted.end());
-  return sorted == sorted_ref;
-}
-
-}  // namespace
-
 size_t CertifiedEpsilonBucket(double eps) {
   if (!(eps <= 1e-1)) return 5;
   if (eps <= 1e-9) return 0;
@@ -62,12 +44,6 @@ std::string FormatStats(const QueryServiceStats& stats) {
       if (wrote > 0) n += wrote;
     }
   };
-  if (stats.batches_executed > 0) {
-    append(" batched=%llu/%llu (%.1f avg)",
-           static_cast<unsigned long long>(stats.batched_queries),
-           static_cast<unsigned long long>(stats.batches_executed),
-           stats.MeanBatchWidth());
-  }
   if (stats.anytime_queries > 0 || stats.deadline_exceeded > 0) {
     append(" anytime=%llu deadline_exceeded=%llu",
            static_cast<unsigned long long>(stats.anytime_queries),
@@ -123,10 +99,6 @@ void QueryService::RegisterMetrics() {
   h_total_ = reg->GetHistogram(
       "s3_query_total_seconds", "Admission-to-completion latency per query.",
       svc);
-  h_batch_width_ = reg->GetHistogram(
-      "s3_query_batch_width",
-      "Queries answered per executed search pass (1 = unbatched).", svc,
-      obs::BucketSpec::SmallCounts());
 
   // Counter/gauge views over the service's own atomics — the atomics
   // stay the single source of truth (QueryServiceStats reads the same
@@ -145,10 +117,6 @@ void QueryService::RegisterMetrics() {
        completed_);
   view("s3_queries_failed_total", "Queries answered with an error status.",
        failed_);
-  view("s3_batched_queries_total",
-       "Queries answered inside a width >= 2 batch.", batched_queries_);
-  view("s3_batches_executed_total", "Width >= 2 batch passes executed.",
-       batches_executed_);
   view("s3_anytime_queries_total", "Completed kAnytime-mode queries.",
        anytime_queries_);
   view("s3_deadline_exceeded_total",
@@ -234,7 +202,7 @@ Status QueryService::ValidateQuery(const core::S3Instance& snapshot,
   }
   // Per-request overrides are untrusted caller input like everything
   // else: a NaN deadline or an epsilon outside kAnytime must fail at
-  // admission, not surface from a worker mid-batch.
+  // admission, not surface from a worker mid-search.
   S3_RETURN_IF_ERROR(query.options.Validate());
   if (query.seeker >= snapshot.UserCount()) {
     return Status::InvalidArgument("unknown seeker");
@@ -357,7 +325,7 @@ Result<std::shared_ptr<const core::CandidatePlan>> QueryService::ResolvePlan(
   *cache_hit = false;
   // Plans are built over the canonical (sorted) keyword order — the
   // cache key's, and S3kSearcher::Search's — so every permutation of a
-  // multiset gets the same plan, cached or not, batched or solo.
+  // multiset gets the same plan, cached or not.
   PlanCacheKey key =
       MakePlanKey(query.keywords, options_.search.use_semantics,
                   options_.search.score.eta, snapshot.generation());
@@ -412,16 +380,10 @@ void QueryService::WorkerLoop(unsigned worker_index) {
       }
     } busy_guard{busy_workers_, worker_busy_seconds_[worker_index]};
 
-    // The head of this pass, then any same-plan followers drained
-    // below; queue_secs[i] is stamped when tasks[i] leaves the queue.
-    const size_t window =
-        std::min(options_.batch_window, core::S3kSearcher::kMaxBatch);
-    std::vector<Task> tasks;
-    tasks.reserve(std::max<size_t>(window, 1));  // `head` stays valid
-    tasks.push_back(std::move(*popped));
-    Task& head = tasks[0];
-    std::vector<double> queue_secs{head.timer.ElapsedSeconds()};
-    h_queue_wait_->Observe(queue_secs[0]);
+    Task& task = *popped;
+    QueryResponse r;
+    r.queue_seconds = task.timer.ElapsedSeconds();
+    h_queue_wait_->Observe(r.queue_seconds);
     // Trace sampling is decided before the query runs: a sampled query
     // carries the engine-side trace flag (per-iteration records) and
     // gets a QueryTrace built at completion; a sampled-out query pays
@@ -429,7 +391,7 @@ void QueryService::WorkerLoop(unsigned worker_index) {
     // affects the result (engine tracing is read-only).
     const uint64_t query_id = trace_ids_.fetch_add(1, std::memory_order_relaxed);
     const bool sampled = tracer_.ShouldSample();
-    if (sampled) head.query.options.trace = true;
+    if (sampled) task.query.options.trace = true;
 
     // Bind one snapshot for the whole query: snapshot, plan and
     // searcher all come from this generation, even if a swap lands
@@ -446,101 +408,42 @@ void QueryService::WorkerLoop(unsigned worker_index) {
     // limit, so the clamp is purely a scheduling decision).
     searcher->set_thread_limit(std::max(1u, intra_budget_ / busy));
 
-    bool head_cache_hit = false;
-    auto plan = ResolvePlan(*bound, head.query, searcher->intra_pool(),
-                            &head_cache_hit);
+    auto plan = ResolvePlan(*bound, task.query, searcher->intra_pool(),
+                            &r.cache_hit);
     if (!plan.ok()) {
       failed_.fetch_add(1, std::memory_order_release);
-      head.promise.set_value(plan.status());
+      task.promise.set_value(plan.status());
       continue;
     }
-
-    // Multi-seeker batching: with the head's plan resolved, drain up
-    // to batch_window - 1 queued queries over the same keyword
-    // multiset (⇒ same plan: use_semantics/eta are service-wide and
-    // the snapshot is bound once above — a batch can never span a
-    // SwapSnapshot generation). Per-request options are *not* part of
-    // the compatibility check: k/epsilon/deadline/mode ride as
-    // per-lane BatchSeeker parameters, so an anytime request batches
-    // with exact ones without perturbing them. Only consecutive
-    // head-of-queue matches are taken, so non-matching queries are
-    // never reordered past.
-    if (window > 1) {
-      std::vector<KeywordId> sorted_ref = head.query.keywords;
-      std::sort(sorted_ref.begin(), sorted_ref.end());
-      while (tasks.size() < window) {
-        auto more = queue_.TryPopIf([&](const Task& t) {
-          return SameKeywordMultiset(t.query.keywords, sorted_ref);
-        });
-        if (!more) break;
-        queue_secs.push_back(more->timer.ElapsedSeconds());
-        tasks.push_back(std::move(*more));
-      }
-    }
-
-    // One search pass answers the head and its followers — a solo
-    // query is a batch of one, exactly as S3kSearcher::SearchWithPlan
-    // runs it. Every member was validated at admission against a
-    // snapshot of this lineage no newer than `bound` (user ids only
-    // grow within a lineage), so per-member validation cannot fail
-    // here; a pass error fails every member alike.
-    std::vector<core::BatchSeeker> batch(tasks.size());
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      // Each member's QueryOptions become its lane parameters (k,
-      // certificate, deadline), resolved against the service defaults.
-      batch[i] = core::ResolveLane(tasks[i].query, options_.search);
-    }
-    auto batched = searcher->SearchBatchWithPlan(batch, **plan);
-    if (!batched.ok()) {
-      failed_.fetch_add(tasks.size(), std::memory_order_release);
-      for (Task& t : tasks) t.promise.set_value(batched.status());
+    // The query was validated at admission against a snapshot of this
+    // lineage no newer than `bound` (user ids only grow within a
+    // lineage), so validation cannot fail here.
+    auto entries = searcher->SearchWithPlan(task.query, **plan, &r.stats);
+    if (!entries.ok()) {
+      failed_.fetch_add(1, std::memory_order_release);
+      task.promise.set_value(entries.status());
       continue;
     }
-    if (tasks.size() > 1) {
-      // Queries-then-passes, with the pass release-ordered: a Stats()
-      // snapshot that sees a batch pass also sees all its member-query
-      // increments (batched_queries >= 2 * batches_executed holds for
-      // every snapshot).
-      batched_queries_.fetch_add(tasks.size(), std::memory_order_relaxed);
-      batches_executed_.fetch_add(1, std::memory_order_release);
-    }
-    h_batch_width_->Observe(static_cast<double>(tasks.size()));
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      QueryResponse r;
-      r.generation = bound->generation();
-      // Followers ride the head's plan resolution: with the cache on,
-      // a solo run would have hit the entry the head just ensured, so
-      // report them as hits; with it off they are free riders either
-      // way.
-      r.cache_hit = i == 0 ? head_cache_hit : cache_ != nullptr;
-      r.queue_seconds = queue_secs[i];
-      r.entries = std::move((*batched)[i].entries);
-      r.stats = std::move((*batched)[i].stats);
-      r.certified_epsilon = r.stats.certified_epsilon;
-      r.deadline_exceeded = r.stats.deadline_exceeded;
-      RecordOutcome(tasks[i].query, r.stats);
-      r.total_seconds = tasks[i].timer.ElapsedSeconds();
-      h_exec_->Observe(r.total_seconds - r.queue_seconds);
-      h_total_->Observe(r.total_seconds);
-      // Only the batch head can be the sampled query (the decision was
-      // taken at its dequeue); followers still feed the slow log under
-      // their own ids.
-      FinishQueryObs(
-          i == 0 ? query_id : trace_ids_.fetch_add(1, std::memory_order_relaxed),
-          i == 0 && sampled, tasks[i].query, r, tasks.size());
-      // Release-ordered so a Stats() snapshot that sees this
-      // completion also sees the RecordOutcome increments and the
-      // admission that preceded it (see Stats()).
-      completed_.fetch_add(1, std::memory_order_release);
-      tasks[i].promise.set_value(std::move(r));
-    }
+    r.generation = bound->generation();
+    r.entries = std::move(*entries);
+    r.certified_epsilon = r.stats.certified_epsilon;
+    r.deadline_exceeded = r.stats.deadline_exceeded;
+    RecordOutcome(task.query, r.stats);
+    r.total_seconds = task.timer.ElapsedSeconds();
+    h_exec_->Observe(r.total_seconds - r.queue_seconds);
+    h_total_->Observe(r.total_seconds);
+    FinishQueryObs(query_id, sampled, task.query, r);
+    // Release-ordered so a Stats() snapshot that sees this completion
+    // also sees the RecordOutcome increments and the admission that
+    // preceded it (see Stats()).
+    completed_.fetch_add(1, std::memory_order_release);
+    task.promise.set_value(std::move(r));
   }
 }
 
 void QueryService::FinishQueryObs(uint64_t query_id, bool sampled,
                                   const core::QueryRequest& query,
-                                  const QueryResponse& response,
-                                  size_t batch_width) {
+                                  const QueryResponse& response) {
   const auto label = [&] {
     return "seeker=" + std::to_string(query.seeker) + " kw=" +
            std::to_string(query.keywords.size()) +
@@ -555,7 +458,6 @@ void QueryService::FinishQueryObs(uint64_t query_id, bool sampled,
     entry.label = label();
     entry.generation = response.generation;
     entry.cache_hit = response.cache_hit;
-    entry.batched = batch_width > 1;
     entry.deadline_exceeded = response.deadline_exceeded;
     entry.certified_epsilon = response.certified_epsilon;
     entry.queue_seconds = response.queue_seconds;
@@ -569,8 +471,6 @@ void QueryService::FinishQueryObs(uint64_t query_id, bool sampled,
   trace.label = label();
   trace.generation = response.generation;
   trace.cache_hit = response.cache_hit;
-  trace.batched = batch_width > 1;
-  trace.batch_width = static_cast<uint32_t>(batch_width);
   trace.deadline_exceeded = response.deadline_exceeded;
   trace.certified_epsilon = response.certified_epsilon;
   trace.total_seconds = response.total_seconds;
@@ -607,19 +507,16 @@ void QueryService::Shutdown() {
 QueryServiceStats QueryService::Stats() const {
   // Dependency-ordered snapshot. Workers increment with release at
   // the consistency boundaries (completed_/failed_ after RecordOutcome
-  // and after the queue pop; batches_executed_ after its member
-  // count), and admission increments submitted_ before the queue push.
+  // and after the queue pop), and admission increments submitted_
+  // before the queue push.
   // Reading the *later* event of each pair with acquire, then its
   // prerequisites, makes every returned snapshot obey:
   //   completed + failed <= submitted      (admission precedes work)
-  //   batched_queries >= 2 * batches_executed
   //   sum(certified_eps_hist) >= completed  (outcome precedes count)
   // A relaxed field-by-field read — the previous implementation —
   // could see a completion without its admission and report
   // completed > submitted mid-load.
   QueryServiceStats out;
-  out.batches_executed = batches_executed_.load(std::memory_order_acquire);
-  out.batched_queries = batched_queries_.load(std::memory_order_relaxed);
   out.completed = completed_.load(std::memory_order_acquire);
   out.failed = failed_.load(std::memory_order_acquire);
   out.anytime_queries = anytime_queries_.load(std::memory_order_relaxed);

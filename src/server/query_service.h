@@ -83,19 +83,9 @@ struct QueryServiceOptions {
   bool enable_cache = true;
   size_t cache_shards = 8;
   size_t cache_capacity_per_shard = 64;
-  // Multi-seeker batching: after dequeuing a query, the worker drains
-  // up to batch_window - 1 further *queued* queries over the same
-  // keyword multiset (same plan-cache key: sorted keywords —
-  // use_semantics/eta are service-wide and the snapshot is bound once
-  // per batch) and answers the whole run in one
-  // S3kSearcher::SearchBatchWithPlan pass. Per-request QueryOptions
-  // (k, epsilon_approx, deadline, mode) ride as per-lane parameters,
-  // so they never fragment batches — the plan key is the only
-  // compatibility requirement. Results are bit-for-bit what each query
-  // would get alone; only latency/throughput change. 0 or 1 disables
-  // batching. Capped at S3kSearcher::kMaxBatch. Batching only helps
-  // when the queue actually backs up with same-plan queries
-  // (throughput mode); an idle service answers singles either way.
+  // Nothing reads this: every query runs alone (multi-seeker batching
+  // was removed; see server/README.md). Kept only because the repo
+  // benchmark still sets it; it goes at the next benchmark change.
   size_t batch_window = 0;
   // ---- observability (src/obs) ----
   // Registry this service publishes its metric series into; nullptr
@@ -160,11 +150,8 @@ struct QueryServiceStats {
   uint64_t failed = 0;       // promise fulfilled with an error status
   uint64_t cache_hits = 0;   // plan served from the proximity cache
   uint64_t cache_misses = 0; // plan built (cache enabled but cold)
-  // Multi-seeker batching (batch_window): queries answered inside a
-  // width >= 2 batch, and how many such batches ran. Queries answered
-  // alone (batching off, or no same-plan neighbor queued) count in
-  // neither. batched_queries / batches_executed is the mean width of
-  // the batches that amortized work.
+  // Always 0: every query runs alone. Kept only because the repo
+  // benchmark still reads them; they go at the next benchmark change.
   uint64_t batched_queries = 0;
   uint64_t batches_executed = 0;
   // Anytime serving: completed kAnytime-mode requests, completed
@@ -180,21 +167,14 @@ struct QueryServiceStats {
     const uint64_t total = cache_hits + cache_misses;
     return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
   }
-
-  double MeanBatchWidth() const {
-    return batches_executed == 0
-               ? 0.0
-               : static_cast<double>(batched_queries) / batches_executed;
-  }
 };
 
 // One-line operational-health rendering, e.g. "rejected=12
-// cache=873/1024 (85.3% hit) batched=96/24 (4.0 avg) anytime=64
-// deadline_exceeded=2 eps[<=1e-9]=120 eps[<=1e-2]=64". The cache part
-// reads "cache=off" when both cache counters are zero; the batched part
-// is omitted until a batch forms; the anytime part (counters plus the
-// non-empty histogram buckets) is omitted until an anytime query or a
-// deadline expiry is seen.
+// cache=873/1024 (85.3% hit) anytime=64 deadline_exceeded=2
+// eps[<=1e-9]=120 eps[<=1e-2]=64". The cache part reads "cache=off"
+// when both cache counters are zero; the anytime part (counters plus
+// the non-empty histogram buckets) is omitted until an anytime query or
+// a deadline expiry is seen.
 std::string FormatStats(const QueryServiceStats& stats);
 
 class QueryService {
@@ -236,10 +216,9 @@ class QueryService {
   // Consistent snapshot of the service counters: the fields are read
   // in dependency order against the workers' release-ordered
   // completion increments, so for any returned snapshot
-  // `completed + failed <= submitted`,
-  // `batched_queries >= 2 * batches_executed`, and the
-  // certified-epsilon histogram covers at least every completed query
-  // — even while workers are mid-flight.
+  // `completed + failed <= submitted` and the certified-epsilon
+  // histogram covers at least every completed query — even while
+  // workers are mid-flight.
   QueryServiceStats Stats() const;
 
   // Instantaneous admission-queue depth (tasks admitted, not yet
@@ -284,10 +263,10 @@ class QueryService {
                      const core::SearchStats& stats);
 
   // Per-completion observability: the always-on slow-query check, and
-  // — for the sampled batch head — the QueryTrace record.
+  // — for a sampled query — the QueryTrace record.
   void FinishQueryObs(uint64_t query_id, bool sampled,
                       const core::QueryRequest& query,
-                      const QueryResponse& response, size_t batch_width);
+                      const QueryResponse& response);
 
   // Resolves the candidate plan for a query against `snapshot` through
   // the cache (or builds it uncached); the cache key carries the
@@ -317,16 +296,14 @@ class QueryService {
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> batched_queries_{0};
-  std::atomic<uint64_t> batches_executed_{0};
   std::atomic<uint64_t> anytime_queries_{0};
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> eps_hist_[kEpsBuckets] = {};
 
   // ---- observability. The atomics above stay the single source of
   // truth: the registry exposes them through callback metrics (no
-  // double counting, nothing new on the hot path); only the latency/
-  // width histograms below are written per query.
+  // double counting, nothing new on the hot path); only the latency
+  // histograms below are written per query.
   obs::TraceCollector tracer_;
   std::atomic<uint64_t> trace_ids_{0};
   // Per-worker cumulative busy time (seconds executing queries), for
@@ -335,7 +312,6 @@ class QueryService {
   obs::Histogram* h_queue_wait_ = nullptr;
   obs::Histogram* h_exec_ = nullptr;
   obs::Histogram* h_total_ = nullptr;
-  obs::Histogram* h_batch_width_ = nullptr;
   // Must be declared after every member its callbacks read (destroyed
   // first: callbacks are unregistered before the state dies).
   obs::CallbackSet callbacks_;

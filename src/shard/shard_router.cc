@@ -492,10 +492,10 @@ Result<ShardedResponse> ShardRouter::QueryShards(
     resp.shards[s].cache_hit = response->cache_hit;
     // Bound exports for the merge and the global certificate. These
     // are always post-search values: QueryService fills stats from the
-    // SearchWithPlan/SearchBatchWithPlan call that answered *this*
-    // request — the plan cache holds seeker-independent plans only,
-    // never stats — so a cache-hit answer exports exactly what the
-    // cold one did (pinned by AnytimeShardTest.CacheHitExports...).
+    // SearchWithPlan call that answered *this* request — the plan
+    // cache holds seeker-independent plans only, never stats — so a
+    // cache-hit answer exports exactly what the cold one did (pinned
+    // by AnytimeShardTest.CacheHitExports...).
     resp.shards[s].kth_lower = response->stats.kth_lower;
     resp.shards[s].remaining_upper = response->stats.remaining_upper;
     resp.shards[s].certified_epsilon = response->certified_epsilon;
@@ -537,7 +537,7 @@ Result<ShardedResponse> ShardRouter::QueryShards(
             });
 
   // Per-request k (QueryOptions::k == 0 inherits the service default),
-  // matching what every shard's QueryService resolved for its lanes.
+  // matching what every shard's searcher resolved for the request.
   const size_t k = query.options.k > 0 ? query.options.k
                                        : options_.service.search.k;
   std::vector<core::ResultEntry> merged;
@@ -606,7 +606,7 @@ Result<ShardedResponse> ShardRouter::QueryShards(
       }
     }
     resp.remaining_upper = global_rem;
-    // Same certificate arithmetic as the engine's finish_lane: the
+    // Same certificate arithmetic as the engine's finish step: the
     // absolute tie-break slack certifies 0 (exact merges whose kth
     // lower bound is 0 must not report infinity off a ~1e-12 tail).
     if (resp.remaining_upper <=

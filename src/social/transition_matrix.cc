@@ -7,40 +7,22 @@
 
 namespace s3::social {
 
-void BatchFrontier::Init(size_t total_rows, size_t n_lanes) {
-  assert(n_lanes >= 1 && n_lanes <= kMaxFrontierLanes);
-  lanes = n_lanes;
-  values.assign(total_rows * n_lanes, 0.0);
+void Frontier::Init(size_t total_rows) {
+  values.assign(total_rows, 0.0);
   nonzero.clear();
-  lane_mass.assign(n_lanes, 0);
 }
 
-void BatchFrontier::Clear() {
-  for (uint32_t row : nonzero) {
-    double* p = &values[static_cast<size_t>(row) * lanes];
-    for (size_t l = 0; l < lanes; ++l) p[l] = 0.0;
-  }
+void Frontier::Clear() {
+  for (uint32_t row : nonzero) values[row] = 0.0;
   nonzero.clear();
-  std::fill(lane_mass.begin(), lane_mass.end(), 0);
 }
 
-void BatchFrontier::Set(uint32_t row, size_t lane, double v) {
-  double* p = &values[static_cast<size_t>(row) * lanes];
-  bool had = false;
-  for (size_t l = 0; l < lanes; ++l) had = had || p[l] != 0.0;
-  if (!had && v != 0.0) {
+void Frontier::Set(uint32_t row, double v) {
+  if (values[row] == 0.0 && v != 0.0) {
     nonzero.insert(std::lower_bound(nonzero.begin(), nonzero.end(), row),
                    row);
   }
-  p[lane] = v;
-  if (v != 0.0) lane_mass[lane] = 1;
-}
-
-void BatchFrontier::ZeroLane(size_t lane) {
-  for (uint32_t row : nonzero) {
-    values[static_cast<size_t>(row) * lanes + lane] = 0.0;
-  }
-  lane_mass[lane] = 0;
+  values[row] = v;
 }
 
 double TransitionMatrix::ComputeRow(uint32_t row, const EntityLayout& layout,
@@ -257,15 +239,11 @@ void TransitionMatrix::ComputeColumnMax() {
   }
 }
 
-void TransitionMatrix::PropagateBatch(const BatchFrontier& in,
-                                      BatchFrontier& out) const {
-  assert(in.lanes == out.lanes);
-  assert(out.values.size() == rows() * out.lanes);
+void TransitionMatrix::Propagate(const Frontier& in, Frontier& out) const {
+  assert(out.values.size() == rows());
   out.Clear();
-  pk::PushStepAnyWidth(row_ptr_.data(), cols_.data(), vals_.data(),
-                       in.nonzero, in.lanes, in.values.data(),
-                       out.values.data(), out.nonzero,
-                       out.lane_mass.data());
+  pk::PushStep(row_ptr_.data(), cols_.data(), vals_.data(), in.nonzero,
+               in.values.data(), out.values.data(), out.nonzero);
 }
 
 double TransitionMatrix::RowSum(uint32_t row) const {

@@ -31,41 +31,21 @@
 
 namespace s3::social {
 
-// Hard cap on the lane count of a BatchFrontier (and hence on the
-// multi-seeker batch width).
-inline constexpr size_t kMaxFrontierLanes = 32;
+// One seeker's exploration frontier: values[row] is its mass on
+// `row`, and `nonzero` lists the rows with nonzero mass, ascending,
+// after seeding and after every propagate step. Every row outside
+// `nonzero` is zero: `Propagate` finds the new support by scanning the
+// values of the rows it touched, so write `values` only through these
+// members and `Propagate`. The frontier is exhausted when `nonzero` is
+// empty.
+struct Frontier {
+  std::vector<double> values;     // total_rows
+  std::vector<uint32_t> nonzero;  // ascending
 
-// Rounds a batch width up to a kernel-friendly lane count: 1, 2, 4 or
-// the next multiple of 4 (see the pk::PushStepAnyWidth dispatch).
-inline constexpr size_t PadLanes(size_t b) {
-  if (b <= 2) return b < 1 ? 1 : b;
-  return (b + 3) / 4 * 4;
-}
-
-// L per-seeker frontiers in one dense SoA buffer: values[row*lanes + l]
-// is lane l's mass on `row` (the SpMM right-hand-side layout of
-// propagate_kernels.h). `nonzero` is the union support over lanes —
-// sorted ascending, after seeding and after every propagate step —
-// while per-seeker frontier exhaustion is tracked per lane in
-// `lane_mass` (a lane can die out while the union stays populated).
-// Every row outside `nonzero` is all-zero: `PropagateBatch` finds the
-// new support by scanning the values of the rows it touched, so write
-// `values` only through these members and `PropagateBatch`.
-struct BatchFrontier {
-  std::vector<double> values;      // total_rows * lanes
-  std::vector<uint32_t> nonzero;   // union over lanes
-  std::vector<uint8_t> lane_mass;  // lane has some nonzero value
-  size_t lanes = 0;
-
-  void Init(size_t total_rows, size_t n_lanes);
+  void Init(size_t total_rows);
   void Clear();
-  // Sets one lane's value (seeker seeding); keeps `nonzero` sorted and
-  // deduped even when two lanes share a row.
-  void Set(uint32_t row, size_t lane, double v);
-  // Zeroes one lane's column (a converged seeker drops out of the
-  // batch); the union support shrinks at the next propagate step.
-  void ZeroLane(size_t lane);
-  bool LaneHasMass(size_t lane) const { return lane_mass[lane] != 0; }
+  // Sets one row's value (seeker seeding); keeps `nonzero` sorted.
+  void Set(uint32_t row, double v);
 };
 
 // CSR matrix over entity rows.
@@ -98,19 +78,14 @@ class TransitionMatrix {
                          const std::vector<char>& touched,
                          uint32_t old_tag_base, uint32_t n_new_fragments);
 
-  // One exploration step out = in · T on every lane at once: a push
-  // (sparse scatter) over the rows of `in.nonzero`, one CSR walk
-  // streaming all lanes through the lane-width-specialized kernel of
-  // propagate_kernels.h. Rows whose lanes are all zero are skipped;
+  // One exploration step out = in · T: a push (sparse scatter) over
+  // the rows of `in.nonzero` through the kernel of propagate_kernels.h.
   // `out.nonzero` comes back sorted ascending and holds exactly the
-  // rows with some nonzero lane (one branchless scan of the touched row
-  // range, no per-row scratch), so chained steps keep the invariant,
-  // and `out.lane_mass` flags per-lane survival. Each output row
-  // accumulates its terms in ascending source-row order and the lane
-  // dimension is element-wise, so every lane's values are bit-for-bit
-  // what the lane would get alone. `in` and `out` must have the same
-  // lane count and cover rows().
-  void PropagateBatch(const BatchFrontier& in, BatchFrontier& out) const;
+  // nonzero rows (one branchless scan of the touched row range, no
+  // per-row scratch), so chained steps keep the invariant. Each output
+  // row accumulates its terms in ascending source-row order. `in` and
+  // `out` must cover rows().
+  void Propagate(const Frontier& in, Frontier& out) const;
 
   // Normalization denominator D(n) for the row of entity `n` (0 if the
   // neighborhood has no outgoing edge).

@@ -1,6 +1,5 @@
 // Certified anytime ((1-ε) top-k) semantics across every query path:
-// the core engine (single and batched lanes), the QueryService, and
-// the ShardRouter.
+// the core engine, the QueryService, and the ShardRouter.
 //
 // The contract under test (ISSUE 7):
 //   (a) ε = 0 is *bit-for-bit* the exact search — the anytime code
@@ -12,9 +11,9 @@
 //       its true score, and remaining_upper <= (1+achieved)·kth_lower;
 //   (c) the achieved certificate never exceeds the requested ε (modulo
 //       one ulp of the exit-condition division — tolerance 1e-9).
-// Plus per-request deadline resolution (QueryOptions::deadline_seconds
-// through ResolveLane into the engine's lanes) and the post-search
-// bound-export pin for the shard plan cache.
+// Plus per-request option resolution (k and
+// QueryOptions::deadline_seconds against the searcher defaults) and the
+// post-search bound-export pin for the shard plan cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,7 +34,6 @@
 namespace s3 {
 namespace {
 
-using core::BatchSeeker;
 using core::Query;
 using core::QueryMode;
 using core::QueryOptions;
@@ -136,7 +134,7 @@ void ExpectOracleCertified(const S3Instance& inst, const Query& q,
   }
 }
 
-// ---- QueryOptions validation + ResolveLane (satellite 1) -----------------
+// ---- QueryOptions validation and resolution ---------------------------------
 
 TEST(QueryOptionsTest, ValidateAcceptsAndRejects) {
   QueryOptions o;
@@ -168,39 +166,45 @@ TEST(QueryOptionsTest, ValidateAcceptsAndRejects) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
-TEST(QueryOptionsTest, ResolveLaneMapsDefaults) {
+// A request with k == 0 inherits the searcher's k: bitwise the answer
+// of the same request naming that k, and per-request values override
+// it.
+TEST(QueryOptionsTest, ZeroKInheritsSearcherK) {
+  testing::RandomInstanceParams p;
+  p.seed = 29;
+  p.n_users = 8;
+  p.n_docs = 12;
+  auto ri = testing::BuildRandomInstance(p);
   S3kOptions defaults = TestOptions();
   defaults.k = 9;
+  S3kSearcher searcher(*ri.instance, defaults);
 
-  // All-inherit exact request: service k, no deadline, no epsilon.
-  BatchSeeker lane = core::ResolveLane(QueryRequest(Query{3, {}}), defaults);
-  EXPECT_EQ(lane.seeker, 3u);
-  EXPECT_EQ(lane.k, 9u);
-  EXPECT_EQ(lane.epsilon_approx, 0.0);
-  EXPECT_EQ(lane.deadline_seconds, 0.0);
+  size_t answered = 0;
+  for (social::UserId u = 0; u < p.n_users; ++u) {
+    const std::vector<KeywordId> kws = {ri.keywords[0]};
+    SearchStats inherit_stats, named_stats, small_stats;
+    auto inherit = searcher.Search(QueryRequest(u, kws), &inherit_stats);
+    QueryOptions o;
+    o.k = 9;
+    auto named = searcher.Search(QueryRequest(u, kws, o), &named_stats);
+    ASSERT_TRUE(inherit.ok());
+    ASSERT_TRUE(named.ok());
+    ExpectBitIdentical(*inherit, inherit_stats, *named, named_stats,
+                       "seeker " + std::to_string(u));
+    answered += inherit->size();
 
-  // Per-request values override every default.
-  QueryOptions o;
-  o.k = 2;
-  o.epsilon_approx = 0.05;
-  o.deadline_seconds = 0.5;
-  o.mode = QueryMode::kAnytime;
-  lane = core::ResolveLane(QueryRequest(4, {}, o), defaults);
-  EXPECT_EQ(lane.k, 2u);
-  EXPECT_EQ(lane.epsilon_approx, 0.05);
-  EXPECT_EQ(lane.deadline_seconds, 0.5);
-
-  // Exact mode never carries epsilon into the lane.
-  o.mode = QueryMode::kExact;
-  o.epsilon_approx = 0.0;
-  lane = core::ResolveLane(QueryRequest(4, {}, o), defaults);
-  EXPECT_EQ(lane.epsilon_approx, 0.0);
+    o.k = 2;
+    auto small = searcher.Search(QueryRequest(u, kws, o), &small_stats);
+    ASSERT_TRUE(small.ok());
+    EXPECT_LE(small->size(), 2u);
+  }
+  EXPECT_GT(answered, 0u);
 }
 
-// An expired per-request deadline truncates the search, and the
-// single-query path and a batch of one carrying the same deadline lane
-// are the same search, instruction for instruction.
-TEST(QueryOptionsTest, ExpiredDeadlineTruncatesLikeABatchLane) {
+// An expired per-request deadline truncates the search, and Search and
+// SearchWithPlan over a prebuilt plan carrying the same deadline are the
+// same search, instruction for instruction.
+TEST(QueryOptionsTest, ExpiredDeadlineTruncatesSearchAndPlanSearchAlike) {
   testing::RandomInstanceParams p;
   p.seed = 31;
   p.n_users = 8;
@@ -229,8 +233,9 @@ TEST(QueryOptionsTest, ExpiredDeadlineTruncatesLikeABatchLane) {
   S3kSearcher plain(*ri.instance, exact_opts);
   QueryOptions o;
   o.deadline_seconds = 1e-12;
+  const QueryRequest request(q.seeker, q.keywords, o);
   SearchStats req_stats;
-  auto req_res = plain.Search(QueryRequest(q.seeker, q.keywords, o), &req_stats);
+  auto req_res = plain.Search(request, &req_stats);
   ASSERT_TRUE(req_res.ok()) << req_res.status().ToString();
   EXPECT_TRUE(req_stats.deadline_exceeded);
   EXPECT_FALSE(req_stats.converged);
@@ -241,17 +246,15 @@ TEST(QueryOptionsTest, ExpiredDeadlineTruncatesLikeABatchLane) {
                                        exact_opts.use_semantics,
                                        exact_opts.score.eta);
   ASSERT_TRUE(plan.ok());
-  BatchSeeker lane;
-  lane.seeker = q.seeker;
-  lane.deadline_seconds = 1e-12;
-  S3kSearcher batched(*ri.instance, exact_opts);
-  auto batch_res = batched.SearchBatchWithPlan({lane}, *plan);
-  ASSERT_TRUE(batch_res.ok()) << batch_res.status().ToString();
-  ExpectBitIdentical((*batch_res)[0].entries, (*batch_res)[0].stats,
-                     *req_res, req_stats, "deadline lane == request deadline");
+  S3kSearcher planned(*ri.instance, exact_opts);
+  SearchStats plan_stats;
+  auto plan_res = planned.SearchWithPlan(request, *plan, &plan_stats);
+  ASSERT_TRUE(plan_res.ok()) << plan_res.status().ToString();
+  ExpectBitIdentical(*plan_res, plan_stats, *req_res, req_stats,
+                     "plan search == search under one deadline");
 }
 
-// ---- core engine sweep (satellite 3, {batched} leg included) -------------
+// ---- core engine sweep ------------------------------------------------------
 
 TEST(AnytimeSearchTest, EpsilonSweepMatchesExactAndOracle) {
   for (uint64_t seed : {7u, 19u, 42u}) {
@@ -331,7 +334,10 @@ TEST(AnytimeSearchTest, LooseEpsilonExitsBeforeExactStop) {
       << "eps=8 never stopped before the exact threshold condition";
 }
 
-TEST(AnytimeSearchTest, BatchedMixedEpsilonMatchesSoloLanes) {
+// Requests with mixed certificates over one plan, run back to back on
+// one searcher in both orders: each answer is bitwise a fresh
+// searcher's, so no request's options leak into the next search.
+TEST(AnytimeSearchTest, MixedEpsilonRequestsShareOneSearcher) {
   testing::RandomInstanceParams p;
   p.seed = 11;
   p.n_users = 8;
@@ -339,38 +345,35 @@ TEST(AnytimeSearchTest, BatchedMixedEpsilonMatchesSoloLanes) {
   auto ri = testing::BuildRandomInstance(p);
   const S3Instance& inst = *ri.instance;
   S3kOptions opts = TestOptions();
-  S3kSearcher searcher(inst, opts);
+  S3kSearcher shared(inst, opts);
 
   std::vector<KeywordId> kws = {ri.keywords[1], ri.keywords[3]};
   auto plan = core::BuildCandidatePlan(inst, kws, opts.use_semantics,
                                        opts.score.eta);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
-  // One lane per sweep point, distinct seekers, one mixed batch.
+  // One request per sweep point, distinct seekers.
   std::vector<QueryRequest> requests;
   for (size_t i = 0; i < 4; ++i) {
     requests.push_back(
         Anytime(static_cast<social::UserId>(i), kws, kEpsSweep[i]));
   }
-  requests[0].options.mode = QueryMode::kExact;  // eps 0 as a plain lane
+  requests[0].options.mode = QueryMode::kExact;  // eps 0 as a plain request
 
-  std::vector<BatchSeeker> batch;
-  for (const QueryRequest& r : requests) {
-    batch.push_back(core::ResolveLane(r, opts));
-  }
-  auto batched = searcher.SearchBatchWithPlan(batch, *plan);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_EQ(batched->size(), requests.size());
-
-  S3kSearcher solo(inst, opts);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    SearchStats stats;
-    auto want = solo.SearchWithPlan(requests[i], *plan, &stats);
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ExpectBitIdentical((*batched)[i].entries, (*batched)[i].stats, *want,
-                       stats, "mixed-eps lane " + std::to_string(i));
-    EXPECT_LE((*batched)[i].stats.certified_epsilon,
-              batch[i].epsilon_approx + kCertTol);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t j = 0; j < requests.size(); ++j) {
+      const size_t i = pass == 0 ? j : requests.size() - 1 - j;
+      SearchStats got_stats, want_stats;
+      auto got = shared.SearchWithPlan(requests[i], *plan, &got_stats);
+      auto want = S3kSearcher(inst, opts).SearchWithPlan(requests[i], *plan,
+                                                         &want_stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ExpectBitIdentical(*got, got_stats, *want, want_stats,
+                         "mixed-eps request " + std::to_string(i));
+      EXPECT_LE(got_stats.certified_epsilon,
+                requests[i].options.epsilon_approx + kCertTol);
+    }
   }
 }
 
@@ -468,7 +471,7 @@ TEST(AnytimeServiceTest, DeadlineExpiryDegradesNotFails) {
   server::QueryService svc(inst, ServiceOptions());
 
   // A query the engine needs >= 2 iterations for (same probe as the
-  // deadline-lane test), so a microscopic deadline provably expires.
+  // expired-deadline test), so a microscopic deadline provably expires.
   S3kSearcher probe(*inst, TestOptions());
   Query q;
   bool found = false;

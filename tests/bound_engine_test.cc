@@ -90,13 +90,13 @@ size_t CheckIncrementalAgainstScratch(const S3Instance& inst,
   all_prox[seeker_row] = c_gamma;
   engine.ApplyDelta(seeker_row, c_gamma);
 
-  social::BatchFrontier frontier, next;
-  frontier.Init(total_rows, 1);
-  next.Init(total_rows, 1);
-  frontier.Set(seeker_row, 0, 1.0);
+  social::Frontier frontier, next;
+  frontier.Init(total_rows);
+  next.Init(total_rows);
+  frontier.Set(seeker_row, 1.0);
 
   for (size_t n = 1; n <= iters; ++n) {
-    inst.matrix().PropagateBatch(frontier, next);
+    inst.matrix().Propagate(frontier, next);
     std::swap(frontier, next);
     if (frontier.nonzero.empty()) break;
     const double factor = c_gamma * std::pow(gamma, -double(n));
@@ -253,12 +253,12 @@ TEST(BoundEngineSoundnessTest, IntervalsBracketExactScoreEveryIteration) {
         const double c_gamma = CGamma(gamma);
         all_prox[seeker_row] = c_gamma;
         engine.ApplyDelta(seeker_row, c_gamma);
-        social::BatchFrontier frontier, next;
-        frontier.Init(total_rows, 1);
-        next.Init(total_rows, 1);
-        frontier.Set(seeker_row, 0, 1.0);
+        social::Frontier frontier, next;
+        frontier.Init(total_rows);
+        next.Init(total_rows);
+        frontier.Set(seeker_row, 1.0);
         for (size_t n = 1; n <= 60; ++n) {
-          inst.matrix().PropagateBatch(frontier, next);
+          inst.matrix().Propagate(frontier, next);
           std::swap(frontier, next);
           const bool exhausted = frontier.nonzero.empty();
           const double factor = c_gamma * std::pow(gamma, -double(n));
@@ -305,22 +305,18 @@ TEST(BoundEngineSoundnessTest, IntervalsBracketExactScoreEveryIteration) {
 
 // FoldFrontier walks the smaller of frontier.nonzero and SourceRows();
 // both are ascending, so either domain must give partial sums that are
-// bit-identical to per-row ApplyDeltaBatch over frontier.nonzero.
+// bit-identical to per-row ApplyDelta over frontier.nonzero.
 // Single-keyword queries make lower() the partial sum itself, so
 // EXPECT_EQ on the bounds compares the sums bit for bit. After the
 // propagated steps, a synthetic frontier interleaves source rows with
 // rows that feed no candidate (and starts and ends off the source
 // list), so the narrow walk's forward search must skip misses.
-// Every bound of `a` equals `b`'s bit for bit, on every lane.
+// Every bound of `a` equals `b`'s bit for bit.
 void ExpectSameBounds(const CandidateBoundEngine& a,
                       const CandidateBoundEngine& b, const std::string& what) {
   for (uint32_t ci = 0; ci < a.size(); ++ci) {
-    for (size_t l = 0; l < a.lanes(); ++l) {
-      ASSERT_EQ(a.lower(ci, l), b.lower(ci, l))
-          << what << " cand " << ci << " lane " << l;
-      ASSERT_EQ(a.upper(ci, l), b.upper(ci, l))
-          << what << " cand " << ci << " lane " << l;
-    }
+    ASSERT_EQ(a.lower(ci), b.lower(ci)) << what << " cand " << ci;
+    ASSERT_EQ(a.upper(ci), b.upper(ci)) << what << " cand " << ci;
   }
 }
 
@@ -344,7 +340,6 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
   spec.seed = 77;
   auto qs = workload::BuildWorkload(inst, gen.semantic_anchors, spec);
 
-  constexpr size_t kLanes = 2;
   const uint32_t total_rows = inst.layout().total();
   const double gamma = 1.5;
   const double c_gamma = CGamma(gamma);
@@ -360,24 +355,20 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
     const std::vector<double>& colmax = inst.matrix().ColumnMax();
     const CandidateIndex index =
         BuildCandidateIndex(inst.docs(), 1, colmax, per_comp);
-    CandidateBoundEngine fold(index, kLanes);
-    CandidateBoundEngine per_row(index, kLanes);
+    CandidateBoundEngine fold(index);
+    CandidateBoundEngine per_row(index);
     for (size_t slot = 0; slot < passing.size(); ++slot) {
-      for (size_t l = 0; l < kLanes; ++l) {
-        fold.ActivateSlot(static_cast<uint32_t>(slot), l);
-        per_row.ActivateSlot(static_cast<uint32_t>(slot), l);
-      }
+      fold.ActivateSlot(static_cast<uint32_t>(slot));
+      per_row.ActivateSlot(static_cast<uint32_t>(slot));
     }
 
-    // Lane 0 is the query's seeker, lane 1 another user.
-    social::BatchFrontier frontier, next;
-    frontier.Init(total_rows, kLanes);
-    next.Init(total_rows, kLanes);
-    frontier.Set(inst.RowOfUser(q.seeker), 0, 1.0);
-    frontier.Set(inst.RowOfUser((q.seeker + 1) % inst.UserCount()), 1, 1.0);
+    social::Frontier frontier, next;
+    frontier.Init(total_rows);
+    next.Init(total_rows);
+    frontier.Set(inst.RowOfUser(q.seeker), 1.0);
 
     for (size_t n = 1; n <= 12; ++n) {
-      inst.matrix().PropagateBatch(frontier, next);
+      inst.matrix().Propagate(frontier, next);
       std::swap(frontier, next);
       if (frontier.nonzero.empty()) break;
       if (frontier.nonzero.size() <= fold.SourceRows().size()) {
@@ -387,12 +378,8 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
       }
       const double factor = c_gamma * std::pow(gamma, -double(n));
       fold.FoldFrontier(frontier, factor);
-      double d[kLanes];
       for (uint32_t row : frontier.nonzero) {
-        for (size_t l = 0; l < kLanes; ++l) {
-          d[l] = factor * frontier.values[size_t(row) * kLanes + l];
-        }
-        per_row.ApplyDeltaBatch(row, d);
+        per_row.ApplyDelta(row, factor * frontier.values[row]);
       }
       const double tail = TailBound(gamma, n);
       fold.RefreshBounds(tail);
@@ -403,7 +390,8 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
 
     // The synthetic step: every other source row, each followed by the
     // next row when that one feeds nothing, plus the first and last
-    // rows of the instance. Lane 1 skips every third row.
+    // rows of the instance. Every third row is set to zero, which
+    // keeps it listed in `nonzero`: the fold must skip it.
     const std::vector<uint32_t>& src = fold.SourceRows();
     if (src.size() < 4) continue;
     std::vector<uint32_t> rows = {0, total_rows - 1};
@@ -417,11 +405,11 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
     }
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    social::BatchFrontier synth;
-    synth.Init(total_rows, kLanes);
+    social::Frontier synth;
+    synth.Init(total_rows);
     for (size_t i = 0; i < rows.size(); ++i) {
-      synth.Set(rows[i], 0, 0.01 * static_cast<double>(i + 1));
-      if (i % 3 != 0) synth.Set(rows[i], 1, 0.02);
+      synth.Set(rows[i], 0.01 * static_cast<double>(i + 1));
+      if (i % 3 == 0) synth.Set(rows[i], 0.0);
     }
     ASSERT_LE(synth.nonzero.size(), src.size());
     for (size_t i = 1; i + 1 < synth.nonzero.size(); ++i) {
@@ -431,12 +419,8 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
     }
     const double factor = 0.5;
     fold.FoldFrontier(synth, factor);
-    double d[kLanes];
     for (uint32_t row : synth.nonzero) {
-      for (size_t l = 0; l < kLanes; ++l) {
-        d[l] = factor * synth.values[size_t(row) * kLanes + l];
-      }
-      per_row.ApplyDeltaBatch(row, d);
+      per_row.ApplyDelta(row, factor * synth.values[row]);
     }
     fold.RefreshBounds(0.0);
     per_row.RefreshBounds(0.0);
@@ -450,7 +434,7 @@ TEST(BoundEngineFoldTest, FoldFrontierMatchesPerRowApplyOnBothDomains) {
   EXPECT_GT(interleaved, 0u);
 }
 
-// ---- Batched propagation -------------------------------------------------
+// ---- Propagation ------------------------------------------------------------
 
 std::unique_ptr<S3Instance> PropagationInstance(uint64_t seed,
                                                 uint32_t n_users,
@@ -463,58 +447,42 @@ std::unique_ptr<S3Instance> PropagationInstance(uint64_t seed,
   return std::move(workload::GenerateMicroblog(p).instance);
 }
 
-// One ReferenceStep per lane, then checks every lane of `f` against the
-// reference bit for bit, and its support: `nonzero` sorted, exactly the
-// rows with some nonzero lane, and the `lane_mass` flags right.
+// One Propagate step and one ReferenceStep, then checks `f` against
+// the reference bit for bit, and its support: `nonzero` sorted and
+// exactly the nonzero rows.
 void StepAndCheck(const social::TransitionMatrix& m,
                   const s3::testing::ReferenceRows& rows,
-                  social::BatchFrontier& f, social::BatchFrontier& g,
-                  std::vector<std::vector<double>>& ref,
-                  const std::string& what) {
-  m.PropagateBatch(f, g);
+                  social::Frontier& f, social::Frontier& g,
+                  std::vector<double>& ref, const std::string& what) {
+  m.Propagate(f, g);
   std::swap(f, g);
   std::vector<double> next;
-  for (std::vector<double>& r : ref) {
-    s3::testing::ReferenceStep(rows, r, next);
-    r.swap(next);
-  }
-  const size_t lanes = f.lanes;
+  s3::testing::ReferenceStep(rows, ref, next);
+  ref.swap(next);
   std::vector<uint32_t> support;
-  std::vector<uint8_t> mass(ref.size(), 0);
   for (uint32_t row = 0; row < m.rows(); ++row) {
-    bool any = false;
-    for (size_t l = 0; l < ref.size(); ++l) {
-      ASSERT_EQ(f.values[size_t(row) * lanes + l], ref[l][row])
-          << what << " lane " << l << " row " << row;
-      if (ref[l][row] != 0.0) {
-        any = true;
-        mass[l] = 1;
-      }
-    }
-    if (any) support.push_back(row);
+    ASSERT_EQ(f.values[row], ref[row]) << what << " row " << row;
+    if (ref[row] != 0.0) support.push_back(row);
   }
   EXPECT_EQ(f.nonzero, support) << what;
-  for (size_t l = 0; l < ref.size(); ++l) {
-    EXPECT_EQ(f.LaneHasMass(l), mass[l] != 0) << what << " lane " << l;
-  }
 }
 
-// Seeds lane l of `f` (and of the reference) at rows[l].
-std::vector<std::vector<double>> Seed(social::BatchFrontier& f, size_t total,
-                                      const std::vector<uint32_t>& rows) {
-  std::vector<std::vector<double>> ref(rows.size(),
-                                       std::vector<double>(total, 0.0));
-  for (size_t l = 0; l < rows.size(); ++l) {
-    f.Set(rows[l], l, 1.0);
-    ref[l][rows[l]] = 1.0;
+// Seeds `f` (and returns the reference) with `mass` on every row of
+// `rows`.
+std::vector<double> Seed(social::Frontier& f, size_t total,
+                         const std::vector<uint32_t>& rows,
+                         double mass = 1.0) {
+  std::vector<double> ref(total, 0.0);
+  for (uint32_t row : rows) {
+    f.Set(row, mass);
+    ref[row] = mass;
   }
   return ref;
 }
 
-// Distinct source rows for `n` lanes: the highest row that has
-// out-edges — so one seeker sits in the last 64-row block — then users
-// 1, 2, 3, ... in descending order, so `Set` has to keep the seeded
-// support sorted.
+// `n` distinct source rows: the highest row that has out-edges — so
+// one seed sits in the last 64-row block — then users n-1, ..., 1 in
+// descending order, so `Set` has to keep the seeded support sorted.
 std::vector<uint32_t> SeedRows(const S3Instance& inst, size_t n) {
   const auto& m = inst.matrix();
   uint32_t last = static_cast<uint32_t>(m.rows());
@@ -526,29 +494,27 @@ std::vector<uint32_t> SeedRows(const S3Instance& inst, size_t n) {
   return rows;
 }
 
-// Multi-step chains at every kernel width — 1, 2, 4, 8 and the generic
-// multiple-of-4 path (12) — equal the Row() reference bit for bit on
-// every lane, from the sparse first steps to a frontier that fills the
-// graph.
-TEST(PropagateBatchTest, ChainMatchesRowReference) {
+// Multi-step chains from one and from several seeded rows equal the
+// Row() reference bit for bit, from the sparse first steps to a
+// frontier that fills the graph.
+TEST(PropagateTest, ChainMatchesRowReference) {
   const auto inst = PropagationInstance(7, 120, 300);
   const auto& m = inst->matrix();
   const uint32_t total = static_cast<uint32_t>(m.rows());
   ASSERT_NE(total % 64, 0u) << "want a partial last 64-row block";
   const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
-  for (size_t n : {1, 2, 4, 8, 12}) {
+  for (size_t n : {1, 4}) {
     const std::vector<uint32_t> seeds = SeedRows(*inst, n);
     ASSERT_EQ(seeds[0] / 64, (total - 1) / 64);
-    social::BatchFrontier f, g;
-    f.Init(total, social::PadLanes(n));
-    g.Init(total, social::PadLanes(n));
-    ASSERT_EQ(f.lanes, n);
-    std::vector<std::vector<double>> ref = Seed(f, total, seeds);
+    social::Frontier f, g;
+    f.Init(total);
+    g.Init(total);
+    std::vector<double> ref = Seed(f, total, seeds);
     EXPECT_TRUE(std::is_sorted(f.nonzero.begin(), f.nonzero.end()));
     size_t widest = 0;
     for (size_t step = 0; step < 8; ++step) {
       StepAndCheck(m, rows, f, g, ref,
-                   "lanes=" + std::to_string(n) + " step " +
+                   "seeds=" + std::to_string(n) + " step " +
                        std::to_string(step));
       if (HasFatalFailure()) return;
       widest = std::max(widest, f.nonzero.size());
@@ -557,55 +523,45 @@ TEST(PropagateBatchTest, ChainMatchesRowReference) {
   }
 }
 
-// A lane zeroed mid-chain (a converged seeker dropping out) reports no
-// mass from the next step on, while the other lanes carry on bit for
-// bit and the support never lists a row whose lanes are all zero — also
-// when a lane's mass underflows to zero inside the step (lane 3, seeded
-// with the smallest denormal).
-TEST(PropagateBatchTest, ZeroedLaneStaysDead) {
+// A frontier whose mass on one row underflows to zero inside the step
+// (that row seeded with the smallest denormal, beside rows of normal
+// mass): the rest carries on bit for bit, and the support never lists
+// a row whose value is zero.
+TEST(PropagateTest, UnderflowingRowBesideLiveRows) {
   const auto inst = PropagationInstance(7, 120, 300);
   const auto& m = inst->matrix();
   const uint32_t total = static_cast<uint32_t>(m.rows());
   const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
-  social::BatchFrontier f, g;
-  f.Init(total, 4);
-  g.Init(total, 4);
+  social::Frontier f, g;
+  f.Init(total);
+  g.Init(total);
   const std::vector<uint32_t> seeds = SeedRows(*inst, 4);
-  std::vector<std::vector<double>> ref = Seed(f, total, seeds);
+  std::vector<double> ref = Seed(f, total, seeds, 0.25);
   const double tiny = std::numeric_limits<double>::denorm_min();
-  f.Set(seeds[3], 3, tiny);
-  ref[3][seeds[3]] = tiny;
+  f.Set(seeds[3], tiny);
+  ref[seeds[3]] = tiny;
   for (size_t step = 0; step < 6; ++step) {
-    if (step == 2) {
-      ASSERT_TRUE(f.LaneHasMass(1));
-      f.ZeroLane(1);
-      std::fill(ref[1].begin(), ref[1].end(), 0.0);
-    }
     StepAndCheck(m, rows, f, g, ref, "step " + std::to_string(step));
     if (HasFatalFailure()) return;
-    if (step >= 2) {
-      EXPECT_FALSE(f.LaneHasMass(1)) << "step " << step;
-      EXPECT_FALSE(f.nonzero.empty()) << "step " << step;
-    }
+    EXPECT_FALSE(f.nonzero.empty()) << "step " << step;
   }
 }
 
 // One frontier pair reused across two instances with different row
 // counts (they differ even in 64-row blocks): re-initializing for the
 // other matrix resizes the values, and chains on both stay exact.
-TEST(PropagateBatchTest, FrontierReusedAcrossInstances) {
+TEST(PropagateTest, FrontierReusedAcrossInstances) {
   const auto small = PropagationInstance(7, 120, 300);
   const auto large = PropagationInstance(11, 200, 700);
   ASSERT_NE((small->matrix().rows() + 63) / 64,
             (large->matrix().rows() + 63) / 64);
-  social::BatchFrontier f, g;
+  social::Frontier f, g;
   for (const S3Instance* inst : {small.get(), large.get(), small.get()}) {
     const auto& m = inst->matrix();
     const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
-    f.Init(m.rows(), 2);
-    g.Init(m.rows(), 2);
-    std::vector<std::vector<double>> ref =
-        Seed(f, m.rows(), SeedRows(*inst, 2));
+    f.Init(m.rows());
+    g.Init(m.rows());
+    std::vector<double> ref = Seed(f, m.rows(), SeedRows(*inst, 2));
     for (size_t step = 0; step < 5; ++step) {
       StepAndCheck(m, rows, f, g, ref,
                    "rows=" + std::to_string(m.rows()) + " step " +
@@ -615,12 +571,11 @@ TEST(PropagateBatchTest, FrontierReusedAcrossInstances) {
   }
 }
 
-// A frontier on the two outermost rows that have out-edges: lane 0 on
-// the lowest, the last lane on the highest (one lane: both), the lanes
-// between empty. The first step's touched row range then spans most of
-// the matrix while few rows in it are touched, so the emission scan
-// mostly reads all-zero rows and must list none of them.
-TEST(PropagateBatchTest, WideSparseRangeMatchesRowReference) {
+// A frontier on the two outermost rows that have out-edges. The first
+// step's touched row range then spans most of the matrix while few
+// rows in it are touched, so the emission scan mostly reads zero rows
+// and must list none of them.
+TEST(PropagateTest, WideSparseRangeMatchesRowReference) {
   const auto inst = PropagationInstance(7, 120, 300);
   const auto& m = inst->matrix();
   const uint32_t total = static_cast<uint32_t>(m.rows());
@@ -630,36 +585,30 @@ TEST(PropagateBatchTest, WideSparseRangeMatchesRowReference) {
   uint32_t last = total - 1;
   while (last > first && rows[last].empty()) --last;
   ASSERT_LT(first, last);
-  for (size_t n : {1, 2, 4, 8, 12}) {
-    social::BatchFrontier f, g;
-    f.Init(total, n);
-    g.Init(total, n);
-    std::vector<std::vector<double>> ref(n,
-                                         std::vector<double>(total, 0.0));
-    f.Set(first, 0, 1.0);
-    ref[0][first] = 1.0;
-    f.Set(last, n - 1, 0.5);
-    ref[n - 1][last] = 0.5;
-    for (size_t step = 0; step < 3; ++step) {
-      StepAndCheck(m, rows, f, g, ref,
-                   "lanes=" + std::to_string(n) + " step " +
-                       std::to_string(step));
-      if (HasFatalFailure()) return;
-      if (step == 0) {
-        ASSERT_FALSE(f.nonzero.empty());
-        const size_t span = f.nonzero.back() - f.nonzero.front() + 1;
-        EXPECT_GT(span * 2, size_t(total)) << "lanes=" << n << ": not wide";
-        EXPECT_LT(f.nonzero.size() * 4, span) << "lanes=" << n
-                                              << ": not sparse";
-      }
+  social::Frontier f, g;
+  f.Init(total);
+  g.Init(total);
+  std::vector<double> ref(total, 0.0);
+  f.Set(first, 1.0);
+  ref[first] = 1.0;
+  f.Set(last, 0.5);
+  ref[last] = 0.5;
+  for (size_t step = 0; step < 3; ++step) {
+    StepAndCheck(m, rows, f, g, ref, "step " + std::to_string(step));
+    if (HasFatalFailure()) return;
+    if (step == 0) {
+      ASSERT_FALSE(f.nonzero.empty());
+      const size_t span = f.nonzero.back() - f.nonzero.front() + 1;
+      EXPECT_GT(span * 2, size_t(total)) << "not wide";
+      EXPECT_LT(f.nonzero.size() * 4, span) << "not sparse";
     }
   }
 }
 
-// A 1-lane chain from the smallest denormal on a row whose out-edge
-// weights are all below 1/2: every scattered term rounds to zero, so
-// the step touches a row range yet emits no row, and the lane dies.
-TEST(PropagateBatchTest, UnderflowEmitsNothing) {
+// A chain from the smallest denormal on a row whose out-edge weights
+// are all below 1/2: every scattered term rounds to zero, so the step
+// touches a row range yet emits no row, and the frontier is exhausted.
+TEST(PropagateTest, UnderflowEmitsNothing) {
   const auto inst = PropagationInstance(7, 120, 300);
   const auto& m = inst->matrix();
   const uint32_t total = static_cast<uint32_t>(m.rows());
@@ -672,27 +621,24 @@ TEST(PropagateBatchTest, UnderflowEmitsNothing) {
   };
   while (seed < total && !all_below_half(seed)) ++seed;
   ASSERT_LT(seed, total);
-  social::BatchFrontier f, g;
-  f.Init(total, 1);
-  g.Init(total, 1);
+  social::Frontier f, g;
+  f.Init(total);
+  g.Init(total);
   const double tiny = std::numeric_limits<double>::denorm_min();
-  std::vector<std::vector<double>> ref(1, std::vector<double>(total, 0.0));
-  f.Set(seed, 0, tiny);
-  ref[0][seed] = tiny;
-  ASSERT_TRUE(f.LaneHasMass(0));
+  std::vector<double> ref = Seed(f, total, {seed}, tiny);
+  ASSERT_FALSE(f.nonzero.empty());
   for (size_t step = 0; step < 2; ++step) {
     StepAndCheck(m, rows, f, g, ref, "step " + std::to_string(step));
     if (HasFatalFailure()) return;
     EXPECT_TRUE(f.nonzero.empty()) << "step " << step;
-    EXPECT_FALSE(f.LaneHasMass(0)) << "step " << step;
   }
 }
 
 // The pins above run on microblog instances. A business-review instance
 // (the I3 shape: many isolated users, reviews hanging off a few
 // businesses) keeps frontiers sparse over a wide row range; chains on
-// it equal the Row() reference at every kernel width too.
-TEST(PropagateBatchTest, BusinessReviewChainMatchesRowReference) {
+// it equal the Row() reference too.
+TEST(PropagateTest, BusinessReviewChainMatchesRowReference) {
   workload::BusinessParams p;
   p.seed = 103;
   p.n_users = 300;
@@ -705,20 +651,20 @@ TEST(PropagateBatchTest, BusinessReviewChainMatchesRowReference) {
   const auto& m = inst->matrix();
   const uint32_t total = static_cast<uint32_t>(m.rows());
   const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
-  for (size_t n : {1, 2, 4, 8, 12}) {
-    social::BatchFrontier f, g;
-    f.Init(total, n);
-    g.Init(total, n);
-    std::vector<std::vector<double>> ref = Seed(f, total, SeedRows(*inst, n));
+  for (size_t n : {1, 4}) {
+    social::Frontier f, g;
+    f.Init(total);
+    g.Init(total);
+    std::vector<double> ref = Seed(f, total, SeedRows(*inst, n));
     size_t widest = 0;
     for (size_t step = 0; step < 8; ++step) {
       StepAndCheck(m, rows, f, g, ref,
-                   "lanes=" + std::to_string(n) + " step " +
+                   "seeds=" + std::to_string(n) + " step " +
                        std::to_string(step));
       if (HasFatalFailure()) return;
       widest = std::max(widest, f.nonzero.size());
     }
-    EXPECT_GT(widest, size_t{1}) << "lanes=" << n << ": chain never spread";
+    EXPECT_GT(widest, size_t{1}) << "seeds=" << n << ": chain never spread";
   }
 }
 
@@ -836,8 +782,8 @@ TEST(BoundEngineStructureTest, NeighborAdjacencyMatchesDocumentStore) {
 // middle and the middle over the leaf by the node-id tie-break, the leaf
 // over the root by more than epsilon. None dominates both others, so the
 // clean pass must fall back to the exact order and keep only the leaf,
-// as GreedyTopK would; a live pair left at tail 0 would keep an
-// exhausted lane from converging.
+// as GreedyTopK would; a live pair left at tail 0 would keep a search
+// with an exhausted frontier from converging.
 TEST(BoundEngineCleanTest, ExactTieCycleLeavesNoLivePair) {
   S3Instance inst;
   const social::UserId u0 = inst.AddUser("u0");

@@ -12,16 +12,21 @@
 // base generation must still read and answer exactly as before its
 // successor was built. A failure names its seed; rerun one with
 // --gtest_filter='FlatTablesRebuildTest.*' after narrowing kSeeds.
+// ReachRootTest pins the reach partition on the same delta chains.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/mmap_file.h"
 #include "common/rng.h"
 #include "core/instance_delta.h"
 #include "core/s3k.h"
+#include "core/snapshot_binary.h"
 
 namespace s3::core {
 namespace {
@@ -351,6 +356,84 @@ TEST(FlatTablesRebuildTest, DeltaChainsMatchRebuild) {
       cur = *next;
     }
   }
+}
+
+// Checks `inst`'s reach roots against a from-scratch union-find over
+// the owners of both endpoints of every edge in the log. Roots are
+// arbitrary representatives, so the two must induce the same user
+// partition: each reference group maps to one root and back. Returns
+// the number of groups.
+size_t ExpectReachMatchesUnionFind(const S3Instance& inst,
+                                   const std::string& what) {
+  const uint32_t n = static_cast<uint32_t>(inst.UserCount());
+  std::vector<uint32_t> parent(n);
+  std::iota(parent.begin(), parent.end(), 0u);
+  auto find = [&](uint32_t u) {
+    while (parent[u] != u) u = parent[u] = parent[parent[u]];
+    return u;
+  };
+  for (uint32_t i = 0; i < inst.edges().size(); ++i) {
+    const social::NetEdge& e = inst.edges().edge(i);
+    const uint32_t a = find(inst.OwnerOfEntity(e.source));
+    const uint32_t b = find(inst.OwnerOfEntity(e.target));
+    if (a != b) parent[b] = a;
+  }
+  std::map<uint32_t, uint32_t> ref_to_root, root_to_ref;
+  for (uint32_t u = 0; u < n; ++u) {
+    const uint32_t ref = find(u);
+    const uint32_t root = inst.ReachRootOfUser(u);
+    EXPECT_EQ(ref_to_root.emplace(ref, root).first->second, root)
+        << what << ": user " << u << " split from its group";
+    EXPECT_EQ(root_to_ref.emplace(root, ref).first->second, ref)
+        << what << ": user " << u << " joined a foreign group";
+  }
+  return ref_to_root.size();
+}
+
+// ReachRootOfUser after Finalize, after a snapshot load and attach, and
+// after every ApplyDelta of a seeded chain applied to the attached
+// instance equals the from-scratch partition.
+TEST(ReachRootTest, MatchesUnionFindOverEdgeOwners) {
+  size_t split = 0, joined = 0;  // partitions seen with > 1 / < n groups
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    World world;
+    OpGen gen(seed, world);
+    std::vector<Op> all = BaseOps(gen);
+    std::shared_ptr<const S3Instance> built = Rebuild(all);
+    ASSERT_NE(built, nullptr);
+    ExpectReachMatchesUnionFind(*built, "finalize");
+
+    auto blob = SaveBinarySnapshot(*built);
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    auto loaded = LoadBinarySnapshot(*blob);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectReachMatchesUnionFind(**loaded, "load");
+    auto attached = AttachBinarySnapshot(MappedRegion::FromBuffer(*blob));
+    ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+    ExpectReachMatchesUnionFind(**attached, "attach");
+
+    std::shared_ptr<const S3Instance> cur = *attached;
+    for (int round = 1; round <= kRounds; ++round) {
+      const std::vector<Op> ops = RoundOps(
+          gen, static_cast<uint32_t>(cur->docs().DocumentCount()));
+      InstanceDelta delta(cur);
+      for (const Op& op : ops) {
+        Apply(delta, op);
+        ASSERT_FALSE(HasFatalFailure()) << "round " << round;
+      }
+      auto next = cur->ApplyDelta(delta);
+      ASSERT_TRUE(next.ok()) << next.status().message();
+      cur = *next;
+      const size_t groups = ExpectReachMatchesUnionFind(
+          *cur, "delta round " + std::to_string(round));
+      if (groups > 1) ++split;
+      if (groups < kUsers) ++joined;
+    }
+  }
+  // Not vacuous: some partitions keep users apart, some join them.
+  EXPECT_GT(split, 0u);
+  EXPECT_GT(joined, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // A searcher with an intra-query pool must be *bit-for-bit* the serial
 // search at every thread count: same entries, same bounds, same stats
-// — across component counts, across the exact / anytime / batched
+// — across component counts, across the exact / anytime / prebuilt-plan
 // paths, and against the NaiveSearch oracle. The pool runs no job
 // today (BuildCandidatePlan builds serially and the exploration loop
 // is serial), so these tests pin that a pool changes nothing.
-// EXPECT_EQ on doubles is deliberate (the same contract
-// batch_search_test.cc pins for lanes): the pool changes *scheduling*
+// EXPECT_EQ on doubles is deliberate: the pool changes *scheduling*
 // only, never a floating-point operation, and tolerance would hide a
 // schedule leaking into the plan.
 //
@@ -127,8 +126,8 @@ void ExpectBitIdentical(const std::vector<ResultEntry>& got,
 }
 
 // The full parity sweep: threads {2,4,8} × clusters {1,2,16} ×
-// {exact, anytime, batched} — every cell bit-for-bit the threads=1
-// run.
+// {exact, anytime, prebuilt plan} — every cell bit-for-bit the
+// threads=1 run.
 TEST(ParallelSearchTest, BitForBitParitySweep) {
   for (size_t n_clusters : {size_t{1}, size_t{2}, size_t{16}}) {
     ClusteredInstance ci = BuildClustered(n_clusters, 30, 11 + n_clusters);
@@ -152,13 +151,18 @@ TEST(ParallelSearchTest, BitForBitParitySweep) {
 
     auto plan = BuildCandidatePlan(inst, {ci.kw}, true, 0.5);
     ASSERT_TRUE(plan.ok());
-    std::vector<BatchSeeker> batch;
-    for (size_t s = 0; s < 4; ++s) {
-      batch.push_back(BatchSeeker{ci.seeker, s % 2 == 0 ? size_t{2}
-                                                        : size_t{7}});
+    std::vector<QueryRequest> plan_qs;
+    std::vector<std::vector<ResultEntry>> plan_ref;
+    std::vector<SearchStats> plan_st;
+    for (size_t k : {size_t{2}, size_t{7}}) {
+      QueryOptions o;
+      o.k = k;
+      plan_qs.emplace_back(ci.seeker, std::vector<KeywordId>{}, o);
+      plan_st.emplace_back();
+      auto r = serial.SearchWithPlan(plan_qs.back(), *plan, &plan_st.back());
+      ASSERT_TRUE(r.ok());
+      plan_ref.push_back(std::move(*r));
     }
-    auto batch_ref = serial.SearchBatchWithPlan(batch, *plan);
-    ASSERT_TRUE(batch_ref.ok());
 
     for (unsigned threads : {2u, 4u, 8u}) {
       const std::string tag = "clusters=" + std::to_string(n_clusters) +
@@ -174,13 +178,12 @@ TEST(ParallelSearchTest, BitForBitParitySweep) {
       ASSERT_TRUE(got.ok()) << tag;
       ExpectBitIdentical(*got, st, *any_ref, any_st, tag + " anytime");
 
-      auto got_batch = par.SearchBatchWithPlan(batch, *plan);
-      ASSERT_TRUE(got_batch.ok()) << tag;
-      ASSERT_EQ(got_batch->size(), batch_ref->size()) << tag;
-      for (size_t s = 0; s < batch.size(); ++s) {
-        ExpectBitIdentical((*got_batch)[s].entries, (*got_batch)[s].stats,
-                           (*batch_ref)[s].entries, (*batch_ref)[s].stats,
-                           tag + " batched member " + std::to_string(s));
+      for (size_t i = 0; i < plan_qs.size(); ++i) {
+        got = par.SearchWithPlan(plan_qs[i], *plan, &st);
+        ASSERT_TRUE(got.ok()) << tag;
+        ExpectBitIdentical(*got, st, plan_ref[i], plan_st[i],
+                           tag + " plan k=" +
+                               std::to_string(plan_qs[i].options.k));
       }
     }
   }
@@ -365,22 +368,27 @@ TEST(ParallelSearchConcurrentTest, ConcurrentPooledQueriesOverSharedInstance) {
   }
 }
 
-// Batched runs under concurrency: each client runs width-4 batches
-// through its own pooled searcher against the shared instance.
-TEST(ParallelSearchConcurrentTest, ConcurrentBatchedPooledSearchers) {
+// Prebuilt-plan runs under concurrency: each client answers requests
+// of k 3..6 over one shared plan through its own pooled searcher
+// against the shared instance.
+TEST(ParallelSearchConcurrentTest, ConcurrentPooledPlanSearchers) {
   ClusteredInstance ci = BuildClustered(16, 30, 41);
   const S3Instance& inst = *ci.instance;
   auto plan = BuildCandidatePlan(inst, {ci.kw}, true, 0.5);
   ASSERT_TRUE(plan.ok());
 
-  std::vector<BatchSeeker> batch(4);
-  for (size_t s = 0; s < batch.size(); ++s) {
-    batch[s].seeker = ci.seeker;
-    batch[s].k = 3 + s;
-  }
+  std::vector<QueryRequest> requests;
+  std::vector<std::vector<ResultEntry>> ref;
+  std::vector<SearchStats> ref_st(4);
   S3kSearcher serial(inst, BaseOptions(1));
-  auto ref = serial.SearchBatchWithPlan(batch, *plan);
-  ASSERT_TRUE(ref.ok());
+  for (size_t s = 0; s < 4; ++s) {
+    QueryOptions o;
+    o.k = 3 + s;
+    requests.emplace_back(ci.seeker, std::vector<KeywordId>{}, o);
+    auto r = serial.SearchWithPlan(requests[s], *plan, &ref_st[s]);
+    ASSERT_TRUE(r.ok());
+    ref.push_back(std::move(*r));
+  }
 
   constexpr size_t kClients = 3;
   std::vector<std::thread> clients;
@@ -389,14 +397,11 @@ TEST(ParallelSearchConcurrentTest, ConcurrentBatchedPooledSearchers) {
     clients.emplace_back([&, c] {
       S3kSearcher searcher(inst, BaseOptions(2));
       for (int round = 0; round < 4; ++round) {
-        auto got = searcher.SearchBatchWithPlan(batch, *plan);
-        if (!got.ok() || got->size() != ref->size()) {
-          mismatches[c]++;
-          continue;
-        }
-        for (size_t s = 0; s < ref->size(); ++s) {
-          if ((*got)[s].entries.size() != (*ref)[s].entries.size() ||
-              (*got)[s].stats.kth_lower != (*ref)[s].stats.kth_lower) {
+        for (size_t s = 0; s < requests.size(); ++s) {
+          SearchStats st;
+          auto got = searcher.SearchWithPlan(requests[s], *plan, &st);
+          if (!got.ok() || got->size() != ref[s].size() ||
+              st.kth_lower != ref_st[s].kth_lower) {
             mismatches[c]++;
           }
         }

@@ -43,31 +43,27 @@ TEST_P(RandomInstanceSweep, MatrixRowsSubStochastic) {
   }
 }
 
-TEST_P(RandomInstanceSweep, BatchPropagateMatchesRowReference) {
-  // Every user seeds its own lane; each lane of a 5-step chain must
-  // equal the Row() reference bit for bit.
+TEST_P(RandomInstanceSweep, PropagateMatchesRowReference) {
+  // A 5-step chain from every user must equal the Row() reference bit
+  // for bit.
   const auto& m = ri_.instance->matrix();
   const s3::testing::ReferenceRows rows = s3::testing::RowsOf(m);
-  const size_t n_users = ri_.instance->UserCount();
-  const size_t lanes = social::PadLanes(n_users);
-  social::BatchFrontier in, out;
-  in.Init(m.rows(), lanes);
-  out.Init(m.rows(), lanes);
-  std::vector<std::vector<double>> ref(n_users,
-                                       std::vector<double>(m.rows(), 0.0));
-  for (social::UserId u = 0; u < n_users; ++u) {
-    in.Set(ri_.instance->RowOfUser(u), u, 1.0);
-    ref[u][ri_.instance->RowOfUser(u)] = 1.0;
-  }
-  std::vector<double> next;
-  for (int step = 0; step < 5; ++step) {
-    m.PropagateBatch(in, out);
-    std::swap(in, out);
-    for (social::UserId u = 0; u < n_users; ++u) {
-      s3::testing::ReferenceStep(rows, ref[u], next);
-      ref[u].swap(next);
+  social::Frontier in, out;
+  in.Init(m.rows());
+  out.Init(m.rows());
+  std::vector<double> ref, next;
+  for (social::UserId u = 0; u < ri_.instance->UserCount(); ++u) {
+    in.Clear();
+    in.Set(ri_.instance->RowOfUser(u), 1.0);
+    ref.assign(m.rows(), 0.0);
+    ref[ri_.instance->RowOfUser(u)] = 1.0;
+    for (int step = 0; step < 5; ++step) {
+      m.Propagate(in, out);
+      std::swap(in, out);
+      s3::testing::ReferenceStep(rows, ref, next);
+      ref.swap(next);
       for (size_t row = 0; row < m.rows(); ++row) {
-        ASSERT_EQ(in.values[row * lanes + u], ref[u][row])
+        ASSERT_EQ(in.values[row], ref[row])
             << "step " << step << " user " << u << " row " << row;
       }
     }

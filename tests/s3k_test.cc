@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/naive_reference.h"
 #include "core/s3k.h"
@@ -181,6 +182,159 @@ TEST(AnytimeTest, BudgetedSearchStillReturns) {
       searcher.Search(Query{fig.u1, {fig.kw_university}}, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(stats.iterations, 1u);
+}
+
+// ---- Shared plans -----------------------------------------------------------
+
+S3kOptions PlanTestOptions() {
+  S3kOptions opts;
+  opts.k = 4;
+  opts.score.gamma = 1.5;
+  opts.max_iterations = 400;
+  return opts;
+}
+
+// Asserts two answers are bitwise equal: entries, bounds and stats.
+void ExpectSameAnswer(const std::vector<ResultEntry>& got,
+                      const SearchStats& got_stats,
+                      const std::vector<ResultEntry>& want,
+                      const SearchStats& want_stats, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node) << what << " #" << i;
+    EXPECT_EQ(got[i].lower, want[i].lower) << what << " #" << i;
+    EXPECT_EQ(got[i].upper, want[i].upper) << what << " #" << i;
+  }
+  EXPECT_EQ(got_stats.iterations, want_stats.iterations) << what;
+  EXPECT_EQ(got_stats.converged, want_stats.converged) << what;
+  EXPECT_EQ(got_stats.components_discovered, want_stats.components_discovered)
+      << what;
+  EXPECT_EQ(got_stats.candidates_cleaned, want_stats.candidates_cleaned)
+      << what;
+  EXPECT_EQ(got_stats.kth_lower, want_stats.kth_lower) << what;
+  EXPECT_EQ(got_stats.remaining_upper, want_stats.remaining_upper) << what;
+}
+
+// One searcher answers every user of an instance over one shared plan,
+// reusing its scratch from seeker to seeker: each answer matches the
+// brute-force oracle (same result count, same descending exact-score
+// multiset — answers are unique only up to ties, paper §3.1).
+TEST(PlanSearchTest, SharedPlanMatchesNaiveOracle) {
+  s3::testing::RandomInstanceParams p;
+  p.seed = 3;
+  auto ri = s3::testing::BuildRandomInstance(p);
+  const S3Instance& inst = *ri.instance;
+  S3kOptions opts = PlanTestOptions();
+
+  std::vector<KeywordId> kws = {ri.keywords[1]};
+  auto plan =
+      BuildCandidatePlan(inst, kws, opts.use_semantics, opts.score.eta);
+  ASSERT_TRUE(plan.ok());
+
+  S3kSearcher searcher(inst, opts);
+  for (social::UserId u = 0; u < inst.UserCount(); ++u) {
+    SearchStats stats;
+    auto got = searcher.SearchWithPlan(Query{u, kws}, *plan, &stats);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(stats.converged) << "seeker " << u;
+    auto prox = ConvergedProx(inst, u, opts.score.gamma);
+    auto oracle = NaiveSearchWithProx(inst, Query{u, kws}, opts, prox);
+    ASSERT_EQ(got->size(), oracle.size()) << "seeker " << u;
+    std::vector<double> exact_got, want;
+    for (size_t r = 0; r < oracle.size(); ++r) {
+      const ResultEntry& e = (*got)[r];
+      const double exact = ExactScore(inst, Query{u, kws}, opts, e.node, prox);
+      // The reported interval brackets the exact score…
+      EXPECT_LE(e.lower, exact + 1e-7) << "seeker " << u << " rank " << r;
+      EXPECT_GE(e.upper, exact - 1e-7) << "seeker " << u << " rank " << r;
+      exact_got.push_back(exact);
+      want.push_back(oracle[r].lower);
+    }
+    std::sort(exact_got.rbegin(), exact_got.rend());
+    std::sort(want.rbegin(), want.rend());
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_NEAR(exact_got[r], want[r], 1e-7)
+          << "seeker " << u << " rank " << r;
+    }
+  }
+}
+
+// A per-request k (QueryOptions::k) is bitwise the answer of a
+// searcher configured with that k, on instances where small-k queries
+// converge iterations before large-k ones.
+TEST(PlanSearchTest, PerRequestKMatchesSearcherK) {
+  for (uint64_t seed : {4u, 7u}) {
+    s3::testing::RandomInstanceParams p;
+    p.seed = seed;
+    p.n_users = 10;
+    p.n_docs = 12;
+    auto ri = s3::testing::BuildRandomInstance(p);
+    const S3Instance& inst = *ri.instance;
+    S3kOptions opts = PlanTestOptions();
+
+    std::vector<KeywordId> kws = {ri.keywords[0], ri.keywords[3]};
+    std::sort(kws.begin(), kws.end());
+    auto plan =
+        BuildCandidatePlan(inst, kws, opts.use_semantics, opts.score.eta);
+    ASSERT_TRUE(plan.ok());
+
+    S3kSearcher shared(inst, opts);
+    for (size_t k : {1u, 3u, 8u, 2u}) {
+      S3kOptions per_k = opts;
+      per_k.k = k;
+      S3kSearcher configured(inst, per_k);
+      QueryOptions o;
+      o.k = k;
+      for (social::UserId u = 0; u < inst.UserCount(); ++u) {
+        SearchStats got_stats, want_stats;
+        auto got =
+            shared.SearchWithPlan(QueryRequest(u, kws, o), *plan, &got_stats);
+        auto want =
+            configured.SearchWithPlan(Query{u, kws}, *plan, &want_stats);
+        ASSERT_TRUE(got.ok());
+        ASSERT_TRUE(want.ok());
+        ExpectSameAnswer(*got, got_stats, *want, want_stats,
+                         "seed " + std::to_string(seed) + " k " +
+                             std::to_string(k) + " seeker " +
+                             std::to_string(u));
+      }
+    }
+  }
+}
+
+// An iteration cap cuts searches off mid-exploration. A searcher that
+// ran other cut-off searches first (its frontier scratch left holding
+// mass) answers bitwise as a fresh searcher does.
+TEST(PlanSearchTest, IterationCapCutoffReusesScratch) {
+  s3::testing::RandomInstanceParams p;
+  p.seed = 6;
+  auto ri = s3::testing::BuildRandomInstance(p);
+  const S3Instance& inst = *ri.instance;
+  S3kOptions opts = PlanTestOptions();
+  opts.max_iterations = 2;
+
+  std::vector<KeywordId> kws = {ri.keywords[2]};
+  auto plan =
+      BuildCandidatePlan(inst, kws, opts.use_semantics, opts.score.eta);
+  ASSERT_TRUE(plan.ok());
+
+  S3kSearcher reused(inst, opts);
+  size_t cut_off = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (social::UserId u = 0; u < inst.UserCount(); ++u) {
+      SearchStats got_stats, want_stats;
+      auto got = reused.SearchWithPlan(Query{u, kws}, *plan, &got_stats);
+      auto want = S3kSearcher(inst, opts).SearchWithPlan(Query{u, kws}, *plan,
+                                                         &want_stats);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(want.ok());
+      EXPECT_LE(got_stats.iterations, 2u);
+      if (!got_stats.converged) ++cut_off;
+      ExpectSameAnswer(*got, got_stats, *want, want_stats,
+                       "seeker " + std::to_string(u));
+    }
+  }
+  EXPECT_GT(cut_off, 0u) << "no search was cut off by the cap";
 }
 
 // ---- Keyword order -------------------------------------------------------------

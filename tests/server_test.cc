@@ -11,10 +11,12 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/instance_delta.h"
 #include "core/naive_reference.h"
 #include "core/s3k.h"
 #include "server/proximity_cache.h"
@@ -120,11 +122,20 @@ TEST(CandidatePlanTest, RejectsBadInput) {
   EXPECT_EQ(
       BuildCandidatePlan(unfinalized, {kws[0]}, true, 0.5).status().code(),
       StatusCode::kFailedPrecondition);
+  // A prebuilt plan does not vouch for the seeker.
+  auto plan = BuildCandidatePlan(*snap, {kws[0]}, true, 0.5);
+  ASSERT_TRUE(plan.ok());
+  S3kSearcher searcher(*snap, TestOptions());
+  const auto unknown = static_cast<social::UserId>(snap->UserCount());
+  EXPECT_EQ(searcher.SearchWithPlan(Query{unknown, {kws[0]}}, *plan)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // The plan's candidate index is read by every engine built over it:
-// searchers on N threads batching over the same shared plans must each
-// get exactly the serial answers (TSan target: the index must be
+// searchers on N threads searching over the same shared plans must
+// each get exactly the serial answers (TSan target: the index must be
 // read-only after BuildCandidatePlan).
 TEST(CandidatePlanTest, IndexSharedAcrossConcurrentSearchers) {
   std::vector<KeywordId> kws;
@@ -140,39 +151,47 @@ TEST(CandidatePlanTest, IndexSharedAcrossConcurrentSearchers) {
     ASSERT_TRUE(plan.ok());
     plans.push_back(std::make_shared<const CandidatePlan>(std::move(*plan)));
   }
-  // Every user as a lane, with mixed k, one batch per plan.
-  std::vector<core::BatchSeeker> batch;
+  // Every user as a seeker, with mixed per-request k, over every plan.
+  std::vector<core::QueryRequest> requests;
   for (social::UserId u = 0; u < snap->UserCount(); ++u) {
-    batch.push_back(core::BatchSeeker{u, 1 + u % 6});
+    core::QueryOptions o;
+    o.k = 1 + u % 6;
+    requests.emplace_back(u, std::vector<KeywordId>{}, o);
   }
+  struct Answer {
+    std::vector<ResultEntry> entries;
+    SearchStats stats;
+  };
   S3kSearcher serial(*snap, opts);
-  std::vector<std::vector<core::BatchQueryResult>> want;
-  for (const auto& plan : plans) {
-    auto r = serial.SearchBatchWithPlan(batch, *plan);
-    ASSERT_TRUE(r.ok());
-    want.push_back(std::move(*r));
-  }
+  std::vector<std::vector<Answer>> want(plans.size());
   size_t answered = 0;
-  for (const auto& results : want) {
-    for (const auto& r : results) answered += r.entries.size();
+  for (size_t p = 0; p < plans.size(); ++p) {
+    for (const core::QueryRequest& req : requests) {
+      Answer a;
+      auto r = serial.SearchWithPlan(req, *plans[p], &a.stats);
+      ASSERT_TRUE(r.ok());
+      a.entries = std::move(*r);
+      answered += a.entries.size();
+      want[p].push_back(std::move(a));
+    }
   }
   ASSERT_GT(answered, 0u);
 
-  auto same = [](const core::BatchQueryResult& a,
-                 const core::BatchQueryResult& b) {
-    if (a.entries.size() != b.entries.size()) return false;
-    for (size_t i = 0; i < a.entries.size(); ++i) {
-      if (a.entries[i].node != b.entries[i].node ||
-          a.entries[i].lower != b.entries[i].lower ||
-          a.entries[i].upper != b.entries[i].upper) {
+  auto same = [](const std::vector<ResultEntry>& entries,
+                 const SearchStats& stats, const Answer& b) {
+    if (entries.size() != b.entries.size()) return false;
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (entries[i].node != b.entries[i].node ||
+          entries[i].lower != b.entries[i].lower ||
+          entries[i].upper != b.entries[i].upper) {
         return false;
       }
     }
-    return a.stats.iterations == b.stats.iterations &&
-           a.stats.converged == b.stats.converged &&
-           a.stats.candidates_cleaned == b.stats.candidates_cleaned &&
-           a.stats.kth_lower == b.stats.kth_lower &&
-           a.stats.remaining_upper == b.stats.remaining_upper;
+    return stats.iterations == b.stats.iterations &&
+           stats.converged == b.stats.converged &&
+           stats.candidates_cleaned == b.stats.candidates_cleaned &&
+           stats.kth_lower == b.stats.kth_lower &&
+           stats.remaining_upper == b.stats.remaining_upper;
   };
   constexpr int kThreads = 4;
   constexpr int kRounds = 5;
@@ -185,21 +204,21 @@ TEST(CandidatePlanTest, IndexSharedAcrossConcurrentSearchers) {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t i = 0; i < plans.size(); ++i) {
           const size_t p = (i + static_cast<size_t>(t + round)) % plans.size();
-          auto got = searcher.SearchBatchWithPlan(batch, *plans[p]);
-          searches.fetch_add(1);
-          if (!got.ok() || got->size() != want[p].size()) {
-            mismatches.fetch_add(1);
-            continue;
-          }
-          for (size_t m = 0; m < got->size(); ++m) {
-            if (!same((*got)[m], want[p][m])) mismatches.fetch_add(1);
+          for (size_t m = 0; m < requests.size(); ++m) {
+            SearchStats stats;
+            auto got = searcher.SearchWithPlan(requests[m], *plans[p], &stats);
+            searches.fetch_add(1);
+            if (!got.ok() || !same(*got, stats, want[p][m])) {
+              mismatches.fetch_add(1);
+            }
           }
         }
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(searches.load(), kThreads * kRounds * 3);
+  EXPECT_EQ(searches.load(),
+            kThreads * kRounds * 3 * static_cast<int>(requests.size()));
   EXPECT_EQ(mismatches.load(), 0);
 }
 
@@ -495,6 +514,110 @@ INSTANTIATE_TEST_SUITE_P(CacheOnOff, ConcurrentEquivalenceTest,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "CacheOn" : "CacheOff";
                          });
+
+// Concurrent clients flooding a two-worker service while the main
+// thread swaps snapshot generations (TSan target). Every response must
+// exactly match the serial answer of the generation it reports: a
+// query bound to one generation but planned or searched on another, or
+// a data race on the worker path, perturbs some response away from
+// every per-generation oracle.
+TEST(QueryServiceConcurrentTest, SubmitAndSwapMatchPerGenerationOracle) {
+  constexpr size_t kRounds = 2;
+
+  std::vector<KeywordId> kws;
+  std::vector<std::shared_ptr<const S3Instance>> gens;
+  gens.push_back(MakeSnapshot(14, &kws));
+  // Each round rewires the social graph a little; exactness against
+  // the wrong generation's oracle then fails.
+  for (size_t round = 1; round <= kRounds; ++round) {
+    core::InstanceDelta delta(gens.back());
+    ASSERT_TRUE(delta
+                    .AddSocialEdge(static_cast<social::UserId>(round),
+                                   static_cast<social::UserId>(round + 4),
+                                   0.6)
+                    .ok());
+    auto next = gens.back()->ApplyDelta(delta);
+    ASSERT_TRUE(next.ok()) << next.status().message();
+    gens.push_back(*next);
+  }
+
+  const S3kOptions opts = TestOptions();
+  std::vector<KeywordId> hot = {kws[1], kws[2]};
+  std::sort(hot.begin(), hot.end());
+  std::vector<Query> queries;
+  for (social::UserId u = 0; u < gens[0]->UserCount(); ++u) {
+    queries.push_back(Query{u, hot});
+  }
+
+  // expected[g][qi]: serial per-generation results.
+  std::vector<std::vector<std::vector<ResultEntry>>> expected(kRounds + 1);
+  for (size_t g = 0; g <= kRounds; ++g) {
+    S3kSearcher searcher(*gens[g], opts);
+    for (const Query& q : queries) {
+      auto r = searcher.Search(q);
+      ASSERT_TRUE(r.ok());
+      expected[g].push_back(*r);
+    }
+  }
+
+  QueryServiceOptions service_opts;
+  service_opts.workers = 2;
+  service_opts.queue_capacity = 256;
+  service_opts.search = opts;
+  QueryService service(gens[0], service_opts);
+
+  std::atomic<size_t> checked{0};
+  auto check_response = [&](size_t qi, const QueryResponse& resp) {
+    ASSERT_LE(resp.generation, kRounds);
+    const std::vector<ResultEntry>& want = expected[resp.generation][qi];
+    const std::string what = "generation " + std::to_string(resp.generation) +
+                             " query " + std::to_string(qi);
+    ASSERT_EQ(resp.entries.size(), want.size()) << what;
+    for (size_t r = 0; r < want.size(); ++r) {
+      ASSERT_EQ(resp.entries[r].node, want[r].node) << what << " rank " << r;
+      ASSERT_EQ(resp.entries[r].lower, want[r].lower) << what << " rank " << r;
+      ASSERT_EQ(resp.entries[r].upper, want[r].upper) << what << " rank " << r;
+    }
+    checked.fetch_add(1);
+  };
+
+  for (size_t round = 1; round <= kRounds; ++round) {
+    std::vector<std::thread> clients;
+    for (int t = 0; t < 3; ++t) {
+      clients.emplace_back([&, t] {
+        for (size_t pass = 0; pass < 6; ++pass) {
+          std::vector<std::pair<size_t, QueryFuture>> inflight;
+          for (size_t qi = t; qi < queries.size(); qi += 3) {
+            auto submitted = service.SubmitBlocking(queries[qi]);
+            ASSERT_TRUE(submitted.ok());
+            inflight.emplace_back(qi, std::move(*submitted));
+          }
+          for (auto& [qi, future] : inflight) {
+            auto resp = future.get();
+            ASSERT_TRUE(resp.ok()) << resp.status().message();
+            check_response(qi, *resp);
+          }
+        }
+      });
+    }
+    ASSERT_TRUE(service.SwapSnapshot(gens[round]).ok());
+    for (auto& t : clients) t.join();
+
+    // Quiesced: everything now answers on the new generation.
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      auto submitted = service.SubmitBlocking(queries[qi]);
+      ASSERT_TRUE(submitted.ok());
+      auto resp = submitted->get();
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->generation, round);
+      check_response(qi, *resp);
+    }
+  }
+
+  EXPECT_GT(checked.load(), 0u);
+  EXPECT_EQ(service.Stats().failed, 0u);
+  EXPECT_EQ(service.snapshot()->generation(), kRounds);
+}
 
 }  // namespace
 }  // namespace s3::server

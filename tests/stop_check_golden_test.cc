@@ -5,14 +5,14 @@
 // case also asserts, from its SearchStats and iteration trace, that it
 // left the loop through the branch it is named after.
 //
-// Branches of SearchBatchWithPlan's per-lane stop check:
+// Branches of SearchWithPlan's stop check:
 //   * separation — the top k are pairwise non-neighbors and everything
 //     else (the next upper and the undiscovered threshold) fits under
 //     the k-th lower bound;
 //   * anytime — the certified (1+eps) exit of QueryMode::kAnytime;
 //   * deadline — the per-iteration deadline probe;
 //   * final — max_iterations reached without a stop.
-// An exhausted lane has tail 0, so every upper equals its lower,
+// An exhausted frontier has tail 0, so every upper equals its lower,
 // CleanDominated leaves no alive neighbor pair, and the threshold is 0:
 // with epsilon >= 0 the separation check converges it, so there is no
 // exhausted exit. A negative (or non-finite) S3kOptions::epsilon is
@@ -167,7 +167,7 @@ void ExpectBranch(const Case& c, const SearchStats& st) {
   switch (c.branch) {
     case Branch::kSeparation:
       // Converged exactly while the frontier still had mass: only the
-      // separation test converges an exact lane before exhaustion.
+      // separation test converges an exact search before exhaustion.
       EXPECT_TRUE(st.converged) << c.name;
       EXPECT_EQ(c.epsilon_approx, 0.0) << c.name;
       EXPECT_FALSE(exhausted) << c.name;
@@ -404,7 +404,7 @@ TEST(StopCheckGoldenTest, EveryExitBranchMatchesRecordedBits) {
 
 // A negative or non-finite S3kOptions::epsilon is rejected on every
 // search path. The isolated seeker's two queries are the ones an
-// epsilon of -1e-9 once drove into an exhausted-lane exit (no passing
+// epsilon of -1e-9 once drove into an exhausted-frontier exit (no passing
 // component) and into max_iterations (an undiscoverable component).
 TEST(StopCheckGoldenTest, NegativeEpsilonIsRejected) {
   TieInstance tie = BuildTieInstance();
@@ -424,11 +424,6 @@ TEST(StopCheckGoldenTest, NegativeEpsilonIsRejected) {
       auto plan = BuildCandidatePlan(inst, {kw}, true, 0.5);
       ASSERT_TRUE(plan.ok());
       EXPECT_EQ(searcher.SearchWithPlan(req, *plan).status().code(),
-                StatusCode::kInvalidArgument)
-          << eps;
-      EXPECT_EQ(searcher.SearchBatchWithPlan({ResolveLane(req, opts)}, *plan)
-                    .status()
-                    .code(),
                 StatusCode::kInvalidArgument)
           << eps;
     }
@@ -463,18 +458,18 @@ TEST(StopCheckGoldenTest, TiesBreakByNodeOrder) {
   }
 }
 
-// Every golden case answered as one member of a mixed batch (lanes of
-// different k, certificates and deadlines over one plan) reproduces its
-// solo row: the selection and the lazy full ordering are per lane.
-TEST(StopCheckGoldenTest, BatchedMembersMatchSoloRows) {
+// Every golden case answered by SearchWithPlan over a prebuilt plan,
+// on one searcher per (instance, keywords, options) group that answers
+// the group's cases back to back, twice over, reproduces its row: the
+// selection, the lazy full ordering and the scratch reuse between
+// searches leave no trace in an answer.
+TEST(StopCheckGoldenTest, PlanSearchOnSharedSearcherMatchesRows) {
   const auto gen = Microblog();
   const TieInstance tie = BuildTieInstance();
   const auto nested = Nested();
   const std::vector<Case> cases = Cases(gen, tie, nested);
-  // Group the cases that share an instance, keywords and searcher
-  // options into one batch each.
   std::vector<bool> done(cases.size(), false);
-  size_t batched_groups = 0;
+  size_t groups = 0;
   for (size_t i = 0; i < cases.size(); ++i) {
     if (done[i]) continue;
     std::vector<size_t> group;
@@ -492,30 +487,20 @@ TEST(StopCheckGoldenTest, BatchedMembersMatchSoloRows) {
     std::sort(sorted.begin(), sorted.end());
     auto plan = BuildCandidatePlan(*head.instance, sorted, true, 0.5);
     ASSERT_TRUE(plan.ok());
-    // Each member twice, so lanes repeat and the batch is wider than 1.
-    std::vector<BatchSeeker> batch;
-    std::vector<size_t> member_case;
+    ++groups;
     for (int rep = 0; rep < 2; ++rep) {
       for (size_t ci : group) {
-        batch.push_back(ResolveLane(RequestOf(cases[ci]), OptionsOf(head)));
-        member_case.push_back(ci);
+        const Case& c = cases[ci];
+        SearchStats st;
+        auto got = searcher.SearchWithPlan(RequestOf(c), *plan, &st);
+        ASSERT_TRUE(got.ok()) << c.name << ": " << got.status().message();
+        ExpectBranch(c, st);
+        EXPECT_EQ(Render(*got, st), c.golden)
+            << "plan search, pass " << rep << " (" << c.name << ")";
       }
-    }
-    auto got = searcher.SearchBatchWithPlan(batch, *plan);
-    ASSERT_TRUE(got.ok()) << head.name;
-    ++batched_groups;
-    for (size_t m = 0; m < batch.size(); ++m) {
-      const Case& c = cases[member_case[m]];
-      if (c.branch == Branch::kDeadline) {
-        // A lane's deadline is measured from the batch start, so it
-        // still expires after the first iteration.
-        EXPECT_TRUE((*got)[m].stats.deadline_exceeded) << c.name;
-      }
-      EXPECT_EQ(Render((*got)[m].entries, (*got)[m].stats), c.golden)
-          << "batched member " << m << " (" << c.name << ")";
     }
   }
-  EXPECT_GE(batched_groups, 3u);
+  EXPECT_GE(groups, 3u);
 }
 
 }  // namespace

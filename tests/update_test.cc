@@ -363,10 +363,6 @@ TEST(CandidatePlanTest, RejectsPlanFromStaleGeneration) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(on_old.SearchWithPlan(q, *new_plan).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(on_new.SearchBatchWithPlan({BatchSeeker{1, 0}}, *old_plan)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
   // Each plan still serves its own generation.
   EXPECT_TRUE(on_old.SearchWithPlan(q, *old_plan).ok());
   EXPECT_TRUE(on_new.SearchWithPlan(q, *new_plan).ok());
