@@ -2,7 +2,9 @@
 // snapshot file to a queryable instance?
 //
 // Compares the two load paths of the storage layer on the I1
-// (microblog) instance:
+// (microblog) and I3 (business reviews) instances — I3 is the
+// document-heavy one, the instance the cold-solo perfbench workload
+// attaches:
 //
 //   copy  LoadBinarySnapshot(bytes)     — compact-section decode,
 //         eager CRC over every section, heap copies;
@@ -10,9 +12,10 @@
 //         zero-copy views over the mapped aligned sections (matrix CSR
 //         floats, forest), lazy CRC.
 //
-// Also records the snapshot's bytes_on_disk.
+// Also records each snapshot's bytes_on_disk.
 //
-// Results are merged into BENCH_micro.json (BenchJsonWriter merge
+// Records BM_ColdStart_<instance>_V2{Copy,Mmap}Attach. Results are
+// merged into BENCH_micro.json (BenchJsonWriter merge
 // mode) next to the google-benchmark records, so the bench-regression
 // gate tracks the numbers; run bench_micro first, then this binary.
 //
@@ -34,22 +37,23 @@ size_t Iterations() {
   return n == 0 ? 1 : n;
 }
 
-}  // namespace
-
-int main() {
+// Times both load paths of `gen`'s snapshot and records them under
+// BM_ColdStart_<tag>_*. Returns false on any failure.
+bool RunLeg(const char* tag, const s3::workload::GenResult& gen,
+            s3::bench::BenchJsonWriter& writer) {
   using s3::WallTimer;
 
-  s3::workload::GenResult gen = s3::bench::MakeI1();
   std::printf("bench_cold_start — instance %s: users=%zu docs=%zu "
-              "tags=%zu triples=%zu\n",
+              "nodes=%zu tags=%zu triples=%zu\n",
               gen.name.c_str(), gen.instance->UserCount(),
               gen.instance->docs().DocumentCount(),
-              gen.instance->TagCount(), gen.instance->rdf_graph().size());
+              gen.instance->docs().NodeCount(), gen.instance->TagCount(),
+              gen.instance->rdf_graph().size());
 
   auto v2 = s3::core::SaveBinarySnapshot(*gen.instance);
   if (!v2.ok()) {
     std::fprintf(stderr, "SaveBinarySnapshot failed\n");
-    return 1;
+    return false;
   }
   std::printf("snapshot bytes: %zu\n", v2->size());
 
@@ -62,7 +66,7 @@ int main() {
         std::fwrite(v2->data(), 1, v2->size(), f) != v2->size() ||
         std::fclose(f) != 0) {
       std::fprintf(stderr, "cannot write %s\n", v2_path.c_str());
-      return 1;
+      return false;
     }
   }
 
@@ -74,11 +78,11 @@ int main() {
     if (!loaded.ok()) {
       std::fprintf(stderr, "binary load failed: %s\n",
                    loaded.status().ToString().c_str());
-      return 1;
+      return false;
     }
     if ((*loaded)->docs().NodeCount() != gen.instance->docs().NodeCount()) {
       std::fprintf(stderr, "loaded snapshot disagrees on the population\n");
-      return 1;
+      return false;
     }
   }
 
@@ -86,7 +90,7 @@ int main() {
   for (size_t i = 0; i < iters; ++i) {
     WallTimer t;
     auto attached = s3::core::LoadBinarySnapshot(*v2);
-    if (!attached.ok()) return 1;
+    if (!attached.ok()) return false;
     v2_seconds += t.ElapsedSeconds();
   }
 
@@ -96,9 +100,9 @@ int main() {
   for (size_t i = 0; i < iters; ++i) {
     WallTimer t;
     std::shared_ptr<const s3::MappedRegion> region;
-    if (!s3::MappedRegion::Open(v2_path, &region).ok()) return 1;
+    if (!s3::MappedRegion::Open(v2_path, &region).ok()) return false;
     auto attached = s3::core::AttachBinarySnapshot(region);
-    if (!attached.ok()) return 1;
+    if (!attached.ok()) return false;
     mmap_seconds += t.ElapsedSeconds();
   }
   std::remove(v2_path.c_str());
@@ -110,12 +114,22 @@ int main() {
   std::printf("v2 mmap is %.2fx faster than v2 copy\n",
               mmap_ns > 0 ? v2_ns / mmap_ns : 0.0);
 
-  s3::bench::BenchJsonWriter writer("BENCH_micro.json", /*merge=*/true);
+  const std::string prefix = std::string("BM_ColdStart_") + tag;
   char extra[96];
   std::snprintf(extra, sizeof(extra), "\"bytes_on_disk\": %zu", v2->size());
-  writer.Add("BM_ColdStart_I1_V2CopyAttach", v2_ns, extra);
+  writer.Add(prefix + "_V2CopyAttach", v2_ns, extra);
   std::snprintf(extra, sizeof(extra), "\"speedup_vs_v2_copy\": %.2f",
                 mmap_ns > 0 ? v2_ns / mmap_ns : 0.0);
-  writer.Add("BM_ColdStart_I1_V2MmapAttach", mmap_ns, extra);
+  writer.Add(prefix + "_V2MmapAttach", mmap_ns, extra);
+  return true;
+}
+
+}  // namespace
+
+int main() {
+  s3::bench::BenchJsonWriter writer("BENCH_micro.json", /*merge=*/true);
+  if (!RunLeg("I1", s3::bench::MakeI1(), writer)) return 1;
+  if (!RunLeg("I3", s3::bench::MakeI3(), writer)) return 1;
   return 0;
 }
+

@@ -56,8 +56,7 @@ bool CandidateReachable(const core::S3Instance& inst,
   doc::NodeId root = inst.docs().RootNode(d);
   uint32_t poster = poster_of[root];
   if (poster != UINT32_MAX && reachable_user[poster]) return true;
-  const doc::Document& document = inst.docs().document(d);
-  for (uint32_t local = 0; local < document.NodeCount(); ++local) {
+  for (uint32_t local = 0; local < inst.docs().NodeCount(d); ++local) {
     doc::NodeId n = inst.docs().GlobalId(d, local);
     for (social::TagId t :
          inst.TagsOn(social::EntityId::Fragment(n))) {

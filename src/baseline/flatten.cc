@@ -52,9 +52,8 @@ Flattened FlattenToUit(const core::S3Instance& s3) {
     ItemId item = out.ItemOfNode(s3, root);
     if (item == kInvalidItem) continue;
     uint32_t poster = poster_of_node[root];
-    const doc::Document& document = docs.document(d);
-    for (uint32_t local = 0; local < document.NodeCount(); ++local) {
-      for (KeywordId k : document.node(local).keywords) {
+    for (uint32_t local = 0; local < docs.NodeCount(d); ++local) {
+      for (KeywordId k : docs.Keywords(docs.GlobalId(d, local))) {
         out.uit.AddItemTerm(item, k);
         if (poster != UINT32_MAX) out.uit.AddTriple(poster, item, k);
       }

@@ -77,13 +77,6 @@ bool ConnectionBuilder::ExtHas(size_t qi, KeywordId k) const {
                             ext_keywords_[qi].end(), k);
 }
 
-doc::NodeId ConnectionBuilder::Parent(doc::NodeId n) const {
-  const doc::DocumentStore& docs = instance_.docs();
-  const uint32_t parent = docs.node(n).parent;
-  return parent == UINT32_MAX ? doc::kInvalidNode
-                              : docs.GlobalId(docs.DocOf(n), parent);
-}
-
 double ConnectionBuilder::EtaPow(size_t distance) {
   while (eta_pow_.size() <= distance) {
     eta_pow_.push_back(std::pow(eta_, static_cast<double>(eta_pow_.size())));
@@ -185,15 +178,12 @@ bool ConnectionBuilder::FragmentGrounded(doc::NodeId f, size_t qi) {
 
   // The subtree of f, breadth first.
   const doc::DocumentStore& docs = instance_.docs();
-  const doc::DocId d = docs.DocOf(f);
-  const doc::Document& document = docs.document(d);
   std::vector<uint32_t>& subtree = AcquireScratch();
-  subtree.push_back(docs.LocalOf(f));
+  subtree.push_back(f);
   for (size_t i = 0; i < subtree.size(); ++i) {
-    const std::vector<uint32_t>& kids = document.node(subtree[i]).children;
+    const std::span<const doc::NodeId> kids = docs.Children(subtree[i]);
     subtree.insert(subtree.end(), kids.begin(), kids.end());
   }
-  for (uint32_t& local : subtree) local = docs.GlobalId(d, local);
 
   const uint64_t bit = uint64_t{1} << qi;
   for (doc::NodeId n : subtree) {
@@ -274,10 +264,8 @@ void ConnectionBuilder::AppendDocSources(doc::DocId d, size_t qi,
   const uint64_t bit = uint64_t{1} << qi;
   std::vector<uint32_t>& sources = AcquireScratch();
   bool has_contains = false;
-  const uint32_t n_nodes =
-      static_cast<uint32_t>(docs.document(d).NodeCount());
-  for (uint32_t local = 0; local < n_nodes; ++local) {
-    const doc::NodeId n = docs.GlobalId(d, local);
+  const doc::NodeId root = docs.RootNode(d);
+  for (doc::NodeId n = root; n < root + docs.NodeCount(d); ++n) {
     has_contains = has_contains || (nodes_[n].contains & bit) != 0;
     for (social::TagId t : instance_.TagsOn(EntityId::Fragment(n))) {
       AppendTagSources(t, qi, sources);
@@ -357,7 +345,7 @@ ComponentCandidates ConnectionBuilder::Build(social::ComponentId comp,
     const uint64_t bit = uint64_t{1} << qi;
     for (const AttachmentEvent& ev : events_[qi]) {
       for (doc::NodeId n = ev.fragment; n != doc::kInvalidNode;
-           n = Parent(n)) {
+           n = instance_.docs().Parent(n)) {
         NodeState& st = nodes_[n];
         if (st.cover_stamp != epoch_) {
           st.cover_stamp = epoch_;
@@ -402,7 +390,7 @@ ComponentCandidates ConnectionBuilder::Build(social::ComponentId comp,
       path_.clear();
       size_t distance = 0;
       for (doc::NodeId n = f; n != doc::kInvalidNode;
-           n = Parent(n), ++distance) {
+           n = instance_.docs().Parent(n), ++distance) {
         const NodeState& st = nodes_[n];
         if (st.cover_stamp == epoch_ && st.cover == full_mask) {
           path_.emplace_back(st.cand, distance);

@@ -145,7 +145,6 @@ class ConnectionBuilder {
                    std::vector<AttachmentEvent>& events);
 
   bool ExtHas(size_t qi, KeywordId k) const;
-  doc::NodeId Parent(doc::NodeId n) const;
   double EtaPow(size_t distance);
 
   // Whether tag t's own author is a source for slot qi: a keyword tag

@@ -38,7 +38,7 @@ size_t InstanceDelta::CombinedDocCount() const {
 }
 
 size_t InstanceDelta::CombinedNodeCount() const {
-  return base_->docs().NodeCount() + new_nodes_;
+  return base_->docs().NodeCount() + new_docs_.NodeCount();
 }
 
 size_t InstanceDelta::CombinedTagCount() const {
@@ -53,12 +53,8 @@ doc::DocId InstanceDelta::CombinedDocOf(doc::NodeId node) const {
   const size_t base_nodes = base_->docs().NodeCount();
   if (node < base_nodes) return base_->docs().DocOf(node);
   if (node >= CombinedNodeCount()) return doc::kInvalidDoc;
-  // Delta nodes are assigned densely per document; doc_first_node_ is
-  // ascending, so the owner is the last doc whose first node is <= node.
-  auto it = std::upper_bound(doc_first_node_.begin(),
-                             doc_first_node_.end(), node);
-  const size_t idx = static_cast<size_t>(it - doc_first_node_.begin());
-  return static_cast<doc::DocId>(base_->docs().DocumentCount() + idx - 1);
+  return static_cast<doc::DocId>(base_->docs().DocumentCount() +
+                                 new_docs_.DocOf(node - base_nodes));
 }
 
 Status InstanceDelta::ValidateKeyword(KeywordId keyword) const {
@@ -97,9 +93,10 @@ Result<doc::DocId> InstanceDelta::AddDocument(doc::Document document,
   if (poster >= base_->UserCount()) {
     return Status::InvalidArgument("unknown poster user id");
   }
-  if (base_->docs().FindByUri(uri).ok() || new_uris_.contains(uri)) {
-    return Status::AlreadyExists("document URI already registered: " + uri);
-  }
+  // Every node URI must be free in the base and among the delta's own
+  // documents (new_docs_ refuses a clash on registration), so a clash
+  // is refused here rather than at replay.
+  S3_RETURN_IF_ERROR(base_->docs().CheckUrisFree(document, uri));
   for (uint32_t local = 0; local < document.NodeCount(); ++local) {
     for (KeywordId k : document.node(local).keywords) {
       // kInvalidKeyword marks an endorsement tag; a document cannot
@@ -111,10 +108,7 @@ Result<doc::DocId> InstanceDelta::AddDocument(doc::Document document,
     }
   }
   doc::DocId id = static_cast<doc::DocId>(CombinedDocCount());
-  doc_first_node_.push_back(
-      static_cast<doc::NodeId>(CombinedNodeCount()));
-  new_nodes_ += document.NodeCount();
-  new_uris_.insert(uri);
+  S3_RETURN_IF_ERROR(new_docs_.AddDocument(document, uri).status());
   order_.push_back(OpKind::kDocument);
   docs_.push_back(DocOp{std::move(document), std::move(uri), poster});
   return id;
@@ -194,10 +188,11 @@ void InstanceDelta::EncodeWalRecord(std::string* out) const {
     w.U8(static_cast<uint8_t>(kind));
     switch (kind) {
       case OpKind::kDocument: {
+        const doc::DocId local_doc = static_cast<doc::DocId>(di);
         const DocOp& op = docs_[di++];
         w.Str(op.uri);
         w.U32(op.poster);
-        doc::WriteDocumentTree(op.document, w);
+        doc::WriteDocumentTree(new_docs_, local_doc, w);
         break;
       }
       case OpKind::kComment: {

@@ -32,7 +32,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -76,7 +75,7 @@ class InstanceDelta {
   size_t new_document_count() const { return docs_.size(); }
   size_t new_tag_count() const { return tags_.size(); }
   size_t new_social_edge_count() const { return socials_.size(); }
-  size_t new_node_count() const { return new_nodes_; }
+  size_t new_node_count() const { return new_docs_.NodeCount(); }
 
   // Overlay spellings in id order (first one gets id base-vocab-size).
   const std::vector<std::string>& new_spellings() const {
@@ -178,10 +177,11 @@ class InstanceDelta {
   std::vector<std::string> spellings_;
   std::unordered_map<std::string, KeywordId> overlay_index_;
 
-  // Accumulated delta-side id state.
-  size_t new_nodes_ = 0;
-  std::vector<doc::NodeId> doc_first_node_;  // per delta doc
-  std::unordered_set<std::string> new_uris_;
+  // The delta's documents in delta-local ids (node n here is combined
+  // node base NodeCount() + n): the delta-side node id state, the URI
+  // uniqueness check among the delta's own documents and the trees the
+  // WAL record encodes.
+  doc::DocumentStore new_docs_;
 };
 
 }  // namespace s3::core

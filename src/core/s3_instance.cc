@@ -133,7 +133,7 @@ Result<doc::DocId> S3Instance::AddDocument(doc::Document document,
       }
     }
   }
-  Result<doc::DocId> added = docs_.AddDocument(std::move(document), uri);
+  Result<doc::DocId> added = docs_.AddDocument(document, uri);
   if (!added.ok()) return added.status();
   doc::DocId d = added.value();
   poster_of_.push_back(poster);
@@ -807,7 +807,7 @@ Status S3Instance::FinalizeIncremental(const S3Instance& base) {
   for (doc::NodeId n = old_nodes; n < new_nodes; ++n) {
     const social::ComponentId c =
         components_.Of(EntityId::Fragment(n));
-    for (KeywordId k : docs_.node(n).keywords) {
+    for (KeywordId k : docs_.Keywords(n)) {
       CompsWithKeywordSlot(k).push_back(c);
       dirty_keys.push_back(k);
     }

@@ -18,7 +18,11 @@
 // Every lookup keyed by a dense id (user, node, tag, entity row or
 // keyword) is a flat array: the tags-on and comments-on tables are
 // CSRs rebuilt by one counting sort per generation, and the keyword
-// directories are KeywordId-indexed vectors.
+// directories are KeywordId-indexed vectors. The document store is
+// flat too (doc/document_store.h): per-node parent, depth, name and
+// owning-document arrays plus keyword and child CSRs, with node URIs
+// derived from one root-URI arena. A snapshot attach decodes DOCS
+// straight into it, and a successor copies it as a few flat arrays.
 #ifndef S3_CORE_S3_INSTANCE_H_
 #define S3_CORE_S3_INSTANCE_H_
 
@@ -141,9 +145,10 @@ class S3Instance {
   // core/instance_delta.h) and returns a new finalized snapshot of
   // generation generation()+1. The base is untouched and remains fully
   // queryable; the successor shares all untouched postings, keyword
-  // directory lists, edge chunks, documents and the saturated ontology
-  // with it, and splices its untouched transition-matrix rows from the
-  // base's. Query results over the successor are
+  // directory lists, edge chunks and the saturated ontology with it,
+  // copies the flat document store, and splices its untouched
+  // transition-matrix rows from the base's. Query results over the
+  // successor are
   // identical to rebuilding an instance from scratch with the combined
   // population (same operations, same order) — bit for bit when the
   // base has no RDF-imported social edges; with rdf_social_edges() > 0
@@ -312,7 +317,8 @@ class S3Instance {
 
  private:
   // Structure-sharing copy used by ApplyDelta: shared_ptr members are
-  // shared and copy-on-write stores copy their cheap spines. What
+  // shared, copy-on-write stores copy their cheap spines and the flat
+  // document store copies its arrays. What
   // FinalizeIncremental builds afresh from the base — the layout, the
   // transition matrix, the component index and the tags-on /
   // comments-on tables — is left empty rather than copied. Never

@@ -266,8 +266,8 @@ std::string WriteDocs(const S3Instance& inst) {
   const doc::DocumentStore& docs = inst.docs();
   w.U64(docs.DocumentCount());
   for (doc::DocId d = 0; d < docs.DocumentCount(); ++d) {
-    w.Str(docs.Uri(docs.RootNode(d)));
-    doc::WriteDocumentTree(docs.document(d), w);
+    w.Str(docs.RootUri(d));
+    doc::WriteDocumentTree(docs, d, w);
   }
   return p;
 }
@@ -748,16 +748,20 @@ Status ReadDocs(ByteReader& r, const Meta& meta,
                 doc::DocumentStore& docs) {
   const uint64_t n = r.U64();
   if (n != meta.n_docs) return SectionError(kDocs, "count mismatch");
+  // Each document takes 8 bytes besides its nodes (URI length, node
+  // count), each node at least 12 and each keyword 4, so the payload
+  // bounds all three: corrupt counts cannot reserve more than it holds.
+  const uint64_t fixed = 8 * n + 12 * meta.n_nodes;
+  if (r.FitsCount(n, 8) && r.FitsCount(meta.n_nodes, 12) &&
+      fixed <= r.remaining()) {
+    docs.Reserve(static_cast<size_t>(n), static_cast<size_t>(meta.n_nodes),
+                 (r.remaining() - fixed) / 4);
+  }
   for (uint64_t d = 0; d < n; ++d) {
-    std::string uri = r.Str();
+    const std::string_view uri = r.Bytes(r.U32());
     if (r.failed()) break;
-    Result<doc::Document> document =
-        doc::ReadDocumentTree(r, meta.n_keywords);
-    if (!document.ok()) {
-      return SectionError(kDocs, "doc " + std::to_string(d) + ": " +
-                                     document.status().message());
-    }
-    Result<doc::DocId> added = docs.AddDocument(std::move(*document), uri);
+    Result<doc::DocId> added =
+        doc::AppendDocumentTree(r, meta.n_keywords, uri, docs);
     if (!added.ok()) {
       return SectionError(kDocs, "doc " + std::to_string(d) + ": " +
                                      added.status().message());

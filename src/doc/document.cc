@@ -17,8 +17,6 @@ uint32_t Document::AddChild(uint32_t parent_local, std::string name) {
   Node child;
   child.parent = parent_local;
   child.name = std::move(name);
-  child.dewey = nodes_[parent_local].dewey.Child(
-      static_cast<uint32_t>(nodes_[parent_local].children.size() + 1));
   nodes_.push_back(std::move(child));
   nodes_[parent_local].children.push_back(local);
   return local;
@@ -29,40 +27,6 @@ void Document::AddKeywords(uint32_t local,
   assert(local < nodes_.size());
   auto& dst = nodes_[local].keywords;
   dst.insert(dst.end(), kws.begin(), kws.end());
-}
-
-std::vector<uint32_t> Document::Ancestors(uint32_t local) const {
-  std::vector<uint32_t> out;
-  uint32_t cur = nodes_[local].parent;
-  while (cur != UINT32_MAX) {
-    out.push_back(cur);
-    cur = nodes_[cur].parent;
-  }
-  return out;
-}
-
-std::vector<uint32_t> Document::Descendants(uint32_t local) const {
-  std::vector<uint32_t> out;
-  std::vector<uint32_t> stack(nodes_[local].children.rbegin(),
-                              nodes_[local].children.rend());
-  while (!stack.empty()) {
-    uint32_t cur = stack.back();
-    stack.pop_back();
-    out.push_back(cur);
-    const auto& kids = nodes_[cur].children;
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.push_back(*it);
-    }
-  }
-  return out;
-}
-
-size_t Document::PosLength(uint32_t ancestor_local,
-                           uint32_t descendant_local) const {
-  const DeweyId& a = nodes_[ancestor_local].dewey;
-  const DeweyId& d = nodes_[descendant_local].dewey;
-  assert(a.IsAncestorOrSelf(d));
-  return d.depth() - a.depth();
 }
 
 }  // namespace s3::doc

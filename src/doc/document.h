@@ -2,6 +2,11 @@
 // nodes have a name, a URI, and a bag of (stemmed) content keywords.
 // Every subtree rooted at a node is a *fragment*, identified by the
 // URI/id of its root node.
+//
+// Document is the builder type: parsers, generators, deltas and the
+// WAL codec assemble a tree here, and DocumentStore::AddDocument copies
+// it into the store's flat per-node arrays. A registered document is
+// never held as a Document; node URIs and ids are the store's.
 #ifndef S3_DOC_DOCUMENT_H_
 #define S3_DOC_DOCUMENT_H_
 
@@ -9,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "doc/dewey.h"
 #include "text/vocabulary.h"
 
 namespace s3::doc {
@@ -22,17 +26,16 @@ inline constexpr NodeId kInvalidNode = UINT32_MAX;
 using DocId = uint32_t;
 inline constexpr DocId kInvalidDoc = UINT32_MAX;
 
-// One node of a document tree.
+// One node of a document tree under construction.
 struct Node {
-  NodeId id = kInvalidNode;          // global id
   uint32_t parent = UINT32_MAX;      // local index of parent, none for root
   std::string name;                  // element name (S3:nodeName)
   std::vector<KeywordId> keywords;   // content keywords (S3:contains)
   std::vector<uint32_t> children;    // local indices, in document order
-  DeweyId dewey;
 };
 
-// An ordered tree under construction or completed. Node 0 is the root.
+// An ordered tree under construction. Node 0 is the root; every other
+// node's parent has a smaller local index.
 class Document {
  public:
   // Creates a document with a root node named `root_name`.
@@ -46,22 +49,7 @@ class Document {
   void AddKeywords(uint32_t local, const std::vector<KeywordId>& kws);
 
   const Node& node(uint32_t local) const { return nodes_[local]; }
-  Node& node(uint32_t local) { return nodes_[local]; }
   size_t NodeCount() const { return nodes_.size(); }
-
-  // Local index of the nearest ancestor of `local` (its parent), or
-  // UINT32_MAX for the root.
-  uint32_t Parent(uint32_t local) const { return nodes_[local].parent; }
-
-  // All strict ancestors of `local`, nearest first.
-  std::vector<uint32_t> Ancestors(uint32_t local) const;
-
-  // All descendants of `local` (strict), preorder.
-  std::vector<uint32_t> Descendants(uint32_t local) const;
-
-  // |pos(d_node, f_node)| where d_node is an ancestor-or-self of f_node:
-  // the structural distance used in the score.
-  size_t PosLength(uint32_t ancestor_local, uint32_t descendant_local) const;
 
  private:
   std::vector<Node> nodes_;

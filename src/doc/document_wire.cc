@@ -1,5 +1,7 @@
 #include "doc/document_wire.h"
 
+#include <bit>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -7,18 +9,12 @@
 
 namespace s3::doc {
 
-void WriteDocumentTree(const Document& document, ByteWriter& w) {
-  w.U32(static_cast<uint32_t>(document.NodeCount()));
-  for (uint32_t local = 0; local < document.NodeCount(); ++local) {
-    const Node& node = document.node(local);
-    w.U32(node.parent);  // UINT32_MAX for the root
-    w.Str(node.name);
-    w.U32(static_cast<uint32_t>(node.keywords.size()));
-    for (KeywordId k : node.keywords) w.U32(k);
-  }
-}
+namespace {
 
-Result<Document> ReadDocumentTree(ByteReader& r, uint64_t keyword_bound) {
+// Decodes one tree, validating as it goes, and hands each node to
+// on_node(parent_local, name, keywords) in local order.
+template <typename OnNode>
+Status DecodeTree(ByteReader& r, uint64_t keyword_bound, OnNode&& on_node) {
   auto bad = [](const std::string& why) {
     return Status::InvalidArgument("document tree: " + why);
   };
@@ -26,29 +22,82 @@ Result<Document> ReadDocumentTree(ByteReader& r, uint64_t keyword_bound) {
   if (r.failed() || n_nodes == 0 || !r.FitsCount(n_nodes, 12)) {
     return bad("bad node count");
   }
-  std::optional<Document> document;
+  std::vector<KeywordId> kws;
   for (uint32_t local = 0; local < n_nodes; ++local) {
     const uint32_t parent = r.U32();
-    std::string name = r.Str();
+    const std::string_view name = r.Bytes(r.U32());
     const uint32_t n_kw = r.U32();
     if (r.failed() || !r.FitsCount(n_kw, 4)) return bad("truncated node");
-    if (local == 0) {
-      if (parent != UINT32_MAX) return bad("root node has a parent");
-      document.emplace(std::move(name));
-    } else {
-      if (parent >= local) return bad("node parent out of range");
-      document->AddChild(parent, std::move(name));
+    if (local == 0 && parent != UINT32_MAX) {
+      return bad("root node has a parent");
     }
-    std::vector<KeywordId> kws;
-    kws.reserve(n_kw);
-    for (uint32_t j = 0; j < n_kw; ++j) kws.push_back(r.U32());
+    if (local != 0 && parent >= local) return bad("node parent out of range");
+    // Keyword ids are read in one block: a memcpy on little-endian
+    // hosts, where the wire order is the memory order.
+    const std::string_view block = r.Bytes(4 * size_t{n_kw});
     if (r.failed()) return bad("truncated node keywords");
+    kws.resize(n_kw);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!block.empty()) std::memcpy(kws.data(), block.data(), block.size());
+    } else {
+      ByteReader ids(block);
+      for (KeywordId& k : kws) k = ids.U32();
+    }
     for (KeywordId k : kws) {
       if (k >= keyword_bound) return bad("keyword id out of range");
     }
-    document->AddKeywords(local, kws);
+    on_node(parent, name, kws);
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+void WriteDocumentTree(const DocumentStore& store, DocId d, ByteWriter& w) {
+  const NodeId root = store.RootNode(d);
+  w.U32(store.NodeCount(d));
+  for (NodeId n = root; n < root + store.NodeCount(d); ++n) {
+    const NodeId parent = store.Parent(n);
+    w.U32(parent == kInvalidNode ? UINT32_MAX : parent - root);
+    w.Str(store.Name(n));
+    const std::span<const KeywordId> keywords = store.Keywords(n);
+    w.U32(static_cast<uint32_t>(keywords.size()));
+    for (KeywordId k : keywords) w.U32(k);
+  }
+}
+
+Result<Document> ReadDocumentTree(ByteReader& r, uint64_t keyword_bound) {
+  std::optional<Document> document;
+  const Status decoded = DecodeTree(
+      r, keyword_bound,
+      [&](uint32_t parent, std::string_view name,
+          const std::vector<KeywordId>& kws) {
+        uint32_t local = 0;
+        if (parent == UINT32_MAX) {
+          document.emplace(std::string(name));
+        } else {
+          local = document->AddChild(parent, std::string(name));
+        }
+        document->AddKeywords(local, kws);
+      });
+  if (!decoded.ok()) return decoded;
   return std::move(*document);
+}
+
+Result<DocId> AppendDocumentTree(ByteReader& r, uint64_t keyword_bound,
+                                 std::string_view root_uri,
+                                 DocumentStore& store) {
+  const Status decoded = DecodeTree(
+      r, keyword_bound,
+      [&](uint32_t parent, std::string_view name,
+          const std::vector<KeywordId>& kws) {
+        store.AppendNode(parent, name, kws);
+      });
+  if (!decoded.ok()) {
+    store.DropPending();
+    return decoded;
+  }
+  return store.CommitDocument(root_uri);
 }
 
 }  // namespace s3::doc

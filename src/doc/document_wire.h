@@ -12,20 +12,30 @@
 #define S3_DOC_DOCUMENT_WIRE_H_
 
 #include <cstdint>
+#include <string_view>
 
 #include "common/binary_io.h"
 #include "common/status.h"
 #include "doc/document.h"
+#include "doc/document_store.h"
 
 namespace s3::doc {
 
-void WriteDocumentTree(const Document& document, ByteWriter& w);
+// Encodes registered document `d` of `store`: a snapshot's store, or a
+// delta's store of its own documents for the WAL.
+void WriteDocumentTree(const DocumentStore& store, DocId d, ByteWriter& w);
 
-// Bounds-checked inverse: rejects a parentless/extra root, forward
+// Bounds-checked inverses: reject a parentless/extra root, forward
 // parent references, keyword ids >= `keyword_bound`, and truncation.
-// Error messages carry no site context — callers wrap them with their
-// section / record position.
+// ReadDocumentTree builds a Document; AppendDocumentTree decodes
+// straight into `store` under `root_uri` and also fails as
+// DocumentStore::AddDocument does, leaving `store` unchanged on any
+// failure. Error messages carry no site context — callers wrap them
+// with their section / record position.
 Result<Document> ReadDocumentTree(ByteReader& r, uint64_t keyword_bound);
+Result<DocId> AppendDocumentTree(ByteReader& r, uint64_t keyword_bound,
+                                 std::string_view root_uri,
+                                 DocumentStore& store);
 
 }  // namespace s3::doc
 

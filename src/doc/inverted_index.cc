@@ -21,7 +21,7 @@ std::shared_ptr<std::vector<NodeId>>& InvertedIndex::Slot(KeywordId k) {
 }
 
 void InvertedIndex::AddNode(NodeId node,
-                            const std::vector<KeywordId>& keywords) {
+                            std::span<const KeywordId> keywords) {
   for (KeywordId k : keywords) {
     // Clone-on-shared: another generation may still reference the list.
     auto& list = MutableCow(Slot(k));
@@ -34,7 +34,7 @@ void InvertedIndex::AddNode(NodeId node,
 void InvertedIndex::AppendNodes(const DocumentStore& store,
                                 NodeId first_new_node) {
   for (NodeId n = first_new_node; n < store.NodeCount(); ++n) {
-    AddNode(n, store.node(n).keywords);
+    AddNode(n, store.Keywords(n));
   }
 }
 

@@ -13,6 +13,7 @@
 #define S3_DOC_INVERTED_INDEX_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -30,7 +31,7 @@ class InvertedIndex {
   // Adds a single node's keywords (incremental ingestion). Nodes must
   // be added in increasing id order. Copy-on-write: a postings list
   // shared with another index generation is cloned before the append.
-  void AddNode(NodeId node, const std::vector<KeywordId>& keywords);
+  void AddNode(NodeId node, std::span<const KeywordId> keywords);
 
   // Appends every node of `store` with id >= first_new_node, in id
   // order — the delta-application path.

@@ -24,7 +24,6 @@
 #include "core/snapshot_binary.h"
 
 // Substrates.
-#include "doc/dewey.h"
 #include "doc/document.h"
 #include "doc/document_store.h"
 #include "doc/inverted_index.h"

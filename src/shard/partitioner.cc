@@ -85,16 +85,19 @@ Result<social::TagId> ShardMap::LocalTag(social::TagId global) const {
 
 namespace {
 
-// Reconstructs a document as a population-API replay source: same node
-// order, names, parents and keyword bags as the registered original
-// (ids are reassigned by the target store).
-doc::Document CopyDocument(const doc::Document& src) {
-  doc::Document out(src.node(0).name);
-  out.AddKeywords(0, src.node(0).keywords);
-  for (uint32_t local = 1; local < src.NodeCount(); ++local) {
-    const doc::Node& n = src.node(local);
-    out.AddChild(n.parent, n.name);
-    out.AddKeywords(local, n.keywords);
+// Reconstructs registered document `d` as a population-API replay
+// source: same node order, names, parents and keyword bags (ids are
+// reassigned by the target store).
+doc::Document CopyDocument(const doc::DocumentStore& docs, doc::DocId d) {
+  const doc::NodeId root = docs.RootNode(d);
+  doc::Document out(std::string(docs.Name(root)));
+  for (uint32_t local = 0; local < docs.NodeCount(d); ++local) {
+    const doc::NodeId n = root + local;
+    if (local != 0) {
+      out.AddChild(docs.Parent(n) - root, std::string(docs.Name(n)));
+    }
+    const std::span<const KeywordId> kws = docs.Keywords(n);
+    out.AddKeywords(local, {kws.begin(), kws.end()});
   }
   return out;
 }
@@ -200,12 +203,11 @@ Result<PartitionResult> Partition(const core::S3Instance& full,
           const social::UserId poster = e.target.index();
           if (!materialized(poster)) break;
           auto added = inst->AddDocument(
-              CopyDocument(full.docs().document(d)),
-              full.docs().Uri(full.docs().RootNode(d)), poster);
+              CopyDocument(full.docs(), d),
+              std::string(full.docs().RootUri(d)), poster);
           if (!added.ok()) return added.status();
-          part.map.AddDoc(d, full.docs().GlobalId(d, 0),
-                          static_cast<uint32_t>(
-                              full.docs().document(d).NodeCount()));
+          part.map.AddDoc(d, full.docs().RootNode(d),
+                          full.docs().NodeCount(d));
           break;
         }
         case EdgeLabel::kCommentsOn: {

@@ -138,9 +138,8 @@ void ComponentIndex::Build(const EntityLayout& layout,
 
   // S3:partOf: all nodes of one document tree are one cluster.
   for (doc::DocId d = 0; d < docs.DocumentCount(); ++d) {
-    const doc::Document& document = docs.document(d);
     uint32_t root_row = layout.Row(EntityId::Fragment(docs.RootNode(d)));
-    for (uint32_t local = 1; local < document.NodeCount(); ++local) {
+    for (uint32_t local = 1; local < docs.NodeCount(d); ++local) {
       uf.Union(root_row, layout.Row(EntityId::Fragment(
                              docs.GlobalId(d, local))));
     }
@@ -187,10 +186,9 @@ void ComponentIndex::BuildIncremental(const ComponentIndex& base,
 
   // partOf clusters of the delta's documents.
   for (doc::DocId d = first_new_doc; d < docs.DocumentCount(); ++d) {
-    const doc::Document& document = docs.document(d);
     uint32_t root_row =
         new_layout.Row(EntityId::Fragment(docs.RootNode(d)));
-    for (uint32_t local = 1; local < document.NodeCount(); ++local) {
+    for (uint32_t local = 1; local < docs.NodeCount(d); ++local) {
       uf.Union(root_row, new_layout.Row(EntityId::Fragment(
                              docs.GlobalId(d, local))));
     }

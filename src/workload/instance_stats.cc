@@ -21,7 +21,7 @@ InstanceStats ComputeStats(const core::S3Instance& inst) {
 
   std::unordered_set<KeywordId> distinct;
   for (doc::NodeId n = 0; n < inst.docs().NodeCount(); ++n) {
-    const auto& kws = inst.docs().node(n).keywords;
+    const auto kws = inst.docs().Keywords(n);
     s.keyword_occurrences += kws.size();
     distinct.insert(kws.begin(), kws.end());
   }

@@ -50,7 +50,7 @@ QuerySet BuildWorkload(const core::S3Instance& instance,
     for (uint32_t row : instance.components().Members(comp)) {
       social::EntityId e = instance.layout().Entity(row);
       if (e.kind() != social::EntityKind::kFragment) continue;
-      const auto& kws = instance.docs().node(e.index()).keywords;
+      const auto kws = instance.docs().Keywords(e.index());
       pool.insert(pool.end(), kws.begin(), kws.end());
     }
     std::sort(pool.begin(), pool.end());

@@ -150,9 +150,10 @@ TEST(WideDocumentTest, ManySiblingsDeweyOrder) {
   for (int i = 0; i < 200; ++i) d.AddChild(0, "c");
   auto id = inst.AddDocument(std::move(d), "wide", u).value();
   ASSERT_TRUE(inst.Finalize().ok());
-  const doc::Document& doc = inst.docs().document(id);
-  EXPECT_EQ(doc.node(1).dewey.ToString(), "1");
-  EXPECT_EQ(doc.node(200).dewey.ToString(), "200");
+  EXPECT_EQ(inst.docs().Uri(inst.docs().GlobalId(id, 1)), "wide.1");
+  EXPECT_EQ(inst.docs().Uri(inst.docs().GlobalId(id, 200)), "wide.200");
+  EXPECT_EQ(inst.docs().FindByUri("wide.200").value(),
+            inst.docs().GlobalId(id, 200));
   // Siblings are never vertical neighbors.
   EXPECT_FALSE(inst.docs().AreVerticalNeighbors(
       inst.docs().GlobalId(id, 1), inst.docs().GlobalId(id, 200)));

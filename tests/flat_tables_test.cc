@@ -10,7 +10,10 @@
 // transition matrix (rows, denominators, column maxima) must equal a
 // from-scratch rebuild of the same operations bit for bit, and the
 // base generation must still read and answer exactly as before its
-// successor was built. A failure names its seed; rerun one with
+// successor was built. The document store — every node's document,
+// parent, depth, children, keywords, name and URI — must equal the
+// rebuild's too, after a snapshot attach of the base and after every
+// delta, and every URI must resolve back to its node. A failure names its seed; rerun one with
 // --gtest_filter='FlatTablesRebuildTest.*' after narrowing kSeeds.
 // ReachRootTest pins the reach partition on the same delta chains.
 #include <gtest/gtest.h>
@@ -280,6 +283,35 @@ void ExpectSameTables(const Tables& got, const Tables& want,
   EXPECT_EQ(got.col_max, want.col_max) << what << ": ColumnMax";
 }
 
+// The document store node by node, and URI resolution round trips.
+void ExpectSameDocs(const S3Instance& got, const S3Instance& want,
+                    const std::string& what) {
+  const doc::DocumentStore& g = got.docs();
+  const doc::DocumentStore& w = want.docs();
+  ASSERT_EQ(g.DocumentCount(), w.DocumentCount()) << what;
+  ASSERT_EQ(g.NodeCount(), w.NodeCount()) << what;
+  for (doc::DocId d = 0; d < w.DocumentCount(); ++d) {
+    EXPECT_EQ(g.RootNode(d), w.RootNode(d)) << what << ": doc " << d;
+    EXPECT_EQ(g.NodeCount(d), w.NodeCount(d)) << what << ": doc " << d;
+  }
+  auto list = [](auto span) {
+    return std::vector<uint32_t>(span.begin(), span.end());
+  };
+  for (doc::NodeId n = 0; n < w.NodeCount(); ++n) {
+    const std::string at = what + ": node " + std::to_string(n);
+    EXPECT_EQ(g.DocOf(n), w.DocOf(n)) << at;
+    EXPECT_EQ(g.Parent(n), w.Parent(n)) << at;
+    EXPECT_EQ(g.Depth(n), w.Depth(n)) << at;
+    EXPECT_EQ(list(g.Children(n)), list(w.Children(n))) << at;
+    EXPECT_EQ(list(g.Keywords(n)), list(w.Keywords(n))) << at;
+    EXPECT_EQ(g.Name(n), w.Name(n)) << at;
+    EXPECT_EQ(g.Uri(n), w.Uri(n)) << at;
+    auto found = g.FindByUri(g.Uri(n));
+    ASSERT_TRUE(found.ok()) << at << ": " << found.status().message();
+    EXPECT_EQ(*found, n) << at;
+  }
+}
+
 // Answers of a few fixed queries, every entry bit.
 std::vector<std::vector<ResultEntry>> Answers(const S3Instance& inst,
                                               uint64_t seed) {
@@ -327,6 +359,13 @@ TEST(FlatTablesRebuildTest, DeltaChainsMatchRebuild) {
     std::vector<Op> all = BaseOps(gen);
     std::shared_ptr<const S3Instance> cur = Rebuild(all);
     ASSERT_NE(cur, nullptr);
+    {
+      auto blob = SaveBinarySnapshot(*cur);
+      ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+      auto attached = AttachBinarySnapshot(MappedRegion::FromBuffer(*blob));
+      ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+      ExpectSameDocs(**attached, *cur, "attach");
+    }
     for (int round = 1; round <= kRounds; ++round) {
       const std::string what =
           "seed " + std::to_string(seed) + " round " + std::to_string(round);
@@ -347,6 +386,7 @@ TEST(FlatTablesRebuildTest, DeltaChainsMatchRebuild) {
       ASSERT_NE(rebuilt, nullptr) << what;
 
       ExpectSameTables(Capture(**next), Capture(*rebuilt), what);
+      ExpectSameDocs(**next, *rebuilt, what);
       ExpectSameAnswers(Answers(**next, seed * 37 + round),
                         Answers(*rebuilt, seed * 37 + round), what);
       // The base generation is untouched by its successor's build.

@@ -2,6 +2,7 @@
 // N-Triples parsing, and triple-pattern matching.
 #include <gtest/gtest.h>
 
+#include "doc/document_store.h"
 #include "doc/json_parser.h"
 #include "doc/xml_parser.h"
 #include "rdf/ntriples.h"
@@ -34,6 +35,13 @@ class InternFixture : public ::testing::Test {
     for (KeywordId k : kws) out.push_back(vocab_.Spelling(k));
     return out;
   }
+
+  // The URI node `local` gets once the document is registered as "d".
+  static std::string UriOf(const doc::Document& document, uint32_t local) {
+    doc::DocumentStore store;
+    const doc::DocId d = store.AddDocument(document, "d").value();
+    return store.Uri(store.GlobalId(d, local));
+  }
 };
 
 // ---- XML ---------------------------------------------------------------
@@ -49,8 +57,8 @@ TEST_F(XmlTest, SimpleElementTree) {
   EXPECT_EQ(doc->node(1).name, "sec");
   EXPECT_EQ(Spellings(doc->node(1).keywords),
             (std::vector<std::string>{"hello", "world"}));
-  EXPECT_EQ(doc->node(1).dewey.ToString(), "1");
-  EXPECT_EQ(doc->node(2).dewey.ToString(), "2");
+  EXPECT_EQ(UriOf(*doc, 1), "d.1");
+  EXPECT_EQ(UriOf(*doc, 2), "d.2");
 }
 
 TEST_F(XmlTest, NestedElements) {
@@ -58,7 +66,7 @@ TEST_F(XmlTest, NestedElements) {
   ASSERT_TRUE(doc.ok());
   ASSERT_EQ(doc->NodeCount(), 3u);
   EXPECT_EQ(doc->node(2).name, "c");
-  EXPECT_EQ(doc->node(2).dewey.ToString(), "1.1");
+  EXPECT_EQ(UriOf(*doc, 2), "d.1.1");
 }
 
 TEST_F(XmlTest, AttributesBecomeChildNodes) {
@@ -161,7 +169,7 @@ TEST_F(JsonTest, NestedObjectsAndArrays) {
   EXPECT_EQ(doc->node(1).name, "meta");
   EXPECT_EQ(doc->node(2).name, "tags");
   EXPECT_EQ(doc->node(3).name, "item");
-  EXPECT_EQ(doc->node(3).dewey.ToString(), "1.1.1");
+  EXPECT_EQ(UriOf(*doc, 3), "d.1.1.1");
 }
 
 TEST_F(JsonTest, EscapesAndUnicode) {

@@ -177,7 +177,7 @@ TEST(BinarySnapshotTest, SpacesInNamesSurvive) {
   EXPECT_EQ(loaded->users()[0].uri, "user with space");
   EXPECT_EQ(loaded->vocabulary().Spelling(kw), "two words");
   EXPECT_TRUE(loaded->docs().FindByUri("uri with space").ok());
-  EXPECT_EQ(loaded->docs().node(0).name, "name with space");
+  EXPECT_EQ(loaded->docs().Name(0), "name with space");
 }
 
 // RDF weights are stored as IEEE doubles: a weight no short decimal
@@ -579,6 +579,132 @@ TEST(BinarySnapshotConfusionTest, CommentsDisagreeingWithEdgesAreRejected) {
     EXPECT_NE(status.message().find("COMMENTS"), std::string::npos)
         << status.ToString();
   }
+}
+
+// Byte offsets (into the whole blob) of the DOCS fields a hostile
+// rewrite targets: u64 document count, then per document a u32-length
+// root URI and a tree (u32 node count; per node u32 parent, u32-length
+// name, u32 keyword count and the keyword ids).
+struct DocsNodeAt {
+  size_t parent_at = 0;
+  size_t name_len_at = 0;
+  size_t kw_count_at = 0;
+  uint32_t kw_count = 0;
+};
+struct DocsDocAt {
+  size_t uri_at = 0;  // the URI bytes
+  std::string uri;
+  size_t count_at = 0;
+  std::vector<DocsNodeAt> nodes;
+  size_t end = 0;
+};
+
+std::vector<DocsDocAt> WalkDocs(const std::string& blob) {
+  constexpr uint32_t kDocsId = 6;
+  const auto [at, size] = SectionExtent(blob, kDocsId);
+  ByteReader r(std::string_view(blob).substr(at, size));
+  std::vector<DocsDocAt> docs(r.U64());
+  for (DocsDocAt& d : docs) {
+    const uint32_t uri_len = r.U32();
+    d.uri_at = at + r.offset();
+    d.uri = std::string(r.Bytes(uri_len));
+    d.count_at = at + r.offset();
+    d.nodes.resize(r.U32());
+    for (DocsNodeAt& n : d.nodes) {
+      n.parent_at = at + r.offset();
+      (void)r.U32();
+      n.name_len_at = at + r.offset();
+      r.Skip(r.U32());
+      n.kw_count_at = at + r.offset();
+      n.kw_count = r.U32();
+      r.Skip(4 * size_t{n.kw_count});
+    }
+    d.end = at + r.offset();
+  }
+  EXPECT_TRUE(r.AtEnd());
+  return docs;
+}
+
+// A CRC-valid DOCS payload must still be validated tree by tree: a
+// forward parent, an out-of-range keyword, a duplicate root URI and a
+// node total that disagrees with META are each refused by both the
+// heap load and the mmap attach.
+TEST(BinarySnapshotConfusionTest, CrcValidHostileDocsAreRejected) {
+  constexpr uint32_t kDocsId = 6;
+  const std::string blob = ReadGolden("figure1_v2.snap");
+  const std::vector<DocsDocAt> docs = WalkDocs(blob);
+  ASSERT_GE(docs.size(), 2u);
+  ASSERT_EQ(docs[0].uri.size(), docs[1].uri.size());
+  const DocsDocAt& wide = docs[0];
+  ASSERT_GE(wide.nodes.size(), 3u);
+  size_t kw_at = 0;
+  for (const DocsNodeAt& n : wide.nodes) {
+    if (n.kw_count > 0 && kw_at == 0) kw_at = n.kw_count_at + 4;
+  }
+  ASSERT_NE(kw_at, 0u) << "no keyword in the first document";
+
+  // (refusal the message names, corrupt blob)
+  std::vector<std::pair<std::string, std::string>> cases;
+  {
+    std::string c = blob;  // node 2's parent is itself
+    PutU32(c, wide.nodes[2].parent_at, 2);
+    cases.emplace_back("node parent out of range", std::move(c));
+  }
+  {
+    std::string c = blob;
+    PutU32(c, kw_at, 1000);  // the fixture interns 7 keywords
+    cases.emplace_back("keyword id out of range", std::move(c));
+  }
+  {
+    std::string c = blob;
+    c.replace(docs[1].uri_at, docs[1].uri.size(), docs[0].uri);
+    cases.emplace_back("document URI already registered", std::move(c));
+  }
+  {
+    // Fold every non-root node of the first document into its root's
+    // name, keywordless: the payload keeps its size and parses, but
+    // holds fewer nodes than META counts.
+    std::string c = blob;
+    const DocsNodeAt& root = wide.nodes[0];
+    PutU32(c, wide.count_at, 1);
+    const size_t name_at = root.name_len_at + 4;
+    PutU32(c, root.name_len_at,
+           static_cast<uint32_t>(wide.end - 4 - name_at));
+    PutU32(c, wide.end - 4, 0);
+    cases.emplace_back("node total mismatch", std::move(c));
+  }
+  for (auto& [what, corrupt] : cases) {
+    SCOPED_TRACE(what);
+    ASSERT_NE(corrupt, blob);
+    ResealSection(corrupt, kDocsId);
+    auto info = InspectBinarySnapshot(corrupt);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    for (const auto& status :
+         {LoadBinarySnapshot(corrupt).status(),
+          AttachBinarySnapshot(MappedRegion::FromBuffer(corrupt)).status()}) {
+      ASSERT_FALSE(status.ok());
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find("DOCS"), std::string::npos)
+          << status.ToString();
+      EXPECT_NE(status.message().find(what), std::string::npos)
+          << status.ToString();
+    }
+  }
+}
+
+// The golden DOCS bytes survive a load and re-save unchanged: the flat
+// document store writes back exactly the trees and root URIs it read.
+TEST(BinarySnapshotConfusionTest, GoldenDocsResaveByteIdentical) {
+  constexpr uint32_t kDocsId = 6;
+  const std::string blob = ReadGolden("figure1_v2.snap");
+  auto loaded = LoadBinarySnapshot(blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto resaved = SaveBinarySnapshot(**loaded);
+  ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+  const auto [at, size] = SectionExtent(blob, kDocsId);
+  const auto [re_at, re_size] = SectionExtent(*resaved, kDocsId);
+  EXPECT_EQ(std::string_view(*resaved).substr(re_at, re_size),
+            std::string_view(blob).substr(at, size));
 }
 
 // ---- zero-copy attach --------------------------------------------------

@@ -236,7 +236,7 @@ inline RandomInstance BuildRandomInstance(const RandomInstanceParams& p) {
     if (i > 0 && rng.Chance(p.comment_prob)) {
       doc::DocId target = docs[rng.Uniform(i)];
       uint32_t local = static_cast<uint32_t>(
-          rng.Uniform(inst.docs().document(target).NodeCount()));
+          rng.Uniform(inst.docs().NodeCount(target)));
       (void)inst.AddComment(id, inst.docs().GlobalId(target, local));
     }
   }

@@ -304,6 +304,43 @@ TEST(InstanceDeltaTest, ValidatesOperations) {
             StatusCode::kAlreadyExists);
 }
 
+// Node URIs are unique across the base and the delta's own documents,
+// checked when the delta is built, not when it is replayed.
+TEST(InstanceDeltaTest, RefusesNodeUriClashesWhenBuilt) {
+  auto base = std::make_shared<S3Instance>();
+  const social::UserId u = base->AddUser("u");
+  doc::Document parent("doc");
+  parent.AddChild(0, "child");
+  ASSERT_TRUE(base->AddDocument(std::move(parent), "a", u).ok());
+  ASSERT_TRUE(base->Finalize().ok());
+  std::shared_ptr<const S3Instance> snap = base;
+
+  InstanceDelta delta(snap);
+  // The root "a.1" is the URI of the base document's child.
+  EXPECT_EQ(delta.AddDocument(doc::Document("doc"), "a.1", u)
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_TRUE(delta.empty());
+  // Within the delta: "b" with a first child after a root "b.1".
+  ASSERT_TRUE(delta.AddDocument(doc::Document("doc"), "b.1", u).ok());
+  doc::Document clash("doc");
+  clash.AddChild(0, "child");
+  EXPECT_EQ(delta.AddDocument(clash, "b", u).status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(delta.new_document_count(), 1u);
+  EXPECT_EQ(delta.new_node_count(), 1u);
+  // And a root in the delta cannot take a base root's derived child:
+  // "a" with its own first child is the base root again.
+  EXPECT_FALSE(delta.AddDocument(clash, "a", u).ok());
+
+  auto next = snap->ApplyDelta(delta);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ((*next)->docs().FindByUri("b.1").value(),
+            (*next)->docs().RootNode(1));
+  EXPECT_EQ((*next)->docs().FindByUri("a.1").value(), 1u);
+}
+
 TEST(InstanceDeltaTest, ApplyRejectsForeignBase) {
   std::shared_ptr<const S3Instance> a = RebuildFromScratch(0);
   std::shared_ptr<const S3Instance> b = RebuildFromScratch(0);

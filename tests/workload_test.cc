@@ -65,7 +65,7 @@ TEST(MicroblogGenTest, ShapeMatchesConstruction) {
   EXPECT_GT(inst.TagCount(), 150u);
   // Every document has >= 2 children (text + date).
   for (doc::DocId d = 0; d < inst.docs().DocumentCount(); ++d) {
-    EXPECT_GE(inst.docs().document(d).NodeCount(), 3u);
+    EXPECT_GE(inst.docs().NodeCount(d), 3u);
   }
   EXPECT_FALSE(g.semantic_anchors.empty());
 }
