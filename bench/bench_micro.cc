@@ -8,6 +8,7 @@
 // benchmark) so successive PRs can track the perf trajectory.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -293,6 +294,100 @@ void BM_BuildCandidatePlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildCandidatePlan);
+
+// The plan a cache miss pays right after a snapshot swap on I1, over a
+// seeded chain of 10 deltas shaped like perfbench ingest-mixed's (8
+// two-keyword documents, half of them comments, 4 tags, 4 social
+// edges). Each iteration takes the next (generation g, key) pair of the
+// 32 most frequent keywords and either builds the plan on g afresh
+// (repaired:0) or repairs the key's plan from generation g-1 onto g
+// (repaired:1), the work QueryService::ResolvePlan does after a swap.
+struct PlanChain {
+  std::vector<std::shared_ptr<const core::S3Instance>> gens;
+  std::vector<std::vector<KeywordId>> keys;
+  std::vector<std::vector<core::CandidatePlan>> plans;  // [g][key]
+};
+
+const PlanChain& I1PlanChain() {
+  static const PlanChain* chain = [] {
+    auto* out = new PlanChain();
+    const core::S3Instance& base = *I1().instance;
+    out->gens.emplace_back(&base, [](const core::S3Instance*) {});
+    std::vector<std::pair<size_t, KeywordId>> by_df;
+    for (KeywordId k : base.index().Keywords()) {
+      by_df.emplace_back(base.index().DocumentFrequency(k), k);
+    }
+    std::sort(by_df.begin(), by_df.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    for (size_t i = 0; i < 32 && i < by_df.size(); ++i) {
+      out->keys.push_back({by_df[i].second});
+    }
+    Rng rng(3101);
+    for (uint64_t serial = 0; serial < 10; ++serial) {
+      const auto& cur = out->gens.back();
+      core::InstanceDelta delta(cur);
+      const auto users = static_cast<uint32_t>(cur->UserCount());
+      const auto vocab = static_cast<uint32_t>(cur->vocabulary().size());
+      const auto nodes = static_cast<uint32_t>(cur->docs().NodeCount());
+      auto user = [&] {
+        return static_cast<social::UserId>(rng.Uniform(users));
+      };
+      auto keyword = [&] { return static_cast<KeywordId>(rng.Uniform(vocab)); };
+      auto node = [&] { return static_cast<doc::NodeId>(rng.Uniform(nodes)); };
+      for (int i = 0; i < 8; ++i) {
+        doc::Document d("tweet");
+        d.AddKeywords(0, {keyword(), keyword()});
+        auto id = delta.AddDocument(std::move(d),
+                                    "chain" + std::to_string(serial) + "_" +
+                                        std::to_string(i),
+                                    user());
+        if (id.ok() && rng.Chance(0.5)) (void)delta.AddComment(*id, node());
+      }
+      for (int t = 0; t < 4; ++t) {
+        (void)delta.AddTagOnFragment(user(), node(), keyword());
+      }
+      for (int e = 0; e < 4; ++e) {
+        const social::UserId from = user();
+        (void)delta.AddSocialEdge(
+            from, (from + 1 + rng.Uniform(users - 1)) % users, 0.5);
+      }
+      out->gens.push_back(*cur->ApplyDelta(delta));
+    }
+    for (const auto& gen : out->gens) {
+      auto& row = out->plans.emplace_back();
+      for (const auto& key : out->keys) {
+        row.push_back(*core::BuildCandidatePlan(*gen, key, true, 0.5));
+      }
+    }
+    return out;
+  }();
+  return *chain;
+}
+
+void BM_PlanAfterDelta(benchmark::State& state,
+                       const PlanChain& (*make)()) {
+  const PlanChain& chain = make();
+  const bool repaired = state.range(0) != 0;
+  const size_t n_keys = chain.keys.size();
+  size_t next = 0;
+  for (auto _ : state) {
+    const size_t g = 1 + next / n_keys % (chain.gens.size() - 1);
+    const size_t key = next % n_keys;
+    ++next;
+    auto plan = repaired ? core::RepairCandidatePlan(*chain.gens[g],
+                                                     chain.plans[g - 1][key],
+                                                     true, 0.5)
+                         : core::BuildCandidatePlan(*chain.gens[g],
+                                                    chain.keys[key], true,
+                                                    0.5);
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK_CAPTURE(BM_PlanAfterDelta, I1, &I1PlanChain)
+    ->ArgName("repaired")
+    ->Arg(0)
+    ->Arg(1);
 
 // The solo fat query: a controlled component-count sweep for the
 // intra-query pool. BM_S3kQuery averages over the whole workload —

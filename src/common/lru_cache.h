@@ -13,7 +13,6 @@
 #include <list>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace s3 {
 
@@ -59,27 +58,6 @@ class LruCache {
   }
 
   bool Contains(const K& key) const { return index_.count(key) != 0; }
-
-  // Erases every entry satisfying pred(key, value); returns how many.
-  // Targeted invalidation (e.g. stale-generation purges) — not counted
-  // as capacity evictions. With `taken`, the erased values are moved
-  // there instead of destroyed, so a caller that holds a lock around
-  // the cache can release them after unlocking.
-  template <typename Pred>
-  size_t EraseIf(Pred pred, std::vector<V>* taken = nullptr) {
-    size_t erased = 0;
-    for (auto it = items_.begin(); it != items_.end();) {
-      if (pred(it->first, it->second)) {
-        if (taken != nullptr) taken->push_back(std::move(it->second));
-        index_.erase(it->first);
-        it = items_.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
-  }
 
   size_t size() const { return items_.size(); }
   size_t capacity() const { return capacity_; }

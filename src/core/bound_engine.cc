@@ -1,6 +1,7 @@
 #include "core/bound_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -164,6 +165,85 @@ CandidateIndex BuildCandidateIndex(
               return ix.slot_cap[a] > ix.slot_cap[b];
             });
   return ix;
+}
+
+void RefreshTailCoefficients(CandidateIndex& ix,
+                             const std::vector<double>& column_max) {
+  std::vector<TailAccumulator> acc(ix.kw_c.size());
+  for (size_t p = 0; p < ix.source_rows.size(); ++p) {
+    const uint32_t row = ix.source_rows[p];
+    const double cm = column_max[row];
+    for (uint64_t i = ix.rev_begin[p]; i < ix.rev_begin[p + 1]; ++i) {
+      acc[ix.rev_sum[i]].Add(row, ix.rev_w[i], cm);
+    }
+  }
+  for (size_t sum = 0; sum < acc.size(); ++sum) {
+    ix.kw_c[sum] = acc[sum].Coefficient();
+  }
+}
+
+ForwardSources TransposeSources(const CandidateIndex& ix) {
+  ForwardSources fwd;
+  fwd.begin.assign(ix.kw_w.size() + 1, 0);
+  for (uint32_t sum : ix.rev_sum) ++fwd.begin[sum + 1];
+  for (size_t sum = 0; sum + 1 < fwd.begin.size(); ++sum) {
+    fwd.begin[sum + 1] += fwd.begin[sum];
+  }
+  fwd.entries.resize(ix.rev_sum.size());
+  std::vector<uint32_t> cursor(fwd.begin.begin(), fwd.begin.end() - 1);
+  for (size_t p = 0; p < ix.source_rows.size(); ++p) {
+    for (uint64_t i = ix.rev_begin[p]; i < ix.rev_begin[p + 1]; ++i) {
+      fwd.entries[cursor[ix.rev_sum[i]]++] = {ix.source_rows[p], ix.rev_w[i]};
+    }
+  }
+  return fwd;
+}
+
+ComponentCandidates SlotCandidates(const CandidateIndex& ix,
+                                   const ForwardSources& fwd, uint32_t slot) {
+  const size_t K = ix.n_keywords;
+  ComponentCandidates cc;
+  cc.max_cap = ix.slot_cap[slot];
+  for (uint32_t ci = ix.slot_begin[slot]; ci < ix.slot_begin[slot + 1]; ++ci) {
+    Candidate& c = cc.candidates.emplace_back();
+    c.node = ix.node[ci];
+    c.sources.resize(K);
+    for (size_t qi = 0; qi < K; ++qi) {
+      const size_t sum = ci * K + qi;
+      c.sources[qi].assign(fwd.entries.begin() + fwd.begin[sum],
+                           fwd.entries.begin() + fwd.begin[sum + 1]);
+    }
+  }
+  return cc;
+}
+
+bool SlotMatches(const CandidateIndex& ix, const ForwardSources& fwd,
+                 uint32_t slot, const ComponentCandidates& cc) {
+  const size_t K = ix.n_keywords;
+  const uint32_t first = ix.slot_begin[slot];
+  if (cc.candidates.size() != ix.slot_begin[slot + 1] - first ||
+      std::bit_cast<uint64_t>(cc.max_cap) !=
+          std::bit_cast<uint64_t>(ix.slot_cap[slot])) {
+    return false;
+  }
+  for (uint32_t i = 0; i < cc.candidates.size(); ++i) {
+    const Candidate& c = cc.candidates[i];
+    if (c.node != ix.node[first + i]) return false;
+    for (size_t qi = 0; qi < K; ++qi) {
+      const size_t sum = (first + i) * K + qi;
+      const auto& list = c.sources[qi];
+      if (list.size() != fwd.begin[sum + 1] - fwd.begin[sum]) return false;
+      for (size_t e = 0; e < list.size(); ++e) {
+        const auto& old = fwd.entries[fwd.begin[sum] + e];
+        if (list[e].first != old.first ||
+            std::bit_cast<uint32_t>(list[e].second) !=
+                std::bit_cast<uint32_t>(old.second)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
 }
 
 CandidateBoundEngine::CandidateBoundEngine(const CandidateIndex& index)

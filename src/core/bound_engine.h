@@ -103,6 +103,35 @@ CandidateIndex BuildCandidateIndex(
     const std::vector<double>& column_max,
     const std::vector<ComponentCandidates>& per_comp);
 
+// Recomputes every kw_c of `ix` against `column_max` (a successor
+// generation's TransitionMatrix::ColumnMax()) in one ascending pass
+// over the reverse index. Each sum meets its entries in ascending row,
+// its source list's order, so every coefficient equals TailCoefficient
+// over that list bit for bit.
+void RefreshTailCoefficients(CandidateIndex& ix,
+                             const std::vector<double>& column_max);
+
+// The forward source lists of an index, transposed from its reverse
+// index in O(entries): the entries of sum index ci*K + qi are
+// [begin[sum], begin[sum + 1]) of `entries`, in ascending row — the
+// (row, weight) list BuildCandidateIndex was given for that sum.
+struct ForwardSources {
+  std::vector<uint32_t> begin;
+  std::vector<std::pair<uint32_t, float>> entries;
+};
+ForwardSources TransposeSources(const CandidateIndex& ix);
+
+// Slot `slot` of `ix` back as the ComponentCandidates it was built from:
+// nodes, source lists and max_cap, which is all BuildCandidateIndex
+// reads (static_weight and cap are left empty).
+ComponentCandidates SlotCandidates(const CandidateIndex& ix,
+                                   const ForwardSources& fwd, uint32_t slot);
+
+// True iff `cc` would flatten into slot `slot` of `ix` unchanged: the
+// same nodes, source rows, weight bits and max_cap bits.
+bool SlotMatches(const CandidateIndex& ix, const ForwardSources& fwd,
+                 uint32_t slot, const ComponentCandidates& cc);
+
 class CandidateBoundEngine {
  public:
   // Query state over `index`, which must outlive the engine.

@@ -34,7 +34,7 @@ Status InstanceDelta::CheckBase() const {
 }
 
 size_t InstanceDelta::CombinedDocCount() const {
-  return base_->docs().DocumentCount() + docs_.size();
+  return base_->docs().DocumentCount() + doc_posters_.size();
 }
 
 size_t InstanceDelta::CombinedNodeCount() const {
@@ -110,7 +110,7 @@ Result<doc::DocId> InstanceDelta::AddDocument(doc::Document document,
   doc::DocId id = static_cast<doc::DocId>(CombinedDocCount());
   S3_RETURN_IF_ERROR(new_docs_.AddDocument(document, uri).status());
   order_.push_back(OpKind::kDocument);
-  docs_.push_back(DocOp{std::move(document), std::move(uri), poster});
+  doc_posters_.push_back(poster);
   return id;
 }
 
@@ -188,10 +188,9 @@ void InstanceDelta::EncodeWalRecord(std::string* out) const {
     w.U8(static_cast<uint8_t>(kind));
     switch (kind) {
       case OpKind::kDocument: {
-        const doc::DocId local_doc = static_cast<doc::DocId>(di);
-        const DocOp& op = docs_[di++];
-        w.Str(op.uri);
-        w.U32(op.poster);
+        const doc::DocId local_doc = static_cast<doc::DocId>(di++);
+        w.Str(new_docs_.RootUri(local_doc));
+        w.U32(doc_posters_[local_doc]);
         doc::WriteDocumentTree(new_docs_, local_doc, w);
         break;
       }
@@ -351,9 +350,9 @@ Status InstanceDelta::Replay(S3Instance& target) const {
   for (OpKind kind : order_) {
     switch (kind) {
       case OpKind::kDocument: {
-        const DocOp& op = docs_[di++];
-        Result<doc::DocId> added =
-            target.AddDocument(op.document, op.uri, op.poster);
+        const doc::DocId local_doc = static_cast<doc::DocId>(di++);
+        Result<doc::DocId> added = target.AddDocumentFrom(
+            new_docs_, local_doc, doc_posters_[local_doc]);
         if (!added.ok()) return added.status();
         break;
       }

@@ -72,7 +72,7 @@ class InstanceDelta {
 
   bool empty() const { return order_.empty(); }
   size_t op_count() const { return order_.size(); }
-  size_t new_document_count() const { return docs_.size(); }
+  size_t new_document_count() const { return doc_posters_.size(); }
   size_t new_tag_count() const { return tags_.size(); }
   size_t new_social_edge_count() const { return socials_.size(); }
   size_t new_node_count() const { return new_docs_.NodeCount(); }
@@ -128,11 +128,6 @@ class InstanceDelta {
  private:
   enum class OpKind : uint8_t { kDocument, kComment, kTag, kSocial };
 
-  struct DocOp {
-    doc::Document document;
-    std::string uri;
-    social::UserId poster;
-  };
   struct CommentOp {
     doc::DocId comment;
     doc::NodeId target;
@@ -168,7 +163,7 @@ class InstanceDelta {
   // Replay reproduces the exact sequence (edge insertion order is part
   // of rebuild equivalence).
   std::vector<OpKind> order_;
-  std::vector<DocOp> docs_;
+  std::vector<social::UserId> doc_posters_;  // per new document
   std::vector<CommentOp> comments_;
   std::vector<TagOp> tags_;
   std::vector<SocialOp> socials_;
@@ -178,9 +173,10 @@ class InstanceDelta {
   std::unordered_map<std::string, KeywordId> overlay_index_;
 
   // The delta's documents in delta-local ids (node n here is combined
-  // node base NodeCount() + n): the delta-side node id state, the URI
-  // uniqueness check among the delta's own documents and the trees the
-  // WAL record encodes.
+  // node base NodeCount() + n), the only copy of them: the delta-side
+  // node id state, the URI uniqueness check among the delta's own
+  // documents, the trees (and root URIs) the WAL record encodes and
+  // what Replay copies into the successor.
   doc::DocumentStore new_docs_;
 };
 

@@ -36,6 +36,11 @@ uint64_t LineageBase() {
 }
 
 std::atomic<uint64_t> g_next_lineage{1};
+std::atomic<uint64_t> g_next_instance_id{1};
+
+uint64_t MintInstanceId() {
+  return g_next_instance_id.fetch_add(1, std::memory_order_relaxed);
+}
 
 uint64_t MintLineage() {
   return LineageBase() + g_next_lineage.fetch_add(1,
@@ -114,9 +119,9 @@ Status S3Instance::AddSocialEdge(social::UserId from, social::UserId to,
   return Status::OK();
 }
 
-Result<doc::DocId> S3Instance::AddDocument(doc::Document document,
-                                           std::string uri,
-                                           social::UserId poster) {
+template <typename KeywordsOf>
+Status S3Instance::CheckNewDocument(social::UserId poster, uint32_t n_nodes,
+                                    KeywordsOf&& keywords_of) const {
   if (finalized_) {
     return Status::FailedPrecondition("AddDocument after Finalize");
   }
@@ -125,15 +130,19 @@ Result<doc::DocId> S3Instance::AddDocument(doc::Document document,
   }
   // The keyword directories are indexed by KeywordId, so every id must
   // name an interned keyword.
-  for (uint32_t local = 0; local < document.NodeCount(); ++local) {
-    for (KeywordId k : document.node(local).keywords) {
+  for (uint32_t local = 0; local < n_nodes; ++local) {
+    for (KeywordId k : keywords_of(local)) {
       if (k >= vocabulary_.size()) {
         return Status::InvalidArgument("document keyword id " +
                                        std::to_string(k) + " not interned");
       }
     }
   }
-  Result<doc::DocId> added = docs_.AddDocument(document, uri);
+  return Status::OK();
+}
+
+Result<doc::DocId> S3Instance::PostDocument(Result<doc::DocId> added,
+                                            social::UserId poster) {
   if (!added.ok()) return added.status();
   doc::DocId d = added.value();
   poster_of_.push_back(poster);
@@ -141,6 +150,25 @@ Result<doc::DocId> S3Instance::AddDocument(doc::Document document,
   edges_.AddWithInverse(EntityId::Fragment(docs_.RootNode(d)),
                         EntityId::User(poster), EdgeLabel::kPostedBy, 1.0);
   return d;
+}
+
+Result<doc::DocId> S3Instance::AddDocument(doc::Document document,
+                                           std::string uri,
+                                           social::UserId poster) {
+  S3_RETURN_IF_ERROR(CheckNewDocument(
+      poster, document.NodeCount(), [&](uint32_t local) -> const auto& {
+        return document.node(local).keywords;
+      }));
+  return PostDocument(docs_.AddDocument(document, uri), poster);
+}
+
+Result<doc::DocId> S3Instance::AddDocumentFrom(
+    const doc::DocumentStore& source, doc::DocId d, social::UserId poster) {
+  S3_RETURN_IF_ERROR(
+      CheckNewDocument(poster, source.NodeCount(d), [&](uint32_t local) {
+        return source.Keywords(source.GlobalId(d, local));
+      }));
+  return PostDocument(docs_.AddDocumentFrom(source, d), poster);
 }
 
 Status S3Instance::AddComment(doc::DocId comment, doc::NodeId target) {
@@ -323,9 +351,11 @@ Status S3Instance::Finalize() {
   // comments-on tables.
   BuildReach(/*first_new_edge=*/0);
   IndexSubjects(/*base=*/nullptr);
+  comp_stamp_.assign(components_.ComponentCount(), generation_);
 
   finalized_ = true;
   lineage_ = MintLineage();
+  instance_id_ = MintInstanceId();
   return Status::OK();
 }
 
@@ -688,6 +718,8 @@ Status S3Instance::AttachDerived(SnapshotDerived d) {
   generation_ = d.generation;
   lineage_ = d.lineage;
   ReserveLineage(d.lineage);
+  comp_stamp_.assign(components_.ComponentCount(), generation_);
+  instance_id_ = MintInstanceId();
   finalized_ = true;
   return Status::OK();
 }
@@ -714,7 +746,8 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::ApplyDelta(
   }
   S3_RETURN_IF_ERROR(delta.Replay(*next));
   S3_RETURN_IF_ERROR(next->FinalizeIncremental(*this));
-  next->generation_ = generation_ + 1;
+  next->instance_id_ = MintInstanceId();
+  next->parent_id_ = instance_id_;
   return std::shared_ptr<const S3Instance>(std::move(next));
 }
 
@@ -825,6 +858,34 @@ Status S3Instance::FinalizeIncremental(const S3Instance& base) {
     auto& comps = CompsWithKeywordSlot(k);
     std::sort(comps.begin(), comps.end());
     comps.erase(std::unique(comps.begin(), comps.end()), comps.end());
+  }
+
+  // Change stamps. A component keeps the stamp of the one pre-delta
+  // component it continues, unless the delta gave it a new fragment or
+  // tag, merged a second one into it, or appended an edge at one of its
+  // members — a comment from a base document, say, which adds neither.
+  // (Every new document and tag appends an edge at its own rows, so
+  // the last rule covers the first two today; they do not lean on it.)
+  generation_ = base.generation_ + 1;
+  comp_stamp_.assign(components_.ComponentCount(), generation_);
+  std::vector<char> continued(comp_stamp_.size(), 0);
+  for (social::ComponentId c = 0; c < old_to_new.size(); ++c) {
+    const social::ComponentId nc = old_to_new[c];
+    comp_stamp_[nc] = continued[nc] ? generation_ : base.comp_stamp_[c];
+    continued[nc] = 1;
+  }
+  for (uint32_t row = old_tag_base; row < old_tag_base + n_new_frag; ++row) {
+    comp_stamp_[components_.OfRow(row)] = generation_;
+  }
+  for (social::TagId t = old_tags; t < tags_.size(); ++t) {
+    comp_stamp_[components_.Of(EntityId::Tag(t))] = generation_;
+  }
+  for (uint32_t idx = first_new_edge; idx < edges_.size(); ++idx) {
+    const social::NetEdge& e = edges_.edge(idx);
+    for (EntityId end : {e.source, e.target}) {
+      if (end.kind() == social::EntityKind::kUser) continue;
+      comp_stamp_[components_.Of(end)] = generation_;
+    }
   }
 
   // Reach partition: extend the inherited forest with the delta's

@@ -92,6 +92,10 @@ class S3Instance {
   // keyword id in the document must be interned.
   Result<doc::DocId> AddDocument(doc::Document document, std::string uri,
                                  social::UserId poster);
+  // AddDocument for a copy of document `d` of another store, under its
+  // root URI there (InstanceDelta::Replay adds its staged documents so).
+  Result<doc::DocId> AddDocumentFrom(const doc::DocumentStore& source,
+                                     doc::DocId d, social::UserId poster);
 
   // Declares that document `comment` comments on fragment `target`
   // (S3:commentsOn, and inverse). Any reply / retweet-with-comment /
@@ -172,6 +176,15 @@ class S3Instance {
   // swap across lineages (an unrelated instance's generation number
   // says nothing about its id spaces).
   uint64_t lineage() const { return lineage_; }
+
+  // Process-unique id of this finalized snapshot (Finalize, a snapshot
+  // attach and ApplyDelta each mint one), and the id of the snapshot
+  // ApplyDelta built it from (0 for a Finalize or attach). Generation
+  // and lineage do not prove ancestry — two deltas applied to one base
+  // give two same-lineage successors of one generation — so the serving
+  // layer follows these ids to know which cached plans it may repair.
+  uint64_t instance_id() const { return instance_id_; }
+  uint64_t parent_id() const { return parent_id_; }
 
   // Number of social edges imported from RDF triples by Finalize.
   size_t rdf_social_edges() const { return rdf_social_edges_; }
@@ -315,6 +328,18 @@ class S3Instance {
   uint32_t ReachRootOfUser(social::UserId u) const { return reach_root_[u]; }
   uint32_t ReachRootOfComponent(social::ComponentId c) const;
 
+  // The generation at which component `c` last changed: gained a member
+  // (a new fragment or tag, or another component by a merge) or an
+  // endpoint of a new edge. Finalize and a snapshot attach stamp every
+  // component with their own generation; ApplyDelta carries each
+  // untouched component's stamp over. A component stamped at or below
+  // generation g has the same members, tags and comments as at g, so
+  // its candidates for any query are still those built at g
+  // (RepairCandidatePlan). Derived, never persisted.
+  uint64_t ComponentChangedAt(social::ComponentId c) const {
+    return comp_stamp_[c];
+  }
+
  private:
   // Structure-sharing copy used by ApplyDelta: shared_ptr members are
   // shared, copy-on-write stores copy their cheap spines and the flat
@@ -327,6 +352,15 @@ class S3Instance {
   S3Instance(const S3Instance& base);
 
   Status RequireNotFinalized(const char* op) const;
+
+  // The two halves of AddDocument / AddDocumentFrom: the poster and
+  // keyword checks on a document whose keywords `keywords_of(local)`
+  // lists, and the poster table and postedBy edges once `added` holds.
+  template <typename KeywordsOf>
+  Status CheckNewDocument(social::UserId poster, uint32_t n_nodes,
+                          KeywordsOf&& keywords_of) const;
+  Result<doc::DocId> PostDocument(Result<doc::DocId> added,
+                                  social::UserId poster);
 
   // Second phase of FromSnapshot: `this` holds the restored population
   // and is not finalized. Validates the derived structures against the
@@ -379,6 +413,8 @@ class S3Instance {
   bool finalized_ = false;
   uint64_t generation_ = 0;
   uint64_t lineage_ = 0;
+  uint64_t instance_id_ = 0;
+  uint64_t parent_id_ = 0;
   size_t rdf_social_edges_ = 0;
   std::optional<social::EntityLayout> layout_;
   // Tags on each subject, keyed by the subject's entity row; comment
@@ -388,6 +424,7 @@ class S3Instance {
   doc::InvertedIndex index_;
   social::TransitionMatrix matrix_;
   social::ComponentIndex components_;
+  std::vector<uint64_t> comp_stamp_;  // by component (ComponentChangedAt)
   rdf::SaturationStats saturation_stats_;
   // KeywordId-indexed (null: no component), copy-on-write like the
   // inverted index: a successor snapshot clones only the per-keyword

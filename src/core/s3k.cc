@@ -1,6 +1,7 @@
 #include "core/s3k.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <thread>
@@ -44,9 +45,10 @@ Status QueryOptions::Validate() const {
   return Status::OK();
 }
 
-Result<CandidatePlan> BuildCandidatePlan(
-    const S3Instance& instance, const std::vector<KeywordId>& keywords,
-    bool use_semantics, double eta, ThreadPool* /*pool*/) {
+namespace {
+
+Status CheckPlanInputs(const S3Instance& instance,
+                       const std::vector<KeywordId>& keywords) {
   if (!instance.finalized()) {
     return Status::FailedPrecondition("instance not finalized");
   }
@@ -56,26 +58,31 @@ Result<CandidatePlan> BuildCandidatePlan(
   if (keywords.size() > 64) {
     return Status::InvalidArgument("queries are limited to 64 keywords");
   }
+  return Status::OK();
+}
 
-  CandidatePlan plan;
-  plan.keywords = keywords;
-  const size_t n_keywords = keywords.size();
-
-  // ---- 1. Semantic extension of the query keywords.
+// Step 1 of a plan: the semantic extension of plan.keywords.
+void ExtendPlan(const S3Instance& instance, bool use_semantics,
+                CandidatePlan& plan) {
+  const size_t n_keywords = plan.keywords.size();
   plan.ext.resize(n_keywords);
   for (size_t i = 0; i < n_keywords; ++i) {
     if (use_semantics) {
-      for (KeywordId k : instance.ExtendKeyword(keywords[i])) {
+      for (KeywordId k : instance.ExtendKeyword(plan.keywords[i])) {
         plan.ext[i].insert(k);
       }
     } else {
-      plan.ext[i].insert(keywords[i]);
+      plan.ext[i].insert(plan.keywords[i]);
     }
     plan.extension_keywords += plan.ext[i].size();
   }
+}
 
-  // ---- 2. Passing components: every query keyword (or an extension
-  // member) occurs in the component.
+// Step 2: the passing components (every query keyword, or an extension
+// member, occurs in the component), sorted, with their reach roots and
+// smallest member rows; and the instance stamps.
+void PassPlan(const S3Instance& instance, CandidatePlan& plan) {
+  const size_t n_keywords = plan.keywords.size();
   const uint64_t full_mask =
       n_keywords == 64 ? ~0ull : ((1ull << n_keywords) - 1);
   std::unordered_map<ComponentId, uint64_t> comp_mask;
@@ -91,9 +98,38 @@ Result<CandidatePlan> BuildCandidatePlan(
   }
   std::sort(plan.passing.begin(), plan.passing.end());
   plan.comp_reach_root.reserve(plan.passing.size());
+  plan.slot_row.reserve(plan.passing.size());
   for (ComponentId c : plan.passing) {
     plan.comp_reach_root.push_back(instance.ReachRootOfComponent(c));
+    plan.slot_row.push_back(instance.components().Members(c).front());
   }
+  plan.generation = instance.generation();
+  plan.lineage = instance.lineage();
+}
+
+// Source rows are users (tag authors) and fragments (document roots
+// and the candidate itself), never tags: tag rows shift when a delta
+// adds fragments, the others never move, which is what lets a repaired
+// plan keep its rows.
+void AssertSourcesUntagged(const S3Instance& instance,
+                           const CandidateIndex& index) {
+  assert(index.source_rows.empty() ||
+         index.source_rows.back() <
+             instance.UserCount() + instance.docs().NodeCount());
+  (void)instance;
+  (void)index;
+}
+
+}  // namespace
+
+Result<CandidatePlan> BuildCandidatePlan(
+    const S3Instance& instance, const std::vector<KeywordId>& keywords,
+    bool use_semantics, double eta, ThreadPool* /*pool*/) {
+  S3_RETURN_IF_ERROR(CheckPlanInputs(instance, keywords));
+  CandidatePlan plan;
+  plan.keywords = keywords;
+  ExtendPlan(instance, use_semantics, plan);
+  PassPlan(instance, plan);
 
   // ---- 3. Candidate construction per passing component (the paper's
   // GetDocuments, run eagerly; exploration refines only prox), then
@@ -106,10 +142,87 @@ Result<CandidatePlan> BuildCandidatePlan(
   for (ComponentId comp : plan.passing) {
     per_comp.push_back(builder.Build(comp, plan.ext));
   }
-  plan.index = BuildCandidateIndex(instance.docs(), n_keywords,
+  plan.index = BuildCandidateIndex(instance.docs(), keywords.size(),
                                    instance.matrix().ColumnMax(), per_comp);
-  plan.generation = instance.generation();
-  plan.lineage = instance.lineage();
+  AssertSourcesUntagged(instance, plan.index);
+  return plan;
+}
+
+Result<CandidatePlan> RepairCandidatePlan(const S3Instance& instance,
+                                          const CandidatePlan& old,
+                                          bool use_semantics, double eta,
+                                          PlanRepairStats* stats) {
+  S3_RETURN_IF_ERROR(CheckPlanInputs(instance, old.keywords));
+  if (old.lineage != instance.lineage() ||
+      old.generation >= instance.generation()) {
+    return Status::InvalidArgument(
+        "a plan repairs only onto a later generation of its lineage");
+  }
+  PlanRepairStats local;
+  if (stats == nullptr) stats = &local;
+  *stats = PlanRepairStats{};
+
+  CandidatePlan plan;
+  plan.keywords = old.keywords;
+  ExtendPlan(instance, use_semantics, plan);
+  if (plan.ext != old.ext) {
+    stats->full_build = true;
+    return BuildCandidatePlan(instance, old.keywords, use_semantics, eta);
+  }
+  PassPlan(instance, plan);
+
+  // Match each passing component to the old slot of the same smallest
+  // member row (both lists ascend with it: component ids are assigned
+  // in row order). A matched component unchanged since the old plan
+  // keeps its slot; every other one is built again.
+  const size_t n_slots = plan.passing.size();
+  constexpr uint32_t kNone = UINT32_MAX;
+  std::vector<uint32_t> from(n_slots, kNone);
+  std::vector<ComponentCandidates> rebuilt(n_slots);
+  bool same_slots = n_slots == old.slot_row.size();
+  ConnectionBuilder builder(instance, eta);
+  size_t j = 0;
+  for (size_t i = 0; i < n_slots; ++i) {
+    while (j < old.slot_row.size() && old.slot_row[j] < plan.slot_row[i]) ++j;
+    const bool matched =
+        j < old.slot_row.size() && old.slot_row[j] == plan.slot_row[i];
+    same_slots &= matched && j == i;
+    if (matched &&
+        instance.ComponentChangedAt(plan.passing[i]) <= old.generation) {
+      from[i] = static_cast<uint32_t>(j);
+      ++stats->slots_kept;
+    } else {
+      rebuilt[i] = builder.Build(plan.passing[i], plan.ext);
+      ++stats->slots_rebuilt;
+    }
+  }
+
+  // Fast path: the same slots, and every rebuilt one flattens exactly
+  // as before. Then only the tail coefficients (ColumnMax moved) and
+  // the reach roots (already fresh) can differ from the old plan.
+  ForwardSources fwd;
+  if (stats->slots_rebuilt > 0 || !same_slots) {
+    fwd = TransposeSources(old.index);
+  }
+  bool reuse = same_slots;
+  for (size_t i = 0; reuse && i < n_slots; ++i) {
+    reuse = from[i] != kNone ||
+            SlotMatches(old.index, fwd, static_cast<uint32_t>(i), rebuilt[i]);
+  }
+  if (reuse) {
+    plan.index = old.index;
+    RefreshTailCoefficients(plan.index, instance.matrix().ColumnMax());
+    stats->index_reused = true;
+  } else {
+    for (size_t i = 0; i < n_slots; ++i) {
+      if (from[i] != kNone) {
+        rebuilt[i] = SlotCandidates(old.index, fwd, from[i]);
+      }
+    }
+    plan.index = BuildCandidateIndex(instance.docs(), plan.keywords.size(),
+                                     instance.matrix().ColumnMax(), rebuilt);
+  }
+  AssertSourcesUntagged(instance, plan.index);
   return plan;
 }
 

@@ -148,6 +148,11 @@ struct CandidatePlan {
   // Components in which every query keyword (or an extension member)
   // occurs, sorted; component passing[i] is index slot i.
   std::vector<social::ComponentId> passing;
+  // Smallest member row of each passing component (parallel to
+  // `passing`). It is a fragment row, and fragment rows never move, so
+  // it names the component across generations while component ids
+  // shift: RepairCandidatePlan matches slots by it.
+  std::vector<uint32_t> slot_row;
   // The candidates of every passing component, flattened: nodes,
   // per-keyword weights and tail coefficients, the reverse source
   // index, the vertical-neighbor pairs and the slot caps.
@@ -162,8 +167,10 @@ struct CandidatePlan {
   std::vector<uint32_t> comp_reach_root;
   size_t extension_keywords = 0;  // Σ |Ext(k)| over query keywords
   // The instance the plan was built on (S3Instance::generation() and
-  // lineage()). Row ids shift between generations, so a search rejects
-  // a plan whose stamp differs from its own instance's.
+  // lineage()). Tag rows and component ids shift between generations,
+  // so a search rejects a plan whose stamp differs from its own
+  // instance's. (The index's source rows are users and fragments only,
+  // whose rows never move.)
   uint64_t generation = 0;
   uint64_t lineage = 0;
 
@@ -178,6 +185,33 @@ struct CandidatePlan {
 Result<CandidatePlan> BuildCandidatePlan(
     const S3Instance& instance, const std::vector<KeywordId>& keywords,
     bool use_semantics, double eta, ThreadPool* pool = nullptr);
+
+// What RepairCandidatePlan did (for tests and benches).
+struct PlanRepairStats {
+  size_t slots_kept = 0;      // passing components carried over
+  size_t slots_rebuilt = 0;   // passing components built again
+  bool index_reused = false;  // the old index, with fresh kw_c
+  bool full_build = false;    // the extension changed: built afresh
+};
+
+// Brings `old`, a plan for the same keywords, use_semantics and eta
+// built on an ancestor of `instance` (an earlier generation of its
+// ApplyDelta chain), up to `instance`: the result equals
+// BuildCandidatePlan(instance, old.keywords, ...) bit for bit, field by
+// field. Connections never cross a component, so a passing component
+// that has not changed since old.generation
+// (S3Instance::ComponentChangedAt) keeps its candidates, and only the
+// others are built again. When every passing slot comes out as before,
+// the old index is reused with its tail coefficients recomputed against
+// the new ColumnMax; otherwise it is flattened anew. A changed
+// extension means a full build. Ancestry is the caller's to know (the
+// stamps say nothing about a plan from another branch): the serving
+// layer repairs only along its own chain of swaps. InvalidArgument when
+// `old` is of another lineage or not older than `instance`.
+Result<CandidatePlan> RepairCandidatePlan(const S3Instance& instance,
+                                          const CandidatePlan& old,
+                                          bool use_semantics, double eta,
+                                          PlanRepairStats* stats = nullptr);
 
 // One returned answer with its score interval at termination.
 struct ResultEntry {

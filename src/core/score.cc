@@ -24,19 +24,9 @@ double CandidateLowerBound(const Candidate& cand,
 
 double TailCoefficient(const std::vector<std::pair<uint32_t, float>>& sources,
                        const std::vector<double>& column_max) {
-  double w_total = 0.0;
-  double w_max = 0.0;
-  double col = 0.0;
-  bool distinct = true;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    const auto& [src, w] = sources[i];
-    w_total += static_cast<double>(w);
-    w_max = std::max(w_max, static_cast<double>(w));
-    col += static_cast<double>(w) * column_max[src];
-    if (i > 0 && src <= sources[i - 1].first) distinct = false;
-  }
-  const double c = distinct ? std::min(w_max, col) : col;
-  return std::min(w_total, kTailMargin * c);
+  TailAccumulator acc;
+  for (const auto& [src, w] : sources) acc.Add(src, w, column_max[src]);
+  return acc.Coefficient();
 }
 
 double CandidateUpperBound(const Candidate& cand,

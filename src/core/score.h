@@ -88,6 +88,32 @@ inline constexpr double kTailMargin = 1.0 + 1e-9;
 double TailCoefficient(const std::vector<std::pair<uint32_t, float>>& sources,
                        const std::vector<double>& column_max);
 
+// TailCoefficient's running state, fed one (row, w) entry at a time in
+// list order: the one place its arithmetic lives, so a coefficient
+// recomputed from the reverse index (RefreshTailCoefficients) matches
+// the list's bit for bit.
+struct TailAccumulator {
+  double w_total = 0.0;
+  double w_max = 0.0;
+  double col = 0.0;
+  uint32_t prev = 0;
+  bool any = false;
+  bool distinct = true;
+
+  void Add(uint32_t src, float w, double column_max) {
+    w_total += static_cast<double>(w);
+    w_max = std::max(w_max, static_cast<double>(w));
+    col += static_cast<double>(w) * column_max;
+    if (any && src <= prev) distinct = false;
+    prev = src;
+    any = true;
+  }
+  double Coefficient() const {
+    const double c = distinct ? std::min(w_max, col) : col;
+    return std::min(w_total, kTailMargin * c);
+  }
+};
+
 // The upper bound on one keyword's sum given its partial sum S, static
 // weight W and tail coefficient c: S can still gain at most c·tail, and
 // prox ≤ 1 caps the sum at W. max(S, ·) keeps upper ≥ lower even when

@@ -106,6 +106,17 @@ Result<DocId> DocumentStore::CommitDocument(std::string_view root_uri) {
   return d;
 }
 
+Result<DocId> DocumentStore::AddDocumentFrom(const DocumentStore& source,
+                                             DocId d) {
+  const NodeId root = source.RootNode(d);
+  for (NodeId n = root; n < root + source.NodeCount(d); ++n) {
+    const NodeId parent = source.Parent(n);
+    AppendNode(parent == kInvalidNode ? UINT32_MAX : parent - root,
+               source.Name(n), source.Keywords(n));
+  }
+  return CommitDocument(source.RootUri(d));
+}
+
 void DocumentStore::DropPending() {
   const NodeId first = first_node_.back();
   doc_of_.resize(first);

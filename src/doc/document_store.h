@@ -58,6 +58,11 @@ class DocumentStore {
   Result<DocId> CommitDocument(std::string_view root_uri);
   void DropPending();
 
+  // Registers a copy of document `d` of `source` (another store) under
+  // the same root URI, node by node through AppendNode and
+  // CommitDocument; fails like AddDocument.
+  Result<DocId> AddDocumentFrom(const DocumentStore& source, DocId d);
+
   // Capacity for `n_docs` more documents holding `n_nodes` nodes and
   // `n_keywords` keyword occurrences in all.
   void Reserve(size_t n_docs, size_t n_nodes, size_t n_keywords);

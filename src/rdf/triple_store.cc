@@ -31,50 +31,6 @@ double TripleStore::Weight(TermId s, TermId p, TermId o) const {
   return it == key_index_.end() ? 0.0 : triples_[it->second].weight;
 }
 
-std::vector<TermId> TripleStore::Objects(TermId s, TermId p) const {
-  std::vector<TermId> out;
-  for (uint32_t idx : WithPropertySubject(p, s)) {
-    out.push_back(triples_[idx].object);
-  }
-  return out;
-}
-
-std::vector<TermId> TripleStore::Subjects(TermId p, TermId o) const {
-  std::vector<TermId> out;
-  for (uint32_t idx : WithPropertyObject(p, o)) {
-    out.push_back(triples_[idx].subject);
-  }
-  return out;
-}
-
-std::vector<Triple> TripleStore::Match(TermId s, TermId p, TermId o) const {
-  std::vector<Triple> out;
-  auto matches = [&](const Triple& t) {
-    return (s == kAnyTerm || t.subject == s) &&
-           (p == kAnyTerm || t.property == p) &&
-           (o == kAnyTerm || t.object == o);
-  };
-  // Pick the most selective available index.
-  if (p != kAnyTerm && s != kAnyTerm) {
-    for (uint32_t idx : WithPropertySubject(p, s)) {
-      if (matches(triples_[idx])) out.push_back(triples_[idx]);
-    }
-  } else if (p != kAnyTerm && o != kAnyTerm) {
-    for (uint32_t idx : WithPropertyObject(p, o)) {
-      if (matches(triples_[idx])) out.push_back(triples_[idx]);
-    }
-  } else if (p != kAnyTerm) {
-    for (uint32_t idx : WithProperty(p)) {
-      if (matches(triples_[idx])) out.push_back(triples_[idx]);
-    }
-  } else {
-    for (const Triple& t : triples_) {
-      if (matches(t)) out.push_back(t);
-    }
-  }
-  return out;
-}
-
 const std::vector<uint32_t>& TripleStore::WithProperty(TermId p) const {
   auto it = by_property_.find(p);
   return it == by_property_.end() ? kEmptyIndexList : it->second;

@@ -44,12 +44,6 @@ class TripleStore {
   // Weight of (s,p,o); 0.0 if absent.
   double Weight(TermId s, TermId p, TermId o) const;
 
-  // All objects o such that (s, p, o) holds.
-  std::vector<TermId> Objects(TermId s, TermId p) const;
-
-  // All subjects s such that (s, p, o) holds.
-  std::vector<TermId> Subjects(TermId p, TermId o) const;
-
   // Indices (into triples()) of all triples with property p.
   const std::vector<uint32_t>& WithProperty(TermId p) const;
 
@@ -58,12 +52,6 @@ class TripleStore {
 
   // Indices of all triples with property p and object o.
   const std::vector<uint32_t>& WithPropertyObject(TermId p, TermId o) const;
-
-  // Triple-pattern matching: kAnyTerm acts as a wildcard. Returns the
-  // matching triples (by value, in store order). Uses the best
-  // available index for the bound positions.
-  static constexpr TermId kAnyTerm = kInvalidTerm;
-  std::vector<Triple> Match(TermId s, TermId p, TermId o) const;
 
   const std::vector<Triple>& triples() const { return triples_; }
   size_t size() const { return triples_.size(); }

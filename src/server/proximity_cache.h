@@ -15,14 +15,19 @@
 // score is a product over query keywords, so a plan built from the
 // sorted list answers any permutation of the same multiset.
 //
-// Invalidation: by generation tag, never by global flush. Every key
-// carries the generation of the snapshot its plan was built over; a
-// SwapSnapshot bumps the generation the service looks up with, so
-// stale plans simply stop matching (and in-flight queries on the old
-// snapshot keep hitting theirs). PurgeGenerationsBelow reclaims the
-// stale entries' memory eagerly, freeing them outside the shard locks;
-// LRU eviction would age them out anyway. In-flight queries keep their
-// plan alive through the shared_ptr even after eviction or purge.
+// Generations: one entry per key, holding the newest plan built for
+// it. A swap invalidates nothing by itself. The service
+// (QueryService::ResolvePlan) compares the entry's generation with the
+// snapshot a query is bound to: the same generation is a hit; an older
+// one on the service's current chain of swaps is repaired
+// (core::RepairCandidatePlan: only the passing components a delta
+// touched are built again) and the repair replaces it, as a fresh
+// build replaces an older plan from off that chain; a newer one —
+// the query's worker is still on an old snapshot — is left alone while
+// that query builds its own plan, uncached. Insert never lets an older
+// generation displace a newer one, so a late build cannot roll an entry
+// back. In-flight queries keep their plan alive through the shared_ptr
+// even after replacement or eviction.
 //
 // Sharding: the key hash picks a shard; each shard is an independently
 // locked LruCache, so concurrent workers only contend when their keys
@@ -43,21 +48,18 @@
 namespace s3::server {
 
 // Cache key: canonicalized (sorted) keyword multiset plus the plan-
-// shaping score parameters and the snapshot generation the plan was
-// built over (a plan's source rows and component ids are meaningless
-// against any other generation).
+// shaping score parameters. The generation is not part of it: the
+// entry's plan carries its own (CandidatePlan::generation).
 struct PlanCacheKey {
   std::vector<KeywordId> keywords;  // sorted ascending
   bool use_semantics = true;
   double eta = 0.5;
-  uint64_t generation = 0;
 
   bool operator==(const PlanCacheKey& o) const {
     // eta compares by bit pattern, matching the hash below (floating
     // `==` would disagree with the hash on +0.0 vs -0.0 and on NaN,
     // violating the Hash/Eq contract the LRU map relies on).
     return use_semantics == o.use_semantics &&
-           generation == o.generation &&
            std::bit_cast<uint64_t>(eta) == std::bit_cast<uint64_t>(o.eta) &&
            keywords == o.keywords;
   }
@@ -74,26 +76,24 @@ struct PlanCacheKeyHash {
     for (KeywordId k : key.keywords) mix(k);
     mix(key.use_semantics ? 1 : 0);
     mix(std::bit_cast<uint64_t>(key.eta));
-    mix(key.generation);
     return static_cast<size_t>(h);
   }
 };
 
-// Canonicalizes a query keyword list into a cache key. The generation
-// is deliberately not defaulted: it is load-bearing for invalidation,
-// and a caller that silently pinned generation 0 would be serving
-// stale plans after the first swap.
+// Canonicalizes a query keyword list into a cache key.
 PlanCacheKey MakePlanKey(std::vector<KeywordId> keywords,
-                         bool use_semantics, double eta,
-                         uint64_t generation);
+                         bool use_semantics, double eta);
 
-// Monotonic counters, readable while the cache is in use.
+// Monotonic counters, readable while the cache is in use. A lookup is
+// a hit only when the entry's plan is of the generation asked for;
+// every other lookup is a miss, whether the service then repairs the
+// entry or builds a plan.
 struct ProximityCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
-  uint64_t purged = 0;  // stale-generation entries reclaimed
+  uint64_t repairs = 0;  // misses served by repairing an older plan
   size_t entries = 0;
 
   double HitRate() const {
@@ -111,22 +111,18 @@ class ProximityCache {
   ProximityCache(const ProximityCache&) = delete;
   ProximityCache& operator=(const ProximityCache&) = delete;
 
-  // Returns the cached plan or nullptr; counts a hit/miss.
-  std::shared_ptr<const core::CandidatePlan> Lookup(const PlanCacheKey& key);
+  // Returns the key's plan, of whatever generation, or nullptr. Counts
+  // a hit when the plan was built on `generation`, else a miss.
+  std::shared_ptr<const core::CandidatePlan> Lookup(const PlanCacheKey& key,
+                                                    uint64_t generation);
 
-  // Inserts (or refreshes) a plan, evicting the shard's LRU entry when
-  // over capacity.
+  // Makes `plan` the key's entry unless the entry holds a newer
+  // generation's plan; a new key may evict the shard's LRU entry.
   void Insert(const PlanCacheKey& key,
               std::shared_ptr<const core::CandidatePlan> plan);
 
-  // Drops every entry whose generation is below `current` (snapshot
-  // generations only grow, so those can never be looked up again), and
-  // raises the insert floor so a racing plan build from an already-
-  // purged generation cannot re-admit a stale entry afterwards.
-  // Returns the number reclaimed. Current-generation entries — and the
-  // plans in-flight queries still hold — are untouched: this is a
-  // targeted purge, not a flush.
-  size_t PurgeGenerationsBelow(uint64_t current);
+  // Counts a miss that was served by repairing the entry's plan.
+  void RecordRepair() { repairs_.fetch_add(1, std::memory_order_relaxed); }
 
   ProximityCacheStats Stats() const;
 
@@ -150,10 +146,7 @@ class ProximityCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};
-  std::atomic<uint64_t> purged_{0};
-  // Insert floor set by PurgeGenerationsBelow; inserts below it are
-  // dropped (their generation can never be looked up again).
-  std::atomic<uint64_t> min_generation_{0};
+  std::atomic<uint64_t> repairs_{0};
 };
 
 }  // namespace s3::server

@@ -60,6 +60,7 @@ std::string FormatStats(const QueryServiceStats& stats) {
 QueryService::QueryService(std::shared_ptr<const core::S3Instance> snapshot,
                            QueryServiceOptions options)
     : snapshot_(std::move(snapshot)),
+      chain_start_(snapshot_->generation()),
       options_(options),
       queue_(options.queue_capacity),
       tracer_(options.trace) {
@@ -167,7 +168,7 @@ void QueryService::RegisterMetrics() {
                "Plans served from the proximity cache.",
                obs::MetricKind::kCounter, &ProximityCacheStats::hits);
     cache_view("s3_plan_cache_misses_total",
-               "Plan lookups that missed (plan built).",
+               "Plan lookups that missed (plan repaired or built).",
                obs::MetricKind::kCounter, &ProximityCacheStats::misses);
     cache_view("s3_plan_cache_insertions_total",
                "Plans inserted into the cache.", obs::MetricKind::kCounter,
@@ -175,9 +176,9 @@ void QueryService::RegisterMetrics() {
     cache_view("s3_plan_cache_evictions_total",
                "Plans evicted by LRU capacity pressure.",
                obs::MetricKind::kCounter, &ProximityCacheStats::evictions);
-    cache_view("s3_plan_cache_purged_total",
-               "Stale-generation plans purged after snapshot swaps.",
-               obs::MetricKind::kCounter, &ProximityCacheStats::purged);
+    cache_view("s3_plan_cache_repairs_total",
+               "Plan misses served by repairing an older generation's plan.",
+               obs::MetricKind::kCounter, &ProximityCacheStats::repairs);
     callbacks_.Add("s3_plan_cache_entries", "Plans currently cached.",
                    obs::MetricKind::kGauge, svc, [this] {
                      return static_cast<double>(cache_->Stats().entries);
@@ -258,12 +259,14 @@ Status QueryService::SwapSnapshot(
           "snapshot belongs to a different lineage; serve an unrelated "
           "instance with a new QueryService");
     }
+    // A snapshot not applied to the current one (a branch, or a
+    // reload) starts a new chain: plans from before it are not its
+    // ancestors' and cannot be repaired onto it.
+    if (next->parent_id() != snapshot_->instance_id()) {
+      chain_start_ = generation;
+    }
     snapshot_ = std::move(next);
   }
-  // Stale-generation plans can never be looked up again (keys carry
-  // the generation); reclaim their memory without touching
-  // current-generation entries.
-  if (cache_ != nullptr) cache_->PurgeGenerationsBelow(generation);
   return Status::OK();
 }
 
@@ -320,30 +323,39 @@ void QueryService::RecordOutcome(const core::QueryRequest& query,
 }
 
 Result<std::shared_ptr<const core::CandidatePlan>> QueryService::ResolvePlan(
-    const core::S3Instance& snapshot, const core::QueryRequest& query,
-    ThreadPool* pool, bool* cache_hit) {
+    const core::S3Instance& snapshot, uint64_t chain_start,
+    const core::QueryRequest& query, ThreadPool* pool, bool* cache_hit) {
   *cache_hit = false;
   // Plans are built over the canonical (sorted) keyword order — the
   // cache key's, and S3kSearcher::Search's — so every permutation of a
   // multiset gets the same plan, cached or not.
-  PlanCacheKey key =
-      MakePlanKey(query.keywords, options_.search.use_semantics,
-                  options_.search.score.eta, snapshot.generation());
-  if (cache_ != nullptr) {
-    if (auto plan = cache_->Lookup(key)) {
-      *cache_hit = true;
-      return plan;
-    }
+  PlanCacheKey key = MakePlanKey(query.keywords, options_.search.use_semantics,
+                                 options_.search.score.eta);
+  const uint64_t generation = snapshot.generation();
+  std::shared_ptr<const core::CandidatePlan> cached;
+  if (cache_ != nullptr) cached = cache_->Lookup(key, generation);
+  if (cached != nullptr && cached->generation == generation) {
+    *cache_hit = true;
+    return cached;
   }
-  // Concurrent misses on the same key may build twice; last insert
-  // wins and both plans are equivalent, so no cross-worker build lock
-  // is needed.
-  auto built = core::BuildCandidatePlan(snapshot, key.keywords,
-                                        key.use_semantics, key.eta, pool);
-  if (!built.ok()) return built.status();
-  auto plan =
-      std::make_shared<const core::CandidatePlan>(std::move(*built));
-  if (cache_ != nullptr) cache_->Insert(key, plan);
+  // Concurrent misses on the same key may repair or build twice; the
+  // plans are equal, and the cache keeps whichever lands last.
+  const bool repairable = cached != nullptr &&
+                          cached->generation >= chain_start &&
+                          cached->generation < generation;
+  core::PlanRepairStats repair;
+  Result<core::CandidatePlan> made =
+      repairable ? core::RepairCandidatePlan(snapshot, *cached,
+                                             key.use_semantics, key.eta,
+                                             &repair)
+                 : core::BuildCandidatePlan(snapshot, key.keywords,
+                                            key.use_semantics, key.eta, pool);
+  if (!made.ok()) return made.status();
+  auto plan = std::make_shared<const core::CandidatePlan>(std::move(*made));
+  if (cache_ != nullptr) {
+    if (repairable && !repair.full_build) cache_->RecordRepair();
+    cache_->Insert(key, plan);
+  }
   return plan;
 }
 
@@ -396,7 +408,13 @@ void QueryService::WorkerLoop(unsigned worker_index) {
     // Bind one snapshot for the whole query: snapshot, plan and
     // searcher all come from this generation, even if a swap lands
     // mid-query.
-    auto current = snapshot();
+    std::shared_ptr<const core::S3Instance> current;
+    uint64_t chain_start = 0;
+    {
+      std::lock_guard<std::mutex> lock(snapshot_mutex_);
+      current = snapshot_;
+      chain_start = chain_start_;
+    }
     if (current != bound) {
       searcher.reset();
       bound = std::move(current);
@@ -408,8 +426,8 @@ void QueryService::WorkerLoop(unsigned worker_index) {
     // limit, so the clamp is purely a scheduling decision).
     searcher->set_thread_limit(std::max(1u, intra_budget_ / busy));
 
-    auto plan = ResolvePlan(*bound, task.query, searcher->intra_pool(),
-                            &r.cache_hit);
+    auto plan = ResolvePlan(*bound, chain_start, task.query,
+                            searcher->intra_pool(), &r.cache_hit);
     if (!plan.ok()) {
       failed_.fetch_add(1, std::memory_order_release);
       task.promise.set_value(plan.status());

@@ -9,15 +9,15 @@
 //     buffer, intra-query thread pool — nothing per query beyond the
 //     bound engine),
 //   * a bounded MPMC admission queue (common/bounded_queue.h), and
-//   * a sharded, generation-tagged LRU proximity/candidate cache
-//     (server/proximity_cache.h) shared by all workers.
+//   * a sharded LRU proximity/candidate cache (server/proximity_cache.h)
+//     shared by all workers, one plan per keyword set.
 //
 // Submit(query) admits the query (or refuses with Unavailable when the
 // queue is full — back-pressure instead of collapse) and returns a
 // future the caller redeems for the top-k result. Workers pop queries
 // FIFO, resolve the candidate plan through the cache (hit: skip
-// extension + candidate construction entirely; miss: build and
-// insert), run the seeker-specific exploration, and fulfil the
+// extension + candidate construction entirely; miss: repair or build,
+// and insert), run the seeker-specific exploration, and fulfil the
 // promise. Shutdown() closes the queue, drains admitted work, and
 // joins the workers; queries admitted before shutdown always complete.
 //
@@ -27,9 +27,14 @@
 // queries finish on the generation they started with (kept alive by
 // shared_ptr), later dequeues see the new one, and every response is
 // internally consistent with exactly one generation
-// (QueryResponse::generation). Cached plans are keyed by generation,
-// so a swap invalidates stale plans without flushing anything — plus
-// an eager purge of the now-unreachable old-generation entries.
+// (QueryResponse::generation). A swap touches no cached plan: the first
+// query over a keyword set after it finds the set's plan one or more
+// generations old and repairs it (core::RepairCandidatePlan), which
+// rebuilds only the passing components the deltas since touched. A
+// repair is sound only onto a descendant of the plan's snapshot, so the
+// service follows the chain of swaps: when `next` was not applied to
+// the current snapshot (S3Instance::parent_id), the chain restarts at
+// `next`, and plans from before it are built afresh instead.
 //
 // Thread-safety: Submit/SubmitBlocking/Stats/SwapSnapshot may be
 // called from any number of client threads. Snapshots are never
@@ -201,9 +206,9 @@ class QueryService {
   Result<QueryFuture> SubmitBlocking(core::QueryRequest query);
 
   // Atomically publishes a new snapshot generation. `next` must be
-  // finalized; it normally comes from ApplyDelta on the current
-  // snapshot, and its generation should exceed the current one (the
-  // cache purge assumes generations only grow). In-flight queries
+  // finalized, of the current snapshot's lineage and of a later
+  // generation; it normally comes from ApplyDelta on the current
+  // snapshot, which keeps cached plans repairable. In-flight queries
   // complete on the snapshot they were dequeued with; queries dequeued
   // after the swap run on `next`. Fails with InvalidArgument on a null
   // or unfinalized snapshot and FailedPrecondition after Shutdown.
@@ -269,18 +274,28 @@ class QueryService {
                       const QueryResponse& response);
 
   // Resolves the candidate plan for a query against `snapshot` through
-  // the cache (or builds it uncached); the cache key carries the
-  // snapshot's generation. Sets `cache_hit`. `pool` (may be null) is
-  // the calling worker's intra-query pool, reused for cache-miss
-  // builds.
+  // the cache, or builds it uncached. The cached plan of the snapshot's
+  // generation is a hit; an older one from at or after `chain_start`
+  // (the generation where the snapshot's chain of swaps begins) is
+  // repaired; anything else means a full build. A repair or a build is
+  // inserted unless the cache already holds a newer plan. Sets
+  // `cache_hit` on a hit only. `pool` (may be null) is the calling
+  // worker's intra-query pool, handed to full builds.
   Result<std::shared_ptr<const core::CandidatePlan>> ResolvePlan(
-      const core::S3Instance& snapshot, const core::QueryRequest& query,
-      ThreadPool* pool, bool* cache_hit);
+      const core::S3Instance& snapshot, uint64_t chain_start,
+      const core::QueryRequest& query, ThreadPool* pool, bool* cache_hit);
 
-  // Guards snapshot_ replacement; workers copy the pointer out once
-  // per dequeued query.
+  // Guards snapshot_ and chain_start_; workers copy both out once per
+  // dequeued query.
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const core::S3Instance> snapshot_;
+  // Generation of the first snapshot of the current unbroken chain of
+  // swaps, each published snapshot the ApplyDelta successor of the one
+  // before. Every snapshot this service ever published has its own
+  // generation (swaps only go forward), so a cached plan whose
+  // generation lies in [chain_start_, g) was built on an ancestor of the
+  // generation-g snapshot of this chain.
+  uint64_t chain_start_ = 0;
   QueryServiceOptions options_;
   BoundedQueue<Task> queue_;
   std::unique_ptr<ProximityCache> cache_;

@@ -419,47 +419,6 @@ TEST(LruCacheTest, OverwriteAtCapacityDoesNotEvict) {
   EXPECT_TRUE(cache.Contains(2));
 }
 
-TEST(LruCacheTest, EraseIfRemovesMatchesOnly) {
-  LruCache<int, int> cache(8);
-  for (int i = 0; i < 6; ++i) cache.Put(i, i * 10);
-  size_t erased = cache.EraseIf(
-      [](const int& k, const int&) { return k % 2 == 0; });
-  EXPECT_EQ(erased, 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(cache.Contains(i), i % 2 == 1) << i;
-  }
-  // Targeted invalidation is not a capacity eviction.
-  EXPECT_EQ(cache.evictions(), 0u);
-}
-
-// With `taken`, EraseIf moves the erased values out instead of
-// destroying them, so the caller decides where they are released.
-TEST(LruCacheTest, EraseIfHandsErasedValuesToTheCaller) {
-  LruCache<int, std::shared_ptr<int>> cache(8);
-  std::vector<std::weak_ptr<int>> watch;
-  for (int i = 0; i < 4; ++i) {
-    auto v = std::make_shared<int>(i);
-    watch.push_back(v);
-    cache.Put(i, std::move(v));
-  }
-  std::vector<std::shared_ptr<int>> taken;
-  EXPECT_EQ(cache.EraseIf([](const int& k, const std::shared_ptr<int>&) {
-    return k < 2;
-  }, &taken), 2u);
-  EXPECT_EQ(cache.size(), 2u);
-  ASSERT_EQ(taken.size(), 2u);
-  // Erased but still alive: the caller holds the only references.
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_FALSE(watch[i].expired()) << i;
-    EXPECT_EQ(watch[i].use_count(), 1) << i;
-  }
-  taken.clear();
-  EXPECT_TRUE(watch[0].expired());
-  EXPECT_TRUE(watch[1].expired());
-  EXPECT_FALSE(watch[2].expired());
-}
-
 TEST(BoundedQueueTest, PushBlockedOnFullQueueWokenByCloseReturnsFalse) {
   BoundedQueue<int> q(1);
   ASSERT_TRUE(q.TryPush(1));  // full

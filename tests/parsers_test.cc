@@ -277,7 +277,11 @@ TEST_F(NTriplesTest, EscapedLiteralAndWeightTogether) {
             rdf::kInvalidTerm);
 }
 
-// ---- Triple pattern matching ----------------------------------------------
+// ---- Triple pattern lookups -----------------------------------------------
+//
+// Every pattern the engine asks the store is answered by Contains or by
+// one of the property-keyed indexes; these cases pin each access path
+// (and the unions of them a wider pattern needs) on one small store.
 
 class MatchTest : public ::testing::Test {
  protected:
@@ -295,31 +299,47 @@ class MatchTest : public ::testing::Test {
   rdf::TermDictionary dict_;
   rdf::TripleStore store_;
   rdf::TermId a_, b_, c_, p_, q_;
-  static constexpr rdf::TermId kAny = rdf::TripleStore::kAnyTerm;
 };
 
 TEST_F(MatchTest, FullyBound) {
-  EXPECT_EQ(store_.Match(a_, p_, b_).size(), 1u);
-  EXPECT_EQ(store_.Match(a_, p_, a_).size(), 0u);
+  EXPECT_TRUE(store_.Contains(a_, p_, b_));
+  EXPECT_FALSE(store_.Contains(a_, p_, a_));
 }
 
 TEST_F(MatchTest, SubjectPropertyBound) {
-  EXPECT_EQ(store_.Match(a_, p_, kAny).size(), 2u);
+  const auto& hits = store_.WithPropertySubject(p_, a_);
+  ASSERT_EQ(hits.size(), 2u);
+  for (uint32_t idx : hits) {
+    EXPECT_EQ(store_.triples()[idx].subject, a_);
+    EXPECT_EQ(store_.triples()[idx].property, p_);
+  }
 }
 
 TEST_F(MatchTest, PropertyObjectBound) {
-  EXPECT_EQ(store_.Match(kAny, p_, c_).size(), 2u);
+  const auto& hits = store_.WithPropertyObject(p_, c_);
+  ASSERT_EQ(hits.size(), 2u);
+  for (uint32_t idx : hits) {
+    EXPECT_EQ(store_.triples()[idx].property, p_);
+    EXPECT_EQ(store_.triples()[idx].object, c_);
+  }
 }
 
 TEST_F(MatchTest, PropertyOnly) {
-  EXPECT_EQ(store_.Match(kAny, p_, kAny).size(), 3u);
-  EXPECT_EQ(store_.Match(kAny, q_, kAny).size(), 1u);
+  EXPECT_EQ(store_.WithProperty(p_).size(), 3u);
+  EXPECT_EQ(store_.WithProperty(q_).size(), 1u);
 }
 
 TEST_F(MatchTest, FullScanPatterns) {
-  EXPECT_EQ(store_.Match(kAny, kAny, kAny).size(), 4u);
-  EXPECT_EQ(store_.Match(a_, kAny, kAny).size(), 3u);
-  EXPECT_EQ(store_.Match(kAny, kAny, b_).size(), 2u);
+  // (?, ?, ?), (a, ?, ?) and (?, ?, b): the store itself, and the
+  // per-property indexes summed over the properties in use.
+  EXPECT_EQ(store_.size(), 4u);
+  size_t from_a = 0, to_b = 0;
+  for (rdf::TermId prop : {p_, q_}) {
+    from_a += store_.WithPropertySubject(prop, a_).size();
+    to_b += store_.WithPropertyObject(prop, b_).size();
+  }
+  EXPECT_EQ(from_a, 3u);
+  EXPECT_EQ(to_b, 2u);
 }
 
 }  // namespace

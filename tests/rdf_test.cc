@@ -67,10 +67,14 @@ TEST_F(TripleStoreTest, ObjectsAndSubjects) {
   store_.Add(U("a"), U("p"), U("b"));
   store_.Add(U("a"), U("p"), U("c"));
   store_.Add(U("d"), U("p"), U("b"));
-  auto objs = store_.Objects(U("a"), U("p"));
-  EXPECT_EQ(objs.size(), 2u);
-  auto subs = store_.Subjects(U("p"), U("b"));
-  EXPECT_EQ(subs.size(), 2u);
+  const auto& objs = store_.WithPropertySubject(U("p"), U("a"));
+  ASSERT_EQ(objs.size(), 2u);
+  EXPECT_EQ(store_.triples()[objs[0]].object, U("b"));
+  EXPECT_EQ(store_.triples()[objs[1]].object, U("c"));
+  const auto& subs = store_.WithPropertyObject(U("p"), U("b"));
+  ASSERT_EQ(subs.size(), 2u);
+  EXPECT_EQ(store_.triples()[subs[0]].subject, U("a"));
+  EXPECT_EQ(store_.triples()[subs[1]].subject, U("d"));
 }
 
 TEST_F(TripleStoreTest, WithPropertyIndex) {

@@ -225,26 +225,23 @@ TEST(CandidatePlanTest, IndexSharedAcrossConcurrentSearchers) {
 // ---- proximity cache --------------------------------------------------
 
 TEST(ProximityCacheTest, KeyCanonicalizesKeywordOrder) {
-  PlanCacheKey ab = MakePlanKey({2, 1}, true, 0.5, /*generation=*/0);
-  PlanCacheKey ba = MakePlanKey({1, 2}, true, 0.5, /*generation=*/0);
+  PlanCacheKey ab = MakePlanKey({2, 1}, true, 0.5);
+  PlanCacheKey ba = MakePlanKey({1, 2}, true, 0.5);
   EXPECT_TRUE(ab == ba);
   EXPECT_EQ(PlanCacheKeyHash{}(ab), PlanCacheKeyHash{}(ba));
   // Duplicates are a different multiset; parameters split keys too.
-  EXPECT_FALSE(MakePlanKey({1, 1, 2}, true, 0.5, 0) == ab);
-  EXPECT_FALSE(MakePlanKey({1, 2}, false, 0.5, 0) == ab);
-  EXPECT_FALSE(MakePlanKey({1, 2}, true, 0.25, 0) == ab);
-  // The snapshot generation is part of the key: same keywords on a
-  // swapped-in snapshot never match a stale plan.
-  EXPECT_FALSE(MakePlanKey({1, 2}, true, 0.5, /*generation=*/1) == ab);
+  EXPECT_FALSE(MakePlanKey({1, 1, 2}, true, 0.5) == ab);
+  EXPECT_FALSE(MakePlanKey({1, 2}, false, 0.5) == ab);
+  EXPECT_FALSE(MakePlanKey({1, 2}, true, 0.25) == ab);
 }
 
 TEST(ProximityCacheTest, HitMissAndEvictionCounters) {
   ProximityCache cache(/*shards=*/2, /*capacity_per_shard=*/1);
   auto plan = std::make_shared<const CandidatePlan>();
-  PlanCacheKey key = MakePlanKey({1, 2}, true, 0.5, /*generation=*/0);
-  EXPECT_EQ(cache.Lookup(key), nullptr);
+  PlanCacheKey key = MakePlanKey({1, 2}, true, 0.5);
+  EXPECT_EQ(cache.Lookup(key, /*generation=*/0), nullptr);
   cache.Insert(key, plan);
-  EXPECT_EQ(cache.Lookup(key), plan);
+  EXPECT_EQ(cache.Lookup(key, /*generation=*/0), plan);
   ProximityCacheStats s = cache.Stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);

@@ -679,14 +679,16 @@ TEST(ConcurrentSwapTest, SwapUnderLoadServesExactlyOneGeneration) {
   EXPECT_GT(checked.load(), 0u);
   EXPECT_EQ(service.Stats().failed, 0u);
   EXPECT_EQ(service.snapshot()->generation(), kRounds);
-  // Swapping purged the unreachable old-generation plans.
+  // After each swap the first query over a keyword set repaired the
+  // set's older plan, and the cache kept one plan per set.
   ASSERT_NE(service.cache(), nullptr);
-  EXPECT_GT(service.cache()->Stats().purged, 0u);
+  EXPECT_GT(service.cache()->Stats().repairs, 0u);
+  EXPECT_LE(service.cache()->Stats().entries, queries.size());
 }
 
-// Stale plans must never be served against a new snapshot: the cache
-// key carries the generation, so a primed plan stops matching after a
-// swap and the fresh build reflects the delta's documents.
+// Stale plans must never be served against a new snapshot: after a
+// swap the primed plan is not a hit, and its repair reflects the
+// delta's documents.
 TEST(ConcurrentSwapTest, CachedPlansNeverCrossGenerations) {
   auto base = std::make_shared<S3Instance>();
   std::vector<KeywordId> pool;
@@ -751,7 +753,7 @@ TEST(ConcurrentSwapTest, CachedPlansNeverCrossGenerations) {
   ASSERT_TRUE(service.SwapSnapshot(*next).ok());
 
   // Same keyword multiset, new generation: the primed plan must not
-  // match; the rebuilt plan sees the planted document.
+  // be served as it is; the repaired plan sees the planted document.
   auto third = run_hot();
   EXPECT_FALSE(third.cache_hit);
   EXPECT_EQ(third.generation, 1u);
@@ -760,8 +762,9 @@ TEST(ConcurrentSwapTest, CachedPlansNeverCrossGenerations) {
   EXPECT_TRUE(fourth.cache_hit);
   ExpectSameResults(fourth.entries, *new_expected, "post-swap cached");
 
-  // Old-generation entries were purged on swap, not flushed wholesale.
-  EXPECT_EQ(service.cache()->Stats().purged, 1u);
+  // The repair replaced the primed plan: one entry, one repair.
+  EXPECT_EQ(service.cache()->Stats().repairs, 1u);
+  EXPECT_EQ(service.cache()->Stats().entries, 1u);
 }
 
 TEST(ConcurrentSwapTest, SwapValidatesInput) {
@@ -776,8 +779,8 @@ TEST(ConcurrentSwapTest, SwapValidatesInput) {
   EXPECT_EQ(service.SwapSnapshot(std::move(unfinalized)).code(),
             StatusCode::kInvalidArgument);
   // Generations must grow: re-publishing the current snapshot or an
-  // *unrelated* generation-0 instance (whose cached-plan keys would
-  // collide with the serving snapshot's) is rejected.
+  // *unrelated* generation-0 instance (whose generation the cached
+  // plans of the serving snapshot carry) is rejected.
   EXPECT_EQ(service.SwapSnapshot(snap).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(service.SwapSnapshot(RebuildFromScratch(0)).code(),
@@ -798,24 +801,28 @@ TEST(ConcurrentSwapTest, SwapValidatesInput) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(ConcurrentSwapTest, PurgeRaisesInsertFloorAgainstLateBuilds) {
+TEST(ConcurrentSwapTest, LateBuildNeverDisplacesNewerPlan) {
   server::ProximityCache cache(/*shards=*/2, /*capacity_per_shard=*/4);
-  auto plan = std::make_shared<const CandidatePlan>();
-  server::PlanCacheKey old_key =
-      server::MakePlanKey({1, 2}, true, 0.5, /*generation=*/0);
-  cache.Insert(old_key, plan);
+  auto plan_at = [](uint64_t generation) {
+    auto plan = std::make_shared<CandidatePlan>();
+    plan->generation = generation;
+    return std::shared_ptr<const CandidatePlan>(std::move(plan));
+  };
+  const server::PlanCacheKey key = server::MakePlanKey({1, 2}, true, 0.5);
+  cache.Insert(key, plan_at(1));
+  // A newer plan replaces the entry; one key holds one plan.
+  cache.Insert(key, plan_at(2));
   EXPECT_EQ(cache.Stats().entries, 1u);
-
-  EXPECT_EQ(cache.PurgeGenerationsBelow(1), 1u);
-  // A worker that missed on generation 0 before the swap finishes its
-  // build now: the late insert must be dropped, not strand an
-  // unreachable entry.
-  cache.Insert(old_key, plan);
-  EXPECT_EQ(cache.Stats().entries, 0u);
-  // Current-generation inserts are unaffected.
-  cache.Insert(server::MakePlanKey({1, 2}, true, 0.5, /*generation=*/1),
-               plan);
-  EXPECT_EQ(cache.Stats().entries, 1u);
+  EXPECT_EQ(cache.Lookup(key, 2)->generation, 2u);
+  // A worker still on generation 1 finishes its build now: the late
+  // insert must not roll the entry back.
+  cache.Insert(key, plan_at(1));
+  EXPECT_EQ(cache.Lookup(key, 2)->generation, 2u);
+  EXPECT_EQ(cache.Stats().insertions, 2u);
+  // A lookup for another generation returns the entry as a miss.
+  EXPECT_EQ(cache.Lookup(key, 3)->generation, 2u);
+  EXPECT_EQ(cache.Stats().hits, 2u);
+  EXPECT_EQ(cache.Stats().misses, 1u);
 }
 
 // Satellite pin: keyword *ids* are validated at admission.
