@@ -178,39 +178,6 @@ int main() {
                   static_cast<unsigned long long>(boundary));
     json.Add("shard_scaling/shards:" + std::to_string(n_shards),
              r.seconds * 1e9 / trace.size(), extra);
-
-    // Scatter profile: a slice of the trace through QueryGlobal, with
-    // the per-shard load signals (ShardReport::scatter_seconds /
-    // queue_depth) the router now exports — the raw input a future
-    // load-aware scatter policy would steer by (ROADMAP item 3).
-    const size_t scatter_n = std::min<size_t>(trace.size(), 128);
-    std::vector<double> shard_lat(n_shards, 0.0);
-    std::vector<size_t> shard_hits(n_shards, 0);
-    std::vector<size_t> shard_qd_max(n_shards, 0);
-    size_t pruned = 0;
-    for (size_t i = 0; i < scatter_n; ++i) {
-      auto resp = (*router)->QueryGlobal(trace[i]);
-      if (!resp.ok()) continue;
-      for (const shard::ShardReport& rep : resp->shards) {
-        if (!rep.queried) {
-          pruned += (rep.pruned_unreachable || rep.pruned_bound) ? 1 : 0;
-          continue;
-        }
-        shard_lat[rep.shard] += rep.scatter_seconds;
-        shard_hits[rep.shard] += 1;
-        shard_qd_max[rep.shard] =
-            std::max(shard_qd_max[rep.shard], rep.queue_depth);
-      }
-    }
-    std::printf("scatter profile (%zu global queries, %zu shard-prunes):\n",
-                scatter_n, pruned);
-    for (uint32_t sh = 0; sh < n_shards; ++sh) {
-      const double mean_ms = shard_hits[sh] > 0
-                                 ? shard_lat[sh] / shard_hits[sh] * 1e3
-                                 : 0.0;
-      std::printf("  shard%u: queried=%zu mean=%.3fms queue_depth_max=%zu\n",
-                  sh, shard_hits[sh], mean_ms, shard_qd_max[sh]);
-    }
   }
   std::printf("\n%s\n", table.Render().c_str());
   std::printf(
@@ -218,8 +185,7 @@ int main() {
       "pools and caches\nare independent); shards=1 tracks the unsharded "
       "service modulo one id-map hop.\n");
 
-  // Router + per-shard-service metric catalog (s3_scatter_shard_seconds,
-  // s3_shards_pruned_total, per-shard {service="shardN"} series) for
+  // Per-shard-service metric catalog ({service="shardN"} series) for
   // the CI metrics diff.
   const std::string prom = obs::MetricRegistry::Default().RenderPrometheus();
   if (!prom.empty()) {

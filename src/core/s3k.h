@@ -158,12 +158,12 @@ struct CandidatePlan {
   // index, the vertical-neighbor pairs and the slot caps.
   CandidateIndex index;
   // Reach root of each passing component's owners (parallel to
-  // `passing`): the per-shard / per-seeker score-bound export. A
-  // component whose root differs from the seeker's can never be
-  // discovered (no social path exists), so its cap is excluded from
-  // the termination threshold — and a shard whose components all have
-  // foreign roots reports a zero upper bound to the scatter-gather
-  // merge without running the query.
+  // `passing`). A component whose root differs from the seeker's can
+  // never be discovered (no social path exists), so its cap is
+  // excluded from the termination threshold. That is what makes a
+  // shard's answer exact: a shard that materializes only the seeker's
+  // group stops at the same iteration as the whole instance
+  // (src/server/SHARDING.md).
   std::vector<uint32_t> comp_reach_root;
   size_t extension_keywords = 0;  // Σ |Ext(k)| over query keywords
   // The instance the plan was built on (S3Instance::generation() and
@@ -229,13 +229,11 @@ struct SearchStats {
   size_t extension_keywords = 0;  // Σ |Ext(k)| over query keywords
   bool converged = false;         // threshold-based stop reached
   double elapsed_seconds = 0.0;
-  // Score-bound export for distributed merging (src/shard): the
-  // smallest lower bound among the returned entries, and an upper
-  // bound on the score of every document *not* returned (max of the
-  // non-returned candidates' uppers and the undiscovered-component
-  // threshold at termination). A remote merger can drop this
-  // instance's remainder whenever remaining_upper is below the global
-  // k-th lower bound.
+  // The bounds behind the answer's certificate: the smallest lower
+  // bound among the returned entries, and an upper bound on the score
+  // of every document *not* returned (max of the non-returned
+  // candidates' uppers and the undiscovered-component threshold at
+  // termination).
   double kth_lower = 0.0;
   double remaining_upper = 0.0;
   // The *achieved* certificate at termination: the smallest eps for

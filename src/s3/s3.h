@@ -38,7 +38,6 @@
 #include "social/components.h"
 #include "social/edge_store.h"
 #include "social/entity.h"
-#include "social/simrank.h"
 #include "social/transition_matrix.h"
 #include "text/porter_stemmer.h"
 #include "text/stopwords.h"

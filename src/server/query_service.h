@@ -226,10 +226,6 @@ class QueryService {
   // workers are mid-flight.
   QueryServiceStats Stats() const;
 
-  // Instantaneous admission-queue depth (tasks admitted, not yet
-  // dequeued): the load signal the shard router exports per shard.
-  size_t queue_depth() const { return queue_.size(); }
-
   // Recent sampled traces and the slow-query log (obs/trace.h).
   const obs::TraceCollector& traces() const { return tracer_; }
 

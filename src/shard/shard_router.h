@@ -9,35 +9,29 @@
 //
 // Queries. A query is seeker-scoped; the seeker's *home shard*
 // (ShardOfUser) always materializes the seeker's whole reach group, so
-//   * Query(q)        routes to the home shard — one hop, exact;
-//   * QueryGlobal(q)  scatter-gathers over every shard and merges the
-//     candidate streams with a bound-aware k-heap. Shards that do not
-//     materialize the seeker's group are pruned *before* the fan-out:
-//     no social path from the seeker exists there, so their statically
-//     reported upper bound is 0. Queried shards return score intervals
-//     plus a remaining-upper export (SearchStats::remaining_upper);
-//     a stream whose best possible score falls below the current
-//     global k-th lower bound is dropped from the merge unread.
-//     Results are deduplicated by global node id (replicated groups
-//     return identical streams) and are bit-for-bit identical to the
-//     single-instance answer.
+// Query(q) routes to the home shard — one hop — and its answer is
+// exactly the single-instance answer: same entries, same order, same
+// score intervals and the same certificate. Every other shard of the
+// group holds a replica of the same population and would answer
+// identically; shards outside the group hold no social path from the
+// seeker and contribute nothing.
 //
 // Updates. ApplyUpdate routes one GlobalUpdate — a batch of population
 // ops in *global* ids — to the shards materializing the touched
 // groups, as one InstanceDelta per shard (new keyword spellings go to
 // every shard so KeywordIds stay aligned). Each shard advances its own
-// generation independently — ShardedResponse reports the per-shard
-// generation vector. An op that would merge two groups materialized on
+// generation independently (Generations() reports the per-shard
+// vector). An op that would merge two groups materialized on
 // *different* shard sets is refused (FailedPrecondition) before
 // anything is applied: honoring it would require moving population
 // between shards (rebalancing = shipping snapshot files; see
 // SHARDING.md follow-ons).
 //
-// Thread-safety: Query / QueryGlobal / Generations may be called from
-// any number of threads, concurrently with at most one ApplyUpdate at
-// a time (updates serialize on an internal mutex; routing state is
-// guarded by a shared_mutex that queries only hold to translate ids —
-// never across a shard round-trip).
+// Thread-safety: Query / Generations may be called from any number of
+// threads, concurrently with at most one ApplyUpdate at a time
+// (updates serialize on an internal mutex; routing state is guarded by
+// a shared_mutex that queries only hold to translate ids — never
+// across a shard round-trip).
 #ifndef S3_SHARD_SHARD_ROUTER_H_
 #define S3_SHARD_SHARD_ROUTER_H_
 
@@ -50,7 +44,6 @@
 
 #include "common/status.h"
 #include "core/instance_delta.h"
-#include "obs/metrics.h"
 #include "server/snapshot_manager.h"
 #include "shard/partitioner.h"
 
@@ -63,61 +56,6 @@ struct ShardRouterOptions {
   // every shard's SnapshotManager (dir is set per shard).
   uint64_t checkpoint_every = 0;
   bool background_checkpoints = true;
-};
-
-// Per-shard outcome of one routed or scattered query. The bound
-// exports (kth_lower / remaining_upper / certified_epsilon) are always
-// the *post-search* values of the search that answered this request —
-// the plan cache stores seeker-independent plans, never stats — so a
-// cache-hit answer exports exactly what the cold answer did.
-struct ShardReport {
-  uint32_t shard = 0;
-  uint64_t generation = 0;      // generation at merge time
-  bool queried = false;
-  bool pruned_unreachable = false;  // no social path: static 0 bound
-  bool pruned_bound = false;        // stream below the global k-th lower
-  bool cache_hit = false;
-  bool deadline_exceeded = false;   // this shard's search hit its deadline
-  double kth_lower = 0.0;
-  double remaining_upper = 0.0;
-  double certified_epsilon = 0.0;   // this shard's local certificate
-  size_t entries = 0;
-  // ---- load signals (ROADMAP item 3's load-aware-scatter input) ----
-  // End-to-end latency of this shard's sub-query as the router saw it
-  // (admission -> completion inside the shard's QueryService); 0 for
-  // pruned shards.
-  double scatter_seconds = 0.0;
-  // The shard's admission-queue depth sampled at scatter submit: how
-  // loaded the shard already was when this query targeted it.
-  size_t queue_depth = 0;
-};
-
-struct ShardedResponse {
-  // Merged top-k in *global* node ids; bit-for-bit the single-instance
-  // answer (entries, order and score intervals).
-  std::vector<core::ResultEntry> entries;
-  // Per-shard generation vector at merge time.
-  std::vector<uint64_t> generations;
-  std::vector<ShardReport> shards;
-  size_t shards_queried = 0;
-  size_t shards_pruned = 0;
-  // Search stats of the seeker's home shard (global nodes in
-  // candidate_nodes are NOT remapped; sizes/counters only).
-  core::SearchStats stats;
-  bool cache_hit = false;  // home shard's plan-cache outcome
-  // Global certificate of the merged answer, folded from the per-shard
-  // bound exports: kth_lower is the worst lower bound among the merged
-  // entries; remaining_upper bounds every document *not* merged (shard
-  // remaining-upper exports, the best possible score of bound-pruned
-  // streams, and the uppers of entries that lost the merge);
-  // certified_epsilon = max(0, remaining_upper/kth_lower - 1). A shard
-  // whose deadline expired degrades the certificate — its export is
-  // looser — instead of failing the query; deadline_exceeded reports
-  // that any queried shard was truncated.
-  double kth_lower = 0.0;
-  double remaining_upper = 0.0;
-  double certified_epsilon = 0.0;
-  bool deadline_exceeded = false;
 };
 
 // A batch of population growth in global ids, built against the
@@ -198,16 +136,17 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  // Seeker-routed query (one shard). Takes a QueryRequest — a bare
-  // core::Query converts to an exact request — and propagates it
-  // verbatim to the shard's QueryService, so per-request
-  // k/epsilon/deadline/mode behave exactly as on a single instance.
-  Result<ShardedResponse> Query(const core::QueryRequest& query);
-
-  // Scatter-gather with bound-aware merge; identical entries to
-  // Query(), plus per-shard reports and the *global* certificate
-  // folded from every shard's bound exports (ShardedResponse).
-  Result<ShardedResponse> QueryGlobal(const core::QueryRequest& query);
+  // Seeker-routed query: one hop to the seeker's home shard. Takes a
+  // QueryRequest — a bare core::Query converts to an exact request —
+  // and propagates it verbatim to that shard's QueryService, so
+  // per-request k/epsilon/deadline/mode behave exactly as on a single
+  // instance. The response is the home shard's own, with entries
+  // mapped to *global* node ids (the map is monotone, so the engine's
+  // (upper desc, node asc) order survives); its certificate
+  // (stats.kth_lower / remaining_upper, certified_epsilon,
+  // deadline_exceeded) and generation are the home shard's.
+  // stats.candidate_nodes stays in shard-local ids.
+  Result<server::QueryResponse> Query(const core::QueryRequest& query);
 
   // Starts an update batch against the current global population.
   GlobalUpdate BeginUpdate() const;
@@ -243,26 +182,15 @@ class ShardRouter {
 
   ShardRouter() = default;
 
-  // Group of a user / owning user of a global doc or tag, under
-  // state_mu_ (shared).
-  uint32_t RootOf(social::UserId u) const { return user_root_[u]; }
-  uint64_t MaskOfRoot(uint32_t root) const;
+  // Owning user of a global node, under state_mu_ (shared).
   Result<social::UserId> OwnerOfGlobalNode(
       doc::NodeId node, const std::vector<social::UserId>& pending_doc_owner,
       const std::vector<doc::NodeId>& pending_doc_base,
       const std::vector<uint32_t>& pending_doc_nodes) const;
 
-  Result<ShardedResponse> QueryShards(const core::QueryRequest& query,
-                                      bool scatter);
-
   Status PersistShardMeta(const Shard& shard);
 
-  // Registers the router-level metric series (per-shard scatter
-  // latency histograms, prune/dedup counters) once shards_ is built.
-  void RegisterMetrics();
-
   std::string root_dir_;  // empty for in-memory deployments
-  ShardRouterOptions options_;
   std::vector<Shard> shards_;
   uint64_t n_users_ = 0;
 
@@ -270,7 +198,7 @@ class ShardRouter {
   // exclusive). Never held across a shard round-trip.
   mutable std::shared_mutex state_mu_;
   std::vector<uint32_t> user_root_;           // reach group per user
-  std::vector<uint32_t> home_;                // home shard per user
+  std::vector<uint32_t> home_;                // home shard per user (fixed)
   std::vector<uint64_t> root_mask_;           // per user id (valid at roots)
   std::vector<social::UserId> doc_owner_;     // per global doc
   std::vector<doc::NodeId> doc_node_base_;    // per global doc, ascending
@@ -281,15 +209,6 @@ class ShardRouter {
 
   // Serializes writers (ApplyUpdate).
   std::mutex update_mu_;
-
-  // ---- observability (registry-owned handles; no-ops when compiled
-  // out). h_scatter_[s] is this router's view of shard s's sub-query
-  // latency; the per-shard QueryServices additionally publish their
-  // own series under {service="shard<s>"} labels.
-  std::vector<obs::Histogram*> h_scatter_;
-  obs::Counter* c_pruned_unreachable_ = nullptr;
-  obs::Counter* c_pruned_bound_ = nullptr;
-  obs::Counter* c_merge_dedup_ = nullptr;
 };
 
 }  // namespace s3::shard

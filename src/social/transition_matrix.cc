@@ -246,12 +246,6 @@ void TransitionMatrix::Propagate(const Frontier& in, Frontier& out) const {
                in.values.data(), out.values.data(), out.nonzero);
 }
 
-double TransitionMatrix::RowSum(uint32_t row) const {
-  double s = 0.0;
-  for (uint64_t i = row_ptr_[row]; i < row_ptr_[row + 1]; ++i) s += vals_[i];
-  return s;
-}
-
 std::vector<std::pair<uint32_t, double>> TransitionMatrix::Row(
     uint32_t row) const {
   std::vector<std::pair<uint32_t, double>> out;

@@ -91,9 +91,6 @@ class TransitionMatrix {
   // neighborhood has no outgoing edge).
   double Denominator(uint32_t row) const { return denom_[row]; }
 
-  // Sum of the row (≤ 1; 0 for sink rows).
-  double RowSum(uint32_t row) const;
-
   size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   size_t nonzeros() const { return cols_.size(); }
 

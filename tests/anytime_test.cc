@@ -618,54 +618,32 @@ TEST(AnytimeShardTest, EpsilonSweepThroughRouter) {
                                  " eps=" + std::to_string(eps);
         QueryRequest req = Anytime(u, q.keywords, eps);
 
-        // Home-shard routing: single-instance semantics verbatim.
+        // Home-shard routing: single-instance semantics verbatim, with
+        // the home shard's own certificate.
         auto homed = router->Query(req);
         ASSERT_TRUE(homed.ok()) << homed.status().ToString();
+        EXPECT_FALSE(homed->deadline_exceeded) << what;
         if (eps == 0.0) {
           ExpectBitIdentical(homed->entries, homed->stats, exact->entries,
-                             exact->stats, what + " [home]");
+                             exact->stats, what);
+          EXPECT_LE(homed->certified_epsilon, kCertTol) << what;
         } else {
-          EXPECT_LE(homed->certified_epsilon, eps + kCertTol)
-              << what << " [home]";
+          EXPECT_LE(homed->certified_epsilon, eps + kCertTol) << what;
         }
-
-        // Scatter-gather: merged entries + a *global* certificate
-        // folded from the per-shard exports.
-        auto global = router->QueryGlobal(req);
-        ASSERT_TRUE(global.ok()) << global.status().ToString();
-        EXPECT_FALSE(global->deadline_exceeded) << what;
-        if (eps == 0.0) {
-          ASSERT_EQ(global->entries.size(), exact->entries.size()) << what;
-          for (size_t i = 0; i < exact->entries.size(); ++i) {
-            EXPECT_EQ(global->entries[i].node, exact->entries[i].node) << what;
-            EXPECT_EQ(global->entries[i].lower, exact->entries[i].lower)
-                << what;
-            EXPECT_EQ(global->entries[i].upper, exact->entries[i].upper)
-                << what;
-          }
-          // Exact global answers certify (near) zero.
-          EXPECT_LE(global->certified_epsilon, kCertTol) << what;
-        }
-        if (!global->entries.empty()) {
-          ExpectOracleCertified(full, q, opts, global->entries,
-                                global->kth_lower, global->remaining_upper,
-                                global->certified_epsilon, what + " [global]");
-        }
-        // Per-shard local certificates respect the request.
-        for (const shard::ShardReport& r : global->shards) {
-          if (!r.queried) continue;
-          EXPECT_LE(r.certified_epsilon, eps + kCertTol)
-              << what << " shard " << r.shard;
+        if (!homed->entries.empty()) {
+          ExpectOracleCertified(full, q, opts, homed->entries,
+                                homed->stats.kth_lower,
+                                homed->stats.remaining_upper,
+                                homed->certified_epsilon, what);
         }
       }
     }
   }
 }
 
-// Satellite 2 pin: the per-shard bound exports are the *post-search*
-// values — the plan cache stores seeker-independent plans, never
-// stats — so a cache-hit answer exports bit-for-bit what the cold
-// answer exported. (Referenced from shard_router.cc.)
+// The bound exports are the *post-search* values: the plan cache
+// stores seeker-independent plans, never stats, so a cache-hit answer
+// exports bit-for-bit what the cold answer exported.
 TEST(AnytimeShardTest, CacheHitExportsMatchColdExports) {
   auto mg = BuildMultiGroup(3, 3, 29);
   const S3Instance& full = *mg.instance;
@@ -674,28 +652,16 @@ TEST(AnytimeShardTest, CacheHitExportsMatchColdExports) {
 
   for (double eps : {0.0, 0.05}) {
     QueryRequest req = Anytime(1, {mg.keywords[1], mg.keywords[3]}, eps);
-    auto cold = router->QueryGlobal(req);
+    auto cold = router->Query(req);
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    auto warm = router->QueryGlobal(req);
+    auto warm = router->Query(req);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    // The repeat actually exercised the plan cache somewhere.
-    bool any_hit = warm->cache_hit;
-    for (const shard::ShardReport& r : warm->shards) any_hit |= r.cache_hit;
-    EXPECT_TRUE(any_hit) << "eps=" << eps;
+    // The repeat actually exercised the plan cache.
+    EXPECT_TRUE(warm->cache_hit) << "eps=" << eps;
 
-    ASSERT_EQ(warm->shards.size(), cold->shards.size());
-    for (size_t s = 0; s < cold->shards.size(); ++s) {
-      EXPECT_EQ(warm->shards[s].kth_lower, cold->shards[s].kth_lower)
-          << "shard " << s << " eps=" << eps;
-      EXPECT_EQ(warm->shards[s].remaining_upper,
-                cold->shards[s].remaining_upper)
-          << "shard " << s << " eps=" << eps;
-      EXPECT_EQ(warm->shards[s].certified_epsilon,
-                cold->shards[s].certified_epsilon)
-          << "shard " << s << " eps=" << eps;
-    }
-    EXPECT_EQ(warm->kth_lower, cold->kth_lower) << "eps=" << eps;
-    EXPECT_EQ(warm->remaining_upper, cold->remaining_upper) << "eps=" << eps;
+    EXPECT_EQ(warm->stats.kth_lower, cold->stats.kth_lower) << "eps=" << eps;
+    EXPECT_EQ(warm->stats.remaining_upper, cold->stats.remaining_upper)
+        << "eps=" << eps;
     EXPECT_EQ(warm->certified_epsilon, cold->certified_epsilon)
         << "eps=" << eps;
     ASSERT_EQ(warm->entries.size(), cold->entries.size());
@@ -728,14 +694,10 @@ TEST(AnytimeShardTest, DeadlineDegradesCertificateNotAvailability) {
   ASSERT_TRUE(found);
 
   auto router = ServeShards(full, 2, /*cache_on=*/false);
-  auto resp = router->QueryGlobal(Anytime(q.seeker, q.keywords, 0.0, 1e-12));
+  auto resp = router->Query(Anytime(q.seeker, q.keywords, 0.0, 1e-12));
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();  // degraded, not failed
   EXPECT_TRUE(resp->deadline_exceeded);
-  bool any_shard_flag = false;
-  for (const shard::ShardReport& r : resp->shards) {
-    any_shard_flag |= r.deadline_exceeded;
-  }
-  EXPECT_TRUE(any_shard_flag);
+  EXPECT_TRUE(resp->stats.deadline_exceeded);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ class RandomInstanceSweep : public ::testing::TestWithParam<SweepCase> {
 TEST_P(RandomInstanceSweep, MatrixRowsSubStochastic) {
   const auto& m = ri_.instance->matrix();
   for (uint32_t row = 0; row < m.rows(); ++row) {
-    double sum = m.RowSum(row);
+    double sum = s3::testing::SumOfRow(m, row);
     EXPECT_GE(sum, -1e-12);
     EXPECT_LE(sum, 1.0 + 1e-9) << "row " << row;
     if (!m.Row(row).empty()) {

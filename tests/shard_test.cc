@@ -1,7 +1,7 @@
 // Sharding subsystem tests: partitioner determinism (golden pinned
 // hash assignments, endian/platform-stable), shard-vs-unsharded
-// bit-for-bit equality across every shard count, scatter-gather merge
-// pruning, delta routing with independent per-shard generations, and
+// bit-for-bit equality across every shard count, home-shard routing,
+// delta routing with independent per-shard generations, and
 // the storage round-trip (split -> Open -> query -> update -> reopen).
 #include <unistd.h>
 
@@ -335,50 +335,77 @@ TEST_P(ShardEquivalenceTest, EveryShardCountMatchesUnshardedAndOracle) {
 INSTANTIATE_TEST_SUITE_P(CacheOnOff, ShardEquivalenceTest,
                          ::testing::Bool());
 
-// ---- scatter-gather -------------------------------------------------------
+// ---- routing --------------------------------------------------------------
 
-TEST(ShardRouterTest, ScatterGatherMatchesRoutedAndPrunesForeignShards) {
+// A routed query runs on the seeker's home shard and nowhere else, and
+// returns that shard's own answer: entries mapped to global node ids,
+// certificate untouched. The direct side runs on a second partition of
+// the same population (the partitioner is deterministic).
+TEST(ShardRouterTest, RoutedQueryRunsOnTheHomeShardOnly) {
   auto mg = BuildMultiGroup(5, 2, 31);
   const S3Instance& full = *mg.instance;
-  std::shared_ptr<const S3Instance> full_shared = std::move(mg.instance);
 
-  PartitionOptions popts;
-  popts.shard_count = 4;
-  auto partition = Partition(full, popts);
-  ASSERT_TRUE(partition.ok());
-  const std::vector<uint32_t> user_root = partition->user_root;
+  core::QueryOptions anytime;
+  anytime.mode = core::QueryMode::kAnytime;
+  anytime.epsilon_approx = 0.05;
 
-  ShardRouterOptions ropts;
-  ropts.service = ServiceOptions(true);
-  auto router = ShardRouter::Serve(std::move(*partition), ropts);
-  ASSERT_TRUE(router.ok());
+  for (uint32_t n_shards : {2u, 3u, 4u}) {
+    PartitionOptions popts;
+    popts.shard_count = n_shards;
+    auto partition = Partition(full, popts);
+    auto direct_partition = Partition(full, popts);
+    ASSERT_TRUE(partition.ok());
+    ASSERT_TRUE(direct_partition.ok());
 
-  for (social::UserId u = 0; u < full.UserCount(); ++u) {
-    Query q{u, {mg.keywords[0], mg.keywords[3]}};
-    auto routed = (*router)->Query(q);
-    auto global = (*router)->QueryGlobal(q);
-    ASSERT_TRUE(routed.ok());
-    ASSERT_TRUE(global.ok());
-    ExpectSameEntries(global->entries, routed->entries,
-                      "seeker " + std::to_string(u));
+    ShardRouterOptions ropts;
+    ropts.service = ServiceOptions(true);
+    auto router = ShardRouter::Serve(std::move(*partition), ropts);
+    ASSERT_TRUE(router.ok());
+    ASSERT_EQ((*router)->shard_count(), n_shards);
 
-    // Shards that materialize the seeker's group were queried; every
-    // other shard was pruned statically (its best bound is exactly 0:
-    // no social path from the seeker exists there).
-    uint64_t mask = 0;
-    for (social::UserId v = 0; v < full.UserCount(); ++v) {
-      if (user_root[v] == user_root[u]) {
-        mask |= uint64_t{1} << ShardOfUser(v, popts.shard_count);
+    std::vector<std::unique_ptr<server::QueryService>> direct;
+    for (const ShardPart& part : direct_partition->shards) {
+      direct.push_back(std::make_unique<server::QueryService>(
+          part.instance, ServiceOptions(true)));
+    }
+
+    for (social::UserId u = 0; u < full.UserCount(); ++u) {
+      const uint32_t home = (*router)->HomeShardOfUser(u);
+      ASSERT_EQ(home, ShardOfUser(u, n_shards));
+      const ShardMap& map = direct_partition->shards[home].map;
+      for (const core::QueryRequest& req :
+           {core::QueryRequest(u, {mg.keywords[0], mg.keywords[3]}),
+            core::QueryRequest(u, {mg.keywords[1]}, anytime)}) {
+        const std::string what = "shards=" + std::to_string(n_shards) +
+                                 " seeker=" + std::to_string(u);
+        std::vector<uint64_t> before;
+        for (uint32_t s = 0; s < n_shards; ++s) {
+          before.push_back((*router)->service(s).Stats().submitted);
+        }
+        auto routed = (*router)->Query(req);
+        ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+        for (uint32_t s = 0; s < n_shards; ++s) {
+          EXPECT_EQ((*router)->service(s).Stats().submitted,
+                    before[s] + (s == home ? 1 : 0))
+              << what << " shard " << s;
+        }
+
+        auto fut = direct[home]->SubmitBlocking(req);
+        ASSERT_TRUE(fut.ok());
+        auto want = fut->get();
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        std::vector<ResultEntry> want_global = want->entries;
+        for (ResultEntry& e : want_global) {
+          e.node = map.GlobalNode(e.node).value();
+        }
+        ExpectSameEntries(routed->entries, want_global, what);
+        EXPECT_EQ(routed->stats.kth_lower, want->stats.kth_lower) << what;
+        EXPECT_EQ(routed->stats.remaining_upper, want->stats.remaining_upper)
+            << what;
+        EXPECT_EQ(routed->certified_epsilon, want->certified_epsilon) << what;
+        EXPECT_EQ(routed->deadline_exceeded, want->deadline_exceeded) << what;
       }
     }
-    for (const ShardReport& report : global->shards) {
-      const bool in_mask = ((mask >> report.shard) & 1) != 0;
-      EXPECT_EQ(report.queried || report.pruned_bound, in_mask)
-          << "seeker " << u << " shard " << report.shard;
-      EXPECT_EQ(report.pruned_unreachable, !in_mask);
-    }
-    EXPECT_EQ(global->shards_queried + global->shards_pruned,
-              (*router)->shard_count());
   }
 }
 

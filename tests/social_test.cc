@@ -161,7 +161,7 @@ TEST_F(Figure3MatrixTest, Example23SecondEdgeNormalization) {
 TEST_F(Figure3MatrixTest, RowsAreSubStochastic) {
   const auto& m = fig_.instance->matrix();
   for (uint32_t row = 0; row < m.rows(); ++row) {
-    double sum = m.RowSum(row);
+    double sum = s3::testing::SumOfRow(m, row);
     EXPECT_LE(sum, 1.0 + 1e-9) << "row " << row;
     EXPECT_GE(sum, 0.0);
   }
@@ -171,7 +171,7 @@ TEST_F(Figure3MatrixTest, NonEmptyRowsSumToOne) {
   const auto& m = fig_.instance->matrix();
   for (uint32_t row = 0; row < m.rows(); ++row) {
     if (!m.Row(row).empty()) {
-      EXPECT_NEAR(m.RowSum(row), 1.0, 1e-9) << "row " << row;
+      EXPECT_NEAR(s3::testing::SumOfRow(m, row), 1.0, 1e-9) << "row " << row;
     }
   }
 }

@@ -281,6 +281,13 @@ inline ReferenceRows RowsOf(const social::TransitionMatrix& m) {
   return rows;
 }
 
+// Sum of row `r` of `m`, read through TransitionMatrix::Row().
+inline double SumOfRow(const social::TransitionMatrix& m, uint32_t r) {
+  double sum = 0.0;
+  for (const auto& [col, w] : m.Row(r)) sum += w;
+  return sum;
+}
+
 // One exploration step out = in · T as a plain dense loop over source
 // rows in ascending order: a scalar oracle that shares no code with the
 // engine's propagation kernels. Each output row accumulates its terms

@@ -20,8 +20,8 @@ run; the catalog is the contract.
 Exit code is 0 unless --strict is passed AND a family disappeared or
 changed shape. A missing baseline file is a graceful skip (the check
 works before its baseline lands); a missing fresh file is an error.
-Wired as an advisory (continue-on-error) step of the CI
-bench-regression job.
+CI runs it with --strict, as a blocking step of the bench-regression
+job, on both committed catalogs.
 """
 
 import argparse
