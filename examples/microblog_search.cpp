@@ -52,7 +52,7 @@ int main() {
       std::printf("seeker %s, keywords:",
                   gen.instance->users()[q.seeker].uri.c_str());
       for (KeywordId k : q.keywords) {
-        std::printf(" '%s'", gen.instance->vocabulary().Spelling(k).c_str());
+        std::printf(" '%s'", std::string(gen.instance->vocabulary().Spelling(k)).c_str());
       }
       std::printf("\n");
       core::SearchStats st;

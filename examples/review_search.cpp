@@ -54,7 +54,7 @@ int main() {
   for (const auto& q : qs.queries) {
     std::printf("seeker %s searches '%s'\n",
                 gen.instance->users()[q.seeker].uri.c_str(),
-                gen.instance->vocabulary().Spelling(q.keywords[0]).c_str());
+                std::string(gen.instance->vocabulary().Spelling(q.keywords[0])).c_str());
 
     core::SearchStats st;
     auto rs = s3k.Search(core::QueryRequest(q), &st);

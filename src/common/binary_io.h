@@ -24,8 +24,8 @@
 
 namespace s3 {
 
-// CRC-32 (ISO-HDLC, reflected polynomial 0xEDB88320) — the framing
-// checksum of snapshot sections and WAL records.
+// CRC-32 (ISO-HDLC, reflected polynomial 0xEDB88320; zlib's crc32) —
+// the framing checksum of snapshot sections and WAL records.
 uint32_t Crc32(const void* data, size_t size);
 inline uint32_t Crc32(std::string_view bytes) {
   return Crc32(bytes.data(), bytes.size());
@@ -119,13 +119,16 @@ class ByteReader {
   }
 
   // Inverse of ByteWriter::VarStr.
-  std::string VarStr() {
+  std::string VarStr() { return std::string(VarStrView()); }
+
+  // VarStr without the copy: a view into the input.
+  std::string_view VarStrView() {
     uint64_t len = Var();
     if (failed_ || len > remaining()) {
       failed_ = true;
-      return std::string();
+      return std::string_view();
     }
-    std::string out(data_.substr(pos_, len));
+    std::string_view out = data_.substr(pos_, static_cast<size_t>(len));
     pos_ += static_cast<size_t>(len);
     return out;
   }

@@ -7,11 +7,13 @@
 // endpoints may be pre-existing entities, new keyword spellings via
 // the interning overlay) validated against the base snapshot, without
 // mutating it. S3Instance::ApplyDelta(delta) then produces a *new*
-// finalized snapshot by structural sharing: copy-on-write of the
-// touched inverted-index postings and keyword->component lists, shared
-// edge-log chunks, spliced transition-matrix rows, incremental
-// component re-discovery — never a full rebuild. The base snapshot stays immutable and
-// queryable throughout, which is what lets the serving layer
+// finalized snapshot without a full rebuild: the inverted-index
+// postings and keyword->component lists are spliced (the base's lists
+// plus the delta's appended ids, in one linear pass), edge-log chunks
+// are shared, untouched transition-matrix rows are spliced and
+// components are re-discovered incrementally. The base snapshot stays
+// immutable and queryable throughout, which is what lets the serving
+// layer
 // (server/QueryService::SwapSnapshot) hot-swap generations mid-traffic.
 //
 // Id spaces: a delta continues the base's id spaces. New documents,

@@ -4,9 +4,8 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <unordered_map>
+#include <future>
 
-#include "common/cow.h"
 #include "core/instance_delta.h"
 #include "rdf/vocab.h"
 
@@ -16,8 +15,6 @@ using social::EdgeLabel;
 using social::EntityId;
 
 namespace {
-const std::vector<social::ComponentId> kNoComponents;
-
 // Lineage tokens. Unique within a process by construction (atomic
 // counter); the counter is offset by a wall-clock base so tokens from
 // *different* processes — which can meet through one storage
@@ -88,9 +85,7 @@ S3Instance::S3Instance(const S3Instance& base)
       generation_(base.generation_),
       lineage_(base.lineage_),
       rdf_social_edges_(base.rdf_social_edges_),
-      index_(base.index_),
       saturation_stats_(base.saturation_stats_),
-      comps_with_keyword_(base.comps_with_keyword_),
       reach_parent_(base.reach_parent_),
       reach_root_(base.reach_root_) {}
 
@@ -285,16 +280,20 @@ Status S3Instance::Finalize() {
   {
     rdf::TermId social_p = terms_->InternUri(rdf::vocab::kSocial);
     rdf::TermId sub_p = terms_->InternUri(rdf::vocab::kSubPropertyOf);
-    std::unordered_map<std::string, social::UserId> user_of_uri;
-    for (const User& u : users_) user_of_uri.emplace(u.uri, u.id);
+    // AddUser interned every user URI as a URI term; the first user of
+    // a URI owns it.
+    std::vector<social::UserId> user_of_term(terms_->size(), UINT32_MAX);
+    for (const User& u : users_) {
+      social::UserId& owner =
+          user_of_term[terms_->Find(u.uri, rdf::TermKind::kUri)];
+      if (owner == UINT32_MAX) owner = u.id;
+    }
     auto import_triple = [&](const rdf::Triple& t) {
-      if (terms_->Kind(t.object) != rdf::TermKind::kUri) return;
-      auto from = user_of_uri.find(terms_->Text(t.subject));
-      auto to = user_of_uri.find(terms_->Text(t.object));
-      if (from == user_of_uri.end() || to == user_of_uri.end()) return;
+      const social::UserId from = user_of_term[t.subject];
+      const social::UserId to = user_of_term[t.object];
+      if (from == UINT32_MAX || to == UINT32_MAX) return;
       if (!(t.weight > 0.0 && t.weight <= 1.0)) return;
-      edges_.Add(social::EntityId::User(from->second),
-                 social::EntityId::User(to->second),
+      edges_.Add(social::EntityId::User(from), social::EntityId::User(to),
                  social::EdgeLabel::kSocial, t.weight);
       ++rdf_social_edges_;
     };
@@ -329,23 +328,18 @@ Status S3Instance::Finalize() {
 
   // 5. Keyword -> component directory (fragments containing k, tags
   // keyworded with k).
-  comps_with_keyword_.clear();
-  for (KeywordId k : index_.Keywords()) {
-    auto& comps = CompsWithKeywordSlot(k);
-    for (doc::NodeId n : index_.Postings(k)) {
-      comps.push_back(components_.Of(EntityId::Fragment(n)));
+  comps_with_keyword_.Build(vocabulary_.size(), [&](auto&& emit) {
+    for (KeywordId k = 0; k < vocabulary_.size(); ++k) {
+      for (doc::NodeId n : index_.Postings(k)) {
+        emit(k, components_.Of(EntityId::Fragment(n)));
+      }
     }
-  }
-  for (const Tag& tag : tags_) {
-    if (tag.keyword == kInvalidKeyword) continue;
-    CompsWithKeywordSlot(tag.keyword)
-        .push_back(components_.Of(EntityId::Tag(tag.id)));
-  }
-  for (auto& comps : comps_with_keyword_) {
-    if (comps == nullptr) continue;
-    std::sort(comps->begin(), comps->end());
-    comps->erase(std::unique(comps->begin(), comps->end()), comps->end());
-  }
+    for (const Tag& tag : tags_) {
+      if (tag.keyword == kInvalidKeyword) continue;
+      emit(tag.keyword, components_.Of(EntityId::Tag(tag.id)));
+    }
+  });
+  comps_with_keyword_.SortUnique();
 
   // 6. Reach partition over the completed edge log, and the tags-on /
   // comments-on tables.
@@ -461,7 +455,7 @@ std::vector<doc::NodeId> S3Instance::CommentTargets() const {
 
 std::vector<KeywordId> S3Instance::ExtendKeyword(KeywordId k) const {
   std::vector<KeywordId> out{k};
-  const std::string& spelling = vocabulary_.Spelling(k);
+  const std::string_view spelling = vocabulary_.Spelling(k);
   rdf::TermId term = terms_->Find(spelling, rdf::TermKind::kUri);
   if (term == rdf::kInvalidTerm) {
     // Literals can also be extension anchors (e.g. a class lexicalized
@@ -475,12 +469,6 @@ std::vector<KeywordId> S3Instance::ExtendKeyword(KeywordId k) const {
     if (kid != kInvalidKeyword && kid != k) out.push_back(kid);
   }
   return out;
-}
-
-std::vector<social::ComponentId>& S3Instance::CompsWithKeywordSlot(
-    KeywordId k) {
-  if (k >= comps_with_keyword_.size()) comps_with_keyword_.resize(k + 1);
-  return MutableCow(comps_with_keyword_[k]);
 }
 
 Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
@@ -663,55 +651,39 @@ Status S3Instance::AttachDerived(SnapshotDerived d) {
                   static_cast<uint32_t>(docs_.NodeCount()),
                   static_cast<uint32_t>(tags_.size()));
 
-  // Inverted index: per-list invariants (sorted unique, node range)
-  // were enforced by AdoptPostings while the codec parsed; only the
-  // cross-structure keyword bound is left.
-  for (KeywordId k : d.index.Keywords()) {
-    if (k >= vocabulary_.size()) {
-      return bad("inverted-index keyword out of range");
-    }
-  }
+  // The codec checked the postings' and the keyword directory's own
+  // invariants (keywords in range, lists non-empty and strictly
+  // ascending, nodes in range) while it decoded them.
   index_ = std::move(d.index);
 
-  S3_RETURN_IF_ERROR(matrix_.Adopt(
-      std::move(d.matrix_row_ptr), std::move(d.matrix_cols),
-      std::move(d.matrix_vals), std::move(d.matrix_denom),
-      layout_->total()));
-  S3_RETURN_IF_ERROR(
-      components_.AdoptForest(*layout_, std::move(d.component_forest)));
-
-  comps_with_keyword_.clear();
-  comps_with_keyword_.resize(vocabulary_.size());
-  bool first_entry = true;
-  KeywordId prev = 0;
-  for (auto& [k, comps] : d.comps_with_keyword) {
-    if (k >= vocabulary_.size()) {
-      return bad("keyword-directory keyword out of range");
-    }
-    if (!first_entry && k <= prev) {
-      return bad("keyword directory not ascending");
-    }
-    first_entry = false;
-    prev = k;
-    if (comps.empty()) return bad("empty keyword-directory entry");
-    for (size_t i = 0; i < comps.size(); ++i) {
-      if (comps[i] >= components_.ComponentCount()) {
-        return bad("keyword-directory component out of range");
-      }
-      if (i > 0 && comps[i] <= comps[i - 1]) {
-        return bad("keyword-directory list not sorted unique");
-      }
-    }
-    comps_with_keyword_[k] =
-        std::make_shared<std::vector<social::ComponentId>>(
-            std::move(comps));
-  }
-
-  // Derived, not serialized: the reach partition and the tags-on /
-  // comments-on tables are pure functions of the population and
-  // rebuild in one scan each.
+  // The matrix and the forest are validated and adopted on a helper
+  // thread while this one derives what is not serialized — the reach
+  // partition and the tags-on / comments-on tables, pure functions of
+  // the (already validated) population, one scan each. Neither side
+  // reads what the other writes. A helper that cannot be started runs
+  // deferred, in get().
+  std::future<Status> adopted =
+      std::async(std::launch::async | std::launch::deferred, [&] {
+        S3_RETURN_IF_ERROR(matrix_.Adopt(
+            std::move(d.matrix_row_ptr), std::move(d.matrix_cols),
+            std::move(d.matrix_vals), std::move(d.matrix_denom),
+            layout_->total()));
+        return components_.AdoptForest(*layout_,
+                                       std::move(d.component_forest));
+      });
   BuildReach(/*first_new_edge=*/0);
   IndexSubjects(/*base=*/nullptr);
+  S3_RETURN_IF_ERROR(adopted.get());
+
+  // Each list ascends, so its last item bounds it.
+  for (KeywordId k = 0; k < d.comps_with_keyword.keys(); ++k) {
+    const auto comps = d.comps_with_keyword[k];
+    if (!comps.empty() && comps.back() >= components_.ComponentCount()) {
+      return bad("KWCOMPS component of keyword " + std::to_string(k) +
+                 " out of range");
+    }
+  }
+  comps_with_keyword_ = std::move(d.comps_with_keyword);
 
   saturation_stats_ = d.saturation_stats;
   rdf_social_edges_ = d.rdf_social_edges;
@@ -778,8 +750,8 @@ Status S3Instance::FinalizeIncremental(const S3Instance& base) {
                   static_cast<uint32_t>(docs_.NodeCount()),
                   static_cast<uint32_t>(tags_.size()));
 
-  // Inverted index: append the new nodes' postings (copy-on-write).
-  index_.AppendNodes(docs_, old_nodes);
+  // Inverted index: the base's postings with the new nodes appended.
+  index_.Extend(base.index_, docs_, old_nodes);
 
   // Transition matrix: recompute only rows whose neighborhood gained
   // an out-edge (a new edge from entity s touches row(s), and — since
@@ -806,59 +778,33 @@ Status S3Instance::FinalizeIncremental(const S3Instance& base) {
 
   // Keyword -> component directory. Old component ids survive unless
   // the delta merged pre-existing components (a new comment or tag
-  // chain bridging two of them); detect that via one representative
-  // row per pre-delta component and remap wholesale only then.
+  // chain bridging two of them); map each pre-delta component to its
+  // successor through one representative row.
   const social::ComponentIndex& old_comps = base.components_;
   std::vector<social::ComponentId> old_to_new(old_comps.ComponentCount());
-  bool ids_changed = false;
   for (social::ComponentId c = 0; c < old_to_new.size(); ++c) {
     const uint32_t rep = old_comps.Members(c).front();
     const uint32_t new_rep = rep < old_tag_base ? rep : rep + n_new_frag;
     old_to_new[c] = components_.OfRow(new_rep);
-    ids_changed |= old_to_new[c] != c;
   }
-  std::vector<KeywordId> dirty_keys;
-  if (ids_changed) {
-    for (KeywordId k = 0; k < comps_with_keyword_.size(); ++k) {
-      auto& comps = comps_with_keyword_[k];
-      if (comps == nullptr) continue;
-      // Clone only lists the remap actually changes — most keywords
-      // live far from the merged components and keep sharing their
-      // list with the base.
-      const bool affected =
-          std::any_of(comps->begin(), comps->end(),
-                      [&](social::ComponentId c) {
-                        return old_to_new[c] != c;
-                      });
-      if (!affected) continue;
-      for (social::ComponentId& c : MutableCow(comps)) {
-        c = old_to_new[c];
-      }
-      dirty_keys.push_back(k);
-    }
-  }
-  for (doc::NodeId n = old_nodes; n < new_nodes; ++n) {
-    const social::ComponentId c =
-        components_.Of(EntityId::Fragment(n));
-    for (KeywordId k : docs_.Keywords(n)) {
-      CompsWithKeywordSlot(k).push_back(c);
-      dirty_keys.push_back(k);
-    }
-  }
-  for (social::TagId t = old_tags; t < tags_.size(); ++t) {
-    if (tags_[t].keyword == kInvalidKeyword) continue;
-    CompsWithKeywordSlot(tags_[t].keyword)
-        .push_back(components_.Of(EntityId::Tag(t)));
-    dirty_keys.push_back(tags_[t].keyword);
-  }
-  std::sort(dirty_keys.begin(), dirty_keys.end());
-  dirty_keys.erase(std::unique(dirty_keys.begin(), dirty_keys.end()),
-                   dirty_keys.end());
-  for (KeywordId k : dirty_keys) {
-    auto& comps = CompsWithKeywordSlot(k);
-    std::sort(comps.begin(), comps.end());
-    comps.erase(std::unique(comps.begin(), comps.end()), comps.end());
-  }
+  // One splice: each base list (remapped) followed by the components
+  // of the new fragments and tags holding the keyword; then the lists
+  // the remap or the appends disordered are sorted and deduplicated.
+  comps_with_keyword_.Splice(
+      base.comps_with_keyword_, vocabulary_.size(),
+      [&](auto&& emit) {
+        for (doc::NodeId n = old_nodes; n < new_nodes; ++n) {
+          const social::ComponentId c =
+              components_.Of(EntityId::Fragment(n));
+          for (KeywordId k : docs_.Keywords(n)) emit(k, c);
+        }
+        for (social::TagId t = old_tags; t < tags_.size(); ++t) {
+          if (tags_[t].keyword == kInvalidKeyword) continue;
+          emit(tags_[t].keyword, components_.Of(EntityId::Tag(t)));
+        }
+      },
+      [&](social::ComponentId c) { return old_to_new[c]; });
+  comps_with_keyword_.SortUnique();
 
   // Change stamps. A component keeps the stamp of the one pre-delta
   // component it continues, unless the delta gave it a new fragment or
@@ -895,13 +841,6 @@ Status S3Instance::FinalizeIncremental(const S3Instance& base) {
 
   finalized_ = true;
   return Status::OK();
-}
-
-const std::vector<social::ComponentId>& S3Instance::ComponentsWithKeyword(
-    KeywordId k) const {
-  return k < comps_with_keyword_.size() && comps_with_keyword_[k] != nullptr
-             ? *comps_with_keyword_[k]
-             : kNoComponents;
 }
 
 uint32_t S3Instance::RowOfUser(social::UserId u) const {

@@ -10,19 +10,24 @@
 //
 // Finalized instances are immutable. The live-update pipeline grows
 // them by *generations*: ApplyDelta(InstanceDelta) produces a new
-// finalized snapshot that shares every untouched structure with its
-// base (copy-on-write postings, keyword->component lists and edge-log
-// chunks, spliced transition-matrix rows, extended union-find) instead
-// of rebuilding — see core/instance_delta.h.
+// finalized snapshot that shares the edge-log chunks and the saturated
+// ontology with its base, splices the postings and keyword->component
+// lists in one linear pass, splices untouched transition-matrix rows
+// and extends the union-find instead of rebuilding — see
+// core/instance_delta.h.
 //
 // Every lookup keyed by a dense id (user, node, tag, entity row or
-// keyword) is a flat array: the tags-on and comments-on tables are
-// CSRs rebuilt by one counting sort per generation, and the keyword
-// directories are KeywordId-indexed vectors. The document store is
-// flat too (doc/document_store.h): per-node parent, depth, name and
+// keyword) is a flat array: the tags-on and comments-on tables and the
+// two keyword directories are CSRs (FlatLists) built by one counting
+// sort or splice per generation. The document store is flat too
+// (doc/document_store.h): per-node parent, depth, name and
 // owning-document arrays plus keyword and child CSRs, with node URIs
-// derived from one root-URI arena. A snapshot attach decodes DOCS
-// straight into it, and a successor copies it as a few flat arrays.
+// derived from one root-URI arena. So are the keyword vocabulary and
+// the term dictionary (one string arena and an open-addressed id table
+// each) and the triple store (one triple array and three sorted
+// permutations). A snapshot attach decodes the dictionary, triple and
+// keyword-list sections straight into these arrays, and a successor
+// copies or splices them as a few flat arrays.
 #ifndef S3_CORE_S3_INSTANCE_H_
 #define S3_CORE_S3_INSTANCE_H_
 
@@ -148,11 +153,11 @@ class S3Instance {
   // Applies a delta built against *this* snapshot (see
   // core/instance_delta.h) and returns a new finalized snapshot of
   // generation generation()+1. The base is untouched and remains fully
-  // queryable; the successor shares all untouched postings, keyword
-  // directory lists, edge chunks and the saturated ontology with it,
-  // copies the flat document store, and splices its untouched
-  // transition-matrix rows from the base's. Query results over the
-  // successor are
+  // queryable; the successor shares the edge chunks and the saturated
+  // ontology with it, copies the flat document store and vocabulary,
+  // splices the delta's ids onto the base's postings and keyword
+  // directory lists, and splices its untouched transition-matrix rows
+  // from the base's. Query results over the successor are
   // identical to rebuilding an instance from scratch with the combined
   // population (same operations, same order) — bit for bit when the
   // base has no RDF-imported social edges; with rdf_social_edges() > 0
@@ -203,9 +208,9 @@ class S3Instance {
   // ---- durable snapshots ----------------------------------------------
 
   // Deserialized population of a finalized snapshot
-  // (core/snapshot_binary.cc). The codec rebuilds the member stores
-  // through their own APIs — ids are assigned densely in insertion
-  // order, so id-order replay reproduces them exactly — and hands the
+  // (core/snapshot_binary.cc). The codec decodes each section straight
+  // into its flat member store — ids are assigned densely in insertion
+  // order, so id-order decoding reproduces them exactly — and hands the
   // result to FromSnapshot, which installs it *without* the population
   // API: AddUser/AddDocument/... would re-derive RDF triples and
   // network edges that are already present verbatim in `rdf`/`edges`.
@@ -230,14 +235,14 @@ class S3Instance {
     uint64_t lineage = 0;
     uint64_t rdf_social_edges = 0;
     rdf::SaturationStats saturation_stats;
-    doc::InvertedIndex index;  // built by the codec via AdoptPostings
+    doc::InvertedIndex index;  // the INDEX section's lists, adopted
     StorageSpan<uint64_t> matrix_row_ptr;
     StorageSpan<uint32_t> matrix_cols;
     StorageSpan<double> matrix_vals;
     StorageSpan<double> matrix_denom;
     StorageSpan<uint32_t> component_forest;
-    std::vector<std::pair<KeywordId, std::vector<social::ComponentId>>>
-        comps_with_keyword;  // ascending keyword ids, sorted comp lists
+    // KWCOMPS: per keyword, its strictly ascending component list.
+    FlatLists<social::ComponentId> comps_with_keyword;
   };
 
   // The load-side counterpart of Finalize's build path: installs a
@@ -295,8 +300,10 @@ class S3Instance {
 
   // Components containing keyword k directly (a fragment containing k,
   // or a tag with keyword k). Sorted, unique.
-  const std::vector<social::ComponentId>& ComponentsWithKeyword(
-      KeywordId k) const;
+  std::span<const social::ComponentId> ComponentsWithKeyword(
+      KeywordId k) const {
+    return comps_with_keyword_[k];
+  }
 
   // Convenience: entity rows.
   uint32_t RowOfUser(social::UserId u) const;
@@ -342,11 +349,11 @@ class S3Instance {
 
  private:
   // Structure-sharing copy used by ApplyDelta: shared_ptr members are
-  // shared, copy-on-write stores copy their cheap spines and the flat
-  // document store copies its arrays. What
-  // FinalizeIncremental builds afresh from the base — the layout, the
-  // transition matrix, the component index and the tags-on /
-  // comments-on tables — is left empty rather than copied. Never
+  // shared, the edge log shares its full chunks, and the flat document
+  // store and vocabulary copy their arrays. What FinalizeIncremental
+  // builds afresh from the base — the layout, the postings, the
+  // transition matrix, the component index and the keyword, tags-on
+  // and comments-on tables — is left empty rather than copied. Never
   // exposed: copying a non-finalized instance would alias the mutable
   // ontology.
   S3Instance(const S3Instance& base);
@@ -385,10 +392,6 @@ class S3Instance {
   // only the log entries appended since are scanned.
   void IndexSubjects(const S3Instance* base);
 
-  // Mutable access to a keyword's component list, cloning it first
-  // when another generation still shares it (copy-on-write).
-  std::vector<social::ComponentId>& CompsWithKeywordSlot(KeywordId k);
-
   // Rebuilds the reach partition from the full edge log (Finalize,
   // AttachDerived), or extends the inherited forest with the owner
   // links of edges >= first_new_edge (FinalizeIncremental; the user
@@ -426,11 +429,8 @@ class S3Instance {
   social::ComponentIndex components_;
   std::vector<uint64_t> comp_stamp_;  // by component (ComponentChangedAt)
   rdf::SaturationStats saturation_stats_;
-  // KeywordId-indexed (null: no component), copy-on-write like the
-  // inverted index: a successor snapshot clones only the per-keyword
-  // component lists the delta touches.
-  std::vector<std::shared_ptr<std::vector<social::ComponentId>>>
-      comps_with_keyword_;
+  // Components containing each keyword, sorted unique per keyword.
+  FlatLists<social::ComponentId> comps_with_keyword_;
   // Reach partition over users: the union-find forest (kept for
   // incremental extension — deltas never add users, so its size is
   // fixed) and the flattened per-user root for O(1) immutable lookups.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <future>
 #include <type_traits>
 #include <utility>
 
@@ -373,7 +375,7 @@ std::string WriteIndex(const S3Instance& inst, uint64_t* mem) {
   KeywordId prev_k = 0;
   bool first = true;
   for (KeywordId k : keys) {
-    const std::vector<doc::NodeId>& postings = inst.index().Postings(k);
+    const std::span<const doc::NodeId> postings = inst.index().Postings(k);
     w.Var(first ? k : k - prev_k);
     first = false;
     prev_k = k;
@@ -440,27 +442,26 @@ std::string WriteForest(const S3Instance& inst, uint64_t* mem) {
 std::string WriteKeywordComps(const S3Instance& inst, uint64_t* mem) {
   std::string p;
   ByteWriter w(&p);
-  std::vector<std::pair<KeywordId, const std::vector<social::ComponentId>*>>
-      entries;
+  std::vector<KeywordId> keys;
   for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
-    const std::vector<social::ComponentId>& comps =
-        inst.ComponentsWithKeyword(k);
-    if (!comps.empty()) entries.emplace_back(k, &comps);
+    if (!inst.ComponentsWithKeyword(k).empty()) keys.push_back(k);
   }
-  w.Var(entries.size());
+  w.Var(keys.size());
   *mem = 8;
   KeywordId prev_k = 0;
   bool first = true;
-  for (const auto& [k, comps] : entries) {
+  for (KeywordId k : keys) {
+    const std::span<const social::ComponentId> comps =
+        inst.ComponentsWithKeyword(k);
     w.Var(first ? k : k - prev_k);
     first = false;
     prev_k = k;
-    w.Var(comps->size());
-    *mem += 12 + 4 * comps->size();
+    w.Var(comps.size());
+    *mem += 12 + 4 * comps.size();
     social::ComponentId prev_c = 0;
-    for (size_t i = 0; i < comps->size(); ++i) {
-      w.Var(i == 0 ? (*comps)[i] : (*comps)[i] - prev_c);
-      prev_c = (*comps)[i];
+    for (size_t i = 0; i < comps.size(); ++i) {
+      w.Var(i == 0 ? comps[i] : comps[i] - prev_c);
+      prev_c = comps[i];
     }
   }
   return p;
@@ -668,8 +669,12 @@ Status ParseTable(std::string_view bytes, Entry (&entries)[kSectionCount]) {
 Status ReadVocab(ByteReader& r, const Meta& meta, Vocabulary& vocab) {
   const uint64_t n = r.Var();
   if (n != meta.n_keywords) return SectionError(kVocab, "count mismatch");
+  if (!r.FitsCount(n, 1)) return SectionError(kVocab, "count truncated");
+  // Each spelling is a varint length and its bytes: the rest of the
+  // payload bounds the arena.
+  vocab.Reserve(static_cast<size_t>(n), r.remaining());
   for (uint64_t i = 0; i < n; ++i) {
-    std::string spelling = r.VarStr();
+    const std::string_view spelling = r.VarStrView();
     if (r.failed()) break;
     if (vocab.Intern(spelling) != i) {
       return SectionError(kVocab,
@@ -697,9 +702,11 @@ Status ReadTerms(ByteReader& r, const Meta& meta,
                    rdf::TermDictionary& terms) {
   const uint64_t n = r.Var();
   if (n != meta.n_terms) return SectionError(kTerms, "count mismatch");
+  if (!r.FitsCount(n, 2)) return SectionError(kTerms, "count truncated");
+  terms.Reserve(static_cast<size_t>(n), r.remaining());
   for (uint64_t i = 0; i < n; ++i) {
     const uint8_t kind = r.U8();
-    std::string text = r.VarStr();
+    const std::string_view text = r.VarStrView();
     if (r.failed()) break;
     if (kind > 1) return SectionError(kTerms, "bad term kind");
     if (terms.Intern(text, static_cast<rdf::TermKind>(kind)) != i) {
@@ -717,6 +724,7 @@ Status ReadTriples(ByteReader& r, const Meta& meta,
   const uint64_t n = r.Var();
   if (n != meta.n_triples) return SectionError(kTriples, "count mismatch");
   if (!r.FitsCount(n, 4)) return SectionError(kTriples, "count truncated");
+  std::vector<rdf::Triple> triples(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     const uint64_t s = r.Var();
     const uint64_t p = r.Var();
@@ -735,12 +743,13 @@ Status ReadTriples(ByteReader& r, const Meta& meta,
     if (!(w >= 0.0 && w <= 1.0)) {
       return SectionError(kTriples, "weight outside [0,1]");
     }
-    if (!rdf.Add(static_cast<rdf::TermId>(s), static_cast<rdf::TermId>(p),
-                 static_cast<rdf::TermId>(o), w)) {
-      return SectionError(kTriples, "duplicate triple");
-    }
+    triples[i] = rdf::Triple{static_cast<rdf::TermId>(s),
+                             static_cast<rdf::TermId>(p),
+                             static_cast<rdf::TermId>(o), w};
   }
   if (!r.AtEnd()) return r.status("binary snapshot, section TRIPLES");
+  const Status adopted = rdf.Adopt(std::move(triples));
+  if (!adopted.ok()) return SectionError(kTriples, adopted.message());
   return Status::OK();
 }
 
@@ -908,47 +917,60 @@ Status ReadEdges(ByteReader& r, const Meta& meta,
   return Status::OK();
 }
 
-Status ReadIndex(ByteReader& r, const Meta& meta,
-                   doc::InvertedIndex& index) {
+// INDEX and KWCOMPS share one layout: a varint entry count, then per
+// entry its keyword (delta from the previous entry's), its list length
+// and the list delta-coded. Decodes it straight into keyword-keyed flat
+// lists (n_keywords keys); keywords must ascend within range, and each
+// list must be non-empty and strictly ascending below `item_bound`.
+Status ReadKeywordLists(ByteReader& r, uint32_t id, const Meta& meta,
+                        uint64_t item_bound, FlatLists<uint32_t>& out) {
   const uint64_t n = r.Var();
-  if (!r.FitsCount(n, 2)) return SectionError(kIndex, "count truncated");
-  uint64_t prev_k = 0;
-  bool first = true;
+  if (!r.FitsCount(n, 2)) return SectionError(id, "count truncated");
+  std::vector<uint32_t> offsets(static_cast<size_t>(meta.n_keywords) + 1, 0);
+  std::vector<uint32_t> items;
+  // Every item takes at least one byte, so the rest of the payload
+  // bounds the count (pages past the real count are never touched).
+  items.reserve(r.remaining());
+  uint64_t next_k = 0;  // first keyword whose offset is not yet set
   for (uint64_t i = 0; i < n; ++i) {
     const uint64_t dk = r.Var();
     const uint64_t len = r.Var();
     if (r.failed()) break;
-    const uint64_t k = first ? dk : prev_k + dk;
-    if ((!first && dk == 0) || k >= meta.n_keywords) {
-      return SectionError(kIndex, "keyword ids not ascending/in range");
+    const uint64_t k = i == 0 ? dk : next_k - 1 + dk;
+    if ((i > 0 && dk == 0) || dk >= meta.n_keywords ||
+        k >= meta.n_keywords) {
+      return SectionError(id, "keyword ids not ascending/in range");
     }
-    first = false;
-    prev_k = k;
-    if (!r.FitsCount(len, 1)) {
-      return SectionError(kIndex, "postings length truncated");
+    if (len == 0) {
+      return SectionError(id, "empty list for keyword " + std::to_string(k));
     }
-    std::vector<doc::NodeId> nodes;
-    nodes.reserve(static_cast<size_t>(len));
-    uint64_t prev_n = 0;
+    if (!r.FitsCount(len, 1)) return SectionError(id, "list length truncated");
+    for (; next_k <= k; ++next_k) {
+      offsets[static_cast<size_t>(next_k)] =
+          static_cast<uint32_t>(items.size());
+    }
+    uint64_t prev = 0;
     for (uint64_t j = 0; j < len; ++j) {
       const uint64_t d = r.Var();
-      if (r.failed()) break;
-      const uint64_t node = j == 0 ? d : prev_n + d;
-      if ((j > 0 && d == 0) || node >= meta.n_nodes) {
-        return SectionError(kIndex, "postings not ascending/in range");
+      const uint64_t item = j == 0 ? d : prev + d;
+      if ((j > 0 && d == 0) || d >= item_bound || item >= item_bound) {
+        if (r.failed()) break;
+        return SectionError(id, "list of keyword " + std::to_string(k) +
+                                    " not ascending/in range");
       }
-      prev_n = node;
-      nodes.push_back(static_cast<doc::NodeId>(node));
+      prev = item;
+      items.push_back(static_cast<uint32_t>(item));
     }
     if (r.failed()) break;
-    Status adopted = index.AdoptPostings(
-        static_cast<KeywordId>(k), std::move(nodes),
-        static_cast<size_t>(meta.n_nodes));
-    if (!adopted.ok()) {
-      return SectionError(kIndex, adopted.message());
-    }
   }
-  if (!r.AtEnd()) return r.status("binary snapshot, section INDEX");
+  if (!r.AtEnd()) {
+    return r.status(std::string("binary snapshot, section ") +
+                    SectionName(id));
+  }
+  for (; next_k <= meta.n_keywords; ++next_k) {
+    offsets[static_cast<size_t>(next_k)] = static_cast<uint32_t>(items.size());
+  }
+  out.Assign(std::move(offsets), std::move(items));
   return Status::OK();
 }
 
@@ -963,8 +985,7 @@ Status ReadMatrixCols(ByteReader& r, const Meta& meta,
   if (!r.FitsCount(nnz, 1)) {
     return SectionError(kMatrixCols, "nnz truncated");
   }
-  std::vector<uint32_t> cols;
-  cols.reserve(static_cast<size_t>(nnz));
+  std::vector<uint32_t> cols(static_cast<size_t>(nnz));
   for (uint64_t row = 0; row < n_rows; ++row) {
     const uint64_t begin = row_ptr[static_cast<size_t>(row)];
     const uint64_t end = row_ptr[static_cast<size_t>(row) + 1];
@@ -981,59 +1002,15 @@ Status ReadMatrixCols(ByteReader& r, const Meta& meta,
                             "column out of range or not ascending");
       }
       prev = c;
-      cols.push_back(static_cast<uint32_t>(c));
+      cols[static_cast<size_t>(i)] = static_cast<uint32_t>(c);
     }
     if (r.failed()) break;
   }
   if (!r.AtEnd()) return r.status("binary snapshot, section MATRIXCOLS");
-  if (cols.size() != nnz) {
-    return SectionError(kMatrixCols, "nnz mismatch");
+  if (row_ptr[0] != 0) {
+    return SectionError(kMatrixCols, "row_ptr does not start at 0");
   }
   out = std::move(cols);
-  return Status::OK();
-}
-
-Status ReadKeywordComps(
-    ByteReader& r, const Meta& meta,
-    std::vector<std::pair<KeywordId, std::vector<social::ComponentId>>>&
-        out) {
-  const uint64_t n = r.Var();
-  if (!r.FitsCount(n, 2)) {
-    return SectionError(kKwComps, "count truncated");
-  }
-  out.reserve(static_cast<size_t>(n));
-  uint64_t prev_k = 0;
-  bool first = true;
-  for (uint64_t i = 0; i < n; ++i) {
-    const uint64_t dk = r.Var();
-    const uint64_t len = r.Var();
-    if (r.failed()) break;
-    const uint64_t k = first ? dk : prev_k + dk;
-    if ((!first && dk == 0) || k >= meta.n_keywords) {
-      return SectionError(kKwComps, "keyword ids not ascending/in range");
-    }
-    first = false;
-    prev_k = k;
-    if (!r.FitsCount(len, 1)) {
-      return SectionError(kKwComps, "list length truncated");
-    }
-    std::vector<social::ComponentId> comps;
-    comps.reserve(static_cast<size_t>(len));
-    uint64_t prev_c = 0;
-    for (uint64_t j = 0; j < len; ++j) {
-      const uint64_t d = r.Var();
-      if (r.failed()) break;
-      const uint64_t c = j == 0 ? d : prev_c + d;
-      if ((j > 0 && d == 0) || c > UINT32_MAX) {
-        return SectionError(kKwComps, "component list not ascending");
-      }
-      prev_c = c;
-      comps.push_back(static_cast<social::ComponentId>(c));
-    }
-    if (r.failed()) break;
-    out.emplace_back(static_cast<KeywordId>(k), std::move(comps));
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section KWCOMPS");
   return Status::OK();
 }
 
@@ -1074,6 +1051,43 @@ Status AttachAligned(const Entry& e, uint32_t id, uint64_t expect_count,
   return Status::OK();
 }
 
+// One decode step of DecodeSnapshot: the section it reads and the
+// decoder, which writes only into its own part of the population or
+// derived state.
+struct Step {
+  uint32_t id;
+  std::function<Status()> run;
+};
+
+// The first failure of a group of steps, by section.
+struct GroupFailure {
+  uint32_t id = 0;  // 0: none
+  bool checksum = false;
+  Status status;
+};
+
+// Verifies the checksums of a group's sections (all of them first, as
+// a serial load would), then runs its steps in order, stopping at the
+// first failure.
+GroupFailure RunGroup(const std::vector<Step>& steps,
+                      const Entry (&entries)[kSectionCount],
+                      bool skip_aligned_crc) {
+  for (const Step& step : steps) {
+    const bool aligned = Spec(step.id).encoding == kEncAligned;
+    if (aligned && skip_aligned_crc) continue;
+    const Entry& e = entries[step.id - 1];
+    if (Crc32(e.payload) != e.crc) {
+      return {step.id, true,
+              SectionError(step.id, "checksum mismatch (corrupt payload)")};
+    }
+  }
+  for (const Step& step : steps) {
+    Status s = step.run();
+    if (!s.ok()) return {step.id, false, std::move(s)};
+  }
+  return {};
+}
+
 // Shared load: `region` null means a pure heap load (string input);
 // non-null enables zero-copy views per `opts`.
 Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
@@ -1087,18 +1101,14 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
   // eagerly on heap loads and when the caller asks; the lazy default
   // on mmap attach skips them so attach cost stays O(metadata), not
   // O(file) — see SnapshotAttachOptions.
-  for (uint32_t id = 1; id <= kSectionCount; ++id) {
-    const bool aligned = Spec(id).encoding == kEncAligned;
-    if (aligned && region != nullptr && !opts.eager_crc) continue;
-    const Entry& e = entries[id - 1];
-    if (Crc32(e.payload) != e.crc) {
-      return SectionError(id, "checksum mismatch (corrupt payload)");
-    }
+  const bool skip_aligned_crc = region != nullptr && !opts.eager_crc;
+  const Entry& meta_entry = entries[kMeta - 1];
+  if (Crc32(meta_entry.payload) != meta_entry.crc) {
+    return SectionError(kMeta, "checksum mismatch (corrupt payload)");
   }
-
   Meta meta;
   {
-    ByteReader r(entries[kMeta - 1].payload);
+    ByteReader r(meta_entry.payload);
     if (!ReadMeta(r, meta)) {
       return SectionError(kMeta, "truncated");
     }
@@ -1115,71 +1125,105 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
   std::vector<doc::NodeId> comments;
   pop.terms = std::make_shared<rdf::TermDictionary>();
   pop.rdf = std::make_shared<rdf::TripleStore>();
-
-  {
-    ByteReader r(entries[kVocab - 1].payload);
-    S3_RETURN_IF_ERROR(ReadVocab(r, meta, pop.vocabulary));
-  }
-  {
-    ByteReader r(entries[kUsers - 1].payload);
-    S3_RETURN_IF_ERROR(ReadUsers(r, meta, pop.users));
-  }
-  {
-    ByteReader r(entries[kTerms - 1].payload);
-    S3_RETURN_IF_ERROR(ReadTerms(r, meta, *pop.terms));
-  }
-  {
-    ByteReader r(entries[kTriples - 1].payload);
-    S3_RETURN_IF_ERROR(ReadTriples(r, meta, *pop.terms, *pop.rdf));
-  }
-  {
-    ByteReader r(entries[kDocs - 1].payload);
-    S3_RETURN_IF_ERROR(ReadDocs(r, meta, pop.docs));
-  }
-  {
-    ByteReader r(entries[kComments - 1].payload);
-    S3_RETURN_IF_ERROR(ReadComments(r, meta, comments));
-  }
-  {
-    ByteReader r(entries[kTags - 1].payload);
-    S3_RETURN_IF_ERROR(ReadTags(r, meta, pop.tags));
-  }
-  {
-    ByteReader r(entries[kSocial - 1].payload);
-    S3_RETURN_IF_ERROR(ReadSocial(r, meta, pop.explicit_social));
-  }
-  {
-    ByteReader r(entries[kEdges - 1].payload);
-    S3_RETURN_IF_ERROR(ReadEdges(r, meta, pop.explicit_social, pop.edges));
-  }
-  {
-    ByteReader r(entries[kIndex - 1].payload);
-    S3_RETURN_IF_ERROR(ReadIndex(r, meta, der.index));
-  }
-
   const uint64_t n_rows = meta.n_users + meta.n_nodes + meta.n_tags;
-  S3_RETURN_IF_ERROR(AttachAligned<uint64_t>(
-      entries[kMatrixRowPtr - 1], kMatrixRowPtr, n_rows + 1, region,
-      opts.allow_views, &der.matrix_row_ptr));
-  {
-    ByteReader r(entries[kMatrixCols - 1].payload);
-    S3_RETURN_IF_ERROR(
-        ReadMatrixCols(r, meta, der.matrix_row_ptr, der.matrix_cols));
+
+  // Each step reads its section into a fresh ByteReader.
+  auto read = [&](uint32_t id, auto&& decode) {
+    return Step{id, [&entries, id, decode]() {
+                  ByteReader r(entries[id - 1].payload);
+                  return decode(r);
+                }};
+  };
+  // `count` gives the expected element count once the step runs.
+  auto aligned = [&](uint32_t id, auto count, auto* out) {
+    return Step{id, [&entries, &region, &opts, id, count, out]() {
+                  return AttachAligned(entries[id - 1], id, count(), region,
+                                       opts.allow_views, out);
+                }};
+  };
+
+  // The sections decode in three groups that share no state: DOCS on
+  // the calling thread (it alone is a third of the decode on I3×2), the
+  // rest of the population and the derived sections on two helpers.
+  // Within a group, a section that needs another (TRIPLES the term
+  // kinds, EDGES the SOCIAL entries, the matrix columns and values the
+  // row pointers) comes after it. A failure is reported as a serial
+  // load would report it: the first checksum mismatch by section, else
+  // the first decode error.
+  const std::vector<Step> docs_group = {
+      read(kDocs, [&](ByteReader& r) { return ReadDocs(r, meta, pop.docs); }),
+      read(kComments,
+           [&](ByteReader& r) { return ReadComments(r, meta, comments); }),
+  };
+  const std::vector<Step> derived_group = {
+      read(kIndex,
+           [&](ByteReader& r) {
+             FlatLists<doc::NodeId> postings;
+             S3_RETURN_IF_ERROR(
+                 ReadKeywordLists(r, kIndex, meta, meta.n_nodes, postings));
+             der.index = doc::InvertedIndex(std::move(postings));
+             return Status::OK();
+           }),
+      aligned(kMatrixRowPtr, [&] { return n_rows + 1; },
+              &der.matrix_row_ptr),
+      read(kMatrixCols,
+           [&](ByteReader& r) {
+             return ReadMatrixCols(r, meta, der.matrix_row_ptr,
+                                   der.matrix_cols);
+           }),
+      aligned(kMatrixVals,
+              [&] { return der.matrix_row_ptr[static_cast<size_t>(n_rows)]; },
+              &der.matrix_vals),
+      aligned(kMatrixDenom, [&] { return n_rows; }, &der.matrix_denom),
+      aligned(kForest, [&] { return n_rows; }, &der.component_forest),
+      // Component ids are checked against the forest by AttachDerived.
+      read(kKwComps,
+           [&](ByteReader& r) {
+             return ReadKeywordLists(r, kKwComps, meta, n_rows,
+                                     der.comps_with_keyword);
+           }),
+  };
+  const std::vector<Step> population_group = {
+      read(kVocab,
+           [&](ByteReader& r) { return ReadVocab(r, meta, pop.vocabulary); }),
+      read(kUsers,
+           [&](ByteReader& r) { return ReadUsers(r, meta, pop.users); }),
+      read(kTerms,
+           [&](ByteReader& r) { return ReadTerms(r, meta, *pop.terms); }),
+      read(kTriples,
+           [&](ByteReader& r) {
+             return ReadTriples(r, meta, *pop.terms, *pop.rdf);
+           }),
+      read(kTags, [&](ByteReader& r) { return ReadTags(r, meta, pop.tags); }),
+      read(kSocial,
+           [&](ByteReader& r) {
+             return ReadSocial(r, meta, pop.explicit_social);
+           }),
+      read(kEdges,
+           [&](ByteReader& r) {
+             return ReadEdges(r, meta, pop.explicit_social, pop.edges);
+           }),
+  };
+  auto run = [&](const std::vector<Step>* steps) {
+    return RunGroup(*steps, entries, skip_aligned_crc);
+  };
+  // A helper that cannot be started runs deferred, in get().
+  constexpr auto kPolicy = std::launch::async | std::launch::deferred;
+  std::future<GroupFailure> population_done =
+      std::async(kPolicy, run, &population_group);
+  std::future<GroupFailure> derived_done =
+      std::async(kPolicy, run, &derived_group);
+  GroupFailure failures[] = {run(&docs_group), population_done.get(),
+                             derived_done.get()};
+  const GroupFailure* first = nullptr;
+  for (const GroupFailure& f : failures) {
+    if (f.id == 0) continue;
+    if (first == nullptr || f.checksum > first->checksum ||
+        (f.checksum == first->checksum && f.id < first->id)) {
+      first = &f;
+    }
   }
-  const uint64_t nnz = der.matrix_row_ptr[static_cast<size_t>(n_rows)];
-  S3_RETURN_IF_ERROR(AttachAligned<double>(
-      entries[kMatrixVals - 1], kMatrixVals, nnz, region,
-      opts.allow_views, &der.matrix_vals));
-  S3_RETURN_IF_ERROR(AttachAligned<double>(
-      entries[kMatrixDenom - 1], kMatrixDenom, n_rows, region,
-      opts.allow_views, &der.matrix_denom));
-  S3_RETURN_IF_ERROR(AttachAligned<uint32_t>(
-      entries[kForest - 1], kForest, n_rows, region, opts.allow_views,
-      &der.component_forest));
-  {
-    ByteReader r(entries[kKwComps - 1].payload);
-    S3_RETURN_IF_ERROR(ReadKeywordComps(r, meta, der.comps_with_keyword));
-  }
+  if (first != nullptr) return first->status;
 
   der.generation = meta.generation;
   der.lineage = meta.lineage;

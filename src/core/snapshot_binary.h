@@ -5,8 +5,10 @@
 // comments, social edges, the weighted RDF graph) *and* the derived
 // state: interned term dictionary, saturated triple store,
 // inverted-index postings, transition-matrix CSR, component
-// union-find forest and the keyword→component directory. Loading goes
-// through S3Instance::FromSnapshot / AttachDerived and skips all
+// union-find forest and the keyword→component directory. Loading
+// decodes the sections in three independent groups at once, straight
+// into the instance's flat stores, then goes through
+// S3Instance::FromSnapshot / AttachDerived and skips all
 // recomputation; generation and lineage round-trip intact, which is
 // what lets the server's SnapshotManager resume a killed process at
 // its exact pre-crash generation. Weights are stored as IEEE doubles,

@@ -2,78 +2,56 @@
 
 #include <algorithm>
 
-#include "common/cow.h"
-
 namespace s3::doc {
 
-namespace {
-const std::vector<NodeId> kEmptyPostings;
-}  // namespace
+template <typename Emit>
+void InvertedIndex::EmitNodes(const DocumentStore& store, NodeId first,
+                              Emit&& emit) {
+  for (NodeId n = first; n < store.NodeCount(); ++n) {
+    const std::span<const KeywordId> kws = store.Keywords(n);
+    for (size_t i = 0; i < kws.size(); ++i) {
+      // A keyword repeated within one node is posted once.
+      if (std::find(kws.begin(), kws.begin() + i, kws[i]) ==
+          kws.begin() + i) {
+        emit(kws[i], n);
+      }
+    }
+  }
+}
+
+size_t InvertedIndex::KeywordBound(const DocumentStore& store,
+                                   NodeId first) {
+  size_t bound = 0;
+  for (NodeId n = first; n < store.NodeCount(); ++n) {
+    for (KeywordId k : store.Keywords(n)) {
+      bound = std::max(bound, static_cast<size_t>(k) + 1);
+    }
+  }
+  return bound;
+}
 
 void InvertedIndex::Rebuild(const DocumentStore& store) {
-  postings_.clear();
-  AppendNodes(store, 0);
+  postings_.Build(KeywordBound(store, 0), [&](auto&& emit) {
+    EmitNodes(store, 0, emit);
+  });
 }
 
-std::shared_ptr<std::vector<NodeId>>& InvertedIndex::Slot(KeywordId k) {
-  if (k >= postings_.size()) postings_.resize(k + 1);
-  return postings_[k];
-}
-
-void InvertedIndex::AddNode(NodeId node,
-                            std::span<const KeywordId> keywords) {
-  for (KeywordId k : keywords) {
-    // Clone-on-shared: another generation may still reference the list.
-    auto& list = MutableCow(Slot(k));
-    // Nodes are added in increasing id order; avoid duplicates from
-    // repeated keywords within one node.
-    if (list.empty() || list.back() != node) list.push_back(node);
-  }
-}
-
-void InvertedIndex::AppendNodes(const DocumentStore& store,
-                                NodeId first_new_node) {
-  for (NodeId n = first_new_node; n < store.NodeCount(); ++n) {
-    AddNode(n, store.Keywords(n));
-  }
-}
-
-const std::vector<NodeId>& InvertedIndex::Postings(KeywordId k) const {
-  return k < postings_.size() && postings_[k] != nullptr ? *postings_[k]
-                                                         : kEmptyPostings;
+void InvertedIndex::Extend(const InvertedIndex& base,
+                           const DocumentStore& store,
+                           NodeId first_new_node) {
+  const size_t n_keys = std::max(base.postings_.keys(),
+                                 KeywordBound(store, first_new_node));
+  postings_.Splice(base.postings_, n_keys, [&](auto&& emit) {
+    EmitNodes(store, first_new_node, emit);
+  });
 }
 
 std::vector<KeywordId> InvertedIndex::Keywords() const {
   std::vector<KeywordId> out;
-  for (KeywordId k = 0; k < postings_.size(); ++k) {
-    if (postings_[k] != nullptr) out.push_back(k);
+  for (KeywordId k = 0; k < postings_.keys(); ++k) {
+    if (!postings_[k].empty()) out.push_back(k);
   }
   return out;
-}
-
-Status InvertedIndex::AdoptPostings(KeywordId k, std::vector<NodeId> nodes,
-                                    size_t node_count) {
-  if (nodes.empty()) {
-    return Status::InvalidArgument("postings: empty list for keyword " +
-                                   std::to_string(k));
-  }
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] >= node_count) {
-      return Status::InvalidArgument("postings: node id out of range");
-    }
-    if (i > 0 && nodes[i] <= nodes[i - 1]) {
-      return Status::InvalidArgument(
-          "postings: list not strictly ascending");
-    }
-  }
-  Slot(k) = std::make_shared<std::vector<NodeId>>(std::move(nodes));
-  return Status::OK();
-}
-
-bool InvertedIndex::SharesPostings(const InvertedIndex& other,
-                                   KeywordId k) const {
-  if (k >= postings_.size() || k >= other.postings_.size()) return false;
-  return postings_[k] != nullptr && postings_[k] == other.postings_[k];
 }
 
 }  // namespace s3::doc

@@ -1,5 +1,6 @@
 #include "rdf/saturation.h"
 
+#include <unordered_map>
 #include <vector>
 
 #include "rdf/vocab.h"
@@ -22,9 +23,54 @@ bool IsSchemaProperty(const Builtins& b, TermId p) {
          p == b.range;
 }
 
-}  // namespace
+// The fixpoint's own join index: the store's triple indices by
+// property, (property, subject) and (property, object), in insertion
+// order, kept current as rules derive triples. The store's flat lookups
+// re-index on the first lookup after an Add, so joining through them
+// would re-index the whole store once per derived triple.
+class JoinIndex {
+ public:
+  explicit JoinIndex(const TripleStore& store) : store_(store) {
+    for (uint32_t idx = 0; idx < store.size(); ++idx) Insert(idx);
+  }
 
-namespace {
+  // Indexes the triple the store just appended.
+  void Insert(uint32_t idx) {
+    const Triple& t = store_.triples()[idx];
+    by_p_[t.property].push_back(idx);
+    by_ps_[Pair(t.property, t.subject)].push_back(idx);
+    by_po_[Pair(t.property, t.object)].push_back(idx);
+  }
+
+  const std::vector<uint32_t>& WithProperty(TermId p) const {
+    return Find(by_p_, p);
+  }
+  const std::vector<uint32_t>& WithPropertySubject(TermId p,
+                                                   TermId s) const {
+    return Find(by_ps_, Pair(p, s));
+  }
+  const std::vector<uint32_t>& WithPropertyObject(TermId p,
+                                                  TermId o) const {
+    return Find(by_po_, Pair(p, o));
+  }
+
+ private:
+  static uint64_t Pair(TermId a, TermId b) {
+    return (static_cast<uint64_t>(a) << 32) | b;
+  }
+  template <typename Map>
+  static const std::vector<uint32_t>& Find(const Map& map,
+                                           typename Map::key_type key) {
+    static const std::vector<uint32_t> kNone;
+    auto it = map.find(key);
+    return it == map.end() ? kNone : it->second;
+  }
+
+  const TripleStore& store_;
+  std::unordered_map<TermId, std::vector<uint32_t>> by_p_;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> by_ps_;
+  std::unordered_map<uint64_t, std::vector<uint32_t>> by_po_;
+};
 
 // Semi-naive fixpoint seeded with `delta`: joins only the seed (and the
 // triples it derives) against the store, which makes the same routine
@@ -42,10 +88,12 @@ SaturationStats RunFixpoint(TermDictionary& dict, TripleStore& store,
 
   SaturationStats stats;
   stats.input_triples = store.size();
+  JoinIndex index(store);
 
   auto derive = [&](TermId s, TermId p, TermId o,
                     std::vector<Triple>& next_delta) {
     if (store.Add(s, p, o, 1.0)) {
+      index.Insert(static_cast<uint32_t>(store.size() - 1));
       next_delta.push_back(Triple{s, p, o, 1.0});
       ++stats.derived_triples;
     }
@@ -64,7 +112,7 @@ SaturationStats RunFixpoint(TermDictionary& dict, TripleStore& store,
       // index vectors being scanned (e.g. with cyclic schemas).
       auto for_po = [&](TermId prop, TermId obj, auto&& fn) {
         std::vector<TermId> matches;
-        for (uint32_t idx : store.WithPropertyObject(prop, obj)) {
+        for (uint32_t idx : index.WithPropertyObject(prop, obj)) {
           const Triple& a = store.triples()[idx];
           if (a.weight == 1.0) matches.push_back(a.subject);
         }
@@ -72,7 +120,7 @@ SaturationStats RunFixpoint(TermDictionary& dict, TripleStore& store,
       };
       auto for_ps = [&](TermId prop, TermId subj, auto&& fn) {
         std::vector<TermId> matches;
-        for (uint32_t idx : store.WithPropertySubject(prop, subj)) {
+        for (uint32_t idx : index.WithPropertySubject(prop, subj)) {
           const Triple& a = store.triples()[idx];
           if (a.weight == 1.0) matches.push_back(a.object);
         }
@@ -96,7 +144,7 @@ SaturationStats RunFixpoint(TermDictionary& dict, TripleStore& store,
                [&](TermId x) { derive(x, b.sub_property, o, next_delta); });
         // Propagate existing assertions of the sub-property.
         std::vector<Triple> assertions;
-        for (uint32_t idx : store.WithProperty(s)) {
+        for (uint32_t idx : index.WithProperty(s)) {
           const Triple& a = store.triples()[idx];
           if (a.weight == 1.0) assertions.push_back(a);
         }
@@ -106,7 +154,7 @@ SaturationStats RunFixpoint(TermDictionary& dict, TripleStore& store,
       } else if (p == b.domain) {
         // (s ←d o): type every existing subject of property s.
         std::vector<Triple> assertions;
-        for (uint32_t idx : store.WithProperty(s)) {
+        for (uint32_t idx : index.WithProperty(s)) {
           const Triple& a = store.triples()[idx];
           if (a.weight == 1.0) assertions.push_back(a);
         }
@@ -115,7 +163,7 @@ SaturationStats RunFixpoint(TermDictionary& dict, TripleStore& store,
         }
       } else if (p == b.range) {
         std::vector<Triple> assertions;
-        for (uint32_t idx : store.WithProperty(s)) {
+        for (uint32_t idx : index.WithProperty(s)) {
           const Triple& a = store.triples()[idx];
           if (a.weight == 1.0) assertions.push_back(a);
         }

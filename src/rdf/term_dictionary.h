@@ -6,28 +6,32 @@
 #ifndef S3_RDF_TERM_DICTIONARY_H_
 #define S3_RDF_TERM_DICTIONARY_H_
 
+#include <cassert>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
+
+#include "common/string_table.h"
 
 namespace s3::rdf {
 
 using TermId = uint32_t;
 inline constexpr TermId kInvalidTerm = UINT32_MAX;
+static_assert(kInvalidTerm == StringTable::kNotFound);
 
 // Kind of an interned term. The RDF standard requires subjects and
 // properties to be URIs; objects may be URIs or literals.
 enum class TermKind : uint8_t { kUri = 0, kLiteral = 1 };
 
-// Append-only interner for RDF terms.
+// Append-only interner for RDF terms over one flat string table, with
+// the kind as each entry's tag.
 class TermDictionary {
  public:
   // Interns `text` with the given kind. Re-interning the same text with
   // the same kind returns the existing id; URIs and literals with equal
   // spelling are distinct terms.
-  TermId Intern(std::string_view text, TermKind kind);
+  TermId Intern(std::string_view text, TermKind kind) {
+    return table_.Intern(text, static_cast<uint8_t>(kind));
+  }
 
   TermId InternUri(std::string_view uri) {
     return Intern(uri, TermKind::kUri);
@@ -37,23 +41,27 @@ class TermDictionary {
   }
 
   // Returns the id or kInvalidTerm if absent.
-  TermId Find(std::string_view text, TermKind kind) const;
+  TermId Find(std::string_view text, TermKind kind) const {
+    return table_.Find(text, static_cast<uint8_t>(kind));
+  }
 
-  // Precondition: id < size().
-  const std::string& Text(TermId id) const;
-  TermKind Kind(TermId id) const;
+  // Precondition: id < size(). Text is valid until the next new Intern.
+  std::string_view Text(TermId id) const {
+    assert(id < size());
+    return table_.Text(id);
+  }
+  TermKind Kind(TermId id) const {
+    assert(id < size());
+    return static_cast<TermKind>(table_.Tag(id));
+  }
 
-  size_t size() const { return terms_.size(); }
+  size_t size() const { return table_.size(); }
+
+  // Room for `n` more terms of `bytes` more text in all.
+  void Reserve(size_t n, size_t bytes) { table_.Reserve(n, bytes); }
 
  private:
-  struct Entry {
-    std::string text;
-    TermKind kind;
-  };
-
-  // Key is kind-prefixed text ('u' / 'l' + spelling).
-  std::unordered_map<std::string, TermId> index_;
-  std::vector<Entry> terms_;
+  StringTable table_;
 };
 
 }  // namespace s3::rdf

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/str_util.h"
+#include "common/string_table.h"
 
 namespace s3 {
 namespace {
@@ -22,7 +25,7 @@ namespace {
 // ---- CRC-32 ------------------------------------------------------------
 
 // Byte-at-a-time CRC-32 (ISO-HDLC, reflected polynomial 0xEDB88320):
-// the classic one-table loop the slice-by-8 Crc32 must reproduce.
+// the classic one-table loop that Crc32 (zlib's crc32) must reproduce.
 uint32_t BytewiseCrc32(const unsigned char* p, size_t n) {
   static const std::vector<uint32_t> table = [] {
     std::vector<uint32_t> t(256);
@@ -59,6 +62,50 @@ TEST(Crc32Test, MatchesBytewiseReferenceAtEveryAlignment) {
   }
 }
 
+// ---- varints --------------------------------------------------------------
+
+// ByteReader::Var inverts ByteWriter::Var at every width, whether the
+// encoding ends its input or more bytes follow, and refuses overlong,
+// overflowing and cut encodings.
+TEST(VarintTest, RoundTripsAndRefusesMalformed) {
+  const std::vector<uint64_t> values = {0,
+                                        1,
+                                        127,
+                                        128,
+                                        16383,
+                                        16384,
+                                        uint64_t{1} << 35,
+                                        (uint64_t{1} << 63) - 1,
+                                        uint64_t{1} << 63,
+                                        UINT64_MAX};
+  for (uint64_t v : values) {
+    std::string bytes;
+    ByteWriter(&bytes).Var(v);
+    const std::string padded = bytes + std::string(10, '\x7f');
+    ByteReader at_end(bytes), far(padded);
+    EXPECT_EQ(at_end.Var(), v);
+    EXPECT_EQ(far.Var(), v);
+    EXPECT_TRUE(at_end.AtEnd()) << v;
+    EXPECT_EQ(far.offset(), bytes.size()) << v;
+  }
+  // An eleventh continuation byte and a tenth byte past 64 bits are
+  // refused at byte 10.
+  const std::string overlong(11, '\x80');
+  const std::string overflow = std::string(9, '\xff') + '\x02';
+  for (const std::string& bad : {overlong, overflow}) {
+    const std::string padded = bad + std::string(10, '\0');
+    ByteReader r(padded);
+    EXPECT_EQ(r.Var(), 0u);
+    EXPECT_TRUE(r.failed());
+    EXPECT_EQ(r.offset(), 10u);
+  }
+  // A cut encoding fails at the end of its input.
+  const std::string cut_bytes(3, '\x80');
+  ByteReader cut(cut_bytes);
+  EXPECT_EQ(cut.Var(), 0u);
+  EXPECT_TRUE(cut.failed());
+}
+
 // ---- FlatLists ------------------------------------------------------------
 
 TEST(FlatListsTest, GroupsByKeyKeepingEmissionOrder) {
@@ -83,6 +130,80 @@ TEST(FlatListsTest, GroupsByKeyKeepingEmissionOrder) {
   EXPECT_TRUE(empty[0].empty());
   empty.Build(0, [](auto&&) {});
   EXPECT_EQ(empty.keys(), 0u);
+}
+
+TEST(FlatListsTest, SpliceAppendsToMappedBaseLists) {
+  FlatLists<int> base;
+  base.Build(3, [](auto&& emit) {
+    emit(0, 1);
+    emit(2, 5);
+    emit(0, 2);
+  });
+  FlatLists<int> next;
+  next.Splice(
+      base, 4,
+      [](auto&& emit) {
+        emit(2, 9);
+        emit(3, 7);
+        emit(0, 4);
+        emit(2, 8);
+      },
+      [](int v) { return 10 * v; });
+  auto as_vec = [](std::span<const int> s) {
+    return std::vector<int>(s.begin(), s.end());
+  };
+  ASSERT_EQ(next.keys(), 4u);
+  EXPECT_EQ(as_vec(next[0]), (std::vector<int>{10, 20, 4}));
+  EXPECT_TRUE(next[1].empty());
+  EXPECT_EQ(as_vec(next[2]), (std::vector<int>{50, 9, 8}));
+  EXPECT_EQ(as_vec(next[3]), (std::vector<int>{7}));
+  EXPECT_EQ(as_vec(base[0]), (std::vector<int>{1, 2}));  // base untouched
+}
+
+TEST(FlatListsTest, SortUniqueCompactsEveryList) {
+  FlatLists<int> lists;
+  lists.Build(4, [](auto&& emit) {
+    for (int v : {3, 1, 3, 2}) emit(0, v);
+    for (int v : {4, 5}) emit(2, v);
+    for (int v : {6, 6}) emit(3, v);
+  });
+  lists.SortUnique();
+  auto as_vec = [](std::span<const int> s) {
+    return std::vector<int>(s.begin(), s.end());
+  };
+  EXPECT_EQ(as_vec(lists[0]), (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(lists[1].empty());
+  EXPECT_EQ(as_vec(lists[2]), (std::vector<int>{4, 5}));
+  EXPECT_EQ(as_vec(lists[3]), (std::vector<int>{6}));
+  EXPECT_EQ(lists.keys(), 4u);
+}
+
+// ---- StringTable ----------------------------------------------------------
+
+TEST(StringTableTest, InternsTextTagPairsAcrossGrowth) {
+  StringTable table;
+  EXPECT_EQ(table.Find("a", 0), StringTable::kNotFound);
+  std::vector<std::string> texts;
+  for (int i = 0; i < 1000; ++i) texts.push_back("s" + std::to_string(i));
+  for (uint32_t i = 0; i < texts.size(); ++i) {
+    ASSERT_EQ(table.Intern(texts[i], 0), i);
+  }
+  // The same text under another tag is another entry; the empty text
+  // is an entry like any other.
+  EXPECT_EQ(table.Intern("s7", 1), 1000u);
+  EXPECT_EQ(table.Intern("", 0), 1001u);
+  table.Reserve(10, 100);
+  for (uint32_t i = 0; i < texts.size(); ++i) {
+    EXPECT_EQ(table.Intern(texts[i], 0), i);
+    EXPECT_EQ(table.Find(texts[i], 0), i);
+    EXPECT_EQ(table.Text(i), texts[i]);
+    EXPECT_EQ(table.Tag(i), 0);
+  }
+  EXPECT_EQ(table.Find("s7", 1), 1000u);
+  EXPECT_EQ(table.Tag(1000), 1);
+  EXPECT_EQ(table.Find("", 0), 1001u);
+  EXPECT_EQ(table.Find("s7", 2), StringTable::kNotFound);
+  EXPECT_EQ(table.size(), 1002u);
 }
 
 // ---- Status / Result --------------------------------------------------

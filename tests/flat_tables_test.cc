@@ -1,19 +1,23 @@
 // Rebuild equivalence of the instance's flat tables under random delta
 // chains.
 //
-// Each seed builds a random base instance, then applies a chain of
-// random deltas. Every round mixes new documents (some with new
-// keyword spellings), several comments on one target, tags on tags,
-// comments between two pre-existing documents (which merge existing
-// components) and social edges. After every ApplyDelta the successor's
+// Each seed builds a random base instance with a small ontology, saves
+// it, and checks that an mmap attach and a heap load of the snapshot
+// equal the from-scratch Finalize. It then applies a chain of random
+// deltas to the attached instance. Every round mixes new documents
+// (some with new keyword spellings), several comments on one target,
+// tags on tags, comments between two pre-existing documents (which
+// merge existing components) and social edges. After every ApplyDelta
+// the successor must equal a from-scratch rebuild of the same
+// operations bit for bit: the population (keyword vocabulary, term
+// dictionary, triples and each of the three triple lookups), the
 // tags-on and comments-on tables, keyword directory, postings and
-// transition matrix (rows, denominators, column maxima) must equal a
-// from-scratch rebuild of the same operations bit for bit, and the
-// base generation must still read and answer exactly as before its
+// transition matrix (rows, denominators, column maxima). The base
+// generation must still read and answer exactly as before its
 // successor was built. The document store — every node's document,
 // parent, depth, children, keywords, name and URI — must equal the
-// rebuild's too, after a snapshot attach of the base and after every
-// delta, and every URI must resolve back to its node. A failure names its seed; rerun one with
+// rebuild's too, and every URI must resolve back to its node. A
+// failure names its seed; rerun one with
 // --gtest_filter='FlatTablesRebuildTest.*' after narrowing kSeeds.
 // ReachRootTest pins the reach partition on the same delta chains.
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -231,6 +236,22 @@ std::vector<Op> RoundOps(OpGen& g, uint32_t first_new_doc) {
 std::shared_ptr<S3Instance> Rebuild(const std::vector<Op>& ops) {
   auto inst = std::make_shared<S3Instance>();
   for (uint32_t u = 0; u < kUsers; ++u) inst->AddUser("u" + std::to_string(u));
+  // An ontology over the first keyword spellings (BaseOps interns w0..w4)
+  // so that saturation derives triples and Ext(k) is not trivial: w1 and
+  // w2 are instances of class w0 (w2 through subclass w3), plus a
+  // weighted assertion and a literal object. No assertion links two
+  // users: an RDF-imported social edge would order the rebuild's edge
+  // log differently from the delta chain's (S3Instance::ApplyDelta).
+  inst->DeclareType("w1", "w0");
+  inst->DeclareType("w2", "w3");
+  inst->DeclareSubClass("w3", "w0");
+  inst->DeclareSubProperty("knows", "S3:social");
+  inst->rdf_graph().Add(inst->terms().InternUri("w1"),
+                        inst->terms().InternUri("knows"),
+                        inst->terms().InternUri("w2"), 0.5);
+  inst->rdf_graph().Add(inst->terms().InternUri("w1"),
+                        inst->terms().InternUri("label"),
+                        inst->terms().InternLiteral("w1"));
   for (const Op& op : ops) {
     Apply(*inst, op);
     if (::testing::Test::HasFatalFailure()) return nullptr;
@@ -241,6 +262,14 @@ std::shared_ptr<S3Instance> Rebuild(const std::vector<Op>& ops) {
 
 // Everything the flat tables and the matrix expose, per id.
 struct Tables {
+  std::vector<std::string> spellings;                      // per keyword
+  std::vector<std::pair<std::string, rdf::TermKind>> terms;  // per term
+  std::vector<std::tuple<rdf::TermId, rdf::TermId, rdf::TermId, double>>
+      triples;
+  using Pair = std::pair<rdf::TermId, rdf::TermId>;
+  std::map<rdf::TermId, std::vector<uint32_t>> with_p;
+  std::map<Pair, std::vector<uint32_t>> with_ps;  // by (property, subject)
+  std::map<Pair, std::vector<uint32_t>> with_po;  // by (property, object)
   std::vector<std::vector<social::TagId>> tags_on;     // per entity row
   std::vector<std::vector<doc::NodeId>> comments_on;   // per node
   std::vector<std::vector<social::ComponentId>> comps;  // per keyword
@@ -252,6 +281,30 @@ struct Tables {
 
 Tables Capture(const S3Instance& inst) {
   Tables t;
+  auto list = [](auto span) {
+    return std::vector<uint32_t>(span.begin(), span.end());
+  };
+  for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
+    t.spellings.emplace_back(inst.vocabulary().Spelling(k));
+  }
+  for (rdf::TermId id = 0; id < inst.terms().size(); ++id) {
+    t.terms.emplace_back(std::string(inst.terms().Text(id)),
+                         inst.terms().Kind(id));
+  }
+  const rdf::TripleStore& rdf = inst.rdf_graph();
+  for (const rdf::Triple& tr : rdf.triples()) {
+    t.triples.emplace_back(tr.subject, tr.property, tr.object, tr.weight);
+    t.with_p[tr.property] = list(rdf.WithProperty(tr.property));
+    t.with_ps[{tr.property, tr.subject}] =
+        list(rdf.WithPropertySubject(tr.property, tr.subject));
+    t.with_po[{tr.property, tr.object}] =
+        list(rdf.WithPropertyObject(tr.property, tr.object));
+  }
+  // Absent keys read empty.
+  const rdf::TermId past = static_cast<rdf::TermId>(inst.terms().size());
+  t.with_p[past] = list(rdf.WithProperty(past));
+  t.with_ps[{past, 0}] = list(rdf.WithPropertySubject(past, 0));
+  t.with_po[{0, past}] = list(rdf.WithPropertyObject(0, past));
   const social::EntityLayout& layout = inst.layout();
   for (uint32_t row = 0; row < layout.total(); ++row) {
     auto on = inst.TagsOn(layout.Entity(row));
@@ -264,8 +317,8 @@ Tables Capture(const S3Instance& inst) {
     t.comments_on.emplace_back(on.begin(), on.end());
   }
   for (KeywordId k = 0; k < inst.vocabulary().size(); ++k) {
-    t.comps.push_back(inst.ComponentsWithKeyword(k));
-    t.postings.push_back(inst.index().Postings(k));
+    t.comps.push_back(list(inst.ComponentsWithKeyword(k)));
+    t.postings.push_back(list(inst.index().Postings(k)));
   }
   t.col_max = inst.matrix().ColumnMax();
   return t;
@@ -273,6 +326,12 @@ Tables Capture(const S3Instance& inst) {
 
 void ExpectSameTables(const Tables& got, const Tables& want,
                       const std::string& what) {
+  EXPECT_EQ(got.spellings, want.spellings) << what << ": vocabulary";
+  EXPECT_EQ(got.terms, want.terms) << what << ": terms";
+  EXPECT_EQ(got.triples, want.triples) << what << ": triples";
+  EXPECT_EQ(got.with_p, want.with_p) << what << ": WithProperty";
+  EXPECT_EQ(got.with_ps, want.with_ps) << what << ": WithPropertySubject";
+  EXPECT_EQ(got.with_po, want.with_po) << what << ": WithPropertyObject";
   EXPECT_EQ(got.tags_on, want.tags_on) << what << ": TagsOn";
   EXPECT_EQ(got.comments_on, want.comments_on)
       << what << ": CommentsOnFragment";
@@ -357,15 +416,26 @@ TEST(FlatTablesRebuildTest, DeltaChainsMatchRebuild) {
     World world;
     OpGen gen(seed, world);
     std::vector<Op> all = BaseOps(gen);
-    std::shared_ptr<const S3Instance> cur = Rebuild(all);
-    ASSERT_NE(cur, nullptr);
-    {
-      auto blob = SaveBinarySnapshot(*cur);
-      ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-      auto attached = AttachBinarySnapshot(MappedRegion::FromBuffer(*blob));
-      ASSERT_TRUE(attached.ok()) << attached.status().ToString();
-      ExpectSameDocs(**attached, *cur, "attach");
+    std::shared_ptr<const S3Instance> built = Rebuild(all);
+    ASSERT_NE(built, nullptr);
+    ASSERT_GT(built->saturation_stats().derived_triples, 0u);
+    auto blob = SaveBinarySnapshot(*built);
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    auto loaded = LoadBinarySnapshot(*blob);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    auto attached = AttachBinarySnapshot(MappedRegion::FromBuffer(*blob));
+    ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+    const Tables want = Capture(*built);
+    for (const auto& [what, inst] :
+         {std::pair{"load", *loaded}, std::pair{"attach", *attached}}) {
+      ExpectSameTables(Capture(*inst), want, what);
+      ExpectSameDocs(*inst, *built, what);
+      auto resaved = SaveBinarySnapshot(*inst);
+      ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+      EXPECT_TRUE(*resaved == *blob) << what << ": re-saved bytes differ";
     }
+    // The chain grows the attached instance.
+    std::shared_ptr<const S3Instance> cur = *attached;
     for (int round = 1; round <= kRounds; ++round) {
       const std::string what =
           "seed " + std::to_string(seed) + " round " + std::to_string(round);

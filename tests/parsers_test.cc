@@ -32,7 +32,7 @@ class InternFixture : public ::testing::Test {
 
   std::vector<std::string> Spellings(const std::vector<KeywordId>& kws) {
     std::vector<std::string> out;
-    for (KeywordId k : kws) out.push_back(vocab_.Spelling(k));
+    for (KeywordId k : kws) out.emplace_back(vocab_.Spelling(k));
     return out;
   }
 

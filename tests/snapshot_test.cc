@@ -72,9 +72,11 @@ void ExpectSameDerivedState(const S3Instance& got, const S3Instance& want,
 
   // Postings and the keyword -> component directory.
   for (KeywordId k = 0; k < want.vocabulary().size(); ++k) {
-    EXPECT_EQ(got.index().Postings(k), want.index().Postings(k))
+    EXPECT_EQ(testing::AsVector(got.index().Postings(k)),
+              testing::AsVector(want.index().Postings(k)))
         << "postings of keyword " << k;
-    EXPECT_EQ(got.ComponentsWithKeyword(k), want.ComponentsWithKeyword(k))
+    EXPECT_EQ(testing::AsVector(got.ComponentsWithKeyword(k)),
+              testing::AsVector(want.ComponentsWithKeyword(k)))
         << "components of keyword " << k;
   }
 
@@ -705,6 +707,303 @@ TEST(BinarySnapshotConfusionTest, GoldenDocsResaveByteIdentical) {
   const auto [re_at, re_size] = SectionExtent(*resaved, kDocsId);
   EXPECT_EQ(std::string_view(*resaved).substr(re_at, re_size),
             std::string_view(blob).substr(at, size));
+}
+
+// ---- malformed population sections -------------------------------------
+// The flat decoders check what hash maps used to catch on insert. Each
+// test decodes one section of a small instance's snapshot, plants one
+// fault, re-encodes the section to its old length and reseals its CRC,
+// so only the decoder's own checks stand between the bytes and the
+// instance; the heap load and the mmap attach must both refuse the file
+// with an InvalidArgument that names the section.
+
+constexpr uint32_t kVocabId = 2;
+constexpr uint32_t kTermsId = 4;
+constexpr uint32_t kTriplesId = 5;
+constexpr uint32_t kIndexId = 11;
+constexpr uint32_t kKwCompsId = 17;
+
+// Two users, two documents in separate components that share keyword
+// kwb, a typed resource and a literal: every id fits a one-byte varint.
+struct PopulationFixture {
+  std::string blob;
+  size_t n_nodes = 0;
+  size_t n_keywords = 0;
+  size_t n_components = 0;
+};
+
+PopulationFixture BuildPopulationFixture() {
+  S3Instance inst;
+  inst.AddUser("ua");
+  inst.AddUser("ub");
+  const KeywordId kwa = inst.InternKeyword("kwa");
+  const KeywordId kwb = inst.InternKeyword("kwb");
+  doc::Document d0("post");
+  const uint32_t child = d0.AddChild(0, "p");
+  d0.AddKeywords(0, {kwa});
+  d0.AddKeywords(child, {kwa, kwb});
+  EXPECT_TRUE(inst.AddDocument(std::move(d0), "da", 0).ok());
+  doc::Document d1("post");
+  d1.AddKeywords(0, {kwb});
+  EXPECT_TRUE(inst.AddDocument(std::move(d1), "db", 1).ok());
+  inst.DeclareType("kwa", "cls");
+  inst.rdf_graph().Add(inst.terms().InternUri("kwa"),
+                       inst.terms().InternUri("label"),
+                       inst.terms().InternLiteral("lit"));
+  EXPECT_TRUE(inst.Finalize().ok());
+  auto blob = SaveBinarySnapshot(inst);
+  EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+  return {blob.ok() ? *blob : std::string(), inst.docs().NodeCount(),
+          inst.vocabulary().size(), inst.components().ComponentCount()};
+}
+
+std::string_view Payload(const std::string& blob, uint32_t id) {
+  const auto [at, size] = SectionExtent(blob, id);
+  return std::string_view(blob).substr(at, size);
+}
+
+// Swaps in section `id`'s faulty payload (same length), reseals it and
+// expects both loaders to refuse it naming `section` and `why`.
+void ExpectSectionFault(const std::string& blob, uint32_t id,
+                        const std::string& payload,
+                        const std::string& section, const std::string& why) {
+  const auto [at, size] = SectionExtent(blob, id);
+  ASSERT_EQ(payload.size(), size) << "the fault must keep the length";
+  std::string corrupt = blob;
+  corrupt.replace(at, size, payload);
+  ASSERT_NE(corrupt, blob);
+  ResealSection(corrupt, id);
+  auto info = InspectBinarySnapshot(corrupt);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  for (const auto& s : info->sections) EXPECT_TRUE(s.crc_ok) << s.name;
+  for (const auto& status :
+       {LoadBinarySnapshot(corrupt).status(),
+        AttachBinarySnapshot(MappedRegion::FromBuffer(corrupt)).status()}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(section), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find(why), std::string::npos)
+        << status.ToString();
+  }
+}
+
+// VOCAB: a varint count, then one varint-length string per keyword.
+TEST(PopulationSectionTest, DuplicateSpellingInVocabIsRejected) {
+  const PopulationFixture fx = BuildPopulationFixture();
+  ByteReader r(Payload(fx.blob, kVocabId));
+  std::vector<std::string> spellings(r.Var());
+  for (std::string& s : spellings) s = r.VarStr();
+  ASSERT_TRUE(r.AtEnd());
+  ASSERT_EQ(spellings, (std::vector<std::string>{"kwa", "kwb"}));
+  spellings[1] = spellings[0];
+  std::string p;
+  ByteWriter w(&p);
+  w.Var(spellings.size());
+  for (const std::string& s : spellings) w.VarStr(s);
+  ExpectSectionFault(fx.blob, kVocabId, p, "VOCAB", "duplicate spelling");
+}
+
+// TERMS: a varint count, then per term a kind byte (0: URI, 1:
+// literal) and its text.
+using WireTerms = std::vector<std::pair<uint8_t, std::string>>;
+
+WireTerms DecodeTerms(std::string_view payload) {
+  ByteReader r(payload);
+  WireTerms terms(r.Var());
+  for (auto& [kind, text] : terms) {
+    kind = r.U8();
+    text = r.VarStr();
+  }
+  EXPECT_TRUE(r.AtEnd());
+  return terms;
+}
+
+size_t TermIndex(const WireTerms& terms, uint8_t kind,
+                 const std::string& text) {
+  auto it = std::find(terms.begin(), terms.end(), std::pair{kind, text});
+  EXPECT_NE(it, terms.end()) << text;
+  return static_cast<size_t>(it - terms.begin());
+}
+
+TEST(PopulationSectionTest, DuplicateTermInTermsIsRejected) {
+  const PopulationFixture fx = BuildPopulationFixture();
+  WireTerms terms = DecodeTerms(Payload(fx.blob, kTermsId));
+  terms[TermIndex(terms, 0, "ub")].second = "ua";
+  std::string p;
+  ByteWriter w(&p);
+  w.Var(terms.size());
+  for (const auto& [kind, text] : terms) {
+    w.U8(kind);
+    w.VarStr(text);
+  }
+  ExpectSectionFault(fx.blob, kTermsId, p, "TERMS", "duplicate term");
+}
+
+// TRIPLES: a varint count, then per triple its subject, property and
+// object varints and a weight tag (0: weight 1, 1: an f64 follows).
+struct WireTriple {
+  uint64_t s = 0, p = 0, o = 0;
+  uint8_t tag = 0;
+  double weight = 1.0;
+};
+
+std::vector<WireTriple> DecodeTriples(std::string_view payload) {
+  ByteReader r(payload);
+  std::vector<WireTriple> out(r.Var());
+  for (WireTriple& t : out) {
+    t.s = r.Var();
+    t.p = r.Var();
+    t.o = r.Var();
+    t.tag = r.U8();
+    if (t.tag == 1) t.weight = r.F64();
+  }
+  EXPECT_TRUE(r.AtEnd());
+  return out;
+}
+
+std::string EncodeTriples(const std::vector<WireTriple>& triples) {
+  std::string p;
+  ByteWriter w(&p);
+  w.Var(triples.size());
+  for (const WireTriple& t : triples) {
+    w.Var(t.s);
+    w.Var(t.p);
+    w.Var(t.o);
+    w.U8(t.tag);
+    if (t.tag == 1) w.F64(t.weight);
+  }
+  return p;
+}
+
+TEST(PopulationSectionTest, DuplicateTripleIsRejected) {
+  const PopulationFixture fx = BuildPopulationFixture();
+  std::vector<WireTriple> triples =
+      DecodeTriples(Payload(fx.blob, kTriplesId));
+  ASSERT_GE(triples.size(), 3u);
+  triples[2] = triples[0];  // both weight 1
+  ExpectSectionFault(fx.blob, kTriplesId, EncodeTriples(triples), "TRIPLES",
+                     "duplicate triple");
+}
+
+TEST(PopulationSectionTest, LiteralSubjectTripleIsRejected) {
+  const PopulationFixture fx = BuildPopulationFixture();
+  std::vector<WireTriple> triples =
+      DecodeTriples(Payload(fx.blob, kTriplesId));
+  const size_t literal =
+      TermIndex(DecodeTerms(Payload(fx.blob, kTermsId)), 1, "lit");
+  ASSERT_NE(triples.front().s, literal);
+  triples.front().s = literal;
+  ExpectSectionFault(fx.blob, kTriplesId, EncodeTriples(triples), "TRIPLES",
+                     "literal subject");
+}
+
+// INDEX and KWCOMPS: a varint entry count, then per entry its keyword
+// (delta from the previous entry's), the list length and the list,
+// delta-coded.
+using KeywordLists = std::vector<std::pair<uint64_t, std::vector<uint64_t>>>;
+
+KeywordLists DecodeKeywordLists(std::string_view payload) {
+  ByteReader r(payload);
+  KeywordLists out(r.Var());
+  uint64_t k = 0;
+  for (auto& [key, items] : out) {
+    k += r.Var();
+    key = k;
+    items.resize(r.Var());
+    uint64_t v = 0;
+    for (uint64_t& item : items) item = v += r.Var();
+  }
+  EXPECT_TRUE(r.AtEnd());
+  return out;
+}
+
+std::string EncodeKeywordLists(const KeywordLists& lists) {
+  std::string p;
+  ByteWriter w(&p);
+  w.Var(lists.size());
+  uint64_t prev_k = 0;
+  for (const auto& [key, items] : lists) {
+    w.Var(key - prev_k);
+    prev_k = key;
+    w.Var(items.size());
+    uint64_t prev = 0;
+    for (uint64_t item : items) {
+      w.Var(item - prev);
+      prev = item;
+    }
+  }
+  return p;
+}
+
+// Per section, one fault case per entry of `faults`: (what the error
+// names, the lists with that fault planted).
+void ExpectKeywordListFaults(
+    const std::string& blob, uint32_t id, const std::string& section,
+    const std::vector<std::pair<std::string, KeywordLists>>& faults) {
+  for (const auto& [why, lists] : faults) {
+    SCOPED_TRACE(section + ": " + why);
+    ExpectSectionFault(blob, id, EncodeKeywordLists(lists), section, why);
+  }
+}
+
+// The lists hold two keywords (kwa, kwb), and kwb's list has two items.
+KeywordLists FixtureLists(const std::string& blob, uint32_t id) {
+  KeywordLists lists = DecodeKeywordLists(Payload(blob, id));
+  EXPECT_EQ(lists.size(), 2u);
+  EXPECT_GE(lists.size() == 2 ? lists[1].second.size() : 0, 2u);
+  return lists;
+}
+
+std::vector<std::pair<std::string, KeywordLists>> NotAscendingFaults(
+    const KeywordLists& lists) {
+  KeywordLists repeated_key = lists;
+  repeated_key[1].first = repeated_key[0].first;
+  KeywordLists repeated_item = lists;
+  repeated_item[1].second[1] = repeated_item[1].second[0];
+  return {{"keyword ids not ascending", repeated_key},
+          {"not ascending", repeated_item}};
+}
+
+std::vector<std::pair<std::string, KeywordLists>> OutOfRangeFaults(
+    const KeywordLists& lists, uint64_t n_keywords, uint64_t item_bound,
+    const std::string& item_why) {
+  KeywordLists key = lists;
+  key[1].first = n_keywords;
+  KeywordLists item = lists;
+  item[1].second.back() = item_bound;
+  return {{"keyword ids not ascending/in range", key}, {item_why, item}};
+}
+
+TEST(PopulationSectionTest, NonAscendingIndexIsRejected) {
+  const PopulationFixture fx = BuildPopulationFixture();
+  ExpectKeywordListFaults(fx.blob, kIndexId, "INDEX",
+                          NotAscendingFaults(FixtureLists(fx.blob, kIndexId)));
+}
+
+TEST(PopulationSectionTest, OutOfRangeIndexIsRejected) {
+  const PopulationFixture fx = BuildPopulationFixture();
+  ExpectKeywordListFaults(
+      fx.blob, kIndexId, "INDEX",
+      OutOfRangeFaults(FixtureLists(fx.blob, kIndexId), fx.n_keywords,
+                       fx.n_nodes, "in range"));
+}
+
+TEST(PopulationSectionTest, NonAscendingKwCompsIsRejected) {
+  const PopulationFixture fx = BuildPopulationFixture();
+  ExpectKeywordListFaults(
+      fx.blob, kKwCompsId, "KWCOMPS",
+      NotAscendingFaults(FixtureLists(fx.blob, kKwCompsId)));
+}
+
+TEST(PopulationSectionTest, OutOfRangeKwCompsIsRejected) {
+  const PopulationFixture fx = BuildPopulationFixture();
+  // A component id past the forest's count is still below the row
+  // bound the decoder applies; the attach refuses it against the forest.
+  ExpectKeywordListFaults(
+      fx.blob, kKwCompsId, "KWCOMPS",
+      OutOfRangeFaults(FixtureLists(fx.blob, kKwCompsId), fx.n_keywords,
+                       fx.n_components, "out of range"));
 }
 
 // ---- zero-copy attach --------------------------------------------------

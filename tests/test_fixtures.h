@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -279,6 +280,13 @@ inline ReferenceRows RowsOf(const social::TransitionMatrix& m) {
   ReferenceRows rows(m.rows());
   for (uint32_t r = 0; r < m.rows(); ++r) rows[r] = m.Row(r);
   return rows;
+}
+
+// A span's items as a vector, for EXPECT_EQ on lookups that return
+// spans (std::span has no operator==).
+template <typename T>
+std::vector<T> AsVector(std::span<const T> items) {
+  return std::vector<T>(items.begin(), items.end());
 }
 
 // Sum of row `r` of `m`, read through TransitionMatrix::Row().

@@ -444,6 +444,10 @@ TEST(LiveUpdateTest, ThreeGenerationsMatchRebuildBitForBit) {
     InstanceDelta delta(cur);
     ApplyUpdateRound(delta, 1000 + round, c, pool);
     ASSERT_FALSE(delta.empty());
+    std::vector<std::vector<doc::NodeId>> base_postings;
+    for (KeywordId k = 0; k < cur->vocabulary().size(); ++k) {
+      base_postings.push_back(s3::testing::AsVector(cur->index().Postings(k)));
+    }
     auto next = cur->ApplyDelta(delta);
     ASSERT_TRUE(next.ok()) << next.status().message();
     EXPECT_EQ((*next)->generation(), round);
@@ -509,11 +513,22 @@ TEST(LiveUpdateTest, ThreeGenerationsMatchRebuildBitForBit) {
       }
     }
 
-    // Structural sharing across generations: the untouched postings
-    // list and every full chunk of the base's edge log are the same
-    // heap objects.
-    EXPECT_TRUE(
-        (*next)->index().SharesPostings(cur->index(), stable));
+    // The successor's postings equal the rebuild's, the untouched list
+    // reads as before, and the base's postings are unchanged by its
+    // successor's build.
+    for (KeywordId k = 0; k < rebuilt->vocabulary().size(); ++k) {
+      EXPECT_EQ(s3::testing::AsVector((*next)->index().Postings(k)),
+                s3::testing::AsVector(rebuilt->index().Postings(k)))
+          << "postings of keyword " << k;
+    }
+    EXPECT_EQ(s3::testing::AsVector((*next)->index().Postings(stable)),
+              base_postings[stable]);
+    for (KeywordId k = 0; k < base_postings.size(); ++k) {
+      EXPECT_EQ(s3::testing::AsVector(cur->index().Postings(k)),
+                base_postings[k])
+          << "base postings of keyword " << k;
+    }
+    // Every full chunk of the base's edge log is the same heap object.
     EXPECT_EQ((*next)->edges().SharedChunks(cur->edges()),
               cur->edges().size() / social::EdgeStore::kChunkSize);
     // And the base snapshot is untouched and still queryable.
@@ -564,8 +579,8 @@ TEST(LiveUpdateTest, DeltaMergesExistingComponents) {
               rebuilt->components().OfRow(row));
     EXPECT_EQ((*next)->matrix().Row(row), rebuilt->matrix().Row(row));
   }
-  EXPECT_EQ((*next)->ComponentsWithKeyword(kw),
-            rebuilt->ComponentsWithKeyword(kw2));
+  EXPECT_EQ(s3::testing::AsVector((*next)->ComponentsWithKeyword(kw)),
+            s3::testing::AsVector(rebuilt->ComponentsWithKeyword(kw2)));
   // The base still sees its pre-merge partition.
   EXPECT_EQ(snap->components().ComponentCount(), 2u);
 
