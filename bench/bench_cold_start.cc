@@ -14,7 +14,7 @@
 //
 // Also records each snapshot's bytes_on_disk.
 //
-// Records BM_ColdStart_<instance>_V2{Copy,Mmap}Attach. Results are
+// Records BM_ColdStart_<instance>_{Copy,Mmap}Attach. Results are
 // merged into BENCH_micro.json (BenchJsonWriter merge
 // mode) next to the google-benchmark records, so the bench-regression
 // gate tracks the numbers; run bench_micro first, then this binary.
@@ -50,22 +50,22 @@ bool RunLeg(const char* tag, const s3::workload::GenResult& gen,
               gen.instance->docs().NodeCount(), gen.instance->TagCount(),
               gen.instance->rdf_graph().size());
 
-  auto v2 = s3::core::SaveBinarySnapshot(*gen.instance);
-  if (!v2.ok()) {
+  auto blob = s3::core::SaveBinarySnapshot(*gen.instance);
+  if (!blob.ok()) {
     std::fprintf(stderr, "SaveBinarySnapshot failed\n");
     return false;
   }
-  std::printf("snapshot bytes: %zu\n", v2->size());
+  std::printf("snapshot bytes: %zu\n", blob->size());
 
   // The mmap leg attaches from a real file, like SnapshotManager
   // recovery does.
-  const std::string v2_path = "bench_cold_start_v2.snap.tmp";
+  const std::string path = "bench_cold_start.snap.tmp";
   {
-    std::FILE* f = std::fopen(v2_path.c_str(), "wb");
+    std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr ||
-        std::fwrite(v2->data(), 1, v2->size(), f) != v2->size() ||
+        std::fwrite(blob->data(), 1, blob->size(), f) != blob->size() ||
         std::fclose(f) != 0) {
-      std::fprintf(stderr, "cannot write %s\n", v2_path.c_str());
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
   }
@@ -74,7 +74,7 @@ bool RunLeg(const char* tag, const s3::workload::GenResult& gen,
 
   // Warm-up + correctness guard: the load must yield the population.
   {
-    auto loaded = s3::core::LoadBinarySnapshot(*v2);
+    auto loaded = s3::core::LoadBinarySnapshot(*blob);
     if (!loaded.ok()) {
       std::fprintf(stderr, "binary load failed: %s\n",
                    loaded.status().ToString().c_str());
@@ -86,12 +86,12 @@ bool RunLeg(const char* tag, const s3::workload::GenResult& gen,
     }
   }
 
-  double v2_seconds = 0.0;
+  double copy_seconds = 0.0;
   for (size_t i = 0; i < iters; ++i) {
     WallTimer t;
-    auto attached = s3::core::LoadBinarySnapshot(*v2);
-    if (!attached.ok()) return false;
-    v2_seconds += t.ElapsedSeconds();
+    auto loaded = s3::core::LoadBinarySnapshot(*blob);
+    if (!loaded.ok()) return false;
+    copy_seconds += t.ElapsedSeconds();
   }
 
   // mmap attach: open + map + attach per iteration — the full cold
@@ -100,27 +100,28 @@ bool RunLeg(const char* tag, const s3::workload::GenResult& gen,
   for (size_t i = 0; i < iters; ++i) {
     WallTimer t;
     std::shared_ptr<const s3::MappedRegion> region;
-    if (!s3::MappedRegion::Open(v2_path, &region).ok()) return false;
+    if (!s3::MappedRegion::Open(path, &region).ok()) return false;
     auto attached = s3::core::AttachBinarySnapshot(region);
     if (!attached.ok()) return false;
     mmap_seconds += t.ElapsedSeconds();
   }
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 
-  const double v2_ns = v2_seconds / iters * 1e9;
+  const double copy_ns = copy_seconds / iters * 1e9;
   const double mmap_ns = mmap_seconds / iters * 1e9;
-  std::printf("v2 copy attach     : %8.2f ms/op\n", v2_ns / 1e6);
-  std::printf("v2 mmap attach     : %8.2f ms/op\n", mmap_ns / 1e6);
-  std::printf("v2 mmap is %.2fx faster than v2 copy\n",
-              mmap_ns > 0 ? v2_ns / mmap_ns : 0.0);
+  std::printf("copy attach        : %8.2f ms/op\n", copy_ns / 1e6);
+  std::printf("mmap attach        : %8.2f ms/op\n", mmap_ns / 1e6);
+  std::printf("mmap is %.2fx faster than copy\n",
+              mmap_ns > 0 ? copy_ns / mmap_ns : 0.0);
 
   const std::string prefix = std::string("BM_ColdStart_") + tag;
   char extra[96];
-  std::snprintf(extra, sizeof(extra), "\"bytes_on_disk\": %zu", v2->size());
-  writer.Add(prefix + "_V2CopyAttach", v2_ns, extra);
-  std::snprintf(extra, sizeof(extra), "\"speedup_vs_v2_copy\": %.2f",
-                mmap_ns > 0 ? v2_ns / mmap_ns : 0.0);
-  writer.Add(prefix + "_V2MmapAttach", mmap_ns, extra);
+  std::snprintf(extra, sizeof(extra), "\"bytes_on_disk\": %zu",
+                blob->size());
+  writer.Add(prefix + "_CopyAttach", copy_ns, extra);
+  std::snprintf(extra, sizeof(extra), "\"speedup_vs_copy\": %.2f",
+                mmap_ns > 0 ? copy_ns / mmap_ns : 0.0);
+  writer.Add(prefix + "_MmapAttach", mmap_ns, extra);
   return true;
 }
 

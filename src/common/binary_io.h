@@ -51,7 +51,7 @@ class ByteWriter {
   }
   // Unsigned LEB128: 7 value bits per byte, high bit = continuation.
   // Small values (the common case for ids, counts and deltas) take one
-  // byte — the compact-section workhorse of snapshot format v2.
+  // byte — the compact-section workhorse of the snapshot format.
   void Var(uint64_t v) {
     while (v >= 0x80) {
       U8(static_cast<uint8_t>(v) | 0x80);
@@ -59,7 +59,7 @@ class ByteWriter {
     }
     U8(static_cast<uint8_t>(v));
   }
-  // Varint byte length followed by the raw bytes (v2 string framing).
+  // Varint byte length followed by the raw bytes (snapshot strings).
   void VarStr(std::string_view s) {
     Var(s.size());
     out_->append(s.data(), s.size());

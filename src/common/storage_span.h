@@ -1,7 +1,7 @@
 // View-or-owned backing for derived read-path arrays.
 //
-// Every large structure S3Instance::AttachDerived adopts — CSR columns
-// and values, denominators, the component union-find forest — is read
+// Every large structure S3Instance::AttachDerived adopts — CSR row
+// pointers, columns and values, the component union-find forest — is read
 // element-wise on the query hot path but only ever *replaced
 // wholesale* when state changes (Build, IncrementalUpdate and
 // AdoptForest all construct fresh arrays and swap them in; no code

@@ -442,17 +442,6 @@ std::span<const doc::NodeId> S3Instance::CommentsOnFragment(
   return comments_on_[target];
 }
 
-std::vector<doc::NodeId> S3Instance::CommentTargets() const {
-  std::vector<doc::NodeId> out(docs_.DocumentCount(), doc::kInvalidNode);
-  for (const social::NetEdge& e : edges_.edges()) {
-    if (e.label != EdgeLabel::kCommentsOn) continue;
-    const doc::NodeId source = e.source.index();
-    const doc::DocId d = docs_.DocOf(source);
-    if (docs_.RootNode(d) == source) out[d] = e.target.index();
-  }
-  return out;
-}
-
 std::vector<KeywordId> S3Instance::ExtendKeyword(KeywordId k) const {
   std::vector<KeywordId> out{k};
   const std::string_view spelling = vocabulary_.Spelling(k);
@@ -472,8 +461,7 @@ std::vector<KeywordId> S3Instance::ExtendKeyword(KeywordId k) const {
 }
 
 Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
-    SnapshotPopulation pop, SnapshotDerived derived,
-    const std::vector<doc::NodeId>& comments) {
+    SnapshotPopulation pop, SnapshotDerived derived) {
   auto bad = [](const std::string& why) {
     return Status::InvalidArgument("snapshot population: " + why);
   };
@@ -610,20 +598,6 @@ Result<std::shared_ptr<const S3Instance>> S3Instance::FromSnapshot(
       }
     }
   }
-  // COMMENTS duplicates what the edge log says; a CRC-valid entry that
-  // disagrees with it is refused rather than silently overridden.
-  const std::vector<doc::NodeId> targets = inst->CommentTargets();
-  if (comments.size() != targets.size()) {
-    return bad("COMMENTS has " + std::to_string(comments.size()) +
-               " entries for " + std::to_string(targets.size()) +
-               " documents");
-  }
-  for (doc::DocId d = 0; d < targets.size(); ++d) {
-    if (comments[d] != targets[d]) {
-      return bad("COMMENTS entry for doc " + std::to_string(d) +
-                 " disagrees with EDGES");
-    }
-  }
   // Every document carries a postedBy edge from its root (AddDocument
   // invariant); the reach partition and the sharding layer rely on the
   // recovered poster table being total.
@@ -666,8 +640,7 @@ Status S3Instance::AttachDerived(SnapshotDerived d) {
       std::async(std::launch::async | std::launch::deferred, [&] {
         S3_RETURN_IF_ERROR(matrix_.Adopt(
             std::move(d.matrix_row_ptr), std::move(d.matrix_cols),
-            std::move(d.matrix_vals), std::move(d.matrix_denom),
-            layout_->total()));
+            std::move(d.matrix_vals), layout_->total()));
         return components_.AdoptForest(*layout_,
                                        std::move(d.component_forest));
       });

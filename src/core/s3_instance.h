@@ -239,7 +239,6 @@ class S3Instance {
     StorageSpan<uint64_t> matrix_row_ptr;
     StorageSpan<uint32_t> matrix_cols;
     StorageSpan<double> matrix_vals;
-    StorageSpan<double> matrix_denom;
     StorageSpan<uint32_t> component_forest;
     // KWCOMPS: per keyword, its strictly ascending component list.
     FlatLists<social::ComponentId> comps_with_keyword;
@@ -253,12 +252,9 @@ class S3Instance {
   // process-wide lineage counter is advanced past the restored lineage
   // so freshly finalized instances can never collide with a recovered
   // one. Returns InvalidArgument when any structure fails validation
-  // against the population. `comments` is the snapshot's COMMENTS
-  // section, one entry per document; it duplicates CommentTargets(),
-  // so an entry that disagrees with the edge log is refused too.
+  // against the population.
   static Result<std::shared_ptr<const S3Instance>> FromSnapshot(
-      SnapshotPopulation population, SnapshotDerived derived,
-      const std::vector<doc::NodeId>& comments);
+      SnapshotPopulation population, SnapshotDerived derived);
 
   // ---- finalized accessors --------------------------------------------
 
@@ -286,12 +282,6 @@ class S3Instance {
   // Root nodes of documents commenting on fragment `target`, in
   // comment order (one entry per comment). Finalized instances only.
   std::span<const doc::NodeId> CommentsOnFragment(doc::NodeId target) const;
-
-  // Per document, the fragment it commented on last: the target of the
-  // last kCommentsOn edge its root appended (kInvalidNode if none).
-  // Derived from the edge log on each call; a snapshot's COMMENTS
-  // section stores exactly this table.
-  std::vector<doc::NodeId> CommentTargets() const;
 
   // Ext(k) mapped into keyword space: the extension of the keyword's
   // spelling through the saturated ontology, restricted to keywords

@@ -20,7 +20,7 @@ constexpr char kMagic[8] = {'\x89', 'S', '3', 'S', 'N', 'A', 'P', '\n'};
 
 // Layout (see src/server/STORAGE.md for the full spec):
 //
-//   magic(8) · u32 version=2 · u32 section_count · u32 table_crc ·
+//   magic(8) · u32 version=3 · u32 section_count · u32 table_crc ·
 //   table[section_count] · payloads
 //
 // The table is section_count fixed 36-byte entries
@@ -58,19 +58,17 @@ enum SectionId : uint32_t {
   kTerms = 4,          // RDF term dictionary, id order
   kTriples = 5,        // saturated triple store, store order
   kDocs = 6,           // raw: document trees + root URIs, id order
-  kComments = 7,       // per-doc comment target, checked against EDGES
-  kTags = 8,           // tag table, id order
-  kSocial = 9,         // explicit social edges, insertion order
-  kEdges = 10,         // network edge log, insertion order
-  kIndex = 11,         // inverted-index postings, ascending keyword
-  kMatrixRowPtr = 12,  // aligned u64[rows+1]
-  kMatrixCols = 13,    // per-row delta-coded columns
-  kMatrixVals = 14,    // aligned f64[nnz]
-  kMatrixDenom = 15,   // aligned f64[rows]
-  kForest = 16,        // aligned u32[rows]
-  kKwComps = 17,       // keyword -> component directory, ascending
+  kTags = 7,           // tag table, id order
+  kSocial = 8,         // explicit social edges, insertion order
+  kEdges = 9,          // network edge log, insertion order
+  kIndex = 10,         // inverted-index postings, ascending keyword
+  kMatrixRowPtr = 11,  // aligned u64[rows+1]
+  kMatrixCols = 12,    // per-row delta-coded columns
+  kMatrixVals = 13,    // aligned f64[nnz]
+  kForest = 14,        // aligned u32[rows]
+  kKwComps = 15,       // keyword -> component directory, ascending
 };
-constexpr uint32_t kSectionCount = 17;
+constexpr uint32_t kSectionCount = 15;
 constexpr size_t kTableEntryBytes = 36;
 constexpr uint64_t kAlignment = 64;
 
@@ -86,7 +84,6 @@ const char* SectionName(uint32_t id) {
     case kTerms: return "TERMS";
     case kTriples: return "TRIPLES";
     case kDocs: return "DOCS";
-    case kComments: return "COMMENTS";
     case kTags: return "TAGS";
     case kSocial: return "SOCIAL";
     case kEdges: return "EDGES";
@@ -94,7 +91,6 @@ const char* SectionName(uint32_t id) {
     case kMatrixRowPtr: return "MATRIXROWPTR";
     case kMatrixCols: return "MATRIXCOLS";
     case kMatrixVals: return "MATRIXVALS";
-    case kMatrixDenom: return "MATRIXDENOM";
     case kForest: return "FOREST";
     case kKwComps: return "KWCOMPS";
     default: return "?";
@@ -120,17 +116,15 @@ const SectionSpec& Spec(uint32_t id) {
       {kEncCompact, 0},  // 4 TERMS
       {kEncCompact, 0},  // 5 TRIPLES
       {kEncRaw, 0},      // 6 DOCS (document_wire, shared with the WAL)
-      {kEncCompact, 0},  // 7 COMMENTS
-      {kEncCompact, 0},  // 8 TAGS
-      {kEncCompact, 0},  // 9 SOCIAL
-      {kEncCompact, 0},  // 10 EDGES
-      {kEncCompact, 0},  // 11 INDEX
-      {kEncAligned, 8},  // 12 MATRIXROWPTR
-      {kEncCompact, 0},  // 13 MATRIXCOLS
-      {kEncAligned, 8},  // 14 MATRIXVALS
-      {kEncAligned, 8},  // 15 MATRIXDENOM
-      {kEncAligned, 4},  // 16 FOREST
-      {kEncCompact, 0},  // 17 KWCOMPS
+      {kEncCompact, 0},  // 7 TAGS
+      {kEncCompact, 0},  // 8 SOCIAL
+      {kEncCompact, 0},  // 9 EDGES
+      {kEncCompact, 0},  // 10 INDEX
+      {kEncAligned, 8},  // 11 MATRIXROWPTR
+      {kEncCompact, 0},  // 12 MATRIXCOLS
+      {kEncAligned, 8},  // 13 MATRIXVALS
+      {kEncAligned, 4},  // 14 FOREST
+      {kEncCompact, 0},  // 15 KWCOMPS
   };
   return specs[id];
 }
@@ -274,18 +268,6 @@ std::string WriteDocs(const S3Instance& inst) {
   return p;
 }
 
-std::string WriteComments(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  const std::vector<doc::NodeId> targets = inst.CommentTargets();
-  w.Var(targets.size());
-  *mem = 8 + 4 * targets.size();
-  for (const doc::NodeId t : targets) {
-    w.Var(t == doc::kInvalidNode ? 0 : static_cast<uint64_t>(t) + 1);
-  }
-  return p;
-}
-
 std::string WriteTags(const S3Instance& inst, uint64_t* mem) {
   std::string p;
   ByteWriter w(&p);
@@ -423,14 +405,6 @@ std::string WriteMatrixVals(const S3Instance& inst, uint64_t* mem) {
   return p;
 }
 
-std::string WriteMatrixDenom(const S3Instance& inst, uint64_t* mem) {
-  std::string p;
-  ByteWriter w(&p);
-  for (double v : inst.matrix().denominators()) w.F64(v);
-  *mem = p.size();
-  return p;
-}
-
 std::string WriteForest(const S3Instance& inst, uint64_t* mem) {
   std::string p;
   ByteWriter w(&p);
@@ -501,7 +475,6 @@ Result<std::string> EncodeSnapshot(const S3Instance& inst) {
     const uint64_t docs_mem = docs.size();
     set(kDocs, std::move(docs), docs_mem);
   }
-  add(kComments, WriteComments);
   add(kTags, WriteTags);
   add(kSocial, WriteSocial);
   add(kEdges, WriteEdges);
@@ -509,7 +482,6 @@ Result<std::string> EncodeSnapshot(const S3Instance& inst) {
   add(kMatrixRowPtr, WriteMatrixRowPtr);
   add(kMatrixCols, WriteMatrixCols);
   add(kMatrixVals, WriteMatrixVals);
-  add(kMatrixDenom, WriteMatrixDenom);
   add(kForest, WriteForest);
   add(kKwComps, WriteKeywordComps);
 
@@ -545,7 +517,7 @@ Result<std::string> EncodeSnapshot(const S3Instance& inst) {
   out.append(kMagic, sizeof(kMagic));
   {
     ByteWriter w(&out);
-    w.U32(kBinarySnapshotV2);
+    w.U32(kBinarySnapshotVersion);
     w.U32(kSectionCount);
     w.U32(Crc32(table));
   }
@@ -584,13 +556,22 @@ Status ParseTable(std::string_view bytes, Entry (&entries)[kSectionCount]) {
   if (r.failed()) {
     return Status::InvalidArgument("binary snapshot: header truncated");
   }
+  // No converter writes v3: an older file is rebuilt from the sources
+  // its instance was built from.
   if (version == 1) {
     return Status::InvalidArgument(
-        "binary snapshot: format v1 is no longer read; upgrade the file "
-        "with `s3_snapshot convert <in> <out> --to=binary` built from a "
-        "commit that still reads v1 (90a31ea or earlier)");
+        "binary snapshot: format v1 is no longer read; "
+        "`s3_snapshot convert <in> <out> --to=binary` built from a commit "
+        "that still reads v1 (90a31ea or earlier) upgrades it to v2, which "
+        "is no longer read either: rebuild the snapshot from its sources");
   }
-  if (version != kBinarySnapshotV2) {
+  if (version == 2) {
+    return Status::InvalidArgument(
+        "binary snapshot: format v2 is no longer read (ce1c333 is the last "
+        "commit that reads it) and no converter exists: rebuild the "
+        "snapshot from its sources");
+  }
+  if (version != kBinarySnapshotVersion) {
     return Status::InvalidArgument(
         "binary snapshot: unsupported format version " +
         std::to_string(version));
@@ -783,25 +764,6 @@ Status ReadDocs(ByteReader& r, const Meta& meta,
   return Status::OK();
 }
 
-Status ReadComments(ByteReader& r, const Meta& meta,
-                      std::vector<doc::NodeId>& comment_target) {
-  const uint64_t n = r.Var();
-  if (n != meta.n_docs) return SectionError(kComments, "count mismatch");
-  if (!r.FitsCount(n, 1)) return SectionError(kComments, "count truncated");
-  comment_target.reserve(static_cast<size_t>(n));
-  for (uint64_t d = 0; d < n; ++d) {
-    const uint64_t v = r.Var();
-    if (r.failed()) break;
-    if (v != 0 && v - 1 >= kMaxEntityCount) {
-      return SectionError(kComments, "bad comment target");
-    }
-    comment_target.push_back(
-        v == 0 ? doc::kInvalidNode : static_cast<doc::NodeId>(v - 1));
-  }
-  if (!r.AtEnd()) return r.status("binary snapshot, section COMMENTS");
-  return Status::OK();
-}
-
 Status ReadTags(ByteReader& r, const Meta& meta, std::vector<Tag>& tags) {
   const uint64_t n = r.Var();
   if (n != meta.n_tags) return SectionError(kTags, "count mismatch");
@@ -975,8 +937,11 @@ Status ReadKeywordLists(ByteReader& r, uint32_t id, const Meta& meta,
 }
 
 // Decodes the delta-coded column stream using the (already attached)
-// row_ptr for row boundaries. Full CSR validation happens again in
-// TransitionMatrix::Adopt; the checks here just bound the decode.
+// row_ptr for row boundaries, and is the one place the CSR's shape is
+// checked entry by entry: row_ptr starts at 0 and is monotone, and
+// every row's columns are in range and strictly ascending (a delta is
+// bounded before it is added, so no `prev + d` can wrap).
+// TransitionMatrix::Adopt then checks only the extents.
 Status ReadMatrixCols(ByteReader& r, const Meta& meta,
                         const StorageSpan<uint64_t>& row_ptr,
                         StorageSpan<uint32_t>& out) {
@@ -997,7 +962,7 @@ Status ReadMatrixCols(ByteReader& r, const Meta& meta,
       const uint64_t d = r.Var();
       if (r.failed()) break;
       const uint64_t c = i == begin ? d : prev + d;
-      if ((i > begin && d == 0) || c >= n_rows) {
+      if ((i > begin && d == 0) || d >= n_rows || c >= n_rows) {
         return SectionError(kMatrixCols,
                             "column out of range or not ascending");
       }
@@ -1015,19 +980,18 @@ Status ReadMatrixCols(ByteReader& r, const Meta& meta,
 }
 
 // Attaches one aligned section: a zero-copy view when a region is
-// pinned, views are allowed, the host is little-endian and the mapped
-// bytes land element-aligned; an owned decoded copy otherwise (the
-// misaligned / big-endian / forced-copy fallback).
+// pinned, the host is little-endian and the mapped bytes land
+// element-aligned; an owned decoded copy otherwise (the heap-load /
+// misaligned / big-endian fallback).
 template <typename T>
 Status AttachAligned(const Entry& e, uint32_t id, uint64_t expect_count,
                      const std::shared_ptr<const MappedRegion>& region,
-                     bool allow_views, StorageSpan<T>* out) {
+                     StorageSpan<T>* out) {
   if (e.disk_size != expect_count * sizeof(T)) {
     return SectionError(id, "extent mismatch");
   }
   const char* base = e.payload.data();
-  if (region != nullptr && allow_views &&
-      std::endian::native == std::endian::little &&
+  if (region != nullptr && std::endian::native == std::endian::little &&
       reinterpret_cast<uintptr_t>(base) % alignof(T) == 0) {
     *out = StorageSpan<T>::View(reinterpret_cast<const T*>(base),
                                 static_cast<size_t>(expect_count), region);
@@ -1088,20 +1052,19 @@ GroupFailure RunGroup(const std::vector<Step>& steps,
   return {};
 }
 
-// Shared load: `region` null means a pure heap load (string input);
-// non-null enables zero-copy views per `opts`.
+// Shared load: `region` null means a heap load (string input: every
+// section copied, every checksum verified); non-null means an attach
+// (aligned sections as zero-copy views, their checksums skipped).
 Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
-    std::string_view bytes, std::shared_ptr<const MappedRegion> region,
-    const SnapshotAttachOptions& opts) {
+    std::string_view bytes, std::shared_ptr<const MappedRegion> region) {
   Entry entries[kSectionCount];
   S3_RETURN_IF_ERROR(ParseTable(bytes, entries));
 
   // Checksum policy: compact and raw payloads are always verified (the
-  // decode walks every byte anyway). Aligned payloads are verified
-  // eagerly on heap loads and when the caller asks; the lazy default
-  // on mmap attach skips them so attach cost stays O(metadata), not
-  // O(file) — see SnapshotAttachOptions.
-  const bool skip_aligned_crc = region != nullptr && !opts.eager_crc;
+  // decode walks every byte anyway). Aligned payloads are verified on
+  // heap loads; an attach skips them so its cost stays O(metadata),
+  // not O(file) — see AttachBinarySnapshot.
+  const bool skip_aligned_crc = region != nullptr;
   const Entry& meta_entry = entries[kMeta - 1];
   if (Crc32(meta_entry.payload) != meta_entry.crc) {
     return SectionError(kMeta, "checksum mismatch (corrupt payload)");
@@ -1122,7 +1085,6 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
 
   S3Instance::SnapshotPopulation pop;
   S3Instance::SnapshotDerived der;
-  std::vector<doc::NodeId> comments;
   pop.terms = std::make_shared<rdf::TermDictionary>();
   pop.rdf = std::make_shared<rdf::TripleStore>();
   const uint64_t n_rows = meta.n_users + meta.n_nodes + meta.n_tags;
@@ -1136,9 +1098,9 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
   };
   // `count` gives the expected element count once the step runs.
   auto aligned = [&](uint32_t id, auto count, auto* out) {
-    return Step{id, [&entries, &region, &opts, id, count, out]() {
+    return Step{id, [&entries, &region, id, count, out]() {
                   return AttachAligned(entries[id - 1], id, count(), region,
-                                       opts.allow_views, out);
+                                       out);
                 }};
   };
 
@@ -1152,8 +1114,6 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
   // the first decode error.
   const std::vector<Step> docs_group = {
       read(kDocs, [&](ByteReader& r) { return ReadDocs(r, meta, pop.docs); }),
-      read(kComments,
-           [&](ByteReader& r) { return ReadComments(r, meta, comments); }),
   };
   const std::vector<Step> derived_group = {
       read(kIndex,
@@ -1174,7 +1134,6 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
       aligned(kMatrixVals,
               [&] { return der.matrix_row_ptr[static_cast<size_t>(n_rows)]; },
               &der.matrix_vals),
-      aligned(kMatrixDenom, [&] { return n_rows; }, &der.matrix_denom),
       aligned(kForest, [&] { return n_rows; }, &der.component_forest),
       // Component ids are checked against the forest by AttachDerived.
       read(kKwComps,
@@ -1230,8 +1189,7 @@ Result<std::shared_ptr<const S3Instance>> DecodeSnapshot(
   der.rdf_social_edges = meta.rdf_social_edges;
   der.saturation_stats = meta.saturation;
 
-  return S3Instance::FromSnapshot(std::move(pop), std::move(der),
-                                  comments);
+  return S3Instance::FromSnapshot(std::move(pop), std::move(der));
 }
 
 }  // namespace
@@ -1247,27 +1205,21 @@ Result<std::string> SaveBinarySnapshot(const S3Instance& inst) {
 
 Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(
     std::string_view bytes) {
-  // Heap load: no region to pin, every section copied and every
-  // checksum (aligned ones included) verified up front.
-  SnapshotAttachOptions opts;
-  opts.allow_views = false;
-  opts.eager_crc = true;
-  return DecodeSnapshot(bytes, /*region=*/nullptr, opts);
+  return DecodeSnapshot(bytes, /*region=*/nullptr);
 }
 
 Result<std::shared_ptr<const S3Instance>> AttachBinarySnapshot(
-    std::shared_ptr<const MappedRegion> region,
-    const SnapshotAttachOptions& options) {
+    std::shared_ptr<const MappedRegion> region) {
   if (region == nullptr) {
     return Status::InvalidArgument("attach: null mapped region");
   }
   const std::string_view bytes = region->view();
-  return DecodeSnapshot(bytes, std::move(region), options);
+  return DecodeSnapshot(bytes, std::move(region));
 }
 
 Result<SnapshotInfo> InspectBinarySnapshot(std::string_view bytes) {
   SnapshotInfo info;
-  info.version = kBinarySnapshotV2;
+  info.version = kBinarySnapshotVersion;
   Entry entries[kSectionCount];
   S3_RETURN_IF_ERROR(ParseTable(bytes, entries));
   for (uint32_t id = 1; id <= kSectionCount; ++id) {

@@ -1,8 +1,8 @@
 // The snapshot codec for *finalized* S3 instances: the one encoding
 // the storage layer, every checkpoint and every tool read and write.
 //
-// A snapshot carries the population (users, documents, tags,
-// comments, social edges, the weighted RDF graph) *and* the derived
+// A snapshot carries the population (users, documents, tags, social
+// edges and the network edge log, the weighted RDF graph) *and* the derived
 // state: interned term dictionary, saturated triple store,
 // inverted-index postings, transition-matrix CSR, component
 // union-find forest and the keyword→component directory. Loading
@@ -14,13 +14,13 @@
 // its exact pre-crash generation. Weights are stored as IEEE doubles,
 // so every value survives bit for bit.
 //
-// Format v2 (see src/server/STORAGE.md): an 8-byte magic and a u32
+// Format v3 (see src/server/STORAGE.md): an 8-byte magic and a u32
 // version, a CRC-guarded section *table* up front, varint/delta-encoded
 // compact sections for the population, postings and CSR columns, and
-// 64-byte-aligned fixed-width sections (matrix row_ptr / values /
-// denominators, component forest) that AttachBinarySnapshot hands to
-// the instance as zero-copy StorageSpan views over the mmap'd file.
-// Any other version, format v1 included, is rejected.
+// 64-byte-aligned fixed-width sections (matrix row_ptr / values,
+// component forest) that AttachBinarySnapshot hands to the instance as
+// zero-copy StorageSpan views over the mmap'd file. Any other version,
+// formats v1 and v2 included, is rejected.
 //
 // Corruption — truncation, bit flips, garbage — is detected at the
 // framing layer and reported as InvalidArgument with the failing
@@ -42,7 +42,7 @@
 namespace s3::core {
 
 // The format version written and read.
-inline constexpr uint32_t kBinarySnapshotV2 = 2;
+inline constexpr uint32_t kBinarySnapshotVersion = 3;
 
 // Serializes `instance` — population and derived state — into a
 // snapshot. Deterministic: the same instance always yields the same
@@ -52,36 +52,31 @@ Result<std::string> SaveBinarySnapshot(const S3Instance& instance);
 
 // Parses, checksum-verifies and validates a snapshot, returning a
 // finalized instance without running Finalize.
-// Everything is copied to the heap — no views. Any framing or
+// Everything is copied to the heap — no views — and every section's
+// checksum, the aligned ones included, is verified. Any framing or
 // validation failure is InvalidArgument naming the offending section.
 Result<std::shared_ptr<const S3Instance>> LoadBinarySnapshot(
     std::string_view bytes);
 
-// Zero-copy attach policy for AttachBinarySnapshot.
-struct SnapshotAttachOptions {
-  // Attach aligned sections as StorageSpan views into the region
-  // (when the host is little-endian and the section lands properly
-  // aligned in memory); false forces heap copies of everything.
-  bool allow_views = true;
-  // Verify aligned-section checksums at attach time. The default is
-  // the lazy policy: aligned payloads skip their CRC pass (compact
-  // sections are always verified — their decode walks every byte
-  // anyway), keeping attach from paging in the large float arrays.
-  // Corruption in a lazily-attached section is still bounded: the
-  // structural validation in AttachDerived rejects malformed shapes,
-  // and bench/tools can always re-verify with eager_crc.
-  bool eager_crc = false;
-};
-
 // Attaches a snapshot from a mapped region: decodes the compact
 // sections and hands the aligned sections to the instance as zero-copy
-// views pinning `region`. The returned instance (and every ApplyDelta
-// successor that still shares a view) keeps the mapping alive;
-// deleting the file on disk while attached is safe (POSIX keeps mapped
-// pages valid).
+// views pinning `region` (heap copies when the host is big-endian or a
+// section lands misaligned in memory). The returned instance (and
+// every ApplyDelta successor that still shares a view) keeps the
+// mapping alive; deleting the file on disk while attached is safe
+// (POSIX keeps mapped pages valid).
+//
+// Checksums are lazy: the aligned payloads skip their CRC pass, which
+// keeps attach from paging in the large float arrays. Compact and raw
+// sections are always verified, since their decode walks every byte
+// anyway. Corruption in an aligned section is still bounded: the
+// decoder checks the row pointers against the column stream and
+// AttachDerived checks the forest's shape, so what gets through is a
+// flip that keeps the shape valid — a float value, a forest parent, or
+// a row pointer that moves one row boundary. LoadBinarySnapshot
+// verifies every checksum.
 Result<std::shared_ptr<const S3Instance>> AttachBinarySnapshot(
-    std::shared_ptr<const MappedRegion> region,
-    const SnapshotAttachOptions& options = {});
+    std::shared_ptr<const MappedRegion> region);
 
 // ---- inspection (tools/s3_snapshot) -----------------------------------
 

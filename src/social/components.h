@@ -71,7 +71,7 @@ class ComponentIndex {
   // same ordered row scan Build runs, so the component-id assignment of
   // a reloaded snapshot matches the saved instance exactly (path
   // compression changes parent entries but never roots). May be
-  // view-backed after a v2 mmap attach; nothing mutates it in place —
+  // view-backed after an mmap attach; nothing mutates it in place —
   // path compression happens only inside Build/BuildIncremental on
   // owned scratch before adoption.
   const StorageSpan<uint32_t>& forest() const { return uf_parent_; }

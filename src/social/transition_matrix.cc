@@ -25,12 +25,12 @@ void Frontier::Set(uint32_t row, double v) {
   values[row] = v;
 }
 
-double TransitionMatrix::ComputeRow(uint32_t row, const EntityLayout& layout,
-                                   const EdgeStore& edges,
-                                   const OutAdjacency& adj,
-                                   const doc::DocumentStore& docs,
-                                   RowScratch& s, std::vector<uint32_t>& cols,
-                                   std::vector<double>& vals) {
+void TransitionMatrix::ComputeRow(uint32_t row, const EntityLayout& layout,
+                                  const EdgeStore& edges,
+                                  const OutAdjacency& adj,
+                                  const doc::DocumentStore& docs,
+                                  RowScratch& s, std::vector<uint32_t>& cols,
+                                  std::vector<double>& vals) {
   // Returns the entity's own out-weight, summed in log order. Weights
   // are > 0 (EdgeStore::Add), so a zero accumulator marks an untouched
   // column.
@@ -60,36 +60,22 @@ double TransitionMatrix::ComputeRow(uint32_t row, const EntityLayout& layout,
     s.acc[col] = 0.0;
   }
   s.cols.clear();
-  return d;
 }
 
 Status TransitionMatrix::Adopt(StorageSpan<uint64_t> row_ptr,
                                StorageSpan<uint32_t> cols,
-                               StorageSpan<double> vals,
-                               StorageSpan<double> denom, size_t n_rows) {
+                               StorageSpan<double> vals, size_t n_rows) {
   auto bad = [](const std::string& why) {
     return Status::InvalidArgument("transition matrix: " + why);
   };
-  if (row_ptr.size() != n_rows + 1 || denom.size() != n_rows) {
-    return bad("row count mismatch");
-  }
+  if (row_ptr.size() != n_rows + 1) return bad("row count mismatch");
   if (row_ptr[0] != 0 || row_ptr.back() != cols.size() ||
       cols.size() != vals.size()) {
     return bad("CSR extent mismatch");
   }
-  for (size_t r = 0; r < n_rows; ++r) {
-    if (row_ptr[r] > row_ptr[r + 1]) return bad("row_ptr not monotone");
-    for (uint64_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      if (cols[i] >= n_rows) return bad("column out of range");
-      if (i > row_ptr[r] && cols[i] <= cols[i - 1]) {
-        return bad("row columns not strictly ascending");
-      }
-    }
-  }
   row_ptr_ = std::move(row_ptr);
   cols_ = std::move(cols);
   vals_ = std::move(vals);
-  denom_ = std::move(denom);
   ComputeColumnMax();
   return Status::OK();
 }
@@ -101,18 +87,15 @@ void TransitionMatrix::Build(const EntityLayout& layout,
   const OutAdjacency adj = IndexOutEdges(layout, edges);
   CsrBuild b;
   b.row_ptr.assign(total + 1, 0);
-  b.denom.assign(total, 0.0);
   RowScratch scratch;
   scratch.acc.assign(total, 0.0);
   for (uint32_t row = 0; row < total; ++row) {
-    b.denom[row] =
-        ComputeRow(row, layout, edges, adj, docs, scratch, b.cols, b.vals);
+    ComputeRow(row, layout, edges, adj, docs, scratch, b.cols, b.vals);
     b.row_ptr[row + 1] = b.cols.size();
   }
   row_ptr_ = std::move(b.row_ptr);
   cols_ = std::move(b.cols);
   vals_ = std::move(b.vals);
-  denom_ = std::move(b.denom);
   ComputeColumnMax();
 }
 
@@ -160,7 +143,6 @@ void TransitionMatrix::IncrementalUpdate(const TransitionMatrix& base,
   // base entries they replace.
   CsrBuild b;
   b.row_ptr.assign(total + 1, 0);
-  b.denom.assign(total, 0.0);
   RowScratch scratch;
   scratch.acc.assign(total, 0.0);
   std::vector<uint32_t> fresh_cols;
@@ -168,8 +150,8 @@ void TransitionMatrix::IncrementalUpdate(const TransitionMatrix& base,
   std::vector<uint64_t> fresh_end;
   uint64_t replaced_nnz = 0;
   for (uint32_t row : fresh_rows) {
-    b.denom[row] = ComputeRow(row, new_layout, edges, adj, docs, scratch,
-                              fresh_cols, fresh_vals);
+    ComputeRow(row, new_layout, edges, adj, docs, scratch, fresh_cols,
+               fresh_vals);
     fresh_end.push_back(fresh_cols.size());
     const bool old_tag = row >= new_frag_end;
     if (row < old_tag_base || (old_tag && row - n_new_fragments < old_total)) {
@@ -201,8 +183,6 @@ void TransitionMatrix::IncrementalUpdate(const TransitionMatrix& base,
     }
     std::copy(base.vals_.data() + e0, base.vals_.data() + e0 + n,
               b.vals.data() + out);
-    std::copy(base.denom_.data() + o0, base.denom_.data() + o1,
-              b.denom.data() + begin);
     for (uint32_t r = begin; r < end; ++r) {
       b.row_ptr[r + 1] = out + (base.row_ptr_[r - shift + 1] - e0);
     }
@@ -228,7 +208,6 @@ void TransitionMatrix::IncrementalUpdate(const TransitionMatrix& base,
   row_ptr_ = std::move(b.row_ptr);
   cols_ = std::move(b.cols);
   vals_ = std::move(b.vals);
-  denom_ = std::move(b.denom);
   ComputeColumnMax();
 }
 

@@ -87,10 +87,6 @@ class TransitionMatrix {
   // `out` must cover rows().
   void Propagate(const Frontier& in, Frontier& out) const;
 
-  // Normalization denominator D(n) for the row of entity `n` (0 if the
-  // neighborhood has no outgoing edge).
-  double Denominator(uint32_t row) const { return denom_[row]; }
-
   size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   size_t nonzeros() const { return cols_.size(); }
 
@@ -114,16 +110,16 @@ class TransitionMatrix {
   const StorageSpan<uint64_t>& row_ptr() const { return row_ptr_; }
   const StorageSpan<uint32_t>& col_index() const { return cols_; }
   const StorageSpan<double>& values() const { return vals_; }
-  const StorageSpan<double>& denominators() const { return denom_; }
 
-  // Binary-load path: adopts a deserialized CSR wholesale — shape
-  // validation only (monotone row_ptr, in-range strictly-ascending
-  // columns per row, matching array sizes); the float values are
-  // covered by the snapshot's checksum framing. `n_rows` is the
-  // entity-row count the matrix must cover.
+  // Binary-load path: adopts a deserialized CSR wholesale, checking
+  // only its extents (row count, row_ptr's first and last entries,
+  // matching array sizes) in O(1). The snapshot decoder has already
+  // checked every row's extent and columns (in range, strictly
+  // ascending); the float values are covered by the snapshot's
+  // checksum framing. `n_rows` is the entity-row count the matrix must
+  // cover.
   Status Adopt(StorageSpan<uint64_t> row_ptr, StorageSpan<uint32_t> cols,
-               StorageSpan<double> vals, StorageSpan<double> denom,
-               size_t n_rows);
+               StorageSpan<double> vals, size_t n_rows);
 
  private:
   // Owned scratch a Build/IncrementalUpdate pass accumulates into
@@ -133,7 +129,6 @@ class TransitionMatrix {
     std::vector<uint64_t> row_ptr;
     std::vector<uint32_t> cols;
     std::vector<double> vals;
-    std::vector<double> denom;
   };
 
   // Dense per-row accumulator: acc[col] is the row's unnormalized
@@ -144,16 +139,16 @@ class TransitionMatrix {
     std::vector<uint32_t> cols;
   };
 
-  // Computes one row (sorted normalized entries appended to cols/vals)
-  // from the out-edges of its neighborhood in `adj`, and returns its
-  // denominator; shared by Build and IncrementalUpdate. Each column
-  // sums its weights in log order, entity by entity (the row's own
-  // entity, then its vertical neighbors).
-  static double ComputeRow(uint32_t row, const EntityLayout& layout,
-                           const EdgeStore& edges, const OutAdjacency& adj,
-                           const doc::DocumentStore& docs, RowScratch& s,
-                           std::vector<uint32_t>& cols,
-                           std::vector<double>& vals);
+  // Computes one row (sorted entries, each over the row's D(n),
+  // appended to cols/vals) from the out-edges of its neighborhood in
+  // `adj`; shared by Build and IncrementalUpdate. Each column sums its
+  // weights in log order, entity by entity (the row's own entity, then
+  // its vertical neighbors).
+  static void ComputeRow(uint32_t row, const EntityLayout& layout,
+                         const EdgeStore& edges, const OutAdjacency& adj,
+                         const doc::DocumentStore& docs, RowScratch& s,
+                         std::vector<uint32_t>& cols,
+                         std::vector<double>& vals);
 
   // Recomputes col_max_ from the current CSR.
   void ComputeColumnMax();
@@ -161,7 +156,6 @@ class TransitionMatrix {
   StorageSpan<uint64_t> row_ptr_;
   StorageSpan<uint32_t> cols_;
   StorageSpan<double> vals_;
-  StorageSpan<double> denom_;
   std::vector<double> col_max_;
 };
 

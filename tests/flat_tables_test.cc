@@ -12,7 +12,7 @@
 // operations bit for bit: the population (keyword vocabulary, term
 // dictionary, triples and each of the three triple lookups), the
 // tags-on and comments-on tables, keyword directory, postings and
-// transition matrix (rows, denominators, column maxima). The base
+// transition matrix (rows and column maxima). The base
 // generation must still read and answer exactly as before its
 // successor was built. The document store — every node's document,
 // parent, depth, children, keywords, name and URI — must equal the
@@ -275,7 +275,6 @@ struct Tables {
   std::vector<std::vector<social::ComponentId>> comps;  // per keyword
   std::vector<std::vector<doc::NodeId>> postings;      // per keyword
   std::vector<std::vector<std::pair<uint32_t, double>>> rows;
-  std::vector<double> denom;
   std::vector<double> col_max;
 };
 
@@ -310,7 +309,6 @@ Tables Capture(const S3Instance& inst) {
     auto on = inst.TagsOn(layout.Entity(row));
     t.tags_on.emplace_back(on.begin(), on.end());
     t.rows.push_back(inst.matrix().Row(row));
-    t.denom.push_back(inst.matrix().Denominator(row));
   }
   for (doc::NodeId n = 0; n < inst.docs().NodeCount(); ++n) {
     auto on = inst.CommentsOnFragment(n);
@@ -338,7 +336,6 @@ void ExpectSameTables(const Tables& got, const Tables& want,
   EXPECT_EQ(got.comps, want.comps) << what << ": ComponentsWithKeyword";
   EXPECT_EQ(got.postings, want.postings) << what << ": Postings";
   EXPECT_EQ(got.rows, want.rows) << what << ": matrix rows";
-  EXPECT_EQ(got.denom, want.denom) << what << ": denominators";
   EXPECT_EQ(got.col_max, want.col_max) << what << ": ColumnMax";
 }
 

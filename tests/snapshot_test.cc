@@ -47,12 +47,10 @@ void ExpectSameDerivedState(const S3Instance& got, const S3Instance& want,
                             bool check_identity = true) {
   ASSERT_EQ(got.layout().total(), want.layout().total());
 
-  // Transition matrix: rows and denominators bit for bit.
+  // Transition matrix: rows bit for bit.
   ASSERT_EQ(got.matrix().rows(), want.matrix().rows());
   ASSERT_EQ(got.matrix().nonzeros(), want.matrix().nonzeros());
   for (uint32_t row = 0; row < want.matrix().rows(); ++row) {
-    EXPECT_EQ(got.matrix().Denominator(row), want.matrix().Denominator(row))
-        << "denominator row " << row;
     auto a = got.matrix().Row(row);
     auto b = want.matrix().Row(row);
     ASSERT_EQ(a.size(), b.size()) << "row " << row;
@@ -333,13 +331,18 @@ TEST(SnapshotInspectTest, ReportsSectionsAndMeta) {
   ASSERT_TRUE(blob.ok());
   auto info = InspectBinarySnapshot(*blob);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->version, kBinarySnapshotV2);
+  EXPECT_EQ(info->version, kBinarySnapshotVersion);
   EXPECT_EQ(info->generation, 0u);
   EXPECT_EQ(info->lineage, fig.instance->lineage());
   EXPECT_EQ(info->n_users, fig.instance->UserCount());
   EXPECT_EQ(info->n_nodes, fig.instance->docs().NodeCount());
   EXPECT_EQ(info->n_tags, fig.instance->TagCount());
-  ASSERT_EQ(info->sections.size(), 17u);
+  std::vector<std::string_view> names;
+  for (const auto& section : info->sections) names.push_back(section.name);
+  EXPECT_EQ(names, (std::vector<std::string_view>{
+                       "META", "VOCAB", "USERS", "TERMS", "TRIPLES", "DOCS",
+                       "TAGS", "SOCIAL", "EDGES", "INDEX", "MATRIXROWPTR",
+                       "MATRIXCOLS", "MATRIXVALS", "FOREST", "KWCOMPS"}));
   for (const auto& section : info->sections) {
     EXPECT_TRUE(section.crc_ok) << section.name;
     // Compact sections report the decoded footprint they expand to; raw
@@ -358,8 +361,7 @@ TEST(SnapshotInspectTest, ReportsSectionsAndMeta) {
     }
   }
   EXPECT_EQ(aligned, (std::vector<std::string_view>{
-                         "MATRIXROWPTR", "MATRIXVALS", "MATRIXDENOM",
-                         "FOREST"}));
+                         "MATRIXROWPTR", "MATRIXVALS", "FOREST"}));
 }
 
 TEST(SnapshotInspectTest, FlagsCorruptSection) {
@@ -444,39 +446,76 @@ TEST_F(BinarySnapshotRobustnessTest, GarbageNeverCrashes) {
   std::string bad_version = blob_;
   bad_version[8] = 7;
   ExpectRejected(bad_version, "unknown format version");
-  // Format v1 is no longer read; the error names the upgrade path.
-  std::string v1 = blob_;
-  v1[8] = 1;
-  ExpectRejected(v1, "format version 1");
-  for (const auto& status :
-       {LoadBinarySnapshot(v1).status(),
-        AttachBinarySnapshot(MappedRegion::FromBuffer(v1)).status(),
-        InspectBinarySnapshot(v1).status()}) {
-    EXPECT_NE(status.message().find("v1 is no longer read"),
-              std::string::npos)
-        << status.ToString();
-    EXPECT_NE(status.message().find("s3_snapshot convert"),
-              std::string::npos)
-        << status.ToString();
+  // Formats v1 and v2 are no longer read; each error names its
+  // upgrade path.
+  for (const auto& [version, needles] :
+       {std::pair{1, std::vector<std::string>{"v1 is no longer read",
+                                              "s3_snapshot convert",
+                                              "rebuild the snapshot"}},
+        std::pair{2, std::vector<std::string>{"v2 is no longer read",
+                                              "ce1c333",
+                                              "rebuild the snapshot"}}}) {
+    std::string old = blob_;
+    old[8] = static_cast<char>(version);
+    ExpectRejected(old, "format version " + std::to_string(version));
+    for (const auto& status :
+         {LoadBinarySnapshot(old).status(),
+          AttachBinarySnapshot(MappedRegion::FromBuffer(old)).status(),
+          InspectBinarySnapshot(old).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      for (const std::string& needle : needles) {
+        EXPECT_NE(status.message().find(needle), std::string::npos)
+            << status.ToString();
+      }
+    }
   }
 }
 
-// File offset and size of a section's payload, straight from the
-// section table (magic 8 + version/count/crc 12, then 36-byte entries:
-// id u32, encoding u8, elem u8, reserved u16, offset u64, size u64,
-// mem u64, crc u32).
+// The section table, read straight from the bytes: magic 8, then u32
+// version, u32 section count and u32 table CRC, then 36-byte entries
+// (id u32, encoding u8, elem u8, reserved u16, offset u64, size u64,
+// mem u64, crc u32). Tests name sections, never number them, so a
+// format step that renumbers the table cannot silently retarget a
+// hostile-byte test.
 constexpr size_t kTableAt = 8 + 12;
 constexpr size_t kTableEntryBytes = 36;
-constexpr uint32_t kSections = 17;
+constexpr uint8_t kAlignedEncoding = 2;
 
-std::pair<size_t, size_t> SectionExtent(const std::string& blob,
-                                        uint32_t id) {
-  const size_t entry = kTableAt + (id - 1) * kTableEntryBytes;
-  ByteReader r(std::string_view(blob).substr(entry, kTableEntryBytes));
+uint32_t SectionCount(const std::string& blob) {
+  return ByteReader(std::string_view(blob).substr(12, 4)).U32();
+}
+
+uint32_t SectionId(const std::string& blob, std::string_view name) {
+  auto info = InspectBinarySnapshot(blob);
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  if (info.ok()) {
+    for (const auto& s : info->sections) {
+      if (name == s.name) return s.id;
+    }
+  }
+  ADD_FAILURE() << "no section named " << name;
+  return 0;
+}
+
+size_t EntryAt(uint32_t id) { return kTableAt + (id - 1) * kTableEntryBytes; }
+
+// File offset and size of section `id`'s payload.
+std::pair<size_t, size_t> ExtentOf(const std::string& blob, uint32_t id) {
+  ByteReader r(std::string_view(blob).substr(EntryAt(id), kTableEntryBytes));
   r.Skip(8);
   const uint64_t offset = r.U64();
   const uint64_t size = r.U64();
   return {static_cast<size_t>(offset), static_cast<size_t>(size)};
+}
+
+std::pair<size_t, size_t> SectionExtent(const std::string& blob,
+                                        std::string_view name) {
+  return ExtentOf(blob, SectionId(blob, name));
+}
+
+std::string_view Payload(const std::string& blob, std::string_view name) {
+  const auto [at, size] = SectionExtent(blob, name);
+  return std::string_view(blob).substr(at, size);
 }
 
 void PutU32(std::string& blob, size_t at, uint32_t v) {
@@ -485,16 +524,42 @@ void PutU32(std::string& blob, size_t at, uint32_t v) {
   blob.replace(at, 4, bytes);
 }
 
-// Refreshes a rewritten section's payload CRC and the table CRC over
-// it, so only structural validation sees the change.
-void ResealSection(std::string& blob, uint32_t id) {
-  const auto [at, size] = SectionExtent(blob, id);
-  const size_t entry = kTableAt + (id - 1) * kTableEntryBytes;
-  PutU32(blob, entry + kTableEntryBytes - 4,
-         Crc32(std::string_view(blob).substr(at, size)));
-  PutU32(blob, kTableAt - 4,
-         Crc32(std::string_view(blob).substr(
-             kTableAt, kSections * kTableEntryBytes)));
+void PutU64(std::string& blob, size_t at, uint64_t v) {
+  std::string bytes;
+  ByteWriter(&bytes).U64(v);
+  blob.replace(at, 8, bytes);
+}
+
+// `blob` with section `name`'s payload replaced by `payload` of any
+// length: the later payloads move (aligned ones to the next 64-byte
+// offset, zero-padded) and the section's and the table's checksums are
+// refreshed, so only the decoders' structural checks see the change.
+std::string ReplaceSection(const std::string& blob, std::string_view name,
+                           std::string_view payload) {
+  const uint32_t id = SectionId(blob, name);
+  const uint32_t n = SectionCount(blob);
+  std::string out = blob.substr(0, kTableAt + n * kTableEntryBytes);
+  for (uint32_t s = 1; s <= n; ++s) {
+    const auto [at, size] = ExtentOf(blob, s);
+    const std::string_view p =
+        s == id ? payload : std::string_view(blob).substr(at, size);
+    if (static_cast<uint8_t>(blob[EntryAt(s) + 4]) == kAlignedEncoding) {
+      out.resize((out.size() + 63) / 64 * 64, '\0');
+    }
+    PutU64(out, EntryAt(s) + 8, out.size());
+    PutU64(out, EntryAt(s) + 16, p.size());
+    PutU32(out, EntryAt(s) + kTableEntryBytes - 4, Crc32(p));
+    out.append(p);
+  }
+  PutU32(out, kTableAt - 4,
+         Crc32(std::string_view(out).substr(kTableAt, n * kTableEntryBytes)));
+  return out;
+}
+
+// Refreshes the checksums over a section rewritten in place, so only
+// structural validation sees the change.
+void ResealSection(std::string& blob, std::string_view name) {
+  blob = ReplaceSection(blob, name, Payload(blob, name));
 }
 
 // A *checksum-valid* but semantically hostile snapshot must still be
@@ -502,9 +567,8 @@ void ResealSection(std::string& blob, uint32_t id) {
 // the table CRC over it, so only structural validation stands between
 // the bytes and the engine.
 TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
-  constexpr uint32_t kEdgesId = 10;
-  const std::string blob = ReadGolden("figure1_v2.snap");
-  const auto [edges_at, edges_size] = SectionExtent(blob, kEdgesId);
+  const std::string blob = ReadGolden("figure1_v3.snap");
+  const auto [edges_at, edges_size] = SectionExtent(blob, "EDGES");
 
   // Walk the EDGES stream (varint count, then per edge an opcode:
   // 0x40 and 0x41 stand alone, an edge label is followed by source and
@@ -533,7 +597,7 @@ TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
   // once they are refreshed.
   std::string corrupt = blob;
   corrupt[source_at] = '\0';
-  ResealSection(corrupt, kEdgesId);
+  ResealSection(corrupt, "EDGES");
 
   // Sanity: every checksum passes inspection...
   auto info = InspectBinarySnapshot(corrupt);
@@ -548,39 +612,6 @@ TEST(BinarySnapshotConfusionTest, CrcValidKindConfusionIsRejected) {
   EXPECT_NE(loaded.status().message().find("kinds do not match"),
             std::string::npos)
       << loaded.status().ToString();
-}
-
-// COMMENTS duplicates the last kCommentsOn target of each document's
-// root in EDGES. A CRC-valid COMMENTS that names another target must
-// not load: doc 1 comments on node 0 in the fixture; point it at 2.
-TEST(BinarySnapshotConfusionTest, CommentsDisagreeingWithEdgesAreRejected) {
-  constexpr uint32_t kCommentsId = 7;
-  const std::string blob = ReadGolden("figure1_v2.snap");
-  const auto [comments_at, comments_size] = SectionExtent(blob, kCommentsId);
-
-  // Varint document count, then one varint per document: target + 1,
-  // or 0 for none.
-  ByteReader r(std::string_view(blob).substr(comments_at, comments_size));
-  ASSERT_GE(r.Var(), 2u);
-  (void)r.Var();  // doc 0
-  const size_t doc1_at = comments_at + r.offset();
-  ASSERT_EQ(r.Var(), 1u) << "doc 1 should comment on node 0";
-  ASSERT_EQ(comments_at + r.offset(), doc1_at + 1);  // one varint byte
-
-  std::string corrupt = blob;
-  corrupt[doc1_at] = static_cast<char>(2 + 1);
-  ResealSection(corrupt, kCommentsId);
-  auto info = InspectBinarySnapshot(corrupt);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-
-  for (const auto& status :
-       {LoadBinarySnapshot(corrupt).status(),
-        AttachBinarySnapshot(MappedRegion::FromBuffer(corrupt)).status()}) {
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(status.message().find("COMMENTS"), std::string::npos)
-        << status.ToString();
-  }
 }
 
 // Byte offsets (into the whole blob) of the DOCS fields a hostile
@@ -602,8 +633,7 @@ struct DocsDocAt {
 };
 
 std::vector<DocsDocAt> WalkDocs(const std::string& blob) {
-  constexpr uint32_t kDocsId = 6;
-  const auto [at, size] = SectionExtent(blob, kDocsId);
+  const auto [at, size] = SectionExtent(blob, "DOCS");
   ByteReader r(std::string_view(blob).substr(at, size));
   std::vector<DocsDocAt> docs(r.U64());
   for (DocsDocAt& d : docs) {
@@ -632,8 +662,7 @@ std::vector<DocsDocAt> WalkDocs(const std::string& blob) {
 // node total that disagrees with META are each refused by both the
 // heap load and the mmap attach.
 TEST(BinarySnapshotConfusionTest, CrcValidHostileDocsAreRejected) {
-  constexpr uint32_t kDocsId = 6;
-  const std::string blob = ReadGolden("figure1_v2.snap");
+  const std::string blob = ReadGolden("figure1_v3.snap");
   const std::vector<DocsDocAt> docs = WalkDocs(blob);
   ASSERT_GE(docs.size(), 2u);
   ASSERT_EQ(docs[0].uri.size(), docs[1].uri.size());
@@ -678,7 +707,7 @@ TEST(BinarySnapshotConfusionTest, CrcValidHostileDocsAreRejected) {
   for (auto& [what, corrupt] : cases) {
     SCOPED_TRACE(what);
     ASSERT_NE(corrupt, blob);
-    ResealSection(corrupt, kDocsId);
+    ResealSection(corrupt, "DOCS");
     auto info = InspectBinarySnapshot(corrupt);
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     for (const auto& status :
@@ -697,16 +726,12 @@ TEST(BinarySnapshotConfusionTest, CrcValidHostileDocsAreRejected) {
 // The golden DOCS bytes survive a load and re-save unchanged: the flat
 // document store writes back exactly the trees and root URIs it read.
 TEST(BinarySnapshotConfusionTest, GoldenDocsResaveByteIdentical) {
-  constexpr uint32_t kDocsId = 6;
-  const std::string blob = ReadGolden("figure1_v2.snap");
+  const std::string blob = ReadGolden("figure1_v3.snap");
   auto loaded = LoadBinarySnapshot(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   auto resaved = SaveBinarySnapshot(**loaded);
   ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
-  const auto [at, size] = SectionExtent(blob, kDocsId);
-  const auto [re_at, re_size] = SectionExtent(*resaved, kDocsId);
-  EXPECT_EQ(std::string_view(*resaved).substr(re_at, re_size),
-            std::string_view(blob).substr(at, size));
+  EXPECT_EQ(Payload(*resaved, "DOCS"), Payload(blob, "DOCS"));
 }
 
 // ---- malformed population sections -------------------------------------
@@ -716,12 +741,6 @@ TEST(BinarySnapshotConfusionTest, GoldenDocsResaveByteIdentical) {
 // so only the decoder's own checks stand between the bytes and the
 // instance; the heap load and the mmap attach must both refuse the file
 // with an InvalidArgument that names the section.
-
-constexpr uint32_t kVocabId = 2;
-constexpr uint32_t kTermsId = 4;
-constexpr uint32_t kTriplesId = 5;
-constexpr uint32_t kIndexId = 11;
-constexpr uint32_t kKwCompsId = 17;
 
 // Two users, two documents in separate components that share keyword
 // kwb, a typed resource and a literal: every id fits a one-byte varint.
@@ -757,22 +776,12 @@ PopulationFixture BuildPopulationFixture() {
           inst.vocabulary().size(), inst.components().ComponentCount()};
 }
 
-std::string_view Payload(const std::string& blob, uint32_t id) {
-  const auto [at, size] = SectionExtent(blob, id);
-  return std::string_view(blob).substr(at, size);
-}
-
-// Swaps in section `id`'s faulty payload (same length), reseals it and
-// expects both loaders to refuse it naming `section` and `why`.
-void ExpectSectionFault(const std::string& blob, uint32_t id,
-                        const std::string& payload,
-                        const std::string& section, const std::string& why) {
-  const auto [at, size] = SectionExtent(blob, id);
-  ASSERT_EQ(payload.size(), size) << "the fault must keep the length";
-  std::string corrupt = blob;
-  corrupt.replace(at, size, payload);
+// Swaps in section `section`'s faulty payload and reseals it, and
+// expects both loaders to refuse it naming the section and `why`.
+void ExpectSectionFault(const std::string& blob, const std::string& section,
+                        const std::string& payload, const std::string& why) {
+  const std::string corrupt = ReplaceSection(blob, section, payload);
   ASSERT_NE(corrupt, blob);
-  ResealSection(corrupt, id);
   auto info = InspectBinarySnapshot(corrupt);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   for (const auto& s : info->sections) EXPECT_TRUE(s.crc_ok) << s.name;
@@ -791,7 +800,7 @@ void ExpectSectionFault(const std::string& blob, uint32_t id,
 // VOCAB: a varint count, then one varint-length string per keyword.
 TEST(PopulationSectionTest, DuplicateSpellingInVocabIsRejected) {
   const PopulationFixture fx = BuildPopulationFixture();
-  ByteReader r(Payload(fx.blob, kVocabId));
+  ByteReader r(Payload(fx.blob, "VOCAB"));
   std::vector<std::string> spellings(r.Var());
   for (std::string& s : spellings) s = r.VarStr();
   ASSERT_TRUE(r.AtEnd());
@@ -801,7 +810,7 @@ TEST(PopulationSectionTest, DuplicateSpellingInVocabIsRejected) {
   ByteWriter w(&p);
   w.Var(spellings.size());
   for (const std::string& s : spellings) w.VarStr(s);
-  ExpectSectionFault(fx.blob, kVocabId, p, "VOCAB", "duplicate spelling");
+  ExpectSectionFault(fx.blob, "VOCAB", p, "duplicate spelling");
 }
 
 // TERMS: a varint count, then per term a kind byte (0: URI, 1:
@@ -828,7 +837,7 @@ size_t TermIndex(const WireTerms& terms, uint8_t kind,
 
 TEST(PopulationSectionTest, DuplicateTermInTermsIsRejected) {
   const PopulationFixture fx = BuildPopulationFixture();
-  WireTerms terms = DecodeTerms(Payload(fx.blob, kTermsId));
+  WireTerms terms = DecodeTerms(Payload(fx.blob, "TERMS"));
   terms[TermIndex(terms, 0, "ub")].second = "ua";
   std::string p;
   ByteWriter w(&p);
@@ -837,7 +846,7 @@ TEST(PopulationSectionTest, DuplicateTermInTermsIsRejected) {
     w.U8(kind);
     w.VarStr(text);
   }
-  ExpectSectionFault(fx.blob, kTermsId, p, "TERMS", "duplicate term");
+  ExpectSectionFault(fx.blob, "TERMS", p, "duplicate term");
 }
 
 // TRIPLES: a varint count, then per triple its subject, property and
@@ -879,22 +888,22 @@ std::string EncodeTriples(const std::vector<WireTriple>& triples) {
 TEST(PopulationSectionTest, DuplicateTripleIsRejected) {
   const PopulationFixture fx = BuildPopulationFixture();
   std::vector<WireTriple> triples =
-      DecodeTriples(Payload(fx.blob, kTriplesId));
+      DecodeTriples(Payload(fx.blob, "TRIPLES"));
   ASSERT_GE(triples.size(), 3u);
   triples[2] = triples[0];  // both weight 1
-  ExpectSectionFault(fx.blob, kTriplesId, EncodeTriples(triples), "TRIPLES",
+  ExpectSectionFault(fx.blob, "TRIPLES", EncodeTriples(triples),
                      "duplicate triple");
 }
 
 TEST(PopulationSectionTest, LiteralSubjectTripleIsRejected) {
   const PopulationFixture fx = BuildPopulationFixture();
   std::vector<WireTriple> triples =
-      DecodeTriples(Payload(fx.blob, kTriplesId));
+      DecodeTriples(Payload(fx.blob, "TRIPLES"));
   const size_t literal =
-      TermIndex(DecodeTerms(Payload(fx.blob, kTermsId)), 1, "lit");
+      TermIndex(DecodeTerms(Payload(fx.blob, "TERMS")), 1, "lit");
   ASSERT_NE(triples.front().s, literal);
   triples.front().s = literal;
-  ExpectSectionFault(fx.blob, kTriplesId, EncodeTriples(triples), "TRIPLES",
+  ExpectSectionFault(fx.blob, "TRIPLES", EncodeTriples(triples),
                      "literal subject");
 }
 
@@ -939,17 +948,18 @@ std::string EncodeKeywordLists(const KeywordLists& lists) {
 // Per section, one fault case per entry of `faults`: (what the error
 // names, the lists with that fault planted).
 void ExpectKeywordListFaults(
-    const std::string& blob, uint32_t id, const std::string& section,
+    const std::string& blob, const std::string& section,
     const std::vector<std::pair<std::string, KeywordLists>>& faults) {
   for (const auto& [why, lists] : faults) {
     SCOPED_TRACE(section + ": " + why);
-    ExpectSectionFault(blob, id, EncodeKeywordLists(lists), section, why);
+    ExpectSectionFault(blob, section, EncodeKeywordLists(lists), why);
   }
 }
 
 // The lists hold two keywords (kwa, kwb), and kwb's list has two items.
-KeywordLists FixtureLists(const std::string& blob, uint32_t id) {
-  KeywordLists lists = DecodeKeywordLists(Payload(blob, id));
+KeywordLists FixtureLists(const std::string& blob,
+                          const std::string& section) {
+  KeywordLists lists = DecodeKeywordLists(Payload(blob, section));
   EXPECT_EQ(lists.size(), 2u);
   EXPECT_GE(lists.size() == 2 ? lists[1].second.size() : 0, 2u);
   return lists;
@@ -977,23 +987,23 @@ std::vector<std::pair<std::string, KeywordLists>> OutOfRangeFaults(
 
 TEST(PopulationSectionTest, NonAscendingIndexIsRejected) {
   const PopulationFixture fx = BuildPopulationFixture();
-  ExpectKeywordListFaults(fx.blob, kIndexId, "INDEX",
-                          NotAscendingFaults(FixtureLists(fx.blob, kIndexId)));
+  ExpectKeywordListFaults(fx.blob, "INDEX",
+                          NotAscendingFaults(FixtureLists(fx.blob, "INDEX")));
 }
 
 TEST(PopulationSectionTest, OutOfRangeIndexIsRejected) {
   const PopulationFixture fx = BuildPopulationFixture();
   ExpectKeywordListFaults(
-      fx.blob, kIndexId, "INDEX",
-      OutOfRangeFaults(FixtureLists(fx.blob, kIndexId), fx.n_keywords,
+      fx.blob, "INDEX",
+      OutOfRangeFaults(FixtureLists(fx.blob, "INDEX"), fx.n_keywords,
                        fx.n_nodes, "in range"));
 }
 
 TEST(PopulationSectionTest, NonAscendingKwCompsIsRejected) {
   const PopulationFixture fx = BuildPopulationFixture();
   ExpectKeywordListFaults(
-      fx.blob, kKwCompsId, "KWCOMPS",
-      NotAscendingFaults(FixtureLists(fx.blob, kKwCompsId)));
+      fx.blob, "KWCOMPS",
+      NotAscendingFaults(FixtureLists(fx.blob, "KWCOMPS")));
 }
 
 TEST(PopulationSectionTest, OutOfRangeKwCompsIsRejected) {
@@ -1001,9 +1011,74 @@ TEST(PopulationSectionTest, OutOfRangeKwCompsIsRejected) {
   // A component id past the forest's count is still below the row
   // bound the decoder applies; the attach refuses it against the forest.
   ExpectKeywordListFaults(
-      fx.blob, kKwCompsId, "KWCOMPS",
-      OutOfRangeFaults(FixtureLists(fx.blob, kKwCompsId), fx.n_keywords,
+      fx.blob, "KWCOMPS",
+      OutOfRangeFaults(FixtureLists(fx.blob, "KWCOMPS"), fx.n_keywords,
                        fx.n_components, "out of range"));
+}
+
+// MATRIXCOLS: per row (its extent from MATRIXROWPTR's u64 row
+// pointers), the row's first column, then each next column as a delta
+// from the previous one. Held here as per-row wire varints.
+using WireRows = std::vector<std::vector<uint64_t>>;
+
+WireRows DecodeMatrixCols(const std::string& blob) {
+  const std::string_view row_ptr_bytes = Payload(blob, "MATRIXROWPTR");
+  ByteReader ptr(row_ptr_bytes);
+  std::vector<uint64_t> row_ptr(row_ptr_bytes.size() / 8);
+  for (uint64_t& p : row_ptr) p = ptr.U64();
+  EXPECT_GE(row_ptr.size(), 1u);
+  WireRows rows(row_ptr.empty() ? 0 : row_ptr.size() - 1);
+  ByteReader r(Payload(blob, "MATRIXCOLS"));
+  for (size_t row = 0; row < rows.size(); ++row) {
+    rows[row].resize(row_ptr[row + 1] - row_ptr[row]);
+    for (uint64_t& d : rows[row]) d = r.Var();
+  }
+  EXPECT_TRUE(r.AtEnd());
+  return rows;
+}
+
+std::string EncodeMatrixCols(const WireRows& rows) {
+  std::string p;
+  ByteWriter w(&p);
+  for (const auto& row : rows) {
+    for (uint64_t d : row) w.Var(d);
+  }
+  return p;
+}
+
+// The first row with at least two entries whose first column is not 0.
+size_t RowWithTwoEntries(const WireRows& rows) {
+  for (size_t row = 0; row < rows.size(); ++row) {
+    if (rows[row].size() >= 2 && rows[row][0] > 0) return row;
+  }
+  ADD_FAILURE() << "no row with two entries";
+  return 0;
+}
+
+// A CRC-valid MATRIXCOLS must keep every row's columns in range and
+// strictly ascending. A column past the last row, a repeated column
+// (delta 0) and a delta that wraps `prev + d` past 2^64 to a smaller,
+// in-range column are each refused by both loaders.
+TEST(PopulationSectionTest, HostileMatrixColsAreRejected) {
+  const std::string blob =
+      *SaveBinarySnapshot(*s3::testing::BuildFigure1().instance);
+  const WireRows rows = DecodeMatrixCols(blob);
+  const size_t row = RowWithTwoEntries(rows);
+
+  WireRows past_end = rows;
+  past_end[row][0] = rows.size();
+  WireRows repeated = rows;
+  repeated[row][1] = 0;
+  WireRows wrapped = rows;
+  wrapped[row][1] = UINT64_MAX;  // prev + 2^64 - 1: prev - 1
+  for (const auto& [what, fault] :
+       {std::pair{"column past the last row", past_end},
+        std::pair{"repeated column", repeated},
+        std::pair{"wrapping delta", wrapped}}) {
+    SCOPED_TRACE(what);
+    ExpectSectionFault(blob, "MATRIXCOLS", EncodeMatrixCols(fault),
+                       "column out of range or not ascending");
+  }
 }
 
 // ---- zero-copy attach --------------------------------------------------
@@ -1033,7 +1108,6 @@ TEST_F(SnapshotAttachTest, MmapAttachMatchesHeapLoadBitForBit) {
   // payload sits at a 64-byte file offset).
   EXPECT_TRUE((*attached)->matrix().values().is_view());
   EXPECT_TRUE((*attached)->matrix().row_ptr().is_view());
-  EXPECT_TRUE((*attached)->matrix().denominators().is_view());
   EXPECT_TRUE((*attached)->components().forest().is_view());
   EXPECT_FALSE((*heap)->matrix().values().is_view());
 
@@ -1109,30 +1183,24 @@ TEST_F(SnapshotAttachTest, MisalignedRegionsFallBackToCopies) {
   }
 }
 
-TEST_F(SnapshotAttachTest, LazyCrcSkipsAlignedEagerCatchesIt) {
+TEST_F(SnapshotAttachTest, LazyCrcSkipsAlignedHeapLoadCatchesIt) {
   // Corrupt one byte inside MATRIXVALS (aligned, lazily verified).
-  auto [offset, size] = SectionExtent(blob_, 14);
+  auto [offset, size] = SectionExtent(blob_, "MATRIXVALS");
   ASSERT_GT(size, 0u);
   std::string corrupt = blob_;
   corrupt[offset + size / 2] ^= 0x10;
 
-  // Lazy attach admits it (the structural shape is intact — that is
+  // The attach admits it (the structural shape is intact — that is
   // the documented trade of skipping the float-array CRC pass)...
   auto lazy = AttachBinarySnapshot(MappedRegion::FromBuffer(corrupt));
   EXPECT_TRUE(lazy.ok()) << lazy.status().ToString();
-  // ...eager attach and the heap loader both reject it.
-  SnapshotAttachOptions eager;
-  eager.eager_crc = true;
-  auto checked =
-      AttachBinarySnapshot(MappedRegion::FromBuffer(corrupt), eager);
-  ASSERT_FALSE(checked.ok());
-  EXPECT_EQ(checked.status().code(), StatusCode::kInvalidArgument);
+  // ...the heap loader, which verifies every checksum, rejects it.
   EXPECT_EQ(LoadBinarySnapshot(corrupt).status().code(),
             StatusCode::kInvalidArgument);
 
   // Corruption in a *compact* section is caught even by the lazy
   // attach — those decode (and checksum) at attach time.
-  auto [c_offset, c_size] = SectionExtent(blob_, 13);  // MATRIXCOLS
+  auto [c_offset, c_size] = SectionExtent(blob_, "MATRIXCOLS");
   ASSERT_GT(c_size, 0u);
   std::string compact_corrupt = blob_;
   compact_corrupt[c_offset] ^= 0x01;
@@ -1142,24 +1210,45 @@ TEST_F(SnapshotAttachTest, LazyCrcSkipsAlignedEagerCatchesIt) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(SnapshotAttachTest, EagerAttachRejectsEveryTruncationAndFlip) {
-  SnapshotAttachOptions eager;
-  eager.eager_crc = true;
+// The lazy checksums skip only the aligned payloads: the attach still
+// refuses every truncation and every flip anywhere else (magic,
+// header, table, padding, compact and raw payloads), and the heap
+// load, which verifies every checksum, refuses every flip.
+TEST_F(SnapshotAttachTest, AttachRejectsEveryTruncationAndUnalignedFlip) {
+  std::vector<std::pair<size_t, size_t>> aligned;  // [begin, end)
+  auto info = InspectBinarySnapshot(blob_);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  for (const auto& section : info->sections) {
+    if (std::string_view(section.encoding) != "aligned") continue;
+    const auto [at, size] = SectionExtent(blob_, section.name);
+    aligned.emplace_back(at, at + size);
+  }
+  ASSERT_EQ(aligned.size(), 3u);
   for (size_t len = 0; len < blob_.size(); len += 61) {
     auto region = MappedRegion::FromBuffer(
         std::string_view(blob_).substr(0, len));
-    auto attached = AttachBinarySnapshot(region, eager);
+    auto attached = AttachBinarySnapshot(region);
     ASSERT_FALSE(attached.ok()) << "truncated to " << len;
     EXPECT_EQ(attached.status().code(), StatusCode::kInvalidArgument);
   }
+  size_t attach_checked = 0;
   for (size_t at = 0; at < blob_.size(); at += 17) {
     std::string corrupt = blob_;
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0x20);
-    auto attached =
-        AttachBinarySnapshot(MappedRegion::FromBuffer(corrupt), eager);
+    EXPECT_EQ(LoadBinarySnapshot(corrupt).status().code(),
+              StatusCode::kInvalidArgument)
+        << "flip at byte " << at;
+    if (std::any_of(aligned.begin(), aligned.end(), [&](const auto& span) {
+          return at >= span.first && at < span.second;
+        })) {
+      continue;
+    }
+    ++attach_checked;
+    auto attached = AttachBinarySnapshot(MappedRegion::FromBuffer(corrupt));
     ASSERT_FALSE(attached.ok()) << "flip at byte " << at;
     EXPECT_EQ(attached.status().code(), StatusCode::kInvalidArgument);
   }
+  EXPECT_GT(attach_checked, 0u);
 }
 
 // Many threads attach from one shared region and query concurrently —
@@ -1199,7 +1288,7 @@ TEST_F(SnapshotAttachTest, ConcurrentAttachAndQueryFromOneRegion) {
 // longer read them is a compatibility break, not a test to update.
 
 TEST(GoldenSnapshotTest, LoadsAndMatchesFreshBuild) {
-  const std::string blob = ReadGolden("figure1_v2.snap");
+  const std::string blob = ReadGolden("figure1_v3.snap");
   ASSERT_FALSE(blob.empty());
   auto fig = s3::testing::BuildFigure1();
 

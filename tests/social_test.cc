@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "social/components.h"
 #include "social/edge_store.h"
 #include "social/entity.h"
@@ -130,6 +133,36 @@ class Figure3MatrixTest : public ::testing::Test {
   s3::testing::Figure3 fig_;
 
   uint32_t Row(EntityId e) { return fig_.instance->layout().Row(e); }
+
+  // Paper §2.5: a row holds, per column, the summed weights of the
+  // edges leaving the row's entity or (for a fragment) one of its
+  // vertical neighbors, all over the same D(n), the sum of those
+  // weights. Checks that D(n) is `d` and the row is the sums over it.
+  void ExpectRowIsSumsOver(EntityId n, double d) {
+    std::vector<EntityId> from = {n};
+    if (n.kind() == EntityKind::kFragment) {
+      const doc::DocumentStore& docs = fig_.instance->docs();
+      for (doc::NodeId v : docs.VerticalNeighbors(n.index())) {
+        from.push_back(EntityId::Fragment(v));
+      }
+    }
+    std::map<uint32_t, double> sums;
+    double total = 0.0;
+    for (const NetEdge& e : fig_.instance->edges().edges()) {
+      if (std::find(from.begin(), from.end(), e.source) == from.end()) {
+        continue;
+      }
+      sums[Row(e.target)] += e.weight;
+      total += e.weight;
+    }
+    EXPECT_NEAR(total, d, 1e-12);
+    const auto row = fig_.instance->matrix().Row(Row(n));
+    ASSERT_EQ(row.size(), sums.size());
+    for (const auto& [col, v] : row) {
+      ASSERT_EQ(sums.count(col), 1u) << "column " << col;
+      EXPECT_NEAR(v, sums[col] / d, 1e-12) << "column " << col;
+    }
+  }
 };
 
 TEST_F(Figure3MatrixTest, Example23FirstEdgeNormalization) {
@@ -137,7 +170,7 @@ TEST_F(Figure3MatrixTest, Example23FirstEdgeNormalization) {
   // the posted edge: 1 / 1.3 ≈ 0.77 (paper Example 2.3).
   const auto& m = fig_.instance->matrix();
   uint32_t u0_row = Row(EntityId::User(fig_.u0));
-  EXPECT_NEAR(m.Denominator(u0_row), 1.3, 1e-12);
+  ExpectRowIsSumsOver(EntityId::User(fig_.u0), 1.3);
   double w_to_uri0 = 0.0;
   for (const auto& [col, v] : m.Row(u0_row)) {
     if (col == Row(EntityId::Fragment(fig_.uri0))) w_to_uri0 = v;
@@ -150,7 +183,7 @@ TEST_F(Figure3MatrixTest, Example23SecondEdgeNormalization) {
   // outgoing weight-1 edges give each a normalized weight of 1/4.
   const auto& m = fig_.instance->matrix();
   uint32_t uri0_row = Row(EntityId::Fragment(fig_.uri0));
-  EXPECT_NEAR(m.Denominator(uri0_row), 4.0, 1e-12);
+  ExpectRowIsSumsOver(EntityId::Fragment(fig_.uri0), 4.0);
   double w_to_a0 = 0.0;
   for (const auto& [col, v] : m.Row(uri0_row)) {
     if (col == Row(EntityId::Tag(fig_.a0))) w_to_a0 = v;
